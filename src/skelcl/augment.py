@@ -3,20 +3,22 @@
 The normal family is exactly {Shear, Crop}; the extreme family is
 exactly {Shear, Spatial Flip, Rotate, Axis Mask, Crop, Temporal Flip,
 Gaussian Noise, Gaussian Blur}, applied independently with probability
-0.5 in that order.  Magnitude defaults live in `AugmentParams` and are
-echoed into run configs so they stay auditable; every transform
-preserves the (T, C, V) shape and is a pure function of (input, rng).
+`extreme_prob` each, in that order.  The five magnitudes (`shear_beta`,
+`crop_min_ratio`, `rotate_max_deg`, `aug_noise_sigma`, `extreme_prob`)
+are read from the `RunConfig`, so they are hashed with the run; every
+transform preserves the (T, C, V) shape and is a pure function of
+(input, rng).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
+from .config import AUGMENT_FAMILIES, RunConfig
 from .rng import RngStream
-from .skeleton import SkeletonSequence
 
 NORMAL_TRANSFORMS = ("shear", "crop")
 EXTREME_TRANSFORMS = (
@@ -29,15 +31,6 @@ EXTREME_TRANSFORMS = (
     "gaussian_noise",
     "gaussian_blur",
 )
-
-
-@dataclass(frozen=True)
-class AugmentParams:
-    shear_beta: float = 0.5
-    crop_min_ratio: float = 0.5
-    rotate_max_deg: float = 30.0
-    noise_sigma: float = 0.05
-    extreme_prob: float = 0.5
 
 
 def shear(data: np.ndarray, beta: float, gen: np.random.Generator) -> np.ndarray:
@@ -109,37 +102,33 @@ def gaussian_blur(data: np.ndarray) -> np.ndarray:
     return out
 
 
-def apply_normal_array(
-    data: np.ndarray, rng: RngStream, params: AugmentParams = AugmentParams()
-) -> np.ndarray:
+def apply_normal_array(data: np.ndarray, rng: RngStream, config: RunConfig) -> np.ndarray:
     gen = rng.generator()
-    out = shear(data, params.shear_beta, gen)
-    out = temporal_crop(out, params.crop_min_ratio, gen)
+    out = shear(data, config.shear_beta, gen)
+    out = temporal_crop(out, config.crop_min_ratio, gen)
     return out
 
 
-def apply_extreme_array(
-    data: np.ndarray, rng: RngStream, params: AugmentParams = AugmentParams()
-) -> np.ndarray:
+def apply_extreme_array(data: np.ndarray, rng: RngStream, config: RunConfig) -> np.ndarray:
     gen = rng.generator()
     out = data
     for name in EXTREME_TRANSFORMS:
-        if gen.uniform() >= params.extreme_prob:
+        if gen.uniform() >= config.extreme_prob:
             continue
         if name == "shear":
-            out = shear(out, params.shear_beta, gen)
+            out = shear(out, config.shear_beta, gen)
         elif name == "spatial_flip":
             out = spatial_flip(out, gen)
         elif name == "rotate":
-            out = rotate(out, params.rotate_max_deg, gen)
+            out = rotate(out, config.rotate_max_deg, gen)
         elif name == "axis_mask":
             out = axis_mask(out, gen)
         elif name == "crop":
-            out = temporal_crop(out, params.crop_min_ratio, gen)
+            out = temporal_crop(out, config.crop_min_ratio, gen)
         elif name == "temporal_flip":
             out = temporal_flip(out)
         elif name == "gaussian_noise":
-            out = gaussian_noise(out, params.noise_sigma, gen)
+            out = gaussian_noise(out, config.aug_noise_sigma, gen)
         elif name == "gaussian_blur":
             out = gaussian_blur(out)
     return out
@@ -147,13 +136,13 @@ def apply_extreme_array(
 
 @dataclass(frozen=True)
 class AugmentPipeline:
-    """A named family with its magnitude parameters."""
+    """A named family with the run's magnitude parameters."""
 
-    family: str = "normal"
-    params: AugmentParams = AugmentParams()
+    family: str
+    config: RunConfig
 
     def __post_init__(self):
-        if self.family not in ("normal", "extreme"):
+        if self.family not in AUGMENT_FAMILIES:
             raise ValueError(f"unknown augmentation family {self.family!r}")
 
     @property
@@ -162,22 +151,5 @@ class AugmentPipeline:
 
     def apply_array(self, data: np.ndarray, rng: RngStream) -> np.ndarray:
         if self.family == "normal":
-            return apply_normal_array(data, rng, self.params)
-        return apply_extreme_array(data, rng, self.params)
-
-    def with_params(self, **kwargs) -> "AugmentPipeline":
-        return AugmentPipeline(self.family, replace(self.params, **kwargs))
-
-
-def apply_normal(
-    seq: SkeletonSequence, rng: RngStream, params: AugmentParams = AugmentParams()
-) -> SkeletonSequence:
-    out = apply_normal_array(seq.data, rng, params)
-    return SkeletonSequence(data=out, graph=seq.graph, label=seq.label)
-
-
-def apply_extreme(
-    seq: SkeletonSequence, rng: RngStream, params: AugmentParams = AugmentParams()
-) -> SkeletonSequence:
-    out = apply_extreme_array(seq.data, rng, params)
-    return SkeletonSequence(data=out, graph=seq.graph, label=seq.label)
+            return apply_normal_array(data, rng, self.config)
+        return apply_extreme_array(data, rng, self.config)

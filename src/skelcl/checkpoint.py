@@ -29,7 +29,7 @@ from .errors import (
     VersionMismatch,
 )
 from .rng import RngStream
-from .train import OptimizerState, TrainState, encoder_config
+from .train import OptimizerState, TrainState
 
 MAGIC = b"CKPT"
 VERSION = 1
@@ -131,7 +131,7 @@ def state_to_checkpoint(state: TrainState) -> Checkpoint:
 
 def state_from_checkpoint(ckpt: Checkpoint) -> TrainState:
     config = ckpt.config
-    enc_cfg = encoder_config(config)
+    enc_cfg = config.encoder_config()
     pairs: dict[str, EncoderPair] = {}
     queues: dict[str, MemoryQueue] = {}
     optimizers: dict[str, OptimizerState] = {}
@@ -174,7 +174,7 @@ def query_params(ckpt: Checkpoint, stream: str) -> EncoderParams:
     """The trained query-branch encoder of one stream."""
     if f"queue.{stream}.slots" not in ckpt.tensors:
         raise StreamMissing(f"checkpoint lacks stream {stream!r}")
-    params = init_params(encoder_config(ckpt.config), RngStream(0).split("rebuild"))
+    params = init_params(ckpt.config.encoder_config(), RngStream(0).split("rebuild"))
     for name, t in params.tensors.items():
         t.data[...] = ckpt.tensors[f"enc.{stream}.query.{name}"]
     return params

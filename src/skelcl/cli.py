@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
+from .augment import AugmentPipeline
 from .checkpoint import (
     Checkpoint,
     load_checkpoint,
@@ -26,36 +27,24 @@ from .checkpoint import (
 )
 from .config import RunConfig, parse_config
 from .contrast import (
-    LossConfig,
     MemoryQueue,
-    PftConfig,
     combine_losses,
-    intra_loss,
-    nnm_intra_loss,
-    nnm_mine,
     pft_transform,
-    sample_lambda,
+    queue_nll,
     similarity_histogram,
 )
-from .encoder import EncoderConfig, encode, init_params, project, stgcn_forward
-from .errors import ConfigTypeError, SkelclError, UnknownKey
+from .encoder import EncoderConfig, encode, init_params, stgcn_forward
+from .errors import ConfigTypeError, ConfigValueError, SkelclError, UnknownKey
 from .rng import RngStream
 from .skeleton import (
     derive_streams,
     generate_synthetic_dataset,
     load_dataset,
+    shared_graph,
     stratified_split,
     write_dataset,
 )
-from .train import (
-    augment_params,
-    finetune,
-    fuse_predictions,
-    knn_probe,
-    linear_probe,
-    pretrain,
-)
-from .augment import AugmentPipeline
+from .train import finetune, fuse_predictions, knn_probe, linear_probe, pretrain
 
 
 def _parse_overrides(pairs: list[str]) -> dict:
@@ -120,6 +109,11 @@ def cmd_gen_data(args) -> int:
 
 def cmd_pretrain(args) -> int:
     if args.resume:
+        if args.set or args.config or args.seed is not None or args.tau is not None:
+            raise ConfigValueError(
+                "--resume", "the run's config comes from the checkpoint; "
+                "drop --set, --config, --seed and --tau"
+            )
         ckpt = load_checkpoint(args.resume)
         config = ckpt.config
         state = state_from_checkpoint(ckpt)
@@ -272,41 +266,38 @@ def _gradcheck_components(dtype, eps=1e-4):
 
     results["projector"] = T.grad_check(f_proj, params.trainable(), eps=eps)
 
-    # loss terms on slim embeddings
+    # loss terms on slim embeddings, one row each
     dim = 6
     queue = MemoryQueue(8, dim, dtype=dtype)
     fill = rng.normal(size=(8, dim))
     fill /= np.linalg.norm(fill, axis=1, keepdims=True)
     queue.push(fill)
-    zq_param = T.parameter(rng.normal(size=dim).astype(dtype))
-    zk = rng.normal(size=dim)
+    zq_param = T.parameter(rng.normal(size=(1, dim)).astype(dtype))
+    zk = rng.normal(size=(1, dim))
     zk /= np.linalg.norm(zk)
 
     def f_intra():
-        return intra_loss(T.l2_normalize(zq_param), zk, queue, 0.2)
+        return T.mean_(queue_nll(T.l2_normalize(zq_param), zk, queue, 0.2))
 
     results["loss_intra"] = T.grad_check(f_intra, {"zq": zq_param}, eps=eps)
 
     def f_nnm():
-        z = T.l2_normalize(zq_param)
-        return nnm_intra_loss(z, zk, queue, (0,), 0.2)
+        return T.mean_(queue_nll(T.l2_normalize(zq_param), zk, queue, 0.2, mined=np.array([[0]])))
 
     results["loss_nnm"] = T.grad_check(f_nnm, {"zq": zq_param}, eps=eps)
 
     # the extrapolated key side is constant by contract (no gradients ever
     # reach the key branch), so the check perturbs the query path against
     # a key extrapolation frozen at the unperturbed point
-    zk_pos = zq_param.data / np.linalg.norm(zq_param.data)
-    zk_pos = 0.7 * zk_pos + np.sqrt(1 - 0.49) * _orthogonal_unit(zk_pos, rng)
+    z0 = zq_param.data[0] / np.linalg.norm(zq_param.data[0])
+    zk_pos = 0.7 * z0 + np.sqrt(1 - 0.49) * _orthogonal_unit(z0, rng)
     lam = 1.3
-    z0 = zq_param.data / np.linalg.norm(zq_param.data)
     zk_hat_frozen = lam * zk_pos + (1 - lam) * z0
     zk_hat_frozen /= np.linalg.norm(zk_hat_frozen)
 
     def f_pft():
-        z = T.l2_normalize(zq_param)
-        z_hat, _, _ = pft_transform(z, zk_pos, lam)
-        return intra_loss(z_hat, zk_hat_frozen, queue, 0.2)
+        z_hat, _, _ = pft_transform(T.l2_normalize(zq_param), zk_pos[None], np.array([lam]))
+        return T.mean_(queue_nll(z_hat, zk_hat_frozen[None], queue, 0.2))
 
     results["loss_pft_query_path"] = T.grad_check(f_pft, {"zq": zq_param}, eps=eps)
 
@@ -323,12 +314,11 @@ def _gradcheck_components(dtype, eps=1e-4):
         q = MemoryQueue(8, dim, dtype=dtype)
         q.push(fill)
         queues[u] = q
-    cfg_loss = LossConfig(streams=("joint", "bone"), temperature=0.2,
-                          nnm_enabled=True, pft_enabled=False)
+    run_config = RunConfig(streams=["joint", "bone"], tau=0.2)
 
     def f_combined():
         emb = {u: (T.l2_normalize(p), keys[u]) for u, p in emb_params.items()}
-        res = combine_losses(emb, queues, cfg_loss, RngStream(3).split("gc"))
+        res = combine_losses(emb, queues, run_config, True, False, RngStream(3).split("gc"))
         return res.total
 
     results["loss_combined"] = T.grad_check(f_combined, emb_params, eps=eps)
@@ -358,49 +348,46 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_pft_hist(args) -> int:
-    pft = PftConfig(alpha=args.alpha, mu=args.mu)
     rng = RngStream(args.seed).split("pft-hist")
-    before, after = [], []
+
+    def draw_lambda(gen) -> float:
+        return gen.beta(args.alpha, args.alpha) * args.mu + 1.0
+
     if args.checkpoint:
         ckpt = load_checkpoint(args.checkpoint)
-        data = load_dataset(args.data)
+        val = load_dataset(args.data)["val"]
         config = ckpt.config
-        params_q = query_params(ckpt, args.stream)
+        adjacency = shared_graph(val).normalized_adjacency(np.float32)
+        clips = [derive_streams(seq, (args.stream,))[args.stream] for seq in val]
         # key branch embeddings come from the checkpointed key encoder
-        from .checkpoint import state_from_checkpoint as _sfc
-
-        state = _sfc(ckpt)
-        params_k = state.pairs[args.stream].key
-        graph = data["val"][0].graph
-        adjacency = graph.normalized_adjacency(np.float32)
-        qp = AugmentPipeline(config.query_family, augment_params(config))
-        kp = AugmentPipeline(config.key_family, augment_params(config))
-        for i, seq in enumerate(data["val"]):
-            x = derive_streams(seq, (args.stream,))[args.stream]
-            xq = qp.apply_array(x, rng.split(f"q{i}"))
-            xk = kp.apply_array(x, rng.split(f"k{i}"))
+        branches = (
+            ("q", config.query_family, query_params(ckpt, args.stream)),
+            ("k", config.key_family, state_from_checkpoint(ckpt).pairs[args.stream].key),
+        )
+        views = []
+        for branch, family, params in branches:
+            pipeline = AugmentPipeline(family, config)
+            x = np.stack([pipeline.apply_array(c, rng.split(f"{branch}{i}")) for i, c in enumerate(clips)])
             with T.no_tape():
-                zq = project(stgcn_forward(xq[None], adjacency, params_q, mode="eval"), params_q).data[0]
-                zk = project(stgcn_forward(xk[None], adjacency, params_k, mode="eval"), params_k).data[0]
-            lam = sample_lambda(pft, rng.split(f"lam{i}"))
-            zq_hat, zk_hat, applied = pft_transform(T.Tensor(zq), zk, lam)
-            before.append(float(zq @ zk))
-            after.append(float(zq_hat.data @ zk_hat) if applied else float(zq @ zk))
+                views.append(encode(x, adjacency, params, mode="eval")[1].data)
+        zq, zk = views
+        lam = np.array([draw_lambda(rng.split(f"lam{i}").generator()) for i in range(len(clips))])
+        before = (zq * zk).sum(axis=1)
     else:
         gen = rng.generator()
-        for i in range(args.random_pairs):
+        pairs = []
+        for _ in range(args.random_pairs):
             s = gen.uniform(0.0, 1.0)
             a = gen.normal(size=16)
             a /= np.linalg.norm(a)
             b = gen.normal(size=16)
             b -= (b @ a) * a
             b /= np.linalg.norm(b)
-            zk = s * a + np.sqrt(max(0.0, 1 - s * s)) * b
-            lam = float(gen.beta(pft.alpha, pft.alpha) * pft.mu + 1.0)
-            zq_hat, zk_hat, applied = pft_transform(T.Tensor(a, dtype=np.float64), zk, lam)
-            before.append(s)
-            after.append(float(zq_hat.data @ zk_hat) if applied else s)
+            pairs.append((s, a, s * a + np.sqrt(max(0.0, 1 - s * s)) * b, draw_lambda(gen)))
+        before, zq, zk, lam = (np.array(column) for column in zip(*pairs))
 
+    zq_hat, zk_hat, applied = pft_transform(T.Tensor(zq), zk, lam)
+    after = np.where(applied, (zq_hat.data * zk_hat).sum(axis=1), before)
     table = similarity_histogram(before, after, bins=args.bins)
     print(f"{'bin':>16s} {'before':>8s} {'after':>8s}")
     for lo, hi, nb, na in table.rows():
@@ -502,7 +489,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UnknownKey, ConfigTypeError) as err:
+    except (UnknownKey, ConfigTypeError, ConfigValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except SkelclError as err:

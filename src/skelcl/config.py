@@ -3,8 +3,13 @@
 Precedence when building a config: package defaults, then the
 `CSCL_SEED` environment variable (seed only), then the JSON file, then
 explicit overrides.  Unknown keys and wrong types are rejected by name.
-The canonical JSON form (sorted keys, compact separators) is what gets
-hashed and persisted, so two runs with equal hashes saw equal configs.
+Every constructed `RunConfig` also checks its values and raises
+`ConfigValueError` naming the first key out of range: a positive
+temperature, batch size and queue, three stage epoch counts, known and
+distinct streams, probabilities and ratios within [0, 1], and so on.
+The encoder keys are checked by `EncoderConfig` itself.  The canonical
+JSON form (sorted keys, compact separators) is what gets hashed and
+persisted, so two runs with equal hashes saw equal configs.
 """
 
 from __future__ import annotations
@@ -16,7 +21,21 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ConfigTypeError, UnknownKey
+from .encoder import EncoderConfig
+from .errors import ConfigTypeError, ConfigValueError, UnknownKey
+from .skeleton import STREAM_IDS
+
+AUGMENT_FAMILIES = ("normal", "extreme")
+
+# EncoderConfig field -> the RunConfig key it is built from
+_ENCODER_KEYS = {
+    "blocks": "enc_blocks",
+    "channels": "enc_channels",
+    "temporal_kernel": "enc_temporal_kernel",
+    "hidden": "enc_hidden",
+    "embed_dim": "embed_dim",
+    "normalization": "enc_normalization",
+}
 
 
 @dataclass
@@ -69,6 +88,56 @@ class RunConfig:
     fusion_weights: dict[str, float] = field(
         default_factory=lambda: {"joint": 0.6, "bone": 0.6, "motion": 0.4}
     )
+
+    def __post_init__(self):
+        def require(key: str, ok: bool, reason: str) -> None:
+            if not ok:
+                raise ConfigValueError(key, reason)
+
+        require("streams", bool(self.streams) and len(set(self.streams)) == len(self.streams)
+                and set(self.streams) <= set(STREAM_IDS),
+                f"need distinct stream ids from {STREAM_IDS}")
+        try:
+            self.encoder_config()
+        except ConfigValueError as err:
+            raise ConfigValueError(_ENCODER_KEYS[err.key], err.reason) from None
+        require("tau", self.tau > 0, "temperature must be positive")
+        require("key_momentum", 0.0 <= self.key_momentum < 1.0, "must lie in [0, 1)")
+        require("queue_size", self.queue_size >= 1, "must be positive")
+        require("nnm_topk", 1 <= self.nnm_topk <= self.queue_size, "must lie in [1, queue_size]")
+        require("pft_alpha", self.pft_alpha > 0, "must be positive")
+        require("pft_mu", self.pft_mu >= 0, "must be nonnegative")
+        for key in ("shear_beta", "rotate_max_deg", "aug_noise_sigma"):
+            require(key, getattr(self, key) >= 0, "must be nonnegative")
+        require("crop_min_ratio", 0 < self.crop_min_ratio <= 1, "must lie in (0, 1]")
+        require("extreme_prob", 0 <= self.extreme_prob <= 1, "must lie in [0, 1]")
+        for key in ("query_family", "key_family"):
+            require(key, getattr(self, key) in AUGMENT_FAMILIES, f"must be one of {AUGMENT_FAMILIES}")
+        require("batch_size", self.batch_size >= 1, "must be positive")
+        require("stage_epochs", len(self.stage_epochs) == 3 and min(self.stage_epochs) >= 0,
+                "need three nonnegative epoch counts (basic, +nnm, +pft)")
+        for key in ("lr", "lr_after_drop"):
+            require(key, getattr(self, key) > 0, "must be positive")
+        require("lr_drop_epoch", self.lr_drop_epoch >= 0, "must be nonnegative")
+        require("sgd_momentum", 0 <= self.sgd_momentum < 1, "must lie in [0, 1)")
+        require("weight_decay", self.weight_decay >= 0, "must be nonnegative")
+        for key in ("linear_epochs", "finetune_epochs"):
+            require(key, getattr(self, key) >= 0, "must be nonnegative")
+        for key in ("linear_lr", "finetune_lr"):
+            require(key, getattr(self, key) > 0, "must be positive")
+        require("knn_k", self.knn_k >= 1, "must be positive")
+        require("fusion_weights", all(w > 0 for w in self.fusion_weights.values()),
+                "weights must be positive")
+
+    def encoder_config(self) -> EncoderConfig:
+        return EncoderConfig(
+            blocks=self.enc_blocks,
+            channels=tuple(self.enc_channels),
+            temporal_kernel=self.enc_temporal_kernel,
+            hidden=self.enc_hidden,
+            embed_dim=self.embed_dim,
+            normalization=self.enc_normalization,
+        )
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -10,19 +10,14 @@ pair's similarity never turns negative).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
+from .config import RunConfig
 from .encoder import EncoderParams
-from .errors import (
-    BatchTooLarge,
-    EmptyQueue,
-    IndexOutOfRange,
-    QueueTooSmall,
-    ShapeMismatch,
-)
+from .errors import BatchTooLarge, EmptyQueue, QueueTooSmall, ShapeMismatch
 from .rng import RngStream
 
 
@@ -60,11 +55,6 @@ class MemoryQueue:
         return np.concatenate([self.slots[self.head :], self.slots[: self.head]])
 
 
-def queue_push(queue: MemoryQueue, batch: np.ndarray) -> MemoryQueue:
-    queue.push(batch)
-    return queue
-
-
 class EncoderPair:
     """Gradient-trained query parameters plus momentum-tracked key copy."""
 
@@ -89,120 +79,79 @@ def momentum_update(pair: EncoderPair) -> None:
 # -- losses ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PftConfig:
-    alpha: float = 2.0
-    mu: float = 1.0
-    apply_to_inter: bool = False
-
-    def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if self.mu < 0:
-            raise ValueError("mu must be nonnegative")
-
-
-@dataclass(frozen=True)
-class LossConfig:
-    temperature: float = 0.07
-    streams: tuple[str, ...] = ("joint", "bone", "motion")
-    nnm_topk: int = 1
-    pft: PftConfig = field(default_factory=PftConfig)
-    nnm_enabled: bool = False
-    pft_enabled: bool = False
-
-    def __post_init__(self):
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
-        if not self.streams:
-            raise ValueError("need at least one stream")
-
-
 def _as_const(v) -> np.ndarray:
     return v.data if isinstance(v, T.Tensor) else np.asarray(v)
 
 
-def nnm_intra_loss(zq, zk, queue: MemoryQueue, neighbors, tau: float) -> T.Tensor:
-    """InfoNCE with mined queue entries added to the numerator.
+def queue_nll(zq, zk, queue: MemoryQueue, tau: float, mined=None) -> T.Tensor:
+    """Per-row masked InfoNCE for (B, D) queries; returns (B,) losses.
 
-    With an empty neighbor set this is exactly the plain queue loss: the
-    numerator holds only the positive pair.
+    Row i's numerator holds its positive pair (zq[i], zk[i]) plus the
+    queue entries listed in `mined[i]` (neighbor mining); the
+    denominator holds the positive and the whole queue.  Intra-stream
+    terms pass the stream's own keys and queue, inter-stream terms the
+    other stream's.  Gradient flows into `zq` only.
     """
     if queue.filled == 0:
         raise EmptyQueue("no negatives stored yet")
-    neighbors = tuple(int(i) for i in neighbors)
-    if any(i < 0 or i >= queue.filled for i in neighbors):
-        raise IndexOutOfRange(f"neighbor ids must lie in [0, {queue.filled})")
     zq = T.as_tensor(zq)
-    zk_data = _as_const(zk).astype(zq.dtype)
     contents = queue.contents().astype(zq.dtype)
-    pos = T.reshape(T.dot(zq, T.Tensor(zk_data)), (1,))
-    negs = T.reshape(
-        T.matmul(T.reshape(zq, (1, zq.shape[0])), contents.T), (queue.filled,)
-    )
-    logits = T.div(T.concat([pos, negs]), tau)
-    mask = np.zeros(1 + queue.filled, dtype=bool)
-    mask[0] = True
-    for i in neighbors:
-        mask[i + 1] = True
-    return T.softmax_nll(logits, mask)
+    pos = T.sum_(T.mul(zq, T.Tensor(_as_const(zk).astype(zq.dtype))), axis=1, keepdims=True)
+    negs = T.matmul(zq, contents.T)
+    logits = T.div(T.concat([pos, negs], axis=1), tau)
+    mask = np.zeros((zq.shape[0], 1 + queue.filled), dtype=bool)
+    mask[:, 0] = True
+    if mined is not None:
+        rows = np.repeat(np.arange(mined.shape[0]), mined.shape[1])
+        mask[rows, mined.reshape(-1) + 1] = True
+    return T.masked_softmax_nll_rows(logits, mask)
 
 
-def intra_loss(zq, zk, queue: MemoryQueue, tau: float) -> T.Tensor:
-    """Same-stream InfoNCE: positive pair against the stream's queue."""
-    return nnm_intra_loss(zq, zk, queue, (), tau)
+def nnm_mine(zq, contents: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the k most similar queue entries; ties pick the lower index.
 
-
-def inter_loss(zq_u, zk_v, queue_v: MemoryQueue, tau: float) -> T.Tensor:
-    """Cross-stream InfoNCE: query of stream u against key and queue of v."""
-    return nnm_intra_loss(zq_u, zk_v, queue_v, (), tau)
-
-
-def nnm_mine(zq, queue: MemoryQueue, k: int) -> tuple[int, ...]:
-    """Indices of the k most similar queue entries; ties pick lower index."""
-    if queue.filled < k:
-        raise QueueTooSmall(f"queue holds {queue.filled} < k={k}")
-    sims = queue.contents() @ _as_const(zq)
-    order = np.argsort(-sims, kind="stable")
-    return tuple(int(i) for i in order[:k])
+    Returns (indices, similarities), both (B, k).
+    """
+    if contents.shape[0] < k:
+        raise QueueTooSmall(f"queue holds {contents.shape[0]} < k={k}")
+    zq = _as_const(zq)
+    sims = zq @ contents.astype(zq.dtype).T
+    mined = np.argsort(-sims, axis=1, kind="stable")[:, :k]
+    T.record_kink(mined)
+    return mined, np.take_along_axis(sims, mined, axis=1)
 
 
 # -- hard-positive extrapolation ----------------------------------------------------
 
 
-def sample_lambda(pft: PftConfig, rng: RngStream) -> float:
-    """Draw the extrapolation weight: Beta(alpha, alpha) * mu + 1."""
-    return float(rng.generator().beta(pft.alpha, pft.alpha) * pft.mu + 1.0)
-
-
-def predicted_similarity(s: float, lam: float):
+def predicted_similarity(s, lam):
     """Closed form for the raw dot product of the extrapolated pair."""
     return 2.0 * lam * (1.0 - lam) * (1.0 - s) + s
 
 
-def pft_transform(zq, zk, lam: float):
-    """Extrapolate a positive pair away from each other.
+def pft_transform(zq, zk, lam):
+    """Extrapolate each positive pair away from each other.
 
-    Returns (zq_hat, zk_hat, applied).  The originals come back with
-    applied=False whenever the pair's similarity is already negative or
-    the predicted post-transform similarity would turn negative.
-    Gradient flows through the query-side extrapolation only; the key
-    side stays constant.
+    `zq` is a (B, D) query tensor, `zk` a (B, D) key array and `lam` the
+    (B,) extrapolation weights, each >= 1.  Returns (zq_eff, zk_eff,
+    applied): rows keep their originals (applied False) whenever the
+    pair's similarity is already negative or the predicted
+    post-transform similarity would turn negative.  Gradient flows
+    through the query-side extrapolation only; the key side stays
+    constant.
     """
-    if lam < 1.0:
-        raise ValueError("extrapolation weight must be >= 1")
     zq = T.as_tensor(zq)
-    zk_data = _as_const(zk).astype(zq.dtype)
-    s = float(zq.data @ zk_data)
-    applied = s >= 0.0 and predicted_similarity(s, lam) >= 0.0
-    T.record_kink(np.array([applied]))
-    if not applied:
-        return zq, zk_data, False
-    mixed_q = T.add(T.mul(zq, lam), T.Tensor((1.0 - lam) * zk_data))
-    zq_hat = T.l2_normalize(mixed_q)
-    mixed_k = lam * zk_data + (1.0 - lam) * zq.data
-    zk_hat = mixed_k / np.linalg.norm(mixed_k)
-    return zq_hat, zk_hat, True
+    zk = _as_const(zk).astype(zq.dtype)
+    lam = np.asarray(lam).astype(zq.dtype)
+    s = (zq.data * zk).sum(axis=1)
+    applied = (s >= 0.0) & (predicted_similarity(s, lam) >= 0.0)
+    T.record_kink(applied)
+    lam_col = lam[:, None]
+    mixed_q = T.add(T.mul(zq, lam_col), T.Tensor((1.0 - lam_col) * zk))
+    zq_eff = T.where(applied[:, None], T.l2_normalize(mixed_q), zq)
+    mixed_k = lam_col * zk + (1.0 - lam_col) * zq.data
+    mixed_k /= np.linalg.norm(mixed_k, axis=1, keepdims=True)
+    return zq_eff, np.where(applied[:, None], mixed_k, zk), applied
 
 
 @dataclass
@@ -240,7 +189,7 @@ def similarity_histogram(before, after, bins: int = 20) -> HistogramTable:
     return HistogramTable(edges, b_counts, a_counts, stats(before), stats(after))
 
 
-# -- batched training path -------------------------------------------------------------
+# -- combined objective ----------------------------------------------------------------
 
 
 @dataclass
@@ -251,93 +200,53 @@ class CombineResult:
     nnm_mean_similarity: float | None = None
 
 
-def _batched_queue_nll(zq, zk_data, queue, tau, mined=None) -> T.Tensor:
-    """Per-row masked InfoNCE for a (B, D) batch; returns (B,) losses."""
-    if queue.filled == 0:
-        raise EmptyQueue("no negatives stored yet")
-    contents = queue.contents().astype(zq.dtype)
-    pos = T.sum_(T.mul(zq, T.Tensor(zk_data.astype(zq.dtype))), axis=1, keepdims=True)
-    negs = T.matmul(zq, contents.T)
-    logits = T.div(T.concat([pos, negs], axis=1), tau)
-    mask = np.zeros((zq.shape[0], 1 + queue.filled), dtype=bool)
-    mask[:, 0] = True
-    if mined is not None:
-        rows = np.repeat(np.arange(mined.shape[0]), mined.shape[1])
-        mask[rows, mined.reshape(-1) + 1] = True
-    return T.masked_softmax_nll_rows(logits, mask)
-
-
-def _batch_pft(zq, zk_data, pft: PftConfig, rng: RngStream):
-    """Vectorized guarded extrapolation; returns (zq_eff, zk_eff, applied)."""
-    b = zq.shape[0]
-    lam = rng.generator().beta(pft.alpha, pft.alpha, size=b) * pft.mu + 1.0
-    lam = lam.astype(zq.dtype)
-    s = (zq.data * zk_data).sum(axis=1)
-    s_pred = 2.0 * lam * (1.0 - lam) * (1.0 - s) + s
-    applied = (s >= 0.0) & (s_pred >= 0.0)
-    T.record_kink(applied)
-    lam_col = lam[:, None]
-    mixed_q = T.add(T.mul(zq, lam_col), T.Tensor((1.0 - lam_col) * zk_data))
-    zq_hat = T.l2_normalize(mixed_q)
-    zq_eff = T.where(applied[:, None], zq_hat, zq)
-    mixed_k = lam_col * zk_data + (1.0 - lam_col) * zq.data
-    mixed_k /= np.linalg.norm(mixed_k, axis=1, keepdims=True)
-    zk_eff = np.where(applied[:, None], mixed_k, zk_data)
-    return zq_eff, zk_eff, applied
-
-
 def combine_losses(
     stream_embeddings: dict[str, tuple[T.Tensor, np.ndarray]],
     queues: dict[str, MemoryQueue],
-    config: LossConfig,
-    rng: RngStream | None = None,
+    config: RunConfig,
+    nnm: bool,
+    pft: bool,
+    rng: RngStream,
 ) -> CombineResult:
     """Total loss over all intra terms and directed inter terms.
 
     `stream_embeddings[u] = (zq, zk)` with zq a (B, D) gradient-bearing
     tensor and zk a gradient-free (B, D) array.  With |S| streams the
     result holds |S| intra terms plus |S|(|S|-1) inter terms, reported
-    per term in the breakdown.  Mining applies to intra terms only; the
-    extrapolation applies to intra pairs and, if configured, to inter
-    pairs as well.
+    per term in the breakdown.  Mining (`nnm`, the config's top-k)
+    applies to intra terms only; the extrapolation (`pft`, weights
+    Beta(alpha, alpha) * mu + 1 drawn from `rng`) applies to intra pairs
+    and, if configured, to inter pairs as well.
     """
-    streams = [s for s in config.streams if s in stream_embeddings]
-    if set(streams) != set(config.streams):
-        missing = set(config.streams) - set(stream_embeddings)
+    streams = config.streams
+    missing = set(streams) - set(stream_embeddings)
+    if missing:
         raise ShapeMismatch(f"missing stream embeddings: {sorted(missing)}")
-    if config.pft_enabled and rng is None:
-        raise ValueError("pft needs an rng stream for lambda draws")
 
     terms: list[T.Tensor] = []
     breakdown: dict[str, float] = {}
     applied_flags: list[np.ndarray] = []
     mined_sims: list[np.ndarray] = []
 
+    def extrapolate(zq, zk, path: str):
+        gen = rng.split(f"lambda.{path}").generator()
+        lam = gen.beta(config.pft_alpha, config.pft_alpha, size=zq.shape[0]) * config.pft_mu + 1.0
+        zq, zk, applied = pft_transform(zq, zk, lam)
+        applied_flags.append(applied)
+        return zq, zk
+
     effective: dict[str, tuple[T.Tensor, np.ndarray]] = {}
     for u in streams:
         zq, zk = stream_embeddings[u]
-        zk = _as_const(zk)
-        if config.pft_enabled:
-            zq_eff, zk_eff, applied = _batch_pft(zq, zk, config.pft, rng.split(f"lambda.{u}"))
-            applied_flags.append(applied)
-        else:
-            zq_eff, zk_eff = zq, zk
-        effective[u] = (zq_eff, zk_eff)
+        effective[u] = extrapolate(zq, zk, u) if pft else (zq, _as_const(zk))
 
     for u in streams:
         zq_eff, zk_eff = effective[u]
         mined = None
-        if config.nnm_enabled:
-            q = queues[u]
-            if q.filled < config.nnm_topk:
-                raise QueueTooSmall(f"stream {u}: {q.filled} < {config.nnm_topk}")
-            sims = zq_eff.data @ q.contents().astype(zq_eff.dtype).T
-            order = np.argsort(-sims, axis=1, kind="stable")
-            mined = order[:, : config.nnm_topk]
-            T.record_kink(mined)
-            mined_sims.append(np.take_along_axis(sims, mined, axis=1).reshape(-1))
-        losses = _batched_queue_nll(zq_eff, zk_eff, queues[u], config.temperature, mined)
-        term = T.mean_(losses)
+        if nnm:
+            mined, sims = nnm_mine(zq_eff, queues[u].contents(), config.nnm_topk)
+            mined_sims.append(sims.reshape(-1))
+        term = T.mean_(queue_nll(zq_eff, zk_eff, queues[u], config.tau, mined))
         breakdown[f"intra:{u}"] = term.item()
         terms.append(term)
 
@@ -347,14 +256,9 @@ def combine_losses(
                 continue
             zq_u, _ = stream_embeddings[u]
             _, zk_v = stream_embeddings[v]
-            zk_v = _as_const(zk_v)
-            if config.pft_enabled and config.pft.apply_to_inter:
-                zq_u, zk_v, applied = _batch_pft(
-                    zq_u, zk_v, config.pft, rng.split(f"lambda.{u}->{v}")
-                )
-                applied_flags.append(applied)
-            losses = _batched_queue_nll(zq_u, zk_v, queues[v], config.temperature, None)
-            term = T.mean_(losses)
+            if pft and config.pft_apply_to_inter:
+                zq_u, zk_v = extrapolate(zq_u, zk_v, f"{u}->{v}")
+            term = T.mean_(queue_nll(zq_u, zk_v, queues[v], config.tau))
             breakdown[f"inter:{u}->{v}"] = term.item()
             terms.append(term)
 
@@ -363,10 +267,8 @@ def combine_losses(
         total = T.add(total, t)
 
     rate = None
-    if config.pft_enabled:
+    if pft:
         flags = np.concatenate(applied_flags)
         rate = float(flags.mean()) if flags.size else 0.0
-    mined_mean = None
-    if config.nnm_enabled and mined_sims:
-        mined_mean = float(np.concatenate(mined_sims).mean())
+    mined_mean = float(np.concatenate(mined_sims).mean()) if nnm else None
     return CombineResult(total, breakdown, rate, mined_mean)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .errors import ShapeMismatch
+from .errors import ConfigValueError, ShapeMismatch
 from .rng import RngStream
 from .skeleton import SkeletonGraph
 
@@ -36,15 +36,21 @@ class EncoderConfig:
 
     def __post_init__(self):
         if self.embed_dim < 2:
-            raise ValueError("embedding dimension must be >= 2")
-        if self.temporal_kernel % 2 != 1:
-            raise ValueError("temporal kernel must be odd")
+            raise ConfigValueError("embed_dim", "embedding dimension must be >= 2")
+        if self.temporal_kernel < 1 or self.temporal_kernel % 2 != 1:
+            raise ConfigValueError("temporal_kernel", "temporal kernel must be positive and odd")
+        if self.blocks < 1:
+            raise ConfigValueError("blocks", "need at least one block")
         if len(self.channels) != self.blocks:
-            raise ValueError("need one channel width per block")
+            raise ConfigValueError("channels", "need one channel width per block")
         if any(a > b for a, b in zip(self.channels, self.channels[1:])):
-            raise ValueError("channel widths must be nondecreasing")
+            raise ConfigValueError("channels", "channel widths must be nondecreasing")
+        if self.channels[0] < 1:
+            raise ConfigValueError("channels", "channel widths must be positive")
+        if self.hidden < 1:
+            raise ConfigValueError("hidden", "hidden width must be positive")
         if self.normalization not in ("batch", "off"):
-            raise ValueError("normalization must be 'batch' or 'off'")
+            raise ConfigValueError("normalization", "normalization must be 'batch' or 'off'")
 
     @property
     def hidden_dim(self) -> int:

@@ -74,10 +74,6 @@ class QueueTooSmall(SkelclError):
     """Neighbor mining asked for more entries than the queue holds."""
 
 
-class IndexOutOfRange(SkelclError):
-    """A mined-neighbor index does not point into the queue."""
-
-
 # --- training / evaluation -------------------------------------------------
 
 
@@ -114,6 +110,15 @@ class UnknownKey(SkelclError):
 
 class ConfigTypeError(SkelclError):
     """Config value has the wrong type for its key."""
+
+
+class ConfigValueError(SkelclError, ValueError):
+    """Config value lies outside the range its key allows."""
+
+    def __init__(self, key: str, reason: str):
+        super().__init__(f"{key}: {reason}")
+        self.key = key
+        self.reason = reason
 
 
 class VersionMismatch(SkelclError):

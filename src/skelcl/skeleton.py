@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import permutations
 from pathlib import Path
 
@@ -104,24 +104,6 @@ class SkeletonSequence:
         return self.data.shape[2]
 
 
-@dataclass
-class StreamSet:
-    """Per-stream tensors derived from one sequence; all share (T, C, V)."""
-
-    streams: dict[str, np.ndarray]
-
-    def __post_init__(self):
-        shapes = {arr.shape for arr in self.streams.values()}
-        if len(shapes) > 1:
-            raise ShapeMismatch(f"streams disagree in shape: {shapes}")
-
-    def __getitem__(self, stream_id: str) -> np.ndarray:
-        return self.streams[stream_id]
-
-    def keys(self):
-        return self.streams.keys()
-
-
 def derive_bone(seq: SkeletonSequence) -> np.ndarray:
     """Bone vectors stored at each edge's target joint; root stays zero."""
     out = np.zeros_like(seq.data)
@@ -139,7 +121,8 @@ def derive_motion(seq: SkeletonSequence) -> np.ndarray:
     return out
 
 
-def derive_streams(seq: SkeletonSequence, stream_ids) -> StreamSet:
+def derive_streams(seq: SkeletonSequence, stream_ids) -> dict[str, np.ndarray]:
+    """Stream id -> (T, C, V) array derived from `seq`."""
     stream_ids = tuple(stream_ids)
     if not stream_ids:
         raise UnknownStream("need at least one stream id")
@@ -153,7 +136,15 @@ def derive_streams(seq: SkeletonSequence, stream_ids) -> StreamSet:
             out[sid] = derive_motion(seq)
         else:
             raise UnknownStream(f"unknown stream id {sid!r}")
-    return StreamSet(out)
+    return out
+
+
+def shared_graph(sequences: list[SkeletonSequence]) -> SkeletonGraph:
+    """The one skeleton graph every clip of `sequences` is defined on."""
+    graph = sequences[0].graph
+    if any(s.graph is not graph and s.graph != graph for s in sequences):
+        raise ShapeMismatch("clips do not all share one skeleton graph")
+    return graph
 
 
 # -- synthetic dataset ---------------------------------------------------------

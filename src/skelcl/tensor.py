@@ -9,8 +9,7 @@ pass records a fresh one.
 
 Values are float32 by default; pass float64 data for oracle-grade
 precision.  Every op validates that its output is finite and raises
-`NonFiniteValue` otherwise (disable via `set_finite_checks` for
-profiling only).
+`NonFiniteValue` otherwise.
 """
 
 from __future__ import annotations
@@ -43,17 +42,6 @@ def _active_tape() -> "Tape | None":
 
 def _kink_trace() -> "list[np.ndarray] | None":
     return getattr(_state, "kink_trace", None)
-
-
-_FINITE_CHECKS = True
-
-
-def set_finite_checks(enabled: bool) -> bool:
-    """Toggle post-op NaN/Inf validation; returns the previous setting."""
-    global _FINITE_CHECKS
-    previous = _FINITE_CHECKS
-    _FINITE_CHECKS = bool(enabled)
-    return previous
 
 
 class TapeNode:
@@ -212,7 +200,7 @@ def _tracked(t: Tensor) -> bool:
 
 
 def _apply(out_data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
-    if _FINITE_CHECKS and out_data.size:
+    if out_data.size:
         # min/max reductions catch NaN and both infinities without
         # materializing the bool array isfinite().all() would
         if not (math.isfinite(float(out_data.min())) and math.isfinite(float(out_data.max()))):
@@ -512,14 +500,6 @@ def matmul(a, b) -> Tensor:
     return _apply(a.data @ b.data, (a, b), bwd)
 
 
-def dot(a, b) -> Tensor:
-    """Inner product of two rank-1 tensors."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.ndim != 1 or b.ndim != 1:
-        raise ShapeMismatch("dot expects rank-1 operands")
-    return sum_(mul(a, b))
-
-
 def conv1d_temporal(x, kernel) -> Tensor:
     """Depthwise convolution along the frame axis.
 
@@ -578,29 +558,13 @@ def l2_normalize(v, eps: float = NORM_EPS) -> Tensor:
     return div(v, sqrt(squared))
 
 
-def softmax_nll(logits, positive_mask) -> Tensor:
-    """Negative log of the softmax mass on the masked-true entries.
+def masked_softmax_nll_rows(logits, positive_mask) -> Tensor:
+    """Per row of a (B, L) logit matrix, the negative log of the softmax
+    mass on the row's masked-true entries; returns (B,).
 
     Computed as LSE(all) - LSE(masked) with a detached max shift, which
     keeps exp() in range even for temperature-scaled logits.
     """
-    logits = as_tensor(logits)
-    if logits.ndim != 1:
-        raise ShapeMismatch("softmax_nll expects rank-1 logits")
-    mask = np.asarray(positive_mask, dtype=bool)
-    if mask.shape != logits.shape:
-        raise ShapeMismatch("mask shape must match logits")
-    if not mask.any():
-        raise EmptyMask("positive mask selects nothing")
-    shift = max_detached(logits)
-    exps = exp(sub(logits, shift))
-    log_denom = log(sum_(exps))
-    log_numer = log(sum_(mul(exps, mask.astype(logits.dtype))))
-    return sub(log_denom, log_numer)
-
-
-def masked_softmax_nll_rows(logits, positive_mask) -> Tensor:
-    """Row-wise `softmax_nll` over a (B, L) logit matrix; returns (B,)."""
     logits = as_tensor(logits)
     if logits.ndim != 2:
         raise ShapeMismatch("expected a (batch, logits) matrix")

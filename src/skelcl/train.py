@@ -17,17 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .augment import AugmentParams, AugmentPipeline
+from .augment import AugmentPipeline
 from .config import RunConfig
-from .contrast import (
-    EncoderPair,
-    LossConfig,
-    MemoryQueue,
-    PftConfig,
-    combine_losses,
-    momentum_update,
-)
-from .encoder import EncoderConfig, EncoderParams, init_params, project, stgcn_forward
+from .contrast import EncoderPair, MemoryQueue, combine_losses, momentum_update
+from .encoder import EncoderParams, init_params, project, stgcn_forward
 from .errors import (
     EmptySubset,
     EmptyTrainSplit,
@@ -38,7 +31,7 @@ from .errors import (
     StreamMissing,
 )
 from .rng import RngStream
-from .skeleton import SkeletonSequence, derive_streams
+from .skeleton import SkeletonSequence, derive_streams, shared_graph
 
 STAGE_NAMES = ("basic", "basic+nnm", "basic+nnm+pft")
 
@@ -75,10 +68,6 @@ class StageSchedule:
     epochs: tuple[int, int, int]
     lr_drop_epoch: int
 
-    def __post_init__(self):
-        if any(e < 0 for e in self.epochs):
-            raise ValueError("stage epoch counts must be >= 0")
-
     @property
     def total_epochs(self) -> int:
         return sum(self.epochs)
@@ -112,38 +101,6 @@ class TrainState:
     step: int = 0
 
 
-def encoder_config(config: RunConfig) -> EncoderConfig:
-    return EncoderConfig(
-        blocks=config.enc_blocks,
-        channels=tuple(config.enc_channels),
-        temporal_kernel=config.enc_temporal_kernel,
-        hidden=config.enc_hidden,
-        embed_dim=config.embed_dim,
-        normalization=config.enc_normalization,
-    )
-
-
-def loss_config(config: RunConfig, nnm: bool, pft: bool) -> LossConfig:
-    return LossConfig(
-        temperature=config.tau,
-        streams=tuple(config.streams),
-        nnm_topk=config.nnm_topk,
-        pft=PftConfig(config.pft_alpha, config.pft_mu, config.pft_apply_to_inter),
-        nnm_enabled=nnm,
-        pft_enabled=pft,
-    )
-
-
-def augment_params(config: RunConfig) -> AugmentParams:
-    return AugmentParams(
-        shear_beta=config.shear_beta,
-        crop_min_ratio=config.crop_min_ratio,
-        rotate_max_deg=config.rotate_max_deg,
-        noise_sigma=config.aug_noise_sigma,
-        extreme_prob=config.extreme_prob,
-    )
-
-
 def init_train_state(config: RunConfig) -> TrainState:
     """Fresh encoders (key = copy of query) and randomly prefilled queues.
 
@@ -152,7 +109,7 @@ def init_train_state(config: RunConfig) -> TrainState:
     the first capacity/batch steps.
     """
     root = RngStream(config.seed)
-    enc_cfg = encoder_config(config)
+    enc_cfg = config.encoder_config()
     pairs, queues, optimizers = {}, {}, {}
     for u in config.streams:
         params = init_params(enc_cfg, root.split(f"init.{u}"))
@@ -166,10 +123,6 @@ def init_train_state(config: RunConfig) -> TrainState:
             lr=config.lr, momentum=config.sgd_momentum, weight_decay=config.weight_decay
         )
     return TrainState(config, pairs, queues, optimizers)
-
-
-def _stream_cache(dataset: list[SkeletonSequence], streams) -> list[dict[str, np.ndarray]]:
-    return [dict(derive_streams(seq, streams).streams) for seq in dataset]
 
 
 def _augment_batch(arrays, indices, pipeline, rng, epoch, stream, branch):
@@ -196,16 +149,15 @@ def pretrain(
     """
     if not dataset:
         raise EmptyTrainSplit("pretraining needs a nonempty dataset")
+    adjacency = shared_graph(dataset).normalized_adjacency(np.float32)
     schedule = stage_schedule(config)
     if state is None:
         state = init_train_state(config)
     root = RngStream(config.seed)
-    graph = dataset[0].graph
-    adjacency = graph.normalized_adjacency(np.float32)
-    cache = _stream_cache(dataset, config.streams)
+    cache = [derive_streams(seq, config.streams) for seq in dataset]
     pipelines = {
-        "q": AugmentPipeline(config.query_family, augment_params(config)),
-        "k": AugmentPipeline(config.key_family, augment_params(config)),
+        "q": AugmentPipeline(config.query_family, config),
+        "k": AugmentPipeline(config.key_family, config),
     }
 
     records: list[dict] = [
@@ -217,7 +169,6 @@ def pretrain(
         stage = schedule.stage_of(epoch)
         lr = config.lr if epoch < schedule.lr_drop_epoch else config.lr_after_drop
         order = root.split(f"shuffle.e{epoch}").permutation(n)
-        cfg = loss_config(config, nnm, pft)
 
         for bi in range(math.ceil(n / config.batch_size)):
             indices = order[bi * config.batch_size : (bi + 1) * config.batch_size]
@@ -239,7 +190,7 @@ def pretrain(
                         embeddings[u] = (zq, zk)
                         step_keys[u] = zk
                     result = combine_losses(
-                        embeddings, state.queues, cfg, root.split(f"pft.e{epoch}.b{bi}")
+                        embeddings, state.queues, config, nnm, pft, root.split(f"pft.e{epoch}.b{bi}")
                     )
                     grads = T.backward(result.total)
             except NonFiniteValue as err:
@@ -285,28 +236,20 @@ def pretrain(
 # -- feature extraction for the protocols ---------------------------------------------
 
 
-def _hidden_features(
-    params: EncoderParams, sequences: list[SkeletonSequence], stream: str, chunk: int = 64
+FEATURE_CHUNK = 64  # clips per eval-mode forward when extracting features
+
+
+def _features(
+    params: EncoderParams, sequences: list[SkeletonSequence], stream: str, projected: bool
 ) -> np.ndarray:
-    adjacency = sequences[0].graph.normalized_adjacency(np.float32)
+    """Eval-mode hidden vectors h, or projected embeddings z, one row per clip."""
+    adjacency = shared_graph(sequences).normalized_adjacency(np.float32)
     arrays = np.stack([derive_streams(s, (stream,))[stream] for s in sequences])
     outs = []
     with T.no_tape():
-        for i in range(0, len(arrays), chunk):
-            outs.append(stgcn_forward(arrays[i : i + chunk], adjacency, params, mode="eval").data)
-    return np.concatenate(outs)
-
-
-def _embeddings(
-    params: EncoderParams, sequences: list[SkeletonSequence], stream: str, chunk: int = 64
-) -> np.ndarray:
-    adjacency = sequences[0].graph.normalized_adjacency(np.float32)
-    arrays = np.stack([derive_streams(s, (stream,))[stream] for s in sequences])
-    outs = []
-    with T.no_tape():
-        for i in range(0, len(arrays), chunk):
-            h = stgcn_forward(arrays[i : i + chunk], adjacency, params, mode="eval")
-            outs.append(project(h, params).data)
+        for i in range(0, len(arrays), FEATURE_CHUNK):
+            h = stgcn_forward(arrays[i : i + FEATURE_CHUNK], adjacency, params, mode="eval")
+            outs.append((project(h, params) if projected else h).data)
     return np.concatenate(outs)
 
 
@@ -348,8 +291,8 @@ def linear_probe(
     if not train_seqs:
         raise EmptyTrainSplit("linear probe needs training samples")
     digest_before = params.digest()
-    h_train = _hidden_features(params, train_seqs, stream)
-    h_val = _hidden_features(params, val_seqs, stream)
+    h_train = _features(params, train_seqs, stream, projected=False)
+    h_val = _features(params, val_seqs, stream, projected=False)
     y_train = _labels(train_seqs)
     y_val = _labels(val_seqs)
     num_classes = int(max(y_train.max(), y_val.max())) + 1
@@ -394,8 +337,8 @@ def knn_probe(
         raise EmptyTrainSplit("knn probe needs training samples")
     if k > len(train_seqs):
         raise ValueError("k exceeds the training split size")
-    z_train = _embeddings(params, train_seqs, stream)
-    z_val = _embeddings(params, val_seqs, stream)
+    z_train = _features(params, train_seqs, stream, projected=True)
+    z_val = _features(params, val_seqs, stream, projected=True)
     y_train = _labels(train_seqs)
     y_val = _labels(val_seqs)
     sims = z_val @ z_train.T
@@ -462,7 +405,7 @@ def finetune(
 
     tuned = params.copy()
     digest_before = tuned.digest()
-    adjacency = train_seqs[0].graph.normalized_adjacency(np.float32)
+    adjacency = shared_graph(train_seqs).normalized_adjacency(np.float32)
     arrays = np.stack([derive_streams(s, (stream,))[stream] for s in subset_seqs])
     y = _labels(subset_seqs)
     y_val = _labels(val_seqs)
@@ -490,7 +433,7 @@ def finetune(
             named = {name: grads[t].data for name, t in trainable.items() if t in grads}
             sgd_step(trainable, named, opt)
 
-    h_val = _hidden_features(tuned, val_seqs, stream)
+    h_val = _features(tuned, val_seqs, stream, projected=False)
     predicted = np.argmax(h_val @ head_w.data + head_b.data, axis=1)
     accuracy = float((predicted == y_val).mean())
     return FinetuneResult(accuracy, tuned, digest_before, tuned.digest(), len(subset))

@@ -3,12 +3,11 @@
 import numpy as np
 
 from skelcl.augment import (
-    AugmentParams,
     AugmentPipeline,
     EXTREME_TRANSFORMS,
     NORMAL_TRANSFORMS,
-    apply_extreme,
-    apply_normal,
+    apply_extreme_array,
+    apply_normal_array,
     axis_mask,
     gaussian_blur,
     rotate,
@@ -17,8 +16,12 @@ from skelcl.augment import (
     temporal_crop,
     temporal_flip,
 )
+from skelcl.config import RunConfig
 from skelcl.rng import RngStream
 from skelcl.skeleton import SkeletonSequence, build_star_tree
+
+
+DEFAULTS = RunConfig()
 
 
 def _make_seq(seed=0, frames=16):
@@ -38,31 +41,30 @@ def test_family_membership():
 
 def test_normal_identity_parameters():
     seq = _make_seq()
-    params = AugmentParams(shear_beta=0.0, crop_min_ratio=1.0)
-    out = apply_normal(seq, RngStream(1).split("aug"), params)
-    np.testing.assert_array_equal(out.data, seq.data)
+    config = RunConfig(shear_beta=0.0, crop_min_ratio=1.0)
+    out = apply_normal_array(seq.data, RngStream(1).split("aug"), config)
+    np.testing.assert_array_equal(out, seq.data)
 
 
 def test_shapes_preserved_and_finite():
     seq = _make_seq()
     for seed in range(10):
         rng = RngStream(seed).split("x")
-        a = apply_normal(seq, rng)
-        b = apply_extreme(seq, rng)
-        assert a.data.shape == seq.data.shape
-        assert b.data.shape == seq.data.shape
-        assert np.all(np.isfinite(a.data)) and np.all(np.isfinite(b.data))
+        a = apply_normal_array(seq.data, rng, DEFAULTS)
+        b = apply_extreme_array(seq.data, rng, DEFAULTS)
+        assert a.shape == seq.data.shape
+        assert b.shape == seq.data.shape
+        assert np.all(np.isfinite(a)) and np.all(np.isfinite(b))
 
 
 def test_deterministic_given_stream():
     seq = _make_seq()
     rng = RngStream(42).split("aug").split("sample3")
-    np.testing.assert_array_equal(
-        apply_normal(seq, rng).data, apply_normal(seq, rng).data
-    )
-    np.testing.assert_array_equal(
-        apply_extreme(seq, rng).data, apply_extreme(seq, rng).data
-    )
+    for family in ("normal", "extreme"):
+        pipeline = AugmentPipeline(family, DEFAULTS)
+        np.testing.assert_array_equal(
+            pipeline.apply_array(seq.data, rng), pipeline.apply_array(seq.data, rng)
+        )
 
 
 def test_temporal_flip_involution():
@@ -113,8 +115,8 @@ def test_blur_preserves_constant():
 
 
 def test_pipeline_families():
-    normal = AugmentPipeline("normal")
-    extreme = AugmentPipeline("extreme")
+    normal = AugmentPipeline("normal", DEFAULTS)
+    extreme = AugmentPipeline("extreme", DEFAULTS)
     assert normal.transforms == NORMAL_TRANSFORMS
     assert extreme.transforms == EXTREME_TRANSFORMS
     seq = _make_seq()

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from skelcl.config import RunConfig, parse_config
-from skelcl.errors import ConfigTypeError, UnknownKey
+from skelcl.errors import ConfigTypeError, ConfigValueError, UnknownKey
 
 
 def test_empty_config_gives_defaults(tmp_path):
@@ -64,3 +64,30 @@ def test_canonical_json_round_trips():
     cfg = RunConfig(seed=11, tau=0.2)
     loaded = json.loads(cfg.canonical_json())
     assert loaded["seed"] == 11 and loaded["tau"] == 0.2
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("tau", 0),
+        ("batch_size", 0),
+        ("stage_epochs", [1]),
+        ("stage_epochs", [1, -1, 0]),
+        ("queue_size", 0),
+        ("enc_temporal_kernel", 4),
+        ("enc_channels", [32, 16, 8]),
+        ("pft_alpha", 0.0),
+        ("pft_mu", -0.5),
+        ("nnm_topk", 0),
+        ("streams", []),
+        ("streams", ["joint", "velocity"]),
+        ("key_momentum", 1.0),
+        ("crop_min_ratio", 0.0),
+        ("extreme_prob", 1.5),
+        ("key_family", "wild"),
+    ],
+)
+def test_out_of_range_value_named_at_build(key, value):
+    with pytest.raises(ConfigValueError, match=key) as err:
+        parse_config(overrides={key: value}, env={})
+    assert err.value.key == key

@@ -8,31 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skelcl import tensor as T
+from skelcl.config import RunConfig
 from skelcl.contrast import (
-    CombineResult,
     EncoderPair,
-    LossConfig,
     MemoryQueue,
-    PftConfig,
     combine_losses,
-    inter_loss,
-    intra_loss,
     momentum_update,
-    nnm_intra_loss,
     nnm_mine,
     pft_transform,
     predicted_similarity,
-    queue_push,
-    sample_lambda,
+    queue_nll,
     similarity_histogram,
 )
 from skelcl.encoder import EncoderConfig, init_params
-from skelcl.errors import (
-    BatchTooLarge,
-    EmptyQueue,
-    IndexOutOfRange,
-    QueueTooSmall,
-)
+from skelcl.errors import BatchTooLarge, EmptyQueue, QueueTooSmall
 from skelcl.rng import RngStream
 
 
@@ -62,6 +51,27 @@ def random_unit_pair(rng, dim, similarity):
     b = rng.normal(size=dim)
     b = unit(b - (b @ a) * a)
     return a, similarity * a + math.sqrt(1.0 - similarity**2) * b
+
+
+def single_nll(zq, zk, queue, tau, mined=None) -> float:
+    """`queue_nll` on a batch of one 64-bit query row."""
+    rows = None if mined is None else np.asarray(mined, dtype=np.int64).reshape(1, -1)
+    zq = T.Tensor(np.asarray(zq)[None, :], dtype=np.float64)
+    return float(queue_nll(zq, np.asarray(zk)[None, :], queue, tau, rows).data[0])
+
+
+def mine_one(zq, queue, k) -> list[int]:
+    """`nnm_mine` for one query row; the mined queue indices."""
+    mined, _ = nnm_mine(np.asarray(zq)[None, :], queue.contents(), k)
+    return mined[0].tolist()
+
+
+def pft_batch(zq, zk, lam):
+    """`pft_transform` on stacked 64-bit rows; returns numpy arrays."""
+    zq_hat, zk_hat, applied = pft_transform(
+        T.Tensor(np.atleast_2d(zq), dtype=np.float64), np.atleast_2d(zk), np.atleast_1d(lam)
+    )
+    return zq_hat.data, zk_hat, applied
 
 
 def filled_queue(rng, n, dim, dtype=np.float64):
@@ -140,7 +150,7 @@ class TestMemoryQueue:
     def test_partial_fill_preserves_order(self):
         q = MemoryQueue(4, 2)
         batch = np.array([[1, 0], [0, 1], [-1, 0]], dtype=np.float32)
-        queue_push(q, batch)
+        q.push(batch)
         assert q.filled == 3
         np.testing.assert_array_equal(q.contents(), batch)
 
@@ -184,16 +194,13 @@ class TestIntraLoss:
         # tau=1, zq.zk=1, one negative at similarity 0 -> -log(e/(e+1))
         q = MemoryQueue(4, 2, dtype=np.float64)
         q.push(np.array([[0.0, 1.0]]))
-        loss = intra_loss(T.Tensor([1.0, 0.0], dtype=np.float64),
-                          np.array([1.0, 0.0]), q, 1.0)
-        assert abs(loss.item() - 0.3132616875182228) < 1e-9
+        loss = single_nll([1.0, 0.0], [1.0, 0.0], q, 1.0)
+        assert abs(loss - 0.3132616875182228) < 1e-9
 
     def test_symmetric_ln2(self):
         q = MemoryQueue(4, 2, dtype=np.float64)
         q.push(np.array([[1.0, 0.0]]))
-        loss = intra_loss(T.Tensor([1.0, 0.0], dtype=np.float64),
-                          np.array([1.0, 0.0]), q, 1.0)
-        assert abs(loss.item() - math.log(2)) < 1e-9
+        assert abs(single_nll([1.0, 0.0], [1.0, 0.0], q, 1.0) - math.log(2)) < 1e-9
 
     @pytest.mark.parametrize("tau", [0.07, 0.2, 1.0])
     def test_matches_brute_force(self, tau):
@@ -204,87 +211,94 @@ class TestIntraLoss:
             q = filled_queue(rng, filled, dim)
             zq = unit(rng.normal(size=dim))
             zk = unit(rng.normal(size=dim))
-            got = intra_loss(T.Tensor(zq, dtype=np.float64), zk, q, tau).item()
+            got = single_nll(zq, zk, q, tau)
             want = brute_force_queue_nll(zq, zk, q.contents(), (), tau)
             assert abs(got - want) < 1e-6
 
     def test_empty_queue(self):
         q = MemoryQueue(4, 2)
         with pytest.raises(EmptyQueue):
-            intra_loss(T.Tensor([1.0, 0.0]), np.array([1.0, 0.0]), q, 0.07)
+            single_nll([1.0, 0.0], [1.0, 0.0], q, 0.07)
 
 
 class TestInterLoss:
     def test_degenerate_reduction_to_intra(self):
+        # with the other stream's keys and queue equal to the own ones,
+        # the inter term is bit for bit the intra term
         rng = np.random.default_rng(31)
-        q = filled_queue(rng, 16, 8)
-        zq = unit(rng.normal(size=8))
-        zk = unit(rng.normal(size=8))
-        a = inter_loss(T.Tensor(zq, dtype=np.float64), zk, q, 0.2).item()
-        b = intra_loss(T.Tensor(zq, dtype=np.float64), zk, q, 0.2).item()
-        assert a == b
+        zq = rng.normal(size=(3, 8))
+        zq /= np.linalg.norm(zq, axis=1, keepdims=True)
+        zk = rng.normal(size=(3, 8))
+        zk /= np.linalg.norm(zk, axis=1, keepdims=True)
+        fill = filled_queue(rng, 16, 8).contents()
+        emb, queues = {}, {}
+        for s in ("joint", "bone"):
+            emb[s] = (T.Tensor(zq, dtype=np.float64), zk.copy())
+            queues[s] = MemoryQueue(16, 8, dtype=np.float64)
+            queues[s].push(fill)
+        res = combine_losses(emb, queues, RunConfig(streams=["joint", "bone"], tau=0.2),
+                             False, False, RNG)
+        assert res.breakdown["inter:joint->bone"] == res.breakdown["intra:joint"]
 
     @pytest.mark.parametrize("tau", [0.07, 0.2, 1.0])
     def test_matches_brute_force_two_streams(self, tau):
         rng = np.random.default_rng(int(tau * 1000) + 1)
-        for _ in range(100):
-            dim = 8
-            q_v = filled_queue(rng, int(rng.integers(1, 64)), dim)
-            zq_u = unit(rng.normal(size=dim))
-            zk_v = unit(rng.normal(size=dim))
-            got = inter_loss(T.Tensor(zq_u, dtype=np.float64), zk_v, q_v, tau).item()
-            want = brute_force_queue_nll(zq_u, zk_v, q_v.contents(), (), tau)
-            assert abs(got - want) < 1e-6
+        cfg = RunConfig(streams=["joint", "bone"], tau=tau)
+        for _ in range(50):
+            emb, queues = _stream_inputs(rng, ("joint", "bone"), 3, 8, int(rng.integers(1, 64)))
+            res = combine_losses(emb, queues, cfg, False, False, RNG)
+            zq_u, zk_v = emb["joint"][0].data, emb["bone"][1]
+            want = np.mean([
+                brute_force_queue_nll(zq_u[i], zk_v[i], queues["bone"].contents(), (), tau)
+                for i in range(3)
+            ])
+            assert abs(res.breakdown["inter:joint->bone"] - want) < 1e-6
 
 
 class TestNnm:
     def test_mine_highest_similarity(self):
         q = MemoryQueue(4, 2, dtype=np.float64)
         q.push(np.stack([unit([0.9, 0.1]), unit([0.0, 1.0])]))
-        assert nnm_mine(np.array([1.0, 0.0]), q, 1) == (0,)
+        assert mine_one([1.0, 0.0], q, 1) == [0]
 
     def test_k_equals_filled_returns_all(self):
         rng = np.random.default_rng(7)
         q = filled_queue(rng, 5, 3)
-        mined = nnm_mine(unit(rng.normal(size=3)), q, 5)
-        assert sorted(mined) == [0, 1, 2, 3, 4]
+        assert sorted(mine_one(unit(rng.normal(size=3)), q, 5)) == [0, 1, 2, 3, 4]
 
     def test_tie_prefers_lower_index(self):
         q = MemoryQueue(4, 2, dtype=np.float64)
         q.push(np.array([[1.0, 0.0], [1.0, 0.0]]))
-        assert nnm_mine(np.array([1.0, 0.0]), q, 1) == (0,)
+        assert mine_one([1.0, 0.0], q, 1) == [0]
 
     def test_queue_too_small(self):
         q = MemoryQueue(4, 2, dtype=np.float64)
         q.push(np.array([[1.0, 0.0]]))
         with pytest.raises(QueueTooSmall):
-            nnm_mine(np.array([1.0, 0.0]), q, 2)
+            mine_one([1.0, 0.0], q, 2)
 
     def test_empty_neighbors_bitwise_plain(self):
         rng = np.random.default_rng(13)
         q = filled_queue(rng, 32, 8)
-        zq = T.Tensor(unit(rng.normal(size=8)), dtype=np.float64)
+        zq = unit(rng.normal(size=8))
         zk = unit(rng.normal(size=8))
-        assert nnm_intra_loss(zq, zk, q, (), 0.07).item() == intra_loss(zq, zk, q, 0.07).item()
+        assert single_nll(zq, zk, q, 0.07, mined=()) == single_nll(zq, zk, q, 0.07)
 
     def test_closed_form_one_neighbor(self):
         # pos sim 1, mined sim 1, one other negative at 0 -> -log(2e/(2e+1))
         q = MemoryQueue(4, 2, dtype=np.float64)
         q.push(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        loss = nnm_intra_loss(T.Tensor([1.0, 0.0], dtype=np.float64),
-                              np.array([1.0, 0.0]), q, (0,), 1.0)
-        assert abs(loss.item() - 0.1688476234983058) < 1e-9
+        loss = single_nll([1.0, 0.0], [1.0, 0.0], q, 1.0, mined=(0,))
+        assert abs(loss - 0.1688476234983058) < 1e-9
 
     def test_mined_loss_never_larger(self):
         rng = np.random.default_rng(17)
         for _ in range(50):
             q = filled_queue(rng, 16, 6)
-            zq = T.Tensor(unit(rng.normal(size=6)), dtype=np.float64)
+            zq = unit(rng.normal(size=6))
             zk = unit(rng.normal(size=6))
-            mined = nnm_mine(zq, q, 1)
-            with_nnm = nnm_intra_loss(zq, zk, q, mined, 0.1).item()
-            without = intra_loss(zq, zk, q, 0.1).item()
-            assert with_nnm <= without
+            with_nnm = single_nll(zq, zk, q, 0.1, mined=mine_one(zq, q, 1))
+            assert with_nnm <= single_nll(zq, zk, q, 0.1)
 
     @pytest.mark.parametrize("tau", [0.07, 0.2, 1.0])
     def test_matches_brute_force(self, tau):
@@ -296,16 +310,10 @@ class TestNnm:
             zq = unit(rng.normal(size=dim))
             zk = unit(rng.normal(size=dim))
             k = int(rng.integers(1, min(4, filled) + 1))
-            mined = nnm_mine(zq, q, k)
-            got = nnm_intra_loss(T.Tensor(zq, dtype=np.float64), zk, q, mined, tau).item()
+            mined = mine_one(zq, q, k)
+            got = single_nll(zq, zk, q, tau, mined=mined)
             want = brute_force_queue_nll(zq, zk, q.contents(), mined, tau)
             assert abs(got - want) < 1e-6
-
-    def test_bad_index(self):
-        q = MemoryQueue(4, 2, dtype=np.float64)
-        q.push(np.array([[1.0, 0.0]]))
-        with pytest.raises(IndexOutOfRange):
-            nnm_intra_loss(T.Tensor([1.0, 0.0]), np.array([1.0, 0.0]), q, (5,), 1.0)
 
 
 # -- extrapolation ---------------------------------------------------------------------
@@ -313,12 +321,18 @@ class TestNnm:
 
 class TestSampleLambda:
     def test_mu_zero_constant_one(self):
-        pft = PftConfig(alpha=2.0, mu=0.0)
-        draws = [sample_lambda(pft, RngStream(i).split("l")) for i in range(32)]
-        assert all(l == 1.0 for l in draws)
+        # mu = 0 draws lambda = 1: every pair with s >= 0 is "transformed"
+        # into itself, so the loss matches the untransformed one
+        rng = np.random.default_rng(27)
+        emb, queues = _stream_inputs(rng, ("joint",), 16, 8, 16)
+        cfg = RunConfig(streams=["joint"], pft_mu=0.0)
+        plain = combine_losses(emb, queues, cfg, False, False, RNG)
+        same = combine_losses(emb, queues, cfg, False, True, RngStream(1).split("step"))
+        zq, zk = emb["joint"]
+        assert same.pft_applied_rate == float(((zq.data * zk).sum(axis=1) >= 0).mean())
+        assert abs(same.total.item() - plain.total.item()) < 1e-9
 
     def test_beta22_mean_and_range(self):
-        pft = PftConfig(alpha=2.0, mu=1.0)
         draws = RngStream(5).split("lam").generator().beta(2.0, 2.0, 100_000) + 1.0
         assert abs(draws.mean() - 1.5) < 0.01
         assert draws.min() >= 1.0 and draws.max() <= 2.0
@@ -328,25 +342,24 @@ class TestPftTransform:
     def test_lambda_one_identity(self):
         rng = np.random.default_rng(3)
         zq, zk = random_unit_pair(rng, 8, 0.6)
-        zq_hat, zk_hat, applied = pft_transform(T.Tensor(zq, dtype=np.float64), zk, 1.0)
-        assert applied
-        np.testing.assert_allclose(zq_hat.data, zq, atol=1e-12)
-        np.testing.assert_allclose(zk_hat, zk, atol=1e-12)
+        zq_hat, zk_hat, applied = pft_batch(zq, zk, 1.0)
+        assert applied.all()
+        np.testing.assert_allclose(zq_hat[0], zq, atol=1e-12)
+        np.testing.assert_allclose(zk_hat[0], zk, atol=1e-12)
 
     def test_guard_on_orthogonal_pair(self):
         # s = 0, lambda = 1.5 -> predicted similarity -1.5 < 0 -> keep originals
-        zq = T.Tensor([1.0, 0.0], dtype=np.float64)
-        zk = np.array([0.0, 1.0])
-        zq_hat, zk_hat, applied = pft_transform(zq, zk, 1.5)
-        assert not applied
-        assert zq_hat is zq
-        np.testing.assert_array_equal(zk_hat, zk)
+        zq, zk = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        zq_hat, zk_hat, applied = pft_batch(zq, zk, 1.5)
+        assert not applied.any()
+        np.testing.assert_array_equal(zq_hat[0], zq)
+        np.testing.assert_array_equal(zk_hat[0], zk)
 
     def test_guard_on_negative_similarity(self):
         rng = np.random.default_rng(4)
         zq, zk = random_unit_pair(rng, 8, -0.3)
-        _, _, applied = pft_transform(T.Tensor(zq, dtype=np.float64), zk, 1.01)
-        assert not applied
+        _, _, applied = pft_batch(zq, zk, 1.01)
+        assert not applied.any()
 
     def test_closed_form_matches_direct(self):
         # s=0.5, lambda=1.2 -> predicted 0.26 equals the raw extrapolated dot
@@ -363,8 +376,7 @@ class TestPftTransform:
         rng = np.random.default_rng(6)
         s = rng.uniform(0.0, 1.0, 100_000)
         lam = rng.beta(2.0, 2.0, 100_000) + 1.0
-        predicted = 2.0 * lam * (1.0 - lam) * (1.0 - s) + s
-        assert np.all(predicted <= s)
+        assert np.all(predicted_similarity(s, lam) <= s)
 
     def test_identity_against_direct_dot_random(self):
         rng = np.random.default_rng(7)
@@ -378,30 +390,43 @@ class TestPftTransform:
 
     def test_sign_preserved_by_renormalization(self):
         rng = np.random.default_rng(8)
+        pairs = []
         for _ in range(200):
             s = rng.uniform(0.0, 0.999)
             lam = rng.uniform(1.0, 2.0)
-            zq, zk = random_unit_pair(rng, 10, s)
-            zq_hat, zk_hat, applied = pft_transform(T.Tensor(zq, dtype=np.float64), zk, lam)
-            raw_q = lam * zq + (1 - lam) * zk
-            raw_k = lam * zk + (1 - lam) * zq
-            if applied:
-                assert np.sign(zq_hat.data @ zk_hat) == np.sign(np.dot(raw_q, raw_k)) or (
-                    abs(raw_q @ raw_k) < 1e-12
-                )
+            pairs.append((*random_unit_pair(rng, 10, s), lam))
+        zq, zk, lam = (np.array(column) for column in zip(*pairs))
+        zq_hat, zk_hat, applied = pft_batch(zq, zk, lam)
+        lam = lam[:, None]
+        raw = ((lam * zq + (1 - lam) * zk) * (lam * zk + (1 - lam) * zq)).sum(axis=1)
+        renormalized = (zq_hat * zk_hat).sum(axis=1)
+        ok = (np.sign(renormalized) == np.sign(raw)) | (np.abs(raw) < 1e-12)
+        assert ok[applied].all()
 
     def test_gradient_flows_through_query_side(self):
         rng = np.random.default_rng(9)
         zq_arr, zk = random_unit_pair(rng, 6, 0.7)
-        p = T.parameter(zq_arr.astype(np.float64))
+        p = T.parameter(zq_arr[None, :].astype(np.float64))
         weights = rng.normal(size=6)
 
         def f():
-            zq_hat, _, _ = pft_transform(T.l2_normalize(p), zk, 1.3)
+            zq_hat, _, _ = pft_transform(T.l2_normalize(p), zk[None, :], np.array([1.3]))
             return T.sum_(T.mul(zq_hat, weights))
 
         res = T.grad_check(f, {"p": p})
         assert res.max_rel_error < 1e-6
+
+
+def _extrapolated_similarities(rng, n, low):
+    """Draw n pairs with s in [low, 0.999) and Beta(2,2)+1 weights."""
+    pairs = []
+    for _ in range(n):
+        s = rng.uniform(low, 0.999)
+        lam = rng.beta(2.0, 2.0) + 1.0
+        pairs.append((s, *random_unit_pair(rng, 16, s), lam))
+    before, zq, zk, lam = (np.array(column) for column in zip(*pairs))
+    zq_hat, zk_hat, applied = pft_batch(zq, zk, lam)
+    return before, np.where(applied, (zq_hat * zk_hat).sum(axis=1), before)
 
 
 class TestSimilarityHistogram:
@@ -415,33 +440,20 @@ class TestSimilarityHistogram:
     def test_variance_grows_after_transform(self):
         # positives of a trained encoder concentrate well above 0; the
         # extrapolation spreads them downward, growing the variance
-        rng = np.random.default_rng(10)
-        before, after = [], []
-        for _ in range(1000):
-            s = rng.uniform(0.5, 0.999)
-            lam = rng.beta(2.0, 2.0) + 1.0
-            zq, zk = random_unit_pair(rng, 16, s)
-            zq_hat, zk_hat, applied = pft_transform(T.Tensor(zq, dtype=np.float64), zk, lam)
-            before.append(s)
-            after.append(float(zq_hat.data @ zk_hat) if applied else s)
+        before, after = _extrapolated_similarities(np.random.default_rng(10), 1000, 0.5)
         table = similarity_histogram(before, after)
         assert table.after_stats["var"] >= table.before_stats["var"]
         assert table.after_stats["min"] >= 0.0
 
     def test_guard_floor_any_similarity(self):
         # regardless of the input regime, no after-transform mass below 0
-        rng = np.random.default_rng(11)
-        after = []
-        for _ in range(500):
-            s = rng.uniform(0.0, 0.999)
-            lam = rng.beta(2.0, 2.0) + 1.0
-            zq, zk = random_unit_pair(rng, 16, s)
-            zq_hat, zk_hat, applied = pft_transform(T.Tensor(zq, dtype=np.float64), zk, lam)
-            after.append(float(zq_hat.data @ zk_hat) if applied else s)
-        assert min(after) >= 0.0
+        _, after = _extrapolated_similarities(np.random.default_rng(11), 500, 0.0)
+        assert after.min() >= 0.0
 
 
 # -- combined loss ----------------------------------------------------------------------
+
+RNG = RngStream(0).split("combine")
 
 
 def _stream_inputs(rng, streams, batch, dim, queue_size):
@@ -460,22 +472,22 @@ class TestCombineLosses:
     def test_single_stream_term_count(self):
         rng = np.random.default_rng(20)
         emb, queues = _stream_inputs(rng, ("joint",), 4, 8, 16)
-        res = combine_losses(emb, queues, LossConfig(streams=("joint",)))
+        res = combine_losses(emb, queues, RunConfig(streams=["joint"]), False, False, RNG)
         assert list(res.breakdown) == ["intra:joint"]
 
     def test_term_structure_two_and_three_streams(self):
         rng = np.random.default_rng(21)
-        for streams, n_intra, n_inter in [(("joint", "bone"), 2, 2),
-                                          (("joint", "bone", "motion"), 3, 6)]:
+        for streams, n_intra, n_inter in [(["joint", "bone"], 2, 2),
+                                          (["joint", "bone", "motion"], 3, 6)]:
             emb, queues = _stream_inputs(rng, streams, 4, 8, 16)
-            res = combine_losses(emb, queues, LossConfig(streams=streams))
+            res = combine_losses(emb, queues, RunConfig(streams=streams), False, False, RNG)
             intra = [k for k in res.breakdown if k.startswith("intra:")]
             inter = [k for k in res.breakdown if k.startswith("inter:")]
             assert len(intra) == n_intra and len(inter) == n_inter
             assert abs(res.total.item() - sum(res.breakdown.values())) < 1e-9
 
     def test_symmetric_construction_ln2_per_term(self):
-        streams = ("joint", "bone", "motion")
+        streams = ["joint", "bone", "motion"]
         e1 = np.zeros(8)
         e1[0] = 1.0
         emb, queues = {}, {}
@@ -485,29 +497,26 @@ class TestCombineLosses:
             q = MemoryQueue(4, 8, dtype=np.float64)
             q.push(e1[None, :])
             queues[s] = q
-        res = combine_losses(emb, queues, LossConfig(streams=streams, temperature=1.0))
+        cfg = RunConfig(streams=streams, tau=1.0)
+        res = combine_losses(emb, queues, cfg, False, False, RNG)
         assert abs(res.total.item() - 9 * math.log(2)) < 1e-9
 
     def test_batch_equals_mean_of_singles(self):
         rng = np.random.default_rng(22)
         emb, queues = _stream_inputs(rng, ("joint", "bone"), 6, 8, 24)
-        cfg = LossConfig(streams=("joint", "bone"), temperature=0.2)
-        res = combine_losses(emb, queues, cfg)
+        cfg = RunConfig(streams=["joint", "bone"], tau=0.2)
+        res = combine_losses(emb, queues, cfg, False, False, RNG)
         for u in ("joint", "bone"):
             zq, zk = emb[u]
-            singles = [
-                intra_loss(T.Tensor(zq.data[i]), zk[i], queues[u], 0.2).item()
-                for i in range(6)
-            ]
+            singles = [single_nll(zq.data[i], zk[i], queues[u], 0.2) for i in range(6)]
             assert abs(res.breakdown[f"intra:{u}"] - np.mean(singles)) < 1e-9
 
     def test_nnm_changes_intra_only(self):
         rng = np.random.default_rng(23)
         emb, queues = _stream_inputs(rng, ("joint", "bone"), 4, 8, 16)
-        cfg_plain = LossConfig(streams=("joint", "bone"))
-        cfg_nnm = LossConfig(streams=("joint", "bone"), nnm_enabled=True, nnm_topk=1)
-        plain = combine_losses(emb, queues, cfg_plain)
-        mined = combine_losses(emb, queues, cfg_nnm)
+        cfg = RunConfig(streams=["joint", "bone"], nnm_topk=1)
+        plain = combine_losses(emb, queues, cfg, False, False, RNG)
+        mined = combine_losses(emb, queues, cfg, True, False, RNG)
         for key in plain.breakdown:
             if key.startswith("inter:"):
                 assert plain.breakdown[key] == mined.breakdown[key]
@@ -518,8 +527,8 @@ class TestCombineLosses:
     def test_pft_reports_applied_rate(self):
         rng = np.random.default_rng(24)
         emb, queues = _stream_inputs(rng, ("joint",), 8, 8, 16)
-        cfg = LossConfig(streams=("joint",), pft_enabled=True)
-        res = combine_losses(emb, queues, cfg, RngStream(1).split("step"))
+        cfg = RunConfig(streams=["joint"])
+        res = combine_losses(emb, queues, cfg, False, True, RngStream(1).split("step"))
         assert res.pft_applied_rate is not None
         assert 0.0 <= res.pft_applied_rate <= 1.0
 
@@ -529,10 +538,10 @@ class TestCombineLosses:
         zk = rng.normal(size=(4, 8))
         zk /= np.linalg.norm(zk, axis=1, keepdims=True)
         q = filled_queue(rng, 16, 8, dtype=np.float32)
-        cfg = LossConfig(streams=("joint",))
+        cfg = RunConfig(streams=["joint"])
         with T.Tape():
             emb = {"joint": (T.l2_normalize(p), zk)}
-            res = combine_losses(emb, q and {"joint": q}, cfg)
+            res = combine_losses(emb, {"joint": q}, cfg, True, True, RNG)
             grads = T.backward(res.total)
         assert set(grads.keys()) == {p}
 
@@ -540,4 +549,5 @@ class TestCombineLosses:
         rng = np.random.default_rng(26)
         emb, _ = _stream_inputs(rng, ("joint",), 4, 8, 16)
         with pytest.raises(EmptyQueue):
-            combine_losses(emb, {"joint": MemoryQueue(8, 8)}, LossConfig(streams=("joint",)))
+            combine_losses(emb, {"joint": MemoryQueue(8, 8)}, RunConfig(streams=["joint"]),
+                           False, False, RNG)

@@ -4,11 +4,24 @@ import numpy as np
 import pytest
 
 from skelcl import tensor as T
+from skelcl.config import RunConfig
 from skelcl.encoder import EncoderConfig, encode, init_params
-from skelcl.errors import LengthMismatch
+from skelcl.errors import LengthMismatch, ShapeMismatch
 from skelcl.rng import RngStream
-from skelcl.skeleton import generate_synthetic_dataset
-from skelcl.train import finetune, fuse_predictions, knn_probe, linear_probe, stratified_fraction
+from skelcl.skeleton import (
+    SkeletonGraph,
+    SkeletonSequence,
+    generate_synthetic_dataset,
+    shared_graph,
+)
+from skelcl.train import (
+    finetune,
+    fuse_predictions,
+    knn_probe,
+    linear_probe,
+    pretrain,
+    stratified_fraction,
+)
 
 TINY = EncoderConfig(blocks=1, channels=(4,), temporal_kernel=3, hidden=8, embed_dim=4)
 
@@ -92,3 +105,22 @@ def test_fuse_predictions_weighted_argmax():
     with pytest.raises(LengthMismatch):
         fuse_predictions({"joint": np.zeros((2, 2)), "bone": np.zeros((3, 2))},
                          {"joint": 1.0, "bone": 1.0})
+
+
+MIXED_GRAPH_CALLS = {
+    "pretrain": lambda seqs, val, params: pretrain(seqs, RunConfig(stage_epochs=[1, 0, 0])),
+    "linear_probe": lambda seqs, val, params: linear_probe(params, seqs, val, epochs=1),
+    "knn_probe": lambda seqs, val, params: knn_probe(params, seqs, val),
+    "finetune": lambda seqs, val, params: finetune(params, seqs, val, epochs=1),
+}
+
+
+@pytest.mark.parametrize("call", sorted(MIXED_GRAPH_CALLS))
+def test_clips_on_mixed_graphs_rejected(splits, params, call):
+    train, val = splits
+    chain = SkeletonGraph(num_joints=9, edges=tuple((j, j + 1) for j in range(8)))
+    last = train[-1]
+    mixed = train[:-1] + [SkeletonSequence(last.data, chain, last.label)]
+    assert shared_graph(train) == train[0].graph
+    with pytest.raises(ShapeMismatch, match="one skeleton graph"):
+        MIXED_GRAPH_CALLS[call](mixed, val, params)
