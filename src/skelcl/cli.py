@@ -219,6 +219,11 @@ def cmd_fuse(args) -> int:
         if args.weight
         else RunConfig().fusion_weights
     )
+    for stream in sorted(scores):
+        if stream not in weights:
+            raise ConfigValueError(
+                "--weight", f"no weight for stream {stream!r}, which --scores contains"
+            )
     fused, labels = fuse_predictions(scores, {s: weights[s] for s in scores})
     doc = {
         "protocol": "fusion",
@@ -257,6 +262,19 @@ def _gradcheck_components(dtype, eps=1e-4):
 
         results[label] = T.grad_check(f, params.trainable(), eps=eps)
 
+    # train-mode normalization: batch statistics carry gradient
+    # (own generator, so the other components keep their inputs)
+    norm_rng = np.random.default_rng(1)
+    params = init_params(cfg_first, RngStream(1).split("block_train_norm")).astype(dtype)
+    x_batch = norm_rng.normal(size=(2, 8, 3, 5)).astype(dtype)
+    target_batch = norm_rng.normal(size=(2, cfg_first.hidden_dim))
+
+    def f_train_norm():
+        h = stgcn_forward(x_batch, adjacency, params, mode="train", update_stats=False)
+        return T.sum_(T.mul(h, target_batch))
+
+    results["block_train_norm"] = T.grad_check(f_train_norm, params.trainable(), eps=eps)
+
     params = init_params(cfg_first, RngStream(2).split("proj")).astype(dtype)
     target = rng.normal(size=cfg_first.embed_dim)
 
@@ -268,21 +286,21 @@ def _gradcheck_components(dtype, eps=1e-4):
 
     # loss terms on slim embeddings, one row each
     dim = 6
-    queue = MemoryQueue(8, dim, dtype=dtype)
     fill = rng.normal(size=(8, dim))
     fill /= np.linalg.norm(fill, axis=1, keepdims=True)
-    queue.push(fill)
+    negatives = fill.astype(dtype)
     zq_param = T.parameter(rng.normal(size=(1, dim)).astype(dtype))
     zk = rng.normal(size=(1, dim))
     zk /= np.linalg.norm(zk)
 
     def f_intra():
-        return T.mean_(queue_nll(T.l2_normalize(zq_param), zk, queue, 0.2))
+        return T.mean_(queue_nll(T.l2_normalize(zq_param), zk, negatives, 0.2))
 
     results["loss_intra"] = T.grad_check(f_intra, {"zq": zq_param}, eps=eps)
 
     def f_nnm():
-        return T.mean_(queue_nll(T.l2_normalize(zq_param), zk, queue, 0.2, mined=np.array([[0]])))
+        zq = T.l2_normalize(zq_param)
+        return T.mean_(queue_nll(zq, zk, negatives, 0.2, mined=np.array([[0]])))
 
     results["loss_nnm"] = T.grad_check(f_nnm, {"zq": zq_param}, eps=eps)
 
@@ -297,7 +315,7 @@ def _gradcheck_components(dtype, eps=1e-4):
 
     def f_pft():
         z_hat, _, _ = pft_transform(T.l2_normalize(zq_param), zk_pos[None], np.array([lam]))
-        return T.mean_(queue_nll(z_hat, zk_hat_frozen[None], queue, 0.2))
+        return T.mean_(queue_nll(z_hat, zk_hat_frozen[None], negatives, 0.2))
 
     results["loss_pft_query_path"] = T.grad_check(f_pft, {"zq": zq_param}, eps=eps)
 
@@ -347,7 +365,15 @@ def cmd_gradcheck(args) -> int:
     return 0 if ok else 1
 
 
+# RunConfig key -> the pft-hist flag that sets it
+_PFT_HIST_FLAGS = {"pft_alpha": "--alpha", "pft_mu": "--mu"}
+
+
 def cmd_pft_hist(args) -> int:
+    try:
+        RunConfig(pft_alpha=args.alpha, pft_mu=args.mu)  # the config's own range rule
+    except ConfigValueError as err:
+        raise ConfigValueError(_PFT_HIST_FLAGS[err.key], err.reason) from None
     rng = RngStream(args.seed).split("pft-hist")
 
     def draw_lambda(gen) -> float:

@@ -83,23 +83,24 @@ def _as_const(v) -> np.ndarray:
     return v.data if isinstance(v, T.Tensor) else np.asarray(v)
 
 
-def queue_nll(zq, zk, queue: MemoryQueue, tau: float, mined=None) -> T.Tensor:
+def queue_nll(zq, zk, negatives: np.ndarray, tau: float, mined=None) -> T.Tensor:
     """Per-row masked InfoNCE for (B, D) queries; returns (B,) losses.
 
     Row i's numerator holds its positive pair (zq[i], zk[i]) plus the
-    queue entries listed in `mined[i]` (neighbor mining); the
-    denominator holds the positive and the whole queue.  Intra-stream
+    `negatives` rows listed in `mined[i]` (neighbor mining); the
+    denominator holds the positive and every row of `negatives`, a
+    (Q, D) snapshot of a queue (`MemoryQueue.contents()`).  Intra-stream
     terms pass the stream's own keys and queue, inter-stream terms the
     other stream's.  Gradient flows into `zq` only.
     """
-    if queue.filled == 0:
+    if negatives.shape[0] == 0:
         raise EmptyQueue("no negatives stored yet")
     zq = T.as_tensor(zq)
-    contents = queue.contents().astype(zq.dtype)
+    negatives = negatives.astype(zq.dtype, copy=False)
     pos = T.sum_(T.mul(zq, T.Tensor(_as_const(zk).astype(zq.dtype))), axis=1, keepdims=True)
-    negs = T.matmul(zq, contents.T)
+    negs = T.matmul(zq, negatives.T)
     logits = T.div(T.concat([pos, negs], axis=1), tau)
-    mask = np.zeros((zq.shape[0], 1 + queue.filled), dtype=bool)
+    mask = np.zeros((zq.shape[0], 1 + negatives.shape[0]), dtype=bool)
     mask[:, 0] = True
     if mined is not None:
         rows = np.repeat(np.arange(mined.shape[0]), mined.shape[1])
@@ -110,13 +111,24 @@ def queue_nll(zq, zk, queue: MemoryQueue, tau: float, mined=None) -> T.Tensor:
 def nnm_mine(zq, contents: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Per row, the k most similar queue entries; ties pick the lower index.
 
-    Returns (indices, similarities), both (B, k).
+    Returns (indices, similarities), both (B, k), each row ordered by
+    descending similarity.  The selection is exact: a partition finds
+    each row's k-th largest similarity, and only the entries at or
+    above it are sorted (similarity descending, then index ascending),
+    which is the order a stable full sort would give.
     """
+    if k < 1:
+        raise ValueError("k must be positive")
     if contents.shape[0] < k:
         raise QueueTooSmall(f"queue holds {contents.shape[0]} < k={k}")
     zq = _as_const(zq)
-    sims = zq @ contents.astype(zq.dtype).T
-    mined = np.argsort(-sims, axis=1, kind="stable")[:, :k]
+    sims = zq @ contents.astype(zq.dtype, copy=False).T
+    width = sims.shape[1]
+    threshold = np.partition(sims, width - k, axis=1)[:, width - k : width - k + 1]
+    rows, cols = np.nonzero(sims >= threshold)
+    order = np.lexsort((cols, -sims[rows, cols], rows))
+    starts = np.searchsorted(rows, np.arange(sims.shape[0]))
+    mined = cols[order[starts[:, None] + np.arange(k)]]
     T.record_kink(mined)
     return mined, np.take_along_axis(sims, mined, axis=1)
 
@@ -240,13 +252,15 @@ def combine_losses(
         zq, zk = stream_embeddings[u]
         effective[u] = extrapolate(zq, zk, u) if pft else (zq, _as_const(zk))
 
+    # one snapshot per queue serves the mining and every term against it
+    negatives = {u: queues[u].contents() for u in streams}
     for u in streams:
         zq_eff, zk_eff = effective[u]
         mined = None
         if nnm:
-            mined, sims = nnm_mine(zq_eff, queues[u].contents(), config.nnm_topk)
+            mined, sims = nnm_mine(zq_eff, negatives[u], config.nnm_topk)
             mined_sims.append(sims.reshape(-1))
-        term = T.mean_(queue_nll(zq_eff, zk_eff, queues[u], config.tau, mined))
+        term = T.mean_(queue_nll(zq_eff, zk_eff, negatives[u], config.tau, mined))
         breakdown[f"intra:{u}"] = term.item()
         terms.append(term)
 
@@ -258,7 +272,7 @@ def combine_losses(
             _, zk_v = stream_embeddings[v]
             if pft and config.pft_apply_to_inter:
                 zq_u, zk_v = extrapolate(zq_u, zk_v, f"{u}->{v}")
-            term = T.mean_(queue_nll(zq_u, zk_v, queues[v], config.tau))
+            term = T.mean_(queue_nll(zq_u, zk_v, negatives[v], config.tau))
             breakdown[f"inter:{u}->{v}"] = term.item()
             terms.append(term)
 

@@ -5,6 +5,12 @@ normalized skeletal adjacency, a depthwise temporal convolution, batch
 normalization, relu, and a residual connection when channel counts
 match.  Global average pooling over frames and joints yields the hidden
 vector h; a one-hidden-layer MLP projects h to a unit-norm embedding z.
+
+Activations keep the (N, T, C, V) layout throughout.  The spatial step
+is `W^T @ (X @ A_hat)`, two matmuls with no activation transpose, and
+train-mode batch normalization is the single fused `tensor.batch_norm`
+op; eval mode normalizes with the frozen running statistics through
+elementwise ops.
 """
 
 from __future__ import annotations
@@ -141,23 +147,19 @@ def _batch_norm(
 ) -> T.Tensor:
     gamma = params[f"block{block}.norm_gamma"]
     beta = params[f"block{block}.norm_beta"]
-    c = gamma.shape[0]
-    shape = (1, 1, c, 1)
     if mode == "train":
-        mu = T.mean_(y, axis=(0, 1, 3), keepdims=True)
-        centered = T.sub(y, mu)
-        var = T.mean_(T.mul(centered, centered), axis=(0, 1, 3), keepdims=True)
+        out, mu, var = T.batch_norm(y, gamma, beta, BN_EPS)
         if update_stats:
             run_mu = params[f"block{block}.norm_running_mean"]
             run_var = params[f"block{block}.norm_running_var"]
-            run_mu.data[...] = BN_MOMENTUM * run_mu.data + (1 - BN_MOMENTUM) * mu.data.reshape(c)
-            run_var.data[...] = BN_MOMENTUM * run_var.data + (1 - BN_MOMENTUM) * var.data.reshape(c)
-        xhat = T.div(centered, T.sqrt(T.add(var, BN_EPS)))
-    else:
-        mu = params[f"block{block}.norm_running_mean"].data.reshape(shape)
-        var = params[f"block{block}.norm_running_var"].data.reshape(shape)
-        denom = np.sqrt(var + BN_EPS)
-        xhat = T.div(T.sub(y, mu), denom)
+            run_mu.data[...] = BN_MOMENTUM * run_mu.data + (1 - BN_MOMENTUM) * mu
+            run_var.data[...] = BN_MOMENTUM * run_var.data + (1 - BN_MOMENTUM) * var
+        return out
+    shape = (1, 1, gamma.shape[0], 1)
+    mu = params[f"block{block}.norm_running_mean"].data.reshape(shape)
+    var = params[f"block{block}.norm_running_var"].data.reshape(shape)
+    denom = np.sqrt(var + BN_EPS)
+    xhat = T.div(T.sub(y, mu), denom)
     return T.add(T.mul(xhat, T.reshape(gamma, shape)), T.reshape(beta, shape))
 
 
@@ -197,10 +199,9 @@ def stgcn_forward(
     for i in range(cfg.blocks):
         w = params[f"block{i}.spatial_weight"]
         kern = params[f"block{i}.temporal_kernel"]
-        y = T.matmul(h, adjacency)  # aggregate over joints
-        y = T.transpose(y, (0, 1, 3, 2))
-        y = T.matmul(y, w)  # mix channels
-        y = T.transpose(y, (0, 1, 3, 2))
+        # aggregate over joints, then mix channels: W^T (C_out, C_in) is
+        # broadcast over (N, T), so the activation is never transposed
+        y = T.matmul(T.transpose(w, (1, 0)), T.matmul(h, adjacency))
         y = T.conv1d_temporal(y, kern)
         if cfg.normalization == "batch":
             y = _batch_norm(y, params, i, mode, update_stats)

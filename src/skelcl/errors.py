@@ -101,6 +101,10 @@ class LengthMismatch(SkelclError):
     """Per-stream score vectors disagree in length."""
 
 
+class EncoderModified(SkelclError):
+    """A frozen-encoder protocol changed the encoder's parameter bytes."""
+
+
 # --- config / persistence --------------------------------------------------
 
 

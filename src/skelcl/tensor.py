@@ -10,6 +10,12 @@ pass records a fresh one.
 Values are float32 by default; pass float64 data for oracle-grade
 precision.  Every op validates that its output is finite and raises
 `NonFiniteValue` otherwise.
+
+The encoder's hot ops are fused kernels, one tape node each:
+`conv1d_temporal` applies its taps over a flat (L, T, C*V) view,
+`batch_norm` normalizes with batch statistics and carries the
+closed-form backward, and both take per-channel sums as one GEMV over a
+(rows, C*V) view (`_channel_sums`) instead of a multi-axis reduction.
 """
 
 from __future__ import annotations
@@ -333,7 +339,7 @@ def relu(a) -> Tensor:
     def bwd(g, needs):
         return (g * positive if needs[0] else None,)
 
-    return _apply(np.where(positive, a.data, 0.0), (a,), bwd)
+    return _apply(np.maximum(a.data, 0.0), (a,), bwd)
 
 
 def exp(a) -> Tensor:
@@ -500,12 +506,35 @@ def matmul(a, b) -> Tensor:
     return _apply(a.data @ b.data, (a, b), bwd)
 
 
+def _tap_slices(offset: int, frames: int) -> tuple[slice, slice]:
+    """(output frames, input frames) a temporal tap at `offset` connects."""
+    return (
+        slice(max(0, -offset), frames - max(0, offset)),
+        slice(max(0, offset), frames - max(0, -offset)),
+    )
+
+
+def _channel_sums(a: np.ndarray, channels: int) -> np.ndarray:
+    """Per-channel sums of an array whose last axis is C*V in (C, V) order.
+
+    The leading axes flatten to rows, so one GEMV with a ones vector
+    sums every column at once; only the final V-wide fold per channel
+    is a NumPy reduction.
+    """
+    rows = a.reshape(-1, a.shape[-1])
+    return (np.ones(rows.shape[0], dtype=a.dtype) @ rows).reshape(channels, -1).sum(axis=1)
+
+
 def conv1d_temporal(x, kernel) -> Tensor:
     """Depthwise convolution along the frame axis.
 
     `x` has layout (..., T, C, V); `kernel` is (C, K) with odd K and is
     applied identically at every joint with zero padding, so T is
-    preserved.
+    preserved.  The taps run over a flattened (L, T, C*V) view with one
+    contiguous C*V weight vector per tap: the centre tap initialises
+    the output and each off-centre tap adds into the frames it reaches,
+    so no padded copy is built.  The kernel gradient reduces each tap's
+    product with a GEMV (`_channel_sums`).
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
     if x.ndim < 3:
@@ -517,30 +546,85 @@ def conv1d_temporal(x, kernel) -> Tensor:
         raise ShapeMismatch(
             f"kernel has {channels} channels but input has {x.shape[-2]}"
         )
-    frames = x.shape[-3]
+    frames, joints = x.shape[-3], x.shape[-1]
     pad = (width - 1) // 2
-    pad_spec = [(0, 0)] * (x.ndim - 3) + [(pad, pad), (0, 0), (0, 0)]
-    xp = np.pad(x.data, pad_spec)
+    flat = (-1, frames, channels * joints)
+    x2 = x.data.reshape(flat)
+    taps = np.repeat(kernel.data.T, joints, axis=1)  # (K, C*V)
+    offsets = [j - pad for j in range(width) if j != pad and abs(j - pad) < frames]
 
-    out_data = np.zeros_like(x.data)
-    for j in range(width):
-        out_data += xp[..., j : j + frames, :, :] * kernel.data[:, j].reshape(-1, 1)
+    out = x2 * taps[pad]
+    for d in offsets:
+        dst, src = _tap_slices(d, frames)
+        out[:, dst] += x2[:, src] * taps[d + pad]
 
     def bwd(g, needs):
         gx = gk = None
+        g2 = g.reshape(flat)
         if needs[0]:
-            gxp = np.zeros_like(xp)
-            for j in range(width):
-                gxp[..., j : j + frames, :, :] += g * kernel.data[:, j].reshape(-1, 1)
-            gx = gxp[..., pad : pad + frames, :, :]
+            gx = g2 * taps[pad]
+            for d in offsets:
+                dst, src = _tap_slices(d, frames)
+                gx[:, src] += g2[:, dst] * taps[d + pad]
+            gx = gx.reshape(x.shape)
         if needs[1]:
-            gk = np.empty_like(kernel.data)
-            sum_axes = tuple(i for i in range(g.ndim) if i != g.ndim - 2)
-            for j in range(width):
-                gk[:, j] = (g * xp[..., j : j + frames, :, :]).sum(axis=sum_axes)
+            gk = np.zeros_like(kernel.data)
+            gk[:, pad] = _channel_sums(g2 * x2, channels)
+            for d in offsets:
+                dst, src = _tap_slices(d, frames)
+                gk[:, d + pad] = _channel_sums(g2[:, dst] * x2[:, src], channels)
         return gx, gk
 
-    return _apply(out_data, (x, kernel), bwd)
+    return _apply(out.reshape(x.shape), (x, kernel), bwd)
+
+
+def batch_norm(y, gamma, beta, eps: float) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """Train-mode batch normalization over a (..., C, V) activation.
+
+    Each channel is normalized with the mean and biased variance of its
+    entries over every other axis, then scaled by `gamma` and shifted by
+    `beta` (both (C,)).  Returns (out, mean, var) with the statistics as
+    constant (C,) arrays for the caller's running averages.  The work
+    runs on a flattened (rows, C*V) view, each (C,) vector repeated V
+    times to one value per column.  One tape node carries the
+    closed-form backward (Ioffe & Szegedy, 2015):
+    dy = gamma / sigma * (g - mean(g) - xhat * mean(g * xhat)).
+    """
+    y, gamma, beta = as_tensor(y), as_tensor(gamma), as_tensor(beta)
+    if y.ndim < 2:
+        raise ShapeMismatch("batch_norm input must have layout (..., C, V)")
+    channels, joints = y.shape[-2], y.shape[-1]
+    if gamma.shape != (channels,) or beta.shape != (channels,):
+        raise ShapeMismatch(f"gamma and beta must be ({channels},) for input {y.shape}")
+    count = y.size // channels
+
+    y2 = y.data.reshape(-1, channels * joints)
+    mean = _channel_sums(y2, channels) / count
+    xhat = y2 - np.repeat(mean, joints)
+    var = _channel_sums(xhat * xhat, channels) / count
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat *= np.repeat(inv_std, joints)
+    out = xhat * np.repeat(gamma.data, joints)
+    out += np.repeat(beta.data, joints)
+
+    def bwd(g, needs):
+        g2 = g.reshape(xhat.shape)
+        g_beta = _channel_sums(g2, channels)
+        g_gamma = _channel_sums(g2 * xhat, channels)
+        gy = None
+        if needs[0]:
+            scale = gamma.data * inv_std
+            gy = xhat * np.repeat(-scale * g_gamma / count, joints)
+            gy += g2 * np.repeat(scale, joints)
+            gy -= np.repeat(scale * g_beta / count, joints)
+            gy = gy.reshape(y.shape)
+        return (
+            gy,
+            g_gamma if needs[1] else None,
+            g_beta if needs[2] else None,
+        )
+
+    return _apply(out.reshape(y.shape), (y, gamma, beta), bwd), mean, var
 
 
 # -- norm / softmax kernels ------------------------------------------------------

@@ -24,6 +24,7 @@ from .encoder import EncoderParams, init_params, project, stgcn_forward
 from .errors import (
     EmptySubset,
     EmptyTrainSplit,
+    EncoderModified,
     LengthMismatch,
     NonFiniteGradient,
     NonFiniteLoss,
@@ -286,7 +287,8 @@ def linear_probe(
 ) -> ProbeResult:
     """Frozen-encoder evaluation: one affine layer on h, softmax CE.
 
-    Asserts (and reports) that encoder parameter bytes are untouched.
+    Checks (and reports) that encoder parameter bytes are untouched,
+    raising `EncoderModified` otherwise.
     """
     if not train_seqs:
         raise EmptyTrainSplit("linear probe needs training samples")
@@ -318,7 +320,8 @@ def linear_probe(
     predicted = np.argmax(val_logits, axis=1)
     accuracy = float((predicted == y_val).mean())
     digest_after = params.digest()
-    assert digest_before == digest_after, "linear probe must not touch the encoder"
+    if digest_before != digest_after:
+        raise EncoderModified("linear probe must not touch the encoder")
     return ProbeResult(
         accuracy, w.data.copy(), b.data.copy(), _softmax(val_logits), y_val,
         digest_before, digest_after,

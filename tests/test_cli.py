@@ -7,7 +7,7 @@ import pytest
 from skelcl.cli import main
 
 GRADCHECK_COMPONENTS = {
-    "block_entry", "block_residual", "projector", "loss_intra", "loss_nnm",
+    "block_entry", "block_residual", "block_train_norm", "projector", "loss_intra", "loss_nnm",
     "loss_pft_query_path", "loss_combined",
 }
 # `pft-hist --random-pairs 200` before the loss path became batched
@@ -51,3 +51,18 @@ def test_pft_hist_random_pairs_unchanged(capsys):
     for side, stats in PFT_HIST_200.items():
         for name, value in stats.items():
             assert abs(doc[side][name] - value) < 1e-9, (side, name)
+
+
+@pytest.mark.parametrize("flags,named", [(["--alpha", "0"], "--alpha"),
+                                         (["--mu", "-1"], "--mu")])
+def test_pft_hist_rejects_out_of_range_beta(capsys, flags, named):
+    assert main(["pft-hist", "--random-pairs", "20", *flags]) == 2
+    assert named in capsys.readouterr().err
+
+
+def test_fuse_names_stream_without_weight(tmp_path, capsys):
+    scores = tmp_path / "joint.json"
+    scores.write_text(json.dumps({"stream": "joint", "scores": [[0.2, 0.8]], "labels": [1]}))
+    assert main(["fuse", "--scores", str(scores), "--weight", "bone=1"]) == 2
+    err = capsys.readouterr().err
+    assert "--weight" in err and "'joint'" in err

@@ -57,7 +57,7 @@ def single_nll(zq, zk, queue, tau, mined=None) -> float:
     """`queue_nll` on a batch of one 64-bit query row."""
     rows = None if mined is None else np.asarray(mined, dtype=np.int64).reshape(1, -1)
     zq = T.Tensor(np.asarray(zq)[None, :], dtype=np.float64)
-    return float(queue_nll(zq, np.asarray(zk)[None, :], queue, tau, rows).data[0])
+    return float(queue_nll(zq, np.asarray(zk)[None, :], queue.contents(), tau, rows).data[0])
 
 
 def mine_one(zq, queue, k) -> list[int]:
@@ -270,6 +270,21 @@ class TestNnm:
         q = MemoryQueue(4, 2, dtype=np.float64)
         q.push(np.array([[1.0, 0.0], [1.0, 0.0]]))
         assert mine_one([1.0, 0.0], q, 1) == [0]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_stable_argsort_with_ties(self, seed):
+        # few distinct similarity levels, so most rows tie across the k-th
+        # boundary; the oracle is a stable full sort of each row
+        rng = np.random.default_rng(seed)
+        levels = np.array([-0.5, 0.0, 0.25, 0.5, 1.0])
+        contents = levels[rng.integers(0, levels.size, size=(24, 1))] * np.eye(1, 3)
+        zq = np.eye(1, 3) * rng.uniform(0.5, 1.0, size=(6, 1))
+        sims = zq @ contents.T
+        for k in range(1, contents.shape[0] + 1):
+            mined, mined_sims = nnm_mine(zq, contents, k)
+            oracle = np.argsort(-sims, axis=1, kind="stable")[:, :k]
+            np.testing.assert_array_equal(mined, oracle)
+            np.testing.assert_array_equal(mined_sims, np.take_along_axis(sims, oracle, axis=1))
 
     def test_queue_too_small(self):
         q = MemoryQueue(4, 2, dtype=np.float64)

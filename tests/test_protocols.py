@@ -5,8 +5,8 @@ import pytest
 
 from skelcl import tensor as T
 from skelcl.config import RunConfig
-from skelcl.encoder import EncoderConfig, encode, init_params
-from skelcl.errors import LengthMismatch, ShapeMismatch
+from skelcl.encoder import EncoderConfig, EncoderParams, encode, init_params
+from skelcl.errors import EncoderModified, LengthMismatch, ShapeMismatch
 from skelcl.rng import RngStream
 from skelcl.skeleton import (
     SkeletonGraph,
@@ -47,6 +47,16 @@ def test_linear_probe_deterministic_and_encoder_untouched(splits, params):
     np.testing.assert_array_equal(a.val_scores, b.val_scores)
     assert a.encoder_digest_before == a.encoder_digest_after == digest
     assert params.digest() == digest
+
+
+def test_linear_probe_raises_when_encoder_changes(splits, params, monkeypatch):
+    # a digest that differs between the before and after readings stands
+    # in for a probe that wrote to the encoder
+    readings = iter(["before", "after"])
+    monkeypatch.setattr(EncoderParams, "digest", lambda self: next(readings))
+    train, val = splits
+    with pytest.raises(EncoderModified):
+        linear_probe(params, train, val, epochs=1, seed=1)
 
 
 def test_knn_probe_equals_brute_force_vote(splits, params):

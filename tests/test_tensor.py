@@ -209,6 +209,8 @@ class TestGradCheckOracle:
 OP_CASES = [
     ("matmul", lambda rng: _matmul_case(rng)),
     ("conv1d", lambda rng: _conv_case(rng)),
+    ("conv1d_batched_k5", lambda rng: _conv_batched_case(rng)),
+    ("batch_norm", lambda rng: _batch_norm_case(rng)),
     ("mixed_elementwise", lambda rng: _elementwise_case(rng)),
     ("reductions", lambda rng: _reduction_case(rng)),
     ("concat_take", lambda rng: _concat_case(rng)),
@@ -227,6 +229,23 @@ def _conv_case(rng):
     k = T.parameter(rng.normal(size=(2, 3)).astype(np.float64))
     w = np.asarray(rng.normal(size=(5, 2, 3)))
     return {"x": x, "k": k}, lambda: T.sum_(T.mul(T.conv1d_temporal(x, k), w))
+
+
+def _conv_batched_case(rng):
+    x = T.parameter(rng.normal(size=(2, 6, 3, 4)).astype(np.float64))
+    k = T.parameter(rng.normal(size=(3, 5)).astype(np.float64))
+    w = np.asarray(rng.normal(size=(2, 6, 3, 4)))
+    return {"x": x, "k": k}, lambda: T.sum_(T.mul(T.conv1d_temporal(x, k), w))
+
+
+def _batch_norm_case(rng):
+    y = T.parameter(rng.normal(size=(2, 3, 4, 5)).astype(np.float64))
+    gamma = T.parameter(rng.uniform(0.5, 1.5, size=4).astype(np.float64))
+    beta = T.parameter(rng.normal(size=4).astype(np.float64))
+    w = np.asarray(rng.normal(size=(2, 3, 4, 5)))
+    return {"y": y, "gamma": gamma, "beta": beta}, lambda: T.sum_(
+        T.mul(T.batch_norm(y, gamma, beta, 1e-5)[0], w)
+    )
 
 
 def _elementwise_case(rng):
@@ -260,6 +279,56 @@ def test_grad_check_every_op(name, builder):
     params, f = builder(np.random.default_rng(hash(name) % 2**32))
     res = T.grad_check(f, params)
     assert res.max_rel_error < 1e-6, f"{name}: {res.max_rel_error}"
+
+
+def composed_batch_norm(y, gamma, beta, eps):
+    """Batch norm as the elementwise composition the fused op replaced."""
+    shape = (1,) * (y.ndim - 2) + (gamma.shape[0], 1)
+    axes = tuple(i for i in range(y.ndim) if i != y.ndim - 2)
+    mu = T.mean_(y, axis=axes, keepdims=True)
+    centered = T.sub(y, mu)
+    var = T.mean_(T.mul(centered, centered), axis=axes, keepdims=True)
+    xhat = T.div(centered, T.sqrt(T.add(var, eps)))
+    out = T.add(T.mul(xhat, T.reshape(gamma, shape)), T.reshape(beta, shape))
+    return out, mu.data.reshape(-1), var.data.reshape(-1)
+
+
+@pytest.mark.parametrize("shape", [(4, 5, 3, 6), (7, 2, 9)])
+def test_batch_norm_matches_composition(shape):
+    rng = np.random.default_rng(len(shape))
+    y = T.parameter(rng.normal(1.5, 2.0, size=shape))
+    gamma = T.parameter(rng.uniform(0.5, 1.5, size=shape[-2]))
+    beta = T.parameter(rng.normal(size=shape[-2]))
+    w = rng.normal(size=shape)
+    results = []
+    for op in (T.batch_norm, composed_batch_norm):
+        with T.Tape():
+            out, mean, var = op(y, gamma, beta, 1e-5)
+            grads = T.backward(T.sum_(T.mul(out, w)))
+        results.append((out.data, mean, var, [grads[p].data for p in (y, gamma, beta)]))
+    (out, mean, var, grads), (ref_out, ref_mean, ref_var, ref_grads) = results
+    np.testing.assert_allclose(out, ref_out, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(mean, ref_mean, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(var, ref_var, rtol=1e-12, atol=1e-12)
+    for got, want in zip(grads, ref_grads):
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+
+
+def test_batch_norm_one_tape_node():
+    y = T.parameter(np.random.default_rng(0).normal(size=(3, 4, 2, 5)))
+    gamma, beta = T.parameter(np.ones(2)), T.parameter(np.zeros(2))
+    with T.Tape() as tape:
+        T.batch_norm(y, gamma, beta, 1e-5)
+    assert len(tape.nodes) == 1
+
+
+def test_conv1d_kernel_wider_than_clip():
+    # taps that reach past both ends of a 2-frame clip see only padding
+    x = T.Tensor(np.arange(12, dtype=np.float64).reshape(2, 2, 3))
+    k = T.Tensor(np.array([[1.0, 2.0, 3.0, 5.0, 7.0]] * 2))
+    out = T.conv1d_temporal(x, k)
+    np.testing.assert_allclose(out.data[0], 3.0 * x.data[0] + 5.0 * x.data[1])
+    np.testing.assert_allclose(out.data[1], 2.0 * x.data[0] + 3.0 * x.data[1])
 
 
 def test_grad_check_float32_tolerance():
