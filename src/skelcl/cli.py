@@ -2,8 +2,15 @@
 
 Subcommands: pretrain, linprobe, knn, finetune, fuse, gen-data,
 gradcheck, pft-hist.  Metrics stream to stdout (or --metrics PATH) as
-JSON lines; evaluation results print as a single JSON document.  Exit
-codes: 0 success, 1 validation failure, 2 usage/config error.
+JSON lines; evaluation results print as a single JSON document.  Every
+setting comes from one `RunConfig` (`--config`, `--set KEY=VALUE`,
+`--seed`, `--tau`); the probe subcommands read it from the checkpoint.
+
+Exit codes: 0 success; 1 a failed check or any other named
+`SkelclError`, such as a corrupt checkpoint or data file; 2 a usage or
+config error: an unknown key, a wrong type, or a value out of range,
+named by its config key or by the flag that set it (`--weight`,
+`--alpha`, `--mu`, `--resume`).
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from .contrast import (
     queue_nll,
     similarity_histogram,
 )
-from .encoder import EncoderConfig, encode, init_params, stgcn_forward
+from .encoder import encode, init_params, stgcn_forward
 from .errors import ConfigTypeError, ConfigValueError, SkelclError, UnknownKey
 from .rng import RngStream
 from .skeleton import (
@@ -214,11 +221,21 @@ def cmd_finetune(args) -> int:
 def cmd_fuse(args) -> int:
     docs = [json.loads(Path(p).read_text()) for p in args.scores]
     scores = {d["stream"]: np.asarray(d["scores"]) for d in docs}
-    weights = (
-        {k: float(v) for k, v in (w.split("=") for w in args.weight)}
-        if args.weight
-        else RunConfig().fusion_weights
-    )
+    weights = RunConfig().fusion_weights
+    if args.weight:
+        weights = {}
+        for item in args.weight:
+            stream, _, raw = item.partition("=")
+            try:
+                weights[stream] = float(raw)
+            except ValueError:
+                raise ConfigValueError(
+                    "--weight", f"expects STREAM=W with a number W, got {item!r}"
+                ) from None
+        try:
+            RunConfig(fusion_weights=weights)  # the config's own positivity rule
+        except ConfigValueError as err:
+            raise ConfigValueError("--weight", err.reason) from None
     for stream in sorted(scores):
         if stream not in weights:
             raise ConfigValueError(
@@ -248,13 +265,13 @@ def _gradcheck_components(dtype, eps=1e-4):
     rng = np.random.default_rng(0)
     results = {}
 
-    cfg_first = EncoderConfig(blocks=1, channels=(4,), temporal_kernel=3, hidden=8, embed_dim=4)
-    cfg_residual = EncoderConfig(blocks=2, channels=(4, 4), temporal_kernel=3, hidden=8, embed_dim=4)
-    x = rng.normal(size=(8, 3, 5)).astype(dtype)
+    cfg_first = RunConfig(enc_blocks=1, enc_channels=[4], enc_hidden=8, embed_dim=4)
+    cfg_residual = RunConfig(enc_blocks=2, enc_channels=[4, 4], enc_hidden=8, embed_dim=4)
+    x = rng.normal(size=(1, 8, 3, 5)).astype(dtype)  # a batch of one clip
 
     for label, cfg in (("block_entry", cfg_first), ("block_residual", cfg_residual)):
         params = init_params(cfg, RngStream(1).split(label)).astype(dtype)
-        target = rng.normal(size=cfg.hidden_dim)
+        target = rng.normal(size=cfg.enc_channels[-1])
 
         def f(params=params, target=target):
             h = stgcn_forward(x, adjacency, params, mode="eval")
@@ -267,7 +284,7 @@ def _gradcheck_components(dtype, eps=1e-4):
     norm_rng = np.random.default_rng(1)
     params = init_params(cfg_first, RngStream(1).split("block_train_norm")).astype(dtype)
     x_batch = norm_rng.normal(size=(2, 8, 3, 5)).astype(dtype)
-    target_batch = norm_rng.normal(size=(2, cfg_first.hidden_dim))
+    target_batch = norm_rng.normal(size=(2, cfg_first.enc_channels[-1]))
 
     def f_train_norm():
         h = stgcn_forward(x_batch, adjacency, params, mode="train", update_stats=False)

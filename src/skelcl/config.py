@@ -6,8 +6,10 @@ explicit overrides.  Unknown keys and wrong types are rejected by name.
 Every constructed `RunConfig` also checks its values and raises
 `ConfigValueError` naming the first key out of range: a positive
 temperature, batch size and queue, three stage epoch counts, known and
-distinct streams, probabilities and ratios within [0, 1], and so on.
-The encoder keys are checked by `EncoderConfig` itself.  The canonical
+distinct streams, probabilities and ratios within [0, 1], one
+nondecreasing positive channel width per encoder block, an odd
+temporal kernel, and so on.  This is the one config type: the encoder,
+losses and augmentations all read their settings from it.  The canonical
 JSON form (sorted keys, compact separators) is what gets hashed and
 persisted, so two runs with equal hashes saw equal configs.
 """
@@ -21,21 +23,10 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .encoder import EncoderConfig
 from .errors import ConfigTypeError, ConfigValueError, UnknownKey
 from .skeleton import STREAM_IDS
 
 AUGMENT_FAMILIES = ("normal", "extreme")
-
-# EncoderConfig field -> the RunConfig key it is built from
-_ENCODER_KEYS = {
-    "blocks": "enc_blocks",
-    "channels": "enc_channels",
-    "temporal_kernel": "enc_temporal_kernel",
-    "hidden": "enc_hidden",
-    "embed_dim": "embed_dim",
-    "normalization": "enc_normalization",
-}
 
 
 @dataclass
@@ -97,10 +88,19 @@ class RunConfig:
         require("streams", bool(self.streams) and len(set(self.streams)) == len(self.streams)
                 and set(self.streams) <= set(STREAM_IDS),
                 f"need distinct stream ids from {STREAM_IDS}")
-        try:
-            self.encoder_config()
-        except ConfigValueError as err:
-            raise ConfigValueError(_ENCODER_KEYS[err.key], err.reason) from None
+        require("embed_dim", self.embed_dim >= 2, "embedding dimension must be >= 2")
+        require("enc_temporal_kernel",
+                self.enc_temporal_kernel >= 1 and self.enc_temporal_kernel % 2 == 1,
+                "temporal kernel must be positive and odd")
+        require("enc_blocks", self.enc_blocks >= 1, "need at least one block")
+        channels = self.enc_channels
+        require("enc_channels", len(channels) == self.enc_blocks, "need one channel width per block")
+        require("enc_channels", all(a <= b for a, b in zip(channels, channels[1:])),
+                "channel widths must be nondecreasing")
+        require("enc_channels", channels[0] >= 1, "channel widths must be positive")
+        require("enc_hidden", self.enc_hidden >= 1, "hidden width must be positive")
+        require("enc_normalization", self.enc_normalization in ("batch", "off"),
+                "normalization must be 'batch' or 'off'")
         require("tau", self.tau > 0, "temperature must be positive")
         require("key_momentum", 0.0 <= self.key_momentum < 1.0, "must lie in [0, 1)")
         require("queue_size", self.queue_size >= 1, "must be positive")
@@ -129,16 +129,6 @@ class RunConfig:
         require("fusion_weights", all(w > 0 for w in self.fusion_weights.values()),
                 "weights must be positive")
 
-    def encoder_config(self) -> EncoderConfig:
-        return EncoderConfig(
-            blocks=self.enc_blocks,
-            channels=tuple(self.enc_channels),
-            temporal_kernel=self.enc_temporal_kernel,
-            hidden=self.enc_hidden,
-            embed_dim=self.embed_dim,
-            normalization=self.enc_normalization,
-        )
-
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
@@ -146,9 +136,12 @@ class RunConfig:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
     def hash(self) -> int:
-        """First 8 bytes of the canonical-JSON digest, as an unsigned int."""
-        digest = hashlib.sha256(self.canonical_json().encode()).digest()
-        return int.from_bytes(digest[:8], "little")
+        return json_hash(self.canonical_json().encode())
+
+
+def json_hash(config_json: bytes) -> int:
+    """First 8 bytes of the SHA-256 digest of config JSON, as an unsigned int."""
+    return int.from_bytes(hashlib.sha256(config_json).digest()[:8], "little")
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
@@ -188,6 +181,8 @@ def _check_type(key: str, value, template):
 
 
 def _apply(cfg_dict: dict, updates: dict) -> None:
+    if not isinstance(updates, dict):
+        raise ConfigTypeError("config must hold a JSON object")
     defaults = _DEFAULTS.to_dict()
     for key, value in updates.items():
         if key not in _FIELDS:
@@ -209,10 +204,7 @@ def parse_config(
         except ValueError:
             raise ConfigTypeError("CSCL_SEED: expected an integer")
     if path is not None:
-        loaded = json.loads(Path(path).read_text())
-        if not isinstance(loaded, dict):
-            raise ConfigTypeError("config file must hold a JSON object")
-        _apply(cfg_dict, loaded)
+        _apply(cfg_dict, json.loads(Path(path).read_text()))
     if overrides:
         _apply(cfg_dict, overrides)
     return RunConfig(**cfg_dict)

@@ -5,62 +5,33 @@ normalized skeletal adjacency, a depthwise temporal convolution, batch
 normalization, relu, and a residual connection when channel counts
 match.  Global average pooling over frames and joints yields the hidden
 vector h; a one-hidden-layer MLP projects h to a unit-norm embedding z.
+The architecture (block count, channel widths, temporal kernel, hidden
+width, embedding size, normalization) is read from the `RunConfig`,
+which checks those keys when it is built.
 
-Activations keep the (N, T, C, V) layout throughout.  The spatial step
-is `W^T @ (X @ A_hat)`, two matmuls with no activation transpose, and
-train-mode batch normalization is the single fused `tensor.batch_norm`
-op; eval mode normalizes with the frozen running statistics through
-elementwise ops.
+The input is an (N, T, C, V) batch of C = 3 coordinates plus the
+(V, V) normalized adjacency array, and activations keep that layout
+throughout.  The spatial step is `W^T @ (X @ A_hat)`, two matmuls with
+no activation transpose, and train-mode batch normalization is the
+single fused `tensor.batch_norm` op; eval mode normalizes with the
+frozen running statistics through elementwise ops.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigValueError, ShapeMismatch
+from .config import RunConfig
+from .errors import ShapeMismatch
 from .rng import RngStream
-from .skeleton import SkeletonGraph
 
+IN_CHANNELS = 3  # x, y, z coordinates
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.9
-
-
-@dataclass(frozen=True)
-class EncoderConfig:
-    blocks: int = 3
-    channels: tuple[int, ...] = (16, 32, 32)
-    temporal_kernel: int = 3
-    hidden: int = 64
-    embed_dim: int = 32
-    normalization: str = "batch"  # "batch" | "off"
-    in_channels: int = 3
-
-    def __post_init__(self):
-        if self.embed_dim < 2:
-            raise ConfigValueError("embed_dim", "embedding dimension must be >= 2")
-        if self.temporal_kernel < 1 or self.temporal_kernel % 2 != 1:
-            raise ConfigValueError("temporal_kernel", "temporal kernel must be positive and odd")
-        if self.blocks < 1:
-            raise ConfigValueError("blocks", "need at least one block")
-        if len(self.channels) != self.blocks:
-            raise ConfigValueError("channels", "need one channel width per block")
-        if any(a > b for a, b in zip(self.channels, self.channels[1:])):
-            raise ConfigValueError("channels", "channel widths must be nondecreasing")
-        if self.channels[0] < 1:
-            raise ConfigValueError("channels", "channel widths must be positive")
-        if self.hidden < 1:
-            raise ConfigValueError("hidden", "hidden width must be positive")
-        if self.normalization not in ("batch", "off"):
-            raise ConfigValueError("normalization", "normalization must be 'batch' or 'off'")
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.channels[-1]
 
 
 class EncoderParams:
@@ -71,15 +42,12 @@ class EncoderParams:
     and by momentum mixing.
     """
 
-    def __init__(self, config: EncoderConfig, tensors: dict[str, T.Tensor]):
+    def __init__(self, config: RunConfig, tensors: dict[str, T.Tensor]):
         self.config = config
         self.tensors = tensors
 
     def __getitem__(self, name: str) -> T.Tensor:
         return self.tensors[name]
-
-    def names(self) -> list[str]:
-        return sorted(self.tensors)
 
     def trainable(self) -> dict[str, T.Tensor]:
         return {n: t for n, t in self.tensors.items() if t.requires_grad}
@@ -100,13 +68,13 @@ class EncoderParams:
 
     def digest(self) -> str:
         h = hashlib.sha256()
-        for name in self.names():
+        for name in sorted(self.tensors):
             h.update(name.encode())
             h.update(self.tensors[name].data.tobytes())
         return h.hexdigest()
 
 
-def init_params(config: EncoderConfig, rng: RngStream) -> EncoderParams:
+def init_params(config: RunConfig, rng: RngStream) -> EncoderParams:
     """Fan-balanced uniform init; identity normalization; zero biases."""
     gen = rng.generator()
 
@@ -115,24 +83,23 @@ def init_params(config: EncoderConfig, rng: RngStream) -> EncoderParams:
         return gen.uniform(-bound, bound, size=shape).astype(np.float32)
 
     tensors: dict[str, T.Tensor] = {}
-    c_in = config.in_channels
-    for i, c_out in enumerate(config.channels):
+    c_in = IN_CHANNELS
+    k = config.enc_temporal_kernel
+    for i, c_out in enumerate(config.enc_channels):
         tensors[f"block{i}.spatial_weight"] = T.parameter(glorot(c_in, c_out, (c_in, c_out)))
-        k = config.temporal_kernel
         tensors[f"block{i}.temporal_kernel"] = T.parameter(glorot(k, k, (c_out, k)))
-        if config.normalization == "batch":
+        if config.enc_normalization == "batch":
             tensors[f"block{i}.norm_gamma"] = T.parameter(np.ones(c_out, dtype=np.float32))
             tensors[f"block{i}.norm_beta"] = T.parameter(np.zeros(c_out, dtype=np.float32))
             tensors[f"block{i}.norm_running_mean"] = T.Tensor(np.zeros(c_out, dtype=np.float32))
             tensors[f"block{i}.norm_running_var"] = T.Tensor(np.ones(c_out, dtype=np.float32))
         c_in = c_out
 
-    tensors["projector.w1"] = T.parameter(
-        glorot(config.hidden_dim, config.hidden, (config.hidden_dim, config.hidden))
-    )
-    tensors["projector.b1"] = T.parameter(np.zeros(config.hidden, dtype=np.float32))
+    c_last, hidden = config.enc_channels[-1], config.enc_hidden
+    tensors["projector.w1"] = T.parameter(glorot(c_last, hidden, (c_last, hidden)))
+    tensors["projector.b1"] = T.parameter(np.zeros(hidden, dtype=np.float32))
     tensors["projector.w2"] = T.parameter(
-        glorot(config.hidden, config.embed_dim, (config.hidden, config.embed_dim))
+        glorot(hidden, config.embed_dim, (hidden, config.embed_dim))
     )
     tensors["projector.b2"] = T.parameter(np.zeros(config.embed_dim, dtype=np.float32))
     return EncoderParams(config, tensors)
@@ -165,13 +132,14 @@ def _batch_norm(
 
 def stgcn_forward(
     x,
-    graph: SkeletonGraph | np.ndarray,
+    adjacency: np.ndarray,
     params: EncoderParams,
     mode: str = "eval",
     update_stats: bool | None = None,
 ) -> T.Tensor:
-    """Hidden vector h for a (T, C, V) sequence or an (N, T, C, V) batch.
+    """Hidden vectors h, (N, C_last), for an (N, T, C, V) batch.
 
+    `adjacency` is the (V, V) normalized adjacency of the skeleton graph.
     `mode="train"` normalizes with batch statistics (and updates the
     running averages unless `update_stats=False`); `mode="eval"` uses
     the frozen running statistics.
@@ -181,58 +149,48 @@ def stgcn_forward(
     if update_stats is None:
         update_stats = mode == "train"
     x = T.as_tensor(x)
-    single = x.ndim == 3
-    if single:
-        x = T.reshape(x, (1,) + x.shape)
     if x.ndim != 4:
-        raise ShapeMismatch("input must be (T, C, V) or (N, T, C, V)")
-
-    cfg = params.config
-    if x.shape[2] != cfg.in_channels:
-        raise ShapeMismatch(f"expected {cfg.in_channels} channels, got {x.shape[2]}")
-    adjacency = graph.normalized_adjacency(x.dtype) if isinstance(graph, SkeletonGraph) else graph
+        raise ShapeMismatch("input must be an (N, T, C, V) batch")
+    if x.shape[2] != IN_CHANNELS:
+        raise ShapeMismatch(f"expected {IN_CHANNELS} channels, got {x.shape[2]}")
     adjacency = np.asarray(adjacency, dtype=x.dtype)
     if adjacency.shape != (x.shape[3], x.shape[3]):
         raise ShapeMismatch("adjacency size does not match joint count")
 
+    cfg = params.config
     h = x
-    for i in range(cfg.blocks):
+    for i in range(cfg.enc_blocks):
         w = params[f"block{i}.spatial_weight"]
         kern = params[f"block{i}.temporal_kernel"]
         # aggregate over joints, then mix channels: W^T (C_out, C_in) is
         # broadcast over (N, T), so the activation is never transposed
         y = T.matmul(T.transpose(w, (1, 0)), T.matmul(h, adjacency))
         y = T.conv1d_temporal(y, kern)
-        if cfg.normalization == "batch":
+        if cfg.enc_normalization == "batch":
             y = _batch_norm(y, params, i, mode, update_stats)
         y = T.relu(y)
         if h.shape[2] == y.shape[2]:
             y = T.add(y, h)
         h = y
 
-    pooled = T.mean_(h, axis=(1, 3))  # (N, C_last)
-    return T.reshape(pooled, (pooled.shape[1],)) if single else pooled
+    return T.mean_(h, axis=(1, 3))
 
 
 def project(h, params: EncoderParams) -> T.Tensor:
-    """Unit-norm embedding z from hidden vector(s) h."""
+    """Unit-norm embeddings z, (N, embed_dim), from (N, C_last) hidden rows h."""
     h = T.as_tensor(h)
-    single = h.ndim == 1
-    if single:
-        h = T.reshape(h, (1, h.shape[0]))
     z = T.matmul(T.relu(T.add(T.matmul(h, params["projector.w1"]), params["projector.b1"])),
                  params["projector.w2"])
-    z = T.l2_normalize(T.add(z, params["projector.b2"]))
-    return T.reshape(z, (z.shape[1],)) if single else z
+    return T.l2_normalize(T.add(z, params["projector.b2"]))
 
 
 def encode(
     x,
-    graph,
+    adjacency: np.ndarray,
     params: EncoderParams,
     mode: str = "eval",
     update_stats: bool | None = None,
 ) -> tuple[T.Tensor, T.Tensor]:
     """Convenience: forward then project; returns (h, z)."""
-    h = stgcn_forward(x, graph, params, mode, update_stats)
+    h = stgcn_forward(x, adjacency, params, mode, update_stats)
     return h, project(h, params)

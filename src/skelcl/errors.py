@@ -131,3 +131,8 @@ class VersionMismatch(SkelclError):
 
 class HashMismatch(SkelclError):
     """Checkpoint config hash does not match its embedded config."""
+
+
+class CorruptFile(SkelclError):
+    """File passed its header checks, but its contents are malformed or
+    do not fit the config it carries."""

@@ -52,11 +52,5 @@ class RngStream:
     def normal(self, loc: float, scale: float, size=None) -> np.ndarray | float:
         return self.generator().normal(loc, scale, size)
 
-    def beta(self, a: float, b: float, size=None) -> np.ndarray | float:
-        return self.generator().beta(a, b, size)
-
-    def integers(self, low: int, high: int, size=None):
-        return self.generator().integers(low, high, size)
-
     def permutation(self, n: int) -> np.ndarray:
         return self.generator().permutation(n)

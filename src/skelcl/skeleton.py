@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 from itertools import permutations
@@ -96,10 +97,6 @@ class SkeletonSequence:
         return self.data.shape[0]
 
     @property
-    def channels(self) -> int:
-        return self.data.shape[1]
-
-    @property
     def joints(self) -> int:
         return self.data.shape[2]
 
@@ -114,8 +111,6 @@ def derive_bone(seq: SkeletonSequence) -> np.ndarray:
 
 def derive_motion(seq: SkeletonSequence) -> np.ndarray:
     """Adjacent-frame displacement; last frame zero-padded to keep T."""
-    if seq.frames < 2:
-        raise TooShort("motion needs at least 2 frames")
     out = np.zeros_like(seq.data)
     out[:-1] = seq.data[1:] - seq.data[:-1]
     return out
@@ -186,6 +181,8 @@ _LIMB_SWING_AXES = np.array(
 # limb carries which frequency, so global statistics match across classes
 _LIMB_FREQUENCIES = np.array([1.0, 2.0, 3.5, 6.0])
 _SEGMENT_LENGTH = 0.5
+_SPEED_JITTER = 0.2  # half-width of the uniform per-sample playback-rate jitter
+_SEPARABILITY_ATTEMPTS = 3
 _SWING_AMPLITUDE = 0.6
 _EXTEND_AMPLITUDE = 0.25
 
@@ -300,10 +297,7 @@ def generate_synthetic_dataset(
     joints: int = 9,
     seed: int = 0,
     noise_sigma: float = 0.02,
-    speed_jitter: float = 0.2,
-    rotate: bool = True,
     check_separability: bool = True,
-    max_attempts: int = 3,
 ) -> list[SkeletonSequence]:
     """Labeled sinusoidal-motion sequences over a star-tree skeleton.
 
@@ -316,7 +310,7 @@ def generate_synthetic_dataset(
 
     Deterministic given the arguments.  If the built-in Fourier oracle
     scores below 95% the draw is retried with a new sub-seed, and
-    `SeparabilityFailure` is raised once `max_attempts` is exhausted.
+    `SeparabilityFailure` is raised after three failed attempts.
     """
     if num_classes < 2:
         raise ValueError("need at least 2 classes")
@@ -327,7 +321,7 @@ def generate_synthetic_dataset(
 
     graph = build_star_tree(joints)
     last_accuracy = 0.0
-    for attempt in range(max_attempts):
+    for attempt in range(_SEPARABILITY_ATTEMPTS):
         root_stream = RngStream(seed).split(f"synthetic.attempt{attempt}")
         assignments = _limb_assignments(num_classes, root_stream.split("classes").generator())
         sequences: list[SkeletonSequence] = []
@@ -337,14 +331,13 @@ def generate_synthetic_dataset(
             phase_of_limb = class_stream.split("phases").uniform(0.0, 2.0 * math.pi, 4)
             for i in range(per_class):
                 g = class_stream.split(f"sample{i}").generator()
-                rate = 1.0 + g.uniform(-speed_jitter, speed_jitter)
+                rate = 1.0 + g.uniform(-_SPEED_JITTER, _SPEED_JITTER)
                 global_phase = g.uniform(0.0, 2.0 * math.pi)
                 rotation = _random_rotation(g)
                 data = _sample_trajectory(
                     graph, frames, freq_of_limb, phase_of_limb, rate, global_phase
                 )
-                if rotate:
-                    data = np.einsum("ij,tjv->tiv", rotation, data)
+                data = np.einsum("ij,tjv->tiv", rotation, data)
                 if noise_sigma > 0:
                     data = data + g.normal(0.0, noise_sigma, size=data.shape)
                 sequences.append(
@@ -356,13 +349,26 @@ def generate_synthetic_dataset(
         if last_accuracy >= 0.95:
             return sequences
     raise SeparabilityFailure(
-        f"oracle accuracy {last_accuracy:.3f} < 0.95 after {max_attempts} attempts"
+        f"oracle accuracy {last_accuracy:.3f} < 0.95 after {_SEPARABILITY_ATTEMPTS} attempts"
     )
 
 
 # -- on-disk format --------------------------------------------------------------
 
 _MAGIC = b"SKL1"
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Replace `path` with `data` in one step: write a temp file in the same
+    directory, then `os.replace` it over `path`.  A write that fails part
+    way leaves the old file intact and removes the temp file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def write_sequence(path, seq: SkeletonSequence) -> None:
@@ -376,7 +382,7 @@ def write_sequence(path, seq: SkeletonSequence) -> None:
     else:
         parts.append(struct.pack("<BI", 1, seq.label))
     parts.append(seq.data.astype("<f4").tobytes())
-    Path(path).write_bytes(b"".join(parts))
+    write_atomic(path, b"".join(parts))
 
 
 def read_sequence(path) -> SkeletonSequence:
@@ -402,10 +408,7 @@ def read_sequence(path) -> SkeletonSequence:
     if offset + payload > len(raw):
         raise TruncatedFile(f"{path}: header claims {t * c * v} floats, payload short")
     data = np.frombuffer(raw, dtype="<f4", count=t * c * v, offset=offset).reshape(t, c, v)
-    try:
-        graph = SkeletonGraph(num_joints=v, edges=edges)
-    except ShapeMismatch:
-        raise
+    graph = SkeletonGraph(num_joints=v, edges=edges)
     return SkeletonSequence(data=data.copy(), graph=graph, label=label)
 
 
@@ -434,7 +437,7 @@ def write_dataset(directory, sequences: list[SkeletonSequence], splits: list[str
         write_sequence(directory / name, seq)
         entries.append({"name": name, "split": split})
     manifest = {"files": entries}
-    (directory / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    write_atomic(directory / "manifest.json", (json.dumps(manifest, indent=2) + "\n").encode())
 
 
 def load_dataset(directory) -> dict[str, list[SkeletonSequence]]:

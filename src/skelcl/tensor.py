@@ -7,8 +7,10 @@ order by construction) and returns a gradient map for the
 `requires_grad` leaves.  The tape is consumed by the walk; each forward
 pass records a fresh one.
 
-Values are float32 by default; pass float64 data for oracle-grade
-precision.  Every op validates that its output is finite and raises
+Every op is a module-level function of this module (`add`, `matmul`,
+`sum_`, ...); `Tensor` has no operator overloads or op methods, so each
+op has one spelling.  Values are float32 by default; pass float64 data
+for oracle-grade precision.  Every op validates that its output is finite and raises
 `NonFiniteValue` otherwise.
 
 The encoder's hot ops are fused kernels, one tape node each:
@@ -128,9 +130,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def __repr__(self) -> str:
         flags = []
         if self.requires_grad:
@@ -140,65 +139,14 @@ class Tensor:
         tag = " " + ",".join(flags) if flags else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{tag})"
 
-    # -- operator sugar ----------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __pow__(self, exponent):
-        return power(self, exponent)
-
-    def __getitem__(self, index):
-        return take(self, index)
-
-    def sum(self, axis=None, keepdims=False):
-        return sum_(self, axis, keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return mean_(self, axis, keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, axes):
-        return transpose(self, axes)
-
-
-def as_tensor(value, dtype=None) -> Tensor:
+def as_tensor(value) -> Tensor:
     if isinstance(value, Tensor):
         return value
-    return Tensor(value, dtype=dtype)
+    return Tensor(value)
 
 
-def parameter(data, dtype=None) -> Tensor:
-    return Tensor(data, dtype=dtype, requires_grad=True)
+def parameter(data) -> Tensor:
+    return Tensor(data, requires_grad=True)
 
 
 def _tracked(t: Tensor) -> bool:
@@ -291,27 +239,6 @@ def div(a, b) -> Tensor:
     with np.errstate(divide="ignore", invalid="ignore"):
         out_data = a.data / b.data
     return _apply(out_data, (a, b), bwd)
-
-
-def neg(a) -> Tensor:
-    a = as_tensor(a)
-
-    def bwd(g, needs):
-        return (-g if needs[0] else None,)
-
-    return _apply(-a.data, (a,), bwd)
-
-
-def power(a, exponent: float) -> Tensor:
-    a = as_tensor(a)
-    exponent = float(exponent)
-
-    def bwd(g, needs):
-        if not needs[0]:
-            return (None,)
-        return (g * exponent * np.power(a.data, exponent - 1.0),)
-
-    return _apply(np.power(a.data, exponent), (a,), bwd)
 
 
 # -- nonlinear elementwise ----------------------------------------------------
@@ -445,19 +372,6 @@ def transpose(a, axes) -> Tensor:
         return (np.transpose(g, inverse) if needs[0] else None,)
 
     return _apply(np.transpose(a.data, axes), (a,), bwd)
-
-
-def take(a, index) -> Tensor:
-    a = as_tensor(a)
-
-    def bwd(g, needs):
-        if not needs[0]:
-            return (None,)
-        full = np.zeros(a.shape, dtype=g.dtype)
-        np.add.at(full, index, g)
-        return (full,)
-
-    return _apply(a.data[index], (a,), bwd)
 
 
 def concat(tensors: Sequence, axis: int = 0) -> Tensor:
@@ -630,15 +544,15 @@ def batch_norm(y, gamma, beta, eps: float) -> tuple[Tensor, np.ndarray, np.ndarr
 # -- norm / softmax kernels ------------------------------------------------------
 
 
-def l2_normalize(v, eps: float = NORM_EPS) -> Tensor:
+def l2_normalize(v) -> Tensor:
     """Scale each row (or a single vector) to unit L2 norm."""
     v = as_tensor(v)
     if v.ndim not in (1, 2):
         raise ShapeMismatch("l2_normalize expects rank 1 or 2")
     squared = sum_(mul(v, v), axis=-1, keepdims=True)
     norms = np.sqrt(squared.data)
-    if np.any(norms <= eps):
-        raise ZeroNorm(f"row norm <= {eps}")
+    if np.any(norms <= NORM_EPS):
+        raise ZeroNorm(f"row norm <= {NORM_EPS}")
     return div(v, sqrt(squared))
 
 
@@ -720,9 +634,6 @@ class GradCheckResult:
     per_param: dict[str, float] = field(default_factory=dict)
     skipped: list[tuple[str, int]] = field(default_factory=list)
     coords_checked: int = 0
-
-    def __float__(self) -> float:
-        return self.max_rel_error
 
 
 class _KinkMonitor:

@@ -110,10 +110,9 @@ def init_train_state(config: RunConfig) -> TrainState:
     the first capacity/batch steps.
     """
     root = RngStream(config.seed)
-    enc_cfg = config.encoder_config()
     pairs, queues, optimizers = {}, {}, {}
     for u in config.streams:
-        params = init_params(enc_cfg, root.split(f"init.{u}"))
+        params = init_params(config, root.split(f"init.{u}"))
         pairs[u] = EncoderPair(params, config.key_momentum)
         q = MemoryQueue(config.queue_size, config.embed_dim)
         fill = root.split(f"queue_init.{u}").generator().normal(size=(config.queue_size, config.embed_dim))
@@ -238,6 +237,7 @@ def pretrain(
 
 
 FEATURE_CHUNK = 64  # clips per eval-mode forward when extracting features
+PROTOCOL_BATCH = 32  # clips per SGD step of the linear probe and finetuning
 
 
 def _features(
@@ -283,7 +283,6 @@ def linear_probe(
     epochs: int = 100,
     lr: float = 0.3,
     seed: int = 0,
-    batch_size: int = 32,
 ) -> ProbeResult:
     """Frozen-encoder evaluation: one affine layer on h, softmax CE.
 
@@ -306,8 +305,8 @@ def linear_probe(
     n = len(h_train)
     for epoch in range(epochs):
         order = rng.split(f"e{epoch}").permutation(n)
-        for bi in range(math.ceil(n / batch_size)):
-            idx = order[bi * batch_size : (bi + 1) * batch_size]
+        for bi in range(math.ceil(n / PROTOCOL_BATCH)):
+            idx = order[bi * PROTOCOL_BATCH : (bi + 1) * PROTOCOL_BATCH]
             mask = np.zeros((len(idx), num_classes), dtype=bool)
             mask[np.arange(len(idx)), y_train[idx]] = True
             with T.Tape():
@@ -393,7 +392,6 @@ def finetune(
     lr: float = 0.1,
     weight_decay: float = 1e-4,
     seed: int = 0,
-    batch_size: int = 32,
 ) -> FinetuneResult:
     """Jointly train a copy of the encoder plus a linear head.
 
@@ -414,7 +412,7 @@ def finetune(
     y_val = _labels(val_seqs)
     num_classes = int(max(y.max(), y_val.max())) + 1
 
-    head_w = T.parameter(np.zeros((tuned.config.hidden_dim, num_classes), dtype=np.float32))
+    head_w = T.parameter(np.zeros((tuned.config.enc_channels[-1], num_classes), dtype=np.float32))
     head_b = T.parameter(np.zeros(num_classes, dtype=np.float32))
     trainable = dict(tuned.trainable())
     trainable["head.w"] = head_w
@@ -424,8 +422,8 @@ def finetune(
     n = len(arrays)
     for epoch in range(epochs):
         order = rng.split(f"e{epoch}").permutation(n)
-        for bi in range(math.ceil(n / batch_size)):
-            idx = order[bi * batch_size : (bi + 1) * batch_size]
+        for bi in range(math.ceil(n / PROTOCOL_BATCH)):
+            idx = order[bi * PROTOCOL_BATCH : (bi + 1) * PROTOCOL_BATCH]
             mask = np.zeros((len(idx), num_classes), dtype=bool)
             mask[np.arange(len(idx)), y[idx]] = True
             with T.Tape():

@@ -66,3 +66,52 @@ def test_fuse_names_stream_without_weight(tmp_path, capsys):
     assert main(["fuse", "--scores", str(scores), "--weight", "bone=1"]) == 2
     err = capsys.readouterr().err
     assert "--weight" in err and "'joint'" in err
+
+
+@pytest.mark.parametrize("weight", ["joint", "joint=abc", "joint=0"])
+def test_fuse_rejects_malformed_weight(tmp_path, capsys, weight):
+    scores = tmp_path / "joint.json"
+    scores.write_text(json.dumps({"stream": "joint", "scores": [[0.2, 0.8]], "labels": [1]}))
+    assert main(["fuse", "--scores", str(scores), "--weight", weight]) == 2
+    assert "--weight" in capsys.readouterr().err
+
+
+TINY_RUN = ["stage_epochs=[1,0,0]", "queue_size=8", "batch_size=8", "enc_blocks=1",
+            "enc_channels=[4]", "enc_hidden=8", "embed_dim=4"]
+
+
+@pytest.fixture(scope="module")
+def pretrained(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli")
+    assert main(["gen-data", "--classes", "3", "--per-class", "6", "--frames", "16",
+                 "--seed", "3", "--out", str(root / "data")]) == 0
+    argv = ["pretrain", "--data", str(root / "data"), "--out", str(root / "run"),
+            "--metrics", str(root / "metrics.jsonl")]
+    for setting in TINY_RUN:
+        argv += ["--set", setting]
+    assert main(argv) == 0
+    records = (root / "metrics.jsonl").read_text().splitlines()
+    assert len(records) == 1 + 2  # header, then one step per batch of the 12-clip train split
+    return root
+
+
+@pytest.mark.parametrize("command,flags,protocol", [
+    ("linprobe", ["--epochs", "1"], "linear"),
+    ("knn", ["--k", "1"], "knn"),
+    ("finetune", ["--epochs", "1"], "finetune"),
+    ("finetune", ["--epochs", "1", "--fraction", "0.5"], "semi-supervised"),
+])
+def test_probe_subcommands_run_on_pretrained_checkpoint(pretrained, capsys, command, flags,
+                                                        protocol):
+    argv = [command, "--checkpoint", str(pretrained / "run" / "checkpoint.bin"),
+            "--data", str(pretrained / "data"), *flags]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert doc["protocol"] == protocol and 0.0 <= doc["accuracy"] <= 1.0
+
+
+def test_checkpoint_with_bad_magic_exits_1(pretrained, tmp_path, capsys):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"WHAT" + b"\0" * 32)
+    assert main(["knn", "--checkpoint", str(bad), "--data", str(pretrained / "data")]) == 1
+    assert "not a checkpoint" in capsys.readouterr().err

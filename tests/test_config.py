@@ -85,6 +85,10 @@ def test_canonical_json_round_trips():
         ("crop_min_ratio", 0.0),
         ("extreme_prob", 1.5),
         ("key_family", "wild"),
+        ("enc_blocks", 0),
+        ("enc_hidden", 0),
+        ("embed_dim", 1),
+        ("enc_normalization", "layer"),
     ],
 )
 def test_out_of_range_value_named_at_build(key, value):

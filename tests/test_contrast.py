@@ -20,7 +20,8 @@ from skelcl.contrast import (
     queue_nll,
     similarity_histogram,
 )
-from skelcl.encoder import EncoderConfig, init_params
+from skelcl.config import RunConfig
+from skelcl.encoder import init_params
 from skelcl.errors import BatchTooLarge, EmptyQueue, QueueTooSmall
 from skelcl.rng import RngStream
 
@@ -86,7 +87,7 @@ def filled_queue(rng, n, dim, dtype=np.float64):
 
 
 def _tiny_pair(momentum):
-    cfg = EncoderConfig(blocks=1, channels=(4,), temporal_kernel=3, hidden=8, embed_dim=4)
+    cfg = RunConfig(enc_blocks=1, enc_channels=[4], enc_hidden=8, embed_dim=4)
     return EncoderPair(init_params(cfg, RngStream(3).split("e")), momentum)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from skelcl import tensor as T
 from skelcl.config import RunConfig
-from skelcl.encoder import EncoderConfig, EncoderParams, encode, init_params
+from skelcl.encoder import EncoderParams, encode, init_params
 from skelcl.errors import EncoderModified, LengthMismatch, ShapeMismatch
 from skelcl.rng import RngStream
 from skelcl.skeleton import (
@@ -23,7 +23,7 @@ from skelcl.train import (
     stratified_fraction,
 )
 
-TINY = EncoderConfig(blocks=1, channels=(4,), temporal_kernel=3, hidden=8, embed_dim=4)
+TINY = RunConfig(enc_blocks=1, enc_channels=[4], enc_hidden=8, embed_dim=4)
 
 
 @pytest.fixture(scope="module")

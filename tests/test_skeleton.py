@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skelcl.errors import BadMagic, ShapeMismatch, TooShort, TruncatedFile, UnknownStream
+from skelcl.errors import (
+    BadMagic,
+    ShapeMismatch,
+    SkelclError,
+    TooShort,
+    TruncatedFile,
+    UnknownStream,
+)
 from skelcl.rng import RngStream
 from skelcl.skeleton import (
     SkeletonGraph,
@@ -185,6 +192,24 @@ class TestSequenceFiles:
         path.write_bytes(raw[: len(raw) - 10])
         with pytest.raises(TruncatedFile):
             read_sequence(path)
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(st.data())
+    def test_mutated_file_raises_only_named_errors(self, tmp_path_factory, data):
+        clip = np.linspace(-1.0, 1.0, 4 * 3 * 5, dtype=np.float32).reshape(4, 3, 5)
+        path = tmp_path_factory.getbasetemp() / "fuzz.skl"
+        write_sequence(path, _seq(clip, build_star_tree(5), label=2))
+        raw = bytearray(path.read_bytes())
+        header = 4 + 16 + 8 * 4 + 5  # magic, T/C/V/E, four edges, label
+        position = st.integers(0, header - 1) | st.integers(0, len(raw) - 1)
+        for pos, byte in data.draw(st.lists(st.tuples(position, st.integers(0, 255)),
+                                            min_size=1, max_size=3)):
+            raw[pos] = byte
+        path.write_bytes(bytes(raw))
+        try:
+            read_sequence(path)
+        except SkelclError:
+            pass
 
     def test_dataset_round_trip(self, tmp_path):
         seqs = generate_synthetic_dataset(3, 4, frames=16, seed=5, check_separability=False)

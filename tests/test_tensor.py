@@ -54,7 +54,7 @@ class TestL2Normalize:
 
     def test_gradient_flows(self):
         p = T.parameter(np.array([3.0, 4.0], dtype=np.float64))
-        res = T.grad_check(lambda: T.sum_(T.l2_normalize(p) * np.array([1.0, -2.0])), {"p": p})
+        res = T.grad_check(lambda: T.sum_(T.mul(T.l2_normalize(p), np.array([1.0, -2.0]))), {"p": p})
         assert res.max_rel_error < 1e-6
 
 
@@ -115,7 +115,7 @@ class TestBackward:
     def test_square(self):
         x = T.parameter([3.0])
         with T.Tape():
-            y = T.sum_(x * x)
+            y = T.sum_(T.mul(x, x))
             grads = T.backward(y)
         np.testing.assert_allclose(grads[x].data, [6.0])
 
@@ -137,14 +137,14 @@ class TestBackward:
 
     def test_detached_loss_raises(self):
         x = T.parameter([1.0])
-        y = T.sum_(x * x)  # no tape active
+        y = T.sum_(T.mul(x, x))  # no tape active
         with pytest.raises(DetachedLoss):
             T.backward(y)
 
     def test_tape_consumed_once(self):
         x = T.parameter([2.0])
         with T.Tape():
-            y = T.sum_(x * x)
+            y = T.sum_(T.mul(x, x))
             T.backward(y)
             with pytest.raises(DetachedLoss):
                 T.backward(y)
@@ -160,8 +160,8 @@ class TestBackward:
     def test_reused_intermediate_accumulates(self):
         x = T.parameter([2.0])
         with T.Tape():
-            h = x * x
-            y = T.sum_(h + h)
+            h = T.mul(x, x)
+            y = T.sum_(T.add(h, h))
             grads = T.backward(y)
         np.testing.assert_allclose(grads[x].data, [8.0])
 
@@ -200,7 +200,7 @@ class TestGradCheckOracle:
 
         def f():
             counter["n"] += 1
-            return T.sum_(p * float(counter["n"]))
+            return T.sum_(T.mul(p, float(counter["n"])))
 
         with pytest.raises(NonDeterministic):
             T.grad_check(f, {"p": p})
@@ -251,26 +251,32 @@ def _batch_norm_case(rng):
 def _elementwise_case(rng):
     a = T.parameter(rng.uniform(0.5, 2.0, size=(6,)).astype(np.float64))
     b = T.parameter(rng.uniform(0.5, 2.0, size=(6,)).astype(np.float64))
-    return {"a": a, "b": b}, lambda: T.sum_(
-        T.exp(T.mul(a, 0.3)) + T.log(b) + T.sqrt(a) + T.div(a, b) - T.power(b, 2.0)
-    )
+    return {"a": a, "b": b}, lambda: T.sum_(T.sub(
+        T.add(T.add(T.add(T.exp(T.mul(a, 0.3)), T.log(b)), T.sqrt(a)), T.div(a, b)),
+        T.mul(b, b),
+    ))
 
 
 def _reduction_case(rng):
     a = T.parameter(rng.normal(size=(3, 4, 2)).astype(np.float64))
     w = np.asarray(rng.normal(size=(4,)))
-    return {"a": a}, lambda: T.sum_(
-        T.mul(T.mean_(a, axis=(0, 2)), w)
-    ) + T.sum_(T.sum_(a, axis=1, keepdims=True))
+    return {"a": a}, lambda: T.add(
+        T.sum_(T.mul(T.mean_(a, axis=(0, 2)), w)),
+        T.sum_(T.sum_(a, axis=1, keepdims=True)),
+    )
 
 
 def _concat_case(rng):
     a = T.parameter(rng.normal(size=(3, 2)).astype(np.float64))
     b = T.parameter(rng.normal(size=(2, 2)).astype(np.float64))
-    idx = np.array([0, 2, 4])
-    return {"a": a, "b": b}, lambda: T.sum_(
-        T.power(T.take(T.concat([a, b], axis=0), idx), 2.0)
-    )
+    rows = np.zeros((5, 1))
+    rows[[0, 2, 4]] = 1.0  # weight rows 0, 2, 4 of the stacked (5, 2) result
+
+    def f():
+        stacked = T.concat([a, b], axis=0)
+        return T.sum_(T.mul(T.mul(stacked, stacked), rows))
+
+    return {"a": a, "b": b}, f
 
 
 @pytest.mark.parametrize("name,builder", OP_CASES)
