@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import AUGMENT_FAMILIES, RunConfig
+from .config import RunConfig
 from .rng import RngStream
 
 NORMAL_TRANSFORMS = ("shear", "crop")
@@ -140,10 +140,6 @@ class AugmentPipeline:
 
     family: str
     config: RunConfig
-
-    def __post_init__(self):
-        if self.family not in AUGMENT_FAMILIES:
-            raise ValueError(f"unknown augmentation family {self.family!r}")
 
     @property
     def transforms(self) -> tuple[str, ...]:

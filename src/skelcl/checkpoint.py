@@ -1,130 +1,49 @@
 """Self-describing binary checkpoints with bit-exact round trips.
 
-Layout: magic "CKPT", u32 version, u64 config hash, u32 JSON length,
-canonical config JSON, u32 tensor count, then per tensor (sorted by
-name): u32 name length, name bytes, u32 rank, rank u32 dims, row-major
-little-endian f32 payload.  Every piece of mutable training state
-(both encoder branches per stream, queue rings and cursors, optimizer
-buffers, epoch/step cursor) maps to one named tensor, which is what
-makes resume replay the uninterrupted run exactly.
+A checkpoint is a `skeleton.write_file` file (the layout is documented
+there) with magic "CKPT", the canonical config JSON as its document,
+and one named tensor per piece of mutable training state (both encoder
+branches per stream, queue rings and cursors, optimizer buffers,
+epoch/step cursor), which is what makes resume replay the
+uninterrupted run exactly.
 
-A damaged file fails with a named `SkelclError`; the stored hash is
-checked against the raw JSON bytes before they are decoded, and every
-tensor the state is rebuilt from must be present with its exact shape.
-Saving replaces the file atomically.
+A damaged file fails with a named `SkelclError`; `read_file` checks the
+stored hash against the raw JSON bytes before they are decoded, and
+every tensor the state is rebuilt from must be present with its exact
+shape.  Saving replaces the file atomically.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, config_from_dict, json_hash
+from .config import RunConfig, config_from_dict
 from .contrast import EncoderPair, MemoryQueue
 from .encoder import EncoderParams, init_params
-from .errors import (
-    BadMagic,
-    CorruptFile,
-    HashMismatch,
-    StreamMissing,
-    TruncatedFile,
-    VersionMismatch,
-)
+from .errors import CorruptFile, StreamMissing
 from .rng import RngStream
-from .skeleton import write_atomic
+from .skeleton import read_file, write_file
 from .train import OptimizerState, TrainState
 
 MAGIC = b"CKPT"
-VERSION = 1
 
 
 @dataclass
 class Checkpoint:
     config: RunConfig
     tensors: dict[str, np.ndarray]
-    version: int = VERSION
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
-    config_json = ckpt.config.canonical_json().encode()
-    parts = [
-        MAGIC,
-        struct.pack("<IQ", ckpt.version, ckpt.config.hash()),
-        struct.pack("<I", len(config_json)),
-        config_json,
-        struct.pack("<I", len(ckpt.tensors)),
-    ]
-    for name in sorted(ckpt.tensors):
-        arr = np.ascontiguousarray(ckpt.tensors[name], dtype="<f4")
-        encoded = name.encode()
-        parts.append(struct.pack("<I", len(encoded)))
-        parts.append(encoded)
-        parts.append(struct.pack("<I", arr.ndim))
-        parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        parts.append(arr.tobytes())
-    write_atomic(path, b"".join(parts))
+    write_file(path, MAGIC, ckpt.config.canonical_json().encode(), ckpt.tensors)
 
 
 def load_checkpoint(path) -> Checkpoint:
-    raw = Path(path).read_bytes()
-    if len(raw) < 4 or raw[:4] != MAGIC:
-        raise BadMagic(f"{path}: not a checkpoint file")
-    offset = 4
-
-    def pull(fmt: str):
-        nonlocal offset
-        size = struct.calcsize(fmt)
-        if offset + size > len(raw):
-            raise TruncatedFile(f"{path}: ended early at offset {offset}")
-        values = struct.unpack_from(fmt, raw, offset)
-        offset += size
-        return values
-
-    version, stored_hash = pull("<IQ")
-    if version != VERSION:
-        raise VersionMismatch(f"{path}: format version {version}, expected {VERSION}")
-    (json_len,) = pull("<I")
-    if offset + json_len > len(raw):
-        raise TruncatedFile(f"{path}: config JSON truncated")
-    config_json = raw[offset : offset + json_len]
-    offset += json_len
-    if json_hash(config_json) != stored_hash:
-        raise HashMismatch(f"{path}: stored hash does not match embedded config")
-    try:
-        loaded = json.loads(config_json)
-    except ValueError:  # not UTF-8 or not JSON, under a hash that matches it
-        raise CorruptFile(f"{path}: embedded config is not JSON") from None
-    config = config_from_dict(loaded)
-
-    (count,) = pull("<I")
-    tensors: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = pull("<I")
-        if offset + name_len > len(raw):
-            raise TruncatedFile(f"{path}: tensor name truncated")
-        try:
-            name = raw[offset : offset + name_len].decode()
-        except UnicodeDecodeError:
-            raise CorruptFile(f"{path}: tensor name at offset {offset} is not UTF-8") from None
-        offset += name_len
-        (rank,) = pull("<I")
-        dims = pull(f"<{rank}I") if rank else ()
-        payload = math.prod(dims)  # Python ints: no wraparound for huge dims
-        nbytes = payload * 4
-        if offset + nbytes > len(raw):
-            raise TruncatedFile(f"{path}: payload of {name!r} truncated")
-        arr = np.frombuffer(raw, dtype="<f4", count=payload, offset=offset)
-        try:
-            tensors[name] = arr.reshape(dims).copy()
-        except ValueError:  # dims NumPy cannot hold: rank > 64, or huge beside a zero
-            raise CorruptFile(f"{path}: tensor {name!r} has unusable dims {dims}") from None
-        offset += nbytes
-    return Checkpoint(config=config, tensors=tensors, version=version)
+    doc, tensors = read_file(path, MAGIC, "checkpoint")
+    return Checkpoint(config=config_from_dict(doc), tensors=tensors)
 
 
 # -- TrainState mapping --------------------------------------------------------------

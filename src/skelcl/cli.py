@@ -178,12 +178,13 @@ def cmd_knn(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     data = load_dataset(args.data)
     params = query_params(ckpt, args.stream)
-    accuracy = knn_probe(params, data["train"], data["val"], stream=args.stream, k=args.k)
+    k = args.k if args.k is not None else ckpt.config.knn_k
+    accuracy = knn_probe(params, data["train"], data["val"], stream=args.stream, k=k)
     _emit(
         {
             "protocol": "knn",
             "stream": args.stream,
-            "k": args.k,
+            "k": k,
             "accuracy": accuracy,
             "n_eval": len(data["val"]),
             "seed": ckpt.config.seed,
@@ -198,9 +199,10 @@ def cmd_finetune(args) -> int:
     data = load_dataset(args.data)
     params = query_params(ckpt, args.stream)
     epochs = args.epochs if args.epochs is not None else ckpt.config.finetune_epochs
+    lr = args.lr if args.lr is not None else ckpt.config.finetune_lr
     result = finetune(
         params, data["train"], data["val"], stream=args.stream,
-        fraction=args.fraction, epochs=epochs, lr=args.lr,
+        fraction=args.fraction, epochs=epochs, lr=lr,
         weight_decay=ckpt.config.weight_decay, seed=ckpt.config.seed,
     )
     _emit(
@@ -492,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--stream", default="joint")
-    p.add_argument("--k", type=int, default=5)
+    p.add_argument("--k", type=int, default=None)
     p.set_defaults(func=cmd_knn)
 
     p = sub.add_parser("finetune", help="finetuned / semi-supervised evaluation")
@@ -501,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stream", default="joint")
     p.add_argument("--fraction", type=float, default=1.0)
     p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--lr", type=float, default=0.1)
+    p.add_argument("--lr", type=float, default=None)
     p.set_defaults(func=cmd_finetune)
 
     p = sub.add_parser("fuse", help="weighted fusion of per-stream scores")

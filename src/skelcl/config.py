@@ -17,14 +17,13 @@ persisted, so two runs with equal hashes saw equal configs.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigTypeError, ConfigValueError, UnknownKey
-from .skeleton import STREAM_IDS
+from .skeleton import STREAM_IDS, json_hash
 
 AUGMENT_FAMILIES = ("normal", "extreme")
 
@@ -137,11 +136,6 @@ class RunConfig:
 
     def hash(self) -> int:
         return json_hash(self.canonical_json().encode())
-
-
-def json_hash(config_json: bytes) -> int:
-    """First 8 bytes of the SHA-256 digest of config JSON, as an unsigned int."""
-    return int.from_bytes(hashlib.sha256(config_json).digest()[:8], "little")
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}

@@ -59,8 +59,6 @@ class EncoderPair:
     """Gradient-trained query parameters plus momentum-tracked key copy."""
 
     def __init__(self, query: EncoderParams, momentum: float):
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError("momentum must lie in [0, 1)")
         self.query = query
         self.key = query.copy()
         self.momentum = momentum

@@ -4,10 +4,14 @@ A sequence is a (T, C, V) float32 array over a tree-structured body
 graph.  Three derived views ("streams") of the same sequence feed the
 contrastive pipeline: raw joint coordinates, bone vectors (differences
 along graph edges), and motion (frame-to-frame displacement).
+
+`write_file`/`read_file` are the one binary codec (layout in `write_file`),
+shared by checkpoints and the dataset file of `write_dataset`.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -20,11 +24,14 @@ import numpy as np
 
 from .errors import (
     BadMagic,
+    CorruptFile,
+    HashMismatch,
     SeparabilityFailure,
     ShapeMismatch,
     TooShort,
     TruncatedFile,
     UnknownStream,
+    VersionMismatch,
 )
 from .rng import RngStream
 
@@ -135,10 +142,10 @@ def derive_streams(seq: SkeletonSequence, stream_ids) -> dict[str, np.ndarray]:
 
 
 def shared_graph(sequences: list[SkeletonSequence]) -> SkeletonGraph:
-    """The one skeleton graph every clip of `sequences` is defined on."""
-    graph = sequences[0].graph
-    if any(s.graph is not graph and s.graph != graph for s in sequences):
-        raise ShapeMismatch("clips do not all share one skeleton graph")
+    """The one skeleton graph (and frame count) every clip of `sequences` has."""
+    graph, frames = sequences[0].graph, sequences[0].frames
+    if any((s.graph is not graph and s.graph != graph) or s.frames != frames for s in sequences):
+        raise ShapeMismatch("clips do not all share one skeleton graph and frame count")
     return graph
 
 
@@ -355,7 +362,14 @@ def generate_synthetic_dataset(
 
 # -- on-disk format --------------------------------------------------------------
 
-_MAGIC = b"SKL1"
+FORMAT_VERSION = 1
+DATASET_MAGIC = b"SKDS"
+DATASET_FILE = "dataset.bin"
+
+
+def json_hash(doc_json: bytes) -> int:
+    """First 8 bytes of the SHA-256 digest of JSON bytes, as an unsigned int."""
+    return int.from_bytes(hashlib.sha256(doc_json).digest()[:8], "little")
 
 
 def write_atomic(path, data: bytes) -> None:
@@ -371,45 +385,81 @@ def write_atomic(path, data: bytes) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def write_sequence(path, seq: SkeletonSequence) -> None:
-    """Binary layout: magic, T, C, V, E, edges, label flag+value, f32 data."""
-    t, c, v = seq.data.shape
-    parts = [_MAGIC, struct.pack("<IIII", t, c, v, len(seq.graph.edges))]
-    for src, tgt in seq.graph.edges:
-        parts.append(struct.pack("<II", src, tgt))
-    if seq.label is None:
-        parts.append(struct.pack("<B", 0))
-    else:
-        parts.append(struct.pack("<BI", 1, seq.label))
-    parts.append(seq.data.astype("<f4").tobytes())
+def write_file(path, magic: bytes, doc_json: bytes, tensors: dict[str, np.ndarray]) -> None:
+    """Write a JSON document plus named f32 tensors, replacing `path` atomically.
+
+    This is the package's one binary layout; checkpoints and datasets
+    differ only in their 4-byte magic, their JSON and their tensors.
+    Layout: magic, u32 `FORMAT_VERSION`, u64 `json_hash` of the JSON
+    bytes, u32 JSON length, the JSON bytes, u32 tensor count, then per
+    tensor (sorted by name): u32 name length, UTF-8 name, u32 rank, rank
+    u32 dims, row-major little-endian f32 payload.
+    """
+    parts = [
+        magic,
+        struct.pack("<IQI", FORMAT_VERSION, json_hash(doc_json), len(doc_json)),
+        doc_json,
+        struct.pack("<I", len(tensors)),
+    ]
+    for name in sorted(tensors):
+        arr = np.ascontiguousarray(tensors[name], dtype="<f4")
+        encoded = name.encode()
+        parts.append(struct.pack("<I", len(encoded)))
+        parts.append(encoded)
+        parts.append(struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape))
+        parts.append(arr.tobytes())
     write_atomic(path, b"".join(parts))
 
 
-def read_sequence(path) -> SkeletonSequence:
+def read_file(path, magic: bytes, kind: str) -> tuple[object, dict[str, np.ndarray]]:
+    """The decoded JSON document and the tensors of a `write_file` file; a
+    damaged one fails with a named `SkelclError`, and the stored hash is
+    checked against the raw JSON bytes before they are decoded."""
     raw = Path(path).read_bytes()
-    if len(raw) < 4 or raw[:4] != _MAGIC:
-        raise BadMagic(f"{path}: expected {_MAGIC!r} header")
+    if raw[:4] != magic:
+        raise BadMagic(f"{path}: not a {kind} file")
     offset = 4
 
     def pull(fmt: str):
         nonlocal offset
         size = struct.calcsize(fmt)
         if offset + size > len(raw):
-            raise TruncatedFile(f"{path}: ended inside header")
+            raise TruncatedFile(f"{path}: ended early at offset {offset}")
         values = struct.unpack_from(fmt, raw, offset)
         offset += size
         return values
 
-    t, c, v, e = pull("<IIII")
-    edges = tuple(pull("<II") for _ in range(e))
-    (has_label,) = pull("<B")
-    label = pull("<I")[0] if has_label else None
-    payload = t * c * v * 4
-    if offset + payload > len(raw):
-        raise TruncatedFile(f"{path}: header claims {t * c * v} floats, payload short")
-    data = np.frombuffer(raw, dtype="<f4", count=t * c * v, offset=offset).reshape(t, c, v)
-    graph = SkeletonGraph(num_joints=v, edges=edges)
-    return SkeletonSequence(data=data.copy(), graph=graph, label=label)
+    version, stored_hash, json_len = pull("<IQI")
+    if version != FORMAT_VERSION:
+        raise VersionMismatch(f"{path}: format version {version}, expected {FORMAT_VERSION}")
+    (doc_json,) = pull(f"<{json_len}s")
+    if json_hash(doc_json) != stored_hash:
+        raise HashMismatch(f"{path}: stored hash does not match the embedded JSON")
+    try:
+        doc = json.loads(doc_json)
+    except ValueError:  # not UTF-8 or not JSON, under a hash that matches it
+        raise CorruptFile(f"{path}: embedded document is not JSON") from None
+
+    (count,) = pull("<I")
+    tensors: dict[str, np.ndarray] = {}
+    for _ in range(count):
+        (name_len,) = pull("<I")
+        try:
+            name = pull(f"<{name_len}s")[0].decode()
+        except UnicodeDecodeError:
+            raise CorruptFile(f"{path}: tensor name before offset {offset} is not UTF-8") from None
+        (rank,) = pull("<I")
+        dims = pull(f"<{rank}I")
+        payload = math.prod(dims)  # Python ints: no wraparound for huge dims
+        if offset + payload * 4 > len(raw):
+            raise TruncatedFile(f"{path}: payload of {name!r} truncated")
+        arr = np.frombuffer(raw, dtype="<f4", count=payload, offset=offset)
+        try:
+            tensors[name] = arr.reshape(dims).copy()
+        except ValueError:  # dims NumPy cannot hold: rank > 64, or huge beside a zero
+            raise CorruptFile(f"{path}: tensor {name!r} has unusable dims {dims}") from None
+        offset += payload * 4
+    return doc, tensors
 
 
 def stratified_split(
@@ -429,21 +479,46 @@ def stratified_split(
 
 
 def write_dataset(directory, sequences: list[SkeletonSequence], splits: list[str]) -> None:
+    """Write the clips and their splits as one file, `directory/dataset.bin`.
+
+    Its JSON holds the graph's `edges`, one label per clip (null when a
+    clip has none) and one split name per clip; its one tensor, `clips`,
+    is (N, T, C, V), so every clip must share one graph and frame count.
+    """
+    graph = shared_graph(sequences)
+    doc = {"edges": graph.edges, "labels": [s.label for s in sequences], "splits": list(splits)}
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for i, (seq, split) in enumerate(zip(sequences, splits)):
-        name = f"seq_{i:05d}.skl"
-        write_sequence(directory / name, seq)
-        entries.append({"name": name, "split": split})
-    manifest = {"files": entries}
-    write_atomic(directory / "manifest.json", (json.dumps(manifest, indent=2) + "\n").encode())
+    clips = np.stack([s.data for s in sequences])
+    write_file(directory / DATASET_FILE, DATASET_MAGIC, json.dumps(doc).encode(), {"clips": clips})
 
 
 def load_dataset(directory) -> dict[str, list[SkeletonSequence]]:
-    directory = Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text())
+    """Clips by split name, in file order; every clip shares one graph."""
+    path = Path(directory) / DATASET_FILE
+    doc, tensors = read_file(path, DATASET_MAGIC, "dataset")
+    clips = tensors.get("clips")
+    if clips is None or clips.ndim != 4:
+        raise CorruptFile(f"{path}: needs one (N, T, C, V) tensor named 'clips'")
+    if not (
+        isinstance(doc, dict)
+        and isinstance(doc.get("edges"), list)
+        and all(isinstance(doc.get(key), list) and len(doc[key]) == len(clips)
+                for key in ("labels", "splits"))
+    ):
+        raise CorruptFile(f"{path}: header needs edges, and a label and a split per clip")
+    if not all(label is None or (type(label) is int and label >= 0) for label in doc["labels"]):
+        raise CorruptFile(f"{path}: labels must be nonnegative integers or null")
+    if not all(isinstance(split, str) for split in doc["splits"]):
+        raise CorruptFile(f"{path}: split names must be strings")
+    if not all(isinstance(e, list) and len(e) == 2 and all(type(j) is int for j in e)
+               for e in doc["edges"]):
+        raise CorruptFile(f"{path}: edges must be pairs of joint indices")
     out: dict[str, list[SkeletonSequence]] = {"train": [], "val": []}
-    for entry in manifest["files"]:
-        out.setdefault(entry["split"], []).append(read_sequence(directory / entry["name"]))
+    try:
+        graph = SkeletonGraph(num_joints=clips.shape[3], edges=tuple(map(tuple, doc["edges"])))
+        for data, label, split in zip(clips, doc["labels"], doc["splits"]):
+            out.setdefault(split, []).append(SkeletonSequence(data, graph, label))
+    except (ShapeMismatch, TooShort) as err:
+        raise CorruptFile(f"{path}: {err}") from None
     return out

@@ -443,16 +443,13 @@ def finetune(
 def fuse_predictions(
     scores: dict[str, np.ndarray], weights: dict[str, float]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted sum of per-stream class scores; argmax ties pick class 0."""
+    """Weighted sum of per-stream class scores (positive weights); argmax ties pick class 0."""
     streams = list(scores)
     shapes = {np.asarray(scores[s]).shape for s in streams}
     if len(shapes) != 1:
         raise LengthMismatch(f"score shapes differ: {shapes}")
     fused = None
     for s in streams:
-        w = weights[s]
-        if w <= 0:
-            raise ValueError("fusion weights must be positive")
-        term = w * np.asarray(scores[s], dtype=np.float64)
+        term = weights[s] * np.asarray(scores[s], dtype=np.float64)
         fused = term if fused is None else fused + term
     return fused, np.argmax(fused, axis=1)

@@ -26,7 +26,7 @@ from skelcl.errors import (
     TruncatedFile,
     VersionMismatch,
 )
-from skelcl.skeleton import generate_synthetic_dataset, write_dataset, write_sequence
+from skelcl.skeleton import generate_synthetic_dataset, write_dataset
 from skelcl.train import init_train_state, pretrain
 
 SMALL = RunConfig(
@@ -233,7 +233,6 @@ WRITERS = {
     "checkpoint": lambda dest, seqs: save_checkpoint(
         dest / "ckpt.bin", Checkpoint(RunConfig(seed=len(seqs)), {"x": np.ones(len(seqs))})
     ),
-    "sequence": lambda dest, seqs: write_sequence(dest / "a.skl", seqs[-1]),
     "dataset": lambda dest, seqs: write_dataset(dest, seqs, ["train"] * len(seqs)),
 }
 

@@ -1,6 +1,7 @@
 """Command-line entry point: exit codes and the rewritten subcommands."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -77,7 +78,7 @@ def test_fuse_rejects_malformed_weight(tmp_path, capsys, weight):
 
 
 TINY_RUN = ["stage_epochs=[1,0,0]", "queue_size=8", "batch_size=8", "enc_blocks=1",
-            "enc_channels=[4]", "enc_hidden=8", "embed_dim=4"]
+            "enc_channels=[4]", "enc_hidden=8", "embed_dim=4", "knn_k=1", "finetune_lr=0.05"]
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +86,7 @@ def pretrained(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
     assert main(["gen-data", "--classes", "3", "--per-class", "6", "--frames", "16",
                  "--seed", "3", "--out", str(root / "data")]) == 0
+    assert [p.name for p in (root / "data").iterdir()] == ["dataset.bin"]
     argv = ["pretrain", "--data", str(root / "data"), "--out", str(root / "run"),
             "--metrics", str(root / "metrics.jsonl")]
     for setting in TINY_RUN:
@@ -108,6 +110,28 @@ def test_probe_subcommands_run_on_pretrained_checkpoint(pretrained, capsys, comm
     assert main(argv) == 0
     doc = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert doc["protocol"] == protocol and 0.0 <= doc["accuracy"] <= 1.0
+
+
+def test_knn_k_defaults_to_checkpoint_config(pretrained, capsys):
+    argv = ["knn", "--checkpoint", str(pretrained / "run" / "checkpoint.bin"),
+            "--data", str(pretrained / "data")]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["k"] == 1
+
+
+@pytest.mark.parametrize("flags,lr", [([], 0.05), (["--lr", "0.2"], 0.2)])
+def test_finetune_lr_defaults_to_checkpoint_config(pretrained, monkeypatch, flags, lr):
+    seen = {}
+
+    def fake_finetune(*args, **kwargs):
+        seen.update(kwargs)
+        return SimpleNamespace(accuracy=0.5, subset_size=1)
+
+    monkeypatch.setattr("skelcl.cli.finetune", fake_finetune)
+    argv = ["finetune", "--checkpoint", str(pretrained / "run" / "checkpoint.bin"),
+            "--data", str(pretrained / "data"), *flags]
+    assert main(argv) == 0
+    assert seen["lr"] == lr
 
 
 def test_checkpoint_with_bad_magic_exits_1(pretrained, tmp_path, capsys):

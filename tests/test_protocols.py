@@ -13,6 +13,7 @@ from skelcl.skeleton import (
     SkeletonSequence,
     generate_synthetic_dataset,
     shared_graph,
+    write_dataset,
 )
 from skelcl.train import (
     finetune,
@@ -118,19 +119,23 @@ def test_fuse_predictions_weighted_argmax():
 
 
 MIXED_GRAPH_CALLS = {
-    "pretrain": lambda seqs, val, params: pretrain(seqs, RunConfig(stage_epochs=[1, 0, 0])),
-    "linear_probe": lambda seqs, val, params: linear_probe(params, seqs, val, epochs=1),
-    "knn_probe": lambda seqs, val, params: knn_probe(params, seqs, val),
-    "finetune": lambda seqs, val, params: finetune(params, seqs, val, epochs=1),
+    "pretrain": lambda seqs, val, params, out: pretrain(seqs, RunConfig(stage_epochs=[1, 0, 0])),
+    "linear_probe": lambda seqs, val, params, out: linear_probe(params, seqs, val, epochs=1),
+    "knn_probe": lambda seqs, val, params, out: knn_probe(params, seqs, val),
+    "finetune": lambda seqs, val, params, out: finetune(params, seqs, val, epochs=1),
+    "write_dataset": lambda seqs, val, params, out: write_dataset(out, seqs, ["train"] * len(seqs)),
 }
 
 
 @pytest.mark.parametrize("call", sorted(MIXED_GRAPH_CALLS))
-def test_clips_on_mixed_graphs_rejected(splits, params, call):
+def test_clips_on_mixed_graphs_rejected(splits, params, tmp_path, call):
     train, val = splits
     chain = SkeletonGraph(num_joints=9, edges=tuple((j, j + 1) for j in range(8)))
     last = train[-1]
-    mixed = train[:-1] + [SkeletonSequence(last.data, chain, last.label)]
+    other_graph = train[:-1] + [SkeletonSequence(last.data, chain, last.label)]
+    other_length = train[:-1] + [SkeletonSequence(last.data[:-1], last.graph, last.label)]
     assert shared_graph(train) == train[0].graph
-    with pytest.raises(ShapeMismatch, match="one skeleton graph"):
-        MIXED_GRAPH_CALLS[call](mixed, val, params)
+    for mixed in (other_graph, other_length):
+        with pytest.raises(ShapeMismatch, match="one skeleton graph"):
+            MIXED_GRAPH_CALLS[call](mixed, val, params, tmp_path)
+    assert list(tmp_path.iterdir()) == []

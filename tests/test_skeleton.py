@@ -1,4 +1,8 @@
-"""Stream derivation, synthetic generator, and sequence file format."""
+"""Stream derivation, synthetic generator, and the dataset file."""
+
+import json
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ from hypothesis import strategies as st
 
 from skelcl.errors import (
     BadMagic,
+    CorruptFile,
     ShapeMismatch,
     SkelclError,
     TooShort,
@@ -15,6 +20,8 @@ from skelcl.errors import (
 )
 from skelcl.rng import RngStream
 from skelcl.skeleton import (
+    DATASET_FILE,
+    DATASET_MAGIC,
     SkeletonGraph,
     SkeletonSequence,
     build_star_tree,
@@ -24,10 +31,9 @@ from skelcl.skeleton import (
     generate_synthetic_dataset,
     load_dataset,
     oracle_classifier_accuracy,
-    read_sequence,
     stratified_split,
     write_dataset,
-    write_sequence,
+    write_file,
 )
 
 TWO_JOINT = SkeletonGraph(num_joints=2, edges=((0, 1),))
@@ -168,48 +174,121 @@ class TestSyntheticDataset:
             assert x.label == y.label
 
 
+def _write_raw_dataset(directory, doc, tensors):
+    """A dataset file written through the codec, so its hash matches."""
+    write_file(directory / DATASET_FILE, DATASET_MAGIC, json.dumps(doc).encode(), tensors)
+
+
+GOOD_HEADER = {"edges": [[0, 1], [1, 2]], "labels": [0, None], "splits": ["train", "val"]}
+GOOD_CLIPS = {"clips": np.zeros((2, 4, 3, 3), np.float32)}
+MALFORMED = {
+    "non_object_header": ([GOOD_HEADER], GOOD_CLIPS),
+    "no_edges": ({"labels": [0, None], "splits": ["train", "val"]}, GOOD_CLIPS),
+    "edges_not_list": (dict(GOOD_HEADER, edges="0-1 1-2"), GOOD_CLIPS),
+    "no_labels": ({"edges": [[0, 1], [1, 2]], "splits": ["train", "val"]}, GOOD_CLIPS),
+    "labels_not_list": (dict(GOOD_HEADER, labels=0), GOOD_CLIPS),
+    "no_splits": ({"edges": [[0, 1], [1, 2]], "labels": [0, None]}, GOOD_CLIPS),
+    "splits_not_list": (dict(GOOD_HEADER, splits="train"), GOOD_CLIPS),
+    "labels_short": (dict(GOOD_HEADER, labels=[0]), GOOD_CLIPS),
+    "splits_long": (dict(GOOD_HEADER, splits=["train", "val", "val"]), GOOD_CLIPS),
+    "label_negative": (dict(GOOD_HEADER, labels=[-1, None]), GOOD_CLIPS),
+    "label_bool": (dict(GOOD_HEADER, labels=[True, None]), GOOD_CLIPS),
+    "label_string": (dict(GOOD_HEADER, labels=["0", None]), GOOD_CLIPS),
+    "split_not_string": (dict(GOOD_HEADER, splits=[0, "val"]), GOOD_CLIPS),
+    "edge_not_pair": (dict(GOOD_HEADER, edges=[[0, 1], [1]]), GOOD_CLIPS),
+    "edges_not_tree": (dict(GOOD_HEADER, edges=[[0, 1], [0, 1]]), GOOD_CLIPS),
+    "no_clips": (GOOD_HEADER, {"frames": GOOD_CLIPS["clips"]}),
+    "clips_rank_3": (GOOD_HEADER, {"clips": GOOD_CLIPS["clips"][0]}),
+}
+
+
 class TestSequenceFiles:
+    """The dataset file: every clip, label and split in one codec file."""
+
     def test_round_trip(self, tmp_path):
-        seqs = generate_synthetic_dataset(2, 2, frames=16, seed=1, check_separability=False)
-        path = tmp_path / "a.skl"
-        write_sequence(path, seqs[0])
-        back = read_sequence(path)
-        np.testing.assert_array_equal(back.data, seqs[0].data)
-        assert back.label == seqs[0].label
-        assert back.graph.edges == seqs[0].graph.edges
+        clips = np.linspace(-1.0, 1.0, 3 * 4 * 3 * 5, dtype=np.float32).reshape(3, 4, 3, 5)
+        graph = build_star_tree(5)
+        seqs = [_seq(c, graph, label) for c, label in zip(clips, [2, None, 0])]
+        write_dataset(tmp_path, seqs, ["val", "test", "val"])
+        assert [p.name for p in tmp_path.iterdir()] == [DATASET_FILE]
+        loaded = load_dataset(tmp_path)
+        assert sorted(loaded) == ["test", "train", "val"] and loaded["train"] == []
+        back = loaded["val"] + loaded["test"]
+        np.testing.assert_array_equal(np.stack([s.data for s in back]), clips[[0, 2, 1]])
+        assert [s.label for s in back] == [2, 0, None]
+        assert all(s.graph == graph for s in back)
 
     def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.skl"
-        path.write_bytes(b"NOPE" + b"\x00" * 64)
-        with pytest.raises(BadMagic):
-            read_sequence(path)
+        (tmp_path / DATASET_FILE).write_bytes(b"NOPE" + b"\x00" * 64)
+        with pytest.raises(BadMagic, match="not a dataset file"):
+            load_dataset(tmp_path)
 
     def test_truncated(self, tmp_path):
         seqs = generate_synthetic_dataset(2, 1, frames=16, seed=2, check_separability=False)
-        path = tmp_path / "t.skl"
-        write_sequence(path, seqs[0])
+        write_dataset(tmp_path, seqs, ["train", "val"])
+        path = tmp_path / DATASET_FILE
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) - 10])
         with pytest.raises(TruncatedFile):
-            read_sequence(path)
+            load_dataset(tmp_path)
 
     @settings(max_examples=200, derandomize=True, database=None, deadline=None)
     @given(st.data())
     def test_mutated_file_raises_only_named_errors(self, tmp_path_factory, data):
-        clip = np.linspace(-1.0, 1.0, 4 * 3 * 5, dtype=np.float32).reshape(4, 3, 5)
-        path = tmp_path_factory.getbasetemp() / "fuzz.skl"
-        write_sequence(path, _seq(clip, build_star_tree(5), label=2))
+        clips = np.linspace(-1.0, 1.0, 2 * 4 * 3 * 5, dtype=np.float32).reshape(2, 4, 3, 5)
+        seqs = [_seq(c, build_star_tree(5), label) for c, label in zip(clips, [2, None])]
+        directory = tmp_path_factory.getbasetemp() / "fuzz"
+        write_dataset(directory, seqs, ["train", "val"])
+        path = directory / DATASET_FILE
         raw = bytearray(path.read_bytes())
-        header = 4 + 16 + 8 * 4 + 5  # magic, T/C/V/E, four edges, label
-        position = st.integers(0, header - 1) | st.integers(0, len(raw) - 1)
+        (json_len,) = struct.unpack_from("<I", raw, 16)
+        table = 20 + json_len  # tensor count, name, rank, dims
+        position = st.integers(table, table + 4 + 4 + 5 + 4 + 16 - 1) | st.integers(0, len(raw) - 1)
         for pos, byte in data.draw(st.lists(st.tuples(position, st.integers(0, 255)),
                                             min_size=1, max_size=3)):
             raw[pos] = byte
         path.write_bytes(bytes(raw))
         try:
-            read_sequence(path)
+            load_dataset(directory)
         except SkelclError:
             pass
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_header_raises_corrupt_file(self, tmp_path, case):
+        _write_raw_dataset(tmp_path, *MALFORMED[case])
+        with pytest.raises(CorruptFile):
+            load_dataset(tmp_path)
+
+    def test_well_formed_header_loads(self, tmp_path):
+        _write_raw_dataset(tmp_path, GOOD_HEADER, GOOD_CLIPS)
+        loaded = load_dataset(tmp_path)
+        assert [s.label for s in loaded["train"] + loaded["val"]] == [0, None]
+
+    def test_failed_overwrite_keeps_old_dataset(self, tmp_path, monkeypatch):
+        old = generate_synthetic_dataset(2, 1, frames=16, seed=1, check_separability=False)
+        new = generate_synthetic_dataset(2, 2, frames=16, seed=2, check_separability=False)
+        write_dataset(tmp_path / "old", old, ["train", "val"])
+        write_dataset(tmp_path / "new", new, ["train"] * 4)
+        # the disk fills half way through writing the new dataset, whatever
+        # the number of writes that takes
+        budget = sum(p.stat().st_size for p in (tmp_path / "new").iterdir()) // 2
+
+        def write_until_full(self, data):
+            nonlocal budget
+            with open(self, "wb") as fh:
+                fh.write(data[:budget])
+            if len(data) > budget:
+                budget = 0
+                raise OSError("disk full")
+            budget -= len(data)
+
+        monkeypatch.setattr(Path, "write_bytes", write_until_full)
+        with pytest.raises(OSError, match="disk full"):
+            write_dataset(tmp_path / "old", new, ["train"] * 4)
+        monkeypatch.undo()
+        loaded = load_dataset(tmp_path / "old")
+        np.testing.assert_array_equal([s.data for s in loaded["train"] + loaded["val"]],
+                                      [s.data for s in old])
 
     def test_dataset_round_trip(self, tmp_path):
         seqs = generate_synthetic_dataset(3, 4, frames=16, seed=5, check_separability=False)
