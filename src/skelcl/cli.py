@@ -10,7 +10,8 @@ Exit codes: 0 success; 1 a failed check or any other named
 `SkelclError`, such as a corrupt checkpoint or data file; 2 a usage or
 config error: an unknown key, a wrong type, or a value out of range,
 named by its config key or by the flag that set it (`--weight`,
-`--alpha`, `--mu`, `--resume`).
+`--alpha`, `--mu`, `--resume`, `--k`, `--fraction`, `--classes`,
+`--per-class`, `--joints`, `--frames`).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -44,14 +46,13 @@ from .encoder import encode, init_params, stgcn_forward
 from .errors import ConfigTypeError, ConfigValueError, SkelclError, UnknownKey
 from .rng import RngStream
 from .skeleton import (
-    derive_streams,
     generate_synthetic_dataset,
     load_dataset,
     shared_graph,
     stratified_split,
     write_dataset,
 )
-from .train import finetune, fuse_predictions, knn_probe, linear_probe, pretrain
+from .train import _augment_batch, finetune, fuse_predictions, knn_probe, linear_probe, pretrain
 
 
 def _parse_overrides(pairs: list[str]) -> dict:
@@ -76,6 +77,17 @@ def _build_config(args) -> RunConfig:
     return parse_config(getattr(args, "config", None), overrides)
 
 
+@contextmanager
+def _flags(names: dict[str, str]):
+    """Re-raise a `ConfigValueError` on a key of `names` under the flag that set it."""
+    try:
+        yield
+    except ConfigValueError as err:
+        if err.key not in names:
+            raise
+        raise ConfigValueError(names[err.key], err.reason) from None
+
+
 def _emit(doc: dict, path: str | None = None) -> None:
     text = json.dumps(doc)
     if path:
@@ -89,14 +101,16 @@ def _emit(doc: dict, path: str | None = None) -> None:
 
 
 def cmd_gen_data(args) -> int:
-    sequences = generate_synthetic_dataset(
-        num_classes=args.classes,
-        per_class=args.per_class,
-        frames=args.frames,
-        joints=args.joints,
-        seed=args.seed,
-        noise_sigma=args.noise_sigma,
-    )
+    with _flags({"num_classes": "--classes", "per_class": "--per-class",
+                 "joints": "--joints", "frames": "--frames"}):
+        sequences = generate_synthetic_dataset(
+            num_classes=args.classes,
+            per_class=args.per_class,
+            frames=args.frames,
+            joints=args.joints,
+            seed=args.seed,
+            noise_sigma=args.noise_sigma,
+        )
     splits = stratified_split(
         sequences, args.val_fraction, RngStream(args.seed).split("split")
     )
@@ -179,7 +193,8 @@ def cmd_knn(args) -> int:
     data = load_dataset(args.data)
     params = query_params(ckpt, args.stream)
     k = args.k if args.k is not None else ckpt.config.knn_k
-    accuracy = knn_probe(params, data["train"], data["val"], stream=args.stream, k=k)
+    with _flags({"knn_k": "--k"} if args.k is not None else {}):
+        accuracy = knn_probe(params, data["train"], data["val"], stream=args.stream, k=k)
     _emit(
         {
             "protocol": "knn",
@@ -200,11 +215,12 @@ def cmd_finetune(args) -> int:
     params = query_params(ckpt, args.stream)
     epochs = args.epochs if args.epochs is not None else ckpt.config.finetune_epochs
     lr = args.lr if args.lr is not None else ckpt.config.finetune_lr
-    result = finetune(
-        params, data["train"], data["val"], stream=args.stream,
-        fraction=args.fraction, epochs=epochs, lr=lr,
-        weight_decay=ckpt.config.weight_decay, seed=ckpt.config.seed,
-    )
+    with _flags({"fraction": "--fraction"}):
+        result = finetune(
+            params, data["train"], data["val"], stream=args.stream,
+            fraction=args.fraction, epochs=epochs, lr=lr,
+            weight_decay=ckpt.config.weight_decay, seed=ckpt.config.seed,
+        )
     _emit(
         {
             "protocol": "finetune" if args.fraction == 1.0 else "semi-supervised",
@@ -384,26 +400,21 @@ def cmd_gradcheck(args) -> int:
     return 0 if ok else 1
 
 
-# RunConfig key -> the pft-hist flag that sets it
-_PFT_HIST_FLAGS = {"pft_alpha": "--alpha", "pft_mu": "--mu"}
-
-
 def cmd_pft_hist(args) -> int:
-    try:
+    with _flags({"pft_alpha": "--alpha", "pft_mu": "--mu"}):
         RunConfig(pft_alpha=args.alpha, pft_mu=args.mu)  # the config's own range rule
-    except ConfigValueError as err:
-        raise ConfigValueError(_PFT_HIST_FLAGS[err.key], err.reason) from None
     rng = RngStream(args.seed).split("pft-hist")
 
-    def draw_lambda(gen) -> float:
-        return gen.beta(args.alpha, args.alpha) * args.mu + 1.0
+    def draw_lambda(gen, size=None):
+        return gen.beta(args.alpha, args.alpha, size) * args.mu + 1.0
 
     if args.checkpoint:
         ckpt = load_checkpoint(args.checkpoint)
         val = load_dataset(args.data)["val"]
         config = ckpt.config
-        adjacency = shared_graph(val).normalized_adjacency(np.float32)
-        clips = [derive_streams(seq, (args.stream,))[args.stream] for seq in val]
+        graph = shared_graph(val)
+        adjacency = graph.normalized_adjacency(np.float32)
+        joints = np.stack([seq.data for seq in val])
         # key branch embeddings come from the checkpointed key encoder
         branches = (
             ("q", config.query_family, query_params(ckpt, args.stream)),
@@ -412,11 +423,11 @@ def cmd_pft_hist(args) -> int:
         views = []
         for branch, family, params in branches:
             pipeline = AugmentPipeline(family, config)
-            x = np.stack([pipeline.apply_array(c, rng.split(f"{branch}{i}")) for i, c in enumerate(clips)])
+            x = _augment_batch(joints, pipeline, rng.split(branch), graph, (args.stream,))
             with T.no_tape():
-                views.append(encode(x, adjacency, params, mode="eval")[1].data)
+                views.append(encode(x[args.stream], adjacency, params, mode="eval")[1].data)
         zq, zk = views
-        lam = np.array([draw_lambda(rng.split(f"lam{i}").generator()) for i in range(len(clips))])
+        lam = draw_lambda(rng.split("lam").generator(), len(val))
         before = (zq * zk).sum(axis=1)
     else:
         gen = rng.generator()

@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import (
     BadMagic,
+    ConfigValueError,
     CorruptFile,
     HashMismatch,
     SeparabilityFailure,
@@ -108,37 +109,42 @@ class SkeletonSequence:
         return self.data.shape[2]
 
 
-def derive_bone(seq: SkeletonSequence) -> np.ndarray:
-    """Bone vectors stored at each edge's target joint; root stays zero."""
-    out = np.zeros_like(seq.data)
-    for src, tgt in seq.graph.edges:
-        out[:, :, tgt] = seq.data[:, :, tgt] - seq.data[:, :, src]
+def derive_bone(data: np.ndarray, graph: SkeletonGraph) -> np.ndarray:
+    """Bone vectors of a (..., T, C, V) array at each edge's target joint; root stays zero."""
+    src, tgt = np.array(graph.edges, dtype=np.int64).reshape(-1, 2).T
+    out = np.zeros_like(data)
+    out[..., tgt] = data[..., tgt] - data[..., src]
     return out
 
 
-def derive_motion(seq: SkeletonSequence) -> np.ndarray:
-    """Adjacent-frame displacement; last frame zero-padded to keep T."""
-    out = np.zeros_like(seq.data)
-    out[:-1] = seq.data[1:] - seq.data[:-1]
+def derive_motion(data: np.ndarray) -> np.ndarray:
+    """Adjacent-frame displacement of a (..., T, C, V) array; last frame zero-padded to keep T."""
+    out = np.zeros_like(data)
+    out[..., :-1, :, :] = data[..., 1:, :, :] - data[..., :-1, :, :]
     return out
 
 
-def derive_streams(seq: SkeletonSequence, stream_ids) -> dict[str, np.ndarray]:
-    """Stream id -> (T, C, V) array derived from `seq`."""
+def stream_arrays(data: np.ndarray, graph: SkeletonGraph, stream_ids) -> dict[str, np.ndarray]:
+    """Stream id -> array derived from (..., T, C, V) joint coordinates on `graph`."""
     stream_ids = tuple(stream_ids)
     if not stream_ids:
         raise UnknownStream("need at least one stream id")
     out: dict[str, np.ndarray] = {}
     for sid in stream_ids:
         if sid == "joint":
-            out[sid] = seq.data.copy()
+            out[sid] = data.copy()
         elif sid == "bone":
-            out[sid] = derive_bone(seq)
+            out[sid] = derive_bone(data, graph)
         elif sid == "motion":
-            out[sid] = derive_motion(seq)
+            out[sid] = derive_motion(data)
         else:
             raise UnknownStream(f"unknown stream id {sid!r}")
     return out
+
+
+def derive_streams(seq: SkeletonSequence, stream_ids) -> dict[str, np.ndarray]:
+    """Stream id -> (T, C, V) array derived from `seq`."""
+    return stream_arrays(seq.data, seq.graph, stream_ids)
 
 
 def shared_graph(sequences: list[SkeletonSequence]) -> SkeletonGraph:
@@ -155,7 +161,7 @@ def shared_graph(sequences: list[SkeletonSequence]) -> SkeletonGraph:
 def build_star_tree(num_joints: int) -> SkeletonGraph:
     """Root plus four limb chains, joints dealt round-robin to the limbs."""
     if num_joints < 5:
-        raise ValueError("star tree needs at least 5 joints")
+        raise ConfigValueError("joints", f"need at least 5 joints, got {num_joints}")
     limb_of: list[list[int]] = [[], [], [], []]
     for j in range(1, num_joints):
         limb_of[(j - 1) % 4].append(j)
@@ -211,7 +217,7 @@ def _random_rotation(gen: np.random.Generator) -> np.ndarray:
 def _limb_assignments(num_classes: int, gen: np.random.Generator) -> list[tuple[int, ...]]:
     perms = list(permutations(range(4)))
     if num_classes > len(perms):
-        raise ValueError(f"at most {len(perms)} distinguishable classes supported")
+        raise ConfigValueError("num_classes", f"at most {len(perms)} distinguishable classes")
     order = gen.permutation(len(perms))
     return [perms[i] for i in order[:num_classes]]
 
@@ -320,11 +326,11 @@ def generate_synthetic_dataset(
     `SeparabilityFailure` is raised after three failed attempts.
     """
     if num_classes < 2:
-        raise ValueError("need at least 2 classes")
-    if joints < 5:
-        raise ValueError("need at least 5 joints")
+        raise ConfigValueError("num_classes", f"need at least 2 classes, got {num_classes}")
+    if per_class < 1:
+        raise ConfigValueError("per_class", f"need at least 1 clip per class, got {per_class}")
     if frames < 16:
-        raise ValueError("need at least 16 frames")
+        raise ConfigValueError("frames", f"need at least 16 frames, got {frames}")
 
     graph = build_star_tree(joints)
     last_accuracy = 0.0

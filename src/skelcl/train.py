@@ -1,12 +1,13 @@
 """Pretraining loop, SGD, stage schedule, and evaluation protocols.
 
-Pretraining follows the momentum-contrast recipe per stream: derive
-streams, augment query/key views, encode both branches, combine the
-intra/inter losses (mining from stage 2, extrapolation in stage 3),
-backprop into the query encoders, momentum-mix the key encoders, then
-push the step's key embeddings into each stream's queue.  Everything
-stochastic is re-derived from (seed, labels), so a resumed run replays
-the uninterrupted trajectory bit for bit.
+Pretraining follows the momentum-contrast recipe per stream: augment the
+batch's joints once per branch (query, key) and derive every stream from
+that view, encode both branches, combine the intra/inter losses (mining
+from stage 2, extrapolation in stage 3), backprop into the query
+encoders, momentum-mix the key encoders, then push the step's key
+embeddings into each stream's queue.  Everything stochastic is re-derived
+from (seed, labels), so a resumed run replays the uninterrupted
+trajectory bit for bit.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .config import RunConfig
 from .contrast import EncoderPair, MemoryQueue, combine_losses, momentum_update
 from .encoder import EncoderParams, init_params, project, stgcn_forward
 from .errors import (
+    ConfigValueError,
     EmptySubset,
     EmptyTrainSplit,
     EncoderModified,
@@ -32,7 +34,7 @@ from .errors import (
     StreamMissing,
 )
 from .rng import RngStream
-from .skeleton import SkeletonSequence, derive_streams, shared_graph
+from .skeleton import SkeletonSequence, derive_streams, shared_graph, stream_arrays
 
 STAGE_NAMES = ("basic", "basic+nnm", "basic+nnm+pft")
 
@@ -125,14 +127,9 @@ def init_train_state(config: RunConfig) -> TrainState:
     return TrainState(config, pairs, queues, optimizers)
 
 
-def _augment_batch(arrays, indices, pipeline, rng, epoch, stream, branch):
-    views = [
-        pipeline.apply_array(
-            arrays[i][stream], rng.split(f"aug.e{epoch}.{stream}.{branch}.{i}")
-        )
-        for i in indices
-    ]
-    return np.stack(views).astype(np.float32)
+def _augment_batch(joints, pipeline, rng, graph, stream_ids) -> dict[str, np.ndarray]:
+    """One augmented view of an (N, T, C, V) joint batch, then every stream derived from it."""
+    return stream_arrays(pipeline.apply_array(joints, rng), graph, stream_ids)
 
 
 def pretrain(
@@ -149,12 +146,13 @@ def pretrain(
     """
     if not dataset:
         raise EmptyTrainSplit("pretraining needs a nonempty dataset")
-    adjacency = shared_graph(dataset).normalized_adjacency(np.float32)
+    graph = shared_graph(dataset)
+    adjacency = graph.normalized_adjacency(np.float32)
+    joints = np.stack([seq.data for seq in dataset])
     schedule = stage_schedule(config)
     if state is None:
         state = init_train_state(config)
     root = RngStream(config.seed)
-    cache = [derive_streams(seq, config.streams) for seq in dataset]
     pipelines = {
         "q": AugmentPipeline(config.query_family, config),
         "k": AugmentPipeline(config.key_family, config),
@@ -174,12 +172,16 @@ def pretrain(
             indices = order[bi * config.batch_size : (bi + 1) * config.batch_size]
             step_keys: dict[str, np.ndarray] = {}
             embeddings: dict[str, tuple[T.Tensor, np.ndarray]] = {}
+            views = {
+                b: _augment_batch(joints[indices], p, root.split(f"aug.e{epoch}.b{bi}.{b}"), graph,
+                                  config.streams)
+                for b, p in pipelines.items()
+            }
             try:
                 with T.Tape():
                     for u in config.streams:
                         pair = state.pairs[u]
-                        xq = _augment_batch(cache, indices, pipelines["q"], root, epoch, u, "q")
-                        xk = _augment_batch(cache, indices, pipelines["k"], root, epoch, u, "k")
+                        xq, xk = views["q"][u], views["k"][u]
                         hq = stgcn_forward(xq, adjacency, pair.query, mode="train")
                         zq = project(hq, pair.query)
                         with T.no_tape():
@@ -338,7 +340,7 @@ def knn_probe(
     if not train_seqs:
         raise EmptyTrainSplit("knn probe needs training samples")
     if k > len(train_seqs):
-        raise ValueError("k exceeds the training split size")
+        raise ConfigValueError("knn_k", f"k={k} exceeds the training split size {len(train_seqs)}")
     z_train = _features(params, train_seqs, stream, projected=True)
     z_val = _features(params, val_seqs, stream, projected=True)
     y_train = _labels(train_seqs)
@@ -359,7 +361,7 @@ def stratified_fraction(
 ) -> list[int]:
     """Class-stratified subset indices with a one-per-class floor."""
     if not 0 < fraction <= 1:
-        raise ValueError("fraction must lie in (0, 1]")
+        raise ConfigValueError("fraction", f"must lie in (0, 1], got {fraction}")
     labels = _labels(sequences)
     picked: list[int] = []
     gen = rng.generator()

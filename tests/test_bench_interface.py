@@ -5,8 +5,10 @@ from pathlib import Path
 
 import numpy as np
 
+from skelcl.config import RunConfig
 from skelcl.rng import RngStream
 from skelcl.skeleton import (
+    derive_streams,
     generate_synthetic_dataset,
     load_dataset,
     stratified_split,
@@ -34,3 +36,17 @@ def test_dataset_round_trip_as_the_benchmark_prepares_it(tmp_path):
         expected = [s for s, split in zip(sequences, splits) if split == name]
         np.testing.assert_array_equal([s.data for s in data[name]], [s.data for s in expected])
         assert [s.label for s in data[name]] == [s.label for s in expected]
+
+
+def test_derive_streams_on_single_clips_as_the_benchmark_calls_it():
+    # set-up derives every configured stream per clip; the kNN check
+    # stacks the joint stream of each clip
+    sequences = generate_synthetic_dataset(2, 2, frames=16, joints=9, seed=1,
+                                           check_separability=False)
+    streams = RunConfig().streams
+    for seq in sequences:
+        views = derive_streams(seq, streams)
+        assert set(views) == set(streams)
+        assert all(v.shape == seq.data.shape for v in views.values())
+    joints = np.stack([derive_streams(s, ("joint",))["joint"] for s in sequences])
+    np.testing.assert_array_equal(joints, [s.data for s in sequences])

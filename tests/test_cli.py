@@ -77,6 +77,17 @@ def test_fuse_rejects_malformed_weight(tmp_path, capsys, weight):
     assert "--weight" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags,named", [(["--joints", "4"], "--joints"),
+                                         (["--classes", "1"], "--classes"),
+                                         (["--classes", "25"], "--classes"),
+                                         (["--per-class", "0"], "--per-class"),
+                                         (["--frames", "8"], "--frames")])
+def test_gen_data_rejects_out_of_range_sizes(tmp_path, capsys, flags, named):
+    assert main(["gen-data", *flags, "--out", str(tmp_path / "data")]) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
+
+
 TINY_RUN = ["stage_epochs=[1,0,0]", "queue_size=8", "batch_size=8", "enc_blocks=1",
             "enc_channels=[4]", "enc_hidden=8", "embed_dim=4", "knn_k=1", "finetune_lr=0.05"]
 
@@ -139,3 +150,29 @@ def test_checkpoint_with_bad_magic_exits_1(pretrained, tmp_path, capsys):
     bad.write_bytes(b"WHAT" + b"\0" * 32)
     assert main(["knn", "--checkpoint", str(bad), "--data", str(pretrained / "data")]) == 1
     assert "not a checkpoint" in capsys.readouterr().err
+
+
+def test_knn_k_beyond_train_split_exits_2(pretrained, capsys):
+    argv = ["knn", "--checkpoint", str(pretrained / "run" / "checkpoint.bin"),
+            "--data", str(pretrained / "data"), "--k", "500"]
+    assert main(argv) == 2
+    assert "--k" in capsys.readouterr().err
+
+
+def test_finetune_fraction_zero_exits_2(pretrained, capsys):
+    argv = ["finetune", "--checkpoint", str(pretrained / "run" / "checkpoint.bin"),
+            "--data", str(pretrained / "data"), "--epochs", "1", "--fraction", "0"]
+    assert main(argv) == 2
+    assert "--fraction" in capsys.readouterr().err
+
+
+def test_pft_hist_on_checkpoint_is_deterministic(pretrained, capsys):
+    argv = ["pft-hist", "--checkpoint", str(pretrained / "run" / "checkpoint.bin"),
+            "--data", str(pretrained / "data"), "--stream", "bone"]
+    outputs = []
+    for _ in range(2):
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    doc = json.loads(outputs[0].splitlines()[-1])
+    assert doc["pairs"] > 0 and doc["after"]["min"] >= 0.0
+    assert outputs[0] == outputs[1]

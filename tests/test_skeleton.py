@@ -22,6 +22,7 @@ from skelcl.rng import RngStream
 from skelcl.skeleton import (
     DATASET_FILE,
     DATASET_MAGIC,
+    STREAM_IDS,
     SkeletonGraph,
     SkeletonSequence,
     build_star_tree,
@@ -32,6 +33,7 @@ from skelcl.skeleton import (
     load_dataset,
     oracle_classifier_accuracy,
     stratified_split,
+    stream_arrays,
     write_dataset,
     write_file,
 )
@@ -48,7 +50,7 @@ class TestBone:
     def test_two_joint_definition(self):
         data = np.zeros((2, 3, 2), dtype=np.float32)
         data[:, :, 1] = [1.0, 2.0, 3.0]
-        bone = derive_bone(_seq(data, TWO_JOINT))
+        bone = derive_bone(data, TWO_JOINT)
         np.testing.assert_array_equal(bone[:, :, 1], data[:, :, 1])
         np.testing.assert_array_equal(bone[:, :, 0], 0.0)
 
@@ -57,15 +59,15 @@ class TestBone:
         rng = np.random.default_rng(0)
         data = (rng.integers(-4096, 4096, size=(4, 3, 3)) / 1024.0).astype(np.float32)
         shift = (rng.integers(-4096, 4096, size=(1, 3, 1)) / 1024.0).astype(np.float32)
-        a = derive_bone(_seq(data, CHAIN3))
-        b = derive_bone(_seq(data + shift, CHAIN3))
+        a = derive_bone(data, CHAIN3)
+        b = derive_bone(data + shift, CHAIN3)
         np.testing.assert_array_equal(a, b)
 
     def test_chain_pairwise_differences(self):
         # joints at 0, 1, 3 along one axis -> bones (0, 1, 2)
         data = np.zeros((2, 3, 3), dtype=np.float32)
         data[:, 0, :] = [0.0, 1.0, 3.0]
-        bone = derive_bone(_seq(data, CHAIN3))
+        bone = derive_bone(data, CHAIN3)
         np.testing.assert_array_equal(bone[0, 0, :], [0.0, 1.0, 2.0])
 
     @settings(max_examples=25, deadline=None)
@@ -76,20 +78,20 @@ class TestBone:
         data = (rng.integers(-4096, 4096, size=(6, 3, 9)) / 1024.0).astype(np.float32)
         shift = (rng.integers(-4096, 4096, size=(1, 3, 1)) / 1024.0).astype(np.float32)
         np.testing.assert_array_equal(
-            derive_bone(_seq(data, graph)), derive_bone(_seq(data + shift, graph))
+            derive_bone(data, graph), derive_bone(data + shift, graph)
         )
 
 
 class TestMotion:
     def test_constant_sequence_zero(self):
         data = np.ones((5, 3, 2), dtype=np.float32)
-        np.testing.assert_array_equal(derive_motion(_seq(data, TWO_JOINT)), 0.0)
+        np.testing.assert_array_equal(derive_motion(data), 0.0)
 
     def test_uniform_velocity(self):
         t = np.arange(6, dtype=np.float32)
         data = np.zeros((6, 3, 2), dtype=np.float32)
         data[:, 0, 1] = 0.5 * t
-        motion = derive_motion(_seq(data, TWO_JOINT))
+        motion = derive_motion(data)
         np.testing.assert_allclose(motion[:-1, 0, 1], 0.5)
         np.testing.assert_array_equal(motion[-1], 0.0)
 
@@ -97,7 +99,7 @@ class TestMotion:
         # scalar joint values (0, 1, 4) -> motion (1, 3, 0)
         data = np.zeros((3, 3, 2), dtype=np.float32)
         data[:, 0, 1] = [0.0, 1.0, 4.0]
-        motion = derive_motion(_seq(data, TWO_JOINT))
+        motion = derive_motion(data)
         np.testing.assert_array_equal(motion[:, 0, 1], [1.0, 3.0, 0.0])
 
     def test_linearity(self):
@@ -105,8 +107,8 @@ class TestMotion:
         x = rng.normal(size=(5, 3, 3)).astype(np.float32)
         y = rng.normal(size=(5, 3, 3)).astype(np.float32)
         a, b = 0.7, -1.3
-        combined = derive_motion(_seq(a * x + b * y, CHAIN3))
-        parts = a * derive_motion(_seq(x, CHAIN3)) + b * derive_motion(_seq(y, CHAIN3))
+        combined = derive_motion(a * x + b * y)
+        parts = a * derive_motion(x) + b * derive_motion(y)
         np.testing.assert_allclose(combined, parts, atol=1e-6)
 
     def test_too_short(self):
@@ -124,6 +126,15 @@ class TestStreams:
         data = np.random.default_rng(2).normal(size=(4, 3, 3)).astype(np.float32)
         ss = derive_streams(_seq(data, CHAIN3), ["joint", "bone", "motion"])
         assert {ss[k].shape for k in ss.keys()} == {(4, 3, 3)}
+
+    def test_stacked_batch_equals_per_clip(self):
+        graph = build_star_tree(9)
+        clips = np.random.default_rng(3).normal(size=(5, 6, 3, 9)).astype(np.float32)
+        batch = stream_arrays(clips, graph, STREAM_IDS)
+        for i, clip in enumerate(clips):
+            single = derive_streams(_seq(clip, graph), STREAM_IDS)
+            for sid in STREAM_IDS:
+                np.testing.assert_array_equal(batch[sid][i], single[sid])
 
     def test_unknown_stream(self):
         data = np.zeros((4, 3, 3), dtype=np.float32)

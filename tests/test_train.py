@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+import skelcl.train
 from skelcl import tensor as T
+from skelcl.augment import AugmentPipeline
 from skelcl.config import RunConfig
 from skelcl.errors import NonFiniteGradient
-from skelcl.skeleton import generate_synthetic_dataset
+from skelcl.skeleton import derive_bone, derive_motion, generate_synthetic_dataset
 from skelcl.train import OptimizerState, StageSchedule, pretrain, sgd_step, stage_schedule
 
 
@@ -66,3 +68,31 @@ def test_on_stage_end_fires_once_per_nonempty_stage(epochs, fired):
     calls = []
     pretrain(data, config, on_stage_end=lambda state, stage: calls.append((stage, state.epoch)))
     assert calls == fired
+
+
+def test_one_step_augments_each_branch_once_and_derives_streams_from_it(monkeypatch):
+    data = generate_synthetic_dataset(2, 2, frames=16, seed=1, check_separability=False)
+    config = RunConfig(stage_epochs=[1, 0, 0], queue_size=4, batch_size=4, enc_blocks=1,
+                       enc_channels=[4], enc_hidden=8, embed_dim=4, key_family="extreme")
+    calls, views = [], []
+    apply_array = AugmentPipeline.apply_array
+    augment_batch = skelcl.train._augment_batch
+
+    def counted(self, batch, rng):
+        calls.append(self.family)
+        return apply_array(self, batch, rng)
+
+    def recorded(*args):
+        views.append(augment_batch(*args))
+        return views[-1]
+
+    monkeypatch.setattr(AugmentPipeline, "apply_array", counted)
+    monkeypatch.setattr(skelcl.train, "_augment_batch", recorded)
+    _, records = pretrain(data, config)
+    assert len(records) == 1 + 1  # header, then the one step
+    assert calls == ["normal", "extreme"]
+    graph = data[0].graph
+    for view in views:
+        assert set(view) == {"joint", "bone", "motion"}
+        np.testing.assert_array_equal(view["bone"], derive_bone(view["joint"], graph))
+        np.testing.assert_array_equal(view["motion"], derive_motion(view["joint"]))
