@@ -7,11 +7,12 @@ setting comes from one `RunConfig` (`--config`, `--set KEY=VALUE`,
 `--seed`, `--tau`); the probe subcommands read it from the checkpoint.
 
 Exit codes: 0 success; 1 a failed check or any other named
-`SkelclError`, such as a corrupt checkpoint or data file; 2 a usage or
-config error: an unknown key, a wrong type, or a value out of range,
+`SkelclError`, such as a missing, unreadable or corrupt checkpoint, data,
+scores or config file; 2 a usage or config error: an unknown key, a
+wrong type, a config file that is not JSON, or a value out of range,
 named by its config key or by the flag that set it (`--weight`,
-`--alpha`, `--mu`, `--resume`, `--k`, `--fraction`, `--classes`,
-`--per-class`, `--joints`, `--frames`).
+`--alpha`, `--mu`, `--resume`, `--data`, `--k`, `--fraction`,
+`--classes`, `--per-class`, `--joints`, `--frames`, `--val-fraction`).
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .rng import RngStream
 from .skeleton import (
     generate_synthetic_dataset,
     load_dataset,
+    read_input,
     shared_graph,
     stratified_split,
     write_dataset,
@@ -101,8 +103,8 @@ def _emit(doc: dict, path: str | None = None) -> None:
 
 
 def cmd_gen_data(args) -> int:
-    with _flags({"num_classes": "--classes", "per_class": "--per-class",
-                 "joints": "--joints", "frames": "--frames"}):
+    with _flags({"num_classes": "--classes", "per_class": "--per-class", "joints": "--joints",
+                 "frames": "--frames", "val_fraction": "--val-fraction"}):
         sequences = generate_synthetic_dataset(
             num_classes=args.classes,
             per_class=args.per_class,
@@ -111,9 +113,9 @@ def cmd_gen_data(args) -> int:
             seed=args.seed,
             noise_sigma=args.noise_sigma,
         )
-    splits = stratified_split(
-        sequences, args.val_fraction, RngStream(args.seed).split("split")
-    )
+        splits = stratified_split(
+            sequences, args.val_fraction, RngStream(args.seed).split("split")
+        )
     write_dataset(args.out, sequences, splits)
     _emit(
         {
@@ -155,10 +157,20 @@ def cmd_pretrain(args) -> int:
     return 0
 
 
-def cmd_linprobe(args) -> int:
+def _probe_inputs(args):
+    """The checkpoint, the dataset and the stream's query encoder a probe reads."""
     ckpt = load_checkpoint(args.checkpoint)
-    data = load_dataset(args.data)
-    params = query_params(ckpt, args.stream)
+    return ckpt, load_dataset(args.data), query_params(ckpt, args.stream)
+
+
+def _emit_probe(args, ckpt, data, protocol: str, **fields) -> None:
+    """One protocol result, tagged with its stream, eval size and checkpoint config."""
+    _emit({"protocol": protocol, "stream": args.stream, **fields, "n_eval": len(data["val"]),
+           "seed": ckpt.config.seed, "config_hash": ckpt.config.hash()})
+
+
+def cmd_linprobe(args) -> int:
+    ckpt, data, params = _probe_inputs(args)
     epochs = args.epochs if args.epochs is not None else ckpt.config.linear_epochs
     lr = args.lr if args.lr is not None else ckpt.config.linear_lr
     result = linear_probe(
@@ -175,44 +187,21 @@ def cmd_linprobe(args) -> int:
                 }
             )
         )
-    _emit(
-        {
-            "protocol": "linear",
-            "stream": args.stream,
-            "accuracy": result.accuracy,
-            "n_eval": int(result.val_labels.size),
-            "seed": ckpt.config.seed,
-            "config_hash": ckpt.config.hash(),
-        }
-    )
+    _emit_probe(args, ckpt, data, "linear", accuracy=result.accuracy)
     return 0
 
 
 def cmd_knn(args) -> int:
-    ckpt = load_checkpoint(args.checkpoint)
-    data = load_dataset(args.data)
-    params = query_params(ckpt, args.stream)
+    ckpt, data, params = _probe_inputs(args)
     k = args.k if args.k is not None else ckpt.config.knn_k
     with _flags({"knn_k": "--k"} if args.k is not None else {}):
         accuracy = knn_probe(params, data["train"], data["val"], stream=args.stream, k=k)
-    _emit(
-        {
-            "protocol": "knn",
-            "stream": args.stream,
-            "k": k,
-            "accuracy": accuracy,
-            "n_eval": len(data["val"]),
-            "seed": ckpt.config.seed,
-            "config_hash": ckpt.config.hash(),
-        }
-    )
+    _emit_probe(args, ckpt, data, "knn", k=k, accuracy=accuracy)
     return 0
 
 
 def cmd_finetune(args) -> int:
-    ckpt = load_checkpoint(args.checkpoint)
-    data = load_dataset(args.data)
-    params = query_params(ckpt, args.stream)
+    ckpt, data, params = _probe_inputs(args)
     epochs = args.epochs if args.epochs is not None else ckpt.config.finetune_epochs
     lr = args.lr if args.lr is not None else ckpt.config.finetune_lr
     with _flags({"fraction": "--fraction"}):
@@ -221,23 +210,14 @@ def cmd_finetune(args) -> int:
             fraction=args.fraction, epochs=epochs, lr=lr,
             weight_decay=ckpt.config.weight_decay, seed=ckpt.config.seed,
         )
-    _emit(
-        {
-            "protocol": "finetune" if args.fraction == 1.0 else "semi-supervised",
-            "stream": args.stream,
-            "fraction": args.fraction,
-            "labeled": result.subset_size,
-            "accuracy": result.accuracy,
-            "n_eval": len(data["val"]),
-            "seed": ckpt.config.seed,
-            "config_hash": ckpt.config.hash(),
-        }
-    )
+    protocol = "finetune" if args.fraction == 1.0 else "semi-supervised"
+    _emit_probe(args, ckpt, data, protocol, fraction=args.fraction,
+                labeled=result.subset_size, accuracy=result.accuracy)
     return 0
 
 
 def cmd_fuse(args) -> int:
-    docs = [json.loads(Path(p).read_text()) for p in args.scores]
+    docs = [json.loads(read_input(p)) for p in args.scores]
     scores = {d["stream"]: np.asarray(d["scores"]) for d in docs}
     weights = RunConfig().fusion_weights
     if args.weight:
@@ -328,16 +308,13 @@ def _gradcheck_components(dtype, eps=1e-4):
     zk = rng.normal(size=(1, dim))
     zk /= np.linalg.norm(zk)
 
-    def f_intra():
-        return T.mean_(queue_nll(T.l2_normalize(zq_param), zk, negatives, 0.2))
+    # plain, then with the first queue entry mined into the numerator
+    for label, mined in (("loss_intra", None), ("loss_nnm", np.eye(1, 8, dtype=bool))):
 
-    results["loss_intra"] = T.grad_check(f_intra, {"zq": zq_param}, eps=eps)
+        def f_loss(mined=mined):
+            return T.mean_(queue_nll(T.l2_normalize(zq_param), zk, negatives, 0.2, mined))
 
-    def f_nnm():
-        zq = T.l2_normalize(zq_param)
-        return T.mean_(queue_nll(zq, zk, negatives, 0.2, mined=np.array([[0]])))
-
-    results["loss_nnm"] = T.grad_check(f_nnm, {"zq": zq_param}, eps=eps)
+        results[label] = T.grad_check(f_loss, {"zq": zq_param}, eps=eps)
 
     # the extrapolated key side is constant by contract (no gradients ever
     # reach the key branch), so the check perturbs the query path against
@@ -409,6 +386,8 @@ def cmd_pft_hist(args) -> int:
         return gen.beta(args.alpha, args.alpha, size) * args.mu + 1.0
 
     if args.checkpoint:
+        if args.data is None:
+            raise ConfigValueError("--data", "pft-hist --checkpoint embeds the val split of --data")
         ckpt = load_checkpoint(args.checkpoint)
         val = load_dataset(args.data)["val"]
         config = ckpt.config
@@ -446,7 +425,7 @@ def cmd_pft_hist(args) -> int:
     after = np.where(applied, (zq_hat.data * zk_hat).sum(axis=1), before)
     table = similarity_histogram(before, after, bins=args.bins)
     print(f"{'bin':>16s} {'before':>8s} {'after':>8s}")
-    for lo, hi, nb, na in table.rows():
+    for lo, hi, nb, na in zip(table.edges, table.edges[1:], table.before_counts, table.after_counts):
         print(f"[{lo:+.2f}, {hi:+.2f}) {nb:8d} {na:8d}")
     doc = {
         "command": "pft-hist",

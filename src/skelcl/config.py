@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigTypeError, ConfigValueError, UnknownKey
-from .skeleton import STREAM_IDS, json_hash
+from .skeleton import STREAM_IDS, json_hash, read_input
 
 AUGMENT_FAMILIES = ("normal", "extreme")
 
@@ -198,7 +198,11 @@ def parse_config(
         except ValueError:
             raise ConfigTypeError("CSCL_SEED: expected an integer")
     if path is not None:
-        _apply(cfg_dict, json.loads(Path(path).read_text()))
+        try:
+            doc = json.loads(read_input(path))
+        except ValueError as err:
+            raise ConfigTypeError(f"{path}: config is not JSON ({err})") from None
+        _apply(cfg_dict, doc)
     if overrides:
         _apply(cfg_dict, overrides)
     return RunConfig(**cfg_dict)

@@ -1,11 +1,13 @@
 """Contrastive machinery: momentum pair, memory queues, losses, extrapolation.
 
 The loss family is masked-softmax InfoNCE over a positive pair plus a
-FIFO queue of past key embeddings.  Intra-stream and inter-stream terms
-share one kernel; neighbor mining enlarges the numerator with the most
-similar queue entries, and the hard-positive extrapolation replaces a
-positive pair with a lower-similarity synthetic pair (guarded so the
-pair's similarity never turns negative).
+FIFO queue of past key embeddings.  `queue_nll` takes stacks of queries
+and queue snapshots, so `combine_losses` scores every intra- and
+inter-stream term of a step in one call.  Neighbor mining enlarges a
+row's numerator with the most similar queue entries, and the
+hard-positive extrapolation replaces a positive pair with a
+lower-similarity synthetic pair (guarded so the pair's similarity never
+turns negative).
 """
 
 from __future__ import annotations
@@ -82,27 +84,27 @@ def _as_const(v) -> np.ndarray:
 
 
 def queue_nll(zq, zk, negatives: np.ndarray, tau: float, mined=None) -> T.Tensor:
-    """Per-row masked InfoNCE for (B, D) queries; returns (B,) losses.
+    """Per-row masked InfoNCE over any leading group axes.
 
+    `zq` is a (..., B, D) query stack, `zk` the matching (..., B, D)
+    keys and `negatives` a (..., Q, D) stack of queue snapshots
+    (`MemoryQueue.contents()`), one per group; returns (..., B) losses.
     Row i's numerator holds its positive pair (zq[i], zk[i]) plus the
-    `negatives` rows listed in `mined[i]` (neighbor mining); the
-    denominator holds the positive and every row of `negatives`, a
-    (Q, D) snapshot of a queue (`MemoryQueue.contents()`).  Intra-stream
-    terms pass the stream's own keys and queue, inter-stream terms the
-    other stream's.  Gradient flows into `zq` only.
+    negatives that the optional (..., B, Q) boolean `mined` marks
+    (neighbor mining); the denominator holds the positive and every
+    negative of its group.  Gradient flows into `zq` only.
     """
-    if negatives.shape[0] == 0:
+    if negatives.shape[-2] == 0:
         raise EmptyQueue("no negatives stored yet")
     zq = T.as_tensor(zq)
     negatives = negatives.astype(zq.dtype, copy=False)
-    pos = T.sum_(T.mul(zq, T.Tensor(_as_const(zk).astype(zq.dtype))), axis=1, keepdims=True)
-    negs = T.matmul(zq, negatives.T)
-    logits = T.div(T.concat([pos, negs], axis=1), tau)
-    mask = np.zeros((zq.shape[0], 1 + negatives.shape[0]), dtype=bool)
-    mask[:, 0] = True
+    pos = T.sum_(T.mul(zq, T.Tensor(_as_const(zk).astype(zq.dtype))), axis=-1, keepdims=True)
+    negs = T.matmul(zq, np.swapaxes(negatives, -1, -2))
+    logits = T.div(T.concat([pos, negs], axis=-1), tau)
+    mask = np.zeros(logits.shape, dtype=bool)
+    mask[..., 0] = True
     if mined is not None:
-        rows = np.repeat(np.arange(mined.shape[0]), mined.shape[1])
-        mask[rows, mined.reshape(-1) + 1] = True
+        mask[..., 1:] = mined
     return T.masked_softmax_nll_rows(logits, mask)
 
 
@@ -174,15 +176,6 @@ class HistogramTable:
     before_stats: dict[str, float]
     after_stats: dict[str, float]
 
-    def rows(self):
-        for i in range(len(self.before_counts)):
-            yield (
-                float(self.edges[i]),
-                float(self.edges[i + 1]),
-                int(self.before_counts[i]),
-                int(self.after_counts[i]),
-            )
-
 
 def similarity_histogram(before, after, bins: int = 20) -> HistogramTable:
     before = np.asarray(before, dtype=np.float64)
@@ -222,65 +215,56 @@ def combine_losses(
 
     `stream_embeddings[u] = (zq, zk)` with zq a (B, D) gradient-bearing
     tensor and zk a gradient-free (B, D) array.  With |S| streams the
-    result holds |S| intra terms plus |S|(|S|-1) inter terms, reported
-    per term in the breakdown.  Mining (`nnm`, the config's top-k)
-    applies to intra terms only; the extrapolation (`pft`, weights
-    Beta(alpha, alpha) * mu + 1 drawn from `rng`) applies to intra pairs
-    and, if configured, to inter pairs as well.
+    result holds |S| intra terms plus |S|(|S|-1) inter terms (u's
+    queries against v's keys and queue), each reported as its batch mean
+    in the breakdown.  Mining (`nnm`, the config's top-k) applies to
+    intra terms only; the extrapolation (`pft`, weights Beta(alpha,
+    alpha) * mu + 1 drawn from `rng`) applies to intra pairs and, if
+    configured, to inter pairs as well.  Group v of the one `queue_nll`
+    call stacks every stream's queries against v's keys and queue.
     """
     streams = config.streams
     missing = set(streams) - set(stream_embeddings)
     if missing:
         raise ShapeMismatch(f"missing stream embeddings: {sorted(missing)}")
+    snapshots = [queues[v].contents() for v in streams]
+    if len({snap.shape for snap in snapshots}) > 1:
+        raise ShapeMismatch(f"queues hold {[snap.shape[0] for snap in snapshots]} entries")
+    negatives = np.stack(snapshots)  # (S, Q, D): one snapshot serves every term against it
+    n, batch = len(streams), stream_embeddings[streams[0]][0].shape[0]
+    mined = np.zeros((n, n * batch, negatives.shape[1]), dtype=bool) if nnm else None
 
-    terms: list[T.Tensor] = []
-    breakdown: dict[str, float] = {}
-    applied_flags: list[np.ndarray] = []
-    mined_sims: list[np.ndarray] = []
+    queries, keys, applied_flags, mined_sims = [], [], [], []
+    for g, v in enumerate(streams):
+        for i, u in enumerate(streams):
+            zq, zk = stream_embeddings[u][0], _as_const(stream_embeddings[v][1])
+            if pft and (u == v or config.pft_apply_to_inter):
+                gen = rng.split(f"lambda.{u}" if u == v else f"lambda.{u}->{v}").generator()
+                lam = gen.beta(config.pft_alpha, config.pft_alpha, size=batch) * config.pft_mu + 1.0
+                zq, zk, applied = pft_transform(zq, zk, lam)
+                applied_flags.append(applied)
+            if nnm and u == v:
+                idx, sims = nnm_mine(zq, negatives[g], config.nnm_topk)
+                np.put_along_axis(mined[g, i * batch : (i + 1) * batch], idx, True, axis=1)
+                mined_sims.append(sims.reshape(-1))
+            queries.append(zq)
+            keys.append(zk)
 
-    def extrapolate(zq, zk, path: str):
-        gen = rng.split(f"lambda.{path}").generator()
-        lam = gen.beta(config.pft_alpha, config.pft_alpha, size=zq.shape[0]) * config.pft_mu + 1.0
-        zq, zk, applied = pft_transform(zq, zk, lam)
-        applied_flags.append(applied)
-        return zq, zk
+    shape = (n, n * batch, -1)
+    losses = queue_nll(
+        T.reshape(T.concat(queries, axis=0), shape),
+        np.concatenate(keys).reshape(shape),
+        negatives,
+        config.tau,
+        mined,
+    )
+    per_term = losses.data.reshape(n, n, batch).mean(axis=2)  # [v, u]
+    breakdown = {f"intra:{u}": float(per_term[i, i]) for i, u in enumerate(streams)}
+    for i, u in enumerate(streams):
+        for g, v in enumerate(streams):
+            if g != i:
+                breakdown[f"inter:{u}->{v}"] = float(per_term[g, i])
 
-    effective: dict[str, tuple[T.Tensor, np.ndarray]] = {}
-    for u in streams:
-        zq, zk = stream_embeddings[u]
-        effective[u] = extrapolate(zq, zk, u) if pft else (zq, _as_const(zk))
-
-    # one snapshot per queue serves the mining and every term against it
-    negatives = {u: queues[u].contents() for u in streams}
-    for u in streams:
-        zq_eff, zk_eff = effective[u]
-        mined = None
-        if nnm:
-            mined, sims = nnm_mine(zq_eff, negatives[u], config.nnm_topk)
-            mined_sims.append(sims.reshape(-1))
-        term = T.mean_(queue_nll(zq_eff, zk_eff, negatives[u], config.tau, mined))
-        breakdown[f"intra:{u}"] = term.item()
-        terms.append(term)
-
-    for u in streams:
-        for v in streams:
-            if u == v:
-                continue
-            zq_u, _ = stream_embeddings[u]
-            _, zk_v = stream_embeddings[v]
-            if pft and config.pft_apply_to_inter:
-                zq_u, zk_v = extrapolate(zq_u, zk_v, f"{u}->{v}")
-            term = T.mean_(queue_nll(zq_u, zk_v, negatives[v], config.tau))
-            breakdown[f"inter:{u}->{v}"] = term.item()
-            terms.append(term)
-
-    total = terms[0]
-    for t in terms[1:]:
-        total = T.add(total, t)
-
-    rate = None
-    if pft:
-        flags = np.concatenate(applied_flags)
-        rate = float(flags.mean()) if flags.size else 0.0
+    rate = float(np.concatenate(applied_flags).mean()) if pft else None
     mined_mean = float(np.concatenate(mined_sims).mean()) if nnm else None
-    return CombineResult(total, breakdown, rate, mined_mean)
+    return CombineResult(T.div(T.sum_(losses), batch), breakdown, rate, mined_mean)

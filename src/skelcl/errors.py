@@ -93,6 +93,10 @@ class EmptyTrainSplit(SkelclError):
     """An evaluation protocol got an empty training split."""
 
 
+class EmptyValSplit(SkelclError):
+    """An evaluation protocol got an empty validation split."""
+
+
 class EmptySubset(SkelclError):
     """A label fraction rounded some class down to zero samples."""
 
@@ -123,6 +127,10 @@ class ConfigValueError(SkelclError, ValueError):
         super().__init__(f"{key}: {reason}")
         self.key = key
         self.reason = reason
+
+
+class UnreadableFile(SkelclError):
+    """An input file is missing or cannot be read."""
 
 
 class VersionMismatch(SkelclError):

@@ -32,6 +32,7 @@ from .errors import (
     TooShort,
     TruncatedFile,
     UnknownStream,
+    UnreadableFile,
     VersionMismatch,
 )
 from .rng import RngStream
@@ -417,11 +418,19 @@ def write_file(path, magic: bytes, doc_json: bytes, tensors: dict[str, np.ndarra
     write_atomic(path, b"".join(parts))
 
 
+def read_input(path) -> bytes:
+    """The bytes of an input file; `UnreadableFile` names a missing or unreadable one."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as err:
+        raise UnreadableFile(f"{path}: {err.strerror}") from None
+
+
 def read_file(path, magic: bytes, kind: str) -> tuple[object, dict[str, np.ndarray]]:
     """The decoded JSON document and the tensors of a `write_file` file; a
     damaged one fails with a named `SkelclError`, and the stored hash is
     checked against the raw JSON bytes before they are decoded."""
-    raw = Path(path).read_bytes()
+    raw = read_input(path)
     if raw[:4] != magic:
         raise BadMagic(f"{path}: not a {kind} file")
     offset = 4
@@ -472,6 +481,8 @@ def stratified_split(
     sequences: list[SkeletonSequence], val_fraction: float, rng: RngStream
 ) -> list[str]:
     """Assign 'train'/'val' per sequence, class-stratified."""
+    if not 0 < val_fraction < 1:
+        raise ConfigValueError("val_fraction", f"must lie in (0, 1), got {val_fraction}")
     labels = np.array([s.label if s.label is not None else -1 for s in sequences])
     assignment = ["train"] * len(sequences)
     gen = rng.generator()

@@ -18,6 +18,9 @@ The encoder's hot ops are fused kernels, one tape node each:
 `batch_norm` normalizes with batch statistics and carries the
 closed-form backward, and both take per-channel sums as one GEMV over a
 (rows, C*V) view (`_channel_sums`) instead of a multi-axis reduction.
+The contrastive loss is one more: `masked_softmax_nll_rows` takes the
+masked softmax negative log-likelihood of every row of a logit stack in
+one exp() and carries its closed-form backward.
 """
 
 from __future__ import annotations
@@ -344,12 +347,6 @@ def mean_(a, axis=None, keepdims: bool = False) -> Tensor:
     return _apply(a.data.mean(axis=axes, keepdims=keepdims), (a,), bwd)
 
 
-def max_detached(a, axis=None, keepdims: bool = False) -> Tensor:
-    """Max treated as a constant; used as the log-sum-exp shift."""
-    a = as_tensor(a)
-    return Tensor(np.max(a.data, axis=axis, keepdims=keepdims))
-
-
 # -- shape manipulation --------------------------------------------------------
 
 
@@ -557,25 +554,32 @@ def l2_normalize(v) -> Tensor:
 
 
 def masked_softmax_nll_rows(logits, positive_mask) -> Tensor:
-    """Per row of a (B, L) logit matrix, the negative log of the softmax
-    mass on the row's masked-true entries; returns (B,).
+    """Per row of a (..., B, L) logit stack, the negative log of the
+    softmax mass on the row's masked-true entries; returns (..., B).
 
-    Computed as LSE(all) - LSE(masked) with a detached max shift, which
-    keeps exp() in range even for temperature-scaled logits.
+    LSE(all) - LSE(masked) over one exp() shifted by the row max, which
+    keeps temperature-scaled logits in range.  The one tape node carries
+    the closed-form backward g * (softmax(all) - softmax(masked)).
     """
     logits = as_tensor(logits)
-    if logits.ndim != 2:
-        raise ShapeMismatch("expected a (batch, logits) matrix")
+    if logits.ndim < 2:
+        raise ShapeMismatch("expected a (..., batch, logits) stack")
     mask = np.asarray(positive_mask, dtype=bool)
     if mask.shape != logits.shape:
         raise ShapeMismatch("mask shape must match logits")
-    if not mask.any(axis=1).all():
+    if not mask.any(axis=-1).all():
         raise EmptyMask("some row has no positive entry")
-    shift = max_detached(logits, axis=1, keepdims=True)
-    exps = exp(sub(logits, shift))
-    log_denom = log(sum_(exps, axis=1))
-    log_numer = log(sum_(mul(exps, mask.astype(logits.dtype)), axis=1))
-    return sub(log_denom, log_numer)
+    exps = np.exp(logits.data - logits.data.max(axis=-1, keepdims=True))
+    denom = exps.sum(axis=-1, keepdims=True)
+    numer = (exps * mask).sum(axis=-1, keepdims=True)
+    with np.errstate(divide="ignore"):
+        out = (np.log(denom) - np.log(numer))[..., 0]
+
+    def bwd(g, needs):
+        g = g[..., None]
+        return (exps * (g / denom - mask * (g / numer)) if needs[0] else None,)
+
+    return _apply(out, (logits,), bwd)
 
 
 # -- backward pass -----------------------------------------------------------------

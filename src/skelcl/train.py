@@ -26,6 +26,7 @@ from .errors import (
     ConfigValueError,
     EmptySubset,
     EmptyTrainSplit,
+    EmptyValSplit,
     EncoderModified,
     LengthMismatch,
     NonFiniteGradient,
@@ -146,6 +147,9 @@ def pretrain(
     """
     if not dataset:
         raise EmptyTrainSplit("pretraining needs a nonempty dataset")
+    keys_per_step = min(config.batch_size, len(dataset))
+    if keys_per_step > config.queue_size:
+        raise ConfigValueError("queue_size", f"{config.queue_size} < {keys_per_step} keys per step")
     graph = shared_graph(dataset)
     adjacency = graph.normalized_adjacency(np.float32)
     joints = np.stack([seq.data for seq in dataset])
@@ -256,6 +260,13 @@ def _features(
     return np.concatenate(outs)
 
 
+def _check_splits(train_seqs, val_seqs, protocol: str) -> None:
+    if not train_seqs:
+        raise EmptyTrainSplit(f"{protocol} needs training samples")
+    if not val_seqs:
+        raise EmptyValSplit(f"{protocol} needs validation samples")
+
+
 def _labels(sequences) -> np.ndarray:
     return np.array([s.label for s in sequences], dtype=np.int64)
 
@@ -291,8 +302,7 @@ def linear_probe(
     Checks (and reports) that encoder parameter bytes are untouched,
     raising `EncoderModified` otherwise.
     """
-    if not train_seqs:
-        raise EmptyTrainSplit("linear probe needs training samples")
+    _check_splits(train_seqs, val_seqs, "linear probe")
     digest_before = params.digest()
     h_train = _features(params, train_seqs, stream, projected=False)
     h_val = _features(params, val_seqs, stream, projected=False)
@@ -309,8 +319,7 @@ def linear_probe(
         order = rng.split(f"e{epoch}").permutation(n)
         for bi in range(math.ceil(n / PROTOCOL_BATCH)):
             idx = order[bi * PROTOCOL_BATCH : (bi + 1) * PROTOCOL_BATCH]
-            mask = np.zeros((len(idx), num_classes), dtype=bool)
-            mask[np.arange(len(idx)), y_train[idx]] = True
+            mask = np.eye(num_classes, dtype=bool)[y_train[idx]]
             with T.Tape():
                 logits = T.add(T.matmul(T.Tensor(h_train[idx]), w), b)
                 loss = T.mean_(T.masked_softmax_nll_rows(logits, mask))
@@ -337,8 +346,7 @@ def knn_probe(
     k: int = 5,
 ) -> float:
     """Cosine k-nearest-neighbor majority vote on projected embeddings."""
-    if not train_seqs:
-        raise EmptyTrainSplit("knn probe needs training samples")
+    _check_splits(train_seqs, val_seqs, "knn probe")
     if k > len(train_seqs):
         raise ConfigValueError("knn_k", f"k={k} exceeds the training split size {len(train_seqs)}")
     z_train = _features(params, train_seqs, stream, projected=True)
@@ -400,8 +408,7 @@ def finetune(
     `fraction < 1` runs the semi-supervised protocol on a class-
     stratified labeled subset (at least one sample per class).
     """
-    if not train_seqs:
-        raise EmptyTrainSplit("finetuning needs training samples")
+    _check_splits(train_seqs, val_seqs, "finetuning")
     rng = RngStream(seed).split("finetune")
     subset = stratified_fraction(train_seqs, fraction, rng.split("subset"))
     subset_seqs = [train_seqs[i] for i in subset]
@@ -426,8 +433,7 @@ def finetune(
         order = rng.split(f"e{epoch}").permutation(n)
         for bi in range(math.ceil(n / PROTOCOL_BATCH)):
             idx = order[bi * PROTOCOL_BATCH : (bi + 1) * PROTOCOL_BATCH]
-            mask = np.zeros((len(idx), num_classes), dtype=bool)
-            mask[np.arange(len(idx)), y[idx]] = True
+            mask = np.eye(num_classes, dtype=bool)[y[idx]]
             with T.Tape():
                 h = stgcn_forward(arrays[idx], adjacency, tuned, mode="train")
                 logits = T.add(T.matmul(h, head_w), head_b)

@@ -1,11 +1,14 @@
 """The package interface the benchmark in `skelbench/` relies on."""
 
+import dataclasses
 import importlib.util
 from pathlib import Path
 
 import numpy as np
 
+from skelcl.checkpoint import load_checkpoint, query_params, save_checkpoint, state_to_checkpoint
 from skelcl.config import RunConfig
+from skelcl.encoder import encode
 from skelcl.rng import RngStream
 from skelcl.skeleton import (
     derive_streams,
@@ -14,6 +17,7 @@ from skelcl.skeleton import (
     stratified_split,
     write_dataset,
 )
+from skelcl.train import TrainState, finetune, knn_probe, linear_probe, pretrain
 
 SKELBENCH = Path(__file__).resolve().parent.parent / "skelbench"
 
@@ -50,3 +54,34 @@ def test_derive_streams_on_single_clips_as_the_benchmark_calls_it():
         assert all(v.shape == seq.data.shape for v in views.values())
     joints = np.stack([derive_streams(s, ("joint",))["joint"] for s in sequences])
     np.testing.assert_array_equal(joints, [s.data for s in sequences])
+
+
+def test_pretrain_state_and_protocols_as_the_benchmark_reads_them(tmp_path):
+    sequences = generate_synthetic_dataset(2, 4, frames=16, joints=9, seed=1,
+                                           check_separability=False)
+    config = RunConfig(stage_epochs=[1, 0, 0], queue_size=4, batch_size=4, enc_blocks=1,
+                       enc_channels=[4], enc_hidden=8, embed_dim=4)
+    state, _ = pretrain(sequences, config)
+    # the step clock subclasses TrainState and copies its dataclass fields
+    assert "step" in {f.name for f in dataclasses.fields(TrainState)}
+    assert isinstance(state, TrainState) and state.step == 2
+    for u in config.streams:
+        assert state.pairs[u].query.tensors and state.pairs[u].key.tensors
+        rows = state.queues[u].contents()
+        np.testing.assert_allclose(np.linalg.norm(rows, axis=1), 1.0, atol=1e-3)
+    written = state_to_checkpoint(state).tensors
+    save_checkpoint(tmp_path / "checkpoint.bin", state_to_checkpoint(state))
+    ckpt = load_checkpoint(tmp_path / "checkpoint.bin")
+    assert set(ckpt.tensors) == set(written)
+    for name, value in written.items():
+        np.testing.assert_array_equal(ckpt.tensors[name], np.asarray(value, dtype=np.float32))
+
+    params = query_params(ckpt, "joint")
+    adjacency = sequences[0].graph.normalized_adjacency(np.float32)
+    h, z = encode(np.stack([s.data for s in sequences]), adjacency, params, mode="eval")
+    assert h.shape[0] == z.shape[0] == len(sequences)
+    train, val = sequences[0::2], sequences[1::2]
+    linear_probe(params, train, val, stream="joint", epochs=1, lr=0.3, seed=7)
+    knn_probe(params, train, val, stream="joint", k=1)
+    finetune(params, train, val, stream="joint", fraction=0.5, epochs=1, lr=0.1,
+             weight_decay=1e-4, seed=7)

@@ -3,9 +3,10 @@
 import json
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from skelcl.cli import main
+from skelcl.cli import _gradcheck_components, main
 
 GRADCHECK_COMPONENTS = {
     "block_entry", "block_residual", "block_train_norm", "projector", "loss_intra", "loss_nnm",
@@ -45,6 +46,13 @@ def test_gradcheck_f64_passes_every_component(capsys):
     assert json.loads(lines[-1])["pass"] is True
 
 
+def test_gradcheck_f32_loss_components_within_tolerance():
+    results = _gradcheck_components(np.float32, eps=1e-2)
+    errors = {name: res.max_rel_error for name, res in results.items() if name.startswith("loss_")}
+    assert len(errors) == 4
+    assert all(error < 1e-3 for error in errors.values()), errors
+
+
 def test_pft_hist_random_pairs_unchanged(capsys):
     assert main(["pft-hist", "--random-pairs", "200"]) == 0
     doc = json.loads(capsys.readouterr().out.splitlines()[-1])
@@ -81,7 +89,9 @@ def test_fuse_rejects_malformed_weight(tmp_path, capsys, weight):
                                          (["--classes", "1"], "--classes"),
                                          (["--classes", "25"], "--classes"),
                                          (["--per-class", "0"], "--per-class"),
-                                         (["--frames", "8"], "--frames")])
+                                         (["--frames", "8"], "--frames"),
+                                         (["--val-fraction", "1.5"], "--val-fraction"),
+                                         (["--val-fraction", "-1"], "--val-fraction")])
 def test_gen_data_rejects_out_of_range_sizes(tmp_path, capsys, flags, named):
     assert main(["gen-data", *flags, "--out", str(tmp_path / "data")]) == 2
     assert named in capsys.readouterr().err
@@ -176,3 +186,36 @@ def test_pft_hist_on_checkpoint_is_deterministic(pretrained, capsys):
     doc = json.loads(outputs[0].splitlines()[-1])
     assert doc["pairs"] > 0 and doc["after"]["min"] >= 0.0
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("argv,code,named", [
+    (["pft-hist", "--checkpoint", "{ckpt}"], 2, "--data"),
+    (["knn", "--checkpoint", "{missing}", "--data", "{data}"], 1, "{missing}"),
+    (["knn", "--checkpoint", "{ckpt}", "--data", "{missing}"], 1, "{missing}"),
+    (["pretrain", "--data", "{missing}", "--out", "{out}"], 1, "{missing}"),
+    (["pretrain", "--resume", "{missing}", "--data", "{data}", "--out", "{out}"], 1, "{missing}"),
+    (["pretrain", "--config", "{missing}", "--data", "{data}", "--out", "{out}"], 1, "{missing}"),
+    (["pretrain", "--config", "{not_json}", "--data", "{data}", "--out", "{out}"], 2, "{not_json}"),
+    (["fuse", "--scores", "{missing}"], 1, "{missing}"),
+], ids=["pft-hist-without-data", "knn-checkpoint", "knn-data", "pretrain-data",
+        "pretrain-resume", "pretrain-config", "pretrain-config-not-json", "fuse-scores"])
+def test_bad_input_exits_with_named_error(pretrained, tmp_path, capsys, argv, code, named):
+    paths = {"ckpt": pretrained / "run" / "checkpoint.bin", "data": pretrained / "data",
+             "missing": tmp_path / "missing", "not_json": tmp_path / "config.json",
+             "out": tmp_path / "out"}
+    paths["not_json"].write_text("{stage_epochs: [1")
+    names = {key: str(path) for key, path in paths.items()}
+    assert main([arg.format(**names) for arg in argv]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named.format(**names) in err
+
+
+def test_queue_smaller_than_a_batch_exits_2_before_any_step(pretrained, tmp_path, capsys):
+    argv = ["pretrain", "--data", str(pretrained / "data"), "--out", str(tmp_path / "run"),
+            "--metrics", str(tmp_path / "metrics.jsonl")]
+    for setting in [*TINY_RUN, "queue_size=4"]:
+        argv += ["--set", setting]
+    assert main(argv) == 2
+    assert "queue_size" in capsys.readouterr().err
+    assert not (tmp_path / "metrics.jsonl").exists()
+    assert list((tmp_path / "run").iterdir()) == []

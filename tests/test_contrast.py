@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skelcl import contrast
 from skelcl import tensor as T
 from skelcl.config import RunConfig
 from skelcl.contrast import (
@@ -22,7 +23,7 @@ from skelcl.contrast import (
 )
 from skelcl.config import RunConfig
 from skelcl.encoder import init_params
-from skelcl.errors import BatchTooLarge, EmptyQueue, QueueTooSmall
+from skelcl.errors import BatchTooLarge, EmptyQueue, QueueTooSmall, ShapeMismatch
 from skelcl.rng import RngStream
 
 
@@ -55,10 +56,12 @@ def random_unit_pair(rng, dim, similarity):
 
 
 def single_nll(zq, zk, queue, tau, mined=None) -> float:
-    """`queue_nll` on a batch of one 64-bit query row."""
-    rows = None if mined is None else np.asarray(mined, dtype=np.int64).reshape(1, -1)
+    """`queue_nll` on a batch of one 64-bit query row; `mined` lists the
+    queue indices its numerator adds."""
+    contents = queue.contents()
+    mask = None if mined is None else np.isin(np.arange(len(contents)), mined)[None, :]
     zq = T.Tensor(np.asarray(zq)[None, :], dtype=np.float64)
-    return float(queue_nll(zq, np.asarray(zk)[None, :], queue.contents(), tau, rows).data[0])
+    return float(queue_nll(zq, np.asarray(zk)[None, :], contents, tau, mask).data[0])
 
 
 def mine_one(zq, queue, k) -> list[int]:
@@ -220,6 +223,28 @@ class TestIntraLoss:
         q = MemoryQueue(4, 2)
         with pytest.raises(EmptyQueue):
             single_nll([1.0, 0.0], [1.0, 0.0], q, 0.07)
+
+
+def test_stacked_queue_nll_equals_separate_calls():
+    # groups with their own keys, queue snapshot and mined entries score
+    # exactly as one 2-D call per group, values and query gradients alike
+    rng = np.random.default_rng(30)
+    groups, batch, dim, size = 3, 4, 8, 12
+    zq = T.parameter(rng.normal(size=(groups, batch, dim)))
+    zk = rng.normal(size=(groups, batch, dim))
+    negatives = np.stack([filled_queue(rng, size, dim).contents() for _ in range(groups)])
+    mined = rng.uniform(size=(groups, batch, size)) < 0.2
+    w = rng.normal(size=(groups, batch))
+    with T.Tape():
+        stacked = queue_nll(zq, zk, negatives, 0.2, mined)
+        grad = T.backward(T.sum_(T.mul(stacked, w)))[zq].data
+    for g in range(groups):
+        row = T.parameter(zq.data[g])
+        with T.Tape():
+            single = queue_nll(row, zk[g], negatives[g], 0.2, mined[g])
+            single_grad = T.backward(T.sum_(T.mul(single, w[g])))[row].data
+        np.testing.assert_allclose(stacked.data[g], single.data, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(grad[g], single_grad, rtol=1e-12, atol=1e-12)
 
 
 class TestInterLoss:
@@ -567,3 +592,68 @@ class TestCombineLosses:
         with pytest.raises(EmptyQueue):
             combine_losses(emb, {"joint": MemoryQueue(8, 8)}, RunConfig(streams=["joint"]),
                            False, False, RNG)
+
+    def test_queues_of_unequal_length_raise(self):
+        rng = np.random.default_rng(27)
+        emb, queues = _stream_inputs(rng, ("joint", "bone"), 4, 8, 16)
+        queues["bone"] = filled_queue(rng, 12, 8)
+        with pytest.raises(ShapeMismatch, match=r"\[16, 12\] entries"):
+            combine_losses(emb, queues, RunConfig(streams=["joint", "bone"]), False, False, RNG)
+
+    @pytest.mark.parametrize("streams", [["joint"], ["joint", "bone"], ["joint", "bone", "motion"]])
+    @pytest.mark.parametrize("nnm,pft,pft_inter", [(False, False, False), (True, False, False),
+                                                   (False, True, False), (True, True, False),
+                                                   (True, True, True)])
+    def test_one_queue_nll_and_softmax_call(self, monkeypatch, streams, nnm, pft, pft_inter):
+        calls = []
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(contrast, "queue_nll")
+        counted(T, "masked_softmax_nll_rows")
+        rng = np.random.default_rng(28)
+        emb, queues = _stream_inputs(rng, streams, 4, 8, 16)
+        cfg = RunConfig(streams=streams, pft_apply_to_inter=pft_inter)
+        res = combine_losses(emb, queues, cfg, nnm, pft, RngStream(2).split("step"))
+        assert calls == ["queue_nll", "masked_softmax_nll_rows"]
+        assert len(res.breakdown) == len(streams) ** 2
+
+    @pytest.mark.parametrize("pft_inter", [False, True])
+    def test_matches_per_term_reference(self, pft_inter):
+        # the reference scores each directed term with its own 2-D call,
+        # drawing the extrapolation weights under the same labels
+        rng = np.random.default_rng(29)
+        streams = ["joint", "bone", "motion"]
+        emb, queues = _stream_inputs(rng, streams, 5, 8, 16)
+        cfg = RunConfig(streams=streams, tau=0.2, nnm_topk=2, pft_apply_to_inter=pft_inter)
+        step = RngStream(4).split("step")
+        res = combine_losses(emb, queues, cfg, True, True, step)
+        want, applied = {}, []
+        for u in streams:
+            for v in streams:
+                zq, zk = emb[u][0], emb[v][1]
+                if u == v or pft_inter:
+                    label = f"lambda.{u}" if u == v else f"lambda.{u}->{v}"
+                    gen = step.split(label).generator()
+                    lam = gen.beta(cfg.pft_alpha, cfg.pft_alpha, size=5) * cfg.pft_mu + 1.0
+                    zq, zk, flags = pft_transform(zq, zk, lam)
+                    applied.append(flags)
+                mined = None
+                if u == v:
+                    idx, _ = nnm_mine(zq, queues[v].contents(), 2)
+                    mined = np.zeros((5, 16), dtype=bool)
+                    np.put_along_axis(mined, idx, True, axis=1)
+                name = f"intra:{u}" if u == v else f"inter:{u}->{v}"
+                want[name] = float(queue_nll(zq, zk, queues[v].contents(), 0.2, mined).data.mean())
+        assert list(res.breakdown) == sorted(want, key=lambda k: not k.startswith("intra"))
+        for name, value in want.items():
+            assert abs(res.breakdown[name] - value) < 1e-12, name
+        assert abs(res.total.item() - sum(want.values())) < 1e-12
+        assert res.pft_applied_rate == float(np.concatenate(applied).mean())

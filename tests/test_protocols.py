@@ -6,7 +6,7 @@ import pytest
 from skelcl import tensor as T
 from skelcl.config import RunConfig
 from skelcl.encoder import EncoderParams, encode, init_params
-from skelcl.errors import EncoderModified, LengthMismatch, ShapeMismatch
+from skelcl.errors import EmptyValSplit, EncoderModified, LengthMismatch, ShapeMismatch
 from skelcl.rng import RngStream
 from skelcl.skeleton import (
     SkeletonGraph,
@@ -116,6 +116,16 @@ def test_fuse_predictions_weighted_argmax():
     with pytest.raises(LengthMismatch):
         fuse_predictions({"joint": np.zeros((2, 2)), "bone": np.zeros((3, 2))},
                          {"joint": 1.0, "bone": 1.0})
+
+
+@pytest.mark.parametrize("call", [
+    lambda params, train: linear_probe(params, train, [], epochs=1),
+    lambda params, train: knn_probe(params, train, [], k=1),
+    lambda params, train: finetune(params, train, [], epochs=1),
+], ids=["linear_probe", "knn_probe", "finetune"])
+def test_empty_val_split_rejected(splits, params, call):
+    with pytest.raises(EmptyValSplit):
+        call(params, splits[0])
 
 
 MIXED_GRAPH_CALLS = {

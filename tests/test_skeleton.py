@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from skelcl.errors import (
     BadMagic,
+    ConfigValueError,
     CorruptFile,
     ShapeMismatch,
     SkelclError,
@@ -300,6 +301,12 @@ class TestSequenceFiles:
         loaded = load_dataset(tmp_path / "old")
         np.testing.assert_array_equal([s.data for s in loaded["train"] + loaded["val"]],
                                       [s.data for s in old])
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, 1.5, -1.0])
+    def test_split_fraction_outside_open_unit_interval_rejected(self, fraction):
+        seqs = generate_synthetic_dataset(3, 4, frames=16, seed=5, check_separability=False)
+        with pytest.raises(ConfigValueError, match="val_fraction"):
+            stratified_split(seqs, fraction, RngStream(5).split("split"))
 
     def test_dataset_round_trip(self, tmp_path):
         seqs = generate_synthetic_dataset(3, 4, frames=16, seed=5, check_separability=False)

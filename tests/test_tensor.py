@@ -214,6 +214,7 @@ OP_CASES = [
     ("mixed_elementwise", lambda rng: _elementwise_case(rng)),
     ("reductions", lambda rng: _reduction_case(rng)),
     ("concat_take", lambda rng: _concat_case(rng)),
+    ("masked_softmax_nll_rows", lambda rng: _masked_softmax_nll_case(rng)),
 ]
 
 
@@ -279,6 +280,14 @@ def _concat_case(rng):
     return {"a": a, "b": b}, f
 
 
+def _masked_softmax_nll_case(rng):
+    logits = T.parameter(rng.normal(size=(2, 3, 5)).astype(np.float64))
+    mask = rng.uniform(size=(2, 3, 5)) < 0.4
+    mask[..., 0] = True
+    w = np.asarray(rng.normal(size=(2, 3)))
+    return {"logits": logits}, lambda: T.sum_(T.mul(T.masked_softmax_nll_rows(logits, mask), w))
+
+
 @pytest.mark.parametrize("name,builder", OP_CASES)
 def test_grad_check_every_op(name, builder):
     """Each differentiable op passes the central-difference oracle (64-bit)."""
@@ -328,6 +337,41 @@ def test_batch_norm_one_tape_node():
     assert len(tape.nodes) == 1
 
 
+def composed_masked_softmax_nll(logits, mask):
+    """The masked softmax-NLL as the generic-op chain the fused op replaced."""
+    shift = T.Tensor(logits.data.max(axis=-1, keepdims=True))  # a constant shift
+    exps = T.exp(T.sub(logits, shift))
+    log_denom = T.log(T.sum_(exps, axis=-1))
+    log_numer = T.log(T.sum_(T.mul(exps, mask.astype(logits.dtype)), axis=-1))
+    return T.sub(log_denom, log_numer)
+
+
+@pytest.mark.parametrize("tau", [1.0, 0.07])
+@pytest.mark.parametrize("shape", [(6, 9), (3, 4, 9)])
+def test_masked_softmax_nll_matches_composition(shape, tau):
+    rng = np.random.default_rng(len(shape))
+    sims = T.parameter(rng.uniform(-1.0, 1.0, size=shape))
+    mask = rng.uniform(size=shape) < 0.3
+    mask[..., 0] = True
+    w = rng.normal(size=shape[:-1])
+    results = []
+    for op in (T.masked_softmax_nll_rows, composed_masked_softmax_nll):
+        with T.Tape():
+            out = op(T.div(sims, tau), mask)
+            grads = T.backward(T.sum_(T.mul(out, w)))
+        results.append((out.data, grads[sims].data))
+    (out, grad), (ref_out, ref_grad) = results
+    np.testing.assert_allclose(out, ref_out, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(grad, ref_grad, rtol=1e-10, atol=1e-12)
+
+
+def test_masked_softmax_nll_one_tape_node():
+    logits = T.parameter(np.random.default_rng(0).normal(size=(2, 3, 4)))
+    with T.Tape() as tape:
+        T.masked_softmax_nll_rows(logits, np.eye(3, 4, dtype=bool)[None].repeat(2, axis=0))
+    assert len(tape.nodes) == 1
+
+
 def test_conv1d_kernel_wider_than_clip():
     # taps that reach past both ends of a 2-frame clip see only padding
     x = T.Tensor(np.arange(12, dtype=np.float64).reshape(2, 2, 3))
@@ -364,10 +408,3 @@ class TestInvariants:
             grads = T.backward(y)
         np.testing.assert_allclose(grads[a].data, [1.0, 0.0, 1.0])
         np.testing.assert_allclose(grads[b].data, [0.0, 1.0, 0.0])
-
-    def test_max_detached_carries_no_grad(self):
-        a = T.parameter([1.0, 5.0])
-        with T.Tape():
-            y = T.sum_(T.sub(a, T.max_detached(a)))
-            grads = T.backward(y)
-        np.testing.assert_allclose(grads[a].data, [1.0, 1.0])
