@@ -44,7 +44,7 @@ from .contrast import (
     similarity_histogram,
 )
 from .encoder import encode, init_params, stgcn_forward
-from .errors import ConfigTypeError, ConfigValueError, SkelclError, UnknownKey
+from .errors import ConfigTypeError, ConfigValueError, CorruptFile, SkelclError, UnknownKey
 from .rng import RngStream
 from .skeleton import (
     generate_synthetic_dataset,
@@ -216,9 +216,39 @@ def cmd_finetune(args) -> int:
     return 0
 
 
+def _read_scores(path) -> tuple[str, np.ndarray, np.ndarray | None]:
+    """(stream, scores, labels or None) of a `linprobe --scores-out` file;
+    `CorruptFile` names the path and the bad or missing key."""
+    try:
+        doc = json.loads(read_input(path))
+    except ValueError:
+        raise CorruptFile(f"{path}: not a JSON document") from None
+    if not isinstance(doc, dict):
+        raise CorruptFile(f"{path}: expected a JSON object with keys 'stream' and 'scores'")
+    if not isinstance(doc.get("stream"), str):
+        raise CorruptFile(f"{path}: key 'stream' is missing or not a string")
+    try:
+        scores = np.asarray(doc.get("scores"), dtype=np.float64)
+    except (TypeError, ValueError):  # ragged or non-numeric
+        scores = np.empty(0)
+    if scores.ndim != 2:
+        raise CorruptFile(f"{path}: key 'scores' is missing or not a 2-D numeric array")
+    labels = doc.get("labels")
+    if labels is not None:
+        try:
+            labels = np.asarray(labels)
+        except ValueError:  # ragged
+            labels = np.empty(0)
+        if labels.shape != scores.shape[:1] or labels.dtype.kind not in "iu":
+            raise CorruptFile(
+                f"{path}: key 'labels' must hold one integer class per row of 'scores'"
+            )
+    return doc["stream"], scores, labels
+
+
 def cmd_fuse(args) -> int:
-    docs = [json.loads(read_input(p)) for p in args.scores]
-    scores = {d["stream"]: np.asarray(d["scores"]) for d in docs}
+    docs = [_read_scores(p) for p in args.scores]
+    scores = {stream: stream_scores for stream, stream_scores, _ in docs}
     weights = RunConfig().fusion_weights
     if args.weight:
         weights = {}
@@ -247,9 +277,9 @@ def cmd_fuse(args) -> int:
         "n_eval": int(labels.size),
         "predictions": labels.tolist(),
     }
-    reference = next((d.get("labels") for d in docs if d.get("labels") is not None), None)
+    reference = next((truth for _, _, truth in docs if truth is not None), None)
     if reference is not None:
-        doc["accuracy"] = float((labels == np.asarray(reference)).mean())
+        doc["accuracy"] = float((labels == reference).mean())
     _emit(doc)
     return 0
 

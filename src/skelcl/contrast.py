@@ -1,13 +1,16 @@
 """Contrastive machinery: momentum pair, memory queues, losses, extrapolation.
 
 The loss family is masked-softmax InfoNCE over a positive pair plus a
-FIFO queue of past key embeddings.  `queue_nll` takes stacks of queries
-and queue snapshots, so `combine_losses` scores every intra- and
-inter-stream term of a step in one call.  Neighbor mining enlarges a
-row's numerator with the most similar queue entries, and the
-hard-positive extrapolation replaces a positive pair with a
-lower-similarity synthetic pair (guarded so the pair's similarity never
-turns negative).
+FIFO queue of past key embeddings.  `queue_nll` scores stacks of
+queries against stacks of queue snapshots as one tape node over one
+(..., B, 1+Q) logit buffer, which its forward fills and exponentiates
+in place and its closed-form backward reuses; the row softmax-NLL
+itself is `tensor._softmax_nll_rows`, shared with the probes.
+`combine_losses` scores every intra- and inter-stream term of a step in
+one `queue_nll` call.  Neighbor mining enlarges a row's numerator with
+the most similar queue entries, and the hard-positive extrapolation
+replaces a positive pair with a lower-similarity synthetic pair
+(guarded so the pair's similarity never turns negative).
 """
 
 from __future__ import annotations
@@ -84,7 +87,7 @@ def _as_const(v) -> np.ndarray:
 
 
 def queue_nll(zq, zk, negatives: np.ndarray, tau: float, mined=None) -> T.Tensor:
-    """Per-row masked InfoNCE over any leading group axes.
+    """Per-row masked InfoNCE over any leading group axes; one tape node.
 
     `zq` is a (..., B, D) query stack, `zk` the matching (..., B, D)
     keys and `negatives` a (..., Q, D) stack of queue snapshots
@@ -93,19 +96,43 @@ def queue_nll(zq, zk, negatives: np.ndarray, tau: float, mined=None) -> T.Tensor
     negatives that the optional (..., B, Q) boolean `mined` marks
     (neighbor mining); the denominator holds the positive and every
     negative of its group.  Gradient flows into `zq` only.
+
+    The logits live in one (..., B, 1+Q) buffer: column 0 holds the
+    positive logit, the matmul writes zq @ negativesᵀ straight into
+    columns 1:, and the division by `tau`, the row-max shift and the
+    exp() all happen in place (`tensor._softmax_nll_rows`).  The
+    backward overwrites that buffer with dlogits / tau and contracts it
+    back onto the keys and the queue:
+    dzq = dlogits[..., :1] * zk + dlogits[..., 1:] @ negatives.
     """
     if negatives.shape[-2] == 0:
         raise EmptyQueue("no negatives stored yet")
     zq = T.as_tensor(zq)
-    negatives = negatives.astype(zq.dtype, copy=False)
-    pos = T.sum_(T.mul(zq, T.Tensor(_as_const(zk).astype(zq.dtype))), axis=-1, keepdims=True)
-    negs = T.matmul(zq, np.swapaxes(negatives, -1, -2))
-    logits = T.div(T.concat([pos, negs], axis=-1), tau)
-    mask = np.zeros(logits.shape, dtype=bool)
-    mask[..., 0] = True
+    q = zq.data
+    k = _as_const(zk).astype(q.dtype, copy=False)
+    negatives = negatives.astype(q.dtype, copy=False)
+    stack = q.shape[:-2] + (negatives.shape[-2], q.shape[-1])  # one (Q, D) snapshot per group
+    if q.ndim < 2 or k.shape != q.shape or negatives.shape != stack:
+        raise ShapeMismatch(f"queries {q.shape}, keys {k.shape}, negatives {negatives.shape}")
+    logits = np.empty(q.shape[:-1] + (1 + negatives.shape[-2],), dtype=q.dtype)
     if mined is not None:
-        mask[..., 1:] = mined
-    return T.masked_softmax_nll_rows(logits, mask)
+        mined = np.asarray(mined, dtype=bool)
+        if mined.shape != logits[..., 1:].shape:
+            raise ShapeMismatch(f"mined {mined.shape} vs logits {logits.shape}")
+    logits[..., 0] = (q * k).sum(axis=-1)
+    np.matmul(q, np.swapaxes(negatives, -1, -2), out=logits[..., 1:])
+    logits /= tau
+    nll, grad = T._softmax_nll_rows(logits, mined, lead=1)
+
+    def bwd(g, needs):
+        if not needs[0]:
+            return (None,)
+        dlogits = grad(g / tau)
+        dq = dlogits[..., :1] * k
+        dq += dlogits[..., 1:] @ negatives
+        return (dq,)
+
+    return T._apply(nll, (zq,), bwd)
 
 
 def nnm_mine(zq, contents: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

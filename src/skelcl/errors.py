@@ -142,5 +142,5 @@ class HashMismatch(SkelclError):
 
 
 class CorruptFile(SkelclError):
-    """File passed its header checks, but its contents are malformed or
-    do not fit the config it carries."""
+    """File contents are malformed (past any header checks) or do not fit
+    the config the file carries."""

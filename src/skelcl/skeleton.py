@@ -480,7 +480,11 @@ def read_file(path, magic: bytes, kind: str) -> tuple[object, dict[str, np.ndarr
 def stratified_split(
     sequences: list[SkeletonSequence], val_fraction: float, rng: RngStream
 ) -> list[str]:
-    """Assign 'train'/'val' per sequence, class-stratified."""
+    """Assign 'train'/'val' per sequence, class-stratified.
+
+    Each class sends round(size * val_fraction) of its clips to val; a
+    fraction that leaves either split empty is a `ConfigValueError`.
+    """
     if not 0 < val_fraction < 1:
         raise ConfigValueError("val_fraction", f"must lie in (0, 1), got {val_fraction}")
     labels = np.array([s.label if s.label is not None else -1 for s in sequences])
@@ -492,6 +496,10 @@ def stratified_split(
         n_val = int(round(len(idx) * val_fraction))
         for i in idx[:n_val]:
             assignment[int(i)] = "val"
+    empty = {"train", "val"} - set(assignment)
+    if empty:
+        split = " and ".join(sorted(empty))
+        raise ConfigValueError("val_fraction", f"{val_fraction} leaves the {split} split empty")
     return assignment
 
 

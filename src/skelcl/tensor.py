@@ -18,9 +18,12 @@ The encoder's hot ops are fused kernels, one tape node each:
 `batch_norm` normalizes with batch statistics and carries the
 closed-form backward, and both take per-channel sums as one GEMV over a
 (rows, C*V) view (`_channel_sums`) instead of a multi-axis reduction.
-The contrastive loss is one more: `masked_softmax_nll_rows` takes the
-masked softmax negative log-likelihood of every row of a logit stack in
-one exp() and carries its closed-form backward.
+The row softmax negative log-likelihood has one implementation,
+`_softmax_nll_rows`: one exp() per entry, shifted by the row max, with
+the closed-form backward.  It has two callers, each one tape node:
+`masked_softmax_nll_rows` (the linear probe and finetuning) and
+`contrast.queue_nll` (the InfoNCE loss), which works in place on the
+logit buffer it builds.
 """
 
 from __future__ import annotations
@@ -331,6 +334,8 @@ def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def mean_(a, axis=None, keepdims: bool = False) -> Tensor:
+    """Mean over `axis`, summed one axis at a time, outermost first: for
+    the encoder's pooling this beats NumPy's strided multi-axis mean."""
     a = as_tensor(a)
     axes = _normalize_axes(axis, a.ndim)
     count = 1
@@ -344,7 +349,12 @@ def mean_(a, axis=None, keepdims: bool = False) -> Tensor:
             g = np.expand_dims(g, axes)
         return (np.broadcast_to(g / count, a.shape).copy(),)
 
-    return _apply(a.data.mean(axis=axes, keepdims=keepdims), (a,), bwd)
+    out = a.data
+    for ax in sorted(axes):
+        out = out.sum(axis=ax, keepdims=True)
+    if not keepdims:
+        out = out.reshape([n for ax, n in enumerate(a.shape) if ax not in axes])
+    return _apply(out / count, (a,), bwd)
 
 
 # -- shape manipulation --------------------------------------------------------
@@ -553,13 +563,47 @@ def l2_normalize(v) -> Tensor:
     return div(v, sqrt(squared))
 
 
+def _softmax_nll_rows(exps: np.ndarray, mask, lead: int = 0):
+    """The package's one row softmax negative log-likelihood.
+
+    Per row of a (..., L) logit buffer, LSE(all) - LSE(positives), where
+    a row's positives are its first `lead` entries plus the entries of
+    `exps[..., lead:]` that the boolean `mask` marks (None marks none).
+    The buffer is overwritten: shifted by its row max, which keeps
+    temperature-scaled logits in range, and exponentiated in place.
+    Returns (nll, grad): nll has shape (...), and grad(g) overwrites the
+    buffer again with the closed-form gradient
+    g * (softmax over all entries - softmax over the positives).
+    Call grad at most once.
+    """
+    exps -= exps.max(axis=-1, keepdims=True)
+    np.exp(exps, out=exps)
+    denom = exps.sum(axis=-1, keepdims=True)
+    numer = exps[..., :lead].sum(axis=-1, keepdims=True)
+    if mask is not None:
+        numer += np.sum(exps[..., lead:], axis=-1, keepdims=True, where=mask)
+    with np.errstate(divide="ignore"):
+        nll = (np.log(denom) - np.log(numer))[..., 0]
+
+    def grad(g: np.ndarray) -> np.ndarray:
+        np.multiply(exps, g[..., None] / denom, out=exps)
+        # a positive entry also loses exps * g / numer: scale by 1 - denom / numer
+        ratio = 1.0 - denom / numer
+        head, tail = exps[..., :lead], exps[..., lead:]
+        head *= ratio
+        if mask is not None:
+            np.multiply(tail, ratio, out=tail, where=mask)
+        return exps
+
+    return nll, grad
+
+
 def masked_softmax_nll_rows(logits, positive_mask) -> Tensor:
     """Per row of a (..., B, L) logit stack, the negative log of the
     softmax mass on the row's masked-true entries; returns (..., B).
 
-    LSE(all) - LSE(masked) over one exp() shifted by the row max, which
-    keeps temperature-scaled logits in range.  The one tape node carries
-    the closed-form backward g * (softmax(all) - softmax(masked)).
+    One tape node over `_softmax_nll_rows`, which carries the
+    closed-form backward g * (softmax(all) - softmax(masked)).
     """
     logits = as_tensor(logits)
     if logits.ndim < 2:
@@ -569,15 +613,10 @@ def masked_softmax_nll_rows(logits, positive_mask) -> Tensor:
         raise ShapeMismatch("mask shape must match logits")
     if not mask.any(axis=-1).all():
         raise EmptyMask("some row has no positive entry")
-    exps = np.exp(logits.data - logits.data.max(axis=-1, keepdims=True))
-    denom = exps.sum(axis=-1, keepdims=True)
-    numer = (exps * mask).sum(axis=-1, keepdims=True)
-    with np.errstate(divide="ignore"):
-        out = (np.log(denom) - np.log(numer))[..., 0]
+    out, grad = _softmax_nll_rows(logits.data.copy(), mask)
 
     def bwd(g, needs):
-        g = g[..., None]
-        return (exps * (g / denom - mask * (g / numer)) if needs[0] else None,)
+        return (grad(g) if needs[0] else None,)
 
     return _apply(out, (logits,), bwd)
 

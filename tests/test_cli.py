@@ -85,13 +85,40 @@ def test_fuse_rejects_malformed_weight(tmp_path, capsys, weight):
     assert "--weight" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content,named", [
+    ("joint 0.2 0.8", "not a JSON document"),
+    ('[{"stream": "joint", "scores": [[0.2, 0.8]]}]', "JSON object"),
+    ('{"scores": [[0.2, 0.8]]}', "'stream'"),
+    ('{"stream": 3, "scores": [[0.2, 0.8]]}', "'stream'"),
+    ('{"stream": "joint"}', "'scores'"),
+    ('{"stream": "joint", "scores": [0.2, 0.8]}', "'scores'"),
+    ('{"stream": "joint", "scores": [[0.2, 0.8], [0.5]]}', "'scores'"),
+    ('{"stream": "joint", "scores": [["high", "low"]]}', "'scores'"),
+    ('{"stream": "joint", "scores": [[0.2, 0.8], [0.9, 0.1]], "labels": [1]}', "'labels'"),
+    ('{"stream": "joint", "scores": [[0.2, 0.8], [0.9, 0.1]], "labels": "10"}', "'labels'"),
+    ('{"stream": "joint", "scores": [[0.2, 0.8]], "labels": [[1, 0]]}', "'labels'"),
+    ('{"stream": "joint", "scores": [[0.2, 0.8], [0.9, 0.1]], "labels": [[1], [0, 1]]}',
+     "'labels'"),
+], ids=["not-json", "list", "no-stream", "stream-not-string", "no-scores", "scores-1d",
+        "scores-ragged", "scores-not-numeric", "labels-short", "labels-string", "labels-2d",
+        "labels-ragged"])
+def test_fuse_names_malformed_scores_file(tmp_path, capsys, content, named):
+    scores = tmp_path / "joint.json"
+    scores.write_text(content)
+    assert main(["fuse", "--scores", str(scores)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {scores}: ") and named in err
+
+
 @pytest.mark.parametrize("flags,named", [(["--joints", "4"], "--joints"),
                                          (["--classes", "1"], "--classes"),
                                          (["--classes", "25"], "--classes"),
                                          (["--per-class", "0"], "--per-class"),
                                          (["--frames", "8"], "--frames"),
                                          (["--val-fraction", "1.5"], "--val-fraction"),
-                                         (["--val-fraction", "-1"], "--val-fraction")])
+                                         (["--val-fraction", "-1"], "--val-fraction"),
+                                         (["--val-fraction", "0.01"], "--val-fraction"),
+                                         (["--val-fraction", "0.99"], "--val-fraction")])
 def test_gen_data_rejects_out_of_range_sizes(tmp_path, capsys, flags, named):
     assert main(["gen-data", *flags, "--out", str(tmp_path / "data")]) == 2
     assert named in capsys.readouterr().err

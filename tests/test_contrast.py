@@ -1,6 +1,7 @@
 """Contrastive core against independent 64-bit brute-force oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,13 @@ from skelcl.contrast import (
 )
 from skelcl.config import RunConfig
 from skelcl.encoder import init_params
-from skelcl.errors import BatchTooLarge, EmptyQueue, QueueTooSmall, ShapeMismatch
+from skelcl.errors import (
+    BatchTooLarge,
+    EmptyQueue,
+    NonFiniteValue,
+    QueueTooSmall,
+    ShapeMismatch,
+)
 from skelcl.rng import RngStream
 
 
@@ -45,6 +52,10 @@ def brute_force_queue_nll(zq, zk, contents, neighbors, tau):
 def unit(v):
     v = np.asarray(v, dtype=np.float64)
     return v / np.linalg.norm(v)
+
+
+def unit_rows(v):
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
 def random_unit_pair(rng, dim, similarity):
@@ -245,6 +256,101 @@ def test_stacked_queue_nll_equals_separate_calls():
             single_grad = T.backward(T.sum_(T.mul(single, w[g])))[row].data
         np.testing.assert_allclose(stacked.data[g], single.data, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(grad[g], single_grad, rtol=1e-12, atol=1e-12)
+
+
+def composed_queue_nll(zq, zk, negatives, tau, mined=None):
+    """`queue_nll` as the generic-op chain the single-node kernel replaced."""
+    zq = T.as_tensor(zq)
+    pos = T.sum_(T.mul(zq, T.Tensor(np.asarray(zk, dtype=zq.dtype))), axis=-1, keepdims=True)
+    negs = T.matmul(zq, np.swapaxes(negatives.astype(zq.dtype), -1, -2))
+    logits = T.div(T.concat([pos, negs], axis=-1), tau)
+    mask = np.zeros(logits.shape, dtype=bool)
+    mask[..., 0] = True
+    if mined is not None:
+        mask[..., 1:] = mined
+    return T.masked_softmax_nll_rows(logits, mask)
+
+
+@pytest.mark.parametrize("tau", [1.0, 0.07])
+@pytest.mark.parametrize("groups", [(), (3,)])
+@pytest.mark.parametrize("with_mined", [False, True])
+def test_queue_nll_matches_composition(tau, groups, with_mined):
+    rng = np.random.default_rng(len(groups) + int(with_mined))
+    batch, dim, size = 5, 8, 12
+    zq = T.parameter(unit_rows(rng.normal(size=(*groups, batch, dim))))
+    zk = unit_rows(rng.normal(size=(*groups, batch, dim)))
+    negatives = unit_rows(rng.normal(size=(*groups, size, dim)))
+    mined = rng.uniform(size=(*groups, batch, size)) < 0.2 if with_mined else None
+    w = rng.normal(size=(*groups, batch))
+    results = []
+    for op in (queue_nll, composed_queue_nll):
+        with T.Tape():
+            out = op(zq, zk, negatives, tau, mined)
+            grads = T.backward(T.sum_(T.mul(out, w)))
+        results.append((out.data, grads[zq].data))
+    (out, grad), (ref_out, ref_grad) = results
+    np.testing.assert_allclose(out, ref_out, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=1e-12)
+
+
+def test_queue_nll_one_tape_node():
+    rng = np.random.default_rng(32)
+    zq = T.parameter(unit_rows(rng.normal(size=(2, 4, 8))))
+    zk = unit_rows(rng.normal(size=(2, 4, 8)))
+    negatives = unit_rows(rng.normal(size=(2, 6, 8)))
+    with T.Tape() as tape:
+        queue_nll(zq, zk, negatives, 0.2, rng.uniform(size=(2, 4, 6)) < 0.3)
+    assert len(tape.nodes) == 1
+
+
+def test_queue_nll_nan_query_raises():
+    rng = np.random.default_rng(33)
+    zq = unit_rows(rng.normal(size=(4, 8)))
+    zq[2] = np.nan
+    with pytest.raises(NonFiniteValue):
+        queue_nll(T.parameter(zq), unit_rows(rng.normal(size=(4, 8))),
+                  unit_rows(rng.normal(size=(6, 8))), 0.2)
+
+
+@pytest.mark.parametrize("zk_shape,negatives_shape,mined_shape", [
+    ((3, 8), (6, 8), None),
+    ((4, 8), (6, 7), None),
+    ((4, 8), (2, 6, 8), None),
+    ((4, 8), (6, 8), (4, 5)),
+])
+def test_queue_nll_shape_mismatch(zk_shape, negatives_shape, mined_shape):
+    rng = np.random.default_rng(35)
+    mined = None if mined_shape is None else np.ones(mined_shape, dtype=bool)
+    with pytest.raises(ShapeMismatch):
+        queue_nll(T.Tensor(rng.normal(size=(4, 8))), rng.normal(size=zk_shape),
+                  rng.normal(size=negatives_shape), 0.2, mined)
+
+
+def test_combined_loss_holds_at_most_two_logit_buffers():
+    # one logit buffer is S * S*B * (1+Q) float32 values; the forward may
+    # keep 2 alive for the backward and reach 4 at its peak (the chain of
+    # generic ops this kernel replaced held 4.7 and peaked at 6.8)
+    streams, batch, size, dim = ["joint", "bone", "motion"], 32, 1024, 32
+    rng = np.random.default_rng(34)
+    params = {s: T.parameter(rng.normal(size=(batch, dim)).astype(np.float32)) for s in streams}
+    keys = {s: unit_rows(rng.normal(size=(batch, dim))).astype(np.float32) for s in streams}
+    queues = {s: filled_queue(rng, size, dim, dtype=np.float32) for s in streams}
+    cfg = RunConfig(streams=streams)
+    unit_bytes = len(streams) ** 2 * batch * (1 + size) * 4
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with T.Tape():
+            emb = {s: (T.l2_normalize(p), keys[s]) for s, p in params.items()}
+            res = combine_losses(emb, queues, cfg, True, True, RngStream(5).split("step"))
+            held = (tracemalloc.get_traced_memory()[0] - base) / unit_bytes
+            grads = T.backward(res.total)
+        peak = (tracemalloc.get_traced_memory()[1] - base) / unit_bytes
+    finally:
+        tracemalloc.stop()
+    assert set(grads) == set(params.values())
+    assert held <= 2.0, held
+    assert peak <= 4.0, peak
 
 
 class TestInterLoss:
@@ -622,7 +728,7 @@ class TestCombineLosses:
         emb, queues = _stream_inputs(rng, streams, 4, 8, 16)
         cfg = RunConfig(streams=streams, pft_apply_to_inter=pft_inter)
         res = combine_losses(emb, queues, cfg, nnm, pft, RngStream(2).split("step"))
-        assert calls == ["queue_nll", "masked_softmax_nll_rows"]
+        assert calls == ["queue_nll"]  # queue_nll no longer goes through masked_softmax_nll_rows
         assert len(res.breakdown) == len(streams) ** 2
 
     @pytest.mark.parametrize("pft_inter", [False, True])

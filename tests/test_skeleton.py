@@ -302,7 +302,8 @@ class TestSequenceFiles:
         np.testing.assert_array_equal([s.data for s in loaded["train"] + loaded["val"]],
                                       [s.data for s in old])
 
-    @pytest.mark.parametrize("fraction", [0.0, 1.0, 1.5, -1.0])
+    # 0.01 and 0.99 round every class of 4 clips to an empty val or train split
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, 1.5, -1.0, 0.01, 0.99])
     def test_split_fraction_outside_open_unit_interval_rejected(self, fraction):
         seqs = generate_synthetic_dataset(3, 4, frames=16, seed=5, check_separability=False)
         with pytest.raises(ConfigValueError, match="val_fraction"):
