@@ -338,11 +338,11 @@ def _gradcheck_components(dtype, eps=1e-4):
     zk = rng.normal(size=(1, dim))
     zk /= np.linalg.norm(zk)
 
-    # plain, then with the first queue entry mined into the numerator
-    for label, mined in (("loss_intra", None), ("loss_nnm", np.eye(1, 8, dtype=bool))):
+    # plain, then with the most similar queue entry mined into the numerator
+    for label, mine in (("loss_intra", None), ("loss_nnm", np.ones(1, dtype=bool))):
 
-        def f_loss(mined=mined):
-            return T.mean_(queue_nll(T.l2_normalize(zq_param), zk, negatives, 0.2, mined))
+        def f_loss(mine=mine):
+            return T.mean_(queue_nll(T.l2_normalize(zq_param), zk, negatives, 0.2, mine)[0])
 
         results[label] = T.grad_check(f_loss, {"zq": zq_param}, eps=eps)
 
@@ -357,7 +357,7 @@ def _gradcheck_components(dtype, eps=1e-4):
 
     def f_pft():
         z_hat, _, _ = pft_transform(T.l2_normalize(zq_param), zk_pos[None], np.array([lam]))
-        return T.mean_(queue_nll(z_hat, zk_hat_frozen[None], negatives, 0.2))
+        return T.mean_(queue_nll(z_hat, zk_hat_frozen[None], negatives, 0.2)[0])
 
     results["loss_pft_query_path"] = T.grad_check(f_pft, {"zq": zq_param}, eps=eps)
 

@@ -5,7 +5,13 @@ tracked tensor appends one node to the tape.  `backward(loss)` walks the
 nodes once in reverse execution order (which is a valid topological
 order by construction) and returns a gradient map for the
 `requires_grad` leaves.  The tape is consumed by the walk; each forward
-pass records a fresh one.
+pass records a fresh one.  When the walk ends, `backward` cuts every
+node's links to its output, inputs and backward closure.  A tensor and
+the node that made it refer to each other, so without the cut a step's
+activations, closures and logit buffers would outlive it until the
+cyclic garbage collector happened to run; with it, refcounting frees
+them as soon as `backward` returns.  The loss keeps its (emptied) node,
+so a second `backward` of it still raises `DetachedLoss`.
 
 Every op is a module-level function of this module (`add`, `matmul`,
 `sum_`, ...); `Tensor` has no operator overloads or op methods, so each
@@ -627,7 +633,8 @@ def masked_softmax_nll_rows(logits, positive_mask) -> Tensor:
 def backward(loss: Tensor) -> dict[Tensor, Tensor]:
     """Reverse-mode gradients of a scalar loss for all parameter leaves.
 
-    Consumes the tape the loss was recorded on.
+    Consumes the tape the loss was recorded on and releases its graph
+    (see the module docstring).
     """
     if loss.node is None:
         raise DetachedLoss("loss carries no tape; wrap the forward pass in Tape()")
@@ -661,6 +668,9 @@ def backward(loss: Tensor) -> dict[Tensor, Tensor]:
                 else:
                     leaf_grads[tin] = grad
 
+    # cut the Tensor.node <-> TapeNode.out cycles so refcounting frees the step now
+    for node in tape.nodes:
+        node.out = node.inputs = node.backward_fn = None
     tape.consumed = True
     tape.nodes.clear()
     return {leaf: Tensor(grad) for leaf, grad in leaf_grads.items()}

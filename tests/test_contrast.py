@@ -66,19 +66,25 @@ def random_unit_pair(rng, dim, similarity):
     return a, similarity * a + math.sqrt(1.0 - similarity**2) * b
 
 
-def single_nll(zq, zk, queue, tau, mined=None) -> float:
-    """`queue_nll` on a batch of one 64-bit query row; `mined` lists the
-    queue indices its numerator adds."""
-    contents = queue.contents()
-    mask = None if mined is None else np.isin(np.arange(len(contents)), mined)[None, :]
+def single_nll(zq, zk, queue, tau, mine=None, k=1) -> float:
+    """`queue_nll` on a batch of one 64-bit query row; with `mine` True
+    its numerator adds its `k` most similar queue entries."""
     zq = T.Tensor(np.asarray(zq)[None, :], dtype=np.float64)
-    return float(queue_nll(zq, np.asarray(zk)[None, :], contents, tau, mask).data[0])
+    mine = None if mine is None else np.array([mine])
+    losses, _ = queue_nll(zq, np.asarray(zk)[None, :], queue.contents(), tau, mine, k)
+    return float(losses.data[0])
 
 
 def mine_one(zq, queue, k) -> list[int]:
-    """`nnm_mine` for one query row; the mined queue indices."""
-    mined, _ = nnm_mine(np.asarray(zq)[None, :], queue.contents(), k)
-    return mined[0].tolist()
+    """The queue indices `queue_nll` mines for one query row."""
+    zq = np.asarray(zq, dtype=np.float64)[None, :]
+    _, (indices, _) = queue_nll(zq, zq, queue.contents(), 1.0, np.ones(1, dtype=bool), k)
+    return indices[0].tolist()
+
+
+def stable_top_k(sims, k):
+    """Oracle: each row's k largest entries by a stable full sort."""
+    return np.argsort(-sims, axis=1, kind="stable")[:, :k]
 
 
 def pft_batch(zq, zk, lam):
@@ -182,6 +188,18 @@ class TestMemoryQueue:
         with pytest.raises(BatchTooLarge):
             q.push(np.eye(4, 2, dtype=np.float32) + np.array([0, 1], dtype=np.float32))
 
+    @pytest.mark.parametrize("row,error", [
+        ([np.nan, 0.0], NonFiniteValue),
+        ([np.inf, 0.0], NonFiniteValue),
+        ([0.6, 0.6], ValueError),
+    ])
+    def test_push_rejects_non_finite_or_non_unit_rows(self, row, error):
+        q = MemoryQueue(3, 2)
+        q.push(np.array([[1.0, 0.0]]))
+        with pytest.raises(error):
+            q.push(np.array([[0.0, 1.0], row]))
+        np.testing.assert_array_equal(q.contents(), [[1.0, 0.0]])  # nothing was stored
+
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(1, 8), min_size=1, max_size=30), st.integers(0, 10_000))
     def test_fifo_property(self, batch_sizes, seed):
@@ -244,18 +262,22 @@ def test_stacked_queue_nll_equals_separate_calls():
     zq = T.parameter(rng.normal(size=(groups, batch, dim)))
     zk = rng.normal(size=(groups, batch, dim))
     negatives = np.stack([filled_queue(rng, size, dim).contents() for _ in range(groups)])
-    mined = rng.uniform(size=(groups, batch, size)) < 0.2
+    mine = rng.uniform(size=(groups, batch)) < 0.5
     w = rng.normal(size=(groups, batch))
     with T.Tape():
-        stacked = queue_nll(zq, zk, negatives, 0.2, mined)
+        stacked, (indices, sims) = queue_nll(zq, zk, negatives, 0.2, mine, 2)
         grad = T.backward(T.sum_(T.mul(stacked, w)))[zq].data
+    offsets = np.concatenate([[0], np.cumsum(mine.sum(axis=1))])
     for g in range(groups):
         row = T.parameter(zq.data[g])
         with T.Tape():
-            single = queue_nll(row, zk[g], negatives[g], 0.2, mined[g])
+            single, (single_indices, single_sims) = queue_nll(
+                row, zk[g], negatives[g], 0.2, mine[g], 2)
             single_grad = T.backward(T.sum_(T.mul(single, w[g])))[row].data
         np.testing.assert_allclose(stacked.data[g], single.data, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(grad[g], single_grad, rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(indices[offsets[g] : offsets[g + 1]], single_indices)
+        np.testing.assert_allclose(sims[offsets[g] : offsets[g + 1]], single_sims, rtol=1e-12)
 
 
 def composed_queue_nll(zq, zk, negatives, tau, mined=None):
@@ -280,15 +302,19 @@ def test_queue_nll_matches_composition(tau, groups, with_mined):
     zq = T.parameter(unit_rows(rng.normal(size=(*groups, batch, dim))))
     zk = unit_rows(rng.normal(size=(*groups, batch, dim)))
     negatives = unit_rows(rng.normal(size=(*groups, size, dim)))
-    mined = rng.uniform(size=(*groups, batch, size)) < 0.2 if with_mined else None
+    mine = rng.uniform(size=(*groups, batch)) < 0.5 if with_mined else None
     w = rng.normal(size=(*groups, batch))
-    results = []
-    for op in (queue_nll, composed_queue_nll):
-        with T.Tape():
-            out = op(zq, zk, negatives, tau, mined)
-            grads = T.backward(T.sum_(T.mul(out, w)))
-        results.append((out.data, grads[zq].data))
-    (out, grad), (ref_out, ref_grad) = results
+    with T.Tape():
+        out, neighbors = queue_nll(zq, zk, negatives, tau, mine, 2)
+        grad = T.backward(T.sum_(T.mul(out, w)))[zq].data
+    mined = None
+    if with_mined:  # the kernel's picks, as the composition's numerator mask
+        mined = np.zeros((*groups, batch, size), dtype=bool)
+        mined[(*(rows[:, None] for rows in np.nonzero(mine)), neighbors[0])] = True
+    with T.Tape():
+        ref = composed_queue_nll(zq, zk, negatives, tau, mined)
+        ref_grad = T.backward(T.sum_(T.mul(ref, w)))[zq].data
+    out, ref_out = out.data, ref.data
     np.testing.assert_allclose(out, ref_out, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=1e-12)
 
@@ -299,7 +325,7 @@ def test_queue_nll_one_tape_node():
     zk = unit_rows(rng.normal(size=(2, 4, 8)))
     negatives = unit_rows(rng.normal(size=(2, 6, 8)))
     with T.Tape() as tape:
-        queue_nll(zq, zk, negatives, 0.2, rng.uniform(size=(2, 4, 6)) < 0.3)
+        queue_nll(zq, zk, negatives, 0.2, rng.uniform(size=(2, 4)) < 0.5, 2)
     assert len(tape.nodes) == 1
 
 
@@ -316,14 +342,16 @@ def test_queue_nll_nan_query_raises():
     ((3, 8), (6, 8), None),
     ((4, 8), (6, 7), None),
     ((4, 8), (2, 6, 8), None),
-    ((4, 8), (6, 8), (4, 5)),
+    ((4, 8), (6, 8), (3,)),
+    ((4, 8), (6, 8), (4, 6)),
 ])
 def test_queue_nll_shape_mismatch(zk_shape, negatives_shape, mined_shape):
+    # mined_shape is the shape of the (..., B) mining request
     rng = np.random.default_rng(35)
-    mined = None if mined_shape is None else np.ones(mined_shape, dtype=bool)
+    mine = None if mined_shape is None else np.ones(mined_shape, dtype=bool)
     with pytest.raises(ShapeMismatch):
         queue_nll(T.Tensor(rng.normal(size=(4, 8))), rng.normal(size=zk_shape),
-                  rng.normal(size=negatives_shape), 0.2, mined)
+                  rng.normal(size=negatives_shape), 0.2, mine)
 
 
 def test_combined_loss_holds_at_most_two_logit_buffers():
@@ -412,11 +440,13 @@ class TestNnm:
         contents = levels[rng.integers(0, levels.size, size=(24, 1))] * np.eye(1, 3)
         zq = np.eye(1, 3) * rng.uniform(0.5, 1.0, size=(6, 1))
         sims = zq @ contents.T
+        given = sims.copy()
         for k in range(1, contents.shape[0] + 1):
-            mined, mined_sims = nnm_mine(zq, contents, k)
-            oracle = np.argsort(-sims, axis=1, kind="stable")[:, :k]
+            mined, mined_sims = nnm_mine(given, k)
+            oracle = stable_top_k(sims, k)
             np.testing.assert_array_equal(mined, oracle)
             np.testing.assert_array_equal(mined_sims, np.take_along_axis(sims, oracle, axis=1))
+            np.testing.assert_array_equal(given, sims)  # the picks are restored
 
     def test_queue_too_small(self):
         q = MemoryQueue(4, 2, dtype=np.float64)
@@ -429,13 +459,14 @@ class TestNnm:
         q = filled_queue(rng, 32, 8)
         zq = unit(rng.normal(size=8))
         zk = unit(rng.normal(size=8))
-        assert single_nll(zq, zk, q, 0.07, mined=()) == single_nll(zq, zk, q, 0.07)
+        # a row that does not mine scores bit for bit as without mining
+        assert single_nll(zq, zk, q, 0.07, mine=False) == single_nll(zq, zk, q, 0.07)
 
     def test_closed_form_one_neighbor(self):
         # pos sim 1, mined sim 1, one other negative at 0 -> -log(2e/(2e+1))
         q = MemoryQueue(4, 2, dtype=np.float64)
         q.push(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        loss = single_nll([1.0, 0.0], [1.0, 0.0], q, 1.0, mined=(0,))
+        loss = single_nll([1.0, 0.0], [1.0, 0.0], q, 1.0, mine=True, k=1)
         assert abs(loss - 0.1688476234983058) < 1e-9
 
     def test_mined_loss_never_larger(self):
@@ -444,7 +475,7 @@ class TestNnm:
             q = filled_queue(rng, 16, 6)
             zq = unit(rng.normal(size=6))
             zk = unit(rng.normal(size=6))
-            with_nnm = single_nll(zq, zk, q, 0.1, mined=mine_one(zq, q, 1))
+            with_nnm = single_nll(zq, zk, q, 0.1, mine=True, k=1)
             assert with_nnm <= single_nll(zq, zk, q, 0.1)
 
     @pytest.mark.parametrize("tau", [0.07, 0.2, 1.0])
@@ -457,8 +488,9 @@ class TestNnm:
             zq = unit(rng.normal(size=dim))
             zk = unit(rng.normal(size=dim))
             k = int(rng.integers(1, min(4, filled) + 1))
-            mined = mine_one(zq, q, k)
-            got = single_nll(zq, zk, q, tau, mined=mined)
+            mined = stable_top_k((q.contents() @ zq)[None, :], k)[0]
+            assert mine_one(zq, q, k) == mined.tolist()
+            got = single_nll(zq, zk, q, tau, mine=True, k=k)
             want = brute_force_queue_nll(zq, zk, q.contents(), mined, tau)
             assert abs(got - want) < 1e-6
 
@@ -731,6 +763,41 @@ class TestCombineLosses:
         assert calls == ["queue_nll"]  # queue_nll no longer goes through masked_softmax_nll_rows
         assert len(res.breakdown) == len(streams) ** 2
 
+    @pytest.mark.parametrize("pft", [False, True])
+    @pytest.mark.parametrize("k", [1, 2, 16])
+    def test_kernel_mines_stable_top_k_of_every_intra_row(self, monkeypatch, pft, k):
+        # each queue repeats three unit vectors, so similarities tie
+        # exactly; every intra row must mine the stable top-k of its
+        # (extrapolated) query against its own stream's queue
+        seen = []
+        original = contrast.queue_nll
+
+        def spy(zq, zk, negatives, tau, mine=None, k=1):
+            out = original(zq, zk, negatives, tau, mine, k)
+            seen.append((T.as_tensor(zq).data.copy(), negatives, mine, out[1]))
+            return out
+
+        monkeypatch.setattr(contrast, "queue_nll", spy)
+        rng = np.random.default_rng(36)
+        streams, batch, size, dim = ["joint", "bone", "motion"], 4, 16, 3
+        emb, queues = _stream_inputs(rng, streams, batch, dim, size)
+        for s in streams:
+            base = unit_rows(rng.normal(size=(3, dim)))
+            queues[s] = MemoryQueue(size, dim, dtype=np.float64)
+            queues[s].push(base[rng.integers(0, len(base), size=size)])
+        cfg = RunConfig(streams=streams, queue_size=size, nnm_topk=k)
+        res = combine_losses(emb, queues, cfg, True, pft, RngStream(6).split("step"))
+        [(queries, negatives, mine, (indices, sims))] = seen
+        np.testing.assert_array_equal(mine, np.repeat(np.eye(3, dtype=bool), batch, axis=1))
+        for g in range(len(streams)):
+            own = queries[g, g * batch : (g + 1) * batch] @ negatives[g].T
+            oracle = stable_top_k(own, k)
+            assert np.all((own[:, :, None] == own[:, None, :]).sum(axis=(1, 2)) > size)  # ties
+            np.testing.assert_array_equal(indices[g * batch : (g + 1) * batch], oracle)
+            np.testing.assert_allclose(sims[g * batch : (g + 1) * batch],
+                                       np.take_along_axis(own, oracle, axis=1), rtol=1e-12)
+        assert abs(res.nnm_mean_similarity - sims.mean()) < 1e-12
+
     @pytest.mark.parametrize("pft_inter", [False, True])
     def test_matches_per_term_reference(self, pft_inter):
         # the reference scores each directed term with its own 2-D call,
@@ -741,7 +808,7 @@ class TestCombineLosses:
         cfg = RunConfig(streams=streams, tau=0.2, nnm_topk=2, pft_apply_to_inter=pft_inter)
         step = RngStream(4).split("step")
         res = combine_losses(emb, queues, cfg, True, True, step)
-        want, applied = {}, []
+        want, applied, mined_sims = {}, [], []
         for u in streams:
             for v in streams:
                 zq, zk = emb[u][0], emb[v][1]
@@ -751,15 +818,15 @@ class TestCombineLosses:
                     lam = gen.beta(cfg.pft_alpha, cfg.pft_alpha, size=5) * cfg.pft_mu + 1.0
                     zq, zk, flags = pft_transform(zq, zk, lam)
                     applied.append(flags)
-                mined = None
+                mine = np.ones(5, dtype=bool) if u == v else None
+                losses, neighbors = queue_nll(zq, zk, queues[v].contents(), 0.2, mine, 2)
                 if u == v:
-                    idx, _ = nnm_mine(zq, queues[v].contents(), 2)
-                    mined = np.zeros((5, 16), dtype=bool)
-                    np.put_along_axis(mined, idx, True, axis=1)
+                    mined_sims.append(neighbors[1])
                 name = f"intra:{u}" if u == v else f"inter:{u}->{v}"
-                want[name] = float(queue_nll(zq, zk, queues[v].contents(), 0.2, mined).data.mean())
+                want[name] = float(losses.data.mean())
         assert list(res.breakdown) == sorted(want, key=lambda k: not k.startswith("intra"))
         for name, value in want.items():
             assert abs(res.breakdown[name] - value) < 1e-12, name
         assert abs(res.total.item() - sum(want.values())) < 1e-12
         assert res.pft_applied_rate == float(np.concatenate(applied).mean())
+        assert abs(res.nnm_mean_similarity - np.concatenate(mined_sims).mean()) < 1e-12

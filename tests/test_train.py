@@ -1,5 +1,7 @@
 """Optimizer step, stage schedule, and pretraining's stage-end hook."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -96,3 +98,19 @@ def test_one_step_augments_each_branch_once_and_derives_streams_from_it(monkeypa
         assert set(view) == {"joint", "bone", "motion"}
         np.testing.assert_array_equal(view["bone"], derive_bone(view["joint"], graph))
         np.testing.assert_array_equal(view["motion"], derive_motion(view["joint"]))
+
+
+def test_pretrain_leaves_no_tape_node_for_the_collector():
+    # each backward releases its step's graph, so with the cyclic
+    # collector off no TapeNode outlives the run
+    sequences = generate_synthetic_dataset(2, 4, frames=16, joints=9, seed=1,
+                                           check_separability=False)
+    config = RunConfig(stage_epochs=[1, 1, 1], queue_size=4, batch_size=4, enc_blocks=1,
+                       enc_channels=[4], enc_hidden=8, embed_dim=4)
+    gc.collect()
+    gc.disable()
+    try:
+        pretrain(sequences, config)
+        assert not any(isinstance(o, T.TapeNode) for o in gc.get_objects())
+    finally:
+        gc.enable()
