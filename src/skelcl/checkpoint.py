@@ -1,22 +1,26 @@
 """Self-describing binary checkpoints with bit-exact round trips.
 
 A checkpoint is a `skeleton.write_file` file (the layout is documented
-there) with magic "CKPT", the canonical config JSON as its document,
-and one named tensor per piece of mutable training state (both encoder
-branches per stream, queue rings and cursors, optimizer buffers,
-epoch/step cursor), which is what makes resume replay the
-uninterrupted run exactly.
+there) with magic "CKPT".  Its JSON document holds the config and the
+integer counters (the epoch and step cursor, and each queue's head and
+fill count) as JSON integers, exact at any size, unlike the f32 tensor
+payloads.  One named tensor holds each other piece of mutable training
+state (both encoder branches per stream, queue rings, optimizer
+buffers).  Together they make resume replay the uninterrupted run
+exactly.
 
 A damaged file fails with a named `SkelclError`; `read_file` checks the
-stored hash against the raw JSON bytes before they are decoded, and
-every tensor the state is rebuilt from must be present with its exact
-shape.  Saving replaces the file atomically.
+stored hash against the raw JSON bytes before they are decoded, every
+tensor the state is rebuilt from must be present with its exact shape,
+and every counter must be present and an integer in its range.  Saving
+replaces the file atomically.
 """
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,36 +39,40 @@ MAGIC = b"CKPT"
 class Checkpoint:
     config: RunConfig
     tensors: dict[str, np.ndarray]
+    counters: dict[str, int] = field(default_factory=dict)
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
-    write_file(path, MAGIC, ckpt.config.canonical_json().encode(), ckpt.tensors)
+    doc = {"config": ckpt.config.to_dict(), "counters": ckpt.counters}
+    write_file(path, MAGIC, json.dumps(doc, sort_keys=True, separators=(",", ":")).encode(),
+               ckpt.tensors)
 
 
 def load_checkpoint(path) -> Checkpoint:
     doc, tensors = read_file(path, MAGIC, "checkpoint")
-    return Checkpoint(config=config_from_dict(doc), tensors=tensors)
+    if not (isinstance(doc, dict) and set(doc) == {"config", "counters"}
+            and isinstance(doc["config"], dict) and isinstance(doc["counters"], dict)):
+        raise CorruptFile(f"{path}: checkpoint document is not a config plus counters")
+    return Checkpoint(config_from_dict(doc["config"]), tensors, doc["counters"])
 
 
 # -- TrainState mapping --------------------------------------------------------------
 
 
 def state_to_checkpoint(state: TrainState) -> Checkpoint:
-    tensors: dict[str, np.ndarray] = {
-        "meta.epoch": np.array([state.epoch], dtype=np.float32),
-        "meta.step": np.array([state.step], dtype=np.float32),
-    }
+    tensors: dict[str, np.ndarray] = {}
+    counters = {"meta.epoch": int(state.epoch), "meta.step": int(state.step)}
     for u, pair in state.pairs.items():
         for branch, params in (("query", pair.query), ("key", pair.key)):
             for name, t in params.tensors.items():
                 tensors[f"enc.{u}.{branch}.{name}"] = t.data
         q = state.queues[u]
         tensors[f"queue.{u}.slots"] = q.slots
-        tensors[f"queue.{u}.head"] = np.array([q.head], dtype=np.float32)
-        tensors[f"queue.{u}.filled"] = np.array([q.filled], dtype=np.float32)
+        counters[f"queue.{u}.head"] = int(q.head)
+        counters[f"queue.{u}.filled"] = int(q.filled)
         for name, buf in state.optimizers[u].buffers.items():
             tensors[f"opt.{u}.{name}"] = buf
-    return Checkpoint(config=state.config, tensors=tensors)
+    return Checkpoint(config=state.config, tensors=tensors, counters=counters)
 
 
 def _stored(ckpt: Checkpoint, name: str, shape: tuple[int, ...]) -> np.ndarray:
@@ -78,11 +86,13 @@ def _stored(ckpt: Checkpoint, name: str, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _stored_count(ckpt: Checkpoint, name: str, high: float) -> int:
-    """A cursor stored as a one-element tensor: an integer in [0, high]."""
-    value = float(_stored(ckpt, name, (1,))[0])
-    if not (value.is_integer() and 0 <= value <= high):
-        raise CorruptFile(f"tensor {name!r} holds {value}, not an integer in [0, {high}]")
-    return int(value)
+    """The counter `name`, which must be present and an integer in [0, high]."""
+    if name not in ckpt.counters:
+        raise CorruptFile(f"checkpoint lacks counter {name!r}")
+    value = ckpt.counters[name]
+    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value <= high:
+        raise CorruptFile(f"counter {name!r} holds {value!r}, not an integer in [0, {high}]")
+    return value
 
 
 def _load_encoder(ckpt: Checkpoint, stream: str, branch: str, params: EncoderParams) -> None:

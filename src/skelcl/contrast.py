@@ -109,10 +109,11 @@ def queue_nll(zq, zk, negatives: np.ndarray, tau: float, mine=None, k: int = 1):
     columns 1:.  The mining rows select their neighbours from those
     similarities before the division by `tau` (which could round
     distinct similarities into ties), so one GEMM feeds both the mining
-    and the logits.  The division, the row-max shift and the exp() then
-    happen in place (`tensor._softmax_nll_rows`).  The backward
-    overwrites that buffer with dlogits / tau and contracts it back onto
-    the keys and the queue:
+    and the logits; their columns reach `tensor._softmax_nll_rows` as
+    index picks, so the numerator gathers only the k picked entries per
+    mining row.  The division, the row-max shift and the exp() then
+    happen in place.  The backward overwrites that buffer with
+    dlogits / tau and contracts it back onto the keys and the queue:
     dzq = dlogits[..., :1] * zk + dlogits[..., 1:] @ negatives.
     """
     if negatives.shape[-2] == 0:
@@ -132,13 +133,12 @@ def queue_nll(zq, zk, negatives: np.ndarray, tau: float, mine=None, k: int = 1):
     logits[..., 0] = (q * keys).sum(axis=-1)
     sims = logits[..., 1:]
     np.matmul(q, np.swapaxes(negatives, -1, -2), out=sims)
-    mined = neighbors = None
+    picks = neighbors = None
     if mine is not None:
         neighbors = nnm_mine(sims[mine], k)
-        mined = np.zeros(sims.shape, dtype=bool)
-        mined[(*(rows[:, None] for rows in np.nonzero(mine)), neighbors[0])] = True
+        picks = (np.nonzero(mine), neighbors[0] + 1)  # buffer columns of the neighbours
     logits /= tau
-    nll, grad = T._softmax_nll_rows(logits, mined, lead=1)
+    nll, grad = T._softmax_nll_rows(logits, lead=1, picks=picks)
 
     def bwd(g, needs):
         if not needs[0]:

@@ -11,10 +11,12 @@ which checks those keys when it is built.
 
 The input is an (N, T, C, V) batch of C = 3 coordinates plus the
 (V, V) normalized adjacency array, and activations keep that layout
-throughout.  The spatial step is `W^T @ (X @ A_hat)`, two matmuls with
-no activation transpose, and train-mode batch normalization is the
-single fused `tensor.batch_norm` op; eval mode normalizes with the
-frozen running statistics through elementwise ops.
+throughout.  Each block is the single tape node `tensor.stgcn_block`
+(spatial step `W^T @ (X @ A_hat)`, temporal convolution, batch norm,
+relu, residual), in every mode: the taped train-mode query pass, the
+untaped key pass, finetuning, and eval mode, which normalizes with the
+frozen running statistics inside the same node.  With normalization
+off the node skips the norm.
 """
 
 from __future__ import annotations
@@ -105,31 +107,6 @@ def init_params(config: RunConfig, rng: RngStream) -> EncoderParams:
     return EncoderParams(config, tensors)
 
 
-def _batch_norm(
-    y: T.Tensor,
-    params: EncoderParams,
-    block: int,
-    mode: str,
-    update_stats: bool,
-) -> T.Tensor:
-    gamma = params[f"block{block}.norm_gamma"]
-    beta = params[f"block{block}.norm_beta"]
-    if mode == "train":
-        out, mu, var = T.batch_norm(y, gamma, beta, BN_EPS)
-        if update_stats:
-            run_mu = params[f"block{block}.norm_running_mean"]
-            run_var = params[f"block{block}.norm_running_var"]
-            run_mu.data[...] = BN_MOMENTUM * run_mu.data + (1 - BN_MOMENTUM) * mu
-            run_var.data[...] = BN_MOMENTUM * run_var.data + (1 - BN_MOMENTUM) * var
-        return out
-    shape = (1, 1, gamma.shape[0], 1)
-    mu = params[f"block{block}.norm_running_mean"].data.reshape(shape)
-    var = params[f"block{block}.norm_running_var"].data.reshape(shape)
-    denom = np.sqrt(var + BN_EPS)
-    xhat = T.div(T.sub(y, mu), denom)
-    return T.add(T.mul(xhat, T.reshape(gamma, shape)), T.reshape(beta, shape))
-
-
 def stgcn_forward(
     x,
     adjacency: np.ndarray,
@@ -153,25 +130,23 @@ def stgcn_forward(
         raise ShapeMismatch("input must be an (N, T, C, V) batch")
     if x.shape[2] != IN_CHANNELS:
         raise ShapeMismatch(f"expected {IN_CHANNELS} channels, got {x.shape[2]}")
-    adjacency = np.asarray(adjacency, dtype=x.dtype)
-    if adjacency.shape != (x.shape[3], x.shape[3]):
-        raise ShapeMismatch("adjacency size does not match joint count")
 
     cfg = params.config
     h = x
     for i in range(cfg.enc_blocks):
-        w = params[f"block{i}.spatial_weight"]
-        kern = params[f"block{i}.temporal_kernel"]
-        # aggregate over joints, then mix channels: W^T (C_out, C_in) is
-        # broadcast over (N, T), so the activation is never transposed
-        y = T.matmul(T.transpose(w, (1, 0)), T.matmul(h, adjacency))
-        y = T.conv1d_temporal(y, kern)
+        norm = running = None
         if cfg.enc_normalization == "batch":
-            y = _batch_norm(y, params, i, mode, update_stats)
-        y = T.relu(y)
-        if h.shape[2] == y.shape[2]:
-            y = T.add(y, h)
-        h = y
+            norm = (params[f"block{i}.norm_gamma"], params[f"block{i}.norm_beta"])
+            run_mu = params[f"block{i}.norm_running_mean"]
+            run_var = params[f"block{i}.norm_running_var"]
+            if mode == "eval":
+                running = (run_mu.data, run_var.data)
+        h, stats = T.stgcn_block(h, adjacency, params[f"block{i}.spatial_weight"],
+                                 params[f"block{i}.temporal_kernel"], norm, running, BN_EPS)
+        if stats is not None and update_stats:
+            mu, var = stats
+            run_mu.data[...] = BN_MOMENTUM * run_mu.data + (1 - BN_MOMENTUM) * mu
+            run_var.data[...] = BN_MOMENTUM * run_var.data + (1 - BN_MOMENTUM) * var
 
     return T.mean_(h, axis=(1, 3))
 

@@ -29,7 +29,11 @@ class NonDeterministic(SkelclError):
 
 
 class NonFiniteValue(SkelclError):
-    """An operation produced NaN or Inf."""
+    """An operation produced NaN or Inf; `op` names the tape op, if one did."""
+
+    def __init__(self, message: str, op: str | None = None):
+        super().__init__(message)
+        self.op = op
 
 
 class ShapeMismatch(SkelclError):

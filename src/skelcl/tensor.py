@@ -16,20 +16,26 @@ so a second `backward` of it still raises `DetachedLoss`.
 Every op is a module-level function of this module (`add`, `matmul`,
 `sum_`, ...); `Tensor` has no operator overloads or op methods, so each
 op has one spelling.  Values are float32 by default; pass float64 data
-for oracle-grade precision.  Every op validates that its output is finite and raises
-`NonFiniteValue` otherwise.
+for oracle-grade precision.  Every op validates that its output is
+finite and raises `NonFiniteValue` otherwise, naming the op (taken from
+its backward closure's qualified name).
 
-The encoder's hot ops are fused kernels, one tape node each:
-`conv1d_temporal` applies its taps over a flat (L, T, C*V) view,
-`batch_norm` normalizes with batch statistics and carries the
-closed-form backward, and both take per-channel sums as one GEMV over a
-(rows, C*V) view (`_channel_sums`) instead of a multi-axis reduction.
-The row softmax negative log-likelihood has one implementation,
-`_softmax_nll_rows`: one exp() per entry, shifted by the row max, with
-the closed-form backward.  It has two callers, each one tape node:
-`masked_softmax_nll_rows` (the linear probe and finetuning) and
-`contrast.queue_nll` (the InfoNCE loss), which works in place on the
-logit buffer it builds.
+Each encoder block is one tape node, `stgcn_block`: spatial step,
+depthwise temporal convolution, batch norm (batch statistics in train
+mode, given running statistics in eval mode, or none), relu and
+residual add.  It walks the batch in chunks of about
+`BLOCK_CHUNK_BYTES` of activation, so a chunk's intermediates stay in
+cache instead of streaming a full-batch array through memory per op,
+and it carries one closed-form backward.  Its temporal convolution is
+`conv1d_temporal`'s tap code (`_apply_taps` over a flat (L, T, C*V)
+view), and per-channel sums are one GEMV over a (rows, C*V) view
+(`_channel_sums`).  The row softmax negative log-likelihood has one
+implementation, `_softmax_nll_rows`: one exp() per entry, shifted by
+the row max, with the closed-form backward; a row's positives are its
+leading entries plus index-picked ones.  It has two callers, each one
+tape node: `masked_softmax_nll_rows` (the linear probe and finetuning)
+and `contrast.queue_nll` (the InfoNCE loss), which works in place on
+the logit buffer it builds.
 """
 
 from __future__ import annotations
@@ -165,15 +171,25 @@ def _tracked(t: Tensor) -> bool:
     return t.requires_grad or t.node is not None
 
 
+def _recording(inputs: tuple[Tensor, ...]) -> "Tape | None":
+    """The tape an op on `inputs` records onto, or None when it records nothing."""
+    tape = _active_tape()
+    if tape is not None and not tape.consumed and any(_tracked(t) for t in inputs):
+        return tape
+    return None
+
+
 def _apply(out_data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
     if out_data.size:
         # min/max reductions catch NaN and both infinities without
         # materializing the bool array isfinite().all() would
         if not (math.isfinite(float(out_data.min())) and math.isfinite(float(out_data.max()))):
-            raise NonFiniteValue("operation produced NaN or Inf")
+            # every op's backward is a closure defined inside the op's function
+            op = backward_fn.__qualname__.split(".<locals>", 1)[0]
+            raise NonFiniteValue(f"{op} produced NaN or Inf", op=op)
     out = Tensor(out_data)
-    tape = _active_tape()
-    if tape is not None and not tape.consumed and any(_tracked(t) for t in inputs):
+    tape = _recording(inputs)
+    if tape is not None:
         node = TapeNode(out, inputs, backward_fn, tape)
         out.node = node
         tape.nodes.append(node)
@@ -452,16 +468,53 @@ def _channel_sums(a: np.ndarray, channels: int) -> np.ndarray:
     return (np.ones(rows.shape[0], dtype=a.dtype) @ rows).reshape(channels, -1).sum(axis=1)
 
 
+def _conv_plan(kernel: np.ndarray, frames: int, joints: int):
+    """(taps, pad, offsets) of a (C, K) depthwise temporal kernel applied
+    over a flat (L, T, C*V) view: per tap one contiguous (T, C*V) weight
+    tile (a whole clip's worth, so each multiply broadcasts over L only
+    and runs one long inner loop), the centre tap's index, and the
+    off-centre offsets that reach a frame of a `frames`-long clip."""
+    width = kernel.shape[1]
+    pad = (width - 1) // 2
+    taps = np.repeat(np.repeat(kernel.T, joints, axis=1)[:, None], frames, axis=1)
+    offsets = [j - pad for j in range(width) if j != pad and abs(j - pad) < frames]
+    return taps, pad, offsets
+
+
+def _apply_taps(src, plan, out, adjoint: bool = False) -> np.ndarray:
+    """The temporal convolution of a flat (L, T, C*V) `src` into `out`
+    (the adjoint, i.e. the input gradient, with `adjoint`): the centre
+    tap initialises `out` and each off-centre tap adds into the frames
+    it reaches, so no padded copy is built."""
+    taps, pad, offsets = plan
+    np.multiply(src, taps[pad], out=out)
+    for d in offsets:
+        dst, reach = _tap_slices(d, src.shape[1])
+        if adjoint:
+            dst, reach = reach, dst
+        out[:, dst] += src[:, reach] * taps[d + pad, dst]
+    return out
+
+
+def _add_tap_grads(g, src, plan, gk: np.ndarray) -> None:
+    """Add the kernel gradient of `_apply_taps(src)` under output
+    gradient `g` (both flat (L, T, C*V)) into the (C, K) `gk`, each
+    tap's product reduced by one GEMV (`_channel_sums`)."""
+    _, pad, offsets = plan
+    channels = gk.shape[0]
+    gk[:, pad] += _channel_sums(g * src, channels)
+    for d in offsets:
+        dst, reach = _tap_slices(d, g.shape[1])
+        gk[:, d + pad] += _channel_sums(g[:, dst] * src[:, reach], channels)
+
+
 def conv1d_temporal(x, kernel) -> Tensor:
     """Depthwise convolution along the frame axis.
 
     `x` has layout (..., T, C, V); `kernel` is (C, K) with odd K and is
     applied identically at every joint with zero padding, so T is
-    preserved.  The taps run over a flattened (L, T, C*V) view with one
-    contiguous C*V weight vector per tap: the centre tap initialises
-    the output and each off-centre tap adds into the frames it reaches,
-    so no padded copy is built.  The kernel gradient reduces each tap's
-    product with a GEMV (`_channel_sums`).
+    preserved.  The taps run over a flattened (L, T, C*V) view
+    (`_apply_taps`, shared with `stgcn_block`).
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
     if x.ndim < 3:
@@ -474,84 +527,211 @@ def conv1d_temporal(x, kernel) -> Tensor:
             f"kernel has {channels} channels but input has {x.shape[-2]}"
         )
     frames, joints = x.shape[-3], x.shape[-1]
-    pad = (width - 1) // 2
     flat = (-1, frames, channels * joints)
     x2 = x.data.reshape(flat)
-    taps = np.repeat(kernel.data.T, joints, axis=1)  # (K, C*V)
-    offsets = [j - pad for j in range(width) if j != pad and abs(j - pad) < frames]
-
-    out = x2 * taps[pad]
-    for d in offsets:
-        dst, src = _tap_slices(d, frames)
-        out[:, dst] += x2[:, src] * taps[d + pad]
+    plan = _conv_plan(kernel.data, frames, joints)
+    dtype = np.result_type(x.data, kernel.data)
+    out = _apply_taps(x2, plan, np.empty(x2.shape, dtype))
 
     def bwd(g, needs):
         gx = gk = None
         g2 = g.reshape(flat)
         if needs[0]:
-            gx = g2 * taps[pad]
-            for d in offsets:
-                dst, src = _tap_slices(d, frames)
-                gx[:, src] += g2[:, dst] * taps[d + pad]
-            gx = gx.reshape(x.shape)
+            gx = _apply_taps(g2, plan, np.empty_like(g2), adjoint=True).reshape(x.shape)
         if needs[1]:
             gk = np.zeros_like(kernel.data)
-            gk[:, pad] = _channel_sums(g2 * x2, channels)
-            for d in offsets:
-                dst, src = _tap_slices(d, frames)
-                gk[:, d + pad] = _channel_sums(g2[:, dst] * x2[:, src], channels)
+            _add_tap_grads(g2, x2, plan, gk)
         return gx, gk
 
     return _apply(out.reshape(x.shape), (x, kernel), bwd)
 
 
-def batch_norm(y, gamma, beta, eps: float) -> tuple[Tensor, np.ndarray, np.ndarray]:
-    """Train-mode batch normalization over a (..., C, V) activation.
+# bytes of one chunk's (n, T, C_out, V) activation in `stgcn_block`: a
+# chunk's few such arrays then stay in a 2 MiB L2 cache
+BLOCK_CHUNK_BYTES = 256 * 1024
 
-    Each channel is normalized with the mean and biased variance of its
-    entries over every other axis, then scaled by `gamma` and shifted by
-    `beta` (both (C,)).  Returns (out, mean, var) with the statistics as
-    constant (C,) arrays for the caller's running averages.  The work
-    runs on a flattened (rows, C*V) view, each (C,) vector repeated V
-    times to one value per column.  One tape node carries the
-    closed-form backward (Ioffe & Szegedy, 2015):
-    dy = gamma / sigma * (g - mean(g) - xhat * mean(g * xhat)).
+
+def stgcn_block(h, adjacency, weight, kernel, norm=None, running=None, eps: float = 1e-5):
+    """One graph-convolutional encoder block as one tape node.
+
+    For an (N, T, C_in, V) activation `h`, the (V, V) constant
+    `adjacency`, a (C_in, C_out) `weight` and a (C_out, K) temporal
+    `kernel`, returns (out, stats) with
+
+        out = relu(norm(conv1d_temporal(W^T @ (h @ adjacency)))) [+ h],
+
+    the residual added when C_in == C_out.  `norm` is None (no
+    normalization) or the (gamma, beta) pair of a batch norm over every
+    axis but the channel one.  With `running=None` it normalizes with
+    the batch's mean and biased variance, returned as `stats` (constant
+    (C_out,) arrays for the caller's running averages); with a
+    (mean, var) pair of arrays it uses those, and `stats` is None.
+
+    The batch is walked in chunks of BLOCK_CHUNK_BYTES // (bytes per
+    sample) samples, so each chunk's intermediates stay in cache; only
+    `out` and, when the node records onto a tape, the normalized
+    pre-activation xhat are full-batch arrays.  Batch statistics stay
+    exact: per-channel sums accumulate over the chunks (in float64), one
+    pass for the mean and one for the centered variance, before a last
+    pass normalizes, applies relu and adds the residual.  The backward
+    recomputes each chunk's spatial step from `h` and takes two passes
+    in train mode (the sums of g and g * xhat the closed-form batch-norm
+    gradient needs, then the input, weight and kernel gradients), one
+    otherwise.
     """
-    y, gamma, beta = as_tensor(y), as_tensor(gamma), as_tensor(beta)
-    if y.ndim < 2:
-        raise ShapeMismatch("batch_norm input must have layout (..., C, V)")
-    channels, joints = y.shape[-2], y.shape[-1]
-    if gamma.shape != (channels,) or beta.shape != (channels,):
-        raise ShapeMismatch(f"gamma and beta must be ({channels},) for input {y.shape}")
-    count = y.size // channels
+    h, weight, kernel = as_tensor(h), as_tensor(weight), as_tensor(kernel)
+    if h.ndim != 4:
+        raise ShapeMismatch("stgcn_block input must be an (N, T, C, V) batch")
+    n, frames, c_in, joints = h.shape
+    if weight.ndim != 2 or weight.shape[0] != c_in:
+        raise ShapeMismatch(f"weight {weight.shape} does not take {c_in} input channels")
+    c_out = weight.shape[1]
+    if kernel.ndim != 2 or kernel.shape[0] != c_out or kernel.shape[1] % 2 != 1:
+        raise ShapeMismatch(f"temporal kernel must be ({c_out}, odd K), got {kernel.shape}")
+    dtype = np.result_type(h.data, weight.data, kernel.data)
+    adjacency = np.asarray(adjacency, dtype=dtype)
+    if adjacency.shape != (joints, joints):
+        raise ShapeMismatch("adjacency size does not match joint count")
+    inputs = (h, weight, kernel)
+    if norm is not None:
+        gamma, beta = (as_tensor(t) for t in norm)
+        if gamma.shape != (c_out,) or beta.shape != (c_out,):
+            raise ShapeMismatch(f"gamma and beta must be ({c_out},)")
+        inputs += (gamma, beta)
+    train = norm is not None and running is None
+    residual = c_in == c_out
+    count = n * frames * joints
+    width = c_out * joints
 
-    y2 = y.data.reshape(-1, channels * joints)
-    mean = _channel_sums(y2, channels) / count
-    xhat = y2 - np.repeat(mean, joints)
-    var = _channel_sums(xhat * xhat, channels) / count
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat *= np.repeat(inv_std, joints)
-    out = xhat * np.repeat(gamma.data, joints)
-    out += np.repeat(beta.data, joints)
+    def per_column(v) -> np.ndarray:
+        """A (C_out,) vector as a (T, C_out * V) tile of a sample's layout."""
+        return np.repeat(np.repeat(np.asarray(v, dtype=dtype), joints)[None], frames, axis=0)
+
+    rows = max(1, BLOCK_CHUNK_BYTES // (frames * width * np.dtype(dtype).itemsize))
+    chunks = [slice(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
+    plan = _conv_plan(kernel.data.astype(dtype, copy=False), frames, joints)
+    w = weight.data.astype(dtype, copy=False)
+    x = h.data.astype(dtype, copy=False)
+    # chunk-sized scratch: the spatial aggregate h @ A, and W^T of it
+    agg = np.empty((rows, frames, c_in, joints), dtype)
+    mixed = np.empty((rows, frames, c_out, joints), dtype)
+
+    def spatial(c: slice) -> tuple[np.ndarray, np.ndarray]:
+        """(h[c] @ A, W^T @ that) for chunk `c`, in the scratch buffers."""
+        m = c.stop - c.start
+        np.matmul(x[c].reshape(-1, joints), adjacency, out=agg[:m].reshape(-1, joints))
+        np.matmul(w.T, agg[:m], out=mixed[:m])
+        return agg[:m], mixed[:m].reshape(m, frames, width)
+
+    out = np.empty((n, frames, width), dtype)
+    # the pre-affine activation (xhat, or the conv output without norm);
+    # without a tape it is built in `out` itself
+    recording = _recording(inputs) is not None
+    xhat = np.empty_like(out) if recording else out
+    # the relu's open entries, which the backward's gradient passes through
+    positive = np.empty(out.shape, bool) if recording else None
+    stats = None
+    if train:
+        sums = np.zeros(c_out)
+        for c in chunks:
+            sums += _channel_sums(_apply_taps(spatial(c)[1], plan, xhat[c]), c_out)
+        mean = (sums / count).astype(dtype)
+        mean_c = per_column(mean)
+        centered = mixed.reshape(rows, frames, width)  # free between the passes
+        sums[:] = 0.0
+        for c in chunks:
+            d = np.subtract(xhat[c], mean_c, out=centered[: c.stop - c.start])
+            d *= d
+            sums += _channel_sums(d, c_out)
+        var = (sums / count).astype(dtype)
+        stats = (mean, var)
+    elif norm is not None:
+        mean, var = (np.asarray(v, dtype=dtype) for v in running)
+        mean_c = per_column(mean)
+    if norm is not None:
+        inv_std = 1.0 / np.sqrt(var + eps)
+        inv_c = per_column(inv_std)
+        gamma_c, beta_c = per_column(gamma.data), per_column(beta.data)
+
+    trace = _kink_trace()
+    for c in chunks:
+        pre = xhat[c] if train else _apply_taps(spatial(c)[1], plan, xhat[c])
+        if norm is not None:
+            pre -= mean_c
+            pre *= inv_c
+            pre = np.multiply(pre, gamma_c, out=out[c])
+            pre += beta_c
+        if trace is not None:
+            trace.append(np.sign(pre).astype(np.int8))
+        if recording:
+            np.greater(pre, 0.0, out=positive[c])
+        np.maximum(pre, 0.0, out=out[c])
+        if residual:
+            out[c] += x[c].reshape(out[c].shape)
 
     def bwd(g, needs):
-        g2 = g.reshape(xhat.shape)
-        g_beta = _channel_sums(g2, channels)
-        g_gamma = _channel_sums(g2 * xhat, channels)
-        gy = None
-        if needs[0]:
-            scale = gamma.data * inv_std
-            gy = xhat * np.repeat(-scale * g_gamma / count, joints)
-            gy += g2 * np.repeat(scale, joints)
-            gy -= np.repeat(scale * g_beta / count, joints)
-            gy = gy.reshape(y.shape)
-        return (
-            gy,
-            g_gamma if needs[1] else None,
-            g_beta if needs[2] else None,
-        )
+        g = g.reshape(out.shape)
+        need_x, need_w, need_k = needs[:3]
+        need_affine = norm is not None and any(needs[3:])
+        gx = np.empty(x.shape, dtype) if need_x else None
+        gw = np.zeros_like(w) if need_w else None
+        gk = np.zeros((c_out, kernel.shape[1]), dtype) if need_k else None
+        g_beta, g_gamma = np.zeros(c_out), np.zeros(c_out)
+        gpre = np.empty((rows, frames, width), dtype)
+        dmixed = np.empty_like(gpre)
 
-    return _apply(out.reshape(y.shape), (y, gamma, beta), bwd), mean, var
+        def relu_grad(c: slice) -> np.ndarray:
+            """The gradient past the relu for chunk `c`, in `gpre`."""
+            return np.multiply(g[c], positive[c], out=gpre[: c.stop - c.start])
+
+        def add_affine_sums(c: slice, gr: np.ndarray) -> None:
+            g_beta[:] += _channel_sums(gr, c_out)
+            g_gamma[:] += _channel_sums(gr * xhat[c], c_out)
+
+        if train:
+            for c in chunks:
+                add_affine_sums(c, relu_grad(c))
+        if norm is not None:
+            scale = gamma.data * inv_std
+            scale_c = per_column(scale)
+        if train:
+            shift_c = per_column(scale * g_beta / count)
+            slope_c = per_column(scale * g_gamma / count)
+
+        for c in chunks:
+            m = c.stop - c.start
+            dpre = relu_grad(c)
+            if need_affine and not train:
+                add_affine_sums(c, dpre)
+            if not (need_x or need_w or need_k):
+                continue
+            if norm is not None:
+                # closed-form batch norm (Ioffe & Szegedy, 2015):
+                # gamma / sigma * (g - mean(g) - xhat * mean(g * xhat))
+                dpre *= scale_c
+                if train:
+                    dpre -= xhat[c] * slope_c
+                    dpre -= shift_c
+            dy = _apply_taps(dpre, plan, dmixed[:m], adjoint=True)
+            if need_w or need_k:
+                agg_c, mixed_c = spatial(c)
+                if need_k:
+                    _add_tap_grads(dpre, mixed_c, plan, gk)
+                if need_w:
+                    dy4 = dy.reshape(m, frames, c_out, joints)
+                    gw += np.tensordot(agg_c, dy4, axes=([0, 1, 3], [0, 1, 3]))
+            if need_x:
+                dagg = np.matmul(w, dy.reshape(m, frames, c_out, joints), out=agg[:m])
+                np.matmul(dagg.reshape(-1, joints), adjacency.T, out=gx[c].reshape(-1, joints))
+                if residual:
+                    gx[c] += g[c].reshape(gx[c].shape)
+        grads = [gx, gw, gk]
+        if norm is not None:
+            grads += [g_gamma.astype(dtype) if needs[3] else None,
+                      g_beta.astype(dtype) if needs[4] else None]
+        return tuple(grads)
+
+    return _apply(out.reshape(n, frames, c_out, joints), inputs, bwd), stats
 
 
 # -- norm / softmax kernels ------------------------------------------------------
@@ -569,12 +749,16 @@ def l2_normalize(v) -> Tensor:
     return div(v, sqrt(squared))
 
 
-def _softmax_nll_rows(exps: np.ndarray, mask, lead: int = 0):
+def _softmax_nll_rows(exps: np.ndarray, lead: int = 0, picks=None):
     """The package's one row softmax negative log-likelihood.
 
     Per row of a (..., L) logit buffer, LSE(all) - LSE(positives), where
-    a row's positives are its first `lead` entries plus the entries of
-    `exps[..., lead:]` that the boolean `mask` marks (None marks none).
+    a row's positives are its first `lead` entries plus the entries
+    `picks` names: None, or (rows, cols) with `rows` a tuple of (P,)
+    index arrays over the leading axes (as `np.nonzero` gives them) and
+    `cols` a (P, k) array of the columns picked in each listed row; a
+    (row, column) pair appears at most once.  Only the picked entries
+    are gathered (`exps[index]`), never a full-size mask.
     The buffer is overwritten: shifted by its row max, which keeps
     temperature-scaled logits in range, and exponentiated in place.
     Returns (nll, grad): nll has shape (...), and grad(g) overwrites the
@@ -586,8 +770,10 @@ def _softmax_nll_rows(exps: np.ndarray, mask, lead: int = 0):
     np.exp(exps, out=exps)
     denom = exps.sum(axis=-1, keepdims=True)
     numer = exps[..., :lead].sum(axis=-1, keepdims=True)
-    if mask is not None:
-        numer += np.sum(exps[..., lead:], axis=-1, keepdims=True, where=mask)
+    if picks is not None:
+        rows, cols = picks
+        index = (*(r[:, None] for r in rows), cols)
+        np.add.at(numer[..., 0], rows, exps[index].sum(axis=-1))
     with np.errstate(divide="ignore"):
         nll = (np.log(denom) - np.log(numer))[..., 0]
 
@@ -595,10 +781,9 @@ def _softmax_nll_rows(exps: np.ndarray, mask, lead: int = 0):
         np.multiply(exps, g[..., None] / denom, out=exps)
         # a positive entry also loses exps * g / numer: scale by 1 - denom / numer
         ratio = 1.0 - denom / numer
-        head, tail = exps[..., :lead], exps[..., lead:]
-        head *= ratio
-        if mask is not None:
-            np.multiply(tail, ratio, out=tail, where=mask)
+        exps[..., :lead] *= ratio
+        if picks is not None:
+            exps[index] *= ratio[rows]
         return exps
 
     return nll, grad
@@ -619,7 +804,8 @@ def masked_softmax_nll_rows(logits, positive_mask) -> Tensor:
         raise ShapeMismatch("mask shape must match logits")
     if not mask.any(axis=-1).all():
         raise EmptyMask("some row has no positive entry")
-    out, grad = _softmax_nll_rows(logits.data.copy(), mask)
+    *rows, cols = np.nonzero(mask)  # one pick per positive entry
+    out, grad = _softmax_nll_rows(logits.data.copy(), picks=(tuple(rows), cols[:, None]))
 
     def bwd(g, needs):
         return (grad(g) if needs[0] else None,)

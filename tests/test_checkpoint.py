@@ -1,5 +1,6 @@
 """Checkpoint format: round trips, tamper detection, state reconstruction."""
 
+import dataclasses
 import struct
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from skelcl.errors import (
     TruncatedFile,
     VersionMismatch,
 )
-from skelcl.skeleton import generate_synthetic_dataset, write_dataset
+from skelcl.skeleton import generate_synthetic_dataset, write_dataset, write_file
 from skelcl.train import init_train_state, pretrain
 
 SMALL = RunConfig(
@@ -174,10 +175,6 @@ def test_huge_dims_do_not_wrap(tmp_path):
         ("enc.joint.query.projector.w1", None),
         ("enc.joint.key.block0.spatial_weight", np.zeros(1, np.float32)),  # would broadcast
         ("opt.joint.projector.b2", np.zeros((2, 2), np.float32)),
-        ("queue.joint.head", np.array([SMALL.queue_size], np.float32)),
-        ("queue.joint.filled", np.array([-1.0], np.float32)),
-        ("meta.epoch", np.array([np.nan], np.float32)),
-        ("meta.step", np.array([0.5], np.float32)),
     ],
 )
 def test_damaged_tensor_raises_corrupt_file(trained_state, name, value):
@@ -192,6 +189,43 @@ def test_damaged_tensor_raises_corrupt_file(trained_state, name, value):
     if ".query." in name:
         with pytest.raises(CorruptFile, match=name):
             query_params(ckpt, "joint")
+
+
+@pytest.mark.parametrize(
+    "name,value",
+    [
+        ("queue.joint.head", SMALL.queue_size),  # one past the last slot
+        ("queue.joint.filled", -1),
+        ("meta.epoch", None),  # missing
+        ("meta.step", 0.5),
+        ("meta.step", True),
+    ],
+)
+def test_damaged_counter_raises_corrupt_file(trained_state, name, value):
+    ckpt = state_to_checkpoint(trained_state)
+    assert name in ckpt.counters and name not in ckpt.tensors
+    if value is None:
+        del ckpt.counters[name]
+    else:
+        ckpt.counters[name] = value
+    with pytest.raises(CorruptFile, match=name):
+        state_from_checkpoint(ckpt)
+
+
+def test_counters_round_trip_beyond_float32(tmp_path, trained_state):
+    # 2**24 + 1 is the first integer a float32 cursor would round
+    state = dataclasses.replace(trained_state, step=2**24 + 1)
+    path = tmp_path / "big.bin"
+    save_checkpoint(path, state_to_checkpoint(state))
+    assert state_from_checkpoint(load_checkpoint(path)).step == 2**24 + 1
+
+
+def test_config_only_document_raises_corrupt_file(tmp_path):
+    # the document must hold the config and the counters
+    path = tmp_path / "old.bin"
+    write_file(path, b"CKPT", RunConfig().canonical_json().encode(), {})
+    with pytest.raises(CorruptFile):
+        load_checkpoint(path)
 
 
 FUZZ_CONFIG = RunConfig(

@@ -108,6 +108,15 @@ class TestForward:
         assert params.digest() == digest
 
 
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_one_tape_node_per_block(self, mode):
+        params = init_params(SMALL, RngStream(17).split("e"))
+        with T.Tape() as tape:
+            stgcn_forward(_input((2, 8, 3, 5), seed=7), _adjacency(5), params, mode=mode)
+        ops = [node.backward_fn.__qualname__.split(".")[0] for node in tape.nodes]
+        assert ops == ["stgcn_block"] * SMALL.enc_blocks + ["mean_"]
+
+
 class TestProject:
     def test_unit_norm(self):
         params = init_params(SMALL, RngStream(11).split("e"))
@@ -142,6 +151,21 @@ class TestGradients:
         def f():
             _, z = encode(x, _adjacency(5, np.float64), params, mode="eval")
             return T.sum_(T.mul(z, target))
+
+        res = T.grad_check(f, params.trainable())
+        assert res.max_rel_error < 1e-6
+
+    def test_normalization_off_grad_check(self):
+        cfg = RunConfig(enc_blocks=2, enc_channels=[4, 4], enc_hidden=8, embed_dim=4,
+                        enc_normalization="off")
+        params = init_params(cfg, RngStream(18).split("e")).astype(np.float64)
+        assert not any("norm" in name for name in params.tensors)
+        x = _input((2, 8, 3, 5), seed=14, dtype=np.float64)
+        target = np.random.default_rng(4).normal(size=(2, 4))
+
+        def f():
+            h = stgcn_forward(x, _adjacency(5, np.float64), params, mode="train")
+            return T.sum_(T.mul(h, target))
 
         res = T.grad_check(f, params.trainable())
         assert res.max_rel_error < 1e-6

@@ -228,7 +228,11 @@ OP_CASES = [
     ("matmul", lambda rng: _matmul_case(rng)),
     ("conv1d", lambda rng: _conv_case(rng)),
     ("conv1d_batched_k5", lambda rng: _conv_batched_case(rng)),
-    ("batch_norm", lambda rng: _batch_norm_case(rng)),
+    ("block_train", lambda rng: _block_case(rng, "train", residual=True)),
+    ("block_train_entry", lambda rng: _block_case(rng, "train", residual=False)),
+    ("block_eval", lambda rng: _block_case(rng, "eval", residual=True)),
+    ("block_eval_entry", lambda rng: _block_case(rng, "eval", residual=False)),
+    ("block_norm_off", lambda rng: _block_case(rng, "off", residual=True)),
     ("mixed_elementwise", lambda rng: _elementwise_case(rng)),
     ("reductions", lambda rng: _reduction_case(rng)),
     ("concat_take", lambda rng: _concat_case(rng)),
@@ -258,14 +262,36 @@ def _conv_batched_case(rng):
     return {"x": x, "k": k}, lambda: T.sum_(T.mul(T.conv1d_temporal(x, k), w))
 
 
-def _batch_norm_case(rng):
-    y = T.parameter(rng.normal(size=(2, 3, 4, 5)).astype(np.float64))
-    gamma = T.parameter(rng.uniform(0.5, 1.5, size=4).astype(np.float64))
-    beta = T.parameter(rng.normal(size=4).astype(np.float64))
-    w = np.asarray(rng.normal(size=(2, 3, 4, 5)))
-    return {"y": y, "gamma": gamma, "beta": beta}, lambda: T.sum_(
-        T.mul(T.batch_norm(y, gamma, beta, 1e-5)[0], w)
-    )
+def _block_inputs(rng, mode, residual, shape=(3, 6, 3, 4), dtype=np.float64):
+    """Parameters and call arguments of an `stgcn_block` case.
+
+    `mode` is "train" (batch statistics), "eval" (given running
+    statistics) or "off" (no normalization); without `residual` the
+    block widens its channels, so no residual is added.
+    """
+    n, frames, c_in, joints = shape
+    c_out = c_in if residual else c_in + 2
+    adjacency = rng.uniform(0.0, 0.5, size=(joints, joints))
+    params = {
+        "h": T.parameter(rng.normal(size=shape).astype(dtype)),
+        "w": T.parameter(rng.normal(size=(c_in, c_out)).astype(dtype)),
+        "k": T.parameter(rng.normal(size=(c_out, 3)).astype(dtype)),
+    }
+    running = None
+    if mode != "off":
+        params["gamma"] = T.parameter(rng.uniform(0.5, 1.5, size=c_out).astype(dtype))
+        params["beta"] = T.parameter(rng.normal(size=c_out).astype(dtype))
+    if mode == "eval":
+        running = (rng.normal(size=c_out).astype(dtype), rng.uniform(0.5, 2.0, size=c_out).astype(dtype))
+    norm = (params["gamma"], params["beta"]) if mode != "off" else None
+    args = (params["h"], adjacency.astype(dtype), params["w"], params["k"], norm, running)
+    return params, args
+
+
+def _block_case(rng, mode, residual):
+    params, args = _block_inputs(rng, mode, residual)
+    w = rng.normal(size=args[0].shape[:2] + (args[2].shape[1], args[0].shape[3]))
+    return params, lambda: T.sum_(T.mul(T.stgcn_block(*args)[0], w))
 
 
 def _elementwise_case(rng):
@@ -353,17 +379,99 @@ def composed_batch_norm(y, gamma, beta, eps):
     return out, mu.data.reshape(-1), var.data.reshape(-1)
 
 
-@pytest.mark.parametrize("shape", [(4, 5, 3, 6), (7, 2, 9)])
+def composed_block(h, adjacency, weight, kernel, norm=None, running=None, eps=1e-5):
+    """An encoder block as the chain of tape ops `stgcn_block` replaced:
+    transpose, two spatial matmuls, `conv1d_temporal`, batch norm (the
+    composition above, or the elementwise eval form), relu and add."""
+    y = T.matmul(T.transpose(weight, (1, 0)), T.matmul(h, adjacency))
+    y = T.conv1d_temporal(y, kernel)
+    stats = None
+    if norm is not None and running is None:
+        y, mean, var = composed_batch_norm(y, *norm, eps)
+        stats = (mean, var)
+    elif norm is not None:
+        shape = (1, 1, y.shape[2], 1)
+        mean, var = (v.reshape(shape) for v in running)
+        xhat = T.div(T.sub(y, mean), np.sqrt(var + eps))
+        y = T.add(T.mul(xhat, T.reshape(norm[0], shape)), T.reshape(norm[1], shape))
+    y = T.relu(y)
+    if h.shape[2] == y.shape[2]:
+        y = T.add(y, h)
+    return y, stats
+
+
+def _run_block(op, params, args, w):
+    """(out, stats, {name: gradient}) of sum(op(*args)[0] * w)."""
+    with T.Tape():
+        out, stats = op(*args)
+        grads = T.backward(T.sum_(T.mul(out, w)))
+    return out.data, stats, {name: grads[p].data for name, p in params.items()}
+
+
+@pytest.mark.parametrize("residual", [True, False])
+@pytest.mark.parametrize("mode", ["train", "eval", "off"])
+def test_block_matches_composition_over_ragged_chunks(monkeypatch, mode, residual):
+    rng = np.random.default_rng(["train", "eval", "off"].index(mode) + 3 * residual)
+    params, args = _block_inputs(rng, mode, residual, shape=(7, 5, 3, 6))
+    n, frames, _, joints = args[0].shape
+    c_out = args[2].shape[1]
+    # two samples a chunk: chunks of 2, 2, 2 and a ragged 1
+    monkeypatch.setattr(T, "BLOCK_CHUNK_BYTES", 2 * frames * c_out * joints * 8)
+    w = rng.normal(size=(n, frames, c_out, joints))
+    out, stats, grads = _run_block(T.stgcn_block, params, args, w)
+    ref_out, ref_stats, ref_grads = _run_block(composed_block, params, args, w)
+    np.testing.assert_allclose(out, ref_out, rtol=1e-10, atol=1e-12)
+    if mode == "train":
+        for got, want in zip(stats, ref_stats):
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+    else:
+        assert stats is None and ref_stats is None
+    assert set(grads) == set(ref_grads)
+    for name in grads:
+        np.testing.assert_allclose(grads[name], ref_grads[name], rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["train", "eval", "off"])
+def test_block_chunk_size_independent_float32(monkeypatch, mode):
+    rng = np.random.default_rng(5)
+    params, args = _block_inputs(rng, mode, True, shape=(9, 8, 4, 5), dtype=np.float32)
+    w = rng.normal(size=args[0].shape).astype(np.float32)
+    whole = _run_block(T.stgcn_block, params, args, w)
+    monkeypatch.setattr(T, "BLOCK_CHUNK_BYTES", 1)  # one sample a chunk
+    chunked = _run_block(T.stgcn_block, params, args, w)
+    np.testing.assert_allclose(chunked[0], whole[0], rtol=1e-5, atol=1e-5)
+    for got, want in zip(chunked[1] or (), whole[1] or ()):
+        np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
+    for name in whole[2]:
+        np.testing.assert_allclose(chunked[2][name], whole[2][name], rtol=1e-5, atol=1e-5)
+
+
+def _identity_block_args(y, gamma, beta):
+    """`stgcn_block` arguments that make everything but its batch norm,
+    relu and residual the identity: unit adjacency, weight and centre tap."""
+    channels, joints = y.shape[-2], y.shape[-1]
+    kernel = np.zeros((channels, 3))
+    kernel[:, 1] = 1.0
+    return y, np.eye(joints), np.eye(channels), kernel, (gamma, beta)
+
+
+@pytest.mark.parametrize("shape", [(4, 5, 3, 6), (7, 2, 9, 1)])
 def test_batch_norm_matches_composition(shape):
-    rng = np.random.default_rng(len(shape))
+    # the block's batch norm, with the rest of the block the identity
+    rng = np.random.default_rng(len(shape) + shape[-1])
     y = T.parameter(rng.normal(1.5, 2.0, size=shape))
     gamma = T.parameter(rng.uniform(0.5, 1.5, size=shape[-2]))
     beta = T.parameter(rng.normal(size=shape[-2]))
     w = rng.normal(size=shape)
+
+    def composed(y, _adjacency, _weight, _kernel, norm):
+        out, mean, var = composed_batch_norm(y, *norm, 1e-5)
+        return T.add(T.relu(out), y), (mean, var)
+
     results = []
-    for op in (T.batch_norm, composed_batch_norm):
+    for op in (T.stgcn_block, composed):
         with T.Tape():
-            out, mean, var = op(y, gamma, beta, 1e-5)
+            out, (mean, var) = op(*_identity_block_args(y, gamma, beta))
             grads = T.backward(T.sum_(T.mul(out, w)))
         results.append((out.data, mean, var, [grads[p].data for p in (y, gamma, beta)]))
     (out, mean, var, grads), (ref_out, ref_mean, ref_var, ref_grads) = results
@@ -378,7 +486,7 @@ def test_batch_norm_one_tape_node():
     y = T.parameter(np.random.default_rng(0).normal(size=(3, 4, 2, 5)))
     gamma, beta = T.parameter(np.ones(2)), T.parameter(np.zeros(2))
     with T.Tape() as tape:
-        T.batch_norm(y, gamma, beta, 1e-5)
+        T.stgcn_block(*_identity_block_args(y, gamma, beta))
     assert len(tape.nodes) == 1
 
 
@@ -437,8 +545,17 @@ def test_grad_check_float32_tolerance():
 
 class TestInvariants:
     def test_nonfinite_surfaced(self):
-        with pytest.raises(NonFiniteValue):
+        with pytest.raises(NonFiniteValue, match="log") as err:
             T.log(T.Tensor([0.0]))
+        assert err.value.op == "log"
+
+    def test_nonfinite_block_names_the_block_op(self):
+        _, args = _block_inputs(np.random.default_rng(0), "train", residual=True)
+        h = args[0].data.copy()
+        h[1, 2, 0, 3] = np.nan
+        with pytest.raises(NonFiniteValue, match="stgcn_block") as err:
+            T.stgcn_block(T.Tensor(h), *args[1:])
+        assert err.value.op == "stgcn_block"
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
