@@ -28,7 +28,6 @@ import numpy as np
 from . import tensor as T
 from .augment import AugmentPipeline
 from .checkpoint import (
-    Checkpoint,
     load_checkpoint,
     query_params,
     save_checkpoint,
@@ -47,10 +46,10 @@ from .encoder import encode, init_params, stgcn_forward
 from .errors import ConfigTypeError, ConfigValueError, CorruptFile, SkelclError, UnknownKey
 from .rng import RngStream
 from .skeleton import (
+    clip_batch,
     generate_synthetic_dataset,
     load_dataset,
     read_input,
-    shared_graph,
     stratified_split,
     write_dataset,
 )
@@ -421,9 +420,8 @@ def cmd_pft_hist(args) -> int:
         ckpt = load_checkpoint(args.checkpoint)
         val = load_dataset(args.data)["val"]
         config = ckpt.config
-        graph = shared_graph(val)
+        graph, joints = clip_batch(val)
         adjacency = graph.normalized_adjacency(np.float32)
-        joints = np.stack([seq.data for seq in val])
         # key branch embeddings come from the checkpointed key encoder
         branches = (
             ("q", config.query_family, query_params(ckpt, args.stream)),

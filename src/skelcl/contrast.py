@@ -78,8 +78,6 @@ def momentum_update(pair: EncoderPair) -> None:
     m = pair.momentum
     for name, q in pair.query.tensors.items():
         k = pair.key.tensors[name]
-        if k.shape != q.shape:
-            raise ShapeMismatch(f"{name}: key {k.shape} vs query {q.shape}")
         k.data[...] = m * k.data + (1.0 - m) * q.data
 
 

@@ -101,8 +101,8 @@ class EmptyValSplit(SkelclError):
     """An evaluation protocol got an empty validation split."""
 
 
-class EmptySubset(SkelclError):
-    """A label fraction rounded some class down to zero samples."""
+class UnlabeledClip(SkelclError):
+    """A supervised protocol got a clip whose label is null."""
 
 
 class LengthMismatch(SkelclError):

@@ -148,12 +148,13 @@ def derive_streams(seq: SkeletonSequence, stream_ids) -> dict[str, np.ndarray]:
     return stream_arrays(seq.data, seq.graph, stream_ids)
 
 
-def shared_graph(sequences: list[SkeletonSequence]) -> SkeletonGraph:
-    """The one skeleton graph (and frame count) every clip of `sequences` has."""
+def clip_batch(sequences: list[SkeletonSequence]) -> tuple[SkeletonGraph, np.ndarray]:
+    """The one skeleton graph every clip of `sequences` has, and the clips
+    stacked as one (N, T, C, V) joint array; they must share a frame count."""
     graph, frames = sequences[0].graph, sequences[0].frames
     if any((s.graph is not graph and s.graph != graph) or s.frames != frames for s in sequences):
         raise ShapeMismatch("clips do not all share one skeleton graph and frame count")
-    return graph
+    return graph, np.stack([s.data for s in sequences])
 
 
 # -- synthetic dataset ---------------------------------------------------------
@@ -510,11 +511,10 @@ def write_dataset(directory, sequences: list[SkeletonSequence], splits: list[str
     clip has none) and one split name per clip; its one tensor, `clips`,
     is (N, T, C, V), so every clip must share one graph and frame count.
     """
-    graph = shared_graph(sequences)
+    graph, clips = clip_batch(sequences)
     doc = {"edges": graph.edges, "labels": [s.label for s in sequences], "splits": list(splits)}
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    clips = np.stack([s.data for s in sequences])
     write_file(directory / DATASET_FILE, DATASET_MAGIC, json.dumps(doc).encode(), {"clips": clips})
 
 

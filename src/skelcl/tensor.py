@@ -757,33 +757,43 @@ def _softmax_nll_rows(exps: np.ndarray, lead: int = 0, picks=None):
     `picks` names: None, or (rows, cols) with `rows` a tuple of (P,)
     index arrays over the leading axes (as `np.nonzero` gives them) and
     `cols` a (P, k) array of the columns picked in each listed row; a
-    (row, column) pair appears at most once.  Only the picked entries
-    are gathered (`exps[index]`), never a full-size mask.
+    (row, column) pair appears at most once, and every row has at least
+    one positive.  Only the picked entries are gathered (`exps[index]`),
+    never a full-size mask.
     The buffer is overwritten: shifted by its row max, which keeps
-    temperature-scaled logits in range, and exponentiated in place.
+    temperature-scaled logits in range, and exponentiated in place.  The
+    positives' LSE is taken from their shifted logits, gathered before
+    the exp and shifted again by their own max, so a positive far below
+    the row max neither underflows to a zero numerator nor overflows the
+    gradient.
     Returns (nll, grad): nll has shape (...), and grad(g) overwrites the
     buffer again with the closed-form gradient
     g * (softmax over all entries - softmax over the positives).
     Call grad at most once.
     """
     exps -= exps.max(axis=-1, keepdims=True)
-    np.exp(exps, out=exps)
-    denom = exps.sum(axis=-1, keepdims=True)
-    numer = exps[..., :lead].sum(axis=-1, keepdims=True)
+    lead_logits = exps[..., :lead].copy()
+    top = lead_logits.max(axis=-1, keepdims=True, initial=-np.inf)
     if picks is not None:
         rows, cols = picks
         index = (*(r[:, None] for r in rows), cols)
-        np.add.at(numer[..., 0], rows, exps[index].sum(axis=-1))
-    with np.errstate(divide="ignore"):
-        nll = (np.log(denom) - np.log(numer))[..., 0]
+        picked = exps[index]
+        np.maximum.at(top[..., 0], rows, picked.max(axis=-1))
+    np.exp(exps, out=exps)
+    denom = exps.sum(axis=-1, keepdims=True)
+    numer = np.exp(lead_logits - top).sum(axis=-1, keepdims=True)
+    if picks is not None:
+        np.add.at(numer[..., 0], rows, np.exp(picked - top[rows]).sum(axis=-1))
+    log_numer = top + np.log(numer)
+    nll = (np.log(denom) - log_numer)[..., 0]
 
     def grad(g: np.ndarray) -> np.ndarray:
-        np.multiply(exps, g[..., None] / denom, out=exps)
-        # a positive entry also loses exps * g / numer: scale by 1 - denom / numer
-        ratio = 1.0 - denom / numer
-        exps[..., :lead] *= ratio
+        g = g[..., None]
+        np.multiply(exps, g / denom, out=exps)
+        # a positive entry also loses g times its softmax over the positives
+        exps[..., :lead] -= g * np.exp(lead_logits - log_numer)
         if picks is not None:
-            exps[index] *= ratio[rows]
+            exps[index] -= g[rows] * np.exp(picked - log_numer[rows])
         return exps
 
     return nll, grad

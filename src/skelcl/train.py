@@ -8,6 +8,16 @@ encoders, momentum-mix the key encoders, then push the step's key
 embeddings into each stream's queue.  Everything stochastic is re-derived
 from (seed, labels), so a resumed run replays the uninterrupted
 trajectory bit for bit.
+
+The protocols share one path.  `skeleton.clip_batch` checks that a
+split's clips share one graph and frame count and stacks them, and
+`stream_arrays` derives the probed stream from that stack once.  The
+linear probe and finetuning train their linear head in one loop,
+`_fit_head`: the probe feeds it frozen eval-mode h, finetuning the taped
+train-mode encoder, whose parameters step with the head.  The kNN probe
+ranks every val clip's train neighbours with one row-wise stable sort
+and counts all votes at once.  Every setting a protocol takes is a
+required keyword; `RunConfig` holds the defaults.
 """
 
 from __future__ import annotations
@@ -24,7 +34,6 @@ from .contrast import EncoderPair, MemoryQueue, combine_losses, momentum_update
 from .encoder import EncoderParams, init_params, project, stgcn_forward
 from .errors import (
     ConfigValueError,
-    EmptySubset,
     EmptyTrainSplit,
     EmptyValSplit,
     EncoderModified,
@@ -32,10 +41,11 @@ from .errors import (
     NonFiniteGradient,
     NonFiniteLoss,
     NonFiniteValue,
-    StreamMissing,
+    UnlabeledClip,
 )
 from .rng import RngStream
-from .skeleton import SkeletonSequence, derive_streams, shared_graph, stream_arrays
+from .skeleton import SkeletonSequence, clip_batch, stream_arrays
+from .skeleton import derive_streams  # noqa: F401  (skelbench's tracer patches this name)
 
 STAGE_NAMES = ("basic", "basic+nnm", "basic+nnm+pft")
 
@@ -45,17 +55,20 @@ class OptimizerState:
     """SGD with momentum and decoupled-from-nothing classic weight decay."""
 
     lr: float
-    momentum: float = 0.9
-    weight_decay: float = 1e-4
+    momentum: float
+    weight_decay: float
     buffers: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def sgd_step(params: dict[str, T.Tensor], grads: dict[str, np.ndarray], state: OptimizerState):
-    """g' = g + wd*theta; buf = m*buf + g'; theta -= lr*buf (in place)."""
+def sgd_step(
+    params: dict[str, T.Tensor], grads: dict[T.Tensor, T.Tensor], state: OptimizerState
+) -> None:
+    """g' = g + wd*theta; buf = m*buf + g'; theta -= lr*buf (in place).
+
+    `grads` is `T.backward`'s map; a parameter missing from it has a zero gradient.
+    """
     for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(p.data)
+        g = grads[p].data if p in grads else np.zeros_like(p.data)
         if not np.all(np.isfinite(g)):
             raise NonFiniteGradient(f"gradient for {name} is not finite")
         g = g + state.weight_decay * p.data
@@ -65,32 +78,12 @@ def sgd_step(params: dict[str, T.Tensor], grads: dict[str, np.ndarray], state: O
         p.data[...] = p.data - state.lr * buf
 
 
-@dataclass(frozen=True)
-class StageSchedule:
-    """Basic, then +mining, then +extrapolation; cumulative epoch bounds."""
-
-    epochs: tuple[int, int, int]
-    lr_drop_epoch: int
-
-    @property
-    def total_epochs(self) -> int:
-        return sum(self.epochs)
-
-    def stage_of(self, epoch: int) -> int:
-        if epoch < self.epochs[0]:
-            return 0
-        if epoch < self.epochs[0] + self.epochs[1]:
-            return 1
-        return 2
-
-    def flags(self, epoch: int) -> tuple[bool, bool]:
-        stage = self.stage_of(epoch)
-        return stage >= 1, stage >= 2  # (nnm, pft)
-
-
-def stage_schedule(config: RunConfig) -> StageSchedule:
-    e = config.stage_epochs
-    return StageSchedule((e[0], e[1], e[2]), config.lr_drop_epoch)
+def stage_of(config: RunConfig, epoch: int) -> int:
+    """0 (basic), 1 (+mining) or 2 (+extrapolation): the stage `epoch` falls in."""
+    basic, mining, _ = config.stage_epochs
+    if epoch < basic:
+        return 0
+    return 1 if epoch < basic + mining else 2
 
 
 @dataclass
@@ -150,10 +143,9 @@ def pretrain(
     keys_per_step = min(config.batch_size, len(dataset))
     if keys_per_step > config.queue_size:
         raise ConfigValueError("queue_size", f"{config.queue_size} < {keys_per_step} keys per step")
-    graph = shared_graph(dataset)
+    graph, joints = clip_batch(dataset)
     adjacency = graph.normalized_adjacency(np.float32)
-    joints = np.stack([seq.data for seq in dataset])
-    schedule = stage_schedule(config)
+    total_epochs = sum(config.stage_epochs)
     if state is None:
         state = init_train_state(config)
     root = RngStream(config.seed)
@@ -166,10 +158,10 @@ def pretrain(
         {"config": config.to_dict(), "config_hash": config.hash(), "n_sequences": len(dataset)}
     ]
     n = len(dataset)
-    for epoch in range(state.epoch, schedule.total_epochs):
-        nnm, pft = schedule.flags(epoch)
-        stage = schedule.stage_of(epoch)
-        lr = config.lr if epoch < schedule.lr_drop_epoch else config.lr_after_drop
+    for epoch in range(state.epoch, total_epochs):
+        stage = stage_of(config, epoch)
+        nnm, pft = stage >= 1, stage >= 2
+        lr = config.lr if epoch < config.lr_drop_epoch else config.lr_after_drop
         order = root.split(f"shuffle.e{epoch}").permutation(n)
 
         for bi in range(math.ceil(n / config.batch_size)):
@@ -208,12 +200,7 @@ def pretrain(
             for u in config.streams:
                 pair = state.pairs[u]
                 state.optimizers[u].lr = lr
-                named = {
-                    name: grads[t].data
-                    for name, t in pair.query.trainable().items()
-                    if t in grads
-                }
-                sgd_step(pair.query.trainable(), named, state.optimizers[u])
+                sgd_step(pair.query.trainable(), grads, state.optimizers[u])
                 momentum_update(pair)
                 state.queues[u].push(step_keys[u])
 
@@ -233,29 +220,34 @@ def pretrain(
             state.step += 1
 
         state.epoch = epoch + 1
-        new_stage = schedule.stage_of(state.epoch) if state.epoch < schedule.total_epochs else 3
+        new_stage = stage_of(config, state.epoch) if state.epoch < total_epochs else 3
         if new_stage != stage and on_stage_end is not None:
             on_stage_end(state, stage)
     return state, records
 
 
-# -- feature extraction for the protocols ---------------------------------------------
+# -- evaluation protocols ---------------------------------------------------------------
 
 
 FEATURE_CHUNK = 64  # clips per eval-mode forward when extracting features
 PROTOCOL_BATCH = 32  # clips per SGD step of the linear probe and finetuning
 
 
+def _stream_batch(sequences: list[SkeletonSequence], stream: str) -> tuple[np.ndarray, np.ndarray]:
+    """The clips' normalized adjacency and their (N, T, C, V) `stream` array."""
+    graph, joints = clip_batch(sequences)
+    return graph.normalized_adjacency(np.float32), stream_arrays(joints, graph, (stream,))[stream]
+
+
 def _features(
     params: EncoderParams, sequences: list[SkeletonSequence], stream: str, projected: bool
 ) -> np.ndarray:
     """Eval-mode hidden vectors h, or projected embeddings z, one row per clip."""
-    adjacency = shared_graph(sequences).normalized_adjacency(np.float32)
-    arrays = np.stack([derive_streams(s, (stream,))[stream] for s in sequences])
+    adjacency, x = _stream_batch(sequences, stream)
     outs = []
     with T.no_tape():
-        for i in range(0, len(arrays), FEATURE_CHUNK):
-            h = stgcn_forward(arrays[i : i + FEATURE_CHUNK], adjacency, params, mode="eval")
+        for i in range(0, len(x), FEATURE_CHUNK):
+            h = stgcn_forward(x[i : i + FEATURE_CHUNK], adjacency, params, mode="eval")
             outs.append((project(h, params) if projected else h).data)
     return np.concatenate(outs)
 
@@ -267,8 +259,36 @@ def _check_splits(train_seqs, val_seqs, protocol: str) -> None:
         raise EmptyValSplit(f"{protocol} needs validation samples")
 
 
-def _labels(sequences) -> np.ndarray:
+def _labels(sequences, split: str) -> np.ndarray:
+    for i, s in enumerate(sequences):
+        if s.label is None:
+            raise UnlabeledClip(f"{split} clip {i} has no label")
     return np.array([s.label for s in sequences], dtype=np.int64)
+
+
+def _fit_head(rows, dim: int, y: np.ndarray, num_classes: int, trainable: dict[str, T.Tensor],
+              lr: float, weight_decay: float, rng: RngStream, epochs: int):
+    """SGD on a zero-initialized linear head's softmax cross-entropy; returns (w, b).
+
+    Each epoch visits the clips in `rng.split(f"e{epoch}")` order,
+    `PROTOCOL_BATCH` at a time.  `rows(idx)` gives the batch's (B, dim)
+    hidden vectors, recorded on the tape when they depend on `trainable`,
+    which steps along with the head.
+    """
+    w = T.parameter(np.zeros((dim, num_classes), dtype=np.float32))
+    b = T.parameter(np.zeros(num_classes, dtype=np.float32))
+    trainable = {**trainable, "head.w": w, "head.b": b}
+    opt = OptimizerState(lr=lr, momentum=0.9, weight_decay=weight_decay)
+    positives = np.eye(num_classes, dtype=bool)
+    for epoch in range(epochs):
+        order = rng.split(f"e{epoch}").permutation(len(y))
+        for i in range(0, len(y), PROTOCOL_BATCH):
+            idx = order[i : i + PROTOCOL_BATCH]
+            with T.Tape():
+                logits = T.add(T.matmul(rows(idx), w), b)
+                grads = T.backward(T.mean_(T.masked_softmax_nll_rows(logits, positives[y[idx]])))
+            sgd_step(trainable, grads, opt)
+    return w.data, b.data
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -292,10 +312,11 @@ def linear_probe(
     params: EncoderParams,
     train_seqs: list[SkeletonSequence],
     val_seqs: list[SkeletonSequence],
-    stream: str = "joint",
-    epochs: int = 100,
-    lr: float = 0.3,
-    seed: int = 0,
+    *,
+    stream: str,
+    epochs: int,
+    lr: float,
+    seed: int,
 ) -> ProbeResult:
     """Frozen-encoder evaluation: one affine layer on h, softmax CE.
 
@@ -303,65 +324,44 @@ def linear_probe(
     raising `EncoderModified` otherwise.
     """
     _check_splits(train_seqs, val_seqs, "linear probe")
+    y_train, y_val = _labels(train_seqs, "train"), _labels(val_seqs, "val")
     digest_before = params.digest()
     h_train = _features(params, train_seqs, stream, projected=False)
     h_val = _features(params, val_seqs, stream, projected=False)
-    y_train = _labels(train_seqs)
-    y_val = _labels(val_seqs)
     num_classes = int(max(y_train.max(), y_val.max())) + 1
+    w, b = _fit_head(lambda idx: T.Tensor(h_train[idx]), h_train.shape[1], y_train, num_classes,
+                     {}, lr, 0.0, RngStream(seed).split("linear_probe"), epochs)
 
-    w = T.parameter(np.zeros((h_train.shape[1], num_classes), dtype=np.float32))
-    b = T.parameter(np.zeros(num_classes, dtype=np.float32))
-    opt = OptimizerState(lr=lr, momentum=0.9, weight_decay=0.0)
-    rng = RngStream(seed).split("linear_probe")
-    n = len(h_train)
-    for epoch in range(epochs):
-        order = rng.split(f"e{epoch}").permutation(n)
-        for bi in range(math.ceil(n / PROTOCOL_BATCH)):
-            idx = order[bi * PROTOCOL_BATCH : (bi + 1) * PROTOCOL_BATCH]
-            mask = np.eye(num_classes, dtype=bool)[y_train[idx]]
-            with T.Tape():
-                logits = T.add(T.matmul(T.Tensor(h_train[idx]), w), b)
-                loss = T.mean_(T.masked_softmax_nll_rows(logits, mask))
-                grads = T.backward(loss)
-            sgd_step({"w": w, "b": b}, {"w": grads[w].data, "b": grads[b].data}, opt)
-
-    val_logits = h_val @ w.data + b.data
-    predicted = np.argmax(val_logits, axis=1)
-    accuracy = float((predicted == y_val).mean())
+    val_logits = h_val @ w + b
+    accuracy = float((np.argmax(val_logits, axis=1) == y_val).mean())
     digest_after = params.digest()
     if digest_before != digest_after:
         raise EncoderModified("linear probe must not touch the encoder")
-    return ProbeResult(
-        accuracy, w.data.copy(), b.data.copy(), _softmax(val_logits), y_val,
-        digest_before, digest_after,
-    )
+    return ProbeResult(accuracy, w, b, _softmax(val_logits), y_val, digest_before, digest_after)
 
 
 def knn_probe(
     params: EncoderParams,
     train_seqs: list[SkeletonSequence],
     val_seqs: list[SkeletonSequence],
-    stream: str = "joint",
-    k: int = 5,
+    *,
+    stream: str,
+    k: int,
 ) -> float:
-    """Cosine k-nearest-neighbor majority vote on projected embeddings."""
+    """Cosine k-nearest-neighbor majority vote on projected embeddings.
+
+    Similarity ties go to the lower train index, vote ties to the smaller class.
+    """
     _check_splits(train_seqs, val_seqs, "knn probe")
     if k > len(train_seqs):
         raise ConfigValueError("knn_k", f"k={k} exceeds the training split size {len(train_seqs)}")
+    y_train, y_val = _labels(train_seqs, "train"), _labels(val_seqs, "val")
     z_train = _features(params, train_seqs, stream, projected=True)
     z_val = _features(params, val_seqs, stream, projected=True)
-    y_train = _labels(train_seqs)
-    y_val = _labels(val_seqs)
-    sims = z_val @ z_train.T
-    num_classes = int(y_train.max()) + 1
-    correct = 0
-    for i in range(len(z_val)):
-        nearest = np.argsort(-sims[i], kind="stable")[:k]
-        votes = np.bincount(y_train[nearest], minlength=num_classes)
-        if int(np.argmax(votes)) == y_val[i]:  # argmax tie -> smallest class index
-            correct += 1
-    return correct / max(1, len(z_val))
+    nearest = np.argsort(-(z_val @ z_train.T), axis=1, kind="stable")[:, :k]
+    votes = np.zeros((len(y_val), int(y_train.max()) + 1), dtype=np.int64)
+    np.add.at(votes, (np.arange(len(y_val))[:, None], y_train[nearest]), 1)
+    return np.count_nonzero(np.argmax(votes, axis=1) == y_val) / len(y_val)
 
 
 def stratified_fraction(
@@ -370,13 +370,11 @@ def stratified_fraction(
     """Class-stratified subset indices with a one-per-class floor."""
     if not 0 < fraction <= 1:
         raise ConfigValueError("fraction", f"must lie in (0, 1], got {fraction}")
-    labels = _labels(sequences)
+    labels = _labels(sequences, "train")
     picked: list[int] = []
     gen = rng.generator()
     for cls in np.unique(labels):
         idx = np.flatnonzero(labels == cls)
-        if idx.size == 0:
-            raise EmptySubset(f"class {cls} has no samples")
         take = max(1, int(round(idx.size * fraction)))
         idx = idx[gen.permutation(idx.size)]
         picked.extend(int(i) for i in idx[:take])
@@ -396,12 +394,13 @@ def finetune(
     params: EncoderParams,
     train_seqs: list[SkeletonSequence],
     val_seqs: list[SkeletonSequence],
-    stream: str = "joint",
-    fraction: float = 1.0,
-    epochs: int = 30,
-    lr: float = 0.1,
-    weight_decay: float = 1e-4,
-    seed: int = 0,
+    *,
+    stream: str,
+    fraction: float,
+    epochs: int,
+    lr: float,
+    weight_decay: float,
+    seed: int,
 ) -> FinetuneResult:
     """Jointly train a copy of the encoder plus a linear head.
 
@@ -411,40 +410,20 @@ def finetune(
     _check_splits(train_seqs, val_seqs, "finetuning")
     rng = RngStream(seed).split("finetune")
     subset = stratified_fraction(train_seqs, fraction, rng.split("subset"))
-    subset_seqs = [train_seqs[i] for i in subset]
+    y_val = _labels(val_seqs, "val")
+    # the whole train split, not only the subset, must share one graph
+    adjacency, x = _stream_batch(train_seqs, stream)
+    x, y = x[subset], _labels(train_seqs, "train")[subset]
+    num_classes = int(max(y.max(), y_val.max())) + 1
 
     tuned = params.copy()
     digest_before = tuned.digest()
-    adjacency = shared_graph(train_seqs).normalized_adjacency(np.float32)
-    arrays = np.stack([derive_streams(s, (stream,))[stream] for s in subset_seqs])
-    y = _labels(subset_seqs)
-    y_val = _labels(val_seqs)
-    num_classes = int(max(y.max(), y_val.max())) + 1
-
-    head_w = T.parameter(np.zeros((tuned.config.enc_channels[-1], num_classes), dtype=np.float32))
-    head_b = T.parameter(np.zeros(num_classes, dtype=np.float32))
-    trainable = dict(tuned.trainable())
-    trainable["head.w"] = head_w
-    trainable["head.b"] = head_b
-    opt = OptimizerState(lr=lr, momentum=0.9, weight_decay=weight_decay)
-
-    n = len(arrays)
-    for epoch in range(epochs):
-        order = rng.split(f"e{epoch}").permutation(n)
-        for bi in range(math.ceil(n / PROTOCOL_BATCH)):
-            idx = order[bi * PROTOCOL_BATCH : (bi + 1) * PROTOCOL_BATCH]
-            mask = np.eye(num_classes, dtype=bool)[y[idx]]
-            with T.Tape():
-                h = stgcn_forward(arrays[idx], adjacency, tuned, mode="train")
-                logits = T.add(T.matmul(h, head_w), head_b)
-                loss = T.mean_(T.masked_softmax_nll_rows(logits, mask))
-                grads = T.backward(loss)
-            named = {name: grads[t].data for name, t in trainable.items() if t in grads}
-            sgd_step(trainable, named, opt)
+    w, b = _fit_head(lambda idx: stgcn_forward(x[idx], adjacency, tuned, mode="train"),
+                     tuned.config.enc_channels[-1], y, num_classes, tuned.trainable(), lr,
+                     weight_decay, rng, epochs)
 
     h_val = _features(tuned, val_seqs, stream, projected=False)
-    predicted = np.argmax(h_val @ head_w.data + head_b.data, axis=1)
-    accuracy = float((predicted == y_val).mean())
+    accuracy = float((np.argmax(h_val @ w + b, axis=1) == y_val).mean())
     return FinetuneResult(accuracy, tuned, digest_before, tuned.digest(), len(subset))
 
 

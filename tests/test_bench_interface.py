@@ -81,7 +81,12 @@ def test_pretrain_state_and_protocols_as_the_benchmark_reads_them(tmp_path):
     h, z = encode(np.stack([s.data for s in sequences]), adjacency, params, mode="eval")
     assert h.shape[0] == z.shape[0] == len(sequences)
     train, val = sequences[0::2], sequences[1::2]
-    linear_probe(params, train, val, stream="joint", epochs=1, lr=0.3, seed=7)
-    knn_probe(params, train, val, stream="joint", k=1)
-    finetune(params, train, val, stream="joint", fraction=0.5, epochs=1, lr=0.1,
-             weight_decay=1e-4, seed=7)
+    # the fields the protocol checks and fingerprints read
+    lin = linear_probe(params, train, val, stream="joint", epochs=1, lr=0.3, seed=7)
+    assert lin.encoder_digest_before == lin.encoder_digest_after == params.digest()
+    assert lin.weights.shape == (h.shape[1], lin.bias.shape[0]) and 0 <= lin.accuracy <= 1
+    assert 0 <= knn_probe(params, train, val, stream="joint", k=1) <= 1
+    tuned = finetune(params, train, val, stream="joint", fraction=0.5, epochs=1, lr=0.1,
+                     weight_decay=1e-4, seed=7)
+    assert tuned.subset_size == 2 and 0 <= tuned.accuracy <= 1
+    assert tuned.params.digest() != params.digest() and tuned.params.tensors

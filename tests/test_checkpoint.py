@@ -28,7 +28,7 @@ from skelcl.errors import (
     VersionMismatch,
 )
 from skelcl.skeleton import generate_synthetic_dataset, write_dataset, write_file
-from skelcl.train import init_train_state, pretrain
+from skelcl.train import pretrain
 
 SMALL = RunConfig(
     seed=3, stage_epochs=[1, 1, 1], queue_size=32, batch_size=8,

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from skelcl.cli import _gradcheck_components, main
+from skelcl.skeleton import SkeletonSequence, load_dataset, write_dataset
 
 GRADCHECK_COMPONENTS = {
     "block_entry", "block_residual", "block_train_norm", "projector", "loss_intra", "loss_nnm",
@@ -235,6 +236,18 @@ def test_bad_input_exits_with_named_error(pretrained, tmp_path, capsys, argv, co
     assert main([arg.format(**names) for arg in argv]) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named.format(**names) in err
+
+
+def test_unlabeled_clip_exits_1_naming_it(pretrained, tmp_path, capsys):
+    data = load_dataset(pretrained / "data")
+    clip = data["val"][1]
+    data["val"][1] = SkeletonSequence(clip.data, clip.graph)
+    splits = ["train"] * len(data["train"]) + ["val"] * len(data["val"])
+    write_dataset(tmp_path / "data", data["train"] + data["val"], splits)
+    argv = ["linprobe", "--checkpoint", str(pretrained / "run" / "checkpoint.bin"),
+            "--data", str(tmp_path / "data"), "--epochs", "1"]
+    assert main(argv) == 1
+    assert "val clip 1 has no label" in capsys.readouterr().err
 
 
 def test_queue_smaller_than_a_batch_exits_2_before_any_step(pretrained, tmp_path, capsys):

@@ -1,18 +1,27 @@
 """Evaluation protocols: linear probe, kNN probe, finetune, subsets, fusion."""
 
+import math
+
 import numpy as np
 import pytest
 
 from skelcl import tensor as T
 from skelcl.config import RunConfig
-from skelcl.encoder import EncoderParams, encode, init_params
-from skelcl.errors import EmptyValSplit, EncoderModified, LengthMismatch, ShapeMismatch
+from skelcl.encoder import EncoderParams, encode, init_params, project, stgcn_forward
+from skelcl.errors import (
+    EmptyValSplit,
+    EncoderModified,
+    LengthMismatch,
+    ShapeMismatch,
+    UnlabeledClip,
+)
 from skelcl.rng import RngStream
 from skelcl.skeleton import (
     SkeletonGraph,
     SkeletonSequence,
+    clip_batch,
+    derive_streams,
     generate_synthetic_dataset,
-    shared_graph,
     write_dataset,
 )
 from skelcl.train import (
@@ -41,8 +50,8 @@ def params():
 def test_linear_probe_deterministic_and_encoder_untouched(splits, params):
     train, val = splits
     digest = params.digest()
-    a = linear_probe(params, train, val, epochs=3, seed=1)
-    b = linear_probe(params, train, val, epochs=3, seed=1)
+    a = linear_probe(params, train, val, stream="joint", epochs=3, lr=0.3, seed=1)
+    b = linear_probe(params, train, val, stream="joint", epochs=3, lr=0.3, seed=1)
     assert a.accuracy == b.accuracy
     np.testing.assert_array_equal(a.weights, b.weights)
     np.testing.assert_array_equal(a.val_scores, b.val_scores)
@@ -57,7 +66,7 @@ def test_linear_probe_raises_when_encoder_changes(splits, params, monkeypatch):
     monkeypatch.setattr(EncoderParams, "digest", lambda self: next(readings))
     train, val = splits
     with pytest.raises(EncoderModified):
-        linear_probe(params, train, val, epochs=1, seed=1)
+        linear_probe(params, train, val, stream="joint", epochs=1, lr=0.3, seed=1)
 
 
 def test_knn_probe_equals_brute_force_vote(splits, params):
@@ -79,12 +88,13 @@ def test_knn_probe_equals_brute_force_vote(splits, params):
             votes[train[j].label] = votes.get(train[j].label, 0) + 1
         best = max(votes.values())
         correct += min(c for c, n in votes.items() if n == best) == seq.label
-    assert knn_probe(params, train, val, k=k) == correct / len(val)
+    assert knn_probe(params, train, val, stream="joint", k=k) == correct / len(val)
 
 
 def test_finetune_fraction_keeps_every_class(splits, params):
     train, val = splits
-    result = finetune(params, train, val, fraction=0.1, epochs=1, seed=3)
+    result = finetune(params, train, val, stream="joint", fraction=0.1, epochs=1, lr=0.1,
+                      weight_decay=1e-4, seed=3)
     subset = stratified_fraction(train, 0.1, RngStream(3).split("finetune").split("subset"))
     assert {train[i].label for i in subset} == {s.label for s in train}
     assert result.subset_size == len(subset) == 3
@@ -118,21 +128,36 @@ def test_fuse_predictions_weighted_argmax():
                          {"joint": 1.0, "bone": 1.0})
 
 
-@pytest.mark.parametrize("call", [
-    lambda params, train: linear_probe(params, train, [], epochs=1),
-    lambda params, train: knn_probe(params, train, [], k=1),
-    lambda params, train: finetune(params, train, [], epochs=1),
-], ids=["linear_probe", "knn_probe", "finetune"])
+PROTOCOL_CALLS = {
+    "linear_probe": lambda params, train, val: linear_probe(
+        params, train, val, stream="joint", epochs=1, lr=0.3, seed=0),
+    "knn_probe": lambda params, train, val: knn_probe(params, train, val, stream="joint", k=1),
+    "finetune": lambda params, train, val: finetune(
+        params, train, val, stream="joint", fraction=1.0, epochs=1, lr=0.1, weight_decay=1e-4,
+        seed=0),
+}
+
+
+@pytest.mark.parametrize("call", sorted(PROTOCOL_CALLS))
 def test_empty_val_split_rejected(splits, params, call):
     with pytest.raises(EmptyValSplit):
-        call(params, splits[0])
+        PROTOCOL_CALLS[call](params, splits[0], [])
+
+
+@pytest.mark.parametrize("split", ["train", "val"])
+@pytest.mark.parametrize("call", sorted(PROTOCOL_CALLS))
+def test_unlabeled_clip_named(splits, params, call, split):
+    data = dict(zip(("train", "val"), splits))
+    clip = data[split][2]
+    data[split] = [*data[split][:2], SkeletonSequence(clip.data, clip.graph), *data[split][3:]]
+    with pytest.raises(UnlabeledClip, match=f"{split} clip 2 has no label"):
+        PROTOCOL_CALLS[call](params, data["train"], data["val"])
 
 
 MIXED_GRAPH_CALLS = {
     "pretrain": lambda seqs, val, params, out: pretrain(seqs, RunConfig(stage_epochs=[1, 0, 0])),
-    "linear_probe": lambda seqs, val, params, out: linear_probe(params, seqs, val, epochs=1),
-    "knn_probe": lambda seqs, val, params, out: knn_probe(params, seqs, val),
-    "finetune": lambda seqs, val, params, out: finetune(params, seqs, val, epochs=1),
+    **{name: (lambda seqs, val, params, out, call=call: call(params, seqs, val))
+       for name, call in PROTOCOL_CALLS.items()},
     "write_dataset": lambda seqs, val, params, out: write_dataset(out, seqs, ["train"] * len(seqs)),
 }
 
@@ -144,8 +169,147 @@ def test_clips_on_mixed_graphs_rejected(splits, params, tmp_path, call):
     last = train[-1]
     other_graph = train[:-1] + [SkeletonSequence(last.data, chain, last.label)]
     other_length = train[:-1] + [SkeletonSequence(last.data[:-1], last.graph, last.label)]
-    assert shared_graph(train) == train[0].graph
+    graph, joints = clip_batch(train)
+    assert graph == train[0].graph
+    np.testing.assert_array_equal(joints, [s.data for s in train])
     for mixed in (other_graph, other_length):
         with pytest.raises(ShapeMismatch, match="one skeleton graph"):
             MIXED_GRAPH_CALLS[call](mixed, val, params, tmp_path)
     assert list(tmp_path.iterdir()) == []
+
+
+# -- the protocols before they shared one path, kept as references ------------------------
+
+REFERENCE_BATCH = 32
+
+
+@pytest.fixture(scope="module")
+def large_splits():
+    # 75 clips a split: two feature chunks and three SGD batches per epoch
+    data = generate_synthetic_dataset(3, 50, frames=16, seed=4, check_separability=False)
+    return data[0::2], data[1::2]
+
+
+def reference_features(params, sequences, stream, projected):
+    adjacency = sequences[0].graph.normalized_adjacency(np.float32)
+    arrays = np.stack([derive_streams(s, (stream,))[stream] for s in sequences])
+    outs = []
+    with T.no_tape():
+        for i in range(0, len(arrays), 64):
+            h = stgcn_forward(arrays[i : i + 64], adjacency, params, mode="eval")
+            outs.append((project(h, params) if projected else h).data)
+    return np.concatenate(outs)
+
+
+def reference_labels(sequences):
+    return np.array([s.label for s in sequences], dtype=np.int64)
+
+
+def reference_sgd(params, grads, buffers, lr, momentum, weight_decay):
+    for name, p in params.items():
+        g = grads[name] if name in grads else np.zeros_like(p.data)
+        g = g + weight_decay * p.data
+        buf = buffers.get(name)
+        buf = g if buf is None else momentum * buf + g
+        buffers[name] = buf
+        p.data[...] = p.data - lr * buf
+
+
+def reference_linear_probe(params, train, val, stream, epochs, lr, seed):
+    h_train = reference_features(params, train, stream, projected=False)
+    h_val = reference_features(params, val, stream, projected=False)
+    y_train, y_val = reference_labels(train), reference_labels(val)
+    num_classes = int(max(y_train.max(), y_val.max())) + 1
+    w = T.parameter(np.zeros((h_train.shape[1], num_classes), dtype=np.float32))
+    b = T.parameter(np.zeros(num_classes, dtype=np.float32))
+    buffers = {}
+    rng = RngStream(seed).split("linear_probe")
+    n = len(h_train)
+    for epoch in range(epochs):
+        order = rng.split(f"e{epoch}").permutation(n)
+        for bi in range(math.ceil(n / REFERENCE_BATCH)):
+            idx = order[bi * REFERENCE_BATCH : (bi + 1) * REFERENCE_BATCH]
+            mask = np.eye(num_classes, dtype=bool)[y_train[idx]]
+            with T.Tape():
+                logits = T.add(T.matmul(T.Tensor(h_train[idx]), w), b)
+                loss = T.mean_(T.masked_softmax_nll_rows(logits, mask))
+                grads = T.backward(loss)
+            reference_sgd({"w": w, "b": b}, {"w": grads[w].data, "b": grads[b].data}, buffers,
+                          lr, 0.9, 0.0)
+    val_logits = h_val @ w.data + b.data
+    shifted = np.exp(val_logits - val_logits.max(axis=1, keepdims=True))
+    accuracy = float((np.argmax(val_logits, axis=1) == y_val).mean())
+    return accuracy, w.data, b.data, shifted / shifted.sum(axis=1, keepdims=True)
+
+
+def reference_knn(params, train, val, stream, k):
+    z_train = reference_features(params, train, stream, projected=True)
+    z_val = reference_features(params, val, stream, projected=True)
+    y_train, y_val = reference_labels(train), reference_labels(val)
+    sims = z_val @ z_train.T
+    correct = 0
+    for i in range(len(z_val)):
+        nearest = np.argsort(-sims[i], kind="stable")[:k]
+        votes = np.bincount(y_train[nearest], minlength=int(y_train.max()) + 1)
+        correct += int(np.argmax(votes)) == y_val[i]
+    return correct / len(z_val)
+
+
+def reference_finetune(params, train, val, stream, fraction, epochs, lr, weight_decay, seed):
+    rng = RngStream(seed).split("finetune")
+    subset = [train[i] for i in stratified_fraction(train, fraction, rng.split("subset"))]
+    tuned = params.copy()
+    adjacency = train[0].graph.normalized_adjacency(np.float32)
+    arrays = np.stack([derive_streams(s, (stream,))[stream] for s in subset])
+    y, y_val = reference_labels(subset), reference_labels(val)
+    num_classes = int(max(y.max(), y_val.max())) + 1
+    head_w = T.parameter(np.zeros((tuned.config.enc_channels[-1], num_classes), dtype=np.float32))
+    head_b = T.parameter(np.zeros(num_classes, dtype=np.float32))
+    trainable = {**tuned.trainable(), "head.w": head_w, "head.b": head_b}
+    buffers = {}
+    n = len(arrays)
+    for epoch in range(epochs):
+        order = rng.split(f"e{epoch}").permutation(n)
+        for bi in range(math.ceil(n / REFERENCE_BATCH)):
+            idx = order[bi * REFERENCE_BATCH : (bi + 1) * REFERENCE_BATCH]
+            mask = np.eye(num_classes, dtype=bool)[y[idx]]
+            with T.Tape():
+                h = stgcn_forward(arrays[idx], adjacency, tuned, mode="train")
+                logits = T.add(T.matmul(h, head_w), head_b)
+                loss = T.mean_(T.masked_softmax_nll_rows(logits, mask))
+                grads = T.backward(loss)
+            named = {name: grads[t].data for name, t in trainable.items() if t in grads}
+            reference_sgd(trainable, named, buffers, lr, 0.9, weight_decay)
+    h_val = reference_features(tuned, val, stream, projected=False)
+    predicted = np.argmax(h_val @ head_w.data + head_b.data, axis=1)
+    return float((predicted == y_val).mean()), tuned.digest(), len(subset)
+
+
+@pytest.mark.parametrize("stream", ["joint", "bone", "motion"])
+def test_linear_probe_bit_equals_reference(large_splits, params, stream):
+    train, val = large_splits
+    result = linear_probe(params, train, val, stream=stream, epochs=3, lr=0.3, seed=2)
+    accuracy, w, b, scores = reference_linear_probe(params, train, val, stream, 3, 0.3, 2)
+    assert result.accuracy == accuracy
+    np.testing.assert_array_equal(result.weights, w)
+    np.testing.assert_array_equal(result.bias, b)
+    np.testing.assert_array_equal(result.val_scores, scores)
+
+
+@pytest.mark.parametrize("stream", ["joint", "bone"])
+def test_knn_probe_bit_equals_reference(large_splits, params, stream):
+    train, val = large_splits
+    # a relabeled copy of each clip ties its similarities: the lower index must win
+    train = train + [SkeletonSequence(s.data, s.graph, (s.label + 1) % 3) for s in train]
+    for k in (1, 2, 5, len(train)):
+        assert knn_probe(params, train, val, stream=stream, k=k) == reference_knn(
+            params, train, val, stream, k)
+
+
+@pytest.mark.parametrize("fraction", [1.0, 0.3])
+def test_finetune_bit_equals_reference(large_splits, params, fraction):
+    train, val = large_splits
+    result = finetune(params, train, val, stream="bone", fraction=fraction, epochs=2, lr=0.1,
+                      weight_decay=1e-4, seed=5)
+    reference = reference_finetune(params, train, val, "bone", fraction, 2, 0.1, 1e-4, 5)
+    assert (result.accuracy, result.params.digest(), result.subset_size) == reference

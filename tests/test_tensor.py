@@ -103,6 +103,20 @@ class TestSoftmaxNll:
         loss = one_row_nll(np.array([1.0, -1.0, 0.5]) / 0.07, [True, False, False], np.float32)
         assert np.isfinite(loss)
 
+    @pytest.mark.parametrize("gap", [80.0, 100.0, 120.0, 1e3, 1e4])
+    def test_positive_far_below_the_row_max_f32(self, gap):
+        # the positive's exp underflows; its log-sum-exp must not
+        logits = T.parameter(np.array([[0.0, gap]], dtype=np.float32))
+        with T.Tape():
+            loss = T.sum_(T.masked_softmax_nll_rows(logits, np.array([[True, False]])))
+            grads = T.backward(loss)
+        assert loss.item() == gap
+        np.testing.assert_array_equal(grads[logits].data, [[-1.0, 1.0]])
+        # the leading-entry positives queue_nll uses
+        nll, grad = T._softmax_nll_rows(np.array([[0.0, gap]], dtype=np.float32), lead=1)
+        assert nll[0] == gap
+        np.testing.assert_array_equal(grad(np.ones(1, dtype=np.float32)), [[-1.0, 1.0]])
+
     def test_row_kernel_matches_single(self):
         rng = np.random.default_rng(12)
         logits = rng.uniform(-5, 5, size=(6, 9))

@@ -11,7 +11,7 @@ from skelcl.augment import AugmentPipeline
 from skelcl.config import RunConfig
 from skelcl.errors import NonFiniteGradient
 from skelcl.skeleton import derive_bone, derive_motion, generate_synthetic_dataset
-from skelcl.train import OptimizerState, StageSchedule, pretrain, sgd_step, stage_schedule
+from skelcl.train import OptimizerState, pretrain, sgd_step, stage_of
 
 
 def test_sgd_two_steps_match_closed_form():
@@ -20,8 +20,8 @@ def test_sgd_two_steps_match_closed_form():
     g1, g2 = np.array([0.3, 0.1, -0.2]), np.array([-0.4, 0.2, 0.6])
     p = T.parameter(theta0.copy())
     state = OptimizerState(lr=lr, momentum=m, weight_decay=wd)
-    sgd_step({"p": p}, {"p": g1}, state)
-    sgd_step({"p": p}, {"p": g2}, state)
+    sgd_step({"p": p}, {p: T.Tensor(g1)}, state)
+    sgd_step({"p": p}, {p: T.Tensor(g2)}, state)
 
     buf1 = g1 + wd * theta0
     theta1 = theta0 - lr * buf1
@@ -33,7 +33,7 @@ def test_sgd_two_steps_match_closed_form():
 def test_sgd_missing_gradient_counts_as_zero():
     a, b = T.parameter(np.array([1.0, 2.0])), T.parameter(np.array([3.0]))
     state = OptimizerState(lr=0.5, momentum=0.9, weight_decay=0.1)
-    sgd_step({"a": a, "b": b}, {"a": np.array([1.0, 1.0])}, state)
+    sgd_step({"a": a, "b": b}, {a: T.Tensor(np.array([1.0, 1.0]))}, state)
     np.testing.assert_allclose(b.data, [3.0 - 0.5 * 0.1 * 3.0])
     np.testing.assert_allclose(state.buffers["b"], [0.1 * 3.0])
 
@@ -42,7 +42,8 @@ def test_sgd_missing_gradient_counts_as_zero():
 def test_sgd_non_finite_gradient_raises(bad):
     p = T.parameter(np.array([1.0, 2.0]))
     with pytest.raises(NonFiniteGradient, match="p"):
-        sgd_step({"p": p}, {"p": np.array([0.0, bad])}, OptimizerState(lr=0.1))
+        sgd_step({"p": p}, {p: T.Tensor(np.array([0.0, bad]))},
+                 OptimizerState(lr=0.1, momentum=0.9, weight_decay=0.0))
 
 
 @pytest.mark.parametrize(
@@ -54,11 +55,9 @@ def test_sgd_non_finite_gradient_raises(bad):
     ],
 )
 def test_stage_schedule_skips_empty_stages(epochs, stages):
-    schedule = StageSchedule(epochs, lr_drop_epoch=0)
-    assert schedule == stage_schedule(RunConfig(stage_epochs=list(epochs), lr_drop_epoch=0))
-    assert schedule.total_epochs == len(stages)
-    assert [schedule.stage_of(e) for e in range(len(stages))] == stages
-    assert [schedule.flags(e) for e in range(len(stages))] == [(s >= 1, s >= 2) for s in stages]
+    config = RunConfig(stage_epochs=list(epochs))
+    assert sum(config.stage_epochs) == len(stages)
+    assert [stage_of(config, e) for e in range(len(stages))] == stages
 
 
 @pytest.mark.parametrize("epochs,fired", [([1, 0, 1], [(0, 1), (2, 2)]),
