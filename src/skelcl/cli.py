@@ -43,7 +43,14 @@ from .contrast import (
     similarity_histogram,
 )
 from .encoder import encode, init_params, stgcn_forward
-from .errors import ConfigTypeError, ConfigValueError, CorruptFile, SkelclError, UnknownKey
+from .errors import (
+    ConfigTypeError,
+    ConfigValueError,
+    CorruptFile,
+    EmptyValSplit,
+    SkelclError,
+    UnknownKey,
+)
 from .rng import RngStream
 from .skeleton import (
     clip_batch,
@@ -419,6 +426,8 @@ def cmd_pft_hist(args) -> int:
             raise ConfigValueError("--data", "pft-hist --checkpoint embeds the val split of --data")
         ckpt = load_checkpoint(args.checkpoint)
         val = load_dataset(args.data)["val"]
+        if not val:
+            raise EmptyValSplit("pft-hist --checkpoint needs validation samples")
         config = ckpt.config
         graph, joints = clip_batch(val)
         adjacency = graph.normalized_adjacency(np.float32)

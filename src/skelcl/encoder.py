@@ -10,13 +10,17 @@ width, embedding size, normalization) is read from the `RunConfig`,
 which checks those keys when it is built.
 
 The input is an (N, T, C, V) batch of C = 3 coordinates plus the
-(V, V) normalized adjacency array, and activations keep that layout
-throughout.  Each block is the single tape node `tensor.stgcn_block`
-(spatial step `W^T @ (X @ A_hat)`, temporal convolution, batch norm,
-relu, residual), in every mode: the taped train-mode query pass, the
-untaped key pass, finetuning, and eval mode, which normalizes with the
-frozen running statistics inside the same node.  With normalization
-off the node skips the norm.
+(V, V) normalized adjacency array.  `stgcn_forward` transposes it once,
+as a view, to channels-last (N, T, V, C), and activations keep that
+layout inside the encoder, so each block's channel mix and its weight
+gradient are plain GEMMs over (N*T*V, C) rows.  Each block is the single
+tape node `tensor.stgcn_block` (joint aggregation `A_hat^T X`, channel
+mix `@ W`, temporal convolution, batch norm, relu, residual), in every
+mode: the taped train-mode query pass, the untaped key pass,
+finetuning, and eval mode, which normalizes with the frozen running
+statistics inside the same node.  With normalization off the node skips
+the norm.  The last block also pools: it returns h directly and takes
+h's gradient, so the last full activation is never built.
 """
 
 from __future__ import annotations
@@ -132,7 +136,7 @@ def stgcn_forward(
         raise ShapeMismatch(f"expected {IN_CHANNELS} channels, got {x.shape[2]}")
 
     cfg = params.config
-    h = x
+    h = T.transpose(x, (0, 1, 3, 2))  # channels-last inside the encoder
     for i in range(cfg.enc_blocks):
         norm = running = None
         if cfg.enc_normalization == "batch":
@@ -142,13 +146,13 @@ def stgcn_forward(
             if mode == "eval":
                 running = (run_mu.data, run_var.data)
         h, stats = T.stgcn_block(h, adjacency, params[f"block{i}.spatial_weight"],
-                                 params[f"block{i}.temporal_kernel"], norm, running, BN_EPS)
+                                 params[f"block{i}.temporal_kernel"], norm, running, BN_EPS,
+                                 pool=i == cfg.enc_blocks - 1)
         if stats is not None and update_stats:
             mu, var = stats
             run_mu.data[...] = BN_MOMENTUM * run_mu.data + (1 - BN_MOMENTUM) * mu
             run_var.data[...] = BN_MOMENTUM * run_var.data + (1 - BN_MOMENTUM) * var
-
-    return T.mean_(h, axis=(1, 3))
+    return h
 
 
 def project(h, params: EncoderParams) -> T.Tensor:

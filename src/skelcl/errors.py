@@ -86,7 +86,21 @@ class NonFiniteGradient(SkelclError):
 
 
 class NonFiniteLoss(SkelclError):
-    """Training produced a NaN/Inf loss; diagnostic state attached."""
+    """A pretraining step produced NaN or Inf.
+
+    `op` names the tape op that did, `epoch`, `step` and `stage` the
+    step, and `stream` the stream whose encoder pass failed (None when
+    the loss did).
+    """
+
+    def __init__(self, message: str, op: str | None, epoch: int, step: int, stage: str,
+                 stream: str | None):
+        super().__init__(message)
+        self.op = op
+        self.epoch = epoch
+        self.step = step
+        self.stage = stage
+        self.stream = stream
 
 
 class StreamMissing(SkelclError):

@@ -23,14 +23,15 @@ its backward closure's qualified name).
 Each encoder block is one tape node, `stgcn_block`: spatial step,
 depthwise temporal convolution, batch norm (batch statistics in train
 mode, given running statistics in eval mode, or none), relu and
-residual add.  It walks the batch in chunks of about
+residual add, on channels-last (N, T, V, C) activations, optionally
+pooled to (N, C).  It walks the batch in chunks of about
 `BLOCK_CHUNK_BYTES` of activation, so a chunk's intermediates stay in
 cache instead of streaming a full-batch array through memory per op,
 and it carries one closed-form backward.  Its temporal convolution is
-`conv1d_temporal`'s tap code (`_apply_taps` over a flat (L, T, C*V)
-view), and per-channel sums are one GEMV over a (rows, C*V) view
-(`_channel_sums`).  The row softmax negative log-likelihood has one
-implementation, `_softmax_nll_rows`: one exp() per entry, shifted by
+`conv1d_temporal`'s tap code (`_apply_taps` over a flat (L, T, V*C)
+view), and per-channel sums are one GEMV over a (rows, V*C) view and a
+V-fold (`_channel_sums`).  The row softmax negative log-likelihood has
+one implementation, `_softmax_nll_rows`: one exp() per entry, shifted by
 the row max, with the closed-form backward; a row's positives are its
 leading entries plus index-picked ones.  It has two callers, each one
 tape node: `masked_softmax_nll_rows` (the linear probe and finetuning)
@@ -179,8 +180,9 @@ def _recording(inputs: tuple[Tensor, ...]) -> "Tape | None":
     return None
 
 
-def _apply(out_data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
-    if out_data.size:
+def _apply(out_data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn,
+           check: bool = True) -> Tensor:
+    if check and out_data.size:
         # min/max reductions catch NaN and both infinities without
         # materializing the bool array isfinite().all() would
         if not (math.isfinite(float(out_data.min())) and math.isfinite(float(out_data.max()))):
@@ -356,13 +358,9 @@ def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def mean_(a, axis=None, keepdims: bool = False) -> Tensor:
-    """Mean over `axis`, summed one axis at a time, outermost first: for
-    the encoder's pooling this beats NumPy's strided multi-axis mean."""
     a = as_tensor(a)
     axes = _normalize_axes(axis, a.ndim)
-    count = 1
-    for ax in axes:
-        count *= a.shape[ax]
+    count = math.prod(a.shape[ax] for ax in axes)
 
     def bwd(g, needs):
         if not needs[0]:
@@ -371,12 +369,7 @@ def mean_(a, axis=None, keepdims: bool = False) -> Tensor:
             g = np.expand_dims(g, axes)
         return (np.broadcast_to(g / count, a.shape).copy(),)
 
-    out = a.data
-    for ax in sorted(axes):
-        out = out.sum(axis=ax, keepdims=True)
-    if not keepdims:
-        out = out.reshape([n for ax, n in enumerate(a.shape) if ax not in axes])
-    return _apply(out / count, (a,), bwd)
+    return _apply(a.data.mean(axis=axes, keepdims=keepdims), (a,), bwd)
 
 
 # -- shape manipulation --------------------------------------------------------
@@ -400,7 +393,9 @@ def transpose(a, axes) -> Tensor:
     def bwd(g, needs):
         return (np.transpose(g, inverse) if needs[0] else None,)
 
-    return _apply(np.transpose(a.data, axes), (a,), bwd)
+    # a view of the input's values: a non-finite one is named by the op
+    # that made it or, in a raw batch, by the first op that reads it
+    return _apply(np.transpose(a.data, axes), (a,), bwd, check=False)
 
 
 def concat(tensors: Sequence, axis: int = 0) -> Tensor:
@@ -458,31 +453,32 @@ def _tap_slices(offset: int, frames: int) -> tuple[slice, slice]:
 
 
 def _channel_sums(a: np.ndarray, channels: int) -> np.ndarray:
-    """Per-channel sums of an array whose last axis is C*V in (C, V) order.
+    """Per-channel sums of an array whose last axis is V*C in (V, C) order.
 
     The leading axes flatten to rows, so one GEMV with a ones vector
-    sums every column at once; only the final V-wide fold per channel
-    is a NumPy reduction.
+    sums every column at once; only the final V-fold per channel is a
+    NumPy reduction.
     """
     rows = a.reshape(-1, a.shape[-1])
-    return (np.ones(rows.shape[0], dtype=a.dtype) @ rows).reshape(channels, -1).sum(axis=1)
+    return (np.ones(rows.shape[0], dtype=a.dtype) @ rows).reshape(-1, channels).sum(axis=0)
 
 
 def _conv_plan(kernel: np.ndarray, frames: int, joints: int):
     """(taps, pad, offsets) of a (C, K) depthwise temporal kernel applied
-    over a flat (L, T, C*V) view: per tap one contiguous (T, C*V) weight
+    over a flat (L, T, V*C) view: per tap one contiguous (T, V*C) weight
     tile (a whole clip's worth, so each multiply broadcasts over L only
     and runs one long inner loop), the centre tap's index, and the
     off-centre offsets that reach a frame of a `frames`-long clip."""
     width = kernel.shape[1]
     pad = (width - 1) // 2
-    taps = np.repeat(np.repeat(kernel.T, joints, axis=1)[:, None], frames, axis=1)
+    taps = np.broadcast_to(kernel.T[:, None, None], (width, frames, joints, kernel.shape[0]))
+    taps = taps.reshape(width, frames, -1)
     offsets = [j - pad for j in range(width) if j != pad and abs(j - pad) < frames]
     return taps, pad, offsets
 
 
 def _apply_taps(src, plan, out, adjoint: bool = False) -> np.ndarray:
-    """The temporal convolution of a flat (L, T, C*V) `src` into `out`
+    """The temporal convolution of a flat (L, T, V*C) `src` into `out`
     (the adjoint, i.e. the input gradient, with `adjoint`): the centre
     tap initialises `out` and each off-centre tap adds into the frames
     it reaches, so no padded copy is built."""
@@ -498,7 +494,7 @@ def _apply_taps(src, plan, out, adjoint: bool = False) -> np.ndarray:
 
 def _add_tap_grads(g, src, plan, gk: np.ndarray) -> None:
     """Add the kernel gradient of `_apply_taps(src)` under output
-    gradient `g` (both flat (L, T, C*V)) into the (C, K) `gk`, each
+    gradient `g` (both flat (L, T, V*C)) into the (C, K) `gk`, each
     tap's product reduced by one GEMV (`_channel_sums`)."""
     _, pad, offsets = plan
     channels = gk.shape[0]
@@ -513,8 +509,8 @@ def conv1d_temporal(x, kernel) -> Tensor:
 
     `x` has layout (..., T, C, V); `kernel` is (C, K) with odd K and is
     applied identically at every joint with zero padding, so T is
-    preserved.  The taps run over a flattened (L, T, C*V) view
-    (`_apply_taps`, shared with `stgcn_block`).
+    preserved.  The taps run over a channels-last copy, flattened to
+    (L, T, V*C) (`_apply_taps`, shared with `stgcn_block`).
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
     if x.ndim < 3:
@@ -527,62 +523,86 @@ def conv1d_temporal(x, kernel) -> Tensor:
             f"kernel has {channels} channels but input has {x.shape[-2]}"
         )
     frames, joints = x.shape[-3], x.shape[-1]
-    flat = (-1, frames, channels * joints)
-    x2 = x.data.reshape(flat)
+    last = x.shape[:-2] + (joints, channels)
+
+    def to_flat(a: np.ndarray) -> np.ndarray:
+        return np.ascontiguousarray(np.swapaxes(a, -1, -2)).reshape(-1, frames, joints * channels)
+
+    def from_flat(a: np.ndarray) -> np.ndarray:
+        return np.swapaxes(a.reshape(last), -1, -2)
+
+    x2 = to_flat(x.data)
     plan = _conv_plan(kernel.data, frames, joints)
     dtype = np.result_type(x.data, kernel.data)
     out = _apply_taps(x2, plan, np.empty(x2.shape, dtype))
 
     def bwd(g, needs):
         gx = gk = None
-        g2 = g.reshape(flat)
+        g2 = to_flat(g)
         if needs[0]:
-            gx = _apply_taps(g2, plan, np.empty_like(g2), adjoint=True).reshape(x.shape)
+            gx = from_flat(_apply_taps(g2, plan, np.empty_like(g2), adjoint=True))
         if needs[1]:
             gk = np.zeros_like(kernel.data)
             _add_tap_grads(g2, x2, plan, gk)
         return gx, gk
 
-    return _apply(out.reshape(x.shape), (x, kernel), bwd)
+    return _apply(from_flat(out), (x, kernel), bwd)
 
 
-# bytes of one chunk's (n, T, C_out, V) activation in `stgcn_block`: a
+def _aggregate(src: np.ndarray, adjacency: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[..., v, :] = sum_u adjacency[u, v] * src[..., u, :] for
+    channels-last (..., V, C) arrays: one matmul over (rows, V, C) views.
+    Pass `adjacency.T` for the adjoint."""
+    joints, channels = src.shape[-2:]
+    np.matmul(adjacency.T, src.reshape(-1, joints, channels), out=out.reshape(-1, joints, channels))
+    return out
+
+
+# bytes of one chunk's (n, T, V, C_out) activation in `stgcn_block`: a
 # chunk's few such arrays then stay in a 2 MiB L2 cache
 BLOCK_CHUNK_BYTES = 256 * 1024
 
 
-def stgcn_block(h, adjacency, weight, kernel, norm=None, running=None, eps: float = 1e-5):
+def stgcn_block(h, adjacency, weight, kernel, norm=None, running=None, eps: float = 1e-5,
+                pool: bool = False):
     """One graph-convolutional encoder block as one tape node.
 
-    For an (N, T, C_in, V) activation `h`, the (V, V) constant
-    `adjacency`, a (C_in, C_out) `weight` and a (C_out, K) temporal
-    `kernel`, returns (out, stats) with
+    For a channels-last (N, T, V, C_in) activation `h`, the (V, V)
+    constant `adjacency`, a (C_in, C_out) `weight` and a (C_out, K)
+    temporal `kernel`, returns (out, stats) with
 
-        out = relu(norm(conv1d_temporal(W^T @ (h @ adjacency)))) [+ h],
+        out = relu(norm(conv1d_temporal((A^T h) @ W))) [+ h],
 
-    the residual added when C_in == C_out.  `norm` is None (no
-    normalization) or the (gamma, beta) pair of a batch norm over every
-    axis but the channel one.  With `running=None` it normalizes with
-    the batch's mean and biased variance, returned as `stats` (constant
-    (C_out,) arrays for the caller's running averages); with a
-    (mean, var) pair of arrays it uses those, and `stats` is None.
+    an (N, T, V, C_out) activation; A^T h aggregates each frame's joints
+    (`_aggregate`) and the residual is added when C_in == C_out.  With
+    `pool`, `out` is instead its (N, C_out) mean over frames and joints,
+    reduced chunk by chunk, so the full activation is never built.
+    `norm` is None (no normalization) or the (gamma, beta) pair of a
+    batch norm over every axis but the channel one.  With `running=None`
+    it normalizes with the batch's mean and biased variance, returned as
+    `stats` (constant (C_out,) arrays for the caller's running
+    averages); with a (mean, var) pair of arrays it uses those, and
+    `stats` is None.
 
     The batch is walked in chunks of BLOCK_CHUNK_BYTES // (bytes per
-    sample) samples, so each chunk's intermediates stay in cache; only
-    `out` and, when the node records onto a tape, the normalized
-    pre-activation xhat are full-batch arrays.  Batch statistics stay
-    exact: per-channel sums accumulate over the chunks (in float64), one
-    pass for the mean and one for the centered variance, before a last
-    pass normalizes, applies relu and adds the residual.  The backward
-    recomputes each chunk's spatial step from `h` and takes two passes
-    in train mode (the sums of g and g * xhat the closed-form batch-norm
-    gradient needs, then the input, weight and kernel gradients), one
-    otherwise.
+    sample) samples, so each chunk's intermediates stay in cache.  In
+    this layout the channel mix and its weight gradient are plain 2-D
+    GEMMs over (n*T*V, C) rows.  The full-batch arrays are `out`, the
+    normalized pre-activation xhat and the relu mask (the last two only
+    when the node records onto a tape; xhat also for a pooled
+    batch-statistics pass, which reads it three times).  Batch
+    statistics stay exact: per-channel sums accumulate over the chunks
+    (in float64), one pass for the mean and one for the centered
+    variance, before a last pass normalizes, applies relu and adds the
+    residual.  The backward recomputes each chunk's spatial step from
+    `h` and takes two passes in train mode (the sums of g and g * xhat
+    the closed-form batch-norm gradient needs, then the input, weight
+    and kernel gradients), one otherwise.
     """
     h, weight, kernel = as_tensor(h), as_tensor(weight), as_tensor(kernel)
     if h.ndim != 4:
-        raise ShapeMismatch("stgcn_block input must be an (N, T, C, V) batch")
-    n, frames, c_in, joints = h.shape
+        raise ShapeMismatch("stgcn_block input must be an (N, T, V, C) batch")
+    n, frames, joints, c_in = h.shape
     if weight.ndim != 2 or weight.shape[0] != c_in:
         raise ShapeMismatch(f"weight {weight.shape} does not take {c_in} input channels")
     c_out = weight.shape[1]
@@ -601,35 +621,47 @@ def stgcn_block(h, adjacency, weight, kernel, norm=None, running=None, eps: floa
     train = norm is not None and running is None
     residual = c_in == c_out
     count = n * frames * joints
-    width = c_out * joints
+    width = joints * c_out
 
     def per_column(v) -> np.ndarray:
-        """A (C_out,) vector as a (T, C_out * V) tile of a sample's layout."""
-        return np.repeat(np.repeat(np.asarray(v, dtype=dtype), joints)[None], frames, axis=0)
+        """A (C_out,) vector as a (T, V * C_out) tile of a sample's layout."""
+        tile = np.broadcast_to(np.asarray(v, dtype=dtype), (frames, joints, c_out))
+        return tile.reshape(frames, width)
 
     rows = max(1, BLOCK_CHUNK_BYTES // (frames * width * np.dtype(dtype).itemsize))
     chunks = [slice(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
     plan = _conv_plan(kernel.data.astype(dtype, copy=False), frames, joints)
     w = weight.data.astype(dtype, copy=False)
+    # any strided layout will do (the encoder passes a transposed view):
+    # `x` is only read by the aggregation's matmul and the residual add
     x = h.data.astype(dtype, copy=False)
-    # chunk-sized scratch: the spatial aggregate h @ A, and W^T of it
-    agg = np.empty((rows, frames, c_in, joints), dtype)
-    mixed = np.empty((rows, frames, c_out, joints), dtype)
+    # chunk-sized scratch: the joint aggregate A^T h, and its channel mix
+    agg = np.empty((rows, frames, joints, c_in), dtype)
+    mixed = np.empty((rows, frames, width), dtype)
 
     def spatial(c: slice) -> tuple[np.ndarray, np.ndarray]:
-        """(h[c] @ A, W^T @ that) for chunk `c`, in the scratch buffers."""
+        """(A^T h[c], (A^T h[c]) @ W) for chunk `c`, in the scratch buffers."""
         m = c.stop - c.start
-        np.matmul(x[c].reshape(-1, joints), adjacency, out=agg[:m].reshape(-1, joints))
-        np.matmul(w.T, agg[:m], out=mixed[:m])
-        return agg[:m], mixed[:m].reshape(m, frames, width)
+        _aggregate(x[c], adjacency, agg[:m])
+        np.matmul(agg[:m].reshape(-1, c_in), w, out=mixed[:m].reshape(-1, c_out))
+        return agg[:m], mixed[:m]
 
-    out = np.empty((n, frames, width), dtype)
-    # the pre-affine activation (xhat, or the conv output without norm);
-    # without a tape it is built in `out` itself
+    full = (n, frames, width)
     recording = _recording(inputs) is not None
-    xhat = np.empty_like(out) if recording else out
+    out = np.empty((n, c_out) if pool else full, dtype)
+    # the pre-affine activation (xhat, or the conv output without norm);
+    # without a tape it is built in `out` itself, or per chunk when pooled
+    if recording or (pool and train):
+        xhat = np.empty(full, dtype)
+    else:
+        xhat = None if pool else out
+    if pool:
+        # a chunk of the block's output, before its reduction, and the
+        # ones vector of that reduction's per-sample GEMV
+        act = np.empty((rows, frames, width), dtype)
+        ones = np.ones(frames * joints, dtype)
     # the relu's open entries, which the backward's gradient passes through
-    positive = np.empty(out.shape, bool) if recording else None
+    positive = np.empty(full, bool) if recording else None
     stats = None
     if train:
         sums = np.zeros(c_out)
@@ -637,7 +669,7 @@ def stgcn_block(h, adjacency, weight, kernel, norm=None, running=None, eps: floa
             sums += _channel_sums(_apply_taps(spatial(c)[1], plan, xhat[c]), c_out)
         mean = (sums / count).astype(dtype)
         mean_c = per_column(mean)
-        centered = mixed.reshape(rows, frames, width)  # free between the passes
+        centered = mixed  # free between the passes
         sums[:] = 0.0
         for c in chunks:
             d = np.subtract(xhat[c], mean_c, out=centered[: c.stop - c.start])
@@ -655,24 +687,39 @@ def stgcn_block(h, adjacency, weight, kernel, norm=None, running=None, eps: floa
 
     trace = _kink_trace()
     for c in chunks:
-        pre = xhat[c] if train else _apply_taps(spatial(c)[1], plan, xhat[c])
+        m = c.stop - c.start
+        dst = act[:m] if pool else out[c]
+        if train:
+            pre = xhat[c]
+        else:
+            pre = _apply_taps(spatial(c)[1], plan, dst if xhat is None else xhat[c])
         if norm is not None:
             pre -= mean_c
             pre *= inv_c
-            pre = np.multiply(pre, gamma_c, out=out[c])
+            pre = np.multiply(pre, gamma_c, out=dst)
             pre += beta_c
         if trace is not None:
             trace.append(np.sign(pre).astype(np.int8))
         if recording:
             np.greater(pre, 0.0, out=positive[c])
-        np.maximum(pre, 0.0, out=out[c])
+        np.maximum(pre, 0.0, out=dst)
         if residual:
-            out[c] += x[c].reshape(out[c].shape)
+            dst.reshape(x[c].shape)[...] += x[c]
+        if pool:
+            # a GEMV per sample: a sum over the middle axis of the (m, T*V,
+            # C) view runs C-wide inner loops, about ten times slower
+            np.matmul(ones, dst.reshape(m, -1, c_out), out=out[c])
+    if pool:
+        out /= frames * joints
 
     def bwd(g, needs):
-        g = g.reshape(out.shape)
         need_x, need_w, need_k = needs[:3]
         need_affine = norm is not None and any(needs[3:])
+        if pool:
+            # the pooled gradient, spread over a sample's frames and joints
+            g = (g / (frames * joints))[:, None, None, :]
+        else:
+            g = g.reshape(n, frames, joints, c_out)
         gx = np.empty(x.shape, dtype) if need_x else None
         gw = np.zeros_like(w) if need_w else None
         gk = np.zeros((c_out, kernel.shape[1]), dtype) if need_k else None
@@ -682,7 +729,10 @@ def stgcn_block(h, adjacency, weight, kernel, norm=None, running=None, eps: floa
 
         def relu_grad(c: slice) -> np.ndarray:
             """The gradient past the relu for chunk `c`, in `gpre`."""
-            return np.multiply(g[c], positive[c], out=gpre[: c.stop - c.start])
+            m = c.stop - c.start
+            np.multiply(g[c], positive[c].reshape(m, frames, joints, c_out),
+                        out=gpre[:m].reshape(m, frames, joints, c_out))
+            return gpre[:m]
 
         def add_affine_sums(c: slice, gr: np.ndarray) -> None:
             g_beta[:] += _channel_sums(gr, c_out)
@@ -712,26 +762,25 @@ def stgcn_block(h, adjacency, weight, kernel, norm=None, running=None, eps: floa
                 if train:
                     dpre -= xhat[c] * slope_c
                     dpre -= shift_c
-            dy = _apply_taps(dpre, plan, dmixed[:m], adjoint=True)
+            dy = _apply_taps(dpre, plan, dmixed[:m], adjoint=True).reshape(-1, c_out)
             if need_w or need_k:
                 agg_c, mixed_c = spatial(c)
                 if need_k:
                     _add_tap_grads(dpre, mixed_c, plan, gk)
                 if need_w:
-                    dy4 = dy.reshape(m, frames, c_out, joints)
-                    gw += np.tensordot(agg_c, dy4, axes=([0, 1, 3], [0, 1, 3]))
+                    gw += agg_c.reshape(-1, c_in).T @ dy
             if need_x:
-                dagg = np.matmul(w, dy.reshape(m, frames, c_out, joints), out=agg[:m])
-                np.matmul(dagg.reshape(-1, joints), adjacency.T, out=gx[c].reshape(-1, joints))
+                dagg = np.matmul(dy, w.T, out=agg[:m].reshape(-1, c_in))
+                _aggregate(dagg.reshape(m, frames, joints, c_in), adjacency.T, gx[c])
                 if residual:
-                    gx[c] += g[c].reshape(gx[c].shape)
+                    gx[c] += g[c]
         grads = [gx, gw, gk]
         if norm is not None:
             grads += [g_gamma.astype(dtype) if needs[3] else None,
                       g_beta.astype(dtype) if needs[4] else None]
         return tuple(grads)
 
-    return _apply(out.reshape(n, frames, c_out, joints), inputs, bwd), stats
+    return _apply(out if pool else out.reshape(n, frames, joints, c_out), inputs, bwd), stats
 
 
 # -- norm / softmax kernels ------------------------------------------------------

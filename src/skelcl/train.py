@@ -173,9 +173,11 @@ def pretrain(
                                   config.streams)
                 for b, p in pipelines.items()
             }
+            stream = None  # the stream whose encoder pass is running
             try:
                 with T.Tape():
                     for u in config.streams:
+                        stream = u
                         pair = state.pairs[u]
                         xq, xk = views["q"][u], views["k"][u]
                         hq = stgcn_forward(xq, adjacency, pair.query, mode="train")
@@ -187,14 +189,18 @@ def pretrain(
                             zk = project(hk, pair.key).data
                         embeddings[u] = (zq, zk)
                         step_keys[u] = zk
+                    stream = None
                     result = combine_losses(
                         embeddings, state.queues, config, nnm, pft, root.split(f"pft.e{epoch}.b{bi}")
                     )
                     grads = T.backward(result.total)
             except NonFiniteValue as err:
+                where = f" in the {stream} encoder pass" if stream else ""
                 raise NonFiniteLoss(
-                    f"non-finite loss at epoch {epoch} step {state.step}: {err}; "
-                    f"stage={STAGE_NAMES[stage]} lr={lr}"
+                    f"non-finite value at epoch {epoch} step {state.step}{where}: {err}; "
+                    f"stage={STAGE_NAMES[stage]} lr={lr}",
+                    op=err.op, epoch=epoch, step=state.step, stage=STAGE_NAMES[stage],
+                    stream=stream,
                 ) from err
 
             for u in config.streams:

@@ -250,6 +250,17 @@ def test_unlabeled_clip_exits_1_naming_it(pretrained, tmp_path, capsys):
     assert "val clip 1 has no label" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["pft-hist", "knn"])
+def test_empty_val_split_exits_1(pretrained, tmp_path, capsys, command):
+    train = load_dataset(pretrained / "data")["train"]
+    write_dataset(tmp_path / "data", train, ["train"] * len(train))
+    argv = [command, "--checkpoint", str(pretrained / "run" / "checkpoint.bin"),
+            "--data", str(tmp_path / "data")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "needs validation samples" in err
+
+
 def test_queue_smaller_than_a_batch_exits_2_before_any_step(pretrained, tmp_path, capsys):
     argv = ["pretrain", "--data", str(pretrained / "data"), "--out", str(tmp_path / "run"),
             "--metrics", str(tmp_path / "metrics.jsonl")]

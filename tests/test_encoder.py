@@ -5,10 +5,11 @@ import pytest
 
 from skelcl import tensor as T
 from skelcl.config import RunConfig
-from skelcl.encoder import encode, init_params, project, stgcn_forward
+from skelcl.encoder import BN_EPS, BN_MOMENTUM, encode, init_params, project, stgcn_forward
 from skelcl.errors import ShapeMismatch
 from skelcl.rng import RngStream
 from skelcl.skeleton import build_star_tree
+from test_tensor import composed_block
 
 TINY = RunConfig(enc_blocks=1, enc_channels=[4], enc_hidden=8, embed_dim=4)
 SMALL = RunConfig(enc_blocks=2, enc_channels=[4, 6], enc_hidden=8, embed_dim=4)
@@ -114,7 +115,90 @@ class TestForward:
         with T.Tape() as tape:
             stgcn_forward(_input((2, 8, 3, 5), seed=7), _adjacency(5), params, mode=mode)
         ops = [node.backward_fn.__qualname__.split(".")[0] for node in tape.nodes]
-        assert ops == ["stgcn_block"] * SMALL.enc_blocks + ["mean_"]
+        # the last block pools, so no separate pooling node follows it
+        assert ops == ["stgcn_block"] * SMALL.enc_blocks
+
+
+def composed_forward(x, adjacency, params, mode, update_stats):
+    """`stgcn_forward` as the (N, T, C, V) op chain it replaced:
+    `composed_block` per block, the running-average updates, then
+    `mean_` over frames and joints."""
+    cfg = params.config
+    h = T.as_tensor(x)
+    for i in range(cfg.enc_blocks):
+        norm = running = None
+        if cfg.enc_normalization == "batch":
+            norm = (params[f"block{i}.norm_gamma"], params[f"block{i}.norm_beta"])
+            run_mu = params[f"block{i}.norm_running_mean"]
+            run_var = params[f"block{i}.norm_running_var"]
+            if mode == "eval":
+                running = (run_mu.data, run_var.data)
+        h, stats = composed_block(h, adjacency, params[f"block{i}.spatial_weight"],
+                                  params[f"block{i}.temporal_kernel"], norm, running, BN_EPS)
+        if stats is not None and update_stats:
+            run_mu.data[...] = BN_MOMENTUM * run_mu.data + (1 - BN_MOMENTUM) * stats[0]
+            run_var.data[...] = BN_MOMENTUM * run_var.data + (1 - BN_MOMENTUM) * stats[1]
+    return T.mean_(h, axis=(1, 3))
+
+
+# (mode, update_stats, taped, normalization)
+PARITY_CASES = {
+    "train_taped": ("train", True, True, "batch"),
+    "train_untaped_frozen_stats": ("train", False, False, "batch"),
+    "eval_running_stats": ("eval", False, True, "batch"),
+    "eval_untaped": ("eval", False, False, "batch"),
+    "norm_off": ("train", True, True, "off"),
+    "norm_off_eval_untaped": ("eval", False, False, "off"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARITY_CASES))
+def test_forward_matches_composed_chain(monkeypatch, case):
+    # the channels-last encoder against the (N, T, C, V) chain at f64: h,
+    # the gradients of every parameter and of the input, and the running
+    # statistics, over a 3 -> 4 entry block and a 4 -> 4 residual block
+    mode, update_stats, taped, normalization = PARITY_CASES[case]
+    cfg = RunConfig(enc_blocks=2, enc_channels=[4, 4], enc_hidden=8, embed_dim=4,
+                    enc_normalization=normalization)
+    rng = np.random.default_rng(sorted(PARITY_CASES).index(case))
+    params = init_params(cfg, RngStream(19).split("e")).astype(np.float64)
+    for name, t in params.tensors.items():
+        if "running" in name:
+            t.data[...] = rng.uniform(0.5, 1.5, size=t.shape)
+    n, frames, joints = 5, 6, 7
+    x = rng.normal(size=(n, frames, 3, joints))
+    adjacency = _adjacency(joints, np.float64)
+    w = rng.normal(size=(n, cfg.enc_channels[-1]))
+    # two samples a chunk in both blocks: chunks of 2, 2 and a ragged 1
+    monkeypatch.setattr(T, "BLOCK_CHUNK_BYTES", 2 * frames * joints * 4 * 8)
+    results = []
+    for forward in (stgcn_forward, composed_forward):
+        p, xt = params.copy(), T.parameter(x.copy())
+        grads = {}
+        if taped:
+            with T.Tape():
+                h = forward(xt, adjacency, p, mode, update_stats)
+                by_tensor = T.backward(T.sum_(T.mul(h, w)))
+            grads = {name: by_tensor[t].data for name, t in p.trainable().items()
+                     if not name.startswith("projector.")}
+            grads["x"] = by_tensor[xt].data
+        else:
+            with T.no_tape():
+                h = forward(xt, adjacency, p, mode, update_stats)
+        running = {name: t.data for name, t in p.tensors.items() if "running" in name}
+        results.append((h.data, grads, running))
+    (h, grads, running), (ref_h, ref_grads, ref_running) = results
+    np.testing.assert_allclose(h, ref_h, rtol=1e-10, atol=1e-12)
+    assert set(grads) == set(ref_grads) and (grads or not taped)
+    for name in grads:
+        np.testing.assert_allclose(grads[name], ref_grads[name], rtol=1e-10, atol=1e-12,
+                                   err_msg=name)
+    assert set(running) == set(ref_running)
+    for name in running:
+        np.testing.assert_allclose(running[name], ref_running[name], rtol=1e-10, atol=1e-12,
+                                   err_msg=name)
+        if not update_stats:
+            np.testing.assert_array_equal(running[name], params[name].data)
 
 
 class TestProject:

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -247,6 +248,8 @@ OP_CASES = [
     ("block_eval", lambda rng: _block_case(rng, "eval", residual=True)),
     ("block_eval_entry", lambda rng: _block_case(rng, "eval", residual=False)),
     ("block_norm_off", lambda rng: _block_case(rng, "off", residual=True)),
+    ("block_train_pooled", lambda rng: _block_case(rng, "train", residual=True, pool=True)),
+    ("block_eval_entry_pooled", lambda rng: _block_case(rng, "eval", residual=False, pool=True)),
     ("mixed_elementwise", lambda rng: _elementwise_case(rng)),
     ("reductions", lambda rng: _reduction_case(rng)),
     ("concat_take", lambda rng: _concat_case(rng)),
@@ -276,14 +279,15 @@ def _conv_batched_case(rng):
     return {"x": x, "k": k}, lambda: T.sum_(T.mul(T.conv1d_temporal(x, k), w))
 
 
-def _block_inputs(rng, mode, residual, shape=(3, 6, 3, 4), dtype=np.float64):
-    """Parameters and call arguments of an `stgcn_block` case.
+def _block_inputs(rng, mode, residual, shape=(3, 6, 4, 3), dtype=np.float64):
+    """Parameters and call arguments of an `stgcn_block` case; `shape`
+    is the (N, T, V, C_in) channels-last input's.
 
     `mode` is "train" (batch statistics), "eval" (given running
     statistics) or "off" (no normalization); without `residual` the
     block widens its channels, so no residual is added.
     """
-    n, frames, c_in, joints = shape
+    n, frames, joints, c_in = shape
     c_out = c_in if residual else c_in + 2
     adjacency = rng.uniform(0.0, 0.5, size=(joints, joints))
     params = {
@@ -302,10 +306,11 @@ def _block_inputs(rng, mode, residual, shape=(3, 6, 3, 4), dtype=np.float64):
     return params, args
 
 
-def _block_case(rng, mode, residual):
+def _block_case(rng, mode, residual, pool=False):
     params, args = _block_inputs(rng, mode, residual)
-    w = rng.normal(size=args[0].shape[:2] + (args[2].shape[1], args[0].shape[3]))
-    return params, lambda: T.sum_(T.mul(T.stgcn_block(*args)[0], w))
+    c_out = args[2].shape[1]
+    w = rng.normal(size=(args[0].shape[0], c_out) if pool else args[0].shape[:3] + (c_out,))
+    return params, lambda: T.sum_(T.mul(T.stgcn_block(*args, pool=pool)[0], w))
 
 
 def _elementwise_case(rng):
@@ -414,41 +419,69 @@ def composed_block(h, adjacency, weight, kernel, norm=None, running=None, eps=1e
     return y, stats
 
 
-def _run_block(op, params, args, w):
-    """(out, stats, {name: gradient}) of sum(op(*args)[0] * w)."""
+CHANNELS_LAST = (0, 1, 3, 2)  # (N, T, C, V) <-> (N, T, V, C)
+
+
+def composed_block_last(h, adjacency, weight, kernel, norm=None, running=None, eps=1e-5,
+                        pool=False):
+    """`composed_block` in `stgcn_block`'s channels-last layout: the
+    (N, T, V, C) input transposed in, the output transposed back, or
+    with `pool` its mean over frames and joints."""
+    y, stats = composed_block(T.transpose(h, CHANNELS_LAST), adjacency, weight, kernel, norm,
+                              running, eps)
+    return (T.mean_(y, axis=(1, 3)) if pool else T.transpose(y, CHANNELS_LAST)), stats
+
+
+def _run_block(op, params, args, w, pool=False):
+    """(out, stats, {name: gradient}) of sum(op(*args, pool=pool)[0] * w)."""
     with T.Tape():
-        out, stats = op(*args)
+        out, stats = op(*args, pool=pool)
         grads = T.backward(T.sum_(T.mul(out, w)))
     return out.data, stats, {name: grads[p].data for name, p in params.items()}
 
 
-@pytest.mark.parametrize("residual", [True, False])
-@pytest.mark.parametrize("mode", ["train", "eval", "off"])
-def test_block_matches_composition_over_ragged_chunks(monkeypatch, mode, residual):
+def _ragged_block_parity(monkeypatch, mode, residual, pool):
+    """`stgcn_block`, taped and untaped, against `composed_block_last` at
+    f64 over chunks of 2, 2, 2 and a ragged 1: outputs, batch statistics
+    and gradients."""
     rng = np.random.default_rng(["train", "eval", "off"].index(mode) + 3 * residual)
-    params, args = _block_inputs(rng, mode, residual, shape=(7, 5, 3, 6))
-    n, frames, _, joints = args[0].shape
+    params, args = _block_inputs(rng, mode, residual, shape=(7, 5, 6, 3))
+    n, frames, joints, _ = args[0].shape
     c_out = args[2].shape[1]
-    # two samples a chunk: chunks of 2, 2, 2 and a ragged 1
     monkeypatch.setattr(T, "BLOCK_CHUNK_BYTES", 2 * frames * c_out * joints * 8)
-    w = rng.normal(size=(n, frames, c_out, joints))
-    out, stats, grads = _run_block(T.stgcn_block, params, args, w)
-    ref_out, ref_stats, ref_grads = _run_block(composed_block, params, args, w)
-    np.testing.assert_allclose(out, ref_out, rtol=1e-10, atol=1e-12)
-    if mode == "train":
-        for got, want in zip(stats, ref_stats):
-            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
-    else:
-        assert stats is None and ref_stats is None
+    w = rng.normal(size=(n, c_out) if pool else (n, frames, joints, c_out))
+    out, stats, grads = _run_block(T.stgcn_block, params, args, w, pool)
+    ref_out, ref_stats, ref_grads = _run_block(composed_block_last, params, args, w, pool)
+    with T.no_tape():  # no xhat or relu mask is kept
+        untaped, untaped_stats = T.stgcn_block(*args, pool=pool)
+    for got_out, got_stats in ((out, stats), (untaped.data, untaped_stats)):
+        np.testing.assert_allclose(got_out, ref_out, rtol=1e-10, atol=1e-12)
+        if mode == "train":
+            for got, want in zip(got_stats, ref_stats):
+                np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+        else:
+            assert got_stats is None and ref_stats is None
     assert set(grads) == set(ref_grads)
     for name in grads:
         np.testing.assert_allclose(grads[name], ref_grads[name], rtol=1e-10, atol=1e-12)
 
 
+@pytest.mark.parametrize("residual", [True, False])
+@pytest.mark.parametrize("mode", ["train", "eval", "off"])
+def test_block_matches_composition_over_ragged_chunks(monkeypatch, mode, residual):
+    _ragged_block_parity(monkeypatch, mode, residual, pool=False)
+
+
+@pytest.mark.parametrize("residual", [True, False])
+@pytest.mark.parametrize("mode", ["train", "eval", "off"])
+def test_pooled_block_matches_composition_over_ragged_chunks(monkeypatch, mode, residual):
+    _ragged_block_parity(monkeypatch, mode, residual, pool=True)
+
+
 @pytest.mark.parametrize("mode", ["train", "eval", "off"])
 def test_block_chunk_size_independent_float32(monkeypatch, mode):
     rng = np.random.default_rng(5)
-    params, args = _block_inputs(rng, mode, True, shape=(9, 8, 4, 5), dtype=np.float32)
+    params, args = _block_inputs(rng, mode, True, shape=(9, 8, 5, 4), dtype=np.float32)
     w = rng.normal(size=args[0].shape).astype(np.float32)
     whole = _run_block(T.stgcn_block, params, args, w)
     monkeypatch.setattr(T, "BLOCK_CHUNK_BYTES", 1)  # one sample a chunk
@@ -460,27 +493,57 @@ def test_block_chunk_size_independent_float32(monkeypatch, mode):
         np.testing.assert_allclose(chunked[2][name], whole[2][name], rtol=1e-5, atol=1e-5)
 
 
+@pytest.mark.parametrize("c_in,c_out,pool", [(3, 16, False), (16, 32, False), (32, 32, True)])
+def test_block_allocates_its_full_batch_arrays_and_chunk_scratch_only(c_in, c_out, pool):
+    # one taped train-mode call at the desk shape: 32 clips of 32 frames
+    # over 9 joints, float32
+    n, frames, joints, item = 32, 32, 9, 4
+    rng = np.random.default_rng(0)
+    h = T.Tensor(rng.normal(size=(n, frames, joints, c_in)).astype(np.float32))
+    weight = T.parameter(rng.normal(size=(c_in, c_out)).astype(np.float32))
+    kernel = T.parameter(rng.normal(size=(c_out, 3)).astype(np.float32))
+    norm = (T.parameter(np.ones(c_out, np.float32)), T.parameter(np.zeros(c_out, np.float32)))
+    adjacency = rng.uniform(size=(joints, joints)).astype(np.float32)
+    sample = frames * joints * c_out  # entries of one clip's output activation
+    rows = T.BLOCK_CHUNK_BYTES // (sample * item)
+    # full batch: xhat, the relu mask, and `out` (the (N, C_out) mean when pooled)
+    full = n * sample * (item + 1) + (n * c_out if pool else n * sample) * item
+    # chunk scratch: the joint aggregate, the channel mix, a pooled
+    # chunk's output and one chunk-sized temporary
+    scratch = rows * frames * joints * c_in * item + rows * sample * item * (3 if pool else 2)
+    tiles = 7 * sample * item  # (T, V * C_out) tiles: three taps, four norm vectors
+    with T.Tape():
+        tracemalloc.start()
+        try:
+            T.stgcn_block(h, adjacency, weight, kernel, norm, pool=pool)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak <= full + scratch + tiles
+
+
 def _identity_block_args(y, gamma, beta):
     """`stgcn_block` arguments that make everything but its batch norm,
-    relu and residual the identity: unit adjacency, weight and centre tap."""
-    channels, joints = y.shape[-2], y.shape[-1]
+    relu and residual the identity: unit adjacency, weight and centre tap
+    (`y` is channels-last)."""
+    joints, channels = y.shape[-2], y.shape[-1]
     kernel = np.zeros((channels, 3))
     kernel[:, 1] = 1.0
     return y, np.eye(joints), np.eye(channels), kernel, (gamma, beta)
 
 
-@pytest.mark.parametrize("shape", [(4, 5, 3, 6), (7, 2, 9, 1)])
+@pytest.mark.parametrize("shape", [(4, 5, 6, 3), (7, 2, 1, 9)])
 def test_batch_norm_matches_composition(shape):
     # the block's batch norm, with the rest of the block the identity
-    rng = np.random.default_rng(len(shape) + shape[-1])
+    rng = np.random.default_rng(len(shape) + shape[-2])
     y = T.parameter(rng.normal(1.5, 2.0, size=shape))
-    gamma = T.parameter(rng.uniform(0.5, 1.5, size=shape[-2]))
-    beta = T.parameter(rng.normal(size=shape[-2]))
+    gamma = T.parameter(rng.uniform(0.5, 1.5, size=shape[-1]))
+    beta = T.parameter(rng.normal(size=shape[-1]))
     w = rng.normal(size=shape)
 
     def composed(y, _adjacency, _weight, _kernel, norm):
-        out, mean, var = composed_batch_norm(y, *norm, 1e-5)
-        return T.add(T.relu(out), y), (mean, var)
+        out, mean, var = composed_batch_norm(T.transpose(y, CHANNELS_LAST), *norm, 1e-5)
+        return T.add(T.relu(T.transpose(out, CHANNELS_LAST)), y), (mean, var)
 
     results = []
     for op in (T.stgcn_block, composed):
@@ -497,7 +560,7 @@ def test_batch_norm_matches_composition(shape):
 
 
 def test_batch_norm_one_tape_node():
-    y = T.parameter(np.random.default_rng(0).normal(size=(3, 4, 2, 5)))
+    y = T.parameter(np.random.default_rng(0).normal(size=(3, 4, 5, 2)))
     gamma, beta = T.parameter(np.ones(2)), T.parameter(np.zeros(2))
     with T.Tape() as tape:
         T.stgcn_block(*_identity_block_args(y, gamma, beta))
@@ -566,7 +629,7 @@ class TestInvariants:
     def test_nonfinite_block_names_the_block_op(self):
         _, args = _block_inputs(np.random.default_rng(0), "train", residual=True)
         h = args[0].data.copy()
-        h[1, 2, 0, 3] = np.nan
+        h[1, 2, 3, 0] = np.nan
         with pytest.raises(NonFiniteValue, match="stgcn_block") as err:
             T.stgcn_block(T.Tensor(h), *args[1:])
         assert err.value.op == "stgcn_block"

@@ -9,9 +9,9 @@ import skelcl.train
 from skelcl import tensor as T
 from skelcl.augment import AugmentPipeline
 from skelcl.config import RunConfig
-from skelcl.errors import NonFiniteGradient
+from skelcl.errors import NonFiniteGradient, NonFiniteLoss
 from skelcl.skeleton import derive_bone, derive_motion, generate_synthetic_dataset
-from skelcl.train import OptimizerState, pretrain, sgd_step, stage_of
+from skelcl.train import OptimizerState, init_train_state, pretrain, sgd_step, stage_of
 
 
 def test_sgd_two_steps_match_closed_form():
@@ -97,6 +97,35 @@ def test_one_step_augments_each_branch_once_and_derives_streams_from_it(monkeypa
         assert set(view) == {"joint", "bone", "motion"}
         np.testing.assert_array_equal(view["bone"], derive_bone(view["joint"], graph))
         np.testing.assert_array_equal(view["motion"], derive_motion(view["joint"]))
+
+
+@pytest.mark.parametrize("param,op", [("block0.spatial_weight", "stgcn_block"),
+                                      ("projector.w2", "matmul")])
+def test_non_finite_parameter_names_op_step_and_stream(param, op):
+    data = generate_synthetic_dataset(2, 2, frames=16, seed=1, check_separability=False)
+    config = RunConfig(stage_epochs=[0, 1, 1], queue_size=4, batch_size=4, enc_blocks=1,
+                       enc_channels=[4], enc_hidden=8, embed_dim=4)
+    state = init_train_state(config)
+    state.pairs["bone"].query[param].data[0, 0] = np.nan
+    with pytest.raises(NonFiniteLoss, match="bone encoder pass") as err:
+        pretrain(data, config, state=state)
+    e = err.value
+    assert (e.op, e.epoch, e.step, e.stage, e.stream) == (op, 0, 0, "basic+nnm", "bone")
+
+
+def test_non_finite_loss_has_no_stream(monkeypatch):
+    data = generate_synthetic_dataset(2, 2, frames=16, seed=1, check_separability=False)
+    config = RunConfig(stage_epochs=[1, 0, 0], queue_size=4, batch_size=4, enc_blocks=1,
+                       enc_channels=[4], enc_hidden=8, embed_dim=4)
+
+    def overflowing(*args):
+        return T.exp(T.Tensor(np.array([1e4], dtype=np.float32)))
+
+    monkeypatch.setattr(skelcl.train, "combine_losses", overflowing)
+    with pytest.raises(NonFiniteLoss) as err:
+        pretrain(data, config)
+    e = err.value
+    assert (e.op, e.epoch, e.step, e.stage, e.stream) == ("exp", 0, 0, "basic", None)
 
 
 def test_pretrain_leaves_no_tape_node_for_the_collector():
