@@ -290,57 +290,67 @@ def cmd_fuse(args) -> int:
     return 0
 
 
-def _gradcheck_components(dtype, eps=1e-4):
-    """Small-scale gradient checks for each block type and loss term."""
+def _gradcheck_cases(dtype, grid) -> dict:
+    """Each gradient-check component as an (f, params) pair, at small
+    scale: every block type, the projector, each loss term and the linear
+    head.  Every value is drawn, rounded to `grid`'s precision and held in
+    `dtype`, so a float64 build on a float32 grid is the float32 build's
+    twin, at exactly the same values."""
     from .skeleton import build_star_tree
 
+    def held(a):
+        return np.asarray(a, dtype=grid).astype(dtype)
+
+    def encoder(cfg, rng_stream):
+        return init_params(cfg, rng_stream).astype(grid).astype(dtype)
+
     graph = build_star_tree(5)
-    adjacency = graph.normalized_adjacency(dtype)
+    adjacency = held(graph.normalized_adjacency(grid))
     rng = np.random.default_rng(0)
-    results = {}
+    cases = {}
 
     cfg_first = RunConfig(enc_blocks=1, enc_channels=[4], enc_hidden=8, embed_dim=4)
     cfg_residual = RunConfig(enc_blocks=2, enc_channels=[4, 4], enc_hidden=8, embed_dim=4)
-    x = rng.normal(size=(1, 8, 3, 5)).astype(dtype)  # a batch of one clip
+    x = held(rng.normal(size=(1, 8, 3, 5)))  # a batch of one clip
 
     for label, cfg in (("block_entry", cfg_first), ("block_residual", cfg_residual)):
-        params = init_params(cfg, RngStream(1).split(label)).astype(dtype)
+        params = encoder(cfg, RngStream(1).split(label))
         target = rng.normal(size=cfg.enc_channels[-1])
 
         def f(params=params, target=target):
             h = stgcn_forward(x, adjacency, params, mode="eval")
             return T.sum_(T.mul(h, target))
 
-        results[label] = T.grad_check(f, params.trainable(), eps=eps)
+        cases[label] = (f, params.trainable())
 
     # train-mode normalization: batch statistics carry gradient
     # (own generator, so the other components keep their inputs)
     norm_rng = np.random.default_rng(1)
-    params = init_params(cfg_first, RngStream(1).split("block_train_norm")).astype(dtype)
-    x_batch = norm_rng.normal(size=(2, 8, 3, 5)).astype(dtype)
+    norm_params = encoder(cfg_first, RngStream(1).split("block_train_norm"))
+    x_batch = held(norm_rng.normal(size=(2, 8, 3, 5)))
     target_batch = norm_rng.normal(size=(2, cfg_first.enc_channels[-1]))
 
     def f_train_norm():
-        h = stgcn_forward(x_batch, adjacency, params, mode="train", update_stats=False)
+        h = stgcn_forward(x_batch, adjacency, norm_params, mode="train", update_stats=False)
         return T.sum_(T.mul(h, target_batch))
 
-    results["block_train_norm"] = T.grad_check(f_train_norm, params.trainable(), eps=eps)
+    cases["block_train_norm"] = (f_train_norm, norm_params.trainable())
 
-    params = init_params(cfg_first, RngStream(2).split("proj")).astype(dtype)
-    target = rng.normal(size=cfg_first.embed_dim)
+    proj_params = encoder(cfg_first, RngStream(2).split("proj"))
+    proj_target = rng.normal(size=cfg_first.embed_dim)
 
     def f_proj():
-        _, z = encode(x, adjacency, params, mode="eval")
-        return T.sum_(T.mul(z, target))
+        _, z = encode(x, adjacency, proj_params, mode="eval")
+        return T.sum_(T.mul(z, proj_target))
 
-    results["projector"] = T.grad_check(f_proj, params.trainable(), eps=eps)
+    cases["projector"] = (f_proj, proj_params.trainable())
 
     # loss terms on slim embeddings, one row each
     dim = 6
     fill = rng.normal(size=(8, dim))
     fill /= np.linalg.norm(fill, axis=1, keepdims=True)
-    negatives = fill.astype(dtype)
-    zq_param = T.parameter(rng.normal(size=(1, dim)).astype(dtype))
+    negatives = held(fill)
+    zq_param = T.parameter(held(rng.normal(size=(1, dim))))
     zk = rng.normal(size=(1, dim))
     zk /= np.linalg.norm(zk)
 
@@ -350,12 +360,13 @@ def _gradcheck_components(dtype, eps=1e-4):
         def f_loss(mine=mine):
             return T.mean_(queue_nll(T.l2_normalize(zq_param), zk, negatives, 0.2, mine)[0])
 
-        results[label] = T.grad_check(f_loss, {"zq": zq_param}, eps=eps)
+        cases[label] = (f_loss, {"zq": zq_param})
 
     # the extrapolated key side is constant by contract (no gradients ever
     # reach the key branch), so the check perturbs the query path against
     # a key extrapolation frozen at the unperturbed point
-    z0 = zq_param.data[0] / np.linalg.norm(zq_param.data[0])
+    z0 = zq_param.data[0].astype(np.float64)
+    z0 /= np.linalg.norm(z0)
     zk_pos = 0.7 * z0 + np.sqrt(1 - 0.49) * _orthogonal_unit(z0, rng)
     lam = 1.3
     zk_hat_frozen = lam * zk_pos + (1 - lam) * z0
@@ -365,20 +376,18 @@ def _gradcheck_components(dtype, eps=1e-4):
         z_hat, _, _ = pft_transform(T.l2_normalize(zq_param), zk_pos[None], np.array([lam]))
         return T.mean_(queue_nll(z_hat, zk_hat_frozen[None], negatives, 0.2)[0])
 
-    results["loss_pft_query_path"] = T.grad_check(f_pft, {"zq": zq_param}, eps=eps)
+    cases["loss_pft_query_path"] = (f_pft, {"zq": zq_param})
 
     # combined multi-stream objective (intra + inter, mined numerators)
     b = 2
-    emb_params = {
-        u: T.parameter(rng.normal(size=(b, dim)).astype(dtype)) for u in ("joint", "bone")
-    }
+    emb_params = {u: T.parameter(held(rng.normal(size=(b, dim)))) for u in ("joint", "bone")}
     keys = {}
     queues = {}
     for u in emb_params:
         zk_u = rng.normal(size=(b, dim))
         keys[u] = zk_u / np.linalg.norm(zk_u, axis=1, keepdims=True)
         q = MemoryQueue(8, dim, dtype=dtype)
-        q.push(fill)
+        q.push(negatives)
         queues[u] = q
     run_config = RunConfig(streams=["joint", "bone"], tau=0.2)
 
@@ -387,8 +396,27 @@ def _gradcheck_components(dtype, eps=1e-4):
         res = combine_losses(emb, queues, run_config, True, False, RngStream(3).split("gc"))
         return res.total
 
-    results["loss_combined"] = T.grad_check(f_combined, emb_params, eps=eps)
-    return results
+    cases["loss_combined"] = (f_combined, emb_params)
+
+    # the linear head of the probe and finetuning: a ragged batch of three
+    # rows over four classes, one of which no row is labeled with
+    head = {
+        "rows": T.parameter(held(rng.normal(size=(3, dim)))),
+        "weight": T.parameter(held(rng.normal(size=(dim, 4)))),
+        "bias": T.parameter(held(rng.normal(size=4))),
+    }
+    labels = np.array([2, 0, 2])
+    cases["head"] = (lambda: T.linear_softmax_nll(*head.values(), labels), head)
+    return cases
+
+
+def _gradcheck_components(dtype, eps=1e-4, reference=None) -> dict:
+    """`T.grad_check` of every component built in `dtype`.  With a
+    `reference` dtype, the central differences are taken on the
+    component's twin built in that dtype from the same values."""
+    twins = _gradcheck_cases(reference, dtype) if reference is not None else {}
+    return {name: T.grad_check(f, params, eps=eps, reference=twins.get(name))
+            for name, (f, params) in _gradcheck_cases(dtype, dtype).items()}
 
 
 def _orthogonal_unit(v: np.ndarray, rng) -> np.ndarray:
@@ -398,10 +426,14 @@ def _orthogonal_unit(v: np.ndarray, rng) -> np.ndarray:
 
 
 def cmd_gradcheck(args) -> int:
-    dtype = np.float64 if args.precision == "f64" else np.float32
-    tolerance = 1e-6 if args.precision == "f64" else 1e-3
-    eps = 1e-4 if args.precision == "f64" else 1e-2
-    results = _gradcheck_components(dtype, eps=eps)
+    if args.precision == "f64":
+        results, tolerance = _gradcheck_components(np.float64), 1e-6
+    else:
+        # float32 rounding swamps a float32 central difference at any step
+        # small enough for its truncation error to vanish, so the float32
+        # analytic gradient is checked against float64 differences
+        results = _gradcheck_components(np.float32, reference=np.float64)
+        tolerance = 1e-3
     worst = 0.0
     for name, res in sorted(results.items()):
         print(f"{name:16s} max_rel_error={res.max_rel_error:.3e} "

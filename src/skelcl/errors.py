@@ -119,6 +119,10 @@ class UnlabeledClip(SkelclError):
     """A supervised protocol got a clip whose label is null."""
 
 
+class InvalidLabel(SkelclError):
+    """A class label is not a nonnegative integer, or not below the class count."""
+
+
 class LengthMismatch(SkelclError):
     """Per-stream score vectors disagree in length."""
 

@@ -33,10 +33,12 @@ view), and per-channel sums are one GEMV over a (rows, V*C) view and a
 V-fold (`_channel_sums`).  The row softmax negative log-likelihood has
 one implementation, `_softmax_nll_rows`: one exp() per entry, shifted by
 the row max, with the closed-form backward; a row's positives are its
-leading entries plus index-picked ones.  It has two callers, each one
-tape node: `masked_softmax_nll_rows` (the linear probe and finetuning)
-and `contrast.queue_nll` (the InfoNCE loss), which works in place on
-the logit buffer it builds.
+leading entries plus index-picked ones.  It has two callers in the
+package, each one tape node: `linear_softmax_nll` (the linear head of
+the probe and finetuning, affine map and mean loss included) and
+`contrast.queue_nll` (the InfoNCE loss); both work in place on the logit
+buffer they build.  `masked_softmax_nll_rows` stays only as a patch
+target of the benchmark's tracer (like `sub` and `exp`).
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ import numpy as np
 from .errors import (
     DetachedLoss,
     EmptyMask,
+    InvalidLabel,
     NonDeterministic,
     NonFiniteValue,
     ShapeMismatch,
@@ -590,7 +593,9 @@ def stgcn_block(h, adjacency, weight, kernel, norm=None, running=None, eps: floa
     GEMMs over (n*T*V, C) rows.  The full-batch arrays are `out`, the
     normalized pre-activation xhat and the relu mask (the last two only
     when the node records onto a tape; xhat also for a pooled
-    batch-statistics pass, which reads it three times).  Batch
+    batch-statistics pass, which reads it three times).  Between forward
+    and backward a taped node holds only those: each pass allocates its
+    own chunk scratch, and the backward rebuilds its tap tiles.  Batch
     statistics stay exact: per-channel sums accumulate over the chunks
     (in float64), one pass for the mean and one for the centered
     variance, before a last pass normalizes, applies relu and adds the
@@ -635,16 +640,21 @@ def stgcn_block(h, adjacency, weight, kernel, norm=None, running=None, eps: floa
     # any strided layout will do (the encoder passes a transposed view):
     # `x` is only read by the aggregation's matmul and the residual add
     x = h.data.astype(dtype, copy=False)
-    # chunk-sized scratch: the joint aggregate A^T h, and its channel mix
-    agg = np.empty((rows, frames, joints, c_in), dtype)
-    mixed = np.empty((rows, frames, width), dtype)
 
-    def spatial(c: slice) -> tuple[np.ndarray, np.ndarray]:
-        """(A^T h[c], (A^T h[c]) @ W) for chunk `c`, in the scratch buffers."""
+    def scratch() -> tuple[np.ndarray, np.ndarray]:
+        """Chunk-sized buffers for the joint aggregate A^T h and its channel
+        mix.  The forward and the backward each take their own, so no
+        scratch is held from one to the other."""
+        return np.empty((rows, frames, joints, c_in), dtype), np.empty((rows, frames, width), dtype)
+
+    def spatial(c: slice, agg: np.ndarray, mixed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(A^T h[c], (A^T h[c]) @ W) for chunk `c`, in the given scratch."""
         m = c.stop - c.start
         _aggregate(x[c], adjacency, agg[:m])
         np.matmul(agg[:m].reshape(-1, c_in), w, out=mixed[:m].reshape(-1, c_out))
         return agg[:m], mixed[:m]
+
+    agg, mixed = scratch()
 
     full = (n, frames, width)
     recording = _recording(inputs) is not None
@@ -666,7 +676,7 @@ def stgcn_block(h, adjacency, weight, kernel, norm=None, running=None, eps: floa
     if train:
         sums = np.zeros(c_out)
         for c in chunks:
-            sums += _channel_sums(_apply_taps(spatial(c)[1], plan, xhat[c]), c_out)
+            sums += _channel_sums(_apply_taps(spatial(c, agg, mixed)[1], plan, xhat[c]), c_out)
         mean = (sums / count).astype(dtype)
         mean_c = per_column(mean)
         centered = mixed  # free between the passes
@@ -692,7 +702,7 @@ def stgcn_block(h, adjacency, weight, kernel, norm=None, running=None, eps: floa
         if train:
             pre = xhat[c]
         else:
-            pre = _apply_taps(spatial(c)[1], plan, dst if xhat is None else xhat[c])
+            pre = _apply_taps(spatial(c, agg, mixed)[1], plan, dst if xhat is None else xhat[c])
         if norm is not None:
             pre -= mean_c
             pre *= inv_c
@@ -726,6 +736,9 @@ def stgcn_block(h, adjacency, weight, kernel, norm=None, running=None, eps: floa
         g_beta, g_gamma = np.zeros(c_out), np.zeros(c_out)
         gpre = np.empty((rows, frames, width), dtype)
         dmixed = np.empty_like(gpre)
+        agg, mixed = scratch()
+        # the tap tiles are rebuilt too, so the node holds none between passes
+        plan = _conv_plan(kernel.data.astype(dtype, copy=False), frames, joints)
 
         def relu_grad(c: slice) -> np.ndarray:
             """The gradient past the relu for chunk `c`, in `gpre`."""
@@ -764,7 +777,7 @@ def stgcn_block(h, adjacency, weight, kernel, norm=None, running=None, eps: floa
                     dpre -= shift_c
             dy = _apply_taps(dpre, plan, dmixed[:m], adjoint=True).reshape(-1, c_out)
             if need_w or need_k:
-                agg_c, mixed_c = spatial(c)
+                agg_c, mixed_c = spatial(c, agg, mixed)
                 if need_k:
                     _add_tap_grads(dpre, mixed_c, plan, gk)
                 if need_w:
@@ -872,6 +885,48 @@ def masked_softmax_nll_rows(logits, positive_mask) -> Tensor:
     return _apply(out, (logits,), bwd)
 
 
+def linear_softmax_nll(rows, weight, bias, labels) -> Tensor:
+    """The mean softmax cross-entropy of the logits `rows @ weight + bias`
+    against integer class `labels`, as one tape node; returns a scalar.
+
+    `rows` is (B, D), `weight` (D, C), `bias` (C,) and `labels` B integers
+    in [0, C).  Each row's label is its one picked positive in
+    `_softmax_nll_rows`; the backward is closed-form, with
+    d = (softmax - one-hot) / B: bias gets d summed over rows, weight
+    rows^T d, and rows d weight^T.  The NumPy calls, and their order, are
+    those of the matmul, add, row softmax-NLL and mean chain, so loss and
+    gradients are bit-identical to that chain's.
+    """
+    rows, weight, bias = as_tensor(rows), as_tensor(weight), as_tensor(bias)
+    if rows.ndim != 2 or weight.ndim != 2 or rows.shape[1] != weight.shape[0]:
+        raise ShapeMismatch(f"linear head needs (B, D) rows and a (D, C) weight, got "
+                            f"{rows.shape} and {weight.shape}")
+    batch, classes = rows.shape[0], weight.shape[1]
+    if batch == 0:
+        raise ShapeMismatch("linear head needs at least one row")
+    if bias.shape != (classes,):
+        raise ShapeMismatch(f"bias {bias.shape} does not fit {classes} classes")
+    labels = np.asarray(labels)
+    if labels.shape != (batch,):
+        raise ShapeMismatch(f"{labels.shape} labels for {batch} rows")
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise InvalidLabel(f"labels must be integers, got dtype {labels.dtype}")
+    if labels.min() < 0 or labels.max() >= classes:
+        raise InvalidLabel(f"labels must lie in [0, {classes}), got [{labels.min()}, {labels.max()}]")
+    # the picks `np.nonzero` yields for a one-hot positive mask
+    nll, grad = _softmax_nll_rows(rows.data @ weight.data + bias.data,
+                                  picks=((np.arange(batch),), labels[:, None]))
+
+    def bwd(g, needs):
+        d = grad(np.broadcast_to(g / batch, (batch,)))
+        g_bias = d.sum(axis=0) if needs[2] else None
+        g_weight = rows.data.T @ d if needs[1] else None
+        g_rows = d @ weight.data.T if needs[0] else None
+        return g_rows, g_weight, g_bias
+
+    return _apply(np.mean(nll, axis=0), (rows, weight, bias), bwd)
+
+
 # -- backward pass -----------------------------------------------------------------
 
 
@@ -955,6 +1010,7 @@ def grad_check(
     f: Callable[[], Tensor],
     params: dict[str, Tensor],
     eps: float = 1e-4,
+    reference: "tuple[Callable[[], Tensor], dict[str, Tensor]] | None" = None,
 ) -> GradCheckResult:
     """Compare reverse-mode gradients of `f()` against central differences.
 
@@ -963,10 +1019,14 @@ def grad_check(
     activation sign are skipped and reported rather than failed, since
     the derivative is not defined across the kink.  Relative error is
     |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
+    `reference`, an (f, params) twin of the same function with the same
+    parameter names (say, in float64 at the same values), takes the
+    central differences in place of `f` itself.
     """
+    num_f, num_params = (f, params) if reference is None else reference
     with no_tape():
-        first = f().item()
-        second = f().item()
+        first = num_f().item()
+        second = num_f().item()
     if first != second:
         raise NonDeterministic(f"f() returned {first} then {second}")
 
@@ -979,17 +1039,17 @@ def grad_check(
     }
 
     result = GradCheckResult(max_rel_error=0.0)
-    for name, p in params.items():
+    for name, p in num_params.items():
         worst = 0.0
         for idx in range(p.data.size):
             saved = p.data.flat[idx]
             with no_tape():
                 p.data.flat[idx] = saved + eps
                 with _KinkMonitor() as trace_plus:
-                    f_plus = f().item()
+                    f_plus = num_f().item()
                 p.data.flat[idx] = saved - eps
                 with _KinkMonitor() as trace_minus:
-                    f_minus = f().item()
+                    f_minus = num_f().item()
                 p.data.flat[idx] = saved
             if not _traces_equal(trace_plus, trace_minus):
                 result.skipped.append((name, idx))

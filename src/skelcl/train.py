@@ -14,7 +14,11 @@ split's clips share one graph and frame count and stacks them, and
 `stream_arrays` derives the probed stream from that stack once.  The
 linear probe and finetuning train their linear head in one loop,
 `_fit_head`: the probe feeds it frozen eval-mode h, finetuning the taped
-train-mode encoder, whose parameters step with the head.  The kNN probe
+train-mode encoder, whose parameters step with the head.  A head step
+records one tape node for the affine head and its mean softmax
+cross-entropy (`T.linear_softmax_nll`), after the encoder's blocks when
+finetuning.  Labels must be nonnegative integers (`InvalidLabel`
+otherwise).  The kNN probe
 ranks every val clip's train neighbours with one row-wise stable sort
 and counts all votes at once.  Every setting a protocol takes is a
 required keyword; `RunConfig` holds the defaults.
@@ -37,6 +41,7 @@ from .errors import (
     EmptyTrainSplit,
     EmptyValSplit,
     EncoderModified,
+    InvalidLabel,
     LengthMismatch,
     NonFiniteGradient,
     NonFiniteLoss,
@@ -269,6 +274,8 @@ def _labels(sequences, split: str) -> np.ndarray:
     for i, s in enumerate(sequences):
         if s.label is None:
             raise UnlabeledClip(f"{split} clip {i} has no label")
+        if isinstance(s.label, bool) or not isinstance(s.label, (int, np.integer)) or s.label < 0:
+            raise InvalidLabel(f"{split} clip {i} has label {s.label!r}, not a nonnegative integer")
     return np.array([s.label for s in sequences], dtype=np.int64)
 
 
@@ -279,20 +286,19 @@ def _fit_head(rows, dim: int, y: np.ndarray, num_classes: int, trainable: dict[s
     Each epoch visits the clips in `rng.split(f"e{epoch}")` order,
     `PROTOCOL_BATCH` at a time.  `rows(idx)` gives the batch's (B, dim)
     hidden vectors, recorded on the tape when they depend on `trainable`,
-    which steps along with the head.
+    which steps along with the head.  The head and its loss are one tape
+    node, `T.linear_softmax_nll`.
     """
     w = T.parameter(np.zeros((dim, num_classes), dtype=np.float32))
     b = T.parameter(np.zeros(num_classes, dtype=np.float32))
     trainable = {**trainable, "head.w": w, "head.b": b}
     opt = OptimizerState(lr=lr, momentum=0.9, weight_decay=weight_decay)
-    positives = np.eye(num_classes, dtype=bool)
     for epoch in range(epochs):
         order = rng.split(f"e{epoch}").permutation(len(y))
         for i in range(0, len(y), PROTOCOL_BATCH):
             idx = order[i : i + PROTOCOL_BATCH]
             with T.Tape():
-                logits = T.add(T.matmul(rows(idx), w), b)
-                grads = T.backward(T.mean_(T.masked_softmax_nll_rows(logits, positives[y[idx]])))
+                grads = T.backward(T.linear_softmax_nll(rows(idx), w, b, y[idx]))
             sgd_step(trainable, grads, opt)
     return w.data, b.data
 

@@ -11,7 +11,7 @@ from skelcl.skeleton import SkeletonSequence, load_dataset, write_dataset
 
 GRADCHECK_COMPONENTS = {
     "block_entry", "block_residual", "block_train_norm", "projector", "loss_intra", "loss_nnm",
-    "loss_pft_query_path", "loss_combined",
+    "loss_pft_query_path", "loss_combined", "head",
 }
 # `pft-hist --random-pairs 200` before the loss path became batched
 PFT_HIST_200 = {
@@ -45,6 +45,15 @@ def test_gradcheck_f64_passes_every_component(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert {line.split()[0] for line in lines[:-1]} == GRADCHECK_COMPONENTS
     assert json.loads(lines[-1])["pass"] is True
+
+
+def test_gradcheck_f32_passes_every_component(capsys):
+    # float32 analytic gradients against float64 central differences
+    assert main(["gradcheck", "--precision", "f32"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert {line.split()[0] for line in lines[:-1]} == GRADCHECK_COMPONENTS
+    doc = json.loads(lines[-1])
+    assert doc["pass"] is True and doc["tolerance"] == 1e-3
 
 
 def test_gradcheck_f32_loss_components_within_tolerance():

@@ -11,6 +11,7 @@ from skelcl.encoder import EncoderParams, encode, init_params, project, stgcn_fo
 from skelcl.errors import (
     EmptyValSplit,
     EncoderModified,
+    InvalidLabel,
     LengthMismatch,
     ShapeMismatch,
     UnlabeledClip,
@@ -152,6 +153,36 @@ def test_unlabeled_clip_named(splits, params, call, split):
     data[split] = [*data[split][:2], SkeletonSequence(clip.data, clip.graph), *data[split][3:]]
     with pytest.raises(UnlabeledClip, match=f"{split} clip 2 has no label"):
         PROTOCOL_CALLS[call](params, data["train"], data["val"])
+
+
+@pytest.mark.parametrize("label", [-1, 1.5, True])
+@pytest.mark.parametrize("split", ["train", "val"])
+@pytest.mark.parametrize("call", sorted(PROTOCOL_CALLS))
+def test_invalid_label_named(splits, params, call, split, label):
+    # a label that is not a nonnegative integer must not pass as a class index
+    data = dict(zip(("train", "val"), splits))
+    clip = data[split][2]
+    data[split] = [*data[split][:2], SkeletonSequence(clip.data, clip.graph, label),
+                   *data[split][3:]]
+    with pytest.raises(InvalidLabel, match=f"{split} clip 2 has label {label!r}"):
+        PROTOCOL_CALLS[call](params, data["train"], data["val"])
+
+
+@pytest.mark.parametrize("call", ["linear_probe", "finetune"])
+def test_head_step_records_one_node_after_the_encoder(splits, monkeypatch, call):
+    # three blocks: a finetune step records them, then the head's one node
+    config = RunConfig(enc_blocks=3, enc_channels=[4, 4, 8], enc_hidden=8, embed_dim=4)
+    params = init_params(config, RngStream(5).split("enc"))
+    counts = []
+    backward = T.backward
+
+    def counting(loss):
+        counts.append(len(loss.node.tape.nodes))
+        return backward(loss)
+
+    monkeypatch.setattr(T, "backward", counting)
+    PROTOCOL_CALLS[call](params, *splits)
+    assert counts and set(counts) == {1 if call == "linear_probe" else config.enc_blocks + 1}
 
 
 MIXED_GRAPH_CALLS = {

@@ -13,6 +13,7 @@ from skelcl.contrast import queue_nll
 from skelcl.errors import (
     DetachedLoss,
     EmptyMask,
+    InvalidLabel,
     NonDeterministic,
     NonFiniteValue,
     ShapeMismatch,
@@ -255,6 +256,7 @@ OP_CASES = [
     ("concat_take", lambda rng: _concat_case(rng)),
     ("masked_softmax_nll_rows", lambda rng: _masked_softmax_nll_case(rng)),
     ("queue_nll", lambda rng: _queue_nll_case(rng)),
+    ("linear_softmax_nll", lambda rng: _linear_softmax_nll_case(rng)),
 ]
 
 
@@ -364,6 +366,16 @@ def _queue_nll_case(_):
     mine = np.array([[True, False, True], [False, True, True]])
     w = rng.uniform(0.5, 1.0, size=(2, 3))
     return {"zq": zq}, lambda: T.sum_(T.mul(queue_nll(zq, zk, negatives, 0.5, mine, 2)[0], w))
+
+
+def _linear_softmax_nll_case(rng):
+    params = {
+        "rows": T.parameter(rng.normal(size=(4, 3)).astype(np.float64)),
+        "weight": T.parameter(rng.normal(size=(3, 5)).astype(np.float64)),
+        "bias": T.parameter(rng.normal(size=5).astype(np.float64)),
+    }
+    labels = np.array([1, 4, 1, 0])
+    return params, lambda: T.linear_softmax_nll(*params.values(), labels)
 
 
 @pytest.mark.parametrize("name,builder", OP_CASES)
@@ -515,11 +527,15 @@ def test_block_allocates_its_full_batch_arrays_and_chunk_scratch_only(c_in, c_ou
     with T.Tape():
         tracemalloc.start()
         try:
-            T.stgcn_block(h, adjacency, weight, kernel, norm, pool=pool)
-            _, peak = tracemalloc.get_traced_memory()
+            out = T.stgcn_block(h, adjacency, weight, kernel, norm, pool=pool)
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
     assert peak <= full + scratch + tiles
+    # until the backward runs, the node keeps the full-batch arrays and a
+    # few small objects (closures, statistics), but no scratch or tiles
+    assert out[0].node is not None
+    assert held <= full + 16 * 1024
 
 
 def _identity_block_args(y, gamma, beta):
@@ -602,6 +618,64 @@ def test_masked_softmax_nll_one_tape_node():
     assert len(tape.nodes) == 1
 
 
+def four_node_head(rows, weight, bias, labels):
+    """The linear head as the chain of tape ops `linear_softmax_nll` replaced."""
+    positives = np.eye(weight.shape[1], dtype=bool)[labels]
+    return T.mean_(T.masked_softmax_nll_rows(T.add(T.matmul(rows, weight), bias), positives))
+
+
+HEAD_BATCHES = {
+    "full": np.arange(32) % 5,
+    "ragged_last": np.array([4, 0, 2, 2, 1, 3, 0]),
+    "class_3_missing": np.array([0, 4, 1, 1, 2, 4, 0, 2]),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch", sorted(HEAD_BATCHES))
+def test_linear_head_bit_equals_the_four_node_chain(dtype, batch):
+    labels = HEAD_BATCHES[batch]
+    rng = np.random.default_rng(len(labels))
+    head = (T.parameter(rng.normal(size=(len(labels), 6)).astype(dtype)),
+            T.parameter(rng.normal(size=(6, 5)).astype(dtype)),
+            T.parameter(rng.normal(size=5).astype(dtype)))
+    results = []
+    for op in (T.linear_softmax_nll, four_node_head):
+        with T.Tape() as tape:
+            loss = op(*head, labels)
+            nodes = len(tape.nodes)
+            grads = T.backward(loss)
+        results.append((nodes, loss.data, [grads[p].data for p in head]))
+    (nodes, loss, grads), (ref_nodes, ref_loss, ref_grads) = results
+    assert (nodes, ref_nodes) == (1, 4)
+    assert loss.dtype == ref_loss.dtype == dtype
+    np.testing.assert_array_equal(loss, ref_loss)
+    for got, want in zip(grads, ref_grads):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("labels,error", [
+    ([0, 5, 1], InvalidLabel),
+    ([0, -1, 1], InvalidLabel),
+    ([0.0, 1.0, 2.0], InvalidLabel),
+    ([True, False, True], InvalidLabel),
+    ([0, 1], ShapeMismatch),
+    ([[0, 1, 2]], ShapeMismatch),
+])
+def test_linear_head_rejects_bad_labels(labels, error):
+    with pytest.raises(error):
+        T.linear_softmax_nll(np.ones((3, 4)), np.ones((4, 5)), np.zeros(5), np.array(labels))
+
+
+@pytest.mark.parametrize("shapes", [((3, 4), (3, 5), (5,)), ((3, 4), (4, 5), (4,)),
+                                    ((0, 4), (4, 5), (5,)), ((4,), (4, 5), (5,))])
+def test_linear_head_rejects_bad_shapes(shapes):
+    rows, weight, bias = (np.ones(shape) for shape in shapes)
+    with pytest.raises(ShapeMismatch):
+        T.linear_softmax_nll(rows, weight, bias, np.zeros(rows.shape[0], dtype=int))
+
+
 def test_conv1d_kernel_wider_than_clip():
     # taps that reach past both ends of a 2-frame clip see only padding
     x = T.Tensor(np.arange(12, dtype=np.float64).reshape(2, 2, 3))
@@ -618,6 +692,21 @@ def test_grad_check_float32_tolerance():
     w = np.asarray(rng.normal(size=(4, 2)), dtype=np.float32)
     res = T.grad_check(lambda: T.sum_(T.mul(T.matmul(a, b), w)), {"a": a, "b": b}, eps=1e-2)
     assert res.max_rel_error < 1e-3
+
+
+def test_grad_check_reference_takes_the_central_differences():
+    # float32 analytic gradients against a float64 twin at the same values
+    rng = np.random.default_rng(22)
+    a, b, w = (rng.normal(size=shape).astype(np.float32) for shape in ((4, 3), (3, 2), (4, 2)))
+
+    def case(dtype, scale=1.0):
+        params = {"a": T.parameter(a.astype(dtype)), "b": T.parameter(b.astype(dtype))}
+        return lambda: T.sum_(T.mul(T.matmul(params["a"], params["b"]), w * scale)), params
+
+    f32, params32 = case(np.float32)
+    assert T.grad_check(f32, params32, reference=case(np.float64)).max_rel_error < 1e-5
+    # the twin's differences, not f's own, are what the gradient is checked against
+    assert T.grad_check(f32, params32, reference=case(np.float64, 2.0)).max_rel_error > 0.3
 
 
 class TestInvariants:
