@@ -5,9 +5,10 @@ there) with magic "CKPT".  Its JSON document holds the config and the
 integer counters (the epoch and step cursor, and each queue's head and
 fill count) as JSON integers, exact at any size, unlike the f32 tensor
 payloads.  One named tensor holds each other piece of mutable training
-state (both encoder branches per stream, queue rings, optimizer
-buffers).  Together they make resume replay the uninterrupted run
-exactly.
+state: both encoder branches per stream, queue rings and the SGD
+momentum of `TrainState.buffers` (`opt.{stream}.{param}`).  A restore
+overwrites every array and counter of a fresh `init_train_state`.
+Together they make resume replay the uninterrupted run exactly.
 
 A damaged file fails with a named `SkelclError`; `read_file` checks the
 stored hash against the raw JSON bytes before they are decoded, every
@@ -25,12 +26,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import RunConfig, config_from_dict
-from .contrast import EncoderPair, MemoryQueue
 from .encoder import EncoderParams, init_params
 from .errors import CorruptFile, StreamMissing
 from .rng import RngStream
 from .skeleton import read_file, write_file
-from .train import OptimizerState, TrainState
+from .train import TrainState, init_train_state
 
 MAGIC = b"CKPT"
 
@@ -70,8 +70,8 @@ def state_to_checkpoint(state: TrainState) -> Checkpoint:
         tensors[f"queue.{u}.slots"] = q.slots
         counters[f"queue.{u}.head"] = int(q.head)
         counters[f"queue.{u}.filled"] = int(q.filled)
-        for name, buf in state.optimizers[u].buffers.items():
-            tensors[f"opt.{u}.{name}"] = buf
+    for key, buf in state.buffers.items():
+        tensors[f"opt.{key}"] = buf
     return Checkpoint(config=state.config, tensors=tensors, counters=counters)
 
 
@@ -101,47 +101,31 @@ def _load_encoder(ckpt: Checkpoint, stream: str, branch: str, params: EncoderPar
 
 
 def state_from_checkpoint(ckpt: Checkpoint) -> TrainState:
+    """A fresh `init_train_state` with every stored array and counter written into it."""
     config = ckpt.config
-    pairs: dict[str, EncoderPair] = {}
-    queues: dict[str, MemoryQueue] = {}
-    optimizers: dict[str, OptimizerState] = {}
+    state = init_train_state(config)
     for u in config.streams:
         if f"queue.{u}.slots" not in ckpt.tensors:
             raise StreamMissing(f"checkpoint lacks stream {u!r}")
-        params = init_params(config, RngStream(0).split("rebuild"))
-        pair = EncoderPair(params, config.key_momentum)
+        pair = state.pairs[u]
         _load_encoder(ckpt, u, "query", pair.query)
         _load_encoder(ckpt, u, "key", pair.key)
-        pairs[u] = pair
-
-        q = MemoryQueue(config.queue_size, config.embed_dim)
+        q = state.queues[u]
         q.slots[...] = _stored(ckpt, f"queue.{u}.slots", q.slots.shape)
         q.head = _stored_count(ckpt, f"queue.{u}.head", q.capacity - 1)
         q.filled = _stored_count(ckpt, f"queue.{u}.filled", q.capacity)
-        queues[u] = q
-
-        opt = OptimizerState(
-            lr=config.lr, momentum=config.sgd_momentum, weight_decay=config.weight_decay
-        )
         for name, t in pair.query.trainable().items():
             if f"opt.{u}.{name}" in ckpt.tensors:  # absent before the first step
-                opt.buffers[name] = _stored(ckpt, f"opt.{u}.{name}", t.shape).copy()
-        optimizers[u] = opt
-
-    return TrainState(
-        config=config,
-        pairs=pairs,
-        queues=queues,
-        optimizers=optimizers,
-        epoch=_stored_count(ckpt, "meta.epoch", sum(config.stage_epochs)),
-        step=_stored_count(ckpt, "meta.step", math.inf),
-    )
+                state.buffers[f"{u}.{name}"] = _stored(ckpt, f"opt.{u}.{name}", t.shape).copy()
+    state.epoch = _stored_count(ckpt, "meta.epoch", sum(config.stage_epochs))
+    state.step = _stored_count(ckpt, "meta.step", math.inf)
+    return state
 
 
-def query_params(ckpt: Checkpoint, stream: str) -> EncoderParams:
-    """The trained query-branch encoder of one stream."""
+def query_params(ckpt: Checkpoint, stream: str, branch: str = "query") -> EncoderParams:
+    """The trained encoder of one stream's `branch` ("query" or "key")."""
     if f"queue.{stream}.slots" not in ckpt.tensors:
         raise StreamMissing(f"checkpoint lacks stream {stream!r}")
     params = init_params(ckpt.config, RngStream(0).split("rebuild"))
-    _load_encoder(ckpt, stream, "query", params)
+    _load_encoder(ckpt, stream, branch, params)
     return params

@@ -4,15 +4,19 @@ Subcommands: pretrain, linprobe, knn, finetune, fuse, gen-data,
 gradcheck, pft-hist.  Metrics stream to stdout (or --metrics PATH) as
 JSON lines; evaluation results print as a single JSON document.  Every
 setting comes from one `RunConfig` (`--config`, `--set KEY=VALUE`,
-`--seed`, `--tau`); the probe subcommands read it from the checkpoint.
+`--seed`, `--tau`); the probes and `pft-hist --checkpoint` read it from
+the checkpoint, `fuse` and `pft-hist` start from `RunConfig()`.  Their
+flags `--epochs`, `--lr`, `--k`, `--weight`, `--alpha` and `--mu` are
+overrides of that config's keys, with no defaults of their own.
 
 Exit codes: 0 success; 1 a failed check or any other named
 `SkelclError`, such as a missing, unreadable or corrupt checkpoint, data,
 scores or config file; 2 a usage or config error: an unknown key, a
 wrong type, a config file that is not JSON, or a value out of range,
 named by its config key or by the flag that set it (`--weight`,
-`--alpha`, `--mu`, `--resume`, `--data`, `--k`, `--fraction`,
-`--classes`, `--per-class`, `--joints`, `--frames`, `--val-fraction`).
+`--alpha`, `--mu`, `--resume`, `--data`, `--k`, `--epochs`, `--lr`,
+`--fraction`, `--random-pairs`, `--bins`, `--classes`, `--per-class`,
+`--joints`, `--frames`, `--val-fraction`).
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .checkpoint import (
     state_from_checkpoint,
     state_to_checkpoint,
 )
-from .config import RunConfig, parse_config
+from .config import RunConfig, config_from_dict, parse_config
 from .contrast import (
     MemoryQueue,
     combine_losses,
@@ -77,19 +81,21 @@ def _parse_overrides(pairs: list[str]) -> dict:
 
 
 def _build_config(args) -> RunConfig:
-    overrides = _parse_overrides(getattr(args, "set", []) or [])
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "tau", None) is not None:
-        overrides["tau"] = args.tau
-    return parse_config(getattr(args, "config", None), overrides)
+    overrides = _parse_overrides(args.set or [])
+    overrides.update({k: vars(args)[k] for k in ("seed", "tau") if vars(args)[k] is not None})
+    return parse_config(args.config, overrides)
 
 
 @contextmanager
-def _flags(names: dict[str, str]):
-    """Re-raise a `ConfigValueError` on a key of `names` under the flag that set it."""
+def _flags(names: dict[str, str], base: RunConfig | None = None, values: dict | None = None):
+    """Re-raise a `ConfigValueError` on a key of `names` under the flag that set it.
+    With a `base` config, yields it with the keys of `names` that `values` gives (not
+    None) set through `config_from_dict`, whose rules check them; only those are renamed."""
+    if base is not None:
+        given = {key: values[key] for key in names if values.get(key) is not None}
+        names = {key: names[key] for key in given}
     try:
-        yield
+        yield None if base is None else config_from_dict({**base.to_dict(), **given})
     except ConfigValueError as err:
         if err.key not in names:
             raise
@@ -116,11 +122,11 @@ def cmd_gen_data(args) -> int:
             per_class=args.per_class,
             frames=args.frames,
             joints=args.joints,
-            seed=args.seed,
+            seed=args.data_seed,
             noise_sigma=args.noise_sigma,
         )
         splits = stratified_split(
-            sequences, args.val_fraction, RngStream(args.seed).split("split")
+            sequences, args.val_fraction, RngStream(args.data_seed).split("split")
         )
     write_dataset(args.out, sequences, splits)
     _emit(
@@ -130,7 +136,7 @@ def cmd_gen_data(args) -> int:
             "train": splits.count("train"),
             "val": splits.count("val"),
             "out": str(args.out),
-            "seed": args.seed,
+            "seed": args.data_seed,
         }
     )
     return 0
@@ -177,12 +183,12 @@ def _emit_probe(args, ckpt, data, protocol: str, **fields) -> None:
 
 def cmd_linprobe(args) -> int:
     ckpt, data, params = _probe_inputs(args)
-    epochs = args.epochs if args.epochs is not None else ckpt.config.linear_epochs
-    lr = args.lr if args.lr is not None else ckpt.config.linear_lr
-    result = linear_probe(
-        params, data["train"], data["val"], stream=args.stream,
-        epochs=epochs, lr=lr, seed=ckpt.config.seed,
-    )
+    with _flags({"linear_epochs": "--epochs", "linear_lr": "--lr"}, ckpt.config,
+                vars(args)) as config:
+        result = linear_probe(
+            params, data["train"], data["val"], stream=args.stream,
+            epochs=config.linear_epochs, lr=config.linear_lr, seed=config.seed,
+        )
     if args.scores_out:
         Path(args.scores_out).write_text(
             json.dumps(
@@ -199,22 +205,21 @@ def cmd_linprobe(args) -> int:
 
 def cmd_knn(args) -> int:
     ckpt, data, params = _probe_inputs(args)
-    k = args.k if args.k is not None else ckpt.config.knn_k
-    with _flags({"knn_k": "--k"} if args.k is not None else {}):
-        accuracy = knn_probe(params, data["train"], data["val"], stream=args.stream, k=k)
-    _emit_probe(args, ckpt, data, "knn", k=k, accuracy=accuracy)
+    with _flags({"knn_k": "--k"}, ckpt.config, vars(args)) as config:
+        accuracy = knn_probe(params, data["train"], data["val"], stream=args.stream,
+                             k=config.knn_k)
+    _emit_probe(args, ckpt, data, "knn", k=config.knn_k, accuracy=accuracy)
     return 0
 
 
 def cmd_finetune(args) -> int:
     ckpt, data, params = _probe_inputs(args)
-    epochs = args.epochs if args.epochs is not None else ckpt.config.finetune_epochs
-    lr = args.lr if args.lr is not None else ckpt.config.finetune_lr
-    with _flags({"fraction": "--fraction"}):
+    with _flags({"finetune_epochs": "--epochs", "finetune_lr": "--lr"}, ckpt.config,
+                vars(args)) as config, _flags({"fraction": "--fraction"}):
         result = finetune(
             params, data["train"], data["val"], stream=args.stream,
-            fraction=args.fraction, epochs=epochs, lr=lr,
-            weight_decay=ckpt.config.weight_decay, seed=ckpt.config.seed,
+            fraction=args.fraction, epochs=config.finetune_epochs, lr=config.finetune_lr,
+            weight_decay=config.weight_decay, seed=config.seed,
         )
     protocol = "finetune" if args.fraction == 1.0 else "semi-supervised"
     _emit_probe(args, ckpt, data, protocol, fraction=args.fraction,
@@ -255,21 +260,18 @@ def _read_scores(path) -> tuple[str, np.ndarray, np.ndarray | None]:
 def cmd_fuse(args) -> int:
     docs = [_read_scores(p) for p in args.scores]
     scores = {stream: stream_scores for stream, stream_scores, _ in docs}
-    weights = RunConfig().fusion_weights
-    if args.weight:
-        weights = {}
-        for item in args.weight:
-            stream, _, raw = item.partition("=")
-            try:
-                weights[stream] = float(raw)
-            except ValueError:
-                raise ConfigValueError(
-                    "--weight", f"expects STREAM=W with a number W, got {item!r}"
-                ) from None
+    given = {}
+    for item in args.fusion_weights or ():
+        stream, _, raw = item.partition("=")
         try:
-            RunConfig(fusion_weights=weights)  # the config's own positivity rule
-        except ConfigValueError as err:
-            raise ConfigValueError("--weight", err.reason) from None
+            given[stream] = float(raw)
+        except ValueError:
+            raise ConfigValueError(
+                "--weight", f"expects STREAM=W with a number W, got {item!r}"
+            ) from None
+    with _flags({"fusion_weights": "--weight"}, RunConfig(),
+                {"fusion_weights": given or None}) as config:
+        weights = config.fusion_weights
     for stream in sorted(scores):
         if stream not in weights:
             raise ConfigValueError(
@@ -446,32 +448,33 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_pft_hist(args) -> int:
-    with _flags({"pft_alpha": "--alpha", "pft_mu": "--mu"}):
-        RunConfig(pft_alpha=args.alpha, pft_mu=args.mu)  # the config's own range rule
-    rng = RngStream(args.seed).split("pft-hist")
+    for flag, value in (("--random-pairs", args.random_pairs), ("--bins", args.bins)):
+        if value < 1:
+            raise ConfigValueError(flag, f"must be positive, got {value}")
+    if args.checkpoint and args.data is None:
+        raise ConfigValueError("--data", "pft-hist --checkpoint embeds the val split of --data")
+    ckpt = load_checkpoint(args.checkpoint) if args.checkpoint else None
+    with _flags({"pft_alpha": "--alpha", "pft_mu": "--mu"}, ckpt.config if ckpt else RunConfig(),
+                vars(args)) as config:
+        alpha, mu = config.pft_alpha, config.pft_mu
+    rng = RngStream(args.hist_seed).split("pft-hist")
 
     def draw_lambda(gen, size=None):
-        return gen.beta(args.alpha, args.alpha, size) * args.mu + 1.0
+        return gen.beta(alpha, alpha, size) * mu + 1.0
 
-    if args.checkpoint:
-        if args.data is None:
-            raise ConfigValueError("--data", "pft-hist --checkpoint embeds the val split of --data")
-        ckpt = load_checkpoint(args.checkpoint)
+    if ckpt:
         val = load_dataset(args.data)["val"]
         if not val:
             raise EmptyValSplit("pft-hist --checkpoint needs validation samples")
-        config = ckpt.config
         graph, joints = clip_batch(val)
         adjacency = graph.normalized_adjacency(np.float32)
         # key branch embeddings come from the checkpointed key encoder
-        branches = (
-            ("q", config.query_family, query_params(ckpt, args.stream)),
-            ("k", config.key_family, state_from_checkpoint(ckpt).pairs[args.stream].key),
-        )
         views = []
-        for branch, family, params in branches:
+        for label, branch, family in (("q", "query", config.query_family),
+                                      ("k", "key", config.key_family)):
             pipeline = AugmentPipeline(family, config)
-            x = _augment_batch(joints, pipeline, rng.split(branch), graph, (args.stream,))
+            x = _augment_batch(joints, pipeline, rng.split(label), graph, (args.stream,))
+            params = query_params(ckpt, args.stream, branch)
             with T.no_tape():
                 views.append(encode(x[args.stream], adjacency, params, mode="eval")[1].data)
         zq, zk = views
@@ -499,8 +502,8 @@ def cmd_pft_hist(args) -> int:
     doc = {
         "command": "pft-hist",
         "pairs": len(before),
-        "alpha": args.alpha,
-        "mu": args.mu,
+        "alpha": alpha,
+        "mu": mu,
         "before": table.before_stats,
         "after": table.after_stats,
     }
@@ -523,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-class", type=int, default=40)
     p.add_argument("--frames", type=int, default=32)
     p.add_argument("--joints", type=int, default=9)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", dest="data_seed", type=int, default=7)  # the data's, not the config's
     p.add_argument("--noise-sigma", type=float, default=0.02)
     p.add_argument("--val-fraction", type=float, default=0.25)
     p.add_argument("--out", required=True)
@@ -544,8 +547,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--stream", default="joint")
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
+    p.add_argument("--epochs", dest="linear_epochs", type=int)
+    p.add_argument("--lr", dest="linear_lr", type=float)
     p.add_argument("--scores-out", default=None)
     p.set_defaults(func=cmd_linprobe)
 
@@ -553,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--stream", default="joint")
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", dest="knn_k", type=int)
     p.set_defaults(func=cmd_knn)
 
     p = sub.add_parser("finetune", help="finetuned / semi-supervised evaluation")
@@ -561,13 +564,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--stream", default="joint")
     p.add_argument("--fraction", type=float, default=1.0)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
+    p.add_argument("--epochs", dest="finetune_epochs", type=int)
+    p.add_argument("--lr", dest="finetune_lr", type=float)
     p.set_defaults(func=cmd_finetune)
 
     p = sub.add_parser("fuse", help="weighted fusion of per-stream scores")
     p.add_argument("--scores", nargs="+", required=True)
-    p.add_argument("--weight", action="append", metavar="STREAM=W")
+    p.add_argument("--weight", dest="fusion_weights", action="append", metavar="STREAM=W")
     p.set_defaults(func=cmd_fuse)
 
     p = sub.add_parser("gradcheck", help="central-difference oracle over all components")
@@ -579,10 +582,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", default=None)
     p.add_argument("--stream", default="joint")
     p.add_argument("--random-pairs", type=int, default=1000)
-    p.add_argument("--alpha", type=float, default=2.0)
-    p.add_argument("--mu", type=float, default=1.0)
+    p.add_argument("--alpha", dest="pft_alpha", type=float)
+    p.add_argument("--mu", dest="pft_mu", type=float)
     p.add_argument("--bins", type=int, default=20)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", dest="hist_seed", type=int, default=7)  # the draws', not the config's
     p.set_defaults(func=cmd_pft_hist)
 
     return parser

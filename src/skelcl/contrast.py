@@ -67,18 +67,17 @@ class MemoryQueue:
 class EncoderPair:
     """Gradient-trained query parameters plus momentum-tracked key copy."""
 
-    def __init__(self, query: EncoderParams, momentum: float):
+    def __init__(self, query: EncoderParams):
         self.query = query
         self.key = query.copy()
-        self.momentum = momentum
 
 
-def momentum_update(pair: EncoderPair) -> None:
-    """key <- m * key + (1 - m) * query, every named tensor including stats."""
-    m = pair.momentum
+def momentum_update(pair: EncoderPair, m: float) -> None:
+    """key <- m * key + (1 - m) * query in place, every named tensor including stats."""
     for name, q in pair.query.tensors.items():
-        k = pair.key.tensors[name]
-        k.data[...] = m * k.data + (1.0 - m) * q.data
+        k = pair.key.tensors[name].data
+        k *= m
+        k += (1.0 - m) * q.data
 
 
 # -- losses ----------------------------------------------------------------------

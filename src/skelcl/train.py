@@ -7,7 +7,9 @@ from stage 2, extrapolation in stage 3), backprop into the query
 encoders, momentum-mix the key encoders, then push the step's key
 embeddings into each stream's queue.  Everything stochastic is re-derived
 from (seed, labels), so a resumed run replays the uninterrupted
-trajectory bit for bit.
+trajectory bit for bit.  Settings live in `RunConfig` only; a
+`TrainState`, built by `init_train_state` alone, holds arrays and
+counters, its `buffers` the SGD momentum keyed "{stream}.{param}".
 
 The protocols share one path.  `skeleton.clip_batch` checks that a
 split's clips share one graph and frame count and stacks them, and
@@ -27,7 +29,7 @@ required keyword; `RunConfig` holds the defaults.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,32 +57,25 @@ from .skeleton import derive_streams  # noqa: F401  (skelbench's tracer patches 
 STAGE_NAMES = ("basic", "basic+nnm", "basic+nnm+pft")
 
 
-@dataclass
-class OptimizerState:
-    """SGD with momentum and decoupled-from-nothing classic weight decay."""
+def sgd_step(params: dict[str, T.Tensor], grads: dict[T.Tensor, T.Tensor],
+             buffers: dict[str, np.ndarray], lr: float, momentum: float,
+             weight_decay: float) -> None:
+    """g' = g + wd*theta; buf = m*buf + g'; theta -= lr*buf, all in place.
 
-    lr: float
-    momentum: float
-    weight_decay: float
-    buffers: dict[str, np.ndarray] = field(default_factory=dict)
-
-
-def sgd_step(
-    params: dict[str, T.Tensor], grads: dict[T.Tensor, T.Tensor], state: OptimizerState
-) -> None:
-    """g' = g + wd*theta; buf = m*buf + g'; theta -= lr*buf (in place).
-
-    `grads` is `T.backward`'s map; a parameter missing from it has a zero gradient.
+    `grads` is `T.backward`'s map (a missing parameter has a zero gradient);
+    `buffers[name]` is the momentum of `params[name]`.
     """
     for name, p in params.items():
         g = grads[p].data if p in grads else np.zeros_like(p.data)
         if not np.all(np.isfinite(g)):
             raise NonFiniteGradient(f"gradient for {name} is not finite")
-        g = g + state.weight_decay * p.data
-        buf = state.buffers.get(name)
-        buf = g if buf is None else state.momentum * buf + g
-        state.buffers[name] = buf
-        p.data[...] = p.data - state.lr * buf
+        step = weight_decay * p.data
+        step += g
+        buf = buffers.setdefault(name, step)
+        if buf is not step:
+            buf *= momentum
+            buf += step
+        p.data -= lr * buf
 
 
 def stage_of(config: RunConfig, epoch: int) -> int:
@@ -98,7 +93,7 @@ class TrainState:
     config: RunConfig
     pairs: dict[str, EncoderPair]
     queues: dict[str, MemoryQueue]
-    optimizers: dict[str, OptimizerState]
+    buffers: dict[str, np.ndarray]  # SGD momentum, keyed "{stream}.{param}"
     epoch: int = 0
     step: int = 0
 
@@ -111,19 +106,15 @@ def init_train_state(config: RunConfig) -> TrainState:
     the first capacity/batch steps.
     """
     root = RngStream(config.seed)
-    pairs, queues, optimizers = {}, {}, {}
+    pairs, queues = {}, {}
     for u in config.streams:
-        params = init_params(config, root.split(f"init.{u}"))
-        pairs[u] = EncoderPair(params, config.key_momentum)
+        pairs[u] = EncoderPair(init_params(config, root.split(f"init.{u}")))
         q = MemoryQueue(config.queue_size, config.embed_dim)
         fill = root.split(f"queue_init.{u}").generator().normal(size=(config.queue_size, config.embed_dim))
         fill /= np.linalg.norm(fill, axis=1, keepdims=True)
         q.push(fill.astype(np.float32))
         queues[u] = q
-        optimizers[u] = OptimizerState(
-            lr=config.lr, momentum=config.sgd_momentum, weight_decay=config.weight_decay
-        )
-    return TrainState(config, pairs, queues, optimizers)
+    return TrainState(config, pairs, queues, {})
 
 
 def _augment_batch(joints, pipeline, rng, graph, stream_ids) -> dict[str, np.ndarray]:
@@ -210,9 +201,10 @@ def pretrain(
 
             for u in config.streams:
                 pair = state.pairs[u]
-                state.optimizers[u].lr = lr
-                sgd_step(pair.query.trainable(), grads, state.optimizers[u])
-                momentum_update(pair)
+                params = {f"{u}.{name}": t for name, t in pair.query.trainable().items()}
+                sgd_step(params, grads, state.buffers, lr, config.sgd_momentum,
+                         config.weight_decay)
+                momentum_update(pair, config.key_momentum)
                 state.queues[u].push(step_keys[u])
 
             record = {
@@ -292,14 +284,14 @@ def _fit_head(rows, dim: int, y: np.ndarray, num_classes: int, trainable: dict[s
     w = T.parameter(np.zeros((dim, num_classes), dtype=np.float32))
     b = T.parameter(np.zeros(num_classes, dtype=np.float32))
     trainable = {**trainable, "head.w": w, "head.b": b}
-    opt = OptimizerState(lr=lr, momentum=0.9, weight_decay=weight_decay)
+    buffers: dict[str, np.ndarray] = {}
     for epoch in range(epochs):
         order = rng.split(f"e{epoch}").permutation(len(y))
         for i in range(0, len(y), PROTOCOL_BATCH):
             idx = order[i : i + PROTOCOL_BATCH]
             with T.Tape():
                 grads = T.backward(T.linear_softmax_nll(rows(idx), w, b, y[idx]))
-            sgd_step(trainable, grads, opt)
+            sgd_step(trainable, grads, buffers, lr, 0.9, weight_decay)
     return w.data, b.data
 
 

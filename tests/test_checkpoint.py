@@ -62,8 +62,8 @@ def test_state_reconstruction_is_exact(tmp_path, trained_state):
         np.testing.assert_array_equal(
             rebuilt.queues[u].contents(), trained_state.queues[u].contents()
         )
-        for name, buf in trained_state.optimizers[u].buffers.items():
-            np.testing.assert_array_equal(rebuilt.optimizers[u].buffers[name], buf)
+    for key, buf in trained_state.buffers.items():
+        np.testing.assert_array_equal(rebuilt.buffers[key], buf)
 
 
 def test_hash_tamper_detected(tmp_path, trained_state):

@@ -1,12 +1,15 @@
 """Command-line entry point: exit codes and the rewritten subcommands."""
 
+import argparse
+import dataclasses
 import json
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from skelcl.cli import _gradcheck_components, main
+from skelcl.cli import _gradcheck_components, build_parser, main
+from skelcl.config import RunConfig
 from skelcl.skeleton import SkeletonSequence, load_dataset, write_dataset
 
 GRADCHECK_COMPONENTS = {
@@ -77,6 +80,36 @@ def test_pft_hist_random_pairs_unchanged(capsys):
 def test_pft_hist_rejects_out_of_range_beta(capsys, flags, named):
     assert main(["pft-hist", "--random-pairs", "20", *flags]) == 2
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags,named", [
+    (["--random-pairs", "0"], "--random-pairs"),
+    (["--random-pairs", "-4"], "--random-pairs"),
+    (["--bins", "0"], "--bins"),
+    (["--bins", "-3"], "--bins"),
+])
+def test_pft_hist_rejects_bad_sizes(capsys, flags, named):
+    assert main(["pft-hist", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {named}: ") and captured.out == ""
+
+
+def test_no_config_flag_has_a_literal_default():
+    """A flag storing under a config key overrides the config it is applied
+    to, so a default of its own could drift from the config's."""
+    keys = {field.name for field in dataclasses.fields(RunConfig)}
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    config_flags = {(command, action.dest): action.default
+                    for command, sub in commands.items()
+                    for action in sub._actions if action.dest in keys}
+    assert set(config_flags) >= {
+        ("pretrain", "seed"), ("pretrain", "tau"), ("linprobe", "linear_epochs"),
+        ("linprobe", "linear_lr"), ("knn", "knn_k"), ("finetune", "finetune_epochs"),
+        ("finetune", "finetune_lr"), ("fuse", "fusion_weights"), ("pft-hist", "pft_alpha"),
+        ("pft-hist", "pft_mu"),
+    }
+    assert [flag for flag, default in config_flags.items() if default is not None] == []
 
 
 def test_fuse_names_stream_without_weight(tmp_path, capsys):
@@ -192,6 +225,22 @@ def test_finetune_lr_defaults_to_checkpoint_config(pretrained, monkeypatch, flag
     assert seen["lr"] == lr
 
 
+@pytest.mark.parametrize("command,flags,named", [
+    ("knn", ["--k", "0"], "--k"),
+    ("knn", ["--k", "-2"], "--k"),
+    ("linprobe", ["--epochs", "-3"], "--epochs"),
+    ("linprobe", ["--lr", "-5"], "--lr"),
+    ("finetune", ["--epochs", "-1"], "--epochs"),
+    ("finetune", ["--lr", "-1"], "--lr"),
+])
+def test_out_of_range_probe_flag_exits_2_naming_it(pretrained, capsys, command, flags, named):
+    argv = [command, "--checkpoint", str(pretrained / "run" / "checkpoint.bin"),
+            "--data", str(pretrained / "data"), *flags]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {named}: ") and captured.out == ""
+
+
 def test_checkpoint_with_bad_magic_exits_1(pretrained, tmp_path, capsys):
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"WHAT" + b"\0" * 32)
@@ -223,6 +272,21 @@ def test_pft_hist_on_checkpoint_is_deterministic(pretrained, capsys):
     doc = json.loads(outputs[0].splitlines()[-1])
     assert doc["pairs"] > 0 and doc["after"]["min"] >= 0.0
     assert outputs[0] == outputs[1]
+
+
+def test_pft_hist_on_checkpoint_takes_its_alpha_and_mu(pretrained, tmp_path, capsys):
+    argv = ["pretrain", "--data", str(pretrained / "data"), "--out", str(tmp_path / "run"),
+            "--metrics", str(tmp_path / "metrics.jsonl")]
+    for setting in [*TINY_RUN, "pft_alpha=5", "pft_mu=0.5"]:
+        argv += ["--set", setting]
+    assert main(argv) == 0
+    hist = ["pft-hist", "--checkpoint", str(tmp_path / "run" / "checkpoint.bin"),
+            "--data", str(pretrained / "data")]
+    docs = []
+    for flags in ([], ["--alpha", "3"]):
+        assert main([*hist, *flags]) == 0
+        docs.append(json.loads(capsys.readouterr().out.splitlines()[-1]))
+    assert [(doc["alpha"], doc["mu"]) for doc in docs] == [(5.0, 0.5), (3.0, 0.5)]
 
 
 @pytest.mark.parametrize("argv,code,named", [

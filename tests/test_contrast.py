@@ -106,39 +106,39 @@ def filled_queue(rng, n, dim, dtype=np.float64):
 # -- momentum update -----------------------------------------------------------
 
 
-def _tiny_pair(momentum):
+def _tiny_pair():
     cfg = RunConfig(enc_blocks=1, enc_channels=[4], enc_hidden=8, embed_dim=4)
-    return EncoderPair(init_params(cfg, RngStream(3).split("e")), momentum)
+    return EncoderPair(init_params(cfg, RngStream(3).split("e")))
 
 
 class TestMomentumUpdate:
     def test_zero_momentum_full_copy(self):
-        pair = _tiny_pair(0.0)
+        pair = _tiny_pair()
         for t in pair.query.tensors.values():
             t.data[...] = np.random.default_rng(1).normal(size=t.shape)
-        momentum_update(pair)
+        momentum_update(pair, 0.0)
         assert pair.key.digest() == pair.query.digest()
 
     def test_single_multiply_add(self):
-        pair = _tiny_pair(0.999)
+        pair = _tiny_pair()
         name = "block0.spatial_weight"
         pair.key.tensors[name].data[...] = 0.0
         pair.query.tensors[name].data[...] = 1.0
-        momentum_update(pair)
+        momentum_update(pair, 0.999)
         np.testing.assert_allclose(pair.key.tensors[name].data, 0.001, atol=1e-7)
 
     def test_elementwise(self):
-        pair = _tiny_pair(0.9)
+        pair = _tiny_pair()
         name = "projector.b2"
         pair.key.tensors[name].data[:2] = [0.0, 1.0]
         pair.query.tensors[name].data[:2] = [1.0, 1.0]
-        momentum_update(pair)
+        momentum_update(pair, 0.9)
         np.testing.assert_allclose(pair.key.tensors[name].data[:2], [0.1, 1.0], atol=1e-7)
 
     def test_affine_composition(self):
         # two updates with m against a fixed query equal one update with m^2
         m = 0.5
-        a, b = _tiny_pair(m), _tiny_pair(m * m)
+        a, b = _tiny_pair(), _tiny_pair()
         rng = np.random.default_rng(2)
         for name in a.query.tensors:
             v = rng.normal(size=a.query.tensors[name].shape).astype(np.float32)
@@ -147,18 +147,32 @@ class TestMomentumUpdate:
             k0 = rng.normal(size=v.shape).astype(np.float32)
             a.key.tensors[name].data[...] = k0
             b.key.tensors[name].data[...] = k0
-        momentum_update(a)
-        momentum_update(a)
-        momentum_update(b)
+        momentum_update(a, m)
+        momentum_update(a, m)
+        momentum_update(b, m * m)
         for name in a.key.tensors:
             np.testing.assert_allclose(
                 a.key.tensors[name].data, b.key.tensors[name].data, atol=1e-6
             )
 
+    def test_in_place_update_matches_out_of_place_formula_float32(self):
+        pair = _tiny_pair()
+        rng = np.random.default_rng(5)
+        expected = {name: k.data.copy() for name, k in pair.key.tensors.items()}
+        for _ in range(50):
+            for q in pair.query.tensors.values():
+                q.data[...] = rng.normal(size=q.shape)
+            momentum_update(pair, 0.99)
+            expected = {name: 0.99 * k + (1.0 - 0.99) * pair.query.tensors[name].data
+                        for name, k in expected.items()}
+        for name, k in pair.key.tensors.items():
+            assert k.data.dtype == expected[name].dtype == np.float32
+            assert np.array_equal(k.data, expected[name]), name
+
     def test_includes_running_stats(self):
-        pair = _tiny_pair(0.5)
+        pair = _tiny_pair()
         pair.query.tensors["block0.norm_running_mean"].data[...] = 2.0
-        momentum_update(pair)
+        momentum_update(pair, 0.5)
         np.testing.assert_allclose(
             pair.key.tensors["block0.norm_running_mean"].data, 1.0, atol=1e-7
         )

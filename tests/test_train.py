@@ -11,7 +11,7 @@ from skelcl.augment import AugmentPipeline
 from skelcl.config import RunConfig
 from skelcl.errors import NonFiniteGradient, NonFiniteLoss
 from skelcl.skeleton import derive_bone, derive_motion, generate_synthetic_dataset
-from skelcl.train import OptimizerState, init_train_state, pretrain, sgd_step, stage_of
+from skelcl.train import init_train_state, pretrain, sgd_step, stage_of
 
 
 def test_sgd_two_steps_match_closed_form():
@@ -19,31 +19,47 @@ def test_sgd_two_steps_match_closed_form():
     theta0 = np.array([1.0, -2.0, 0.5])
     g1, g2 = np.array([0.3, 0.1, -0.2]), np.array([-0.4, 0.2, 0.6])
     p = T.parameter(theta0.copy())
-    state = OptimizerState(lr=lr, momentum=m, weight_decay=wd)
-    sgd_step({"p": p}, {p: T.Tensor(g1)}, state)
-    sgd_step({"p": p}, {p: T.Tensor(g2)}, state)
+    buffers = {}
+    sgd_step({"p": p}, {p: T.Tensor(g1)}, buffers, lr, m, wd)
+    sgd_step({"p": p}, {p: T.Tensor(g2)}, buffers, lr, m, wd)
 
     buf1 = g1 + wd * theta0
     theta1 = theta0 - lr * buf1
     buf2 = m * buf1 + g2 + wd * theta1
     np.testing.assert_allclose(p.data, theta1 - lr * buf2, rtol=1e-12)
-    np.testing.assert_allclose(state.buffers["p"], buf2, rtol=1e-12)
+    np.testing.assert_allclose(buffers["p"], buf2, rtol=1e-12)
 
 
 def test_sgd_missing_gradient_counts_as_zero():
     a, b = T.parameter(np.array([1.0, 2.0])), T.parameter(np.array([3.0]))
-    state = OptimizerState(lr=0.5, momentum=0.9, weight_decay=0.1)
-    sgd_step({"a": a, "b": b}, {a: T.Tensor(np.array([1.0, 1.0]))}, state)
+    buffers = {}
+    sgd_step({"a": a, "b": b}, {a: T.Tensor(np.array([1.0, 1.0]))}, buffers, 0.5, 0.9, 0.1)
     np.testing.assert_allclose(b.data, [3.0 - 0.5 * 0.1 * 3.0])
-    np.testing.assert_allclose(state.buffers["b"], [0.1 * 3.0])
+    np.testing.assert_allclose(buffers["b"], [0.1 * 3.0])
+
+
+def test_sgd_in_place_step_matches_out_of_place_formula_float32():
+    """50 float32 steps, with an lr drop, equal the out-of-place
+    g' = g + wd*p; buf = m*buf + g'; p = p - lr*buf evaluated term by term."""
+    rng = np.random.default_rng(0)
+    p = T.parameter(rng.normal(size=(7, 5)).astype(np.float32))
+    ref_p, ref_buf, buffers = p.data.copy(), None, {}
+    for step in range(50):
+        g = rng.normal(size=p.shape).astype(np.float32)
+        lr = 0.1 if step < 25 else 0.01
+        sgd_step({"p": p}, {p: T.Tensor(g)}, buffers, lr, 0.9, 1e-4)
+        g_wd = g + 1e-4 * ref_p
+        ref_buf = g_wd if ref_buf is None else 0.9 * ref_buf + g_wd
+        ref_p = ref_p - lr * ref_buf
+    assert p.data.dtype == buffers["p"].dtype == np.float32
+    assert np.array_equal(p.data, ref_p) and np.array_equal(buffers["p"], ref_buf)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_sgd_non_finite_gradient_raises(bad):
     p = T.parameter(np.array([1.0, 2.0]))
     with pytest.raises(NonFiniteGradient, match="p"):
-        sgd_step({"p": p}, {p: T.Tensor(np.array([0.0, bad]))},
-                 OptimizerState(lr=0.1, momentum=0.9, weight_decay=0.0))
+        sgd_step({"p": p}, {p: T.Tensor(np.array([0.0, bad]))}, {}, 0.1, 0.9, 0.0)
 
 
 @pytest.mark.parametrize(
