@@ -12,9 +12,13 @@ Together they make resume replay the uninterrupted run exactly.
 
 A damaged file fails with a named `SkelclError`; `read_file` checks the
 stored hash against the raw JSON bytes before they are decoded, every
-tensor the state is rebuilt from must be present with its exact shape,
-and every counter must be present and an integer in its range.  Saving
-replaces the file atomically.
+tensor the state is rebuilt from must be present with its exact shape
+and finite, the queue rows in use must be unit-norm, and every counter
+must be present and an integer in its range.  Only the JSON is hashed,
+so these checks are what catch a damaged payload.  The state holds a
+momentum buffer for every query parameter from the start (zero before
+the first step), so every `opt.*` tensor must be present too: a restore
+never resets momentum silently.  Saving replaces the file atomically.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import RunConfig, config_from_dict
+from .contrast import check_unit_rows
 from .encoder import EncoderParams, init_params
 from .errors import CorruptFile, StreamMissing
 from .rng import RngStream
@@ -75,13 +80,20 @@ def state_to_checkpoint(state: TrainState) -> Checkpoint:
     return Checkpoint(config=state.config, tensors=tensors, counters=counters)
 
 
-def _stored(ckpt: Checkpoint, name: str, shape: tuple[int, ...]) -> np.ndarray:
-    """The tensor `name`, which must be present with exactly `shape`."""
+def _stored(ckpt: Checkpoint, name: str, shape: tuple[int, ...],
+            unit_rows: int | None = None) -> np.ndarray:
+    """The tensor `name`, which must be present with exactly `shape` and
+    finite; with `unit_rows`, its first `unit_rows` rows must be unit-norm.
+    Either way the values are checked in one pass."""
     arr = ckpt.tensors.get(name)
     if arr is None:
         raise CorruptFile(f"checkpoint lacks tensor {name!r}")
     if arr.shape != shape:
         raise CorruptFile(f"tensor {name!r} has shape {arr.shape}, expected {shape}")
+    if unit_rows is not None:
+        check_unit_rows(arr, f"tensor {name!r} rows", unit_rows, (CorruptFile, CorruptFile))
+    elif not np.isfinite(arr).all():
+        raise CorruptFile(f"tensor {name!r} holds a non-finite value")
     return arr
 
 
@@ -111,12 +123,12 @@ def state_from_checkpoint(ckpt: Checkpoint) -> TrainState:
         _load_encoder(ckpt, u, "query", pair.query)
         _load_encoder(ckpt, u, "key", pair.key)
         q = state.queues[u]
-        q.slots[...] = _stored(ckpt, f"queue.{u}.slots", q.slots.shape)
         q.head = _stored_count(ckpt, f"queue.{u}.head", q.capacity - 1)
         q.filled = _stored_count(ckpt, f"queue.{u}.filled", q.capacity)
+        # the ring fills from row 0, so rows [0, filled) hold pushed keys
+        q.slots[...] = _stored(ckpt, f"queue.{u}.slots", q.slots.shape, unit_rows=q.filled)
         for name, t in pair.query.trainable().items():
-            if f"opt.{u}.{name}" in ckpt.tensors:  # absent before the first step
-                state.buffers[f"{u}.{name}"] = _stored(ckpt, f"opt.{u}.{name}", t.shape).copy()
+            state.buffers[f"{u}.{name}"][...] = _stored(ckpt, f"opt.{u}.{name}", t.shape)
     state.epoch = _stored_count(ckpt, "meta.epoch", sum(config.stage_epochs))
     state.step = _stored_count(ckpt, "meta.step", math.inf)
     return state

@@ -2,29 +2,29 @@
 
 Subcommands: pretrain, linprobe, knn, finetune, fuse, gen-data,
 gradcheck, pft-hist.  Metrics stream to stdout (or --metrics PATH) as
-JSON lines; evaluation results print as a single JSON document.  Every
-setting comes from one `RunConfig` (`--config`, `--set KEY=VALUE`,
-`--seed`, `--tau`); the probes and `pft-hist --checkpoint` read it from
-the checkpoint, `fuse` and `pft-hist` start from `RunConfig()`.  Their
-flags `--epochs`, `--lr`, `--k`, `--weight`, `--alpha` and `--mu` are
-overrides of that config's keys, with no defaults of their own.
+JSON lines; evaluation results print as a single JSON document.
+
+A flag is a config override named by its argparse `dest`: every setting
+comes from one `RunConfig`, which `_config` builds from a base document
+and then every option given whose `dest` is a config key.  The base is
+the checkpoint's config for the probes and `pft-hist --checkpoint`, the
+`--config` file then the `--set KEY=VALUE` pairs for `pretrain`, and the
+defaults otherwise.  Such a flag has no default of its own.
 
 Exit codes: 0 success; 1 a failed check or any other named
 `SkelclError`, such as a missing, unreadable or corrupt checkpoint, data,
 scores or config file; 2 a usage or config error: an unknown key, a
-wrong type, a config file that is not JSON, or a value out of range,
-named by its config key or by the flag that set it (`--weight`,
-`--alpha`, `--mu`, `--resume`, `--data`, `--k`, `--epochs`, `--lr`,
-`--fraction`, `--random-pairs`, `--bins`, `--classes`, `--per-class`,
-`--joints`, `--frames`, `--val-fraction`).
+wrong type, a config file that is not JSON, or a value out of range.  A
+`ConfigValueError` prints under the flag whose `dest` is its key when
+that option holds a value, and under its key otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +38,7 @@ from .checkpoint import (
     state_from_checkpoint,
     state_to_checkpoint,
 )
-from .config import RunConfig, config_from_dict, parse_config
+from .config import RunConfig, config_from_dict, read_config
 from .contrast import (
     MemoryQueue,
     combine_losses,
@@ -80,26 +80,18 @@ def _parse_overrides(pairs: list[str]) -> dict:
     return out
 
 
-def _build_config(args) -> RunConfig:
-    overrides = _parse_overrides(args.set or [])
-    overrides.update({k: vars(args)[k] for k in ("seed", "tau") if vars(args)[k] is not None})
-    return parse_config(args.config, overrides)
+_CONFIG_KEYS = frozenset(f.name for f in dataclasses.fields(RunConfig))
 
 
-@contextmanager
-def _flags(names: dict[str, str], base: RunConfig | None = None, values: dict | None = None):
-    """Re-raise a `ConfigValueError` on a key of `names` under the flag that set it.
-    With a `base` config, yields it with the keys of `names` that `values` gives (not
-    None) set through `config_from_dict`, whose rules check them; only those are renamed."""
-    if base is not None:
-        given = {key: values[key] for key in names if values.get(key) is not None}
-        names = {key: names[key] for key in given}
-    try:
-        yield None if base is None else config_from_dict({**base.to_dict(), **given})
-    except ConfigValueError as err:
-        if err.key not in names:
-            raise
-        raise ConfigValueError(names[err.key], err.reason) from None
+def _given(args) -> dict:
+    """The options holding a value whose `dest` is a config key."""
+    return {key: value for key, value in vars(args).items()
+            if key in _CONFIG_KEYS and value is not None}
+
+
+def _config(args, *docs: dict) -> RunConfig:
+    """The config of `docs` in order, then of every config option given."""
+    return config_from_dict(*docs, _given(args))
 
 
 def _emit(doc: dict, path: str | None = None) -> None:
@@ -115,45 +107,28 @@ def _emit(doc: dict, path: str | None = None) -> None:
 
 
 def cmd_gen_data(args) -> int:
-    with _flags({"num_classes": "--classes", "per_class": "--per-class", "joints": "--joints",
-                 "frames": "--frames", "val_fraction": "--val-fraction"}):
-        sequences = generate_synthetic_dataset(
-            num_classes=args.classes,
-            per_class=args.per_class,
-            frames=args.frames,
-            joints=args.joints,
-            seed=args.data_seed,
-            noise_sigma=args.noise_sigma,
-        )
-        splits = stratified_split(
-            sequences, args.val_fraction, RngStream(args.data_seed).split("split")
-        )
+    sequences = generate_synthetic_dataset(
+        args.num_classes, args.per_class, frames=args.frames, joints=args.joints,
+        seed=args.data_seed, noise_sigma=args.noise_sigma)
+    splits = stratified_split(sequences, args.val_fraction,
+                              RngStream(args.data_seed).split("split"))
     write_dataset(args.out, sequences, splits)
-    _emit(
-        {
-            "command": "gen-data",
-            "sequences": len(sequences),
-            "train": splits.count("train"),
-            "val": splits.count("val"),
-            "out": str(args.out),
-            "seed": args.data_seed,
-        }
-    )
+    _emit({"command": "gen-data", "sequences": len(sequences), "train": splits.count("train"),
+           "val": splits.count("val"), "out": str(args.out), "seed": args.data_seed})
     return 0
 
 
 def cmd_pretrain(args) -> int:
     if args.resume:
-        if args.set or args.config or args.seed is not None or args.tau is not None:
-            raise ConfigValueError(
-                "--resume", "the run's config comes from the checkpoint; "
-                "drop --set, --config, --seed and --tau"
-            )
+        if args.set or args.config or _given(args):
+            raise ConfigValueError("resume", "the run's config comes from the checkpoint; "
+                                   "drop every other config option")
         ckpt = load_checkpoint(args.resume)
         config = ckpt.config
         state = state_from_checkpoint(ckpt)
     else:
-        config = _build_config(args)
+        config = _config(args, read_config(args.config) if args.config else {},
+                         _parse_overrides(args.set or []))
         state = None
     data = load_dataset(args.data)
     out_dir = Path(args.out)
@@ -170,9 +145,11 @@ def cmd_pretrain(args) -> int:
 
 
 def _probe_inputs(args):
-    """The checkpoint, the dataset and the stream's query encoder a probe reads."""
+    """The checkpoint, its config with the flags applied, the dataset and the
+    stream's query encoder a probe reads."""
     ckpt = load_checkpoint(args.checkpoint)
-    return ckpt, load_dataset(args.data), query_params(ckpt, args.stream)
+    config = _config(args, ckpt.config.to_dict())
+    return ckpt, config, load_dataset(args.data), query_params(ckpt, args.stream)
 
 
 def _emit_probe(args, ckpt, data, protocol: str, **fields) -> None:
@@ -182,45 +159,31 @@ def _emit_probe(args, ckpt, data, protocol: str, **fields) -> None:
 
 
 def cmd_linprobe(args) -> int:
-    ckpt, data, params = _probe_inputs(args)
-    with _flags({"linear_epochs": "--epochs", "linear_lr": "--lr"}, ckpt.config,
-                vars(args)) as config:
-        result = linear_probe(
-            params, data["train"], data["val"], stream=args.stream,
-            epochs=config.linear_epochs, lr=config.linear_lr, seed=config.seed,
-        )
+    ckpt, config, data, params = _probe_inputs(args)
+    result = linear_probe(params, data["train"], data["val"], stream=args.stream,
+                          epochs=config.linear_epochs, lr=config.linear_lr, seed=config.seed)
     if args.scores_out:
-        Path(args.scores_out).write_text(
-            json.dumps(
-                {
-                    "stream": args.stream,
-                    "scores": result.val_scores.tolist(),
-                    "labels": result.val_labels.tolist(),
-                }
-            )
-        )
+        Path(args.scores_out).write_text(json.dumps({
+            "stream": args.stream, "scores": result.val_scores.tolist(),
+            "labels": result.val_labels.tolist()}))
     _emit_probe(args, ckpt, data, "linear", accuracy=result.accuracy)
     return 0
 
 
 def cmd_knn(args) -> int:
-    ckpt, data, params = _probe_inputs(args)
-    with _flags({"knn_k": "--k"}, ckpt.config, vars(args)) as config:
-        accuracy = knn_probe(params, data["train"], data["val"], stream=args.stream,
-                             k=config.knn_k)
+    ckpt, config, data, params = _probe_inputs(args)
+    accuracy = knn_probe(params, data["train"], data["val"], stream=args.stream, k=config.knn_k)
     _emit_probe(args, ckpt, data, "knn", k=config.knn_k, accuracy=accuracy)
     return 0
 
 
 def cmd_finetune(args) -> int:
-    ckpt, data, params = _probe_inputs(args)
-    with _flags({"finetune_epochs": "--epochs", "finetune_lr": "--lr"}, ckpt.config,
-                vars(args)) as config, _flags({"fraction": "--fraction"}):
-        result = finetune(
-            params, data["train"], data["val"], stream=args.stream,
-            fraction=args.fraction, epochs=config.finetune_epochs, lr=config.finetune_lr,
-            weight_decay=config.weight_decay, seed=config.seed,
-        )
+    ckpt, config, data, params = _probe_inputs(args)
+    result = finetune(
+        params, data["train"], data["val"], stream=args.stream,
+        fraction=args.fraction, epochs=config.finetune_epochs, lr=config.finetune_lr,
+        weight_decay=config.weight_decay, seed=config.seed,
+    )
     protocol = "finetune" if args.fraction == 1.0 else "semi-supervised"
     _emit_probe(args, ckpt, data, protocol, fraction=args.fraction,
                 labeled=result.subset_size, accuracy=result.accuracy)
@@ -258,36 +221,43 @@ def _read_scores(path) -> tuple[str, np.ndarray, np.ndarray | None]:
 
 
 def cmd_fuse(args) -> int:
-    docs = [_read_scores(p) for p in args.scores]
-    scores = {stream: stream_scores for stream, stream_scores, _ in docs}
-    given = {}
+    scores, source, labels = {}, {}, None  # labels: (path, labels) of the first file with them
+    for path in args.scores:
+        stream, stream_scores, truth = _read_scores(path)
+        if stream in scores:
+            raise ConfigValueError("scores", f"{source[stream]} and {path} both hold "
+                                   f"stream {stream!r}")
+        scores[stream], source[stream] = stream_scores, path
+        if labels is None and truth is not None:
+            labels = (path, truth)
+        elif truth is not None and not np.array_equal(truth, labels[1]):
+            raise ConfigValueError("scores", f"{labels[0]} and {path} hold different labels")
+    given = {}  # the STREAM=W items, applied as one dict
     for item in args.fusion_weights or ():
         stream, _, raw = item.partition("=")
         try:
             given[stream] = float(raw)
         except ValueError:
             raise ConfigValueError(
-                "--weight", f"expects STREAM=W with a number W, got {item!r}"
+                "fusion_weights", f"expects STREAM=W with a number W, got {item!r}"
             ) from None
-    with _flags({"fusion_weights": "--weight"}, RunConfig(),
-                {"fusion_weights": given or None}) as config:
-        weights = config.fusion_weights
+    args.fusion_weights = given or None
+    weights = _config(args).fusion_weights
     for stream in sorted(scores):
         if stream not in weights:
             raise ConfigValueError(
-                "--weight", f"no weight for stream {stream!r}, which --scores contains"
+                "fusion_weights", f"no weight for stream {stream!r}, which --scores contains"
             )
-    fused, labels = fuse_predictions(scores, {s: weights[s] for s in scores})
+    _, predictions = fuse_predictions(scores, {s: weights[s] for s in scores})
     doc = {
         "protocol": "fusion",
         "streams": sorted(scores),
         "weights": {s: weights[s] for s in sorted(scores)},
-        "n_eval": int(labels.size),
-        "predictions": labels.tolist(),
+        "n_eval": int(predictions.size),
+        "predictions": predictions.tolist(),
     }
-    reference = next((truth for _, _, truth in docs if truth is not None), None)
-    if reference is not None:
-        doc["accuracy"] = float((labels == reference).mean())
+    if labels is not None:
+        doc["accuracy"] = float((predictions == labels[1]).mean())
     _emit(doc)
     return 0
 
@@ -448,15 +418,14 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_pft_hist(args) -> int:
-    for flag, value in (("--random-pairs", args.random_pairs), ("--bins", args.bins)):
-        if value < 1:
-            raise ConfigValueError(flag, f"must be positive, got {value}")
+    for key in ("random_pairs", "bins"):
+        if vars(args)[key] < 1:
+            raise ConfigValueError(key, f"must be positive, got {vars(args)[key]}")
     if args.checkpoint and args.data is None:
         raise ConfigValueError("--data", "pft-hist --checkpoint embeds the val split of --data")
     ckpt = load_checkpoint(args.checkpoint) if args.checkpoint else None
-    with _flags({"pft_alpha": "--alpha", "pft_mu": "--mu"}, ckpt.config if ckpt else RunConfig(),
-                vars(args)) as config:
-        alpha, mu = config.pft_alpha, config.pft_mu
+    config = _config(args, ckpt.config.to_dict() if ckpt else {})
+    alpha, mu = config.pft_alpha, config.pft_mu
     rng = RngStream(args.hist_seed).split("pft-hist")
 
     def draw_lambda(gen, size=None):
@@ -520,9 +489,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Cross-stream contrastive learning on skeleton sequences",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    probe = argparse.ArgumentParser(add_help=False)  # what each probe reads
+    probe.add_argument("--checkpoint", required=True)
+    probe.add_argument("--data", required=True)
+    probe.add_argument("--stream", default="joint")
 
     p = sub.add_parser("gen-data", help="generate the synthetic dataset")
-    p.add_argument("--classes", type=int, default=5)
+    p.add_argument("--classes", dest="num_classes", type=int, default=5)
     p.add_argument("--per-class", type=int, default=40)
     p.add_argument("--frames", type=int, default=32)
     p.add_argument("--joints", type=int, default=9)
@@ -543,26 +516,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", default=None)
     p.set_defaults(func=cmd_pretrain)
 
-    p = sub.add_parser("linprobe", help="frozen-encoder linear evaluation")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--stream", default="joint")
+    p = sub.add_parser("linprobe", parents=[probe], help="frozen-encoder linear evaluation")
     p.add_argument("--epochs", dest="linear_epochs", type=int)
     p.add_argument("--lr", dest="linear_lr", type=float)
     p.add_argument("--scores-out", default=None)
     p.set_defaults(func=cmd_linprobe)
 
-    p = sub.add_parser("knn", help="training-free nearest-neighbor probe")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--stream", default="joint")
+    p = sub.add_parser("knn", parents=[probe], help="training-free nearest-neighbor probe")
     p.add_argument("--k", dest="knn_k", type=int)
     p.set_defaults(func=cmd_knn)
 
-    p = sub.add_parser("finetune", help="finetuned / semi-supervised evaluation")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--stream", default="joint")
+    p = sub.add_parser("finetune", parents=[probe], help="finetuned / semi-supervised evaluation")
     p.add_argument("--fraction", type=float, default=1.0)
     p.add_argument("--epochs", dest="finetune_epochs", type=int)
     p.add_argument("--lr", dest="finetune_lr", type=float)
@@ -596,7 +560,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UnknownKey, ConfigTypeError, ConfigValueError) as err:
+    except ConfigValueError as err:
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        flag = next((a.option_strings[0] for a in commands.choices[args.command]._actions
+                     if a.dest == err.key and vars(args).get(a.dest) is not None), err.key)
+        print(f"error: {flag}: {err.reason}", file=sys.stderr)
+        return 2
+    except (UnknownKey, ConfigTypeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except SkelclError as err:

@@ -1,24 +1,25 @@
 """Run configuration: one flat, validated, fully-materialized key set.
 
-Precedence when building a config: package defaults, then the
-`CSCL_SEED` environment variable (seed only), then the JSON file, then
-explicit overrides.  Unknown keys and wrong types are rejected by name.
-Every constructed `RunConfig` also checks its values and raises
-`ConfigValueError` naming the first key out of range: a positive
-temperature, batch size and queue, three stage epoch counts, known and
-distinct streams, probabilities and ratios within [0, 1], one
-nondecreasing positive channel width per encoder block, an odd
-temporal kernel, and so on.  This is the one config type: the encoder,
-losses and augmentations all read their settings from it.  The canonical
-JSON form (sorted keys, compact separators) is what gets hashed and
-persisted, so two runs with equal hashes saw equal configs.
+`config_from_dict(*docs)` is the one builder: it starts from the
+package defaults and applies each document in order, so a later one
+wins.  The command line passes a config file (`read_config`), then its
+`--set` pairs, then its flags; a checkpoint passes its stored config.
+Unknown keys and wrong types are rejected by name.  Every constructed
+`RunConfig` also checks its values and raises `ConfigValueError` naming
+the first key out of range: a positive temperature, batch size and
+queue, three stage epoch counts, known and distinct streams,
+probabilities and ratios within [0, 1], one nondecreasing positive
+channel width per encoder block, an odd temporal kernel, and so on.
+This is the one config type: the encoder, losses and augmentations all
+read their settings from it.  The canonical JSON form (sorted keys,
+compact separators) is what gets hashed and persisted, so two runs
+with equal hashes saw equal configs.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -177,38 +178,23 @@ def _check_type(key: str, value, template):
 def _apply(cfg_dict: dict, updates: dict) -> None:
     if not isinstance(updates, dict):
         raise ConfigTypeError("config must hold a JSON object")
-    defaults = _DEFAULTS.to_dict()
     for key, value in updates.items():
         if key not in _FIELDS:
             raise UnknownKey(f"unknown config key {key!r}")
-        cfg_dict[key] = _check_type(key, value, defaults[key])
+        cfg_dict[key] = _check_type(key, value, getattr(_DEFAULTS, key))
 
 
-def parse_config(
-    path: str | Path | None = None,
-    overrides: dict | None = None,
-    env: dict | None = None,
-) -> RunConfig:
-    """Materialize a config from defaults, env seed, file, and overrides."""
+def read_config(path: str | Path) -> dict:
+    """The JSON document of a config file; `ConfigTypeError` if it is not JSON."""
+    try:
+        return json.loads(read_input(path))
+    except ValueError as err:
+        raise ConfigTypeError(f"{path}: config is not JSON ({err})") from None
+
+
+def config_from_dict(*docs: dict) -> RunConfig:
+    """The defaults with each document's keys applied in order, checked by name and type."""
     cfg_dict = _DEFAULTS.to_dict()
-    env = os.environ if env is None else env
-    if "CSCL_SEED" in env:
-        try:
-            cfg_dict["seed"] = int(env["CSCL_SEED"])
-        except ValueError:
-            raise ConfigTypeError("CSCL_SEED: expected an integer")
-    if path is not None:
-        try:
-            doc = json.loads(read_input(path))
-        except ValueError as err:
-            raise ConfigTypeError(f"{path}: config is not JSON ({err})") from None
+    for doc in docs:
         _apply(cfg_dict, doc)
-    if overrides:
-        _apply(cfg_dict, overrides)
-    return RunConfig(**cfg_dict)
-
-
-def config_from_dict(d: dict) -> RunConfig:
-    cfg_dict = _DEFAULTS.to_dict()
-    _apply(cfg_dict, d)
     return RunConfig(**cfg_dict)

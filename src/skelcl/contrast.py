@@ -28,6 +28,19 @@ from .errors import BatchTooLarge, EmptyQueue, NonFiniteValue, QueueTooSmall, Sh
 from .rng import RngStream
 
 
+def check_unit_rows(rows: np.ndarray, what: str, unit_rows: int | None = None,
+                    errors=(NonFiniteValue, ValueError)) -> None:
+    """Raise `errors[0]` if an entry of `rows` is not finite and `errors[1]` if
+    one of its first `unit_rows` rows (all by default) is off unit norm; one
+    pass over `rows`, so a finite entry too large to square reads as infinite."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(rows, axis=1)
+    if not np.isfinite(norms).all():  # NaN fails every comparison, so check it first
+        raise errors[0](f"{what} must be finite")
+    if np.any(np.abs(norms[:unit_rows] - 1.0) > 1e-3):
+        raise errors[1](f"{what} must be unit-norm")
+
+
 class MemoryQueue:
     """FIFO ring of unit-norm negative embeddings, one per stream."""
 
@@ -47,11 +60,7 @@ class MemoryQueue:
         n = batch.shape[0]
         if n > self.capacity:
             raise BatchTooLarge(f"batch {n} exceeds capacity {self.capacity}")
-        norms = np.linalg.norm(batch, axis=1)
-        if not np.isfinite(norms).all():  # NaN fails every comparison, so check it first
-            raise NonFiniteValue("queue entries must be finite")
-        if np.any(np.abs(norms - 1.0) > 1e-3):
-            raise ValueError("queue entries must be unit-norm")
+        check_unit_rows(batch, "queue entries")
         idx = (self.head + np.arange(n)) % self.capacity
         self.slots[idx] = batch.astype(self.slots.dtype)
         self.head = int((self.head + n) % self.capacity)
@@ -279,7 +288,7 @@ def combine_losses(
     negatives = np.stack(snapshots)  # (S, Q, D): one snapshot serves every term against it
     n, batch = len(streams), stream_embeddings[streams[0]][0].shape[0]
 
-    queries, keys, applied_flags = [], [], []
+    queries, keys, applied_masks = [], [], []
     for v in streams:
         for u in streams:
             zq, zk = stream_embeddings[u][0], _as_const(stream_embeddings[v][1])
@@ -287,7 +296,7 @@ def combine_losses(
                 gen = rng.split(f"lambda.{u}" if u == v else f"lambda.{u}->{v}").generator()
                 lam = gen.beta(config.pft_alpha, config.pft_alpha, size=batch) * config.pft_mu + 1.0
                 zq, zk, applied = pft_transform(zq, zk, lam)
-                applied_flags.append(applied)
+                applied_masks.append(applied)
             queries.append(zq)
             keys.append(zk)
 
@@ -308,6 +317,6 @@ def combine_losses(
             if g != i:
                 breakdown[f"inter:{u}->{v}"] = float(per_term[g, i])
 
-    rate = float(np.concatenate(applied_flags).mean()) if pft else None
+    rate = float(np.concatenate(applied_masks).mean()) if pft else None
     mined_mean = float(neighbors[1].mean()) if nnm else None
     return CombineResult(T.div(T.sum_(losses), batch), breakdown, rate, mined_mean)

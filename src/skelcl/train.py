@@ -9,7 +9,8 @@ embeddings into each stream's queue.  Everything stochastic is re-derived
 from (seed, labels), so a resumed run replays the uninterrupted
 trajectory bit for bit.  Settings live in `RunConfig` only; a
 `TrainState`, built by `init_train_state` alone, holds arrays and
-counters, its `buffers` the SGD momentum keyed "{stream}.{param}".
+counters, its `buffers` the SGD momentum keyed "{stream}.{param}",
+zero-filled for every query parameter when the state is built.
 
 The protocols share one path.  `skeleton.clip_batch` checks that a
 split's clips share one graph and frame count and stacks them, and
@@ -63,7 +64,8 @@ def sgd_step(params: dict[str, T.Tensor], grads: dict[T.Tensor, T.Tensor],
     """g' = g + wd*theta; buf = m*buf + g'; theta -= lr*buf, all in place.
 
     `grads` is `T.backward`'s map (a missing parameter has a zero gradient);
-    `buffers[name]` is the momentum of `params[name]`.
+    `buffers[name]` is the momentum of `params[name]`, zero-filled by the
+    caller before the first step.
     """
     for name, p in params.items():
         g = grads[p].data if p in grads else np.zeros_like(p.data)
@@ -71,10 +73,9 @@ def sgd_step(params: dict[str, T.Tensor], grads: dict[T.Tensor, T.Tensor],
             raise NonFiniteGradient(f"gradient for {name} is not finite")
         step = weight_decay * p.data
         step += g
-        buf = buffers.setdefault(name, step)
-        if buf is not step:
-            buf *= momentum
-            buf += step
+        buf = buffers[name]
+        buf *= momentum
+        buf += step
         p.data -= lr * buf
 
 
@@ -93,13 +94,14 @@ class TrainState:
     config: RunConfig
     pairs: dict[str, EncoderPair]
     queues: dict[str, MemoryQueue]
-    buffers: dict[str, np.ndarray]  # SGD momentum, keyed "{stream}.{param}"
+    buffers: dict[str, np.ndarray]  # SGD momentum, keyed "{stream}.{param}", zero at init
     epoch: int = 0
     step: int = 0
 
 
 def init_train_state(config: RunConfig) -> TrainState:
-    """Fresh encoders (key = copy of query) and randomly prefilled queues.
+    """Fresh encoders (key = copy of query), randomly prefilled queues and
+    zero-filled SGD momentum for every query parameter.
 
     Queues start full of seeded random unit vectors, the usual
     momentum-contrast warm start; real keys displace them FIFO within
@@ -114,7 +116,9 @@ def init_train_state(config: RunConfig) -> TrainState:
         fill /= np.linalg.norm(fill, axis=1, keepdims=True)
         q.push(fill.astype(np.float32))
         queues[u] = q
-    return TrainState(config, pairs, queues, {})
+    buffers = {f"{u}.{name}": np.zeros_like(t.data)
+               for u, pair in pairs.items() for name, t in pair.query.trainable().items()}
+    return TrainState(config, pairs, queues, buffers)
 
 
 def _augment_batch(joints, pipeline, rng, graph, stream_ids) -> dict[str, np.ndarray]:
@@ -284,7 +288,7 @@ def _fit_head(rows, dim: int, y: np.ndarray, num_classes: int, trainable: dict[s
     w = T.parameter(np.zeros((dim, num_classes), dtype=np.float32))
     b = T.parameter(np.zeros(num_classes, dtype=np.float32))
     trainable = {**trainable, "head.w": w, "head.b": b}
-    buffers: dict[str, np.ndarray] = {}
+    buffers = {name: np.zeros_like(t.data) for name, t in trainable.items()}
     for epoch in range(epochs):
         order = rng.split(f"e{epoch}").permutation(len(y))
         for i in range(0, len(y), PROTOCOL_BATCH):

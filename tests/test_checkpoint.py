@@ -175,6 +175,10 @@ def test_huge_dims_do_not_wrap(tmp_path):
         ("enc.joint.query.projector.w1", None),
         ("enc.joint.key.block0.spatial_weight", np.zeros(1, np.float32)),  # would broadcast
         ("opt.joint.projector.b2", np.zeros((2, 2), np.float32)),
+        ("opt.joint.projector.b2", None),  # momentum would restart silently
+        ("enc.joint.query.projector.b2", np.full(SMALL.embed_dim, np.nan, np.float32)),
+        ("queue.joint.slots", np.full((SMALL.queue_size, SMALL.embed_dim), np.nan, np.float32)),
+        ("queue.joint.slots", np.full((SMALL.queue_size, SMALL.embed_dim), 7.0, np.float32)),
     ],
 )
 def test_damaged_tensor_raises_corrupt_file(trained_state, name, value):

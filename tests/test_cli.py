@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 from skelcl.cli import _gradcheck_components, build_parser, main
 from skelcl.config import RunConfig
+from skelcl.errors import ConfigValueError
 from skelcl.skeleton import SkeletonSequence, load_dataset, write_dataset
 
 GRADCHECK_COMPONENTS = {
@@ -128,6 +130,21 @@ def test_fuse_rejects_malformed_weight(tmp_path, capsys, weight):
     assert "--weight" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("second,named", [
+    ({"stream": "joint", "scores": [[0.9, 0.1]], "labels": [1]}, "both hold stream 'joint'"),
+    ({"stream": "bone", "scores": [[0.9, 0.1]], "labels": [0]}, "hold different labels"),
+], ids=["same-stream", "different-labels"])
+def test_fuse_rejects_score_files_that_do_not_pair(tmp_path, capsys, second, named):
+    paths = [str(tmp_path / "a.json"), str(tmp_path / "b.json")]
+    first = {"stream": "joint", "scores": [[0.2, 0.8]], "labels": [1]}
+    for path, doc in zip(paths, [first, second]):
+        Path(path).write_text(json.dumps(doc))
+    assert main(["fuse", "--scores", *paths]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --scores: {paths[0]} and {paths[1]} {named}\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("content,named", [
     ("joint 0.2 0.8", "not a JSON document"),
     ('[{"stream": "joint", "scores": [[0.2, 0.8]]}]', "JSON object"),
@@ -161,7 +178,8 @@ def test_fuse_names_malformed_scores_file(tmp_path, capsys, content, named):
                                          (["--val-fraction", "1.5"], "--val-fraction"),
                                          (["--val-fraction", "-1"], "--val-fraction"),
                                          (["--val-fraction", "0.01"], "--val-fraction"),
-                                         (["--val-fraction", "0.99"], "--val-fraction")])
+                                         (["--val-fraction", "0.99"], "--val-fraction"),
+                                         (["--noise-sigma", "-1"], "--noise-sigma")])
 def test_gen_data_rejects_out_of_range_sizes(tmp_path, capsys, flags, named):
     assert main(["gen-data", *flags, "--out", str(tmp_path / "data")]) == 2
     assert named in capsys.readouterr().err
@@ -343,3 +361,42 @@ def test_queue_smaller_than_a_batch_exits_2_before_any_step(pretrained, tmp_path
     assert "queue_size" in capsys.readouterr().err
     assert not (tmp_path / "metrics.jsonl").exists()
     assert list((tmp_path / "run").iterdir()) == []
+
+
+def _subcommands():
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+# every option of every subcommand; a required one cannot be left out
+OPTION_CASES = [(command, action.option_strings[0], given)
+                for command, sub in _subcommands().items()
+                for action in sub._actions if action.option_strings and action.dest != "help"
+                for given in (True, False) if given or not action.required]
+
+
+@pytest.mark.parametrize("command,flag,given", OPTION_CASES,
+                         ids=[f"{c}{f}-{'given' if g else 'left-out'}" for c, f, g in OPTION_CASES])
+def test_config_value_error_prints_under_the_flag_that_set_it(monkeypatch, capsys, command, flag,
+                                                              given):
+    """A `ConfigValueError` keyed by an option's `dest` prints under the flag
+    when the option holds a value (given, or a default of its own), and under
+    the key when it holds None."""
+    sub = _subcommands()[command]
+    action = next(a for a in sub._actions if flag in a.option_strings)
+
+    def fail(args):
+        raise ConfigValueError(action.dest, "out of range")
+
+    monkeypatch.setattr(f"skelcl.cli.{sub.get_default('func').__name__}", fail)
+
+    def value(option):
+        return option.choices[0] if option.choices else "1"
+
+    argv = [command]
+    for option in sub._actions:
+        if option.required and option is not action or option is action and given:
+            argv += [option.option_strings[0], value(option)]
+    assert main(argv) == 2
+    named = flag if given or action.default is not None else action.dest
+    assert capsys.readouterr().err == f"error: {named}: out of range\n"

@@ -4,14 +4,14 @@ import json
 
 import pytest
 
-from skelcl.config import RunConfig, parse_config
+from skelcl.config import RunConfig, config_from_dict, read_config
 from skelcl.errors import ConfigTypeError, ConfigValueError, UnknownKey
 
 
 def test_empty_config_gives_defaults(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text("{}")
-    cfg = parse_config(path, env={})
+    cfg = config_from_dict(read_config(path))
     assert cfg.tau == 0.07
     assert cfg.pft_alpha == 2.0
     assert cfg.pft_mu == 1.0
@@ -22,7 +22,7 @@ def test_empty_config_gives_defaults(tmp_path):
 def test_flag_overrides_file(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"tau": 0.07}))
-    cfg = parse_config(path, overrides={"tau": 0.1}, env={})
+    cfg = config_from_dict(read_config(path), {"tau": 0.1})
     assert cfg.tau == 0.1
 
 
@@ -30,23 +30,23 @@ def test_unknown_key_named(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"taw": 0.07}))
     with pytest.raises(UnknownKey, match="taw"):
-        parse_config(path, env={})
+        config_from_dict(read_config(path))
 
 
 def test_type_errors_carry_key_path(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"stage_epochs": [30, "ten", 10]}))
     with pytest.raises(ConfigTypeError, match=r"stage_epochs\[1\]"):
-        parse_config(path, env={})
+        config_from_dict(read_config(path))
 
 
-def test_env_seed_lowest_precedence(tmp_path):
-    cfg = parse_config(env={"CSCL_SEED": "99"})
-    assert cfg.seed == 99
+def test_later_document_wins(tmp_path):
+    """A file, then `--set` pairs, then flags: each document overrides the ones before."""
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"seed": 3}))
-    assert parse_config(path, env={"CSCL_SEED": "99"}).seed == 3
-    assert parse_config(path, overrides={"seed": 5}, env={"CSCL_SEED": "99"}).seed == 5
+    path.write_text(json.dumps({"seed": 3, "tau": 0.2}))
+    assert config_from_dict(read_config(path)).seed == 3
+    cfg = config_from_dict(read_config(path), {"seed": 4}, {"seed": 5})
+    assert (cfg.seed, cfg.tau) == (5, 0.2)
 
 
 def test_hash_stable_and_sensitive():
@@ -57,7 +57,7 @@ def test_hash_stable_and_sensitive():
 
 def test_bool_not_accepted_as_int():
     with pytest.raises(ConfigTypeError):
-        parse_config(overrides={"queue_size": True}, env={})
+        config_from_dict({"queue_size": True})
 
 
 def test_canonical_json_round_trips():
@@ -93,5 +93,5 @@ def test_canonical_json_round_trips():
 )
 def test_out_of_range_value_named_at_build(key, value):
     with pytest.raises(ConfigValueError, match=key) as err:
-        parse_config(overrides={key: value}, env={})
+        config_from_dict({key: value})
     assert err.value.key == key

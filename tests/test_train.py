@@ -19,7 +19,7 @@ def test_sgd_two_steps_match_closed_form():
     theta0 = np.array([1.0, -2.0, 0.5])
     g1, g2 = np.array([0.3, 0.1, -0.2]), np.array([-0.4, 0.2, 0.6])
     p = T.parameter(theta0.copy())
-    buffers = {}
+    buffers = {"p": np.zeros(3)}
     sgd_step({"p": p}, {p: T.Tensor(g1)}, buffers, lr, m, wd)
     sgd_step({"p": p}, {p: T.Tensor(g2)}, buffers, lr, m, wd)
 
@@ -32,7 +32,7 @@ def test_sgd_two_steps_match_closed_form():
 
 def test_sgd_missing_gradient_counts_as_zero():
     a, b = T.parameter(np.array([1.0, 2.0])), T.parameter(np.array([3.0]))
-    buffers = {}
+    buffers = {"a": np.zeros(2), "b": np.zeros(1)}
     sgd_step({"a": a, "b": b}, {a: T.Tensor(np.array([1.0, 1.0]))}, buffers, 0.5, 0.9, 0.1)
     np.testing.assert_allclose(b.data, [3.0 - 0.5 * 0.1 * 3.0])
     np.testing.assert_allclose(buffers["b"], [0.1 * 3.0])
@@ -43,7 +43,7 @@ def test_sgd_in_place_step_matches_out_of_place_formula_float32():
     g' = g + wd*p; buf = m*buf + g'; p = p - lr*buf evaluated term by term."""
     rng = np.random.default_rng(0)
     p = T.parameter(rng.normal(size=(7, 5)).astype(np.float32))
-    ref_p, ref_buf, buffers = p.data.copy(), None, {}
+    ref_p, ref_buf, buffers = p.data.copy(), None, {"p": np.zeros_like(p.data)}
     for step in range(50):
         g = rng.normal(size=p.shape).astype(np.float32)
         lr = 0.1 if step < 25 else 0.01
