@@ -235,6 +235,9 @@ def cmd_fuse(args) -> int:
     given = {}  # the STREAM=W items, applied as one dict
     for item in args.fusion_weights or ():
         stream, _, raw = item.partition("=")
+        if stream in given:
+            raise ConfigValueError("fusion_weights", f"stream {stream!r} is weighted twice, "
+                                   f"again by {item!r}")
         try:
             given[stream] = float(raw)
         except ValueError:
@@ -330,7 +333,7 @@ def _gradcheck_cases(dtype, grid) -> dict:
     for label, mine in (("loss_intra", None), ("loss_nnm", np.ones(1, dtype=bool))):
 
         def f_loss(mine=mine):
-            return T.mean_(queue_nll(T.l2_normalize(zq_param), zk, negatives, 0.2, mine)[0])
+            return queue_nll(T.l2_normalize(zq_param), zk, negatives, 0.2, 1, mine)[0]
 
         cases[label] = (f_loss, {"zq": zq_param})
 
@@ -346,7 +349,7 @@ def _gradcheck_cases(dtype, grid) -> dict:
 
     def f_pft():
         z_hat, _, _ = pft_transform(T.l2_normalize(zq_param), zk_pos[None], np.array([lam]))
-        return T.mean_(queue_nll(z_hat, zk_hat_frozen[None], negatives, 0.2)[0])
+        return queue_nll(z_hat, zk_hat_frozen[None], negatives, 0.2, 1)[0]
 
     cases["loss_pft_query_path"] = (f_pft, {"zq": zq_param})
 

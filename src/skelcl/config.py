@@ -6,10 +6,12 @@ wins.  The command line passes a config file (`read_config`), then its
 `--set` pairs, then its flags; a checkpoint passes its stored config.
 Unknown keys and wrong types are rejected by name.  Every constructed
 `RunConfig` also checks its values and raises `ConfigValueError` naming
-the first key out of range: a positive temperature, batch size and
-queue, three stage epoch counts, known and distinct streams,
-probabilities and ratios within [0, 1], one nondecreasing positive
-channel width per encoder block, an odd temporal kernel, and so on.
+the first key out of range: every float setting finite (`fusion_weights`
+values included, since an infinity passes every `> 0` check), a
+positive temperature, batch size and queue, three stage epoch counts,
+known and distinct streams, probabilities and ratios within [0, 1], one
+nondecreasing positive channel width per encoder block, an odd temporal
+kernel, and so on.
 This is the one config type: the encoder, losses and augmentations all
 read their settings from it.  The canonical JSON form (sorted keys,
 compact separators) is what gets hashed and persisted, so two runs
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -85,6 +88,11 @@ class RunConfig:
             if not ok:
                 raise ConfigValueError(key, reason)
 
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            numbers = value.values() if isinstance(value, dict) else (value,)
+            require(f.name, all(math.isfinite(v) for v in numbers if isinstance(v, float)),
+                    "must be finite")
         require("streams", bool(self.streams) and len(set(self.streams)) == len(self.streams)
                 and set(self.streams) <= set(STREAM_IDS),
                 f"need distinct stream ids from {STREAM_IDS}")

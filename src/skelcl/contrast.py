@@ -2,17 +2,23 @@
 
 The loss family is masked-softmax InfoNCE over a positive pair plus a
 FIFO queue of past key embeddings.  `queue_nll` scores stacks of
-queries against stacks of queue snapshots as one tape node over one
-(..., B, 1+Q) logit buffer, which its forward fills and exponentiates
-in place and its closed-form backward reuses; the row softmax-NLL
-itself is `tensor._softmax_nll_rows`, shared with the probes.
-`combine_losses` scores every intra- and inter-stream term of a step in
-one `queue_nll` call.  Neighbor mining enlarges a row's numerator with
-the most similar queue entries; the kernel selects them (`nnm_mine`)
-from the similarities its one matmul wrote into the logit buffer, so
-mining needs no GEMM of its own.  The hard-positive extrapolation
-replaces a positive pair with a lower-similarity synthetic pair
-(guarded so the pair's similarity never turns negative).
+queries against stacks of queue snapshots as one tape node whose value
+is the step total.  It streams one key group (one stream's queue) at a
+time through one reused (B, 1+Q) logit slab and forms that group's
+query gradient while the slab is live, so from forward to backward it
+holds only the (..., B, D) gradient; each row meets the NumPy ops of a
+whole-stack buffer reduced by `sum_` and `div` nodes, in the same
+order, so the results are bit-identical to that chain's.  The row
+softmax-NLL itself is `tensor._softmax_nll_rows`, shared with the
+probes.  `combine_losses` copies each queue once into one snapshot
+stack and scores every intra- and inter-stream term of a step in one
+`queue_nll` call.  Neighbor mining enlarges a row's numerator with the
+most similar queue entries; the kernel selects them (`nnm_mine`) from
+the similarities its matmul wrote into the slab, gathering only the
+group's mining rows, so mining needs no GEMM of its own.  The
+hard-positive extrapolation replaces a positive pair with a
+lower-similarity synthetic pair (guarded so the pair's similarity
+never turns negative).
 """
 
 from __future__ import annotations
@@ -66,11 +72,14 @@ class MemoryQueue:
         self.head = int((self.head + n) % self.capacity)
         self.filled = min(self.capacity, self.filled + n)
 
-    def contents(self) -> np.ndarray:
-        """Stored embeddings, oldest first."""
+    def contents(self, out: np.ndarray | None = None) -> np.ndarray:
+        """Stored embeddings, oldest first, as a new (filled, dim) array or
+        copied into `out` of that shape."""
         if self.filled < self.capacity:
-            return self.slots[: self.filled].copy()
-        return np.concatenate([self.slots[self.head :], self.slots[: self.head]])
+            parts = (self.slots[: self.filled],)
+        else:
+            parts = (self.slots[self.head :], self.slots[: self.head])
+        return np.concatenate(parts, out=out)
 
 
 class EncoderPair:
@@ -96,8 +105,10 @@ def _as_const(v) -> np.ndarray:
     return v.data if isinstance(v, T.Tensor) else np.asarray(v)
 
 
-def queue_nll(zq, zk, negatives: np.ndarray, tau: float, mine=None, k: int = 1):
-    """Per-row masked InfoNCE over any leading group axes; one tape node.
+def queue_nll(zq, zk, negatives: np.ndarray, tau: float, divisor: float, mine=None,
+              k: int = 1):
+    """Masked InfoNCE over any leading group axes, summed over its rows and
+    divided by `divisor`; one tape node.
 
     `zq` is a (..., B, D) query stack, `zk` the matching (..., B, D)
     keys and `negatives` a (..., Q, D) stack of queue snapshots
@@ -106,21 +117,28 @@ def queue_nll(zq, zk, negatives: np.ndarray, tau: float, mine=None, k: int = 1):
     and every negative of its group.  The optional (..., B) boolean
     `mine` marks the rows that mine neighbours: each adds its `k` most
     similar negatives of its group to its numerator (`nnm_mine`).
-    Returns (losses, neighbors): the (..., B) loss tensor, and
-    `nnm_mine`'s (indices, similarities) pair for the marked rows in
-    C order, or None without `mine`.  Gradient flows into `zq` only.
+    Returns (total, rows, neighbors): the scalar tensor rows.sum() /
+    divisor, the (..., B) array of per-row losses, and `nnm_mine`'s
+    (indices, similarities) pair for the marked rows in C order, or None
+    without `mine`.  Gradient flows into `zq` only.
 
-    The logits live in one (..., B, 1+Q) buffer: column 0 holds the
-    positive logit and the matmul writes zq @ negativesᵀ straight into
-    columns 1:.  The mining rows select their neighbours from those
-    similarities before the division by `tau` (which could round
-    distinct similarities into ties), so one GEMM feeds both the mining
-    and the logits; their columns reach `tensor._softmax_nll_rows` as
-    index picks, so the numerator gathers only the k picked entries per
-    mining row.  The division, the row-max shift and the exp() then
-    happen in place.  The backward overwrites that buffer with
-    dlogits / tau and contracts it back onto the keys and the queue:
-    dzq = dlogits[..., :1] * zk + dlogits[..., 1:] @ negatives.
+    The groups run one at a time through one reused (B, 1+Q) logit slab:
+    column 0 holds the positive logit and the matmul writes zq @
+    negativesᵀ straight into columns 1:.  The group's mining rows gather
+    their similarities from the slab and select their neighbours before
+    the division by `tau` (which could round distinct similarities into
+    ties), so one GEMM feeds both the mining and the logits; the picks
+    reach `tensor._softmax_nll_rows` as column indices, which shifts and
+    exponentiates the slab in place.  When the call records onto a tape,
+    the group's query gradient is formed while its slab is live, with
+    the row weight the sum-and-divide chain fed back (1 / divisor, then
+    / tau): dzq = dlogits[:, :1] * zk + dlogits[:, 1:] @ negatives.  So
+    the node holds only that (..., B, D) gradient, and its backward
+    returns it (times g when g is not 1).  Each row meets the NumPy ops
+    of a whole-stack call in the same order, and each group's GEMM is
+    the one a batched matmul makes for it, so the total, the per-row
+    losses, the neighbours and the gradient are bit for bit those of
+    one (..., B, 1+Q) buffer reduced by `sum_` and `div` nodes.
     """
     if negatives.shape[-2] == 0:
         raise EmptyQueue("no negatives stored yet")
@@ -135,26 +153,46 @@ def queue_nll(zq, zk, negatives: np.ndarray, tau: float, mine=None, k: int = 1):
         mine = np.asarray(mine, dtype=bool)
         if mine.shape != q.shape[:-1]:
             raise ShapeMismatch(f"mine {mine.shape} vs queries {q.shape}")
-    logits = np.empty(q.shape[:-1] + (1 + negatives.shape[-2],), dtype=q.dtype)
-    logits[..., 0] = (q * keys).sum(axis=-1)
-    sims = logits[..., 1:]
-    np.matmul(q, np.swapaxes(negatives, -1, -2), out=sims)
-    picks = neighbors = None
+        mine = mine.reshape(-1, q.shape[-2])
+    batch, dim = q.shape[-2:]
+    q, keys = q.reshape(-1, batch, dim), keys.reshape(-1, batch, dim)
+    negatives = negatives.reshape(len(q), -1, dim)
+    divisor = np.asarray(divisor, dtype=q.dtype)
+    rows = np.empty(q.shape[:2], dtype=q.dtype)
+    slab = np.empty((batch, 1 + negatives.shape[1]), dtype=q.dtype)
+    dq = row_grad = None
+    if T._recording((zq,)) is not None:
+        dq = np.empty(q.shape, dtype=q.dtype)
+        # the weight `div` fed back to each row through `sum_`, then / tau
+        row_grad = np.full(batch, np.ones((), q.dtype) / divisor, dtype=q.dtype) / tau
+    found = []
+    for i in range(len(q)):
+        slab[:, 0] = (q[i] * keys[i]).sum(axis=-1)
+        sims = slab[:, 1:]
+        np.matmul(q[i], negatives[i].T, out=sims)
+        picks = None
+        if mine is not None:
+            (mined,) = np.nonzero(mine[i])
+            found.append(nnm_mine(sims[mined], k))
+            picks = ((mined,), found[-1][0] + 1)  # slab columns of the neighbours
+        slab /= tau
+        rows[i], grad = T._softmax_nll_rows(slab, lead=1, picks=picks)
+        if dq is not None:
+            dlogits = grad(row_grad)
+            np.multiply(dlogits[:, :1], keys[i], out=dq[i])
+            dq[i] += dlogits[:, 1:] @ negatives[i]
+    rows = rows.reshape(zq.shape[:-1])
+    neighbors = None
     if mine is not None:
-        neighbors = nnm_mine(sims[mine], k)
-        picks = (np.nonzero(mine), neighbors[0] + 1)  # buffer columns of the neighbours
-    logits /= tau
-    nll, grad = T._softmax_nll_rows(logits, lead=1, picks=picks)
+        neighbors = tuple(np.concatenate(part) for part in zip(*found))
 
     def bwd(g, needs):
         if not needs[0]:
             return (None,)
-        dlogits = grad(g / tau)
-        dq = dlogits[..., :1] * keys
-        dq += dlogits[..., 1:] @ negatives
-        return (dq,)
+        dzq = dq.reshape(zq.shape)
+        return (dzq if g == 1 else dzq * g,)
 
-    return T._apply(nll, (zq,), bwd), neighbors
+    return T._apply(rows.sum() / divisor, (zq,), bwd), rows, neighbors
 
 
 def nnm_mine(sims: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -276,16 +314,21 @@ def combine_losses(
     intra terms only; the extrapolation (`pft`, weights Beta(alpha,
     alpha) * mu + 1 drawn from `rng`) applies to intra pairs and, if
     configured, to inter pairs as well.  Group v of the one `queue_nll`
-    call stacks every stream's queries against v's keys and queue.
+    call stacks every stream's queries against v's keys and queue; the
+    (S, Q, D) snapshot stack is filled by one copy per queue
+    (`MemoryQueue.contents(out=...)`).  The total is that call's node
+    (the rows' sum divided by the batch size): it works through one
+    group's logit slab at a time, keeps only the query gradient for the
+    backward, and is bit-identical to the per-row losses reduced by
+    `sum_` and `div` nodes.
     """
     streams = config.streams
     missing = set(streams) - set(stream_embeddings)
     if missing:
         raise ShapeMismatch(f"missing stream embeddings: {sorted(missing)}")
-    snapshots = [queues[v].contents() for v in streams]
-    if len({snap.shape for snap in snapshots}) > 1:
-        raise ShapeMismatch(f"queues hold {[snap.shape[0] for snap in snapshots]} entries")
-    negatives = np.stack(snapshots)  # (S, Q, D): one snapshot serves every term against it
+    shapes = [(queues[v].filled, queues[v].dim) for v in streams]
+    if len(set(shapes)) > 1:
+        raise ShapeMismatch(f"queues hold {[size for size, _ in shapes]} entries")
     n, batch = len(streams), stream_embeddings[streams[0]][0].shape[0]
 
     queries, keys, applied_masks = [], [], []
@@ -301,16 +344,16 @@ def combine_losses(
             keys.append(zk)
 
     shape = (n, n * batch, -1)
+    zq = T.reshape(T.concat(queries, axis=0), shape)
+    negatives = np.empty((n, *shapes[0]), dtype=zq.dtype)  # one snapshot serves every term against it
+    for i, v in enumerate(streams):
+        queues[v].contents(out=negatives[i])
     mine = np.repeat(np.eye(n, dtype=bool), batch, axis=1) if nnm else None  # the intra rows
-    losses, neighbors = queue_nll(
-        T.reshape(T.concat(queries, axis=0), shape),
-        np.concatenate(keys).reshape(shape),
-        negatives,
-        config.tau,
-        mine,
+    total, losses, neighbors = queue_nll(
+        zq, np.concatenate(keys).reshape(shape), negatives, config.tau, batch, mine,
         config.nnm_topk,
     )
-    per_term = losses.data.reshape(n, n, batch).mean(axis=2)  # [v, u]
+    per_term = losses.reshape(n, n, batch).mean(axis=2)  # [v, u]
     breakdown = {f"intra:{u}": float(per_term[i, i]) for i, u in enumerate(streams)}
     for i, u in enumerate(streams):
         for g, v in enumerate(streams):
@@ -319,4 +362,4 @@ def combine_losses(
 
     rate = float(np.concatenate(applied_masks).mean()) if pft else None
     mined_mean = float(neighbors[1].mean()) if nnm else None
-    return CombineResult(T.div(T.sum_(losses), batch), breakdown, rate, mined_mean)
+    return CombineResult(total, breakdown, rate, mined_mean)

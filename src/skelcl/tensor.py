@@ -36,8 +36,11 @@ the row max, with the closed-form backward; a row's positives are its
 leading entries plus index-picked ones.  It has two callers in the
 package, each one tape node: `linear_softmax_nll` (the linear head of
 the probe and finetuning, affine map and mean loss included) and
-`contrast.queue_nll` (the InfoNCE loss); both work in place on the logit
-buffer they build.  `masked_softmax_nll_rows` stays only as a patch
+`contrast.queue_nll` (the InfoNCE loss, summed over its rows and
+divided, so a pretraining step's loss ends in it).  Both work in place
+on the logit buffer they build; `queue_nll` reuses one (B, 1+Q) slab
+per key group and forms its query gradient in the forward, so its node
+keeps no logit buffer.  `masked_softmax_nll_rows` stays only as a patch
 target of the benchmark's tracer (like `sub` and `exp`).
 """
 

@@ -130,6 +130,29 @@ def test_fuse_rejects_malformed_weight(tmp_path, capsys, weight):
     assert "--weight" in capsys.readouterr().err
 
 
+def test_fuse_rejects_a_stream_weighted_twice(tmp_path, capsys):
+    scores = tmp_path / "joint.json"
+    scores.write_text(json.dumps({"stream": "joint", "scores": [[0.2, 0.8]], "labels": [1]}))
+    argv = ["fuse", "--scores", str(scores), "--weight", "joint=1", "--weight", "joint=2"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --weight: ") and "'joint'" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("weight", ["joint=inf", "joint=-inf", "joint=nan"])
+def test_fuse_rejects_non_finite_weight(tmp_path, capsys, weight):
+    # an infinite weight once passed the positivity check and fused into
+    # NaN scores, so every prediction came out wrong
+    scores = tmp_path / "joint.json"
+    scores.write_text(json.dumps({"stream": "joint", "scores": [[0.2, 0.8], [0.9, 0.1]],
+                                  "labels": [1, 0]}))
+    assert main(["fuse", "--scores", str(scores), "--weight", weight]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --weight: must be finite\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("second,named", [
     ({"stream": "joint", "scores": [[0.9, 0.1]], "labels": [1]}, "both hold stream 'joint'"),
     ({"stream": "bone", "scores": [[0.9, 0.1]], "labels": [0]}, "hold different labels"),

@@ -1,6 +1,7 @@
 """Config parsing: defaults, precedence, validation, hashing."""
 
 import json
+import math
 
 import pytest
 
@@ -95,3 +96,24 @@ def test_out_of_range_value_named_at_build(key, value):
     with pytest.raises(ConfigValueError, match=key) as err:
         config_from_dict({key: value})
     assert err.value.key == key
+
+
+@pytest.mark.parametrize("key,value", [
+    ("tau", math.inf),
+    ("lr", math.inf),
+    ("lr", math.nan),
+    ("key_momentum", -math.inf),
+    ("fusion_weights", {"joint": math.inf, "bone": 0.6}),
+])
+def test_non_finite_float_named_at_build(key, value):
+    # an infinity passes every `> 0` check, so finiteness is checked first
+    with pytest.raises(ConfigValueError, match=key) as err:
+        config_from_dict({key: value})
+    assert (err.value.key, err.value.reason) == (key, "must be finite")
+
+
+def test_non_finite_float_in_config_file_named(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"tau": Infinity}')
+    with pytest.raises(ConfigValueError, match="tau"):
+        config_from_dict(read_config(path))

@@ -71,14 +71,14 @@ def single_nll(zq, zk, queue, tau, mine=None, k=1) -> float:
     its numerator adds its `k` most similar queue entries."""
     zq = T.Tensor(np.asarray(zq)[None, :], dtype=np.float64)
     mine = None if mine is None else np.array([mine])
-    losses, _ = queue_nll(zq, np.asarray(zk)[None, :], queue.contents(), tau, mine, k)
-    return float(losses.data[0])
+    _, losses, _ = queue_nll(zq, np.asarray(zk)[None, :], queue.contents(), tau, 1, mine, k)
+    return float(losses[0])
 
 
 def mine_one(zq, queue, k) -> list[int]:
     """The queue indices `queue_nll` mines for one query row."""
     zq = np.asarray(zq, dtype=np.float64)[None, :]
-    _, (indices, _) = queue_nll(zq, zq, queue.contents(), 1.0, np.ones(1, dtype=bool), k)
+    _, _, (indices, _) = queue_nll(zq, zq, queue.contents(), 1.0, 1, np.ones(1, dtype=bool), k)
     return indices[0].tolist()
 
 
@@ -231,6 +231,9 @@ class TestMemoryQueue:
             assert q.filled == min(capacity, len(history))
             expected = np.stack(history[-q.filled :])
             np.testing.assert_array_equal(q.contents(), expected)
+            out = np.full((q.filled, 3), np.nan, dtype=np.float32)
+            assert q.contents(out=out) is out
+            np.testing.assert_array_equal(out, expected)
 
 
 # -- losses --------------------------------------------------------------------------
@@ -277,25 +280,28 @@ def test_stacked_queue_nll_equals_separate_calls():
     zk = rng.normal(size=(groups, batch, dim))
     negatives = np.stack([filled_queue(rng, size, dim).contents() for _ in range(groups)])
     mine = rng.uniform(size=(groups, batch)) < 0.5
-    w = rng.normal(size=(groups, batch))
     with T.Tape():
-        stacked, (indices, sims) = queue_nll(zq, zk, negatives, 0.2, mine, 2)
-        grad = T.backward(T.sum_(T.mul(stacked, w)))[zq].data
+        total, stacked, (indices, sims) = queue_nll(zq, zk, negatives, 0.2, 3, mine, 2)
+        grad = T.backward(total)[zq].data
     offsets = np.concatenate([[0], np.cumsum(mine.sum(axis=1))])
+    totals = []
     for g in range(groups):
         row = T.parameter(zq.data[g])
         with T.Tape():
-            single, (single_indices, single_sims) = queue_nll(
-                row, zk[g], negatives[g], 0.2, mine[g], 2)
-            single_grad = T.backward(T.sum_(T.mul(single, w[g])))[row].data
-        np.testing.assert_allclose(stacked.data[g], single.data, rtol=1e-12, atol=1e-12)
+            single_total, single, (single_indices, single_sims) = queue_nll(
+                row, zk[g], negatives[g], 0.2, 3, mine[g], 2)
+            single_grad = T.backward(single_total)[row].data
+        totals.append(single_total.item())
+        np.testing.assert_allclose(stacked[g], single, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(grad[g], single_grad, rtol=1e-12, atol=1e-12)
         np.testing.assert_array_equal(indices[offsets[g] : offsets[g + 1]], single_indices)
         np.testing.assert_allclose(sims[offsets[g] : offsets[g + 1]], single_sims, rtol=1e-12)
+    assert abs(total.item() - sum(totals)) < 1e-12
 
 
 def composed_queue_nll(zq, zk, negatives, tau, mined=None):
-    """`queue_nll` as the generic-op chain the single-node kernel replaced."""
+    """`queue_nll`'s per-row losses as the generic-op chain the single-node
+    kernel replaced."""
     zq = T.as_tensor(zq)
     pos = T.sum_(T.mul(zq, T.Tensor(np.asarray(zk, dtype=zq.dtype))), axis=-1, keepdims=True)
     negs = T.matmul(zq, np.swapaxes(negatives.astype(zq.dtype), -1, -2))
@@ -311,25 +317,27 @@ def composed_queue_nll(zq, zk, negatives, tau, mined=None):
 @pytest.mark.parametrize("groups", [(), (3,)])
 @pytest.mark.parametrize("with_mined", [False, True])
 def test_queue_nll_matches_composition(tau, groups, with_mined):
+    # the node's total, scaled by 1.7 so its backward sees g != 1, against
+    # the composition's rows summed and divided by generic ops
     rng = np.random.default_rng(len(groups) + int(with_mined))
     batch, dim, size = 5, 8, 12
     zq = T.parameter(unit_rows(rng.normal(size=(*groups, batch, dim))))
     zk = unit_rows(rng.normal(size=(*groups, batch, dim)))
     negatives = unit_rows(rng.normal(size=(*groups, size, dim)))
     mine = rng.uniform(size=(*groups, batch)) < 0.5 if with_mined else None
-    w = rng.normal(size=(*groups, batch))
     with T.Tape():
-        out, neighbors = queue_nll(zq, zk, negatives, tau, mine, 2)
-        grad = T.backward(T.sum_(T.mul(out, w)))[zq].data
+        total, out, neighbors = queue_nll(zq, zk, negatives, tau, batch, mine, 2)
+        grad = T.backward(T.mul(total, 1.7))[zq].data
     mined = None
     if with_mined:  # the kernel's picks, as the composition's numerator mask
         mined = np.zeros((*groups, batch, size), dtype=bool)
         mined[(*(rows[:, None] for rows in np.nonzero(mine)), neighbors[0])] = True
     with T.Tape():
         ref = composed_queue_nll(zq, zk, negatives, tau, mined)
-        ref_grad = T.backward(T.sum_(T.mul(ref, w)))[zq].data
-    out, ref_out = out.data, ref.data
-    np.testing.assert_allclose(out, ref_out, rtol=1e-12, atol=1e-12)
+        ref_total = T.div(T.sum_(ref), batch)
+        ref_grad = T.backward(T.mul(ref_total, 1.7))[zq].data
+    np.testing.assert_allclose(out, ref.data, rtol=1e-12, atol=1e-12)
+    assert abs(total.item() - ref_total.item()) < 1e-12
     np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=1e-12)
 
 
@@ -339,17 +347,19 @@ def test_queue_nll_one_tape_node():
     zk = unit_rows(rng.normal(size=(2, 4, 8)))
     negatives = unit_rows(rng.normal(size=(2, 6, 8)))
     with T.Tape() as tape:
-        queue_nll(zq, zk, negatives, 0.2, rng.uniform(size=(2, 4)) < 0.5, 2)
+        queue_nll(zq, zk, negatives, 0.2, 4, rng.uniform(size=(2, 4)) < 0.5, 2)
     assert len(tape.nodes) == 1
 
 
 def test_queue_nll_nan_query_raises():
     rng = np.random.default_rng(33)
-    zq = unit_rows(rng.normal(size=(4, 8)))
-    zq[2] = np.nan
-    with pytest.raises(NonFiniteValue):
-        queue_nll(T.parameter(zq), unit_rows(rng.normal(size=(4, 8))),
-                  unit_rows(rng.normal(size=(6, 8))), 0.2)
+    zq = unit_rows(rng.normal(size=(2, 4, 8)))
+    zq[1, 2] = np.nan
+    zk, negatives = unit_rows(rng.normal(size=(2, 4, 8))), unit_rows(rng.normal(size=(2, 6, 8)))
+    for recording in (T.no_tape, T.Tape):  # forming the gradient or not
+        with recording(), pytest.raises(NonFiniteValue) as err:
+            queue_nll(T.parameter(zq), zk, negatives, 0.2, 4)
+        assert err.value.op == "queue_nll"
 
 
 @pytest.mark.parametrize("zk_shape,negatives_shape,mined_shape", [
@@ -365,13 +375,15 @@ def test_queue_nll_shape_mismatch(zk_shape, negatives_shape, mined_shape):
     mine = None if mined_shape is None else np.ones(mined_shape, dtype=bool)
     with pytest.raises(ShapeMismatch):
         queue_nll(T.Tensor(rng.normal(size=(4, 8))), rng.normal(size=zk_shape),
-                  rng.normal(size=negatives_shape), 0.2, mine)
+                  rng.normal(size=negatives_shape), 0.2, 4, mine)
 
 
 def test_combined_loss_holds_at_most_two_logit_buffers():
-    # one logit buffer is S * S*B * (1+Q) float32 values; the forward may
-    # keep 2 alive for the backward and reach 4 at its peak (the chain of
-    # generic ops this kernel replaced held 4.7 and peaked at 6.8)
+    # one logit buffer is S * S*B * (1+Q) float32 values, which the node
+    # never forms: it keeps the query gradient alive for the backward and
+    # peaks near one buffer (the negatives stack, one group's slab and its
+    # mined rows); the whole-stack kernel held 1.5 and peaked at 2.2, the
+    # chain of generic ops before it held 4.7 and peaked at 6.8
     streams, batch, size, dim = ["joint", "bone", "motion"], 32, 1024, 32
     rng = np.random.default_rng(34)
     params = {s: T.parameter(rng.normal(size=(batch, dim)).astype(np.float32)) for s in streams}
@@ -391,8 +403,106 @@ def test_combined_loss_holds_at_most_two_logit_buffers():
     finally:
         tracemalloc.stop()
     assert set(grads) == set(params.values())
-    assert held <= 2.0, held
-    assert peak <= 4.0, peak
+    assert held <= 0.25, held
+    assert peak <= 1.25, peak
+
+
+def whole_stack_chain(q, keys, negatives, tau, batch, mine, k):
+    """`queue_nll` before it streamed its groups, in NumPy: one (G, B,
+    1+Q) logit buffer, mined from its similarities, its per-row losses
+    reduced as `T.div(T.sum_(rows), batch)` and the query gradient that
+    chain fed back (1 / batch per row, then / tau)."""
+    logits = np.empty(q.shape[:-1] + (1 + negatives.shape[-2],), dtype=q.dtype)
+    logits[..., 0] = (q * keys).sum(axis=-1)
+    sims = logits[..., 1:]
+    np.matmul(q, np.swapaxes(negatives, -1, -2), out=sims)
+    neighbors = nnm_mine(sims[mine], k)
+    logits /= tau
+    rows, grad = T._softmax_nll_rows(logits, lead=1, picks=(np.nonzero(mine), neighbors[0] + 1))
+    divisor = np.asarray(batch, dtype=q.dtype)
+    total = rows.sum(axis=(0, 1)) / divisor
+    dlogits = grad(np.broadcast_to(np.ones((), q.dtype) / divisor, rows.shape).copy() / tau)
+    dq = dlogits[..., :1] * keys
+    dq += dlogits[..., 1:] @ negatives
+    return total, rows, neighbors, dq
+
+
+@pytest.mark.parametrize("tau", [0.07, 0.3])
+@pytest.mark.parametrize("k", [1, 2])
+def test_combined_loss_bitwise_equals_whole_stack_chain(monkeypatch, k, tau):
+    # three float32 streams with NNM and PFT on every pair, at an odd
+    # batch, so the row weight 1/5 is not a power of two; at tau 0.3,
+    # float32(1/5) / tau differs from float32(1 / (5 tau))
+    seen = []
+    original = contrast.queue_nll
+
+    def spy(zq, zk, negatives, tau, divisor, mine=None, k=1):
+        total, rows, neighbors = original(zq, zk, negatives, tau, divisor, mine, k)
+        seen.append((zq.data, zk, negatives.copy(), tau, divisor, mine, k, rows, neighbors))
+        backward_fn = total.node.backward_fn
+
+        def capture(g, needs):
+            grads = backward_fn(g, needs)
+            seen.append(grads[0])
+            return grads
+
+        total.node.backward_fn = capture
+        return total, rows, neighbors
+
+    monkeypatch.setattr(contrast, "queue_nll", spy)
+    rng = np.random.default_rng(38)
+    streams, batch, dim, size = ["joint", "bone", "motion"], 5, 8, 16
+    params = {s: T.parameter(rng.normal(size=(batch, dim)).astype(np.float32)) for s in streams}
+    keys = {s: unit_rows(rng.normal(size=(batch, dim))).astype(np.float32) for s in streams}
+    queues = {s: filled_queue(rng, size, dim, dtype=np.float32) for s in streams}
+    cfg = RunConfig(streams=streams, tau=tau, nnm_topk=k, pft_apply_to_inter=True)
+    with T.Tape():
+        emb = {s: (T.l2_normalize(p), keys[s]) for s, p in params.items()}
+        res = combine_losses(emb, queues, cfg, True, True, RngStream(8).split("step"))
+        T.backward(res.total)
+    (q, zk, negatives, got_tau, divisor, mine, got_k, rows, neighbors), dq = seen
+    assert (q.dtype, got_tau, divisor, got_k) == (np.float32, tau, batch, k)
+    total, want_rows, want_neighbors, want_dq = whole_stack_chain(q, zk, negatives, tau, batch,
+                                                                  mine, k)
+    assert res.total.data.tobytes() == np.asarray(total).tobytes()
+    assert rows.tobytes() == want_rows.tobytes()
+    for got, want in zip(neighbors, want_neighbors):
+        assert got.tobytes() == want.tobytes()
+    assert dq.dtype == want_dq.dtype and dq.tobytes() == want_dq.tobytes()
+
+
+@pytest.mark.parametrize("taped", [False, True])
+def test_queue_nll_holds_only_its_query_gradient(taped):
+    # after the forward the node holds the (G, B, D) query gradient (none
+    # when it records onto no tape): no (G, B, 1+Q) logit buffer, no
+    # negatives stack; its peak stays below the whole buffer
+    groups, batch, dim, size = 3, 48, 16, 2048
+    rng = np.random.default_rng(37)
+    zq = T.parameter(unit_rows(rng.normal(size=(groups, batch, dim))).astype(np.float32))
+    zk = unit_rows(rng.normal(size=(groups, batch, dim))).astype(np.float32)
+    negatives = unit_rows(rng.normal(size=(groups, size, dim))).astype(np.float32)
+    mine = np.arange(groups * batch).reshape(groups, batch) % groups == 0
+    buffer_bytes = groups * batch * (1 + size) * 4
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with T.Tape() if taped else T.no_tape():
+            total, rows, neighbors = queue_nll(zq, zk, negatives, 0.2, batch, mine)
+            held = tracemalloc.get_traced_memory()[0] - base
+            peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    held -= rows.nbytes + sum(a.nbytes for a in neighbors)
+    assert (total.node is not None) == taped
+    assert held <= (zq.data.nbytes if taped else 0) + 4096, held
+    assert peak <= 0.75 * buffer_bytes, peak / buffer_bytes
+
+
+def test_queue_nll_empty_queue_raises():
+    rng = np.random.default_rng(39)
+    with pytest.raises(EmptyQueue):
+        queue_nll(T.parameter(unit_rows(rng.normal(size=(2, 4, 8)))),
+                  unit_rows(rng.normal(size=(2, 4, 8))), np.empty((2, 0, 8)), 0.2, 4)
 
 
 class TestInterLoss:
@@ -786,9 +896,9 @@ class TestCombineLosses:
         seen = []
         original = contrast.queue_nll
 
-        def spy(zq, zk, negatives, tau, mine=None, k=1):
-            out = original(zq, zk, negatives, tau, mine, k)
-            seen.append((T.as_tensor(zq).data.copy(), negatives, mine, out[1]))
+        def spy(zq, zk, negatives, tau, divisor, mine=None, k=1):
+            out = original(zq, zk, negatives, tau, divisor, mine, k)
+            seen.append((T.as_tensor(zq).data.copy(), negatives, mine, out[2]))
             return out
 
         monkeypatch.setattr(contrast, "queue_nll", spy)
@@ -833,11 +943,11 @@ class TestCombineLosses:
                     zq, zk, flags = pft_transform(zq, zk, lam)
                     applied.append(flags)
                 mine = np.ones(5, dtype=bool) if u == v else None
-                losses, neighbors = queue_nll(zq, zk, queues[v].contents(), 0.2, mine, 2)
+                _, losses, neighbors = queue_nll(zq, zk, queues[v].contents(), 0.2, 5, mine, 2)
                 if u == v:
                     mined_sims.append(neighbors[1])
                 name = f"intra:{u}" if u == v else f"inter:{u}->{v}"
-                want[name] = float(losses.data.mean())
+                want[name] = float(losses.mean())
         assert list(res.breakdown) == sorted(want, key=lambda k: not k.startswith("intra"))
         for name, value in want.items():
             assert abs(res.breakdown[name] - value) < 1e-12, name

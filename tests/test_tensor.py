@@ -364,8 +364,8 @@ def _queue_nll_case(_):
     negatives = rng.normal(size=(2, 5, 4))
     negatives /= np.linalg.norm(negatives, axis=-1, keepdims=True)
     mine = np.array([[True, False, True], [False, True, True]])
-    w = rng.uniform(0.5, 1.0, size=(2, 3))
-    return {"zq": zq}, lambda: T.sum_(T.mul(queue_nll(zq, zk, negatives, 0.5, mine, 2)[0], w))
+    # scaled, so the node's backward sees g != 1
+    return {"zq": zq}, lambda: T.mul(queue_nll(zq, zk, negatives, 0.5, 3, mine, 2)[0], 0.7)
 
 
 def _linear_softmax_nll_case(rng):
