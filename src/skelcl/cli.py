@@ -333,7 +333,7 @@ def _gradcheck_cases(dtype, grid) -> dict:
     for label, mine in (("loss_intra", None), ("loss_nnm", np.ones(1, dtype=bool))):
 
         def f_loss(mine=mine):
-            return queue_nll(T.l2_normalize(zq_param), zk, negatives, 0.2, 1, mine)[0]
+            return queue_nll(T.l2_normalize(zq_param), zk, [negatives], 0.2, 1, mine)[0]
 
         cases[label] = (f_loss, {"zq": zq_param})
 
@@ -349,7 +349,7 @@ def _gradcheck_cases(dtype, grid) -> dict:
 
     def f_pft():
         z_hat, _, _ = pft_transform(T.l2_normalize(zq_param), zk_pos[None], np.array([lam]))
-        return queue_nll(z_hat, zk_hat_frozen[None], negatives, 0.2, 1)[0]
+        return queue_nll(z_hat, zk_hat_frozen[None], [negatives], 0.2, 1)[0]
 
     cases["loss_pft_query_path"] = (f_pft, {"zq": zq_param})
 

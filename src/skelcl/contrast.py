@@ -2,17 +2,17 @@
 
 The loss family is masked-softmax InfoNCE over a positive pair plus a
 FIFO queue of past key embeddings.  `queue_nll` scores stacks of
-queries against stacks of queue snapshots as one tape node whose value
-is the step total.  It streams one key group (one stream's queue) at a
-time through one reused (B, 1+Q) logit slab and forms that group's
-query gradient while the slab is live, so from forward to backward it
-holds only the (..., B, D) gradient; each row meets the NumPy ops of a
-whole-stack buffer reduced by `sum_` and `div` nodes, in the same
-order, so the results are bit-identical to that chain's.  The row
-softmax-NLL itself is `tensor._softmax_nll_rows`, shared with the
-probes.  `combine_losses` copies each queue once into one snapshot
-stack and scores every intra- and inter-stream term of a step in one
-`queue_nll` call.  Neighbor mining enlarges a row's numerator with the
+queries, each group against its own negatives read in place, as one
+tape node whose value is the step total.  It streams one key group
+(one stream's queue) at a time through one reused (B, 1+Q) logit slab
+and forms that group's query gradient while the slab is live, so from
+forward to backward it holds only the (..., B, D) gradient; each row
+meets the NumPy ops of a whole-stack buffer reduced by `sum_` and `div`
+nodes, in the same order, so the results are bit-identical to that
+chain's.  The row softmax-NLL itself is `tensor._softmax_nll_rows`,
+shared with the probes.  `combine_losses` passes each queue's live
+rows, copying none, and scores every intra- and inter-stream term of a
+step in one `queue_nll` call.  Neighbor mining enlarges a row's numerator with the
 most similar queue entries; the kernel selects them (`nnm_mine`) from
 the similarities its matmul wrote into the slab, gathering only the
 group's mining rows, so mining needs no GEMM of its own.  The
@@ -23,6 +23,7 @@ never turns negative).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +49,12 @@ def check_unit_rows(rows: np.ndarray, what: str, unit_rows: int | None = None,
 
 
 class MemoryQueue:
-    """FIFO ring of unit-norm negative embeddings, one per stream."""
+    """FIFO ring of unit-norm negative embeddings, one per stream.
+
+    The ring fills from row 0, so `slots[:filled]` holds every stored
+    embedding (in slot order; `head` is the next slot overwritten), which
+    is what the loss reads, in place.
+    """
 
     def __init__(self, capacity: int, dim: int, dtype=np.float32):
         if capacity < 1:
@@ -72,14 +78,13 @@ class MemoryQueue:
         self.head = int((self.head + n) % self.capacity)
         self.filled = min(self.capacity, self.filled + n)
 
-    def contents(self, out: np.ndarray | None = None) -> np.ndarray:
-        """Stored embeddings, oldest first, as a new (filled, dim) array or
-        copied into `out` of that shape."""
+    def contents(self) -> np.ndarray:
+        """Stored embeddings, oldest first, as a new (filled, dim) array."""
         if self.filled < self.capacity:
             parts = (self.slots[: self.filled],)
         else:
             parts = (self.slots[self.head :], self.slots[: self.head])
-        return np.concatenate(parts, out=out)
+        return np.concatenate(parts)
 
 
 class EncoderPair:
@@ -105,14 +110,15 @@ def _as_const(v) -> np.ndarray:
     return v.data if isinstance(v, T.Tensor) else np.asarray(v)
 
 
-def queue_nll(zq, zk, negatives: np.ndarray, tau: float, divisor: float, mine=None,
-              k: int = 1):
+def queue_nll(zq, zk, negatives, tau: float, divisor: float, mine=None, k: int = 1):
     """Masked InfoNCE over any leading group axes, summed over its rows and
     divided by `divisor`; one tape node.
 
     `zq` is a (..., B, D) query stack, `zk` the matching (..., B, D)
-    keys and `negatives` a (..., Q, D) stack of queue snapshots
-    (`MemoryQueue.contents()`), one per group.  Row i's numerator holds
+    keys and `negatives` a sequence of (Q, D) arrays, one per group in
+    the C order of the leading axes (one for a (B, D) `zq`), each read in
+    place: `combine_losses` passes each queue's live rows,
+    `MemoryQueue.slots[:filled]`, in slot order.  Row i's numerator holds
     its positive pair (zq[i], zk[i]); the denominator holds the positive
     and every negative of its group.  The optional (..., B) boolean
     `mine` marks the rows that mine neighbours: each adds its `k` most
@@ -121,6 +127,11 @@ def queue_nll(zq, zk, negatives: np.ndarray, tau: float, divisor: float, mine=No
     divisor, the (..., B) array of per-row losses, and `nnm_mine`'s
     (indices, similarities) pair for the marked rows in C order, or None
     without `mine`.  Gradient flows into `zq` only.
+
+    Order of the negatives: a row's loss sums over them, so their order
+    changes only its rounding.  Neighbour indices are rows of the group's
+    array (slots, for a queue), and of equally similar negatives the one
+    in the lower row is mined first.
 
     The groups run one at a time through one reused (B, 1+Q) logit slab:
     column 0 holds the positive logit and the matmul writes zq @
@@ -138,38 +149,42 @@ def queue_nll(zq, zk, negatives: np.ndarray, tau: float, divisor: float, mine=No
     of a whole-stack call in the same order, and each group's GEMM is
     the one a batched matmul makes for it, so the total, the per-row
     losses, the neighbours and the gradient are bit for bit those of
-    one (..., B, 1+Q) buffer reduced by `sum_` and `div` nodes.
+    one (..., B, 1+Q) buffer over the stacked negatives, reduced by
+    `sum_` and `div` nodes.
     """
-    if negatives.shape[-2] == 0:
-        raise EmptyQueue("no negatives stored yet")
     zq = T.as_tensor(zq)
     q = zq.data
     keys = _as_const(zk).astype(q.dtype, copy=False)
-    negatives = negatives.astype(q.dtype, copy=False)
-    stack = q.shape[:-2] + (negatives.shape[-2], q.shape[-1])  # one (Q, D) snapshot per group
-    if q.ndim < 2 or keys.shape != q.shape or negatives.shape != stack:
-        raise ShapeMismatch(f"queries {q.shape}, keys {keys.shape}, negatives {negatives.shape}")
+    if q.ndim < 2 or keys.shape != q.shape:
+        raise ShapeMismatch(f"queries {q.shape}, keys {keys.shape}")
+    batch, dim = q.shape[-2:]
+    shapes = [np.shape(group) for group in negatives]  # one (Q, D) each, Q shared
+    if len(shapes) != math.prod(q.shape[:-2]) or any(s != (*shapes[0][:1], dim) for s in shapes):
+        raise ShapeMismatch(f"queries {q.shape} need one (Q, {dim}) negatives array per group, "
+                            f"got shapes {shapes}")
+    size = shapes[0][0]
+    if size == 0:
+        raise EmptyQueue("no negatives stored yet")
     if mine is not None:
         mine = np.asarray(mine, dtype=bool)
         if mine.shape != q.shape[:-1]:
             raise ShapeMismatch(f"mine {mine.shape} vs queries {q.shape}")
-        mine = mine.reshape(-1, q.shape[-2])
-    batch, dim = q.shape[-2:]
+        mine = mine.reshape(-1, batch)
     q, keys = q.reshape(-1, batch, dim), keys.reshape(-1, batch, dim)
-    negatives = negatives.reshape(len(q), -1, dim)
     divisor = np.asarray(divisor, dtype=q.dtype)
     rows = np.empty(q.shape[:2], dtype=q.dtype)
-    slab = np.empty((batch, 1 + negatives.shape[1]), dtype=q.dtype)
+    slab = np.empty((batch, 1 + size), dtype=q.dtype)
     dq = row_grad = None
     if T._recording((zq,)) is not None:
         dq = np.empty(q.shape, dtype=q.dtype)
         # the weight `div` fed back to each row through `sum_`, then / tau
         row_grad = np.full(batch, np.ones((), q.dtype) / divisor, dtype=q.dtype) / tau
     found = []
-    for i in range(len(q)):
+    for i, group in enumerate(negatives):
+        group = np.asarray(group, dtype=q.dtype)  # a view unless the dtypes differ
         slab[:, 0] = (q[i] * keys[i]).sum(axis=-1)
         sims = slab[:, 1:]
-        np.matmul(q[i], negatives[i].T, out=sims)
+        np.matmul(q[i], group.T, out=sims)
         picks = None
         if mine is not None:
             (mined,) = np.nonzero(mine[i])
@@ -180,7 +195,7 @@ def queue_nll(zq, zk, negatives: np.ndarray, tau: float, divisor: float, mine=No
         if dq is not None:
             dlogits = grad(row_grad)
             np.multiply(dlogits[:, :1], keys[i], out=dq[i])
-            dq[i] += dlogits[:, 1:] @ negatives[i]
+            dq[i] += dlogits[:, 1:] @ group
     rows = rows.reshape(zq.shape[:-1])
     neighbors = None
     if mine is not None:
@@ -314,13 +329,12 @@ def combine_losses(
     intra terms only; the extrapolation (`pft`, weights Beta(alpha,
     alpha) * mu + 1 drawn from `rng`) applies to intra pairs and, if
     configured, to inter pairs as well.  Group v of the one `queue_nll`
-    call stacks every stream's queries against v's keys and queue; the
-    (S, Q, D) snapshot stack is filled by one copy per queue
-    (`MemoryQueue.contents(out=...)`).  The total is that call's node
-    (the rows' sum divided by the batch size): it works through one
-    group's logit slab at a time, keeps only the query gradient for the
-    backward, and is bit-identical to the per-row losses reduced by
-    `sum_` and `div` nodes.
+    call stacks every stream's queries against v's keys and queue, whose
+    live rows it reads in place: no queue is copied.  The total is that
+    call's node (the rows' sum divided by the batch size): it works
+    through one group's logit slab at a time, keeps only the query
+    gradient for the backward, and is bit-identical to the per-row
+    losses reduced by `sum_` and `div` nodes.
     """
     streams = config.streams
     missing = set(streams) - set(stream_embeddings)
@@ -345,9 +359,7 @@ def combine_losses(
 
     shape = (n, n * batch, -1)
     zq = T.reshape(T.concat(queries, axis=0), shape)
-    negatives = np.empty((n, *shapes[0]), dtype=zq.dtype)  # one snapshot serves every term against it
-    for i, v in enumerate(streams):
-        queues[v].contents(out=negatives[i])
+    negatives = [queues[v].slots[: queues[v].filled] for v in streams]  # in place, slot order
     mine = np.repeat(np.eye(n, dtype=bool), batch, axis=1) if nnm else None  # the intra rows
     total, losses, neighbors = queue_nll(
         zq, np.concatenate(keys).reshape(shape), negatives, config.tau, batch, mine,

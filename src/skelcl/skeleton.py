@@ -16,6 +16,7 @@ import json
 import math
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import permutations
 from pathlib import Path
@@ -148,13 +149,18 @@ def derive_streams(seq: SkeletonSequence, stream_ids) -> dict[str, np.ndarray]:
     return stream_arrays(seq.data, seq.graph, stream_ids)
 
 
-def clip_batch(sequences: list[SkeletonSequence]) -> tuple[SkeletonGraph, np.ndarray]:
-    """The one skeleton graph every clip of `sequences` has, and the clips
-    stacked as one (N, T, C, V) joint array; they must share a frame count."""
+def shared_graph(sequences: list[SkeletonSequence]) -> SkeletonGraph:
+    """The one skeleton graph every clip of `sequences` has; the clips must
+    also share a frame count, so any subset of them stacks."""
     graph, frames = sequences[0].graph, sequences[0].frames
     if any((s.graph is not graph and s.graph != graph) or s.frames != frames for s in sequences):
         raise ShapeMismatch("clips do not all share one skeleton graph and frame count")
-    return graph, np.stack([s.data for s in sequences])
+    return graph
+
+
+def clip_batch(sequences: list[SkeletonSequence]) -> tuple[SkeletonGraph, np.ndarray]:
+    """`shared_graph(sequences)` and the clips stacked as one (N, T, C, V) joint array."""
+    return shared_graph(sequences), np.stack([s.data for s in sequences])
 
 
 # -- synthetic dataset ---------------------------------------------------------
@@ -382,14 +388,17 @@ def json_hash(doc_json: bytes) -> int:
     return int.from_bytes(hashlib.sha256(doc_json).digest()[:8], "little")
 
 
-def write_atomic(path, data: bytes) -> None:
-    """Replace `path` with `data` in one step: write a temp file in the same
-    directory, then `os.replace` it over `path`.  A write that fails part
-    way leaves the old file intact and removes the temp file."""
+@contextmanager
+def atomic_writer(path):
+    """A binary file, open for writing, whose contents replace `path` in one
+    step when the block ends: it is a temp file in the same directory, then
+    `os.replace`d over `path`.  A block that fails part way leaves the old
+    file intact and removes the temp file."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_bytes(data)
+        with open(tmp, "wb") as fh:
+            yield fh
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -403,22 +412,21 @@ def write_file(path, magic: bytes, doc_json: bytes, tensors: dict[str, np.ndarra
     Layout: magic, u32 `FORMAT_VERSION`, u64 `json_hash` of the JSON
     bytes, u32 JSON length, the JSON bytes, u32 tensor count, then per
     tensor (sorted by name): u32 name length, UTF-8 name, u32 rank, rank
-    u32 dims, row-major little-endian f32 payload.
+    u32 dims, row-major little-endian f32 payload.  Each part goes to
+    the file in turn, a tensor's payload straight from its array's
+    buffer (copied only to make it contiguous little-endian f32).
     """
-    parts = [
-        magic,
-        struct.pack("<IQI", FORMAT_VERSION, json_hash(doc_json), len(doc_json)),
-        doc_json,
-        struct.pack("<I", len(tensors)),
-    ]
-    for name in sorted(tensors):
-        arr = np.ascontiguousarray(tensors[name], dtype="<f4")
-        encoded = name.encode()
-        parts.append(struct.pack("<I", len(encoded)))
-        parts.append(encoded)
-        parts.append(struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape))
-        parts.append(arr.tobytes())
-    write_atomic(path, b"".join(parts))
+    with atomic_writer(path) as fh:
+        fh.write(magic)
+        fh.write(struct.pack("<IQI", FORMAT_VERSION, json_hash(doc_json), len(doc_json)))
+        fh.write(doc_json)
+        fh.write(struct.pack("<I", len(tensors)))
+        for name in sorted(tensors):
+            arr = np.ascontiguousarray(tensors[name], dtype="<f4")
+            encoded = name.encode()
+            fh.write(struct.pack(f"<I{len(encoded)}sI{arr.ndim}I", len(encoded), encoded,
+                                 arr.ndim, *arr.shape))
+            fh.write(arr)
 
 
 def read_input(path) -> bytes:
@@ -432,20 +440,35 @@ def read_input(path) -> bytes:
 def read_file(path, magic: bytes, kind: str) -> tuple[object, dict[str, np.ndarray]]:
     """The decoded JSON document and the tensors of a `write_file` file; a
     damaged one fails with a named `SkelclError`, and the stored hash is
-    checked against the raw JSON bytes before they are decoded."""
-    raw = read_input(path)
-    if raw[:4] != magic:
+    checked against the raw JSON bytes before they are decoded.
+
+    The header is read from the open file and each tensor's payload
+    straight into its own new array, so the file is never held whole and
+    no payload is copied.  Every length read from the file is checked
+    against the file's size before it sizes a read or an array.
+    """
+    try:
+        with open(path, "rb") as fh:
+            return _read_open_file(fh, path, magic, kind)
+    except OSError as err:
+        raise UnreadableFile(f"{path}: {err.strerror}") from None
+
+
+def _read_open_file(fh, path, magic: bytes, kind: str) -> tuple[object, dict[str, np.ndarray]]:
+    size = os.fstat(fh.fileno()).st_size
+    if fh.read(4) != magic:
         raise BadMagic(f"{path}: not a {kind} file")
     offset = 4
 
     def pull(fmt: str):
+        """Unpack the next struct.calcsize(fmt) bytes of the file."""
         nonlocal offset
-        size = struct.calcsize(fmt)
-        if offset + size > len(raw):
+        n = struct.calcsize(fmt)
+        data = fh.read(n) if offset + n <= size else b""
+        if len(data) != n:  # past the end, or the file shrank while it was read
             raise TruncatedFile(f"{path}: ended early at offset {offset}")
-        values = struct.unpack_from(fmt, raw, offset)
-        offset += size
-        return values
+        offset += n
+        return struct.unpack(fmt, data)
 
     version, stored_hash, json_len = pull("<IQI")
     if version != FORMAT_VERSION:
@@ -462,21 +485,23 @@ def read_file(path, magic: bytes, kind: str) -> tuple[object, dict[str, np.ndarr
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = pull("<I")
+        encoded, rank = pull(f"<{name_len}sI")
         try:
-            name = pull(f"<{name_len}s")[0].decode()
+            name = encoded.decode()
         except UnicodeDecodeError:
             raise CorruptFile(f"{path}: tensor name before offset {offset} is not UTF-8") from None
-        (rank,) = pull("<I")
         dims = pull(f"<{rank}I")
-        payload = math.prod(dims)  # Python ints: no wraparound for huge dims
-        if offset + payload * 4 > len(raw):
+        n = math.prod(dims) * 4  # Python ints: no wraparound for huge dims
+        if offset + n > size:
             raise TruncatedFile(f"{path}: payload of {name!r} truncated")
-        arr = np.frombuffer(raw, dtype="<f4", count=payload, offset=offset)
         try:
-            tensors[name] = arr.reshape(dims).copy()
+            arr = np.empty(dims, dtype="<f4")
         except ValueError:  # dims NumPy cannot hold: rank > 64, or huge beside a zero
             raise CorruptFile(f"{path}: tensor {name!r} has unusable dims {dims}") from None
-        offset += payload * 4
+        if fh.readinto(arr) != n:  # the file shrank while it was read
+            raise TruncatedFile(f"{path}: payload of {name!r} truncated")
+        offset += n
+        tensors[name] = arr
     return doc, tensors
 
 

@@ -591,7 +591,8 @@ def stgcn_block(h, adjacency, weight, kernel, norm=None, running=None, eps: floa
     `stats` is None.
 
     The batch is walked in chunks of BLOCK_CHUNK_BYTES // (bytes per
-    sample) samples, so each chunk's intermediates stay in cache.  In
+    sample) samples, so each chunk's intermediates stay in cache; a
+    smaller batch is one chunk, with scratch sized to it.  In
     this layout the channel mix and its weight gradient are plain 2-D
     GEMMs over (n*T*V, C) rows.  The full-batch arrays are `out`, the
     normalized pre-activation xhat and the relu mask (the last two only
@@ -636,7 +637,7 @@ def stgcn_block(h, adjacency, weight, kernel, norm=None, running=None, eps: floa
         tile = np.broadcast_to(np.asarray(v, dtype=dtype), (frames, joints, c_out))
         return tile.reshape(frames, width)
 
-    rows = max(1, BLOCK_CHUNK_BYTES // (frames * width * np.dtype(dtype).itemsize))
+    rows = max(1, min(n, BLOCK_CHUNK_BYTES // (frames * width * np.dtype(dtype).itemsize)))
     chunks = [slice(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
     plan = _conv_plan(kernel.data.astype(dtype, copy=False), frames, joints)
     w = weight.data.astype(dtype, copy=False)
@@ -843,7 +844,8 @@ def _softmax_nll_rows(exps: np.ndarray, lead: int = 0, picks=None):
         rows, cols = picks
         index = (*(r[:, None] for r in rows), cols)
         picked = exps[index]
-        np.maximum.at(top[..., 0], rows, picked.max(axis=-1))
+        with np.errstate(invalid="ignore"):  # a NaN row stays NaN, for the caller's check to name
+            np.maximum.at(top[..., 0], rows, picked.max(axis=-1))
     np.exp(exps, out=exps)
     denom = exps.sum(axis=-1, keepdims=True)
     numer = np.exp(lead_logits - top).sum(axis=-1, keepdims=True)

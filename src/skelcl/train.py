@@ -1,11 +1,13 @@
 """Pretraining loop, SGD, stage schedule, and evaluation protocols.
 
-Pretraining follows the momentum-contrast recipe per stream: augment the
-batch's joints once per branch (query, key) and derive every stream from
-that view, encode both branches, combine the intra/inter losses (mining
-from stage 2, extrapolation in stage 3), backprop into the query
-encoders, momentum-mix the key encoders, then push the step's key
-embeddings into each stream's queue.  Everything stochastic is re-derived
+Pretraining follows the momentum-contrast recipe per stream: stack the
+batch's joints (`skeleton.shared_graph` checks once, before the first
+step, that every clip stacks with every other, so the split itself is
+never stacked), augment that stack once per branch (query, key) and
+derive every stream from that view, encode both branches, combine the
+intra/inter losses (mining from stage 2, extrapolation in stage 3),
+backprop into the query encoders, momentum-mix the key encoders, then
+push the step's key embeddings into each stream's queue.  Everything stochastic is re-derived
 from (seed, labels), so a resumed run replays the uninterrupted
 trajectory bit for bit.  Settings live in `RunConfig` only; a
 `TrainState`, built by `init_train_state` alone, holds arrays and
@@ -52,7 +54,7 @@ from .errors import (
     UnlabeledClip,
 )
 from .rng import RngStream
-from .skeleton import SkeletonSequence, clip_batch, stream_arrays
+from .skeleton import SkeletonSequence, clip_batch, shared_graph, stream_arrays
 from .skeleton import derive_streams  # noqa: F401  (skelbench's tracer patches this name)
 
 STAGE_NAMES = ("basic", "basic+nnm", "basic+nnm+pft")
@@ -143,7 +145,7 @@ def pretrain(
     keys_per_step = min(config.batch_size, len(dataset))
     if keys_per_step > config.queue_size:
         raise ConfigValueError("queue_size", f"{config.queue_size} < {keys_per_step} keys per step")
-    graph, joints = clip_batch(dataset)
+    graph = shared_graph(dataset)  # checked once, so every step's batch stacks
     adjacency = graph.normalized_adjacency(np.float32)
     total_epochs = sum(config.stage_epochs)
     if state is None:
@@ -168,8 +170,9 @@ def pretrain(
             indices = order[bi * config.batch_size : (bi + 1) * config.batch_size]
             step_keys: dict[str, np.ndarray] = {}
             embeddings: dict[str, tuple[T.Tensor, np.ndarray]] = {}
+            joints = np.stack([dataset[i].data for i in indices])  # each branch augments a copy
             views = {
-                b: _augment_batch(joints[indices], p, root.split(f"aug.e{epoch}.b{bi}.{b}"), graph,
+                b: _augment_batch(joints, p, root.split(f"aug.e{epoch}.b{bi}.{b}"), graph,
                                   config.streams)
                 for b, p in pipelines.items()
             }
@@ -410,7 +413,11 @@ def finetune(
     weight_decay: float,
     seed: int,
 ) -> FinetuneResult:
-    """Jointly train a copy of the encoder plus a linear head.
+    """Jointly train a copy of the encoder's blocks plus a linear head.
+
+    The head reads h, which the projector does not feed, so the projector
+    is not stepped: it gets no gradient, and weight decay alone must not
+    shrink it.  `FinetuneResult.params` keeps its values.
 
     `fraction < 1` runs the semi-supervised protocol on a class-
     stratified labeled subset (at least one sample per class).
@@ -426,9 +433,10 @@ def finetune(
 
     tuned = params.copy()
     digest_before = tuned.digest()
+    blocks = {name: t for name, t in tuned.trainable().items() if name.startswith("block")}
     w, b = _fit_head(lambda idx: stgcn_forward(x[idx], adjacency, tuned, mode="train"),
-                     tuned.config.enc_channels[-1], y, num_classes, tuned.trainable(), lr,
-                     weight_decay, rng, epochs)
+                     tuned.config.enc_channels[-1], y, num_classes, blocks, lr, weight_decay, rng,
+                     epochs)
 
     h_val = _features(tuned, val_seqs, stream, projected=False)
     accuracy = float((np.argmax(h_val @ w + b, axis=1) == y_val).mean())

@@ -2,6 +2,8 @@
 
 import dataclasses
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +31,13 @@ def test_tracer_targets_exist_and_nothing_is_left_patched():
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     assert tracing.leftover_wrappers() == []
+
+
+def test_benchmark_selftest_passes():
+    # the benchmark's own tests patch skelcl, so they run in their own process
+    proc = subprocess.run([sys.executable, str(SKELBENCH / "selftest.py")], cwd=SKELBENCH.parent,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_dataset_round_trip_as_the_benchmark_prepares_it(tmp_path):

@@ -2,7 +2,6 @@
 
 import dataclasses
 import struct
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -123,6 +122,8 @@ def test_resume_reproduces_uninterrupted_run(tmp_path):
 
     _, _ = pretrain(data, SMALL, on_stage_end=grab)
     resumed_state = state_from_checkpoint(load_checkpoint(tmp_path / "resume.bin"))
+    # the loss reads each ring in slot order, so resume must restore a wrapped one exactly
+    assert all(q.head != 0 for q in resumed_state.queues.values())
     resumed_state2, tail_records = pretrain(data, SMALL, state=resumed_state)
 
     boundary_step = resumed_state2.step - (len(tail_records) - 1)
@@ -130,6 +131,7 @@ def test_resume_reproduces_uninterrupted_run(tmp_path):
     assert tail_records[1:] == expected_tail
     for u in SMALL.streams:
         assert resumed_state2.pairs[u].query.digest() == full_state.pairs[u].query.digest()
+        assert resumed_state2.queues[u].slots.tobytes() == full_state.queues[u].slots.tobytes()
 
 
 def _tensor_table_offset(raw: bytes) -> int:
@@ -276,17 +278,12 @@ WRITERS = {
 
 
 @pytest.mark.parametrize("writer", sorted(WRITERS))
-def test_failed_write_keeps_old_file_and_leaves_no_temp(tmp_path, monkeypatch, writer):
+def test_failed_write_keeps_old_file_and_leaves_no_temp(tmp_path, disk_fills_after, writer):
     seqs = generate_synthetic_dataset(2, 2, frames=16, seed=3, check_separability=False)
     WRITERS[writer](tmp_path, seqs[:2])
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-
-    def write_half_then_fail(self, data):
-        with open(self, "wb") as fh:
-            fh.write(data[: len(data) // 2])
-        raise OSError("disk full")
-
-    monkeypatch.setattr(Path, "write_bytes", write_half_then_fail)
+    # the disk fills half way through a file at least as long as the old one
+    disk_fills_after(sum(len(raw) for raw in before.values()) // 2)
     with pytest.raises(OSError, match="disk full"):
         WRITERS[writer](tmp_path, seqs)
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before

@@ -71,14 +71,14 @@ def single_nll(zq, zk, queue, tau, mine=None, k=1) -> float:
     its numerator adds its `k` most similar queue entries."""
     zq = T.Tensor(np.asarray(zq)[None, :], dtype=np.float64)
     mine = None if mine is None else np.array([mine])
-    _, losses, _ = queue_nll(zq, np.asarray(zk)[None, :], queue.contents(), tau, 1, mine, k)
+    _, losses, _ = queue_nll(zq, np.asarray(zk)[None, :], [queue.contents()], tau, 1, mine, k)
     return float(losses[0])
 
 
 def mine_one(zq, queue, k) -> list[int]:
     """The queue indices `queue_nll` mines for one query row."""
     zq = np.asarray(zq, dtype=np.float64)[None, :]
-    _, _, (indices, _) = queue_nll(zq, zq, queue.contents(), 1.0, 1, np.ones(1, dtype=bool), k)
+    _, _, (indices, _) = queue_nll(zq, zq, [queue.contents()], 1.0, 1, np.ones(1, dtype=bool), k)
     return indices[0].tolist()
 
 
@@ -231,9 +231,6 @@ class TestMemoryQueue:
             assert q.filled == min(capacity, len(history))
             expected = np.stack(history[-q.filled :])
             np.testing.assert_array_equal(q.contents(), expected)
-            out = np.full((q.filled, 3), np.nan, dtype=np.float32)
-            assert q.contents(out=out) is out
-            np.testing.assert_array_equal(out, expected)
 
 
 # -- losses --------------------------------------------------------------------------
@@ -289,7 +286,7 @@ def test_stacked_queue_nll_equals_separate_calls():
         row = T.parameter(zq.data[g])
         with T.Tape():
             single_total, single, (single_indices, single_sims) = queue_nll(
-                row, zk[g], negatives[g], 0.2, 3, mine[g], 2)
+                row, zk[g], [negatives[g]], 0.2, 3, mine[g], 2)
             single_grad = T.backward(single_total)[row].data
         totals.append(single_total.item())
         np.testing.assert_allclose(stacked[g], single, rtol=1e-12, atol=1e-12)
@@ -318,7 +315,8 @@ def composed_queue_nll(zq, zk, negatives, tau, mined=None):
 @pytest.mark.parametrize("with_mined", [False, True])
 def test_queue_nll_matches_composition(tau, groups, with_mined):
     # the node's total, scaled by 1.7 so its backward sees g != 1, against
-    # the composition's rows summed and divided by generic ops
+    # the composition's rows summed and divided by generic ops; the node
+    # takes one (Q, D) array per group, here the rows of a stack
     rng = np.random.default_rng(len(groups) + int(with_mined))
     batch, dim, size = 5, 8, 12
     zq = T.parameter(unit_rows(rng.normal(size=(*groups, batch, dim))))
@@ -326,7 +324,8 @@ def test_queue_nll_matches_composition(tau, groups, with_mined):
     negatives = unit_rows(rng.normal(size=(*groups, size, dim)))
     mine = rng.uniform(size=(*groups, batch)) < 0.5 if with_mined else None
     with T.Tape():
-        total, out, neighbors = queue_nll(zq, zk, negatives, tau, batch, mine, 2)
+        total, out, neighbors = queue_nll(zq, zk, negatives.reshape(-1, size, dim), tau, batch,
+                                          mine, 2)
         grad = T.backward(T.mul(total, 1.7))[zq].data
     mined = None
     if with_mined:  # the kernel's picks, as the composition's numerator mask
@@ -356,10 +355,12 @@ def test_queue_nll_nan_query_raises():
     zq = unit_rows(rng.normal(size=(2, 4, 8)))
     zq[1, 2] = np.nan
     zk, negatives = unit_rows(rng.normal(size=(2, 4, 8))), unit_rows(rng.normal(size=(2, 6, 8)))
-    for recording in (T.no_tape, T.Tape):  # forming the gradient or not
-        with recording(), pytest.raises(NonFiniteValue) as err:
-            queue_nll(T.parameter(zq), zk, negatives, 0.2, 4)
-        assert err.value.op == "queue_nll"
+    # forming the gradient or not, and with the NaN row mining or not
+    for recording in (T.no_tape, T.Tape):
+        for mine in (None, np.ones((2, 4), dtype=bool)):
+            with recording(), pytest.raises(NonFiniteValue) as err:
+                queue_nll(T.parameter(zq), zk, negatives, 0.2, 4, mine)
+            assert err.value.op == "queue_nll"
 
 
 @pytest.mark.parametrize("zk_shape,negatives_shape,mined_shape", [
@@ -375,15 +376,28 @@ def test_queue_nll_shape_mismatch(zk_shape, negatives_shape, mined_shape):
     mine = None if mined_shape is None else np.ones(mined_shape, dtype=bool)
     with pytest.raises(ShapeMismatch):
         queue_nll(T.Tensor(rng.normal(size=(4, 8))), rng.normal(size=zk_shape),
-                  rng.normal(size=negatives_shape), 0.2, 4, mine)
+                  [rng.normal(size=negatives_shape)], 0.2, 4, mine)
+
+
+@pytest.mark.parametrize("negatives_shapes", [
+    [(6, 8)],  # one array for two groups
+    [(6, 8)] * 3,
+    [(6, 8), (5, 8)],  # groups of unequal size
+])
+def test_queue_nll_needs_one_negatives_array_per_group(negatives_shapes):
+    rng = np.random.default_rng(40)
+    with pytest.raises(ShapeMismatch):
+        queue_nll(T.Tensor(rng.normal(size=(2, 4, 8))), rng.normal(size=(2, 4, 8)),
+                  [rng.normal(size=shape) for shape in negatives_shapes], 0.2, 4)
 
 
 def test_combined_loss_holds_at_most_two_logit_buffers():
     # one logit buffer is S * S*B * (1+Q) float32 values, which the node
     # never forms: it keeps the query gradient alive for the backward and
-    # peaks near one buffer (the negatives stack, one group's slab and its
-    # mined rows); the whole-stack kernel held 1.5 and peaked at 2.2, the
-    # chain of generic ops before it held 4.7 and peaked at 6.8
+    # peaks below one buffer (one group's slab and its mined rows: 0.67,
+    # and 1.00 while a stack of queue copies fed it); the whole-stack
+    # kernel held 1.5 and peaked at 2.2, the chain of generic ops before it
+    # held 4.7 and peaked at 6.8
     streams, batch, size, dim = ["joint", "bone", "motion"], 32, 1024, 32
     rng = np.random.default_rng(34)
     params = {s: T.parameter(rng.normal(size=(batch, dim)).astype(np.float32)) for s in streams}
@@ -405,6 +419,30 @@ def test_combined_loss_holds_at_most_two_logit_buffers():
     assert set(grads) == set(params.values())
     assert held <= 0.25, held
     assert peak <= 1.25, peak
+
+
+def test_combined_loss_copies_no_queue():
+    # at 3 streams, Q = 4096, D = 128 the (3, Q, D) float32 stack of queue
+    # copies alone would be 6.3 MB: each group reads its queue's live rows in
+    # place, so the step's peak stays below even one queue's 2.1 MB
+    streams, batch, size, dim = ["joint", "bone", "motion"], 8, 4096, 128
+    rng = np.random.default_rng(41)
+    params = {s: T.parameter(rng.normal(size=(batch, dim)).astype(np.float32)) for s in streams}
+    keys = {s: unit_rows(rng.normal(size=(batch, dim))).astype(np.float32) for s in streams}
+    queues = {s: filled_queue(rng, size, dim, dtype=np.float32) for s in streams}
+    cfg = RunConfig(streams=streams, queue_size=size, embed_dim=dim)
+    queue_bytes = size * dim * 4
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with T.Tape():
+            emb = {s: (T.l2_normalize(p), keys[s]) for s, p in params.items()}
+            res = combine_losses(emb, queues, cfg, True, True, RngStream(9).split("step"))
+            T.backward(res.total)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * queue_bytes, peak / queue_bytes
 
 
 def whole_stack_chain(q, keys, negatives, tau, batch, mine, k):
@@ -438,7 +476,7 @@ def test_combined_loss_bitwise_equals_whole_stack_chain(monkeypatch, k, tau):
 
     def spy(zq, zk, negatives, tau, divisor, mine=None, k=1):
         total, rows, neighbors = original(zq, zk, negatives, tau, divisor, mine, k)
-        seen.append((zq.data, zk, negatives.copy(), tau, divisor, mine, k, rows, neighbors))
+        seen.append((zq.data, zk, np.stack(negatives), tau, divisor, mine, k, rows, neighbors))
         backward_fn = total.node.backward_fn
 
         def capture(g, needs):
@@ -908,11 +946,15 @@ class TestCombineLosses:
         for s in streams:
             base = unit_rows(rng.normal(size=(3, dim)))
             queues[s] = MemoryQueue(size, dim, dtype=np.float64)
+            # a wrapped ring (head 5), whose slot order is not its age order
             queues[s].push(base[rng.integers(0, len(base), size=size)])
+            queues[s].push(base[rng.integers(0, len(base), size=5)])
         cfg = RunConfig(streams=streams, queue_size=size, nnm_topk=k)
         res = combine_losses(emb, queues, cfg, True, pft, RngStream(6).split("step"))
         [(queries, negatives, mine, (indices, sims))] = seen
         np.testing.assert_array_equal(mine, np.repeat(np.eye(3, dtype=bool), batch, axis=1))
+        for g, s in enumerate(streams):  # each queue's slots, read in place
+            assert negatives[g].base is queues[s].slots and negatives[g].shape == (size, dim)
         for g in range(len(streams)):
             own = queries[g, g * batch : (g + 1) * batch] @ negatives[g].T
             oracle = stable_top_k(own, k)
@@ -943,7 +985,7 @@ class TestCombineLosses:
                     zq, zk, flags = pft_transform(zq, zk, lam)
                     applied.append(flags)
                 mine = np.ones(5, dtype=bool) if u == v else None
-                _, losses, neighbors = queue_nll(zq, zk, queues[v].contents(), 0.2, 5, mine, 2)
+                _, losses, neighbors = queue_nll(zq, zk, [queues[v].contents()], 0.2, 5, mine, 2)
                 if u == v:
                     mined_sims.append(neighbors[1])
                 name = f"intra:{u}" if u == v else f"inter:{u}->{v}"

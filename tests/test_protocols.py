@@ -286,7 +286,10 @@ def reference_knn(params, train, val, stream, k):
     return correct / len(z_val)
 
 
-def reference_finetune(params, train, val, stream, fraction, epochs, lr, weight_decay, seed):
+def reference_finetune(params, train, val, stream, fraction, epochs, lr, weight_decay, seed,
+                       step_projector=False):
+    """Accuracy, tuned encoder, head weights and bias, and subset size;
+    `step_projector` also steps the projector, which no gradient reaches."""
     rng = RngStream(seed).split("finetune")
     subset = [train[i] for i in stratified_fraction(train, fraction, rng.split("subset"))]
     tuned = params.copy()
@@ -296,7 +299,9 @@ def reference_finetune(params, train, val, stream, fraction, epochs, lr, weight_
     num_classes = int(max(y.max(), y_val.max())) + 1
     head_w = T.parameter(np.zeros((tuned.config.enc_channels[-1], num_classes), dtype=np.float32))
     head_b = T.parameter(np.zeros(num_classes, dtype=np.float32))
-    trainable = {**tuned.trainable(), "head.w": head_w, "head.b": head_b}
+    stepped = {name: t for name, t in tuned.trainable().items()
+               if step_projector or not name.startswith("projector.")}
+    trainable = {**stepped, "head.w": head_w, "head.b": head_b}
     buffers = {}
     n = len(arrays)
     for epoch in range(epochs):
@@ -313,7 +318,7 @@ def reference_finetune(params, train, val, stream, fraction, epochs, lr, weight_
             reference_sgd(trainable, named, buffers, lr, 0.9, weight_decay)
     h_val = reference_features(tuned, val, stream, projected=False)
     predicted = np.argmax(h_val @ head_w.data + head_b.data, axis=1)
-    return float((predicted == y_val).mean()), tuned.digest(), len(subset)
+    return float((predicted == y_val).mean()), tuned, head_w.data, head_b.data, len(subset)
 
 
 @pytest.mark.parametrize("stream", ["joint", "bone", "motion"])
@@ -342,5 +347,31 @@ def test_finetune_bit_equals_reference(large_splits, params, fraction):
     train, val = large_splits
     result = finetune(params, train, val, stream="bone", fraction=fraction, epochs=2, lr=0.1,
                       weight_decay=1e-4, seed=5)
-    reference = reference_finetune(params, train, val, "bone", fraction, 2, 0.1, 1e-4, 5)
-    assert (result.accuracy, result.params.digest(), result.subset_size) == reference
+    accuracy, tuned, _, _, subset_size = reference_finetune(params, train, val, "bone", fraction,
+                                                            2, 0.1, 1e-4, 5)
+    assert (result.accuracy, result.params.digest(), result.subset_size) == (
+        accuracy, tuned.digest(), subset_size)
+
+
+def test_finetune_keeps_the_projector(large_splits, params):
+    # h does not pass through the projector, so no gradient reaches it and
+    # weight decay alone must not shrink it; stepping it as well (what
+    # finetuning once did) leaves the blocks, the head and the accuracy
+    # bit for bit as they are
+    train, val = large_splits
+    result = finetune(params, train, val, stream="joint", fraction=1.0, epochs=3, lr=0.1,
+                      weight_decay=1e-4, seed=6)
+    kept = reference_finetune(params, train, val, "joint", 1.0, 3, 0.1, 1e-4, 6)
+    decayed = reference_finetune(params, train, val, "joint", 1.0, 3, 0.1, 1e-4, 6,
+                                 step_projector=True)
+    assert result.accuracy == kept[0] == decayed[0]
+    for name, t in params.tensors.items():
+        tuned, stepped = result.params[name].data, decayed[1][name].data
+        if name.startswith("projector."):
+            assert tuned.tobytes() == t.data.tobytes(), name
+            if name.endswith(("w1", "w2")):  # decay keeps the zero-initialized biases zero
+                assert stepped.tobytes() != tuned.tobytes(), name
+        else:
+            assert tuned.tobytes() == stepped.tobytes(), name
+    for got, want in zip(kept[2:4], decayed[2:4]):  # the head's weights and bias
+        assert got.tobytes() == want.tobytes()

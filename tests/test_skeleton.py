@@ -2,7 +2,7 @@
 
 import json
 import struct
-from pathlib import Path
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -276,31 +276,35 @@ class TestSequenceFiles:
         loaded = load_dataset(tmp_path)
         assert [s.label for s in loaded["train"] + loaded["val"]] == [0, None]
 
-    def test_failed_overwrite_keeps_old_dataset(self, tmp_path, monkeypatch):
+    def test_failed_overwrite_keeps_old_dataset(self, tmp_path, disk_fills_after):
         old = generate_synthetic_dataset(2, 1, frames=16, seed=1, check_separability=False)
         new = generate_synthetic_dataset(2, 2, frames=16, seed=2, check_separability=False)
         write_dataset(tmp_path / "old", old, ["train", "val"])
         write_dataset(tmp_path / "new", new, ["train"] * 4)
         # the disk fills half way through writing the new dataset, whatever
         # the number of writes that takes
-        budget = sum(p.stat().st_size for p in (tmp_path / "new").iterdir()) // 2
-
-        def write_until_full(self, data):
-            nonlocal budget
-            with open(self, "wb") as fh:
-                fh.write(data[:budget])
-            if len(data) > budget:
-                budget = 0
-                raise OSError("disk full")
-            budget -= len(data)
-
-        monkeypatch.setattr(Path, "write_bytes", write_until_full)
+        disk_fills_after(sum(p.stat().st_size for p in (tmp_path / "new").iterdir()) // 2)
         with pytest.raises(OSError, match="disk full"):
             write_dataset(tmp_path / "old", new, ["train"] * 4)
-        monkeypatch.undo()
+        assert [p.name for p in (tmp_path / "old").iterdir()] == [DATASET_FILE]  # no temp file
         loaded = load_dataset(tmp_path / "old")
         np.testing.assert_array_equal([s.data for s in loaded["train"] + loaded["val"]],
                                       [s.data for s in old])
+
+    def test_load_holds_the_clips_once(self, tmp_path):
+        # each payload is read straight into its array: neither the file's
+        # bytes nor a second copy of the clips is ever held (that peaked at 2 N)
+        clips = np.random.default_rng(3).normal(size=(120, 64, 3, 25)).astype(np.float32)
+        graph = build_star_tree(25)
+        write_dataset(tmp_path, [_seq(c, graph, 0) for c in clips], ["train"] * len(clips))
+        tracemalloc.start()
+        try:
+            loaded = load_dataset(tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal([s.data for s in loaded["train"]], clips)
+        assert peak < 1.2 * clips.nbytes, peak / clips.nbytes
 
     # 0.01 and 0.99 round every class of 4 clips to an empty val or train split
     @pytest.mark.parametrize("fraction", [0.0, 1.0, 1.5, -1.0, 0.01, 0.99])

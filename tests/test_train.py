@@ -1,6 +1,7 @@
 """Optimizer step, stage schedule, and pretraining's stage-end hook."""
 
 import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,13 @@ from skelcl import tensor as T
 from skelcl.augment import AugmentPipeline
 from skelcl.config import RunConfig
 from skelcl.errors import NonFiniteGradient, NonFiniteLoss
-from skelcl.skeleton import derive_bone, derive_motion, generate_synthetic_dataset
+from skelcl.skeleton import (
+    SkeletonSequence,
+    build_star_tree,
+    derive_bone,
+    derive_motion,
+    generate_synthetic_dataset,
+)
 from skelcl.train import init_train_state, pretrain, sgd_step, stage_of
 
 
@@ -158,3 +165,22 @@ def test_pretrain_leaves_no_tape_node_for_the_collector():
         assert not any(isinstance(o, T.TapeNode) for o in gc.get_objects())
     finally:
         gc.enable()
+
+
+def test_pretrain_stacks_each_batch_not_the_split():
+    # the split (1.9 MB) dwarfs one step's working set, so a stacked copy
+    # of it would set the peak; pretrain stacks only each step's batch
+    rng = np.random.default_rng(4)
+    graph = build_star_tree(5)
+    data = [SkeletonSequence(rng.normal(size=(64, 3, 5)), graph, 0) for _ in range(500)]
+    split_bytes = sum(s.data.nbytes for s in data)
+    config = RunConfig(streams=["joint"], stage_epochs=[1, 0, 0], queue_size=8, batch_size=4,
+                       enc_blocks=1, enc_channels=[4], enc_hidden=8, embed_dim=4)
+    tracemalloc.start()
+    try:
+        _, records = pretrain(data, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 1 + 125
+    assert peak < 0.5 * split_bytes, peak / split_bytes
