@@ -115,10 +115,18 @@ class AugmentPipeline:
     def transforms(self) -> tuple[str, ...]:
         return NORMAL_TRANSFORMS if self.family == "normal" else EXTREME_TRANSFORMS
 
-    def apply_array(self, data: np.ndarray, rng: RngStream) -> np.ndarray:
-        """Augment an (N, T, C, V) batch; every draw comes from `rng`'s one generator."""
+    def apply_array(self, data: np.ndarray, rng: RngStream, out: np.ndarray | None = None
+                    ) -> np.ndarray:
+        """Augment an (N, T, C, V) batch; every draw comes from `rng`'s one generator.
+
+        The view is written to `out` (`data` itself augments in place), or
+        to a new array, so `data` is left as it is.
+        """
         gen = rng.generator()
-        out = np.array(data)
+        if out is None:
+            out = np.array(data)
+        elif out is not data:
+            out[...] = data
         for name in self.transforms:
             picked = slice(None)
             if self.family == "extreme":

@@ -74,7 +74,7 @@ class MemoryQueue:
             raise BatchTooLarge(f"batch {n} exceeds capacity {self.capacity}")
         check_unit_rows(batch, "queue entries")
         idx = (self.head + np.arange(n)) % self.capacity
-        self.slots[idx] = batch.astype(self.slots.dtype)
+        self.slots[idx] = batch.astype(self.slots.dtype, copy=False)
         self.head = int((self.head + n) % self.capacity)
         self.filled = min(self.capacity, self.filled + n)
 

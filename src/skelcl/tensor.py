@@ -33,15 +33,19 @@ view), and per-channel sums are one GEMV over a (rows, V*C) view and a
 V-fold (`_channel_sums`).  The row softmax negative log-likelihood has
 one implementation, `_softmax_nll_rows`: one exp() per entry, shifted by
 the row max, with the closed-form backward; a row's positives are its
-leading entries plus index-picked ones.  It has two callers in the
-package, each one tape node: `linear_softmax_nll` (the linear head of
-the probe and finetuning, affine map and mean loss included) and
-`contrast.queue_nll` (the InfoNCE loss, summed over its rows and
-divided, so a pretraining step's loss ends in it).  Both work in place
-on the logit buffer they build; `queue_nll` reuses one (B, 1+Q) slab
-per key group and forms its query gradient in the forward, so its node
-keeps no logit buffer.  `masked_softmax_nll_rows` stays only as a patch
-target of the benchmark's tracer (like `sub` and `exp`).
+leading entries plus index-picked ones, or just one picked entry, which
+needs no scatter.  It has two callers in the package.  `linear_head` is
+the head kernel of the linear probe and finetuning, affine map and mean
+loss included, on plain arrays: the linear probe's head reads frozen
+features, so it calls the kernel off the tape, and `linear_softmax_nll`
+records it as finetuning's one tape node after the encoder's blocks.
+`contrast.queue_nll`, one tape node, is the InfoNCE loss, summed over
+its rows and divided, so a pretraining step's loss ends in it.  Both
+work in place on the logit buffer they build; `queue_nll` reuses one
+(B, 1+Q) slab per key group and forms its query gradient in the
+forward, so its node keeps no logit buffer.  `masked_softmax_nll_rows`
+stays only as a patch target of the benchmark's tracer (like `sub` and
+`exp`).
 """
 
 from __future__ import annotations
@@ -820,44 +824,58 @@ def _softmax_nll_rows(exps: np.ndarray, lead: int = 0, picks=None):
 
     Per row of a (..., L) logit buffer, LSE(all) - LSE(positives), where
     a row's positives are its first `lead` entries plus the entries
-    `picks` names: None, or (rows, cols) with `rows` a tuple of (P,)
-    index arrays over the leading axes (as `np.nonzero` gives them) and
-    `cols` a (P, k) array of the columns picked in each listed row; a
-    (row, column) pair appears at most once, and every row has at least
-    one positive.  Only the picked entries are gathered (`exps[index]`),
-    never a full-size mask.
+    `picks` names.  `picks` is None; or (rows, cols) with `rows` a tuple
+    of (P,) index arrays over the leading axes (as `np.nonzero` gives
+    them) and `cols` a (P, k) array of the columns picked in each listed
+    row, where a (row, column) pair appears at most once, every row has
+    at least one positive, and a row may be listed more than once; or,
+    for a (B, L) buffer with `lead` 0, a (B,) integer array naming each
+    row's one positive.  Only the picked entries are gathered
+    (`exps[index]`), never a full-size mask.
     The buffer is overwritten: shifted by its row max, which keeps
     temperature-scaled logits in range, and exponentiated in place.  The
     positives' LSE is taken from their shifted logits, gathered before
-    the exp and shifted again by their own max, so a positive far below
-    the row max neither underflows to a zero numerator nor overflows the
-    gradient.
+    the exp and shifted again by their own max (scattered with
+    `np.maximum.at` and `np.add.at`, since rows may repeat), so a
+    positive far below the row max neither underflows to a zero
+    numerator nor overflows the gradient.  One positive is its own LSE,
+    so that form runs no scatter; it is bit for bit the (rows, cols) form
+    with picks ((arange(B),), picks[:, None]).
     Returns (nll, grad): nll has shape (...), and grad(g) overwrites the
     buffer again with the closed-form gradient
-    g * (softmax over all entries - softmax over the positives).
-    Call grad at most once.
+    g * (softmax over all entries - softmax over the positives), which
+    for one positive is g * softmax with g subtracted at the positive
+    (there g may also be one scalar for every row).  Call grad at most
+    once.
     """
     exps -= exps.max(axis=-1, keepdims=True)
-    lead_logits = exps[..., :lead].copy()
-    top = lead_logits.max(axis=-1, keepdims=True, initial=-np.inf)
-    if picks is not None:
-        rows, cols = picks
-        index = (*(r[:, None] for r in rows), cols)
-        picked = exps[index]
-        with np.errstate(invalid="ignore"):  # a NaN row stays NaN, for the caller's check to name
-            np.maximum.at(top[..., 0], rows, picked.max(axis=-1))
+    if isinstance(picks, np.ndarray):  # one positive per row
+        index = (np.arange(len(picks)), picks)
+        log_numer = exps[index][:, None]
+    else:
+        lead_logits = exps[..., :lead].copy()
+        top = lead_logits.max(axis=-1, keepdims=True, initial=-np.inf)
+        if picks is not None:
+            rows, cols = picks
+            index = (*(r[:, None] for r in rows), cols)
+            picked = exps[index]
+            with np.errstate(invalid="ignore"):  # a NaN row stays NaN, for the caller's check
+                np.maximum.at(top[..., 0], rows, picked.max(axis=-1))
+        numer = np.exp(lead_logits - top).sum(axis=-1, keepdims=True)
+        if picks is not None:
+            np.add.at(numer[..., 0], rows, np.exp(picked - top[rows]).sum(axis=-1))
+        log_numer = top + np.log(numer)
     np.exp(exps, out=exps)
     denom = exps.sum(axis=-1, keepdims=True)
-    numer = np.exp(lead_logits - top).sum(axis=-1, keepdims=True)
-    if picks is not None:
-        np.add.at(numer[..., 0], rows, np.exp(picked - top[rows]).sum(axis=-1))
-    log_numer = top + np.log(numer)
     nll = (np.log(denom) - log_numer)[..., 0]
 
     def grad(g: np.ndarray) -> np.ndarray:
         g = g[..., None]
         np.multiply(exps, g / denom, out=exps)
         # a positive entry also loses g times its softmax over the positives
+        if isinstance(picks, np.ndarray):
+            exps[index] -= g[..., 0]
+            return exps
         exps[..., :lead] -= g * np.exp(lead_logits - log_numer)
         if picks is not None:
             exps[index] -= g[rows] * np.exp(picked - log_numer[rows])
@@ -890,17 +908,44 @@ def masked_softmax_nll_rows(logits, positive_mask) -> Tensor:
     return _apply(out, (logits,), bwd)
 
 
+def linear_head(rows: np.ndarray, weight: np.ndarray, bias: np.ndarray, labels: np.ndarray):
+    """The linear head's kernel, on arrays: the mean softmax cross-entropy
+    of `rows @ weight + bias` against `labels`, and its gradient.
+
+    `rows` (B, D), `weight` (D, C), `bias` (C,) and B `labels` in [0, C)
+    are the caller's to check.  A row's loss is log Σexp of its shifted
+    logits minus its label's (`_softmax_nll_rows`, one pick per row).
+    Returns (loss, grads); a non-finite loss raises `NonFiniteValue`
+    (op "linear_softmax_nll").  `grads(g, needs)` returns the (rows,
+    weight, bias) gradients, None where `needs` is false, from
+    d = g * (softmax - one-hot) / B: d summed over rows, rows^T d and
+    d weight^T.  Call it at most once.  The NumPy calls and their order
+    are those of the matmul, add, row softmax-NLL and mean chain, so the
+    results are bit-identical to that chain's.
+    """
+    batch = len(rows)
+    nll, grad = _softmax_nll_rows(rows @ weight + bias, picks=labels)
+    loss = np.add.reduce(nll, axis=0) / batch  # np.mean's sum and division, minus its overhead
+    if not math.isfinite(loss):
+        raise NonFiniteValue("linear_softmax_nll produced NaN or Inf", op="linear_softmax_nll")
+
+    def grads(g, needs):
+        d = grad(g / batch)
+        g_bias = d.sum(axis=0) if needs[2] else None
+        g_weight = rows.T @ d if needs[1] else None
+        g_rows = d @ weight.T if needs[0] else None
+        return g_rows, g_weight, g_bias
+
+    return loss, grads
+
+
 def linear_softmax_nll(rows, weight, bias, labels) -> Tensor:
     """The mean softmax cross-entropy of the logits `rows @ weight + bias`
     against integer class `labels`, as one tape node; returns a scalar.
 
     `rows` is (B, D), `weight` (D, C), `bias` (C,) and `labels` B integers
-    in [0, C).  Each row's label is its one picked positive in
-    `_softmax_nll_rows`; the backward is closed-form, with
-    d = (softmax - one-hot) / B: bias gets d summed over rows, weight
-    rows^T d, and rows d weight^T.  The NumPy calls, and their order, are
-    those of the matmul, add, row softmax-NLL and mean chain, so loss and
-    gradients are bit-identical to that chain's.
+    in [0, C), checked here; the loss and its closed-form backward are
+    the kernel `linear_head`'s.
     """
     rows, weight, bias = as_tensor(rows), as_tensor(weight), as_tensor(bias)
     if rows.ndim != 2 or weight.ndim != 2 or rows.shape[1] != weight.shape[0]:
@@ -918,18 +963,8 @@ def linear_softmax_nll(rows, weight, bias, labels) -> Tensor:
         raise InvalidLabel(f"labels must be integers, got dtype {labels.dtype}")
     if labels.min() < 0 or labels.max() >= classes:
         raise InvalidLabel(f"labels must lie in [0, {classes}), got [{labels.min()}, {labels.max()}]")
-    # the picks `np.nonzero` yields for a one-hot positive mask
-    nll, grad = _softmax_nll_rows(rows.data @ weight.data + bias.data,
-                                  picks=((np.arange(batch),), labels[:, None]))
-
-    def bwd(g, needs):
-        d = grad(np.broadcast_to(g / batch, (batch,)))
-        g_bias = d.sum(axis=0) if needs[2] else None
-        g_weight = rows.data.T @ d if needs[1] else None
-        g_rows = d @ weight.data.T if needs[0] else None
-        return g_rows, g_weight, g_bias
-
-    return _apply(np.mean(nll, axis=0), (rows, weight, bias), bwd)
+    loss, grads = linear_head(rows.data, weight.data, bias.data, labels)
+    return _apply(loss, (rows, weight, bias), grads, check=False)
 
 
 # -- backward pass -----------------------------------------------------------------

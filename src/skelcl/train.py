@@ -3,8 +3,9 @@
 Pretraining follows the momentum-contrast recipe per stream: stack the
 batch's joints (`skeleton.shared_graph` checks once, before the first
 step, that every clip stacks with every other, so the split itself is
-never stacked), augment that stack once per branch (query, key) and
-derive every stream from that view, encode both branches, combine the
+never stacked), augment that stack once per branch (the query branch a
+copy, then the key branch the stack itself) and derive every stream
+from each view, encode both branches, combine the
 intra/inter losses (mining from stage 2, extrapolation in stage 3),
 backprop into the query encoders, momentum-mix the key encoders, then
 push the step's key embeddings into each stream's queue.  Everything stochastic is re-derived
@@ -18,15 +19,19 @@ The protocols share one path.  `skeleton.clip_batch` checks that a
 split's clips share one graph and frame count and stacks them, and
 `stream_arrays` derives the probed stream from that stack once.  The
 linear probe and finetuning train their linear head in one loop,
-`_fit_head`: the probe feeds it frozen eval-mode h, finetuning the taped
-train-mode encoder, whose parameters step with the head.  A head step
-records one tape node for the affine head and its mean softmax
-cross-entropy (`T.linear_softmax_nll`), after the encoder's blocks when
-finetuning.  Labels must be nonnegative integers (`InvalidLabel`
-otherwise).  The kNN probe
-ranks every val clip's train neighbours with one row-wise stable sort
-and counts all votes at once.  Every setting a protocol takes is a
-required keyword; `RunConfig` holds the defaults.
+`_fit_head`, around one head kernel, `T.linear_head` (the affine head
+and its mean softmax cross-entropy with their closed-form gradient).
+The probe feeds it frozen eval-mode h, so its head steps run off the
+tape: no tape node, no `T.backward`.  Finetuning feeds it the taped
+train-mode encoder, whose blocks step with the head; a step records the
+blocks and then one node, `T.linear_softmax_nll`, which wraps the
+kernel, and calls `T.backward` once.  Labels must be nonnegative
+integers (`InvalidLabel` otherwise), checked once per protocol call.
+The kNN probe ranks every val clip's train neighbours with one row-wise
+stable sort and counts all votes at once.  Every setting a protocol
+takes is a required keyword; `RunConfig` holds the defaults, and an
+epoch count or k out of the range `RunConfig` allows raises
+`ConfigValueError` naming its key.
 """
 
 from __future__ import annotations
@@ -63,7 +68,7 @@ STAGE_NAMES = ("basic", "basic+nnm", "basic+nnm+pft")
 def sgd_step(params: dict[str, T.Tensor], grads: dict[T.Tensor, T.Tensor],
              buffers: dict[str, np.ndarray], lr: float, momentum: float,
              weight_decay: float) -> None:
-    """g' = g + wd*theta; buf = m*buf + g'; theta -= lr*buf, all in place.
+    """`_sgd_update` of every parameter in `params`.
 
     `grads` is `T.backward`'s map (a missing parameter has a zero gradient);
     `buffers[name]` is the momentum of `params[name]`, zero-filled by the
@@ -71,14 +76,24 @@ def sgd_step(params: dict[str, T.Tensor], grads: dict[T.Tensor, T.Tensor],
     """
     for name, p in params.items():
         g = grads[p].data if p in grads else np.zeros_like(p.data)
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteGradient(f"gradient for {name} is not finite")
-        step = weight_decay * p.data
-        step += g
-        buf = buffers[name]
-        buf *= momentum
-        buf += step
-        p.data -= lr * buf
+        _sgd_update(name, p.data, g, buffers, lr, momentum, weight_decay)
+
+
+def _sgd_update(name: str, theta: np.ndarray, g: np.ndarray, buffers: dict[str, np.ndarray],
+                lr: float, momentum: float, weight_decay: float) -> None:
+    """g' = g + wd*theta; buf = m*buf + g'; theta -= lr*buf, all in place,
+    with buf = `buffers[name]`.
+
+    A non-finite `g` raises `NonFiniteGradient` naming `name`.
+    """
+    if not np.isfinite(g).all():
+        raise NonFiniteGradient(f"gradient for {name} is not finite")
+    step = weight_decay * theta
+    step += g
+    buf = buffers[name]
+    buf *= momentum
+    buf += step
+    theta -= lr * buf
 
 
 def stage_of(config: RunConfig, epoch: int) -> int:
@@ -101,31 +116,40 @@ class TrainState:
     step: int = 0
 
 
+QUEUE_FILL_ROWS = 256  # rows of a queue's random warm start drawn at a time
+
+
 def init_train_state(config: RunConfig) -> TrainState:
     """Fresh encoders (key = copy of query), randomly prefilled queues and
     zero-filled SGD momentum for every query parameter.
 
     Queues start full of seeded random unit vectors, the usual
     momentum-contrast warm start; real keys displace them FIFO within
-    the first capacity/batch steps.
+    the first capacity/batch steps.  Each fill is drawn and pushed
+    `QUEUE_FILL_ROWS` rows at a time from one generator, which gives the
+    rows of one (queue_size, embed_dim) draw without holding it.
     """
     root = RngStream(config.seed)
     pairs, queues = {}, {}
     for u in config.streams:
         pairs[u] = EncoderPair(init_params(config, root.split(f"init.{u}")))
         q = MemoryQueue(config.queue_size, config.embed_dim)
-        fill = root.split(f"queue_init.{u}").generator().normal(size=(config.queue_size, config.embed_dim))
-        fill /= np.linalg.norm(fill, axis=1, keepdims=True)
-        q.push(fill.astype(np.float32))
+        gen = root.split(f"queue_init.{u}").generator()
+        for start in range(0, config.queue_size, QUEUE_FILL_ROWS):
+            fill = gen.normal(size=(min(QUEUE_FILL_ROWS, config.queue_size - start),
+                                    config.embed_dim))
+            fill /= np.linalg.norm(fill, axis=1, keepdims=True)
+            q.push(fill.astype(np.float32))
         queues[u] = q
     buffers = {f"{u}.{name}": np.zeros_like(t.data)
                for u, pair in pairs.items() for name, t in pair.query.trainable().items()}
     return TrainState(config, pairs, queues, buffers)
 
 
-def _augment_batch(joints, pipeline, rng, graph, stream_ids) -> dict[str, np.ndarray]:
-    """One augmented view of an (N, T, C, V) joint batch, then every stream derived from it."""
-    return stream_arrays(pipeline.apply_array(joints, rng), graph, stream_ids)
+def _augment_batch(joints, pipeline, rng, graph, stream_ids, out=None) -> dict[str, np.ndarray]:
+    """One augmented view of an (N, T, C, V) joint batch, written to `out`
+    (see `AugmentPipeline.apply_array`), then every stream derived from it."""
+    return stream_arrays(pipeline.apply_array(joints, rng, out=out), graph, stream_ids)
 
 
 def pretrain(
@@ -170,10 +194,11 @@ def pretrain(
             indices = order[bi * config.batch_size : (bi + 1) * config.batch_size]
             step_keys: dict[str, np.ndarray] = {}
             embeddings: dict[str, tuple[T.Tensor, np.ndarray]] = {}
-            joints = np.stack([dataset[i].data for i in indices])  # each branch augments a copy
+            joints = np.stack([dataset[i].data for i in indices])
+            # the query branch augments a copy, then the key branch the stack itself
             views = {
                 b: _augment_batch(joints, p, root.split(f"aug.e{epoch}.b{bi}.{b}"), graph,
-                                  config.streams)
+                                  config.streams, out=joints if b == "k" else None)
                 for b, p in pipelines.items()
             }
             stream = None  # the stream whose encoder pass is running
@@ -283,22 +308,34 @@ def _fit_head(rows, dim: int, y: np.ndarray, num_classes: int, trainable: dict[s
     """SGD on a zero-initialized linear head's softmax cross-entropy; returns (w, b).
 
     Each epoch visits the clips in `rng.split(f"e{epoch}")` order,
-    `PROTOCOL_BATCH` at a time.  `rows(idx)` gives the batch's (B, dim)
-    hidden vectors, recorded on the tape when they depend on `trainable`,
-    which steps along with the head.  The head and its loss are one tape
-    node, `T.linear_softmax_nll`.
+    `PROTOCOL_BATCH` at a time; `y` holds checked class indices below
+    `num_classes`.  With `trainable` parameters, `rows(idx)` gives the
+    batch's (B, dim) hidden vectors recorded on the tape, and a step is
+    the tape node `T.linear_softmax_nll`, `T.backward` and `sgd_step` of
+    the parameters and the head.  Without, `rows(idx)` gives frozen
+    (B, dim) arrays, and a step calls the head kernel `T.linear_head`
+    off the tape and updates the head's two arrays.  NumPy's overflow
+    warnings are off in the loop: an overflow surfaces as a later
+    `NonFiniteValue` or `NonFiniteGradient`.
     """
     w = T.parameter(np.zeros((dim, num_classes), dtype=np.float32))
     b = T.parameter(np.zeros(num_classes, dtype=np.float32))
-    trainable = {**trainable, "head.w": w, "head.b": b}
-    buffers = {name: np.zeros_like(t.data) for name, t in trainable.items()}
-    for epoch in range(epochs):
-        order = rng.split(f"e{epoch}").permutation(len(y))
-        for i in range(0, len(y), PROTOCOL_BATCH):
-            idx = order[i : i + PROTOCOL_BATCH]
-            with T.Tape():
-                grads = T.backward(T.linear_softmax_nll(rows(idx), w, b, y[idx]))
-            sgd_step(trainable, grads, buffers, lr, 0.9, weight_decay)
+    stepped = {**trainable, "head.w": w, "head.b": b}
+    buffers = {name: np.zeros_like(t.data) for name, t in stepped.items()}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(epochs):
+            order = rng.split(f"e{epoch}").permutation(len(y))
+            for i in range(0, len(y), PROTOCOL_BATCH):
+                idx = order[i : i + PROTOCOL_BATCH]
+                if trainable:
+                    with T.Tape():
+                        grads = T.backward(T.linear_softmax_nll(rows(idx), w, b, y[idx]))
+                    sgd_step(stepped, grads, buffers, lr, 0.9, weight_decay)
+                else:
+                    loss, grads = T.linear_head(rows(idx), w.data, b.data, y[idx])
+                    _, g_w, g_b = grads(np.ones_like(loss), (False, True, True))
+                    for name, theta, g in (("head.w", w.data, g_w), ("head.b", b.data, g_b)):
+                        _sgd_update(name, theta, g, buffers, lr, 0.9, weight_decay)
     return w.data, b.data
 
 
@@ -334,13 +371,15 @@ def linear_probe(
     Checks (and reports) that encoder parameter bytes are untouched,
     raising `EncoderModified` otherwise.
     """
+    if epochs < 0:
+        raise ConfigValueError("linear_epochs", f"must be nonnegative, got {epochs}")
     _check_splits(train_seqs, val_seqs, "linear probe")
     y_train, y_val = _labels(train_seqs, "train"), _labels(val_seqs, "val")
     digest_before = params.digest()
     h_train = _features(params, train_seqs, stream, projected=False)
     h_val = _features(params, val_seqs, stream, projected=False)
     num_classes = int(max(y_train.max(), y_val.max())) + 1
-    w, b = _fit_head(lambda idx: T.Tensor(h_train[idx]), h_train.shape[1], y_train, num_classes,
+    w, b = _fit_head(lambda idx: h_train[idx], h_train.shape[1], y_train, num_classes,
                      {}, lr, 0.0, RngStream(seed).split("linear_probe"), epochs)
 
     val_logits = h_val @ w + b
@@ -364,6 +403,8 @@ def knn_probe(
     Similarity ties go to the lower train index, vote ties to the smaller class.
     """
     _check_splits(train_seqs, val_seqs, "knn probe")
+    if k < 1:
+        raise ConfigValueError("knn_k", f"must be positive, got {k}")
     if k > len(train_seqs):
         raise ConfigValueError("knn_k", f"k={k} exceeds the training split size {len(train_seqs)}")
     y_train, y_val = _labels(train_seqs, "train"), _labels(val_seqs, "val")
@@ -422,6 +463,8 @@ def finetune(
     `fraction < 1` runs the semi-supervised protocol on a class-
     stratified labeled subset (at least one sample per class).
     """
+    if epochs < 0:
+        raise ConfigValueError("finetune_epochs", f"must be nonnegative, got {epochs}")
     _check_splits(train_seqs, val_seqs, "finetuning")
     rng = RngStream(seed).split("finetune")
     subset = stratified_fraction(train_seqs, fraction, rng.split("subset"))

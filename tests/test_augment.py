@@ -71,6 +71,17 @@ def test_input_left_untouched():
 
 
 @pytest.mark.parametrize("family", ["normal", "extreme"])
+def test_out_augments_in_place_as_a_copy_would(family):
+    data = _make_batch()
+    pipeline = AugmentPipeline(family, RunConfig(extreme_prob=0.5))
+    copied = pipeline.apply_array(data, RngStream(6).split("aug"))
+    elsewhere = np.empty_like(data)
+    assert pipeline.apply_array(data, RngStream(6).split("aug"), out=elsewhere) is elsewhere
+    assert pipeline.apply_array(data, RngStream(6).split("aug"), out=data) is data
+    assert copied.tobytes() == elsewhere.tobytes() == data.tobytes()
+
+
+@pytest.mark.parametrize("family", ["normal", "extreme"])
 def test_each_clip_gets_its_own_draw(family):
     clips = 6
     data = np.repeat(_make_batch(clips=1), clips, axis=0)

@@ -2,12 +2,14 @@
 
 import dataclasses
 import importlib.util
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 
+import skelcl.tensor
 from skelcl.checkpoint import load_checkpoint, query_params, save_checkpoint, state_to_checkpoint
 from skelcl.config import RunConfig
 from skelcl.encoder import encode
@@ -65,7 +67,7 @@ def test_derive_streams_on_single_clips_as_the_benchmark_calls_it():
     np.testing.assert_array_equal(joints, [s.data for s in sequences])
 
 
-def test_pretrain_state_and_protocols_as_the_benchmark_reads_them(tmp_path):
+def test_pretrain_state_and_protocols_as_the_benchmark_reads_them(tmp_path, monkeypatch):
     sequences = generate_synthetic_dataset(2, 4, frames=16, joints=9, seed=1,
                                            check_separability=False)
     config = RunConfig(stage_epochs=[1, 0, 0], queue_size=4, batch_size=4, enc_blocks=1,
@@ -95,7 +97,11 @@ def test_pretrain_state_and_protocols_as_the_benchmark_reads_them(tmp_path):
     assert lin.encoder_digest_before == lin.encoder_digest_after == params.digest()
     assert lin.weights.shape == (h.shape[1], lin.bias.shape[0]) and 0 <= lin.accuracy <= 1
     assert 0 <= knn_probe(params, train, val, stream="joint", k=1) <= 1
-    tuned = finetune(params, train, val, stream="joint", fraction=0.5, epochs=1, lr=0.1,
+    # the benchmark's BackwardClock times finetune steps by their tensor.backward calls
+    backward, calls = skelcl.tensor.backward, []
+    monkeypatch.setattr(skelcl.tensor, "backward", lambda loss: calls.append(1) or backward(loss))
+    tuned = finetune(params, train, val, stream="joint", fraction=0.5, epochs=3, lr=0.1,
                      weight_decay=1e-4, seed=7)
     assert tuned.subset_size == 2 and 0 <= tuned.accuracy <= 1
+    assert len(calls) == 3 * math.ceil(tuned.subset_size / 32)
     assert tuned.params.digest() != params.digest() and tuned.params.tensors

@@ -1,6 +1,7 @@
 """Evaluation protocols: linear probe, kNN probe, finetune, subsets, fusion."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,10 +10,13 @@ from skelcl import tensor as T
 from skelcl.config import RunConfig
 from skelcl.encoder import EncoderParams, encode, init_params, project, stgcn_forward
 from skelcl.errors import (
+    ConfigValueError,
     EmptyValSplit,
     EncoderModified,
     InvalidLabel,
     LengthMismatch,
+    NonFiniteGradient,
+    NonFiniteValue,
     ShapeMismatch,
     UnlabeledClip,
 )
@@ -170,7 +174,8 @@ def test_invalid_label_named(splits, params, call, split, label):
 
 @pytest.mark.parametrize("call", ["linear_probe", "finetune"])
 def test_head_step_records_one_node_after_the_encoder(splits, monkeypatch, call):
-    # three blocks: a finetune step records them, then the head's one node
+    # three blocks: a finetune step records them, then the head's one node;
+    # the linear probe's head steps off the tape, so it records nothing at all
     config = RunConfig(enc_blocks=3, enc_channels=[4, 4, 8], enc_hidden=8, embed_dim=4)
     params = init_params(config, RngStream(5).split("enc"))
     counts = []
@@ -181,8 +186,59 @@ def test_head_step_records_one_node_after_the_encoder(splits, monkeypatch, call)
         return backward(loss)
 
     monkeypatch.setattr(T, "backward", counting)
-    PROTOCOL_CALLS[call](params, *splits)
-    assert counts and set(counts) == {1 if call == "linear_probe" else config.enc_blocks + 1}
+    with T.Tape() as outer:  # an op that recorded outside the protocol's own tapes lands here
+        PROTOCOL_CALLS[call](params, *splits)
+    assert outer.nodes == []
+    if call == "linear_probe":
+        assert counts == []
+    else:
+        assert counts and set(counts) == {config.enc_blocks + 1}
+
+
+@pytest.mark.parametrize("lr", [1e38, np.inf])
+def test_linear_probe_overflow_raises_named_value(splits, params, lr):
+    # the head's weights overflow; the next loss names the head op, and no
+    # NumPy warning about the overflow escapes first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFiniteValue) as err:
+            linear_probe(params, *splits, stream="joint", epochs=200, lr=lr, seed=0)
+    assert err.value.op == "linear_softmax_nll"
+
+
+@pytest.mark.parametrize("call", ["linear_probe", "finetune"])
+def test_non_finite_head_gradient_named(splits, params, monkeypatch, call):
+    kernel = T.linear_head
+
+    def poisoned(rows, weight, bias, labels):
+        loss, grads = kernel(rows, weight, bias, labels)
+
+        def nan_weight(g, needs):
+            g_rows, g_weight, g_bias = grads(g, needs)
+            return g_rows, np.full_like(g_weight, np.nan), g_bias
+
+        return loss, nan_weight
+
+    monkeypatch.setattr(T, "linear_head", poisoned)
+    with pytest.raises(NonFiniteGradient, match="gradient for head.w"):
+        PROTOCOL_CALLS[call](params, *splits)
+
+
+@pytest.mark.parametrize("call,key", [
+    (lambda params, train, val: knn_probe(params, train, val, stream="joint", k=0), "knn_k"),
+    (lambda params, train, val: knn_probe(params, train, val, stream="joint", k=-1), "knn_k"),
+    (lambda params, train, val: linear_probe(params, train, val, stream="joint", epochs=-1,
+                                             lr=0.3, seed=0), "linear_epochs"),
+    (lambda params, train, val: finetune(params, train, val, stream="joint", fraction=1.0,
+                                         epochs=-1, lr=0.1, weight_decay=1e-4, seed=0),
+     "finetune_epochs"),
+], ids=["knn_k_0", "knn_k_negative", "linear_epochs_negative", "finetune_epochs_negative"])
+def test_out_of_range_protocol_setting_named(splits, params, call, key):
+    # k=0 would vote with no neighbour, k=-1 with all but one, and a
+    # negative epoch count would train nothing
+    with pytest.raises(ConfigValueError) as err:
+        call(params, *splits)
+    assert err.value.key == key
 
 
 MIXED_GRAPH_CALLS = {

@@ -655,6 +655,26 @@ def test_linear_head_bit_equals_the_four_node_chain(dtype, batch):
         np.testing.assert_array_equal(got, want)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_one_pick_per_row_bit_equals_the_scatter_path(dtype):
+    # a row's one positive skips maximum.at/add.at, and the loss and the
+    # gradient, for per-row and for one shared upstream g, stay bit for bit
+    rng = np.random.default_rng(9)
+    logits = (40.0 * rng.normal(size=(9, 6))).astype(dtype)  # picks far below their row max
+    logits[1] = logits[1, 0]  # a row of ties
+    labels = np.array([0, 3, 5, 1, 1, 2, 4, 0, 5])
+    labels[2] = np.argmax(logits[2])  # a pick at the row max
+    per_row = rng.uniform(0.1, 2.0, size=9).astype(dtype)
+    shared = per_row[0] / 9
+    for g_one, g_scatter in ((per_row, per_row), (shared, np.full(9, shared))):
+        nll, grad = T._softmax_nll_rows(logits.copy(), picks=labels)
+        ref, ref_grad = T._softmax_nll_rows(logits.copy(),
+                                            picks=((np.arange(9),), labels[:, None]))
+        assert nll.dtype == ref.dtype == dtype
+        assert nll.tobytes() == ref.tobytes()
+        assert grad(g_one).tobytes() == ref_grad(g_scatter).tobytes()
+
+
 @pytest.mark.parametrize("labels,error", [
     ([0, 5, 1], InvalidLabel),
     ([0, -1, 1], InvalidLabel),

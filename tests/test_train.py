@@ -18,6 +18,7 @@ from skelcl.skeleton import (
     derive_motion,
     generate_synthetic_dataset,
 )
+from skelcl.rng import RngStream
 from skelcl.train import init_train_state, pretrain, sgd_step, stage_of
 
 
@@ -102,12 +103,12 @@ def test_one_step_augments_each_branch_once_and_derives_streams_from_it(monkeypa
     apply_array = AugmentPipeline.apply_array
     augment_batch = skelcl.train._augment_batch
 
-    def counted(self, batch, rng):
+    def counted(self, batch, rng, out=None):
         calls.append(self.family)
-        return apply_array(self, batch, rng)
+        return apply_array(self, batch, rng, out=out)
 
-    def recorded(*args):
-        views.append(augment_batch(*args))
+    def recorded(*args, **kwargs):
+        views.append(augment_batch(*args, **kwargs))
         return views[-1]
 
     monkeypatch.setattr(AugmentPipeline, "apply_array", counted)
@@ -184,3 +185,32 @@ def test_pretrain_stacks_each_batch_not_the_split():
         tracemalloc.stop()
     assert len(records) == 1 + 125
     assert peak < 0.5 * split_bytes, peak / split_bytes
+
+
+QUEUE_SHAPED = dict(enc_blocks=1, enc_channels=[8], embed_dim=128, queue_size=4096)
+
+
+def test_queue_fill_equals_one_draw_of_the_whole_ring():
+    # 600 rows: two full blocks and a ragged one, drawn in turn from one generator
+    config = RunConfig(**dict(QUEUE_SHAPED, queue_size=600))
+    state = init_train_state(config)
+    for u, q in state.queues.items():
+        fill = RngStream(config.seed).split(f"queue_init.{u}").generator().normal(size=(600, 128))
+        fill /= np.linalg.norm(fill, axis=1, keepdims=True)
+        assert q.slots.tobytes() == fill.astype(np.float32).tobytes()
+        assert (q.head, q.filled) == (0, 600)
+
+
+def test_queue_fill_holds_no_whole_ring_draw():
+    # three 4096 x 128 rings: a float64 draw of one ring, its norm
+    # temporary and a float32 copy of it (4.2, 4.2 and 2.1 MB) once set
+    # the peak; now the peak passes what the state holds by under half a ring
+    config = RunConfig(**QUEUE_SHAPED)
+    tracemalloc.start()
+    try:
+        state = init_train_state(config)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    ring_bytes = state.queues["joint"].slots.nbytes
+    assert peak - held < 0.5 * ring_bytes, (peak - held) / ring_bytes
