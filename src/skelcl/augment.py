@@ -6,6 +6,9 @@ Gaussian Noise, Gaussian Blur}, in that order, each applied to each clip
 independently with probability `extreme_prob`.  `apply_array` draws every
 clip's parameters as arrays from one generator; the magnitudes are read
 from the `RunConfig`, so they are hashed with the run.
+
+`apply_array` writes the view over the batch it is given: a caller that
+must keep its input passes in a copy.
 """
 
 from __future__ import annotations
@@ -115,21 +118,13 @@ class AugmentPipeline:
     def transforms(self) -> tuple[str, ...]:
         return NORMAL_TRANSFORMS if self.family == "normal" else EXTREME_TRANSFORMS
 
-    def apply_array(self, data: np.ndarray, rng: RngStream, out: np.ndarray | None = None
-                    ) -> np.ndarray:
-        """Augment an (N, T, C, V) batch; every draw comes from `rng`'s one generator.
-
-        The view is written to `out` (`data` itself augments in place), or
-        to a new array, so `data` is left as it is.
-        """
+    def apply_array(self, data: np.ndarray, rng: RngStream) -> np.ndarray:
+        """Augment an (N, T, C, V) batch in place and return it; every draw
+        comes from `rng`'s one generator."""
         gen = rng.generator()
-        if out is None:
-            out = np.array(data)
-        elif out is not data:
-            out[...] = data
         for name in self.transforms:
             picked = slice(None)
             if self.family == "extreme":
-                picked = gen.uniform(size=len(out)) < self.config.extreme_prob
-            out[picked] = TRANSFORMS[name](out[picked], gen, self.config)
-        return out
+                picked = gen.uniform(size=len(data)) < self.config.extreme_prob
+            data[picked] = TRANSFORMS[name](data[picked], gen, self.config)
+        return data

@@ -42,6 +42,7 @@ from .config import RunConfig, config_from_dict, read_config
 from .contrast import (
     MemoryQueue,
     combine_losses,
+    pft_lambdas,
     pft_transform,
     queue_nll,
     similarity_histogram,
@@ -246,12 +247,7 @@ def cmd_fuse(args) -> int:
             ) from None
     args.fusion_weights = given or None
     weights = _config(args).fusion_weights
-    for stream in sorted(scores):
-        if stream not in weights:
-            raise ConfigValueError(
-                "fusion_weights", f"no weight for stream {stream!r}, which --scores contains"
-            )
-    _, predictions = fuse_predictions(scores, {s: weights[s] for s in scores})
+    _, predictions = fuse_predictions(scores, weights)
     doc = {
         "protocol": "fusion",
         "streams": sorted(scores),
@@ -428,29 +424,26 @@ def cmd_pft_hist(args) -> int:
         raise ConfigValueError("--data", "pft-hist --checkpoint embeds the val split of --data")
     ckpt = load_checkpoint(args.checkpoint) if args.checkpoint else None
     config = _config(args, ckpt.config.to_dict() if ckpt else {})
-    alpha, mu = config.pft_alpha, config.pft_mu
     rng = RngStream(args.hist_seed).split("pft-hist")
-
-    def draw_lambda(gen, size=None):
-        return gen.beta(alpha, alpha, size) * mu + 1.0
-
     if ckpt:
         val = load_dataset(args.data)["val"]
         if not val:
             raise EmptyValSplit("pft-hist --checkpoint needs validation samples")
         graph, joints = clip_batch(val)
         adjacency = graph.normalized_adjacency(np.float32)
-        # key branch embeddings come from the checkpointed key encoder
+        # key branch embeddings come from the checkpointed key encoder; the
+        # query branch augments a copy, then the key branch the stack itself
         views = []
         for label, branch, family in (("q", "query", config.query_family),
                                       ("k", "key", config.key_family)):
             pipeline = AugmentPipeline(family, config)
-            x = _augment_batch(joints, pipeline, rng.split(label), graph, (args.stream,))
+            x = _augment_batch(joints.copy() if label == "q" else joints, pipeline,
+                               rng.split(label), graph, (args.stream,))
             params = query_params(ckpt, args.stream, branch)
             with T.no_tape():
                 views.append(encode(x[args.stream], adjacency, params, mode="eval")[1].data)
         zq, zk = views
-        lam = draw_lambda(rng.split("lam").generator(), len(val))
+        lam = pft_lambdas(rng.split("lam").generator(), config, len(val))
         before = (zq * zk).sum(axis=1)
     else:
         gen = rng.generator()
@@ -459,10 +452,8 @@ def cmd_pft_hist(args) -> int:
             s = gen.uniform(0.0, 1.0)
             a = gen.normal(size=16)
             a /= np.linalg.norm(a)
-            b = gen.normal(size=16)
-            b -= (b @ a) * a
-            b /= np.linalg.norm(b)
-            pairs.append((s, a, s * a + np.sqrt(max(0.0, 1 - s * s)) * b, draw_lambda(gen)))
+            b = s * a + np.sqrt(max(0.0, 1 - s * s)) * _orthogonal_unit(a, gen)
+            pairs.append((s, a, b, pft_lambdas(gen, config)))
         before, zq, zk, lam = (np.array(column) for column in zip(*pairs))
 
     zq_hat, zk_hat, applied = pft_transform(T.Tensor(zq), zk, lam)
@@ -474,8 +465,8 @@ def cmd_pft_hist(args) -> int:
     doc = {
         "command": "pft-hist",
         "pairs": len(before),
-        "alpha": alpha,
-        "mu": mu,
+        "alpha": config.pft_alpha,
+        "mu": config.pft_mu,
         "before": table.before_stats,
         "after": table.after_stats,
     }

@@ -3,22 +3,12 @@
 The loss family is masked-softmax InfoNCE over a positive pair plus a
 FIFO queue of past key embeddings.  `queue_nll` scores stacks of
 queries, each group against its own negatives read in place, as one
-tape node whose value is the step total.  It streams one key group
-(one stream's queue) at a time through one reused (B, 1+Q) logit slab
-and forms that group's query gradient while the slab is live, so from
-forward to backward it holds only the (..., B, D) gradient; each row
-meets the NumPy ops of a whole-stack buffer reduced by `sum_` and `div`
-nodes, in the same order, so the results are bit-identical to that
-chain's.  The row softmax-NLL itself is `tensor._softmax_nll_rows`,
-shared with the probes.  `combine_losses` passes each queue's live
-rows, copying none, and scores every intra- and inter-stream term of a
-step in one `queue_nll` call.  Neighbor mining enlarges a row's numerator with the
-most similar queue entries; the kernel selects them (`nnm_mine`) from
-the similarities its matmul wrote into the slab, gathering only the
-group's mining rows, so mining needs no GEMM of its own.  The
-hard-positive extrapolation replaces a positive pair with a
-lower-similarity synthetic pair (guarded so the pair's similarity
-never turns negative).
+tape node whose value is the step total, and `combine_losses` scores
+every intra- and inter-stream term of a step in one `queue_nll` call.
+Neighbor mining enlarges a row's numerator with the most similar queue
+entries (`nnm_mine`).  The hard-positive extrapolation (PFT) replaces a
+positive pair with a lower-similarity synthetic pair, guarded so the
+pair's similarity never turns negative, with weights from `pft_lambdas`.
 """
 
 from __future__ import annotations
@@ -31,7 +21,8 @@ import numpy as np
 from . import tensor as T
 from .config import RunConfig
 from .encoder import EncoderParams
-from .errors import BatchTooLarge, EmptyQueue, NonFiniteValue, QueueTooSmall, ShapeMismatch
+from .errors import (BatchTooLarge, ConfigValueError, EmptyQueue, NonFiniteValue, QueueTooSmall,
+                     ShapeMismatch)
 from .rng import RngStream
 
 
@@ -58,7 +49,7 @@ class MemoryQueue:
 
     def __init__(self, capacity: int, dim: int, dtype=np.float32):
         if capacity < 1:
-            raise ValueError("capacity must be positive")
+            raise ConfigValueError("queue_size", f"must be positive, got {capacity}")
         self.capacity = capacity
         self.dim = dim
         self.slots = np.zeros((capacity, dim), dtype=dtype)
@@ -117,40 +108,27 @@ def queue_nll(zq, zk, negatives, tau: float, divisor: float, mine=None, k: int =
     `zq` is a (..., B, D) query stack, `zk` the matching (..., B, D)
     keys and `negatives` a sequence of (Q, D) arrays, one per group in
     the C order of the leading axes (one for a (B, D) `zq`), each read in
-    place: `combine_losses` passes each queue's live rows,
-    `MemoryQueue.slots[:filled]`, in slot order.  Row i's numerator holds
-    its positive pair (zq[i], zk[i]); the denominator holds the positive
-    and every negative of its group.  The optional (..., B) boolean
-    `mine` marks the rows that mine neighbours: each adds its `k` most
-    similar negatives of its group to its numerator (`nnm_mine`).
-    Returns (total, rows, neighbors): the scalar tensor rows.sum() /
-    divisor, the (..., B) array of per-row losses, and `nnm_mine`'s
-    (indices, similarities) pair for the marked rows in C order, or None
-    without `mine`.  Gradient flows into `zq` only.
+    place.  Row i's numerator holds its positive pair (zq[i], zk[i]); the
+    denominator holds the positive and every negative of its group.  The
+    optional (..., B) boolean `mine` marks the rows that mine neighbours:
+    each adds its `k` most similar negatives of its group to its
+    numerator (`nnm_mine`).  Returns (total, rows, neighbors): the scalar
+    tensor rows.sum() / divisor, the (..., B) array of per-row losses,
+    and `nnm_mine`'s (indices, similarities) pair for the marked rows in
+    C order, or None without `mine`.  Gradient flows into `zq` only.
 
-    Order of the negatives: a row's loss sums over them, so their order
-    changes only its rounding.  Neighbour indices are rows of the group's
-    array (slots, for a queue), and of equally similar negatives the one
-    in the lower row is mined first.
+    A row's loss sums over its negatives, so their order changes only its
+    rounding.  Neighbour indices are rows of the group's array, and of
+    equally similar negatives the one in the lower row is mined first.
 
-    The groups run one at a time through one reused (B, 1+Q) logit slab:
-    column 0 holds the positive logit and the matmul writes zq @
-    negativesᵀ straight into columns 1:.  The group's mining rows gather
-    their similarities from the slab and select their neighbours before
-    the division by `tau` (which could round distinct similarities into
-    ties), so one GEMM feeds both the mining and the logits; the picks
-    reach `tensor._softmax_nll_rows` as column indices, which shifts and
-    exponentiates the slab in place.  When the call records onto a tape,
-    the group's query gradient is formed while its slab is live, with
-    the row weight the sum-and-divide chain fed back (1 / divisor, then
-    / tau): dzq = dlogits[:, :1] * zk + dlogits[:, 1:] @ negatives.  So
-    the node holds only that (..., B, D) gradient, and its backward
-    returns it (times g when g is not 1).  Each row meets the NumPy ops
-    of a whole-stack call in the same order, and each group's GEMM is
-    the one a batched matmul makes for it, so the total, the per-row
-    losses, the neighbours and the gradient are bit for bit those of
-    one (..., B, 1+Q) buffer over the stacked negatives, reduced by
-    `sum_` and `div` nodes.
+    The groups run one at a time through one reused (B, 1+Q) logit slab,
+    and a call that records forms the group's query gradient while its
+    slab is live, so the node holds only the (..., B, D) gradient.  Mining
+    rows select their neighbours from the slab's similarities before the
+    division by `tau`, which could round distinct similarities into ties.
+    Each row meets the NumPy ops of one (..., B, 1+Q) buffer over the
+    stacked negatives reduced by `sum_` and `div` nodes, in the same
+    order, so the results are bit-identical to that chain's.
     """
     zq = T.as_tensor(zq)
     q = zq.data
@@ -215,17 +193,15 @@ def nnm_mine(sims: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (indices, similarities), both (R, k), each row ordered by
     descending similarity with ties to the lower index: the order a
-    stable sort of -sims gives.  The selection is exact: k rounds of
-    argmax, which returns a row's first maximum, with each pick but the
-    last masked to -inf for the next round and restored afterwards, so
-    `sims` holds its values again on return.  That is O(kQ) per row: on
-    uniform (128, 4096) float32 rows (one thread) it took 0.14 / 0.6 /
-    6.1 / 15.6 ms at k = 1 / 5 / 64 / 128, against 3.8 / 3.9 / 7.2 /
-    10.3 ms for an exact partition-and-sort selection, which overtakes
-    it near k = 100.  Every caller mines k = 1.
+    stable sort of -sims gives.  The selection is k rounds of argmax,
+    which returns a row's first maximum, with each pick but the last
+    masked to -inf for the next round and restored afterwards, so `sims`
+    holds its values again on return.  That is O(kQ) per row, faster
+    than an exact partition-and-sort selection up to k near 100 on
+    (128, 4096) rows; every caller mines k = 1.
     """
     if k < 1:
-        raise ValueError("k must be positive")
+        raise ConfigValueError("nnm_topk", f"must be positive, got {k}")
     if sims.shape[1] < k:
         raise QueueTooSmall(f"queue holds {sims.shape[1]} < k={k}")
     rows = np.arange(sims.shape[0])
@@ -242,6 +218,12 @@ def nnm_mine(sims: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # -- hard-positive extrapolation ----------------------------------------------------
+
+
+def pft_lambdas(gen: np.random.Generator, config: RunConfig, size=None):
+    """PFT's extrapolation weights from `gen`: Beta(alpha, alpha) * mu + 1,
+    with the config's `pft_alpha` and `pft_mu`."""
+    return gen.beta(config.pft_alpha, config.pft_alpha, size) * config.pft_mu + 1.0
 
 
 def predicted_similarity(s, lam):
@@ -326,9 +308,9 @@ def combine_losses(
     result holds |S| intra terms plus |S|(|S|-1) inter terms (u's
     queries against v's keys and queue), each reported as its batch mean
     in the breakdown.  Mining (`nnm`, the config's top-k) applies to
-    intra terms only; the extrapolation (`pft`, weights Beta(alpha,
-    alpha) * mu + 1 drawn from `rng`) applies to intra pairs and, if
-    configured, to inter pairs as well.  Group v of the one `queue_nll`
+    intra terms only; the extrapolation (`pft`, weights `pft_lambdas`
+    drawn from `rng`) applies to intra pairs and, if configured, to
+    inter pairs as well.  Group v of the one `queue_nll`
     call stacks every stream's queries against v's keys and queue, whose
     live rows it reads in place: no queue is copied.  The total is that
     call's node (the rows' sum divided by the batch size): it works
@@ -351,8 +333,7 @@ def combine_losses(
             zq, zk = stream_embeddings[u][0], _as_const(stream_embeddings[v][1])
             if pft and (u == v or config.pft_apply_to_inter):
                 gen = rng.split(f"lambda.{u}" if u == v else f"lambda.{u}->{v}").generator()
-                lam = gen.beta(config.pft_alpha, config.pft_alpha, size=batch) * config.pft_mu + 1.0
-                zq, zk, applied = pft_transform(zq, zk, lam)
+                zq, zk, applied = pft_transform(zq, zk, pft_lambdas(gen, config, batch))
                 applied_masks.append(applied)
             queries.append(zq)
             keys.append(zk)

@@ -44,13 +44,3 @@ class RngStream:
             entropy.extend(_label_words(label))
         return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
-    # Convenience one-shot draws, each from the stream's start.
-
-    def uniform(self, low: float, high: float, size=None) -> np.ndarray | float:
-        return self.generator().uniform(low, high, size)
-
-    def normal(self, loc: float, scale: float, size=None) -> np.ndarray | float:
-        return self.generator().normal(loc, scale, size)
-
-    def permutation(self, n: int) -> np.ndarray:
-        return self.generator().permutation(n)

@@ -5,6 +5,10 @@ graph.  Three derived views ("streams") of the same sequence feed the
 contrastive pipeline: raw joint coordinates, bone vectors (differences
 along graph edges), and motion (frame-to-frame displacement).
 
+`stream_arrays` returns the joint array it is given as the joint view,
+so a caller that must keep that array unchanged passes in a copy;
+`derive_streams` does, because its input is a clip's own storage.
+
 `write_file`/`read_file` are the one binary codec (layout in `write_file`),
 shared by checkpoints and the dataset file of `write_dataset`.
 """
@@ -127,14 +131,15 @@ def derive_motion(data: np.ndarray) -> np.ndarray:
 
 
 def stream_arrays(data: np.ndarray, graph: SkeletonGraph, stream_ids) -> dict[str, np.ndarray]:
-    """Stream id -> array derived from (..., T, C, V) joint coordinates on `graph`."""
+    """Stream id -> array derived from (..., T, C, V) joint coordinates on
+    `graph`; the joint view is `data` itself."""
     stream_ids = tuple(stream_ids)
     if not stream_ids:
         raise UnknownStream("need at least one stream id")
     out: dict[str, np.ndarray] = {}
     for sid in stream_ids:
         if sid == "joint":
-            out[sid] = data.copy()
+            out[sid] = data
         elif sid == "bone":
             out[sid] = derive_bone(data, graph)
         elif sid == "motion":
@@ -145,8 +150,8 @@ def stream_arrays(data: np.ndarray, graph: SkeletonGraph, stream_ids) -> dict[st
 
 
 def derive_streams(seq: SkeletonSequence, stream_ids) -> dict[str, np.ndarray]:
-    """Stream id -> (T, C, V) array derived from `seq`."""
-    return stream_arrays(seq.data, seq.graph, stream_ids)
+    """Stream id -> (T, C, V) array derived from a copy of `seq.data`."""
+    return stream_arrays(seq.data.copy(), seq.graph, stream_ids)
 
 
 def shared_graph(sequences: list[SkeletonSequence]) -> SkeletonGraph:
@@ -167,22 +172,24 @@ def clip_batch(sequences: list[SkeletonSequence]) -> tuple[SkeletonGraph, np.nda
 
 
 def build_star_tree(num_joints: int) -> SkeletonGraph:
-    """Root plus four limb chains, joints dealt round-robin to the limbs."""
+    """Root plus four limb chains, joints dealt round-robin to the limbs.
+
+    Joint j hangs below joint j - 4 (the root for j <= 4), at depth
+    (j - 1) // 4 + 1 of limb (j - 1) % 4; the edges list limb 0's chain
+    first, then limb 1's, and so on.
+    """
     if num_joints < 5:
         raise ConfigValueError("joints", f"need at least 5 joints, got {num_joints}")
-    limb_of: list[list[int]] = [[], [], [], []]
-    for j in range(1, num_joints):
-        limb_of[(j - 1) % 4].append(j)
-    edges: list[tuple[int, int]] = []
-    for chain in limb_of:
-        prev = 0
-        for j in chain:
-            edges.append((prev, j))
-            prev = j
-    return SkeletonGraph(num_joints=num_joints, edges=tuple(edges), root=0)
+    edges = tuple((max(j - 4, 0), j) for limb in range(1, 5) for j in range(limb, num_joints, 4))
+    return SkeletonGraph(num_joints=num_joints, edges=edges, root=0)
 
 
-_LIMB_DIRECTIONS = np.array(
+def _unit_rows(rows: list[list[float]]) -> np.ndarray:
+    return np.array([row / np.linalg.norm(row) for row in np.array(rows)])
+
+
+# one unit direction and swing axis per limb of `build_star_tree`
+_LIMB_DIRECTIONS = _unit_rows(
     [
         [0.8, 0.6, 0.0],  # right arm, up-ish
         [-0.8, 0.6, 0.0],  # left arm
@@ -190,7 +197,7 @@ _LIMB_DIRECTIONS = np.array(
         [-0.4, -0.9, -0.2],  # left leg
     ]
 )
-_LIMB_SWING_AXES = np.array(
+_LIMB_SWING_AXES = _unit_rows(
     [
         [0.0, 0.0, 1.0],
         [0.0, 0.0, -1.0],
@@ -231,39 +238,22 @@ def _limb_assignments(num_classes: int, gen: np.random.Generator) -> list[tuple[
 
 
 def _sample_trajectory(
-    graph: SkeletonGraph,
+    num_joints: int,
     frames: int,
     freq_of_limb: np.ndarray,
     phase_of_limb: np.ndarray,
     rate: float,
     global_phase: float,
 ) -> np.ndarray:
-    """Evaluate limb swing + extension sinusoids; returns (T, 3, V)."""
-    v = graph.num_joints
+    """Evaluate limb swing + extension sinusoids over `build_star_tree`'s
+    layout of `num_joints` joints; returns (T, 3, V)."""
     t = np.arange(frames, dtype=np.float64) / frames
-    data = np.zeros((frames, 3, v))
-
-    # limb and depth of every non-root joint, from the chain layout
-    limb_of: dict[int, int] = {}
-    depth_of: dict[int, int] = {}
-    next_limb = 0
-    for src, tgt in graph.edges:
-        if src == graph.root:
-            limb_of[tgt] = next_limb
-            next_limb += 1
-            depth_of[tgt] = 1
-        else:
-            limb_of[tgt] = limb_of[src]
-            depth_of[tgt] = depth_of[src] + 1
-
-    for joint, limb in limb_of.items():
-        depth = depth_of[joint]
-        direction = _LIMB_DIRECTIONS[limb % 4]
-        direction = direction / np.linalg.norm(direction)
-        axis = _LIMB_SWING_AXES[limb % 4]
-        axis = axis / np.linalg.norm(axis)
-        phase = 2.0 * math.pi * freq_of_limb[limb % 4] * rate * t
-        phase = phase + phase_of_limb[limb % 4] + global_phase
+    data = np.zeros((frames, 3, num_joints))
+    for joint in range(1, num_joints):
+        limb, depth = (joint - 1) % 4, (joint - 1) // 4 + 1
+        direction, axis = _LIMB_DIRECTIONS[limb], _LIMB_SWING_AXES[limb]
+        phase = 2.0 * math.pi * freq_of_limb[limb] * rate * t
+        phase = phase + phase_of_limb[limb] + global_phase
         theta = _SWING_AMPLITUDE * np.sin(phase)
         stretch = 1.0 + _EXTEND_AMPLITUDE * np.sin(phase + math.pi / 4.0)
         base = direction * depth * _SEGMENT_LENGTH
@@ -351,14 +341,15 @@ def generate_synthetic_dataset(
         for k in range(num_classes):
             class_stream = root_stream.split(f"class{k}")
             freq_of_limb = _LIMB_FREQUENCIES[list(assignments[k])]
-            phase_of_limb = class_stream.split("phases").uniform(0.0, 2.0 * math.pi, 4)
+            phases = class_stream.split("phases").generator()
+            phase_of_limb = phases.uniform(0.0, 2.0 * math.pi, 4)
             for i in range(per_class):
                 g = class_stream.split(f"sample{i}").generator()
                 rate = 1.0 + g.uniform(-_SPEED_JITTER, _SPEED_JITTER)
                 global_phase = g.uniform(0.0, 2.0 * math.pi)
                 rotation = _random_rotation(g)
                 data = _sample_trajectory(
-                    graph, frames, freq_of_limb, phase_of_limb, rate, global_phase
+                    joints, frames, freq_of_limb, phase_of_limb, rate, global_phase
                 )
                 data = np.einsum("ij,tjv->tiv", rotation, data)
                 if noise_sigma > 0:

@@ -2,50 +2,31 @@
 
 Define-by-run: while a `Tape` is active, every operation that touches a
 tracked tensor appends one node to the tape.  `backward(loss)` walks the
-nodes once in reverse execution order (which is a valid topological
-order by construction) and returns a gradient map for the
-`requires_grad` leaves.  The tape is consumed by the walk; each forward
-pass records a fresh one.  When the walk ends, `backward` cuts every
-node's links to its output, inputs and backward closure.  A tensor and
-the node that made it refer to each other, so without the cut a step's
-activations, closures and logit buffers would outlive it until the
-cyclic garbage collector happened to run; with it, refcounting frees
-them as soon as `backward` returns.  The loss keeps its (emptied) node,
-so a second `backward` of it still raises `DetachedLoss`.
+nodes once in reverse execution order (a valid topological order by
+construction) and returns a gradient map for the `requires_grad`
+leaves.  The walk consumes the tape and then cuts every node's links to
+its output, inputs and backward closure: a tensor and the node that made
+it refer to each other, so without the cut a step's activations would
+outlive it until the cyclic garbage collector ran.  The loss keeps its
+emptied node, so a second `backward` of it raises `DetachedLoss`.
 
-Every op is a module-level function of this module (`add`, `matmul`,
-`sum_`, ...); `Tensor` has no operator overloads or op methods, so each
-op has one spelling.  Values are float32 by default; pass float64 data
-for oracle-grade precision.  Every op validates that its output is
-finite and raises `NonFiniteValue` otherwise, naming the op (taken from
-its backward closure's qualified name).
+Every op is a module-level function (`add`, `matmul`, `sum_`, ...);
+`Tensor` has no operator overloads or op methods, so each op has one
+spelling.  Values are float32 by default; pass float64 data for
+oracle-grade precision.  Every op raises `NonFiniteValue` on a
+non-finite output, naming the op by its backward closure's qualified
+name.
 
-Each encoder block is one tape node, `stgcn_block`: spatial step,
-depthwise temporal convolution, batch norm (batch statistics in train
-mode, given running statistics in eval mode, or none), relu and
-residual add, on channels-last (N, T, V, C) activations, optionally
-pooled to (N, C).  It walks the batch in chunks of about
+Each encoder block is one tape node, `stgcn_block`, on channels-last
+(N, T, V, C) activations.  It walks the batch in chunks of about
 `BLOCK_CHUNK_BYTES` of activation, so a chunk's intermediates stay in
-cache instead of streaming a full-batch array through memory per op,
-and it carries one closed-form backward.  Its temporal convolution is
-`conv1d_temporal`'s tap code (`_apply_taps` over a flat (L, T, V*C)
-view), and per-channel sums are one GEMV over a (rows, V*C) view and a
-V-fold (`_channel_sums`).  The row softmax negative log-likelihood has
-one implementation, `_softmax_nll_rows`: one exp() per entry, shifted by
-the row max, with the closed-form backward; a row's positives are its
-leading entries plus index-picked ones, or just one picked entry, which
-needs no scatter.  It has two callers in the package.  `linear_head` is
-the head kernel of the linear probe and finetuning, affine map and mean
-loss included, on plain arrays: the linear probe's head reads frozen
-features, so it calls the kernel off the tape, and `linear_softmax_nll`
-records it as finetuning's one tape node after the encoder's blocks.
-`contrast.queue_nll`, one tape node, is the InfoNCE loss, summed over
-its rows and divided, so a pretraining step's loss ends in it.  Both
-work in place on the logit buffer they build; `queue_nll` reuses one
-(B, 1+Q) slab per key group and forms its query gradient in the
-forward, so its node keeps no logit buffer.  `masked_softmax_nll_rows`
-stays only as a patch target of the benchmark's tracer (like `sub` and
-`exp`).
+cache.  The row softmax negative log-likelihood has one implementation,
+`_softmax_nll_rows`, shared by `linear_head` (the probes' head kernel,
+which `linear_softmax_nll` records as one node) and `contrast.queue_nll`.
+
+`conv1d_temporal`, `masked_softmax_nll_rows`, `mean_`, `sub`, `exp` and
+`log` have no caller in the package.  They stay because the benchmark's
+tracer looks each of them up by name at import.
 """
 
 from __future__ import annotations

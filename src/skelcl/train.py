@@ -1,37 +1,29 @@
 """Pretraining loop, SGD, stage schedule, and evaluation protocols.
 
 Pretraining follows the momentum-contrast recipe per stream: stack the
-batch's joints (`skeleton.shared_graph` checks once, before the first
-step, that every clip stacks with every other, so the split itself is
-never stacked), augment that stack once per branch (the query branch a
-copy, then the key branch the stack itself) and derive every stream
-from each view, encode both branches, combine the
-intra/inter losses (mining from stage 2, extrapolation in stage 3),
-backprop into the query encoders, momentum-mix the key encoders, then
-push the step's key embeddings into each stream's queue.  Everything stochastic is re-derived
-from (seed, labels), so a resumed run replays the uninterrupted
-trajectory bit for bit.  Settings live in `RunConfig` only; a
-`TrainState`, built by `init_train_state` alone, holds arrays and
-counters, its `buffers` the SGD momentum keyed "{stream}.{param}",
-zero-filled for every query parameter when the state is built.
+batch's joints, augment the stack once per branch and derive every
+stream from each view, encode both branches, combine the intra/inter
+losses (mining from stage 2, extrapolation in stage 3), backprop into
+the query encoders, momentum-mix the key encoders, then push the step's
+key embeddings into each stream's queue.  Augmentation writes over the
+array it is given, so the query branch augments a copy of the stack and
+the key branch the stack itself; no clip's own array is written.
+`skeleton.shared_graph` checks once, before the first step, that every
+clip stacks with every other.  Everything stochastic is re-derived from
+(seed, labels), so a resumed run replays the uninterrupted trajectory
+bit for bit.  Settings live in `RunConfig` only; a `TrainState`, built
+by `init_train_state` alone, holds arrays and counters, its `buffers`
+the SGD momentum keyed "{stream}.{param}".
 
-The protocols share one path.  `skeleton.clip_batch` checks that a
-split's clips share one graph and frame count and stacks them, and
-`stream_arrays` derives the probed stream from that stack once.  The
-linear probe and finetuning train their linear head in one loop,
-`_fit_head`, around one head kernel, `T.linear_head` (the affine head
-and its mean softmax cross-entropy with their closed-form gradient).
-The probe feeds it frozen eval-mode h, so its head steps run off the
-tape: no tape node, no `T.backward`.  Finetuning feeds it the taped
-train-mode encoder, whose blocks step with the head; a step records the
-blocks and then one node, `T.linear_softmax_nll`, which wraps the
-kernel, and calls `T.backward` once.  Labels must be nonnegative
-integers (`InvalidLabel` otherwise), checked once per protocol call.
-The kNN probe ranks every val clip's train neighbours with one row-wise
-stable sort and counts all votes at once.  Every setting a protocol
-takes is a required keyword; `RunConfig` holds the defaults, and an
-epoch count or k out of the range `RunConfig` allows raises
-`ConfigValueError` naming its key.
+The protocols stack a split once (`skeleton.clip_batch`) and derive the
+probed stream from that stack.  The linear probe and finetuning train
+their linear head in `_fit_head`, around the head kernel
+`T.linear_head`.  The probe's head reads frozen h, so its steps run off
+the tape; finetuning's blocks step with the head, through one tape
+node, `T.linear_softmax_nll`.  Labels must be nonnegative integers
+(`InvalidLabel` otherwise).  Every setting a protocol takes is a
+required keyword; `RunConfig` holds the defaults, and a value out of
+the range `RunConfig` allows raises `ConfigValueError` naming its key.
 """
 
 from __future__ import annotations
@@ -146,10 +138,10 @@ def init_train_state(config: RunConfig) -> TrainState:
     return TrainState(config, pairs, queues, buffers)
 
 
-def _augment_batch(joints, pipeline, rng, graph, stream_ids, out=None) -> dict[str, np.ndarray]:
-    """One augmented view of an (N, T, C, V) joint batch, written to `out`
-    (see `AugmentPipeline.apply_array`), then every stream derived from it."""
-    return stream_arrays(pipeline.apply_array(joints, rng, out=out), graph, stream_ids)
+def _augment_batch(joints, pipeline, rng, graph, stream_ids) -> dict[str, np.ndarray]:
+    """Every stream of one augmented view of an (N, T, C, V) joint batch,
+    augmented in place; the joint view is `joints` itself."""
+    return stream_arrays(pipeline.apply_array(joints, rng), graph, stream_ids)
 
 
 def pretrain(
@@ -188,17 +180,16 @@ def pretrain(
         stage = stage_of(config, epoch)
         nnm, pft = stage >= 1, stage >= 2
         lr = config.lr if epoch < config.lr_drop_epoch else config.lr_after_drop
-        order = root.split(f"shuffle.e{epoch}").permutation(n)
+        order = root.split(f"shuffle.e{epoch}").generator().permutation(n)
 
         for bi in range(math.ceil(n / config.batch_size)):
             indices = order[bi * config.batch_size : (bi + 1) * config.batch_size]
-            step_keys: dict[str, np.ndarray] = {}
             embeddings: dict[str, tuple[T.Tensor, np.ndarray]] = {}
             joints = np.stack([dataset[i].data for i in indices])
             # the query branch augments a copy, then the key branch the stack itself
             views = {
-                b: _augment_batch(joints, p, root.split(f"aug.e{epoch}.b{bi}.{b}"), graph,
-                                  config.streams, out=joints if b == "k" else None)
+                b: _augment_batch(joints.copy() if b == "q" else joints, p,
+                                  root.split(f"aug.e{epoch}.b{bi}.{b}"), graph, config.streams)
                 for b, p in pipelines.items()
             }
             stream = None  # the stream whose encoder pass is running
@@ -216,7 +207,6 @@ def pretrain(
                             )
                             zk = project(hk, pair.key).data
                         embeddings[u] = (zq, zk)
-                        step_keys[u] = zk
                     stream = None
                     result = combine_losses(
                         embeddings, state.queues, config, nnm, pft, root.split(f"pft.e{epoch}.b{bi}")
@@ -237,7 +227,7 @@ def pretrain(
                 sgd_step(params, grads, state.buffers, lr, config.sgd_momentum,
                          config.weight_decay)
                 momentum_update(pair, config.key_momentum)
-                state.queues[u].push(step_keys[u])
+                state.queues[u].push(embeddings[u][1])
 
             record = {
                 "step": state.step,
@@ -316,7 +306,8 @@ def _fit_head(rows, dim: int, y: np.ndarray, num_classes: int, trainable: dict[s
     (B, dim) arrays, and a step calls the head kernel `T.linear_head`
     off the tape and updates the head's two arrays.  NumPy's overflow
     warnings are off in the loop: an overflow surfaces as a later
-    `NonFiniteValue` or `NonFiniteGradient`.
+    `NonFiniteValue` or `NonFiniteGradient`, or, after the last step,
+    as the `NonFiniteValue` the next step's loss would have raised.
     """
     w = T.parameter(np.zeros((dim, num_classes), dtype=np.float32))
     b = T.parameter(np.zeros(num_classes, dtype=np.float32))
@@ -324,7 +315,7 @@ def _fit_head(rows, dim: int, y: np.ndarray, num_classes: int, trainable: dict[s
     buffers = {name: np.zeros_like(t.data) for name, t in stepped.items()}
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(epochs):
-            order = rng.split(f"e{epoch}").permutation(len(y))
+            order = rng.split(f"e{epoch}").generator().permutation(len(y))
             for i in range(0, len(y), PROTOCOL_BATCH):
                 idx = order[i : i + PROTOCOL_BATCH]
                 if trainable:
@@ -336,6 +327,11 @@ def _fit_head(rows, dim: int, y: np.ndarray, num_classes: int, trainable: dict[s
                     _, g_w, g_b = grads(np.ones_like(loss), (False, True, True))
                     for name, theta, g in (("head.w", w.data, g_w), ("head.b", b.data, g_b)):
                         _sgd_update(name, theta, g, buffers, lr, 0.9, weight_decay)
+    # the last step's update can overflow, and no loss after it would see that
+    broken = [name for name, t in stepped.items() if not np.isfinite(t.data).all()]
+    if broken:
+        raise NonFiniteValue(f"linear_softmax_nll produced NaN or Inf: the last step left "
+                             f"{', '.join(broken)} non-finite", op="linear_softmax_nll")
     return w.data, b.data
 
 
@@ -489,8 +485,16 @@ def finetune(
 def fuse_predictions(
     scores: dict[str, np.ndarray], weights: dict[str, float]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted sum of per-stream class scores (positive weights); argmax ties pick class 0."""
+    """Weighted sum of per-stream class scores; argmax ties pick class 0.
+
+    Every stream of `scores` needs a positive weight, `ConfigValueError`
+    ("fusion_weights") otherwise.
+    """
     streams = list(scores)
+    for s in streams:
+        if not weights.get(s, 0.0) > 0:
+            raise ConfigValueError("fusion_weights",
+                                   f"stream {s!r} needs a positive weight, got {weights.get(s)}")
     shapes = {np.asarray(scores[s]).shape for s in streams}
     if len(shapes) != 1:
         raise LengthMismatch(f"score shapes differ: {shapes}")

@@ -1,7 +1,9 @@
 """The package interface the benchmark in `skelbench/` relies on."""
 
+import ast
 import dataclasses
 import importlib.util
+import inspect
 import math
 import subprocess
 import sys
@@ -26,13 +28,51 @@ from skelcl.train import TrainState, finetune, knn_probe, linear_probe, pretrain
 SKELBENCH = Path(__file__).resolve().parent.parent / "skelbench"
 
 
-def test_tracer_targets_exist_and_nothing_is_left_patched():
-    # importing the tracer looks up every name it patches, without
-    # installing any wrapper, so a renamed or deleted target fails here
+def _load_tracing():
     spec = importlib.util.spec_from_file_location("skelbench_tracing", SKELBENCH / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    assert tracing.leftover_wrappers() == []
+    return tracing
+
+
+def test_tracer_targets_exist_and_nothing_is_left_patched():
+    # importing the tracer looks up every name it patches, without
+    # installing any wrapper, so a renamed or deleted target fails here
+    assert _load_tracing().leftover_wrappers() == []
+
+
+# Names the package itself never calls, kept only because the tracer
+# snapshots them at import: the list a tracer that resolves its targets
+# when a run is traced lets the package delete.
+TRACER_ONLY = {
+    "tensor": {"conv1d_temporal", "exp", "log", "masked_softmax_nll_rows", "mean_", "sub"},
+    "train": {"derive_streams"},
+}
+
+
+def test_every_tensor_op_is_called_or_only_traced():
+    # a public tensor function is live when tensor.py names it or another
+    # module calls it as `T.<name>`; the `derive_streams` re-export in
+    # train.py is live when the package calls it
+    used = set()
+    for path in (SKELBENCH.parent / "src" / "skelcl").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and path.name == "tensor.py":
+                used.add(("tensor", node.id))
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "T"):
+                used.add(("tensor", node.attr))
+            elif isinstance(node, ast.Name) and node.id == "derive_streams":
+                used.add(("train", node.id))
+    public = {("tensor", name) for name, value in vars(skelcl.tensor).items()
+              if inspect.isfunction(value) and value.__module__ == "skelcl.tensor"
+              and not name.startswith("_")}
+    unused = public | {("train", "derive_streams")}
+    unused -= used
+    traced = {(owner.__name__.rpartition(".")[2], attr)
+              for owner, attr in _load_tracing().ORIGINALS}
+    assert unused <= traced, f"dead names no tracer patches: {sorted(unused - traced)}"
+    assert unused == {(module, name) for module, names in TRACER_ONLY.items() for name in names}
 
 
 def test_benchmark_selftest_passes():

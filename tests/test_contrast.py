@@ -26,6 +26,7 @@ from skelcl.config import RunConfig
 from skelcl.encoder import init_params
 from skelcl.errors import (
     BatchTooLarge,
+    ConfigValueError,
     EmptyQueue,
     NonFiniteValue,
     QueueTooSmall,
@@ -196,6 +197,11 @@ class TestMemoryQueue:
         q.push(np.stack([a, b, c, d]))
         q.push(np.stack([e, f]))
         np.testing.assert_array_equal(q.contents(), np.stack([c, d, e, f]))
+
+    def test_zero_capacity_named(self):
+        with pytest.raises(ConfigValueError) as err:
+            MemoryQueue(0, 2)
+        assert err.value.key == "queue_size"
 
     def test_batch_too_large(self):
         q = MemoryQueue(3, 2)
@@ -609,6 +615,11 @@ class TestNnm:
             np.testing.assert_array_equal(mined, oracle)
             np.testing.assert_array_equal(mined_sims, np.take_along_axis(sims, oracle, axis=1))
             np.testing.assert_array_equal(given, sims)  # the picks are restored
+
+    def test_zero_k_named(self):
+        with pytest.raises(ConfigValueError) as err:
+            nnm_mine(np.zeros((2, 3)), 0)
+        assert err.value.key == "nnm_topk"
 
     def test_queue_too_small(self):
         q = MemoryQueue(4, 2, dtype=np.float64)

@@ -133,6 +133,15 @@ def test_fuse_predictions_weighted_argmax():
                          {"joint": 1.0, "bone": 1.0})
 
 
+@pytest.mark.parametrize("weights", [{"joint": 1.0}, {"joint": 1.0, "bone": 0.0}],
+                         ids=["missing", "zero"])
+def test_fuse_predictions_needs_a_positive_weight_per_stream(weights):
+    scores = {"joint": np.eye(2), "bone": np.eye(2)}
+    with pytest.raises(ConfigValueError, match="'bone'") as err:
+        fuse_predictions(scores, weights)
+    assert err.value.key == "fusion_weights"
+
+
 PROTOCOL_CALLS = {
     "linear_probe": lambda params, train, val: linear_probe(
         params, train, val, stream="joint", epochs=1, lr=0.3, seed=0),
@@ -203,6 +212,31 @@ def test_linear_probe_overflow_raises_named_value(splits, params, lr):
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(NonFiniteValue) as err:
             linear_probe(params, *splits, stream="joint", epochs=200, lr=lr, seed=0)
+    assert err.value.op == "linear_softmax_nll"
+
+
+@pytest.mark.parametrize("epochs", [113, 114, 115])
+def test_head_left_non_finite_by_the_last_step_raises(splits, params, epochs):
+    # at lr 1e38 the head stays finite through 113 epochs; the 114th epoch's
+    # last update overflows it, and the 115th epoch's first loss sees that
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        if epochs == 113:
+            result = linear_probe(params, *splits, stream="joint", epochs=epochs, lr=1e38, seed=1)
+            assert np.isfinite(result.weights).all() and np.isfinite(result.bias).all()
+            return
+        with pytest.raises(NonFiniteValue) as err:
+            linear_probe(params, *splits, stream="joint", epochs=epochs, lr=1e38, seed=1)
+    assert err.value.op == "linear_softmax_nll"
+
+
+def test_finetune_blocks_left_non_finite_by_the_last_step_raise(splits, params):
+    # the second epoch's last update overflows the encoder's blocks
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFiniteValue, match="block0") as err:
+            finetune(params, *splits, stream="joint", fraction=1.0, epochs=2, lr=1e38,
+                     weight_decay=0.0, seed=1)
     assert err.value.op == "linear_softmax_nll"
 
 
@@ -313,7 +347,7 @@ def reference_linear_probe(params, train, val, stream, epochs, lr, seed):
     rng = RngStream(seed).split("linear_probe")
     n = len(h_train)
     for epoch in range(epochs):
-        order = rng.split(f"e{epoch}").permutation(n)
+        order = rng.split(f"e{epoch}").generator().permutation(n)
         for bi in range(math.ceil(n / REFERENCE_BATCH)):
             idx = order[bi * REFERENCE_BATCH : (bi + 1) * REFERENCE_BATCH]
             mask = np.eye(num_classes, dtype=bool)[y_train[idx]]
@@ -361,7 +395,7 @@ def reference_finetune(params, train, val, stream, fraction, epochs, lr, weight_
     buffers = {}
     n = len(arrays)
     for epoch in range(epochs):
-        order = rng.split(f"e{epoch}").permutation(n)
+        order = rng.split(f"e{epoch}").generator().permutation(n)
         for bi in range(math.ceil(n / REFERENCE_BATCH)):
             idx = order[bi * REFERENCE_BATCH : (bi + 1) * REFERENCE_BATCH]
             mask = np.eye(num_classes, dtype=bool)[y[idx]]

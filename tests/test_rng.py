@@ -21,14 +21,14 @@ def test_generator_restarts_sequence():
 
 def test_split_streams_differ():
     root = RngStream(42)
-    a = root.split("a").uniform(0, 1, 50)
-    b = root.split("b").uniform(0, 1, 50)
+    a = root.split("a").generator().uniform(0, 1, 50)
+    b = root.split("b").generator().uniform(0, 1, 50)
     assert not np.array_equal(a, b)
 
 
 def test_sibling_streams_uncorrelated():
     root = RngStream(1234)
-    draws = np.stack([root.split(f"s{i}").normal(0, 1, 2000) for i in range(8)])
+    draws = np.stack([root.split(f"s{i}").generator().normal(0, 1, 2000) for i in range(8)])
     corr = np.corrcoef(draws)
     off_diag = corr[~np.eye(8, dtype=bool)]
     assert np.abs(off_diag).max() < 0.1
@@ -36,8 +36,8 @@ def test_sibling_streams_uncorrelated():
 
 def test_path_order_matters():
     assert not np.array_equal(
-        RngStream(5).split("a").split("b").uniform(0, 1, 20),
-        RngStream(5).split("b").split("a").uniform(0, 1, 20),
+        RngStream(5).split("a").split("b").generator().uniform(0, 1, 20),
+        RngStream(5).split("b").split("a").generator().uniform(0, 1, 20),
     )
 
 

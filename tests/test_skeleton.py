@@ -137,6 +137,19 @@ class TestStreams:
             for sid in STREAM_IDS:
                 np.testing.assert_array_equal(batch[sid][i], single[sid])
 
+    def test_joint_view_is_the_given_array_and_never_a_clip(self):
+        # stream_arrays hands back its input as the joint view; derive_streams
+        # passes it a copy, so writing to the view leaves the clip as it was
+        graph = build_star_tree(9)
+        clips = np.random.default_rng(3).normal(size=(2, 6, 3, 9)).astype(np.float32)
+        assert stream_arrays(clips, graph, ("joint",))["joint"] is clips
+        seq = _seq(clips[0], graph)
+        before = seq.data.copy()
+        joint = derive_streams(seq, ("joint", "bone"))["joint"]
+        assert joint is not seq.data
+        joint += 1.0
+        np.testing.assert_array_equal(seq.data, before)
+
     def test_unknown_stream(self):
         data = np.zeros((4, 3, 3), dtype=np.float32)
         with pytest.raises(UnknownStream):

@@ -103,9 +103,9 @@ def test_one_step_augments_each_branch_once_and_derives_streams_from_it(monkeypa
     apply_array = AugmentPipeline.apply_array
     augment_batch = skelcl.train._augment_batch
 
-    def counted(self, batch, rng, out=None):
+    def counted(self, batch, rng):
         calls.append(self.family)
-        return apply_array(self, batch, rng, out=out)
+        return apply_array(self, batch, rng)
 
     def recorded(*args, **kwargs):
         views.append(augment_batch(*args, **kwargs))
@@ -121,6 +121,17 @@ def test_one_step_augments_each_branch_once_and_derives_streams_from_it(monkeypa
         assert set(view) == {"joint", "bone", "motion"}
         np.testing.assert_array_equal(view["bone"], derive_bone(view["joint"], graph))
         np.testing.assert_array_equal(view["motion"], derive_motion(view["joint"]))
+
+
+def test_pretrain_leaves_every_clip_untouched():
+    # each branch augments its view in place over a stack of the batch
+    data = generate_synthetic_dataset(2, 3, frames=16, seed=1, check_separability=False)
+    before = [s.data.tobytes() for s in data]
+    config = RunConfig(stage_epochs=[1, 1, 1], queue_size=4, batch_size=4, enc_blocks=1,
+                       enc_channels=[4], enc_hidden=8, embed_dim=4, query_family="extreme",
+                       key_family="extreme", extreme_prob=1.0)
+    pretrain(data, config)
+    assert [s.data.tobytes() for s in data] == before
 
 
 @pytest.mark.parametrize("param,op", [("block0.spatial_weight", "stgcn_block"),
