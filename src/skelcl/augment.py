@@ -8,7 +8,8 @@ clip's parameters as arrays from one generator; the magnitudes are read
 from the `RunConfig`, so they are hashed with the run.
 
 `apply_array` writes the view over the batch it is given: a caller that
-must keep its input passes in a copy.
+must keep its input passes in a copy, as `train.branch_views` does for
+the query branch.
 """
 
 from __future__ import annotations

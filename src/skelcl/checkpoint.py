@@ -64,19 +64,26 @@ def load_checkpoint(path) -> Checkpoint:
 # -- TrainState mapping --------------------------------------------------------------
 
 
-def state_to_checkpoint(state: TrainState) -> Checkpoint:
-    tensors: dict[str, np.ndarray] = {}
-    counters = {"meta.epoch": int(state.epoch), "meta.step": int(state.step)}
+def _arrays(state: TrainState):
+    """(name, array, unit rows) of every tensor a checkpoint of `state` holds;
+    unit rows counts the leading rows that must be unit-norm (a queue ring
+    fills from row 0, so its rows [0, filled) hold pushed keys), else None."""
     for u, pair in state.pairs.items():
         for branch, params in (("query", pair.query), ("key", pair.key)):
             for name, t in params.tensors.items():
-                tensors[f"enc.{u}.{branch}.{name}"] = t.data
+                yield f"enc.{u}.{branch}.{name}", t.data, None
         q = state.queues[u]
-        tensors[f"queue.{u}.slots"] = q.slots
+        yield f"queue.{u}.slots", q.slots, q.filled
+    for key, buf in state.buffers.items():
+        yield f"opt.{key}", buf, None
+
+
+def state_to_checkpoint(state: TrainState) -> Checkpoint:
+    counters = {"meta.epoch": int(state.epoch), "meta.step": int(state.step)}
+    for u, q in state.queues.items():
         counters[f"queue.{u}.head"] = int(q.head)
         counters[f"queue.{u}.filled"] = int(q.filled)
-    for key, buf in state.buffers.items():
-        tensors[f"opt.{key}"] = buf
+    tensors = {name: arr for name, arr, _ in _arrays(state)}
     return Checkpoint(config=state.config, tensors=tensors, counters=counters)
 
 
@@ -107,30 +114,19 @@ def _stored_count(ckpt: Checkpoint, name: str, high: float) -> int:
     return value
 
 
-def _load_encoder(ckpt: Checkpoint, stream: str, branch: str, params: EncoderParams) -> None:
-    for name, t in params.tensors.items():
-        t.data[...] = _stored(ckpt, f"enc.{stream}.{branch}.{name}", t.shape)
-
-
 def state_from_checkpoint(ckpt: Checkpoint) -> TrainState:
-    """A fresh `init_train_state` with every stored array and counter written into it."""
+    """A fresh `init_train_state` with every stored counter, then array, written into it."""
     config = ckpt.config
     state = init_train_state(config)
-    for u in config.streams:
+    for u, q in state.queues.items():
         if f"queue.{u}.slots" not in ckpt.tensors:
             raise StreamMissing(f"checkpoint lacks stream {u!r}")
-        pair = state.pairs[u]
-        _load_encoder(ckpt, u, "query", pair.query)
-        _load_encoder(ckpt, u, "key", pair.key)
-        q = state.queues[u]
         q.head = _stored_count(ckpt, f"queue.{u}.head", q.capacity - 1)
         q.filled = _stored_count(ckpt, f"queue.{u}.filled", q.capacity)
-        # the ring fills from row 0, so rows [0, filled) hold pushed keys
-        q.slots[...] = _stored(ckpt, f"queue.{u}.slots", q.slots.shape, unit_rows=q.filled)
-        for name, t in pair.query.trainable().items():
-            state.buffers[f"{u}.{name}"][...] = _stored(ckpt, f"opt.{u}.{name}", t.shape)
     state.epoch = _stored_count(ckpt, "meta.epoch", sum(config.stage_epochs))
     state.step = _stored_count(ckpt, "meta.step", math.inf)
+    for name, arr, unit_rows in _arrays(state):
+        arr[...] = _stored(ckpt, name, arr.shape, unit_rows)
     return state
 
 
@@ -139,5 +135,6 @@ def query_params(ckpt: Checkpoint, stream: str, branch: str = "query") -> Encode
     if f"queue.{stream}.slots" not in ckpt.tensors:
         raise StreamMissing(f"checkpoint lacks stream {stream!r}")
     params = init_params(ckpt.config, RngStream(0).split("rebuild"))
-    _load_encoder(ckpt, stream, branch, params)
+    for name, t in params.tensors.items():
+        t.data[...] = _stored(ckpt, f"enc.{stream}.{branch}.{name}", t.shape)
     return params

@@ -30,7 +30,6 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .augment import AugmentPipeline
 from .checkpoint import (
     load_checkpoint,
     query_params,
@@ -65,7 +64,7 @@ from .skeleton import (
     stratified_split,
     write_dataset,
 )
-from .train import _augment_batch, finetune, fuse_predictions, knn_probe, linear_probe, pretrain
+from .train import branch_views, finetune, fuse_predictions, knn_probe, linear_probe, pretrain
 
 
 def _parse_overrides(pairs: list[str]) -> dict:
@@ -431,18 +430,12 @@ def cmd_pft_hist(args) -> int:
             raise EmptyValSplit("pft-hist --checkpoint needs validation samples")
         graph, joints = clip_batch(val)
         adjacency = graph.normalized_adjacency(np.float32)
-        # key branch embeddings come from the checkpointed key encoder; the
-        # query branch augments a copy, then the key branch the stack itself
-        views = []
-        for label, branch, family in (("q", "query", config.query_family),
-                                      ("k", "key", config.key_family)):
-            pipeline = AugmentPipeline(family, config)
-            x = _augment_batch(joints.copy() if label == "q" else joints, pipeline,
-                               rng.split(label), graph, (args.stream,))
-            params = query_params(ckpt, args.stream, branch)
-            with T.no_tape():
-                views.append(encode(x[args.stream], adjacency, params, mode="eval")[1].data)
-        zq, zk = views
+        views = branch_views(joints, config, rng.split, graph, (args.stream,))
+        # key branch embeddings come from the checkpointed key encoder
+        with T.no_tape():
+            zq, zk = (encode(views[b][args.stream], adjacency,
+                             query_params(ckpt, args.stream, branch), mode="eval")[1].data
+                      for b, branch in (("q", "query"), ("k", "key")))
         lam = pft_lambdas(rng.split("lam").generator(), config, len(val))
         before = (zq * zk).sum(axis=1)
     else:

@@ -21,13 +21,13 @@ import numpy as np
 from . import tensor as T
 from .config import RunConfig
 from .encoder import EncoderParams
-from .errors import (BatchTooLarge, ConfigValueError, EmptyQueue, NonFiniteValue, QueueTooSmall,
-                     ShapeMismatch)
+from .errors import (BatchTooLarge, ConfigValueError, EmptyQueue, InvalidArgument, NonFiniteValue,
+                     QueueTooSmall, ShapeMismatch)
 from .rng import RngStream
 
 
 def check_unit_rows(rows: np.ndarray, what: str, unit_rows: int | None = None,
-                    errors=(NonFiniteValue, ValueError)) -> None:
+                    errors=(NonFiniteValue, InvalidArgument)) -> None:
     """Raise `errors[0]` if an entry of `rows` is not finite and `errors[1]` if
     one of its first `unit_rows` rows (all by default) is off unit norm; one
     pass over `rows`, so a finite entry too large to square reads as infinite."""
@@ -271,7 +271,7 @@ def similarity_histogram(before, after, bins: int = 20) -> HistogramTable:
     before = np.asarray(before, dtype=np.float64)
     after = np.asarray(after, dtype=np.float64)
     if before.size == 0 or after.size == 0:
-        raise ValueError("need at least one pair")
+        raise InvalidArgument("need at least one pair")
     edges = np.linspace(-1.0, 1.0, bins + 1)
     b_counts, _ = np.histogram(np.clip(before, -1, 1), edges)
     a_counts, _ = np.histogram(np.clip(after, -1, 1), edges)

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import RunConfig
-from .errors import ShapeMismatch
+from .errors import InvalidArgument, ShapeMismatch
 from .rng import RngStream
 
 IN_CHANNELS = 3  # x, y, z coordinates
@@ -126,7 +126,7 @@ def stgcn_forward(
     the frozen running statistics.
     """
     if mode not in ("train", "eval"):
-        raise ValueError("mode must be 'train' or 'eval'")
+        raise InvalidArgument(f"mode must be 'train' or 'eval', got {mode!r}")
     if update_stats is None:
         update_stats = mode == "train"
     x = T.as_tensor(x)

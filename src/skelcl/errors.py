@@ -9,6 +9,10 @@ class SkelclError(Exception):
     """Base class for all package errors."""
 
 
+class InvalidArgument(SkelclError, ValueError):
+    """A function argument lies outside what the function accepts."""
+
+
 # --- tensor / autograd ---------------------------------------------------
 
 
@@ -81,16 +85,13 @@ class QueueTooSmall(SkelclError):
 # --- training / evaluation -------------------------------------------------
 
 
-class NonFiniteGradient(SkelclError):
-    """An optimizer step received NaN or Inf gradients."""
-
-
 class NonFiniteLoss(SkelclError):
     """A pretraining step produced NaN or Inf.
 
-    `op` names the tape op that did, `epoch`, `step` and `stage` the
-    step, and `stream` the stream whose encoder pass failed (None when
-    the loss did).
+    `op` names the op that did (a tape op, or "sgd_step" for an update
+    that left a parameter non-finite), `epoch`, `step` and `stage` the
+    step, and `stream` the stream whose encoder pass or update failed
+    (None when the loss did).
     """
 
     def __init__(self, message: str, op: str | None, epoch: int, step: int, stage: str,

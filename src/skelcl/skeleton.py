@@ -7,7 +7,8 @@ along graph edges), and motion (frame-to-frame displacement).
 
 `stream_arrays` returns the joint array it is given as the joint view,
 so a caller that must keep that array unchanged passes in a copy;
-`derive_streams` does, because its input is a clip's own storage.
+`derive_streams` does, because its input is a clip's own storage, and
+`train.branch_views` augments a copy for the query branch.
 
 `write_file`/`read_file` are the one binary codec (layout in `write_file`),
 shared by checkpoints and the dataset file of `write_dataset`.
@@ -496,6 +497,19 @@ def _read_open_file(fh, path, magic: bytes, kind: str) -> tuple[object, dict[str
     return doc, tensors
 
 
+def stratified_pick(labels: np.ndarray, fraction: float, gen: np.random.Generator,
+                    floor: int = 0) -> list[int]:
+    """Sorted indices of max(`floor`, round(size * `fraction`)) clips of
+    each class of `labels`: class by class in ascending order, one
+    `gen.permutation` of the class's indices, whose first ones are picked."""
+    picked: list[int] = []
+    for cls in np.unique(labels):
+        idx = np.flatnonzero(labels == cls)
+        take = max(floor, int(round(idx.size * fraction)))
+        picked.extend(int(i) for i in idx[gen.permutation(idx.size)][:take])
+    return sorted(picked)
+
+
 def stratified_split(
     sequences: list[SkeletonSequence], val_fraction: float, rng: RngStream
 ) -> list[str]:
@@ -507,14 +521,8 @@ def stratified_split(
     if not 0 < val_fraction < 1:
         raise ConfigValueError("val_fraction", f"must lie in (0, 1), got {val_fraction}")
     labels = np.array([s.label if s.label is not None else -1 for s in sequences])
-    assignment = ["train"] * len(sequences)
-    gen = rng.generator()
-    for cls in np.unique(labels):
-        idx = np.flatnonzero(labels == cls)
-        idx = idx[gen.permutation(len(idx))]
-        n_val = int(round(len(idx) * val_fraction))
-        for i in idx[:n_val]:
-            assignment[int(i)] = "val"
+    val = set(stratified_pick(labels, val_fraction, rng.generator()))
+    assignment = ["val" if i in val else "train" for i in range(len(sequences))]
     empty = {"train", "val"} - set(assignment)
     if empty:
         split = " and ".join(sorted(empty))

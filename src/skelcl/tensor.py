@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -72,33 +73,37 @@ class TapeNode:
         self.tape = tape
 
 
+@contextmanager
+def _bound(name: str, value):
+    """Bind thread-local `name` to `value` for the block, then restore the
+    outer binding (None when there was none); yields `value`."""
+    outer = getattr(_state, name, None)
+    setattr(_state, name, value)
+    try:
+        yield value
+    finally:
+        setattr(_state, name, outer)
+
+
 class Tape:
     """Ordered record of executed operations; one per forward pass."""
 
     def __init__(self) -> None:
         self.nodes: list[TapeNode] = []
         self.consumed = False
-        self._outer: Tape | None = None
+        self._binding = None
 
     def __enter__(self) -> "Tape":
-        self._outer = _active_tape()
-        _state.tape = self
-        return self
+        self._binding = _bound("tape", self)
+        return self._binding.__enter__()
 
     def __exit__(self, *exc) -> None:
-        _state.tape = self._outer
-        self._outer = None
+        self._binding.__exit__(*exc)
 
 
-class no_tape:
+def no_tape():
     """Context that suppresses recording (gradient-free forward passes)."""
-
-    def __enter__(self) -> None:
-        self._outer = _active_tape()
-        _state.tape = None
-
-    def __exit__(self, *exc) -> None:
-        _state.tape = self._outer
+    return _bound("tape", None)
 
 
 class Tensor:
@@ -1010,17 +1015,6 @@ class GradCheckResult:
     coords_checked: int = 0
 
 
-class _KinkMonitor:
-    def __enter__(self) -> list[np.ndarray]:
-        self._outer = _kink_trace()
-        trace: list[np.ndarray] = []
-        _state.kink_trace = trace
-        return trace
-
-    def __exit__(self, *exc) -> None:
-        _state.kink_trace = self._outer
-
-
 def _traces_equal(a: list[np.ndarray], b: list[np.ndarray]) -> bool:
     if len(a) != len(b):
         return False
@@ -1066,10 +1060,10 @@ def grad_check(
             saved = p.data.flat[idx]
             with no_tape():
                 p.data.flat[idx] = saved + eps
-                with _KinkMonitor() as trace_plus:
+                with _bound("kink_trace", []) as trace_plus:
                     f_plus = num_f().item()
                 p.data.flat[idx] = saved - eps
-                with _KinkMonitor() as trace_minus:
+                with _bound("kink_trace", []) as trace_minus:
                     f_minus = num_f().item()
                 p.data.flat[idx] = saved
             if not _traces_equal(trace_plus, trace_minus):

@@ -6,14 +6,18 @@ stream from each view, encode both branches, combine the intra/inter
 losses (mining from stage 2, extrapolation in stage 3), backprop into
 the query encoders, momentum-mix the key encoders, then push the step's
 key embeddings into each stream's queue.  Augmentation writes over the
-array it is given, so the query branch augments a copy of the stack and
-the key branch the stack itself; no clip's own array is written.
-`skeleton.shared_graph` checks once, before the first step, that every
-clip stacks with every other.  Everything stochastic is re-derived from
-(seed, labels), so a resumed run replays the uninterrupted trajectory
-bit for bit.  Settings live in `RunConfig` only; a `TrainState`, built
-by `init_train_state` alone, holds arrays and counters, its `buffers`
-the SGD momentum keyed "{stream}.{param}".
+array it is given; `branch_views` is the one place that picks the array,
+a copy of the stack for the query branch and the stack itself for the
+key branch, so no clip's own array is written.  Every SGD update checks
+the array it wrote (`_sgd_update`), and a step that produces NaN or Inf
+raises `NonFiniteLoss` naming the op, step, stage, lr and the stream
+whose encoder pass or update did.  `skeleton.shared_graph` checks once,
+before the first step, that every clip stacks with every other.
+Everything stochastic is re-derived from (seed, labels), so a resumed
+run replays the uninterrupted trajectory bit for bit.  Settings live in
+`RunConfig` only; a `TrainState`, built by `init_train_state` alone,
+holds arrays and counters, its `buffers` the SGD momentum keyed
+"{stream}.{param}".
 
 The protocols stack a split once (`skeleton.clip_batch`) and derive the
 probed stream from that stack.  The linear probe and finetuning train
@@ -45,13 +49,12 @@ from .errors import (
     EncoderModified,
     InvalidLabel,
     LengthMismatch,
-    NonFiniteGradient,
     NonFiniteLoss,
     NonFiniteValue,
     UnlabeledClip,
 )
 from .rng import RngStream
-from .skeleton import SkeletonSequence, clip_batch, shared_graph, stream_arrays
+from .skeleton import SkeletonSequence, clip_batch, shared_graph, stratified_pick, stream_arrays
 from .skeleton import derive_streams  # noqa: F401  (skelbench's tracer patches this name)
 
 STAGE_NAMES = ("basic", "basic+nnm", "basic+nnm+pft")
@@ -60,15 +63,17 @@ STAGE_NAMES = ("basic", "basic+nnm", "basic+nnm+pft")
 def sgd_step(params: dict[str, T.Tensor], grads: dict[T.Tensor, T.Tensor],
              buffers: dict[str, np.ndarray], lr: float, momentum: float,
              weight_decay: float) -> None:
-    """`_sgd_update` of every parameter in `params`.
+    """`_sgd_update` of every parameter in `params`, with NumPy's overflow
+    warnings off: the update's own check reports an overflow.
 
     `grads` is `T.backward`'s map (a missing parameter has a zero gradient);
     `buffers[name]` is the momentum of `params[name]`, zero-filled by the
     caller before the first step.
     """
-    for name, p in params.items():
-        g = grads[p].data if p in grads else np.zeros_like(p.data)
-        _sgd_update(name, p.data, g, buffers, lr, momentum, weight_decay)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, p in params.items():
+            g = grads[p].data if p in grads else np.zeros_like(p.data)
+            _sgd_update(name, p.data, g, buffers, lr, momentum, weight_decay)
 
 
 def _sgd_update(name: str, theta: np.ndarray, g: np.ndarray, buffers: dict[str, np.ndarray],
@@ -76,16 +81,17 @@ def _sgd_update(name: str, theta: np.ndarray, g: np.ndarray, buffers: dict[str, 
     """g' = g + wd*theta; buf = m*buf + g'; theta -= lr*buf, all in place,
     with buf = `buffers[name]`.
 
-    A non-finite `g` raises `NonFiniteGradient` naming `name`.
+    A `theta` the update leaves non-finite, from a non-finite `g` or an
+    overflow, raises `NonFiniteValue` (op "sgd_step") naming `name`.
     """
-    if not np.isfinite(g).all():
-        raise NonFiniteGradient(f"gradient for {name} is not finite")
     step = weight_decay * theta
     step += g
     buf = buffers[name]
     buf *= momentum
     buf += step
     theta -= lr * buf
+    if not np.isfinite(theta).all():
+        raise NonFiniteValue(f"sgd_step left {name} non-finite", op="sgd_step")
 
 
 def stage_of(config: RunConfig, epoch: int) -> int:
@@ -144,6 +150,21 @@ def _augment_batch(joints, pipeline, rng, graph, stream_ids) -> dict[str, np.nda
     return stream_arrays(pipeline.apply_array(joints, rng), graph, stream_ids)
 
 
+def branch_views(joints: np.ndarray, config: RunConfig, rngs, graph,
+                 streams) -> dict[str, dict[str, np.ndarray]]:
+    """Branch ("q", "k") -> every stream of its view of an (N, T, C, V)
+    joint batch, augmented by the branch's family with the stream
+    `rngs(branch)`.
+
+    The query branch augments a copy, then the key branch `joints` itself.
+    """
+    return {
+        b: _augment_batch(joints.copy() if b == "q" else joints, AugmentPipeline(family, config),
+                          rngs(b), graph, streams)
+        for b, family in (("q", config.query_family), ("k", config.key_family))
+    }
+
+
 def pretrain(
     dataset: list[SkeletonSequence],
     config: RunConfig,
@@ -167,10 +188,6 @@ def pretrain(
     if state is None:
         state = init_train_state(config)
     root = RngStream(config.seed)
-    pipelines = {
-        "q": AugmentPipeline(config.query_family, config),
-        "k": AugmentPipeline(config.key_family, config),
-    }
 
     records: list[dict] = [
         {"config": config.to_dict(), "config_hash": config.hash(), "n_sequences": len(dataset)}
@@ -186,19 +203,14 @@ def pretrain(
             indices = order[bi * config.batch_size : (bi + 1) * config.batch_size]
             embeddings: dict[str, tuple[T.Tensor, np.ndarray]] = {}
             joints = np.stack([dataset[i].data for i in indices])
-            # the query branch augments a copy, then the key branch the stack itself
-            views = {
-                b: _augment_batch(joints.copy() if b == "q" else joints, p,
-                                  root.split(f"aug.e{epoch}.b{bi}.{b}"), graph, config.streams)
-                for b, p in pipelines.items()
-            }
-            stream = None  # the stream whose encoder pass is running
+            views = branch_views(joints, config, lambda b: root.split(f"aug.e{epoch}.b{bi}.{b}"),
+                                 graph, config.streams)
+            phase = "encoder pass"  # what runs for `stream` when a value turns non-finite
             try:
                 with T.Tape():
-                    for u in config.streams:
-                        stream = u
-                        pair = state.pairs[u]
-                        xq, xk = views["q"][u], views["k"][u]
+                    for stream in config.streams:
+                        pair = state.pairs[stream]
+                        xq, xk = views["q"][stream], views["k"][stream]
                         hq = stgcn_forward(xq, adjacency, pair.query, mode="train")
                         zq = project(hq, pair.query)
                         with T.no_tape():
@@ -206,14 +218,22 @@ def pretrain(
                                 xk, adjacency, pair.key, mode="train", update_stats=False
                             )
                             zk = project(hk, pair.key).data
-                        embeddings[u] = (zq, zk)
+                        embeddings[stream] = (zq, zk)
                     stream = None
                     result = combine_losses(
                         embeddings, state.queues, config, nnm, pft, root.split(f"pft.e{epoch}.b{bi}")
                     )
                     grads = T.backward(result.total)
+                phase = "update"
+                for stream in config.streams:
+                    pair = state.pairs[stream]
+                    params = {f"{stream}.{name}": t for name, t in pair.query.trainable().items()}
+                    sgd_step(params, grads, state.buffers, lr, config.sgd_momentum,
+                             config.weight_decay)
+                    momentum_update(pair, config.key_momentum)
+                    state.queues[stream].push(embeddings[stream][1])
             except NonFiniteValue as err:
-                where = f" in the {stream} encoder pass" if stream else ""
+                where = f" in the {stream} {phase}" if stream else ""
                 raise NonFiniteLoss(
                     f"non-finite value at epoch {epoch} step {state.step}{where}: {err}; "
                     f"stage={STAGE_NAMES[stage]} lr={lr}",
@@ -221,22 +241,14 @@ def pretrain(
                     stream=stream,
                 ) from err
 
-            for u in config.streams:
-                pair = state.pairs[u]
-                params = {f"{u}.{name}": t for name, t in pair.query.trainable().items()}
-                sgd_step(params, grads, state.buffers, lr, config.sgd_momentum,
-                         config.weight_decay)
-                momentum_update(pair, config.key_momentum)
-                state.queues[u].push(embeddings[u][1])
-
             record = {
                 "step": state.step,
                 "epoch": epoch,
                 "stage": STAGE_NAMES[stage],
                 "loss_total": result.total.item(),
                 "lr": lr,
+                **result.breakdown,
             }
-            record.update(result.breakdown)
             if nnm:
                 record["nnm_mean_similarity"] = result.nnm_mean_similarity
             if pft:
@@ -305,9 +317,8 @@ def _fit_head(rows, dim: int, y: np.ndarray, num_classes: int, trainable: dict[s
     the parameters and the head.  Without, `rows(idx)` gives frozen
     (B, dim) arrays, and a step calls the head kernel `T.linear_head`
     off the tape and updates the head's two arrays.  NumPy's overflow
-    warnings are off in the loop: an overflow surfaces as a later
-    `NonFiniteValue` or `NonFiniteGradient`, or, after the last step,
-    as the `NonFiniteValue` the next step's loss would have raised.
+    warnings are off in the loop: an update that leaves an array
+    non-finite, the last one's included, names it (`_sgd_update`).
     """
     w = T.parameter(np.zeros((dim, num_classes), dtype=np.float32))
     b = T.parameter(np.zeros(num_classes, dtype=np.float32))
@@ -327,11 +338,6 @@ def _fit_head(rows, dim: int, y: np.ndarray, num_classes: int, trainable: dict[s
                     _, g_w, g_b = grads(np.ones_like(loss), (False, True, True))
                     for name, theta, g in (("head.w", w.data, g_w), ("head.b", b.data, g_b)):
                         _sgd_update(name, theta, g, buffers, lr, 0.9, weight_decay)
-    # the last step's update can overflow, and no loss after it would see that
-    broken = [name for name, t in stepped.items() if not np.isfinite(t.data).all()]
-    if broken:
-        raise NonFiniteValue(f"linear_softmax_nll produced NaN or Inf: the last step left "
-                             f"{', '.join(broken)} non-finite", op="linear_softmax_nll")
     return w.data, b.data
 
 
@@ -369,6 +375,8 @@ def linear_probe(
     """
     if epochs < 0:
         raise ConfigValueError("linear_epochs", f"must be nonnegative, got {epochs}")
+    if not lr > 0:
+        raise ConfigValueError("linear_lr", f"must be positive, got {lr}")
     _check_splits(train_seqs, val_seqs, "linear probe")
     y_train, y_val = _labels(train_seqs, "train"), _labels(val_seqs, "val")
     digest_before = params.digest()
@@ -418,15 +426,7 @@ def stratified_fraction(
     """Class-stratified subset indices with a one-per-class floor."""
     if not 0 < fraction <= 1:
         raise ConfigValueError("fraction", f"must lie in (0, 1], got {fraction}")
-    labels = _labels(sequences, "train")
-    picked: list[int] = []
-    gen = rng.generator()
-    for cls in np.unique(labels):
-        idx = np.flatnonzero(labels == cls)
-        take = max(1, int(round(idx.size * fraction)))
-        idx = idx[gen.permutation(idx.size)]
-        picked.extend(int(i) for i in idx[:take])
-    return sorted(picked)
+    return stratified_pick(_labels(sequences, "train"), fraction, rng.generator(), floor=1)
 
 
 @dataclass
@@ -461,6 +461,10 @@ def finetune(
     """
     if epochs < 0:
         raise ConfigValueError("finetune_epochs", f"must be nonnegative, got {epochs}")
+    if not lr > 0:
+        raise ConfigValueError("finetune_lr", f"must be positive, got {lr}")
+    if not weight_decay >= 0:
+        raise ConfigValueError("weight_decay", f"must be nonnegative, got {weight_decay}")
     _check_splits(train_seqs, val_seqs, "finetuning")
     rng = RngStream(seed).split("finetune")
     subset = stratified_fraction(train_seqs, fraction, rng.split("subset"))

@@ -109,6 +109,20 @@ def test_missing_stream_raises(tmp_path, trained_state):
         query_params(ckpt, "velocity")
 
 
+def test_every_written_tensor_is_read_back_by_name(trained_state):
+    # a restore needs each tensor a checkpoint holds, and names the one it lacks
+    ckpt = state_to_checkpoint(trained_state)
+    for name in ckpt.tensors:
+        partial = Checkpoint(ckpt.config, {k: v for k, v in ckpt.tensors.items() if k != name},
+                             ckpt.counters)
+        if name.startswith("queue."):  # a stream's queue marks the stream as present
+            with pytest.raises(StreamMissing, match=repr(name.split(".")[1])):
+                state_from_checkpoint(partial)
+        else:
+            with pytest.raises(CorruptFile, match=f"lacks tensor {name!r}"):
+                state_from_checkpoint(partial)
+
+
 def test_resume_reproduces_uninterrupted_run(tmp_path):
     """Stop at a stage boundary, reload, and replay identical metrics."""
     data = generate_synthetic_dataset(3, 6, frames=16, seed=4, check_separability=False)

@@ -28,6 +28,7 @@ from skelcl.errors import (
     BatchTooLarge,
     ConfigValueError,
     EmptyQueue,
+    InvalidArgument,
     NonFiniteValue,
     QueueTooSmall,
     ShapeMismatch,
@@ -219,6 +220,11 @@ class TestMemoryQueue:
         with pytest.raises(error):
             q.push(np.array([[0.0, 1.0], row]))
         np.testing.assert_array_equal(q.contents(), [[1.0, 0.0]])  # nothing was stored
+
+    def test_push_off_unit_norm_named(self):
+        q = MemoryQueue(3, 2)
+        with pytest.raises(InvalidArgument, match="queue entries must be unit-norm"):
+            q.push(np.array([[0.6, 0.6]]))
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(1, 8), min_size=1, max_size=30), st.integers(0, 10_000))
@@ -782,6 +788,10 @@ def _extrapolated_similarities(rng, n, low):
 
 
 class TestSimilarityHistogram:
+    def test_no_pairs_named(self):
+        with pytest.raises(InvalidArgument, match="at least one pair"):
+            similarity_histogram([], [])
+
     def test_identical_pairs_single_bin(self):
         sims = np.ones(50)
         table = similarity_histogram(sims, sims, bins=20)

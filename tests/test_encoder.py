@@ -6,7 +6,7 @@ import pytest
 from skelcl import tensor as T
 from skelcl.config import RunConfig
 from skelcl.encoder import BN_EPS, BN_MOMENTUM, encode, init_params, project, stgcn_forward
-from skelcl.errors import ShapeMismatch
+from skelcl.errors import InvalidArgument, ShapeMismatch
 from skelcl.rng import RngStream
 from skelcl.skeleton import build_star_tree
 from test_tensor import composed_block
@@ -93,6 +93,11 @@ class TestForward:
         params = init_params(TINY, RngStream(3).split("e"))
         with pytest.raises(ShapeMismatch, match="batch"):
             stgcn_forward(_input((8, 3, 5)), _adjacency(5), params)
+
+    def test_unknown_mode_named(self):
+        params = init_params(TINY, RngStream(3).split("e"))
+        with pytest.raises(InvalidArgument, match="'test'"):
+            stgcn_forward(_input((1, 8, 3, 5)), _adjacency(5), params, mode="test")
 
     def test_train_mode_updates_running_stats(self):
         params = init_params(SMALL, RngStream(9).split("e"))

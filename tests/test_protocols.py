@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+import skelcl.train
 from skelcl import tensor as T
 from skelcl.config import RunConfig
 from skelcl.encoder import EncoderParams, encode, init_params, project, stgcn_forward
@@ -15,7 +16,6 @@ from skelcl.errors import (
     EncoderModified,
     InvalidLabel,
     LengthMismatch,
-    NonFiniteGradient,
     NonFiniteValue,
     ShapeMismatch,
     UnlabeledClip,
@@ -30,6 +30,7 @@ from skelcl.skeleton import (
     write_dataset,
 )
 from skelcl.train import (
+    PROTOCOL_BATCH,
     finetune,
     fuse_predictions,
     knn_probe,
@@ -206,38 +207,50 @@ def test_head_step_records_one_node_after_the_encoder(splits, monkeypatch, call)
 
 @pytest.mark.parametrize("lr", [1e38, np.inf])
 def test_linear_probe_overflow_raises_named_value(splits, params, lr):
-    # the head's weights overflow; the next loss names the head op, and no
-    # NumPy warning about the overflow escapes first
+    # the head's weights overflow; the update that wrote them names itself
+    # and the array, and no NumPy warning about the overflow escapes first
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(NonFiniteValue) as err:
+        with pytest.raises(NonFiniteValue, match="head") as err:
             linear_probe(params, *splits, stream="joint", epochs=200, lr=lr, seed=0)
-    assert err.value.op == "linear_softmax_nll"
+    assert err.value.op == "sgd_step"
 
 
 @pytest.mark.parametrize("epochs", [113, 114, 115])
-def test_head_left_non_finite_by_the_last_step_raises(splits, params, epochs):
+def test_head_left_non_finite_by_the_last_step_raises(splits, params, epochs, monkeypatch):
     # at lr 1e38 the head stays finite through 113 epochs; the 114th epoch's
-    # last update overflows it, and the 115th epoch's first loss sees that
+    # last update overflows it, and raises there whether or not a step follows
+    updates, update = [], skelcl.train._sgd_update
+
+    def counting(name, *args):
+        updates.append(name)
+        return update(name, *args)
+
+    monkeypatch.setattr(skelcl.train, "_sgd_update", counting)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         if epochs == 113:
             result = linear_probe(params, *splits, stream="joint", epochs=epochs, lr=1e38, seed=1)
             assert np.isfinite(result.weights).all() and np.isfinite(result.bias).all()
             return
-        with pytest.raises(NonFiniteValue) as err:
+        with pytest.raises(NonFiniteValue, match="left head") as err:
             linear_probe(params, *splits, stream="joint", epochs=epochs, lr=1e38, seed=1)
-    assert err.value.op == "linear_softmax_nll"
+    assert err.value.op == "sgd_step"
+    # two arrays per step: the update that raised belongs to the 114th epoch's last step
+    steps_per_epoch = math.ceil(len(splits[0]) / PROTOCOL_BATCH)
+    assert (len(updates) - 1) // 2 == 114 * steps_per_epoch - 1
+    assert updates[-1] in err.value.args[0]
 
 
 def test_finetune_blocks_left_non_finite_by_the_last_step_raise(splits, params):
-    # the second epoch's last update overflows the encoder's blocks
+    # the second epoch's last update overflows the encoder's blocks, and
+    # the update names the block array it left non-finite
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(NonFiniteValue, match="block0") as err:
+        with pytest.raises(NonFiniteValue, match="left block0") as err:
             finetune(params, *splits, stream="joint", fraction=1.0, epochs=2, lr=1e38,
                      weight_decay=0.0, seed=1)
-    assert err.value.op == "linear_softmax_nll"
+    assert err.value.op == "sgd_step"
 
 
 @pytest.mark.parametrize("call", ["linear_probe", "finetune"])
@@ -254,8 +267,9 @@ def test_non_finite_head_gradient_named(splits, params, monkeypatch, call):
         return loss, nan_weight
 
     monkeypatch.setattr(T, "linear_head", poisoned)
-    with pytest.raises(NonFiniteGradient, match="gradient for head.w"):
+    with pytest.raises(NonFiniteValue, match="sgd_step left head.w non-finite") as err:
         PROTOCOL_CALLS[call](params, *splits)
+    assert err.value.op == "sgd_step"
 
 
 @pytest.mark.parametrize("call,key", [
@@ -266,10 +280,22 @@ def test_non_finite_head_gradient_named(splits, params, monkeypatch, call):
     (lambda params, train, val: finetune(params, train, val, stream="joint", fraction=1.0,
                                          epochs=-1, lr=0.1, weight_decay=1e-4, seed=0),
      "finetune_epochs"),
-], ids=["knn_k_0", "knn_k_negative", "linear_epochs_negative", "finetune_epochs_negative"])
+    (lambda params, train, val: linear_probe(params, train, val, stream="joint", epochs=1,
+                                             lr=0.0, seed=0), "linear_lr"),
+    (lambda params, train, val: linear_probe(params, train, val, stream="joint", epochs=1,
+                                             lr=-1.0, seed=0), "linear_lr"),
+    (lambda params, train, val: finetune(params, train, val, stream="joint", fraction=1.0,
+                                         epochs=1, lr=0.0, weight_decay=1e-4, seed=0),
+     "finetune_lr"),
+    (lambda params, train, val: finetune(params, train, val, stream="joint", fraction=1.0,
+                                         epochs=1, lr=0.1, weight_decay=-1.0, seed=0),
+     "weight_decay"),
+], ids=["knn_k_0", "knn_k_negative", "linear_epochs_negative", "finetune_epochs_negative",
+        "linear_lr_0", "linear_lr_negative", "finetune_lr_0", "weight_decay_negative"])
 def test_out_of_range_protocol_setting_named(splits, params, call, key):
-    # k=0 would vote with no neighbour, k=-1 with all but one, and a
-    # negative epoch count would train nothing
+    # k=0 would vote with no neighbour, k=-1 with all but one, a negative
+    # epoch count would train nothing, and a zero or negative rate or a
+    # negative weight decay would train silently the wrong way
     with pytest.raises(ConfigValueError) as err:
         call(params, *splits)
     assert err.value.key == key

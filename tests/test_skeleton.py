@@ -33,6 +33,7 @@ from skelcl.skeleton import (
     generate_synthetic_dataset,
     load_dataset,
     oracle_classifier_accuracy,
+    stratified_pick,
     stratified_split,
     stream_arrays,
     write_dataset,
@@ -325,6 +326,18 @@ class TestSequenceFiles:
         seqs = generate_synthetic_dataset(3, 4, frames=16, seed=5, check_separability=False)
         with pytest.raises(ConfigValueError, match="val_fraction"):
             stratified_split(seqs, fraction, RngStream(5).split("split"))
+
+    def test_stratified_pick_honours_floor(self):
+        labels = np.array([0] * 10 + [1] * 2 + [2])
+        picks = {floor: stratified_pick(labels, 0.2, np.random.default_rng(4), floor)
+                 for floor in (0, 1, 3)}
+        # round(size * 0.2) per class, raised to the floor, capped at the class size
+        expected = {0: [2, 0, 0], 1: [2, 1, 1], 3: [3, 2, 1]}
+        for floor, picked in picks.items():
+            assert picked == sorted(picked)
+            assert np.bincount(labels[picked], minlength=3).tolist() == expected[floor]
+        # the floor takes more of the same draws, not other draws
+        assert set(picks[0]) <= set(picks[1]) <= set(picks[3])
 
     def test_dataset_round_trip(self, tmp_path):
         seqs = generate_synthetic_dataset(3, 4, frames=16, seed=5, check_separability=False)

@@ -130,6 +130,31 @@ class TestSoftmaxNll:
             assert abs(rows.data[i] - brute_force_nll(logits[i], mask[i])) < 1e-9
 
 
+def test_no_tape_inside_a_tape_restores_it():
+    with T.Tape() as outer:
+        with T.no_tape():
+            assert T._active_tape() is None
+        assert T._active_tape() is outer
+        with pytest.raises(RuntimeError):
+            with T.Tape():
+                raise RuntimeError  # an error inside a nested tape restores the outer one
+        assert T._active_tape() is outer
+    assert T._active_tape() is None
+
+
+def test_nested_kink_traces_restore_the_outer_one():
+    x = T.Tensor(np.array([1.0, -1.0]))
+    with T._bound("kink_trace", []) as outer:
+        with pytest.raises(RuntimeError):
+            with T._bound("kink_trace", []) as inner:
+                T.relu(x)
+                raise RuntimeError
+        assert T._kink_trace() is outer
+        T.relu(x)
+    assert len(inner) == len(outer) == 1
+    assert T._kink_trace() is None
+
+
 class TestBackward:
     def test_square(self):
         x = T.parameter([3.0])

@@ -2,6 +2,7 @@
 
 import gc
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import skelcl.train
 from skelcl import tensor as T
 from skelcl.augment import AugmentPipeline
 from skelcl.config import RunConfig
-from skelcl.errors import NonFiniteGradient, NonFiniteLoss
+from skelcl.errors import NonFiniteLoss, NonFiniteValue
 from skelcl.skeleton import (
     SkeletonSequence,
     build_star_tree,
@@ -65,9 +66,25 @@ def test_sgd_in_place_step_matches_out_of_place_formula_float32():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_sgd_non_finite_gradient_raises(bad):
+    # the update writes the bad gradient into the parameter, and the check
+    # of the written array names it
     p = T.parameter(np.array([1.0, 2.0]))
-    with pytest.raises(NonFiniteGradient, match="p"):
-        sgd_step({"p": p}, {p: T.Tensor(np.array([0.0, bad]))}, {}, 0.1, 0.9, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFiniteValue, match="sgd_step left p non-finite") as err:
+            sgd_step({"p": p}, {p: T.Tensor(np.array([0.0, bad]))}, {"p": np.zeros(2)}, 0.1,
+                     0.9, 0.0)
+    assert err.value.op == "sgd_step"
+
+
+def test_sgd_overflowing_update_raises():
+    # a finite gradient whose step overflows float32
+    p = T.parameter(np.array([1.0, 2.0], dtype=np.float32))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFiniteValue, match="sgd_step left p non-finite"):
+            sgd_step({"p": p}, {p: T.Tensor(np.array([0.0, 1e3], dtype=np.float32))},
+                     {"p": np.zeros(2, dtype=np.float32)}, 1e37, 0.9, 0.0)
 
 
 @pytest.mark.parametrize(
@@ -146,6 +163,36 @@ def test_non_finite_parameter_names_op_step_and_stream(param, op):
         pretrain(data, config, state=state)
     e = err.value
     assert (e.op, e.epoch, e.step, e.stage, e.stream) == (op, 0, 0, "basic+nnm", "bone")
+
+
+OVERFLOW_CONFIG = dict(queue_size=8, batch_size=8, enc_blocks=1, enc_channels=[4],
+                       enc_hidden=8, embed_dim=4, lr=1e37)
+
+
+def test_overflowing_update_names_op_step_and_stream():
+    # a finite loss whose update at lr 1e37 leaves the first stream's
+    # projector non-finite fails at that update, not at a later step
+    data = generate_synthetic_dataset(2, 4, frames=16, seed=1, check_separability=False)
+    config = RunConfig(stage_epochs=[1, 0, 0], **OVERFLOW_CONFIG)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFiniteLoss, match="joint update") as err:
+            pretrain(data, config)
+    e = err.value
+    assert (e.op, e.epoch, e.step, e.stage, e.stream) == ("sgd_step", 0, 0, "basic", "joint")
+    assert "joint.projector.w2" in str(e) and "lr=1e+37" in str(e)
+
+
+def test_overflowing_update_writes_no_stage_end_checkpoint():
+    data = generate_synthetic_dataset(2, 4, frames=16, seed=1, check_separability=False)
+    config = RunConfig(stage_epochs=[1, 1, 0], **OVERFLOW_CONFIG)
+    calls = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFiniteLoss) as err:
+            pretrain(data, config, on_stage_end=lambda state, stage: calls.append(stage))
+    assert calls == []
+    assert (err.value.epoch, err.value.stage) == (0, "basic")
 
 
 def test_non_finite_loss_has_no_stream(monkeypatch):
