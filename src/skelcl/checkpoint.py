@@ -79,6 +79,10 @@ def _arrays(state: TrainState):
 
 
 def state_to_checkpoint(state: TrainState) -> Checkpoint:
+    """A checkpoint of `state` whose tensors are the state's own arrays, not
+    copies: training writes them in place, so save or copy the checkpoint
+    before training resumes.  (A copy per call would hold a second set of
+    queues, weights and momentum buffers in memory.)"""
     counters = {"meta.epoch": int(state.epoch), "meta.step": int(state.step)}
     for u, q in state.queues.items():
         counters[f"queue.{u}.head"] = int(q.head)

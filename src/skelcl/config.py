@@ -107,8 +107,9 @@ class RunConfig:
                 "channel widths must be nondecreasing")
         require("enc_channels", channels[0] >= 1, "channel widths must be positive")
         require("enc_hidden", self.enc_hidden >= 1, "hidden width must be positive")
-        require("enc_normalization", self.enc_normalization in ("batch", "off"),
-                "normalization must be 'batch' or 'off'")
+        # every block batch-normalizes; the key stays because stored configs carry it
+        require("enc_normalization", self.enc_normalization == "batch",
+                "normalization must be 'batch'")
         require("tau", self.tau > 0, "temperature must be positive")
         require("key_momentum", 0.0 <= self.key_momentum < 1.0, "must lie in [0, 1)")
         require("queue_size", self.queue_size >= 1, "must be positive")

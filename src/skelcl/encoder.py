@@ -6,8 +6,8 @@ normalization, relu, and a residual connection when channel counts
 match.  Global average pooling over frames and joints yields the hidden
 vector h; a one-hidden-layer MLP projects h to a unit-norm embedding z.
 The architecture (block count, channel widths, temporal kernel, hidden
-width, embedding size, normalization) is read from the `RunConfig`,
-which checks those keys when it is built.
+width, embedding size) is read from the `RunConfig`, which checks those
+keys when it is built.
 
 The input is an (N, T, C, V) batch of C = 3 coordinates plus the
 (V, V) normalized adjacency array.  `stgcn_forward` transposes it once,
@@ -18,9 +18,9 @@ tape node `tensor.stgcn_block` (joint aggregation `A_hat^T X`, channel
 mix `@ W`, temporal convolution, batch norm, relu, residual), in every
 mode: the taped train-mode query pass, the untaped key pass,
 finetuning, and eval mode, which normalizes with the frozen running
-statistics inside the same node.  With normalization off the node skips
-the norm.  The last block also pools: it returns h directly and takes
-h's gradient, so the last full activation is never built.
+statistics inside the same node.  The last block also pools: it returns
+h directly and takes h's gradient, so the last full activation is never
+built.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .errors import InvalidArgument, ShapeMismatch
 from .rng import RngStream
 
 IN_CHANNELS = 3  # x, y, z coordinates
-BN_EPS = 1e-5
 BN_MOMENTUM = 0.9
 
 
@@ -94,11 +93,10 @@ def init_params(config: RunConfig, rng: RngStream) -> EncoderParams:
     for i, c_out in enumerate(config.enc_channels):
         tensors[f"block{i}.spatial_weight"] = T.parameter(glorot(c_in, c_out, (c_in, c_out)))
         tensors[f"block{i}.temporal_kernel"] = T.parameter(glorot(k, k, (c_out, k)))
-        if config.enc_normalization == "batch":
-            tensors[f"block{i}.norm_gamma"] = T.parameter(np.ones(c_out, dtype=np.float32))
-            tensors[f"block{i}.norm_beta"] = T.parameter(np.zeros(c_out, dtype=np.float32))
-            tensors[f"block{i}.norm_running_mean"] = T.Tensor(np.zeros(c_out, dtype=np.float32))
-            tensors[f"block{i}.norm_running_var"] = T.Tensor(np.ones(c_out, dtype=np.float32))
+        tensors[f"block{i}.norm_gamma"] = T.parameter(np.ones(c_out, dtype=np.float32))
+        tensors[f"block{i}.norm_beta"] = T.parameter(np.zeros(c_out, dtype=np.float32))
+        tensors[f"block{i}.norm_running_mean"] = T.Tensor(np.zeros(c_out, dtype=np.float32))
+        tensors[f"block{i}.norm_running_var"] = T.Tensor(np.ones(c_out, dtype=np.float32))
         c_in = c_out
 
     c_last, hidden = config.enc_channels[-1], config.enc_hidden
@@ -138,15 +136,12 @@ def stgcn_forward(
     cfg = params.config
     h = T.transpose(x, (0, 1, 3, 2))  # channels-last inside the encoder
     for i in range(cfg.enc_blocks):
-        norm = running = None
-        if cfg.enc_normalization == "batch":
-            norm = (params[f"block{i}.norm_gamma"], params[f"block{i}.norm_beta"])
-            run_mu = params[f"block{i}.norm_running_mean"]
-            run_var = params[f"block{i}.norm_running_var"]
-            if mode == "eval":
-                running = (run_mu.data, run_var.data)
+        run_mu = params[f"block{i}.norm_running_mean"]
+        run_var = params[f"block{i}.norm_running_var"]
         h, stats = T.stgcn_block(h, adjacency, params[f"block{i}.spatial_weight"],
-                                 params[f"block{i}.temporal_kernel"], norm, running, BN_EPS,
+                                 params[f"block{i}.temporal_kernel"],
+                                 (params[f"block{i}.norm_gamma"], params[f"block{i}.norm_beta"]),
+                                 (run_mu.data, run_var.data) if mode == "eval" else None,
                                  pool=i == cfg.enc_blocks - 1)
         if stats is not None and update_stats:
             mu, var = stats

@@ -16,10 +16,6 @@ class InvalidArgument(SkelclError, ValueError):
 # --- tensor / autograd ---------------------------------------------------
 
 
-class ZeroNorm(SkelclError):
-    """A row with (near-)zero L2 norm was passed to a normalizer."""
-
-
 class EmptyMask(SkelclError):
     """A masked softmax was requested with no positive entries."""
 
@@ -38,6 +34,11 @@ class NonFiniteValue(SkelclError):
     def __init__(self, message: str, op: str | None = None):
         super().__init__(message)
         self.op = op
+
+
+class ZeroNorm(NonFiniteValue):
+    """A row with (near-)zero L2 norm was passed to a normalizer, whose
+    quotient would not be finite."""
 
 
 class ShapeMismatch(SkelclError):
@@ -86,12 +87,12 @@ class QueueTooSmall(SkelclError):
 
 
 class NonFiniteLoss(SkelclError):
-    """A pretraining step produced NaN or Inf.
+    """A pretraining step produced NaN or Inf, or a zero-norm row.
 
-    `op` names the op that did (a tape op, or "sgd_step" for an update
-    that left a parameter non-finite), `epoch`, `step` and `stage` the
-    step, and `stream` the stream whose encoder pass or update failed
-    (None when the loss did).
+    `op` names the op that did (a tape op, "l2_normalize" for a zero-norm
+    embedding, or "sgd_step" for an update that left a parameter
+    non-finite), `epoch`, `step` and `stage` the step, and `stream` the
+    stream whose encoder pass or update failed (None when the loss did).
     """
 
     def __init__(self, message: str, op: str | None, epoch: int, step: int, stage: str,

@@ -51,6 +51,7 @@ from .errors import (
 
 DEFAULT_DTYPE = np.float32
 NORM_EPS = 1e-12
+BN_EPS = 1e-5  # added to the batch-norm variance in `stgcn_block`
 
 _state = threading.local()
 
@@ -559,8 +560,7 @@ def _aggregate(src: np.ndarray, adjacency: np.ndarray, out: np.ndarray) -> np.nd
 BLOCK_CHUNK_BYTES = 256 * 1024
 
 
-def stgcn_block(h, adjacency, weight, kernel, norm=None, running=None, eps: float = 1e-5,
-                pool: bool = False):
+def stgcn_block(h, adjacency, weight, kernel, norm, running=None, pool: bool = False):
     """One graph-convolutional encoder block as one tape node.
 
     For a channels-last (N, T, V, C_in) activation `h`, the (V, V)
@@ -573,12 +573,12 @@ def stgcn_block(h, adjacency, weight, kernel, norm=None, running=None, eps: floa
     (`_aggregate`) and the residual is added when C_in == C_out.  With
     `pool`, `out` is instead its (N, C_out) mean over frames and joints,
     reduced chunk by chunk, so the full activation is never built.
-    `norm` is None (no normalization) or the (gamma, beta) pair of a
-    batch norm over every axis but the channel one.  With `running=None`
-    it normalizes with the batch's mean and biased variance, returned as
-    `stats` (constant (C_out,) arrays for the caller's running
-    averages); with a (mean, var) pair of arrays it uses those, and
-    `stats` is None.
+    `norm` is the (gamma, beta) pair of the batch norm, over every axis
+    but the channel one, with `BN_EPS` added to the variance; every
+    block normalizes.  With `running=None` it normalizes with the
+    batch's mean and biased variance, returned as `stats` (constant
+    (C_out,) arrays for the caller's running averages); with a
+    (mean, var) pair of arrays it uses those, and `stats` is None.
 
     The batch is walked in chunks of BLOCK_CHUNK_BYTES // (bytes per
     sample) samples, so each chunk's intermediates stay in cache; a
@@ -611,13 +611,11 @@ def stgcn_block(h, adjacency, weight, kernel, norm=None, running=None, eps: floa
     adjacency = np.asarray(adjacency, dtype=dtype)
     if adjacency.shape != (joints, joints):
         raise ShapeMismatch("adjacency size does not match joint count")
-    inputs = (h, weight, kernel)
-    if norm is not None:
-        gamma, beta = (as_tensor(t) for t in norm)
-        if gamma.shape != (c_out,) or beta.shape != (c_out,):
-            raise ShapeMismatch(f"gamma and beta must be ({c_out},)")
-        inputs += (gamma, beta)
-    train = norm is not None and running is None
+    gamma, beta = (as_tensor(t) for t in norm)
+    if gamma.shape != (c_out,) or beta.shape != (c_out,):
+        raise ShapeMismatch(f"gamma and beta must be ({c_out},)")
+    inputs = (h, weight, kernel, gamma, beta)
+    train = running is None
     residual = c_in == c_out
     count = n * frames * joints
     width = joints * c_out
@@ -653,8 +651,8 @@ def stgcn_block(h, adjacency, weight, kernel, norm=None, running=None, eps: floa
     full = (n, frames, width)
     recording = _recording(inputs) is not None
     out = np.empty((n, c_out) if pool else full, dtype)
-    # the pre-affine activation (xhat, or the conv output without norm);
-    # without a tape it is built in `out` itself, or per chunk when pooled
+    # the pre-affine activation xhat; without a tape it is built in `out`
+    # itself, or per chunk when pooled
     if recording or (pool and train):
         xhat = np.empty(full, dtype)
     else:
@@ -681,13 +679,12 @@ def stgcn_block(h, adjacency, weight, kernel, norm=None, running=None, eps: floa
             sums += _channel_sums(d, c_out)
         var = (sums / count).astype(dtype)
         stats = (mean, var)
-    elif norm is not None:
+    else:
         mean, var = (np.asarray(v, dtype=dtype) for v in running)
         mean_c = per_column(mean)
-    if norm is not None:
-        inv_std = 1.0 / np.sqrt(var + eps)
-        inv_c = per_column(inv_std)
-        gamma_c, beta_c = per_column(gamma.data), per_column(beta.data)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
+    inv_c = per_column(inv_std)
+    gamma_c, beta_c = per_column(gamma.data), per_column(beta.data)
 
     trace = _kink_trace()
     for c in chunks:
@@ -697,11 +694,10 @@ def stgcn_block(h, adjacency, weight, kernel, norm=None, running=None, eps: floa
             pre = xhat[c]
         else:
             pre = _apply_taps(spatial(c, agg, mixed)[1], plan, dst if xhat is None else xhat[c])
-        if norm is not None:
-            pre -= mean_c
-            pre *= inv_c
-            pre = np.multiply(pre, gamma_c, out=dst)
-            pre += beta_c
+        pre -= mean_c
+        pre *= inv_c
+        pre = np.multiply(pre, gamma_c, out=dst)
+        pre += beta_c
         if trace is not None:
             trace.append(np.sign(pre).astype(np.int8))
         if recording:
@@ -717,8 +713,7 @@ def stgcn_block(h, adjacency, weight, kernel, norm=None, running=None, eps: floa
         out /= frames * joints
 
     def bwd(g, needs):
-        need_x, need_w, need_k = needs[:3]
-        need_affine = norm is not None and any(needs[3:])
+        need_x, need_w, need_k, need_gamma, need_beta = needs
         if pool:
             # the pooled gradient, spread over a sample's frames and joints
             g = (g / (frames * joints))[:, None, None, :]
@@ -748,9 +743,8 @@ def stgcn_block(h, adjacency, weight, kernel, norm=None, running=None, eps: floa
         if train:
             for c in chunks:
                 add_affine_sums(c, relu_grad(c))
-        if norm is not None:
-            scale = gamma.data * inv_std
-            scale_c = per_column(scale)
+        scale = gamma.data * inv_std
+        scale_c = per_column(scale)
         if train:
             shift_c = per_column(scale * g_beta / count)
             slope_c = per_column(scale * g_gamma / count)
@@ -758,17 +752,16 @@ def stgcn_block(h, adjacency, weight, kernel, norm=None, running=None, eps: floa
         for c in chunks:
             m = c.stop - c.start
             dpre = relu_grad(c)
-            if need_affine and not train:
+            if (need_gamma or need_beta) and not train:
                 add_affine_sums(c, dpre)
             if not (need_x or need_w or need_k):
                 continue
-            if norm is not None:
-                # closed-form batch norm (Ioffe & Szegedy, 2015):
-                # gamma / sigma * (g - mean(g) - xhat * mean(g * xhat))
-                dpre *= scale_c
-                if train:
-                    dpre -= xhat[c] * slope_c
-                    dpre -= shift_c
+            # closed-form batch norm (Ioffe & Szegedy, 2015):
+            # gamma / sigma * (g - mean(g) - xhat * mean(g * xhat))
+            dpre *= scale_c
+            if train:
+                dpre -= xhat[c] * slope_c
+                dpre -= shift_c
             dy = _apply_taps(dpre, plan, dmixed[:m], adjoint=True).reshape(-1, c_out)
             if need_w or need_k:
                 agg_c, mixed_c = spatial(c, agg, mixed)
@@ -781,11 +774,8 @@ def stgcn_block(h, adjacency, weight, kernel, norm=None, running=None, eps: floa
                 _aggregate(dagg.reshape(m, frames, joints, c_in), adjacency.T, gx[c])
                 if residual:
                     gx[c] += g[c]
-        grads = [gx, gw, gk]
-        if norm is not None:
-            grads += [g_gamma.astype(dtype) if needs[3] else None,
-                      g_beta.astype(dtype) if needs[4] else None]
-        return tuple(grads)
+        return (gx, gw, gk, g_gamma.astype(dtype) if need_gamma else None,
+                g_beta.astype(dtype) if need_beta else None)
 
     return _apply(out if pool else out.reshape(n, frames, joints, c_out), inputs, bwd), stats
 
@@ -801,7 +791,7 @@ def l2_normalize(v) -> Tensor:
     squared = sum_(mul(v, v), axis=-1, keepdims=True)
     norms = np.sqrt(squared.data)
     if np.any(norms <= NORM_EPS):
-        raise ZeroNorm(f"row norm <= {NORM_EPS}")
+        raise ZeroNorm(f"row norm <= {NORM_EPS}", op="l2_normalize")
     return div(v, sqrt(squared))
 
 

@@ -175,7 +175,10 @@ def pretrain(
 
     `state` resumes a checkpointed run from its epoch cursor.  The first
     record is a header with the materialized config and its hash;
-    `on_stage_end(state, stage_index)` fires at each stage boundary.
+    `on_stage_end(state, stage_index)` fires at each stage boundary with
+    the live state, which training goes on to update in place: a
+    callback that keeps a `state_to_checkpoint` of it (which shares its
+    arrays) must save or copy it before returning.
     """
     if not dataset:
         raise EmptyTrainSplit("pretraining needs a nonempty dataset")

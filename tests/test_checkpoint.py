@@ -1,6 +1,7 @@
 """Checkpoint format: round trips, tamper detection, state reconstruction."""
 
 import dataclasses
+import json
 import struct
 
 import numpy as np
@@ -19,6 +20,7 @@ from skelcl.checkpoint import (
 from skelcl.config import RunConfig, json_hash
 from skelcl.errors import (
     BadMagic,
+    ConfigValueError,
     CorruptFile,
     HashMismatch,
     SkelclError,
@@ -40,6 +42,19 @@ def trained_state():
     data = generate_synthetic_dataset(3, 6, frames=16, seed=2, check_separability=False)
     state, _ = pretrain(data, SMALL)
     return state
+
+
+def test_checkpoint_shares_the_live_state_arrays(trained_state):
+    # no copy is made: a caller saves or copies it before training resumes
+    ckpt = state_to_checkpoint(trained_state)
+    pair, queue = trained_state.pairs["joint"], trained_state.queues["joint"]
+    for name, arr in (("enc.joint.query.block0.spatial_weight",
+                       pair.query["block0.spatial_weight"].data),
+                      ("enc.joint.key.block0.norm_running_var",
+                       pair.key["block0.norm_running_var"].data),
+                      ("queue.joint.slots", queue.slots),
+                      ("opt.joint.projector.w1", trained_state.buffers["joint.projector.w1"])):
+        assert np.shares_memory(ckpt.tensors[name], arr), name
 
 
 def test_save_load_save_byte_identical(tmp_path, trained_state):
@@ -238,6 +253,20 @@ def test_counters_round_trip_beyond_float32(tmp_path, trained_state):
     path = tmp_path / "big.bin"
     save_checkpoint(path, state_to_checkpoint(state))
     assert state_from_checkpoint(load_checkpoint(path)).step == 2**24 + 1
+
+
+def test_normalization_off_checkpoint_fails_on_its_config(tmp_path, trained_state):
+    # a checkpoint of an encoder without batch norm (a setting since
+    # removed) holds no norm_* tensors; its config is what rejects it
+    ckpt = state_to_checkpoint(trained_state)
+    config = dict(SMALL.to_dict(), enc_normalization="off")
+    doc = {"config": config, "counters": ckpt.counters}
+    path = tmp_path / "off.bin"
+    write_file(path, b"CKPT", json.dumps(doc, sort_keys=True).encode(),
+               {k: v for k, v in ckpt.tensors.items() if ".norm_" not in k})
+    with pytest.raises(ConfigValueError) as err:
+        load_checkpoint(path)
+    assert err.value.key == "enc_normalization"
 
 
 def test_config_only_document_raises_corrupt_file(tmp_path):

@@ -12,7 +12,7 @@ import pytest
 from skelcl.cli import _gradcheck_components, build_parser, main
 from skelcl.config import RunConfig
 from skelcl.errors import ConfigValueError
-from skelcl.skeleton import SkeletonSequence, load_dataset, write_dataset
+from skelcl.skeleton import SkeletonSequence, load_dataset, read_file, write_dataset, write_file
 
 GRADCHECK_COMPONENTS = {
     "block_entry", "block_residual", "block_train_norm", "projector", "loss_intra", "loss_nnm",
@@ -287,6 +287,19 @@ def test_checkpoint_with_bad_magic_exits_1(pretrained, tmp_path, capsys):
     bad.write_bytes(b"WHAT" + b"\0" * 32)
     assert main(["knn", "--checkpoint", str(bad), "--data", str(pretrained / "data")]) == 1
     assert "not a checkpoint" in capsys.readouterr().err
+
+
+def test_normalization_off_checkpoint_exits_2_naming_the_key(pretrained, tmp_path, capsys):
+    # no block runs without batch norm, so a stored "off" config (whose
+    # file holds no norm_* tensors) is refused by its key
+    doc, tensors = read_file(pretrained / "run" / "checkpoint.bin", b"CKPT", "checkpoint")
+    doc["config"]["enc_normalization"] = "off"
+    off = tmp_path / "off.bin"
+    write_file(off, b"CKPT", json.dumps(doc, sort_keys=True).encode(),
+               {k: v for k, v in tensors.items() if ".norm_" not in k})
+    argv = ["linprobe", "--checkpoint", str(off), "--data", str(pretrained / "data")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: enc_normalization: ")
 
 
 def test_knn_k_beyond_train_split_exits_2(pretrained, capsys):

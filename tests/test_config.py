@@ -90,6 +90,7 @@ def test_canonical_json_round_trips():
         ("enc_hidden", 0),
         ("embed_dim", 1),
         ("enc_normalization", "layer"),
+        ("enc_normalization", "off"),
     ],
 )
 def test_out_of_range_value_named_at_build(key, value):

@@ -5,7 +5,7 @@ import pytest
 
 from skelcl import tensor as T
 from skelcl.config import RunConfig
-from skelcl.encoder import BN_EPS, BN_MOMENTUM, encode, init_params, project, stgcn_forward
+from skelcl.encoder import BN_MOMENTUM, encode, init_params, project, stgcn_forward
 from skelcl.errors import InvalidArgument, ShapeMismatch
 from skelcl.rng import RngStream
 from skelcl.skeleton import build_star_tree
@@ -131,29 +131,24 @@ def composed_forward(x, adjacency, params, mode, update_stats):
     cfg = params.config
     h = T.as_tensor(x)
     for i in range(cfg.enc_blocks):
-        norm = running = None
-        if cfg.enc_normalization == "batch":
-            norm = (params[f"block{i}.norm_gamma"], params[f"block{i}.norm_beta"])
-            run_mu = params[f"block{i}.norm_running_mean"]
-            run_var = params[f"block{i}.norm_running_var"]
-            if mode == "eval":
-                running = (run_mu.data, run_var.data)
+        run_mu = params[f"block{i}.norm_running_mean"]
+        run_var = params[f"block{i}.norm_running_var"]
         h, stats = composed_block(h, adjacency, params[f"block{i}.spatial_weight"],
-                                  params[f"block{i}.temporal_kernel"], norm, running, BN_EPS)
+                                  params[f"block{i}.temporal_kernel"],
+                                  (params[f"block{i}.norm_gamma"], params[f"block{i}.norm_beta"]),
+                                  (run_mu.data, run_var.data) if mode == "eval" else None)
         if stats is not None and update_stats:
             run_mu.data[...] = BN_MOMENTUM * run_mu.data + (1 - BN_MOMENTUM) * stats[0]
             run_var.data[...] = BN_MOMENTUM * run_var.data + (1 - BN_MOMENTUM) * stats[1]
     return T.mean_(h, axis=(1, 3))
 
 
-# (mode, update_stats, taped, normalization)
+# (mode, update_stats, taped)
 PARITY_CASES = {
-    "train_taped": ("train", True, True, "batch"),
-    "train_untaped_frozen_stats": ("train", False, False, "batch"),
-    "eval_running_stats": ("eval", False, True, "batch"),
-    "eval_untaped": ("eval", False, False, "batch"),
-    "norm_off": ("train", True, True, "off"),
-    "norm_off_eval_untaped": ("eval", False, False, "off"),
+    "train_taped": ("train", True, True),
+    "train_untaped_frozen_stats": ("train", False, False),
+    "eval_running_stats": ("eval", False, True),
+    "eval_untaped": ("eval", False, False),
 }
 
 
@@ -162,9 +157,8 @@ def test_forward_matches_composed_chain(monkeypatch, case):
     # the channels-last encoder against the (N, T, C, V) chain at f64: h,
     # the gradients of every parameter and of the input, and the running
     # statistics, over a 3 -> 4 entry block and a 4 -> 4 residual block
-    mode, update_stats, taped, normalization = PARITY_CASES[case]
-    cfg = RunConfig(enc_blocks=2, enc_channels=[4, 4], enc_hidden=8, embed_dim=4,
-                    enc_normalization=normalization)
+    mode, update_stats, taped = PARITY_CASES[case]
+    cfg = RunConfig(enc_blocks=2, enc_channels=[4, 4], enc_hidden=8, embed_dim=4)
     rng = np.random.default_rng(sorted(PARITY_CASES).index(case))
     params = init_params(cfg, RngStream(19).split("e")).astype(np.float64)
     for name, t in params.tensors.items():
@@ -240,21 +234,6 @@ class TestGradients:
         def f():
             _, z = encode(x, _adjacency(5, np.float64), params, mode="eval")
             return T.sum_(T.mul(z, target))
-
-        res = T.grad_check(f, params.trainable())
-        assert res.max_rel_error < 1e-6
-
-    def test_normalization_off_grad_check(self):
-        cfg = RunConfig(enc_blocks=2, enc_channels=[4, 4], enc_hidden=8, embed_dim=4,
-                        enc_normalization="off")
-        params = init_params(cfg, RngStream(18).split("e")).astype(np.float64)
-        assert not any("norm" in name for name in params.tensors)
-        x = _input((2, 8, 3, 5), seed=14, dtype=np.float64)
-        target = np.random.default_rng(4).normal(size=(2, 4))
-
-        def f():
-            h = stgcn_forward(x, _adjacency(5, np.float64), params, mode="train")
-            return T.sum_(T.mul(h, target))
 
         res = T.grad_check(f, params.trainable())
         assert res.max_rel_error < 1e-6

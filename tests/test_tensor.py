@@ -273,7 +273,6 @@ OP_CASES = [
     ("block_train_entry", lambda rng: _block_case(rng, "train", residual=False)),
     ("block_eval", lambda rng: _block_case(rng, "eval", residual=True)),
     ("block_eval_entry", lambda rng: _block_case(rng, "eval", residual=False)),
-    ("block_norm_off", lambda rng: _block_case(rng, "off", residual=True)),
     ("block_train_pooled", lambda rng: _block_case(rng, "train", residual=True, pool=True)),
     ("block_eval_entry_pooled", lambda rng: _block_case(rng, "eval", residual=False, pool=True)),
     ("mixed_elementwise", lambda rng: _elementwise_case(rng)),
@@ -310,9 +309,9 @@ def _block_inputs(rng, mode, residual, shape=(3, 6, 4, 3), dtype=np.float64):
     """Parameters and call arguments of an `stgcn_block` case; `shape`
     is the (N, T, V, C_in) channels-last input's.
 
-    `mode` is "train" (batch statistics), "eval" (given running
-    statistics) or "off" (no normalization); without `residual` the
-    block widens its channels, so no residual is added.
+    `mode` is "train" (batch statistics) or "eval" (given running
+    statistics); without `residual` the block widens its channels, so
+    no residual is added.
     """
     n, frames, joints, c_in = shape
     c_out = c_in if residual else c_in + 2
@@ -321,14 +320,13 @@ def _block_inputs(rng, mode, residual, shape=(3, 6, 4, 3), dtype=np.float64):
         "h": T.parameter(rng.normal(size=shape).astype(dtype)),
         "w": T.parameter(rng.normal(size=(c_in, c_out)).astype(dtype)),
         "k": T.parameter(rng.normal(size=(c_out, 3)).astype(dtype)),
+        "gamma": T.parameter(rng.uniform(0.5, 1.5, size=c_out).astype(dtype)),
+        "beta": T.parameter(rng.normal(size=c_out).astype(dtype)),
     }
     running = None
-    if mode != "off":
-        params["gamma"] = T.parameter(rng.uniform(0.5, 1.5, size=c_out).astype(dtype))
-        params["beta"] = T.parameter(rng.normal(size=c_out).astype(dtype))
     if mode == "eval":
         running = (rng.normal(size=c_out).astype(dtype), rng.uniform(0.5, 2.0, size=c_out).astype(dtype))
-    norm = (params["gamma"], params["beta"]) if mode != "off" else None
+    norm = (params["gamma"], params["beta"])
     args = (params["h"], adjacency.astype(dtype), params["w"], params["k"], norm, running)
     return params, args
 
@@ -435,20 +433,20 @@ def composed_batch_norm(y, gamma, beta, eps):
     return out, mu.data.reshape(-1), var.data.reshape(-1)
 
 
-def composed_block(h, adjacency, weight, kernel, norm=None, running=None, eps=1e-5):
+def composed_block(h, adjacency, weight, kernel, norm, running=None):
     """An encoder block as the chain of tape ops `stgcn_block` replaced:
     transpose, two spatial matmuls, `conv1d_temporal`, batch norm (the
     composition above, or the elementwise eval form), relu and add."""
     y = T.matmul(T.transpose(weight, (1, 0)), T.matmul(h, adjacency))
     y = T.conv1d_temporal(y, kernel)
     stats = None
-    if norm is not None and running is None:
-        y, mean, var = composed_batch_norm(y, *norm, eps)
+    if running is None:
+        y, mean, var = composed_batch_norm(y, *norm, T.BN_EPS)
         stats = (mean, var)
-    elif norm is not None:
+    else:
         shape = (1, 1, y.shape[2], 1)
         mean, var = (v.reshape(shape) for v in running)
-        xhat = T.div(T.sub(y, mean), np.sqrt(var + eps))
+        xhat = T.div(T.sub(y, mean), np.sqrt(var + T.BN_EPS))
         y = T.add(T.mul(xhat, T.reshape(norm[0], shape)), T.reshape(norm[1], shape))
     y = T.relu(y)
     if h.shape[2] == y.shape[2]:
@@ -459,13 +457,12 @@ def composed_block(h, adjacency, weight, kernel, norm=None, running=None, eps=1e
 CHANNELS_LAST = (0, 1, 3, 2)  # (N, T, C, V) <-> (N, T, V, C)
 
 
-def composed_block_last(h, adjacency, weight, kernel, norm=None, running=None, eps=1e-5,
-                        pool=False):
+def composed_block_last(h, adjacency, weight, kernel, norm, running=None, pool=False):
     """`composed_block` in `stgcn_block`'s channels-last layout: the
     (N, T, V, C) input transposed in, the output transposed back, or
     with `pool` its mean over frames and joints."""
     y, stats = composed_block(T.transpose(h, CHANNELS_LAST), adjacency, weight, kernel, norm,
-                              running, eps)
+                              running)
     return (T.mean_(y, axis=(1, 3)) if pool else T.transpose(y, CHANNELS_LAST)), stats
 
 
@@ -481,7 +478,7 @@ def _ragged_block_parity(monkeypatch, mode, residual, pool):
     """`stgcn_block`, taped and untaped, against `composed_block_last` at
     f64 over chunks of 2, 2, 2 and a ragged 1: outputs, batch statistics
     and gradients."""
-    rng = np.random.default_rng(["train", "eval", "off"].index(mode) + 3 * residual)
+    rng = np.random.default_rng(["train", "eval"].index(mode) + 3 * residual)
     params, args = _block_inputs(rng, mode, residual, shape=(7, 5, 6, 3))
     n, frames, joints, _ = args[0].shape
     c_out = args[2].shape[1]
@@ -504,18 +501,18 @@ def _ragged_block_parity(monkeypatch, mode, residual, pool):
 
 
 @pytest.mark.parametrize("residual", [True, False])
-@pytest.mark.parametrize("mode", ["train", "eval", "off"])
+@pytest.mark.parametrize("mode", ["train", "eval"])
 def test_block_matches_composition_over_ragged_chunks(monkeypatch, mode, residual):
     _ragged_block_parity(monkeypatch, mode, residual, pool=False)
 
 
 @pytest.mark.parametrize("residual", [True, False])
-@pytest.mark.parametrize("mode", ["train", "eval", "off"])
+@pytest.mark.parametrize("mode", ["train", "eval"])
 def test_pooled_block_matches_composition_over_ragged_chunks(monkeypatch, mode, residual):
     _ragged_block_parity(monkeypatch, mode, residual, pool=True)
 
 
-@pytest.mark.parametrize("mode", ["train", "eval", "off"])
+@pytest.mark.parametrize("mode", ["train", "eval"])
 def test_block_chunk_size_independent_float32(monkeypatch, mode):
     rng = np.random.default_rng(5)
     params, args = _block_inputs(rng, mode, True, shape=(9, 8, 5, 4), dtype=np.float32)
@@ -583,7 +580,7 @@ def test_batch_norm_matches_composition(shape):
     w = rng.normal(size=shape)
 
     def composed(y, _adjacency, _weight, _kernel, norm):
-        out, mean, var = composed_batch_norm(T.transpose(y, CHANNELS_LAST), *norm, 1e-5)
+        out, mean, var = composed_batch_norm(T.transpose(y, CHANNELS_LAST), *norm, T.BN_EPS)
         return T.add(T.relu(T.transpose(out, CHANNELS_LAST)), y), (mean, var)
 
     results = []

@@ -183,6 +183,20 @@ def test_overflowing_update_names_op_step_and_stream():
     assert "joint.projector.w2" in str(e) and "lr=1e+37" in str(e)
 
 
+def test_zero_norm_embedding_names_op_step_and_stream():
+    # this config's motion projector maps a clip of step 0 to a zero row,
+    # which `l2_normalize` refuses; pretrain reports it like a NaN
+    data = generate_synthetic_dataset(5, 12, frames=16, seed=3)
+    config = RunConfig(seed=6, stage_epochs=[0, 1, 2], queue_size=32, batch_size=16,
+                       enc_blocks=1, enc_channels=[4], enc_hidden=8, embed_dim=8,
+                       key_family="extreme", pft_apply_to_inter=True, nnm_topk=2)
+    with pytest.raises(NonFiniteLoss, match="motion encoder pass: row norm") as err:
+        pretrain(data, config)
+    e = err.value
+    assert (e.op, e.epoch, e.step, e.stage, e.stream) == (
+        "l2_normalize", 0, 0, "basic+nnm", "motion")
+
+
 def test_overflowing_update_writes_no_stage_end_checkpoint():
     data = generate_synthetic_dataset(2, 4, frames=16, seed=1, check_separability=False)
     config = RunConfig(stage_epochs=[1, 1, 0], **OVERFLOW_CONFIG)
