@@ -196,9 +196,16 @@ def nnm_mine(sims: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     stable sort of -sims gives.  The selection is k rounds of argmax,
     which returns a row's first maximum, with each pick but the last
     masked to -inf for the next round and restored afterwards, so `sims`
-    holds its values again on return.  That is O(kQ) per row, faster
-    than an exact partition-and-sort selection up to k near 100 on
-    (128, 4096) rows; every caller mines k = 1.
+    holds its values again on return.  Its callers are neighbor mining
+    (k = `nnm_topk`) and the kNN probe (k = `knn_k`).  The probe checks
+    its k before the call, so the errors below, which name `nnm_topk`
+    and the queue, come from mining alone.
+
+    That is O(kQ) per row, against O(Q log Q) for a full stable sort.
+    Measured with one BLAS thread, it beats the sort about 40x at k = 5
+    on (283, 850) rows and 3-5x on (50, 150) rows; it still wins at
+    k = 20 for Q = 150 and at k = 50 for Q = 850, and loses at k = 50
+    for Q = 150; at k = Q it is 3-6x slower.
     """
     if k < 1:
         raise ConfigValueError("nnm_topk", f"must be positive, got {k}")

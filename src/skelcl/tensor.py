@@ -560,6 +560,7 @@ def _aggregate(src: np.ndarray, adjacency: np.ndarray, out: np.ndarray) -> np.nd
 BLOCK_CHUNK_BYTES = 256 * 1024
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the checks below report an overflow
 def stgcn_block(h, adjacency, weight, kernel, norm, running=None, pool: bool = False):
     """One graph-convolutional encoder block as one tape node.
 
@@ -579,6 +580,11 @@ def stgcn_block(h, adjacency, weight, kernel, norm, running=None, pool: bool = F
     batch's mean and biased variance, returned as `stats` (constant
     (C_out,) arrays for the caller's running averages); with a
     (mean, var) pair of arrays it uses those, and `stats` is None.
+    Batch statistics that are not finite, such as a variance that
+    overflows, raise `NonFiniteValue` (op "stgcn_block"): an infinite
+    variance would zero xhat and leave a finite relu(beta).  The forward
+    runs with NumPy's overflow warnings off, so that error, or the
+    finiteness check of the output, is the only report.
 
     The batch is walked in chunks of BLOCK_CHUNK_BYTES // (bytes per
     sample) samples, so each chunk's intermediates stay in cache; a
@@ -678,6 +684,8 @@ def stgcn_block(h, adjacency, weight, kernel, norm, running=None, pool: bool = F
             d *= d
             sums += _channel_sums(d, c_out)
         var = (sums / count).astype(dtype)
+        if not (np.isfinite(mean).all() and np.isfinite(var).all()):
+            raise NonFiniteValue("stgcn_block batch statistics are not finite", op="stgcn_block")
         stats = (mean, var)
     else:
         mean, var = (np.asarray(v, dtype=dtype) for v in running)

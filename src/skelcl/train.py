@@ -40,7 +40,7 @@ import numpy as np
 from . import tensor as T
 from .augment import AugmentPipeline
 from .config import RunConfig
-from .contrast import EncoderPair, MemoryQueue, combine_losses, momentum_update
+from .contrast import EncoderPair, MemoryQueue, combine_losses, momentum_update, nnm_mine
 from .encoder import EncoderParams, init_params, project, stgcn_forward
 from .errors import (
     ConfigValueError,
@@ -344,6 +344,17 @@ def _fit_head(rows, dim: int, y: np.ndarray, num_classes: int, trainable: dict[s
     return w.data, b.data
 
 
+def _val_logits(h_val: np.ndarray, w: np.ndarray, b: np.ndarray, protocol: str) -> np.ndarray:
+    """The fitted head's logits h_val @ w + b; logits that are not finite
+    raise `NonFiniteValue` with `protocol` as the op, in place of NumPy's
+    overflow warnings."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = h_val @ w + b
+    if not np.isfinite(logits).all():
+        raise NonFiniteValue(f"{protocol} validation logits are not finite", op=protocol)
+    return logits
+
+
 def _softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
@@ -389,7 +400,7 @@ def linear_probe(
     w, b = _fit_head(lambda idx: h_train[idx], h_train.shape[1], y_train, num_classes,
                      {}, lr, 0.0, RngStream(seed).split("linear_probe"), epochs)
 
-    val_logits = h_val @ w + b
+    val_logits = _val_logits(h_val, w, b, "linear_probe")
     accuracy = float((np.argmax(val_logits, axis=1) == y_val).mean())
     digest_after = params.digest()
     if digest_before != digest_after:
@@ -407,7 +418,10 @@ def knn_probe(
 ) -> float:
     """Cosine k-nearest-neighbor majority vote on projected embeddings.
 
-    Similarity ties go to the lower train index, vote ties to the smaller class.
+    Each val clip's k neighbours are the k largest entries of its row of
+    z_val @ z_train.T, picked by `contrast.nnm_mine`, the package's one
+    stable top-k: similarity ties go to the lower train index.  Vote ties
+    go to the smaller class.
     """
     _check_splits(train_seqs, val_seqs, "knn probe")
     if k < 1:
@@ -417,7 +431,7 @@ def knn_probe(
     y_train, y_val = _labels(train_seqs, "train"), _labels(val_seqs, "val")
     z_train = _features(params, train_seqs, stream, projected=True)
     z_val = _features(params, val_seqs, stream, projected=True)
-    nearest = np.argsort(-(z_val @ z_train.T), axis=1, kind="stable")[:, :k]
+    nearest, _ = nnm_mine(z_val @ z_train.T, k)
     votes = np.zeros((len(y_val), int(y_train.max()) + 1), dtype=np.int64)
     np.add.at(votes, (np.arange(len(y_val))[:, None], y_train[nearest]), 1)
     return np.count_nonzero(np.argmax(votes, axis=1) == y_val) / len(y_val)
@@ -485,7 +499,7 @@ def finetune(
                      epochs)
 
     h_val = _features(tuned, val_seqs, stream, projected=False)
-    accuracy = float((np.argmax(h_val @ w + b, axis=1) == y_val).mean())
+    accuracy = float((np.argmax(_val_logits(h_val, w, b, "finetune"), axis=1) == y_val).mean())
     return FinetuneResult(accuracy, tuned, digest_before, tuned.digest(), len(subset))
 
 

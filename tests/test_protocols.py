@@ -253,6 +253,35 @@ def test_finetune_blocks_left_non_finite_by_the_last_step_raise(splits, params):
     assert err.value.op == "sgd_step"
 
 
+def scaled_clips(scale):
+    """Six clips per class of three, their coordinates multiplied by `scale`."""
+    data = generate_synthetic_dataset(3, 6, frames=16, joints=9, seed=1)
+    return [SkeletonSequence(s.data * scale, s.graph, s.label) for s in data]
+
+
+def test_finetune_overflowing_batch_variance_raises(params):
+    # at x1e19 the block's float32 batch variance overflows; normalizing
+    # with it would zero the block and return a finite relu(beta)
+    clips = scaled_clips(1e19)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFiniteValue, match="batch statistics") as err:
+            finetune(params, clips[:12], clips[12:], stream="joint", fraction=1.0, epochs=2,
+                     lr=0.1, weight_decay=0.0, seed=1)
+    assert err.value.op == "stgcn_block"
+
+
+def test_linear_probe_overflowing_val_logits_raise(params):
+    # at x1e25 the head stays finite but h_val @ w + b overflows
+    clips = scaled_clips(1e25)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFiniteValue, match="validation logits") as err:
+            linear_probe(params, clips[:12], clips[12:], stream="joint", epochs=1, lr=0.1,
+                         seed=1)
+    assert err.value.op == "linear_probe"
+
+
 @pytest.mark.parametrize("call", ["linear_probe", "finetune"])
 def test_non_finite_head_gradient_named(splits, params, monkeypatch, call):
     kernel = T.linear_head

@@ -3,6 +3,7 @@
 import gc
 import math
 import tracemalloc
+import warnings
 import zlib
 
 import numpy as np
@@ -763,6 +764,17 @@ class TestInvariants:
         h[1, 2, 3, 0] = np.nan
         with pytest.raises(NonFiniteValue, match="stgcn_block") as err:
             T.stgcn_block(T.Tensor(h), *args[1:])
+        assert err.value.op == "stgcn_block"
+
+    def test_overflowing_batch_variance_names_the_block(self):
+        # the float32 squares of the centered values overflow; a variance
+        # of inf would zero xhat and leave a finite relu(beta)
+        _, args = _block_inputs(np.random.default_rng(0), "train", residual=True,
+                                dtype=np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonFiniteValue, match="batch statistics") as err:
+                T.stgcn_block(T.Tensor(args[0].data * 1e19), *args[1:])
         assert err.value.op == "stgcn_block"
 
     def test_shape_mismatch(self):

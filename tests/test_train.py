@@ -197,6 +197,22 @@ def test_zero_norm_embedding_names_op_step_and_stream():
         "l2_normalize", 0, 0, "basic+nnm", "motion")
 
 
+@pytest.mark.parametrize("scale", [1e19, 1e30])
+def test_overflowing_batch_variance_names_the_block(scale):
+    # the joint block's batch variance overflows at step 0; it is named,
+    # not found later as a zero row downstream
+    data = [SkeletonSequence(s.data * scale, s.graph, s.label)
+            for s in generate_synthetic_dataset(3, 6, frames=16, joints=9, seed=1)[:12]]
+    config = RunConfig(enc_blocks=1, enc_channels=[4], enc_hidden=8, embed_dim=4, batch_size=6,
+                       queue_size=12, stage_epochs=[1, 0, 0], streams=["joint"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFiniteLoss, match="joint encoder pass") as err:
+            pretrain(data, config)
+    e = err.value
+    assert (e.op, e.epoch, e.step, e.stage, e.stream) == ("stgcn_block", 0, 0, "basic", "joint")
+
+
 def test_overflowing_update_writes_no_stage_end_checkpoint():
     data = generate_synthetic_dataset(2, 4, frames=16, seed=1, check_separability=False)
     config = RunConfig(stage_epochs=[1, 1, 0], **OVERFLOW_CONFIG)
