@@ -64,7 +64,15 @@ from .skeleton import (
     stratified_split,
     write_dataset,
 )
-from .train import branch_views, finetune, fuse_predictions, knn_probe, linear_probe, pretrain
+from .train import (
+    branch_views,
+    eval_features,
+    finetune,
+    fuse_predictions,
+    knn_probe,
+    linear_probe,
+    pretrain,
+)
 
 
 def _parse_overrides(pairs: list[str]) -> dict:
@@ -432,10 +440,9 @@ def cmd_pft_hist(args) -> int:
         adjacency = graph.normalized_adjacency(np.float32)
         views = branch_views(joints, config, rng.split, graph, (args.stream,))
         # key branch embeddings come from the checkpointed key encoder
-        with T.no_tape():
-            zq, zk = (encode(views[b][args.stream], adjacency,
-                             query_params(ckpt, args.stream, branch), mode="eval")[1].data
-                      for b, branch in (("q", "query"), ("k", "key")))
+        zq, zk = (eval_features(views[b][args.stream], adjacency,
+                                query_params(ckpt, args.stream, branch), projected=True)
+                  for b, branch in (("q", "query"), ("k", "key")))
         lam = pft_lambdas(rng.split("lam").generator(), config, len(val))
         before = (zq * zk).sum(axis=1)
     else:

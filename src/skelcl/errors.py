@@ -89,10 +89,11 @@ class QueueTooSmall(SkelclError):
 class NonFiniteLoss(SkelclError):
     """A pretraining step produced NaN or Inf, or a zero-norm row.
 
-    `op` names the op that did (a tape op, "l2_normalize" for a zero-norm
-    embedding, or "sgd_step" for an update that left a parameter
-    non-finite), `epoch`, `step` and `stage` the step, and `stream` the
-    stream whose encoder pass or update failed (None when the loss did).
+    `op` names the op that did (a tape op, "l2_normalize" for a zero or
+    non-finite embedding norm, or "sgd_step" for an update that left a
+    parameter non-finite), `epoch`, `step` and `stage` the step, and
+    `stream` the stream whose encoder pass or update failed (None when
+    the loss did).
     """
 
     def __init__(self, message: str, op: str | None, epoch: int, step: int, stage: str,

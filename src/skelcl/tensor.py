@@ -792,14 +792,23 @@ def stgcn_block(h, adjacency, weight, kernel, norm, running=None, pool: bool = F
 
 
 def l2_normalize(v) -> Tensor:
-    """Scale each row (or a single vector) to unit L2 norm."""
+    """Scale each row (or a single vector) to unit L2 norm.
+
+    The row norms are checked before any node is recorded, with NumPy's
+    overflow warnings off: a norm that is not finite, such as a squared
+    norm that overflows, raises `NonFiniteValue` and one at most
+    `NORM_EPS` raises `ZeroNorm`, both with op "l2_normalize".
+    """
     v = as_tensor(v)
     if v.ndim not in (1, 2):
         raise ShapeMismatch("l2_normalize expects rank 1 or 2")
-    squared = sum_(mul(v, v), axis=-1, keepdims=True)
-    norms = np.sqrt(squared.data)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.sqrt(np.square(v.data).sum(axis=-1))
+    if not np.isfinite(norms).all():
+        raise NonFiniteValue("l2_normalize row norm is not finite", op="l2_normalize")
     if np.any(norms <= NORM_EPS):
         raise ZeroNorm(f"row norm <= {NORM_EPS}", op="l2_normalize")
+    squared = sum_(mul(v, v), axis=-1, keepdims=True)
     return div(v, sqrt(squared))
 
 

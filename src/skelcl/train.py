@@ -20,11 +20,17 @@ holds arrays and counters, its `buffers` the SGD momentum keyed
 "{stream}.{param}".
 
 The protocols stack a split once (`skeleton.clip_batch`) and derive the
-probed stream from that stack.  The linear probe and finetuning train
-their linear head in `_fit_head`, around the head kernel
-`T.linear_head`.  The probe's head reads frozen h, so its steps run off
-the tape; finetuning's blocks step with the head, through one tape
-node, `T.linear_softmax_nll`.  Labels must be nonnegative integers
+probed stream from that stack.  Their eval-mode features come from
+`eval_features`, whose passes are sized by one byte budget,
+`FEATURE_BYTES`, on the full-batch block activations a pass holds, not
+by a clip count: each call has a fixed cost, so a pass takes as many
+clips as the budget allows (a one-block encoder, whose only block
+pools, encodes a split in one call), while at wide channels the budget
+still bounds memory.  The linear probe and finetuning train their
+linear head in `_fit_head`, around the head kernel `T.linear_head`.
+The probe's head reads frozen h, so its steps run off the tape;
+finetuning's blocks step with the head, through one tape node,
+`T.linear_softmax_nll`.  Labels must be nonnegative integers
 (`InvalidLabel` otherwise).  Every setting a protocol takes is a
 required keyword; `RunConfig` holds the defaults, and a value out of
 the range `RunConfig` allows raises `ConfigValueError` naming its key.
@@ -269,7 +275,7 @@ def pretrain(
 # -- evaluation protocols ---------------------------------------------------------------
 
 
-FEATURE_CHUNK = 64  # clips per eval-mode forward when extracting features
+FEATURE_BYTES = 8 * 2**20  # full-batch activation bytes one eval-mode pass may hold
 PROTOCOL_BATCH = 32  # clips per SGD step of the linear probe and finetuning
 
 
@@ -279,17 +285,45 @@ def _stream_batch(sequences: list[SkeletonSequence], stream: str) -> tuple[np.nd
     return graph.normalized_adjacency(np.float32), stream_arrays(joints, graph, (stream,))[stream]
 
 
+def eval_features(x: np.ndarray, adjacency: np.ndarray, params: EncoderParams,
+                  projected: bool) -> np.ndarray:
+    """Eval-mode hidden vectors h, or projected embeddings z, one row per
+    clip of an (N, T, C, V) batch, encoded off the tape.
+
+    A pass holds the full-batch output of every block but the last, which
+    pools: T·V·itemsize·ΣC_i bytes per clip over those blocks.  Each pass
+    takes max(2, `FEATURE_BYTES` // that) clips, and all N when it is 0
+    (a one-block encoder), so the per-call cost is paid once per budget,
+    not once per fixed clip count, and memory stays bounded at wide
+    channels.  A lone last clip joins the pass before it.
+    A clip's rows do not depend on the other clips in its pass, so they
+    are the same at any pass size of two or more.  A one-clip pass is
+    the exception: NumPy's matmul takes a GEMV path for the projector's
+    one-row product, whose z rounds differently, so no pass of a batch
+    of two or more clips has one clip.
+    """
+    itemsize = np.result_type(x, params["block0.spatial_weight"].data).itemsize
+    per_clip = x.shape[1] * x.shape[3] * itemsize * sum(params.config.enc_channels[:-1])
+    n = len(x)
+    clips = max(2, FEATURE_BYTES // per_clip if per_clip else n)
+    starts = [i for i in range(0, n, clips) if i == 0 or n - i > 1]
+    outs = []
+    with T.no_tape():
+        for lo, hi in zip(starts, starts[1:] + [n]):
+            h = stgcn_forward(x[lo:hi], adjacency, params, mode="eval")
+            outs.append((project(h, params) if projected else h).data)
+    return np.concatenate(outs)
+
+
 def _features(
     params: EncoderParams, sequences: list[SkeletonSequence], stream: str, projected: bool
 ) -> np.ndarray:
-    """Eval-mode hidden vectors h, or projected embeddings z, one row per clip."""
+    """Eval-mode hidden vectors h, or projected embeddings z, one row per
+    clip, from `eval_features`: as many clips per pass as `FEATURE_BYTES`
+    of activations allow, which trades the per-call cost of many small
+    passes against bounded memory at real channel widths."""
     adjacency, x = _stream_batch(sequences, stream)
-    outs = []
-    with T.no_tape():
-        for i in range(0, len(x), FEATURE_CHUNK):
-            h = stgcn_forward(x[i : i + FEATURE_CHUNK], adjacency, params, mode="eval")
-            outs.append((project(h, params) if projected else h).data)
-    return np.concatenate(outs)
+    return eval_features(x, adjacency, params, projected)
 
 
 def _check_splits(train_seqs, val_seqs, protocol: str) -> None:

@@ -12,9 +12,10 @@ from pathlib import Path
 import numpy as np
 
 import skelcl.tensor
+import skelcl.train
 from skelcl.checkpoint import load_checkpoint, query_params, save_checkpoint, state_to_checkpoint
 from skelcl.config import RunConfig
-from skelcl.encoder import encode
+from skelcl.encoder import encode, init_params
 from skelcl.rng import RngStream
 from skelcl.skeleton import (
     derive_streams,
@@ -145,3 +146,49 @@ def test_pretrain_state_and_protocols_as_the_benchmark_reads_them(tmp_path, monk
     assert tuned.subset_size == 2 and 0 <= tuned.accuracy <= 1
     assert len(calls) == 3 * math.ceil(tuned.subset_size / 32)
     assert tuned.params.digest() != params.digest() and tuned.params.tensors
+
+
+def test_knn_probe_eval_passes_as_the_tracer_counts_them(monkeypatch):
+    # the tracer times each eval pass as the `stgcn_forward` and `project`
+    # that skelcl.train calls, so the pass count is what its spans count
+    sequences = generate_synthetic_dataset(3, 11, frames=16, joints=9, seed=1,
+                                           check_separability=False)
+    sizes = {"stgcn_forward": [], "project": []}
+
+    def counted(name):
+        original, calls = getattr(skelcl.train, name), sizes[name]
+
+        def wrapper(x, *args, **kwargs):
+            calls.append(x.shape[0])
+            return original(x, *args, **kwargs)
+
+        return wrapper
+
+    for name in sizes:
+        monkeypatch.setattr(skelcl.train, name, counted(name))
+
+    def passes(channels, train, val):
+        config = RunConfig(enc_blocks=len(channels), enc_channels=channels, enc_hidden=8,
+                           embed_dim=4)
+        knn_probe(init_params(config, RngStream(1)), train, val, stream="joint", k=3)
+        assert sizes["project"] == sizes["stgcn_forward"]
+        taken = list(sizes["stgcn_forward"])
+        for calls in sizes.values():
+            calls.clear()
+        return taken
+
+    train, val = sequences[:22], sequences[22:31]
+    # a one-block encoder's only block pools: one pass per split at any budget
+    assert passes([4], train, val) == [22, 9]
+    monkeypatch.setattr(skelcl.train, "FEATURE_BYTES", 1)
+    assert passes([4], train, val) == [22, 9]
+    # three blocks hold T·V·itemsize·(4 + 8) bytes a clip in the two that do not pool
+    per_clip = 16 * 9 * 4 * (4 + 8)
+    monkeypatch.setattr(skelcl.train, "FEATURE_BYTES", 5 * per_clip + per_clip // 2)
+    taken = passes([4, 8, 8], train, val)
+    assert len(taken) == math.ceil(22 / 5) + math.ceil(9 / 5)
+    assert taken == [5, 5, 5, 5, 2, 5, 4]
+    # a lone last clip joins the pass before it, so no pass of a split holds one clip
+    assert passes([4, 8, 8], sequences[:21], val) == [5, 5, 5, 6, 5, 4]
+    monkeypatch.setattr(skelcl.train, "FEATURE_BYTES", 1)
+    assert passes([4, 8, 8], train, val) == [2] * 11 + [2, 2, 2, 3]

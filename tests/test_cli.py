@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import skelcl.train
 from skelcl.cli import _gradcheck_components, build_parser, main
 from skelcl.config import RunConfig
 from skelcl.errors import ConfigValueError
@@ -341,6 +342,26 @@ def test_pft_hist_on_checkpoint_takes_its_alpha_and_mu(pretrained, tmp_path, cap
         assert main([*hist, *flags]) == 0
         docs.append(json.loads(capsys.readouterr().out.splitlines()[-1]))
     assert [(doc["alpha"], doc["mu"]) for doc in docs] == [(5.0, 0.5), (3.0, 0.5)]
+
+
+def test_pft_hist_on_checkpoint_table_does_not_depend_on_the_pass_size(pretrained, tmp_path,
+                                                                        monkeypatch, capsys):
+    # three blocks, so a one-byte budget splits the 6-clip val split into
+    # passes of two clips where the default encodes it in one
+    argv = ["pretrain", "--data", str(pretrained / "data"), "--out", str(tmp_path / "run"),
+            "--metrics", str(tmp_path / "metrics.jsonl")]
+    for setting in [*TINY_RUN, "enc_blocks=3", "enc_channels=[4,4,4]"]:
+        argv += ["--set", setting]
+    assert main(argv) == 0
+    hist = ["pft-hist", "--checkpoint", str(tmp_path / "run" / "checkpoint.bin"),
+            "--data", str(pretrained / "data"), "--stream", "bone"]
+    outputs = []
+    for budget in (skelcl.train.FEATURE_BYTES, 1):
+        monkeypatch.setattr(skelcl.train, "FEATURE_BYTES", budget)
+        assert main(hist) == 0
+        outputs.append(capsys.readouterr().out)
+    assert json.loads(outputs[0].splitlines()[-1])["pairs"] == 6
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("argv,code,named", [

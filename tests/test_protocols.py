@@ -282,6 +282,18 @@ def test_linear_probe_overflowing_val_logits_raise(params):
     assert err.value.op == "linear_probe"
 
 
+@pytest.mark.parametrize("scale", [1e25, 1e30, 1e36])
+def test_knn_probe_overflowing_embedding_norm_raises(params, scale):
+    # eval mode normalizes with the running statistics, so h and z stay
+    # near the input's scale and z's squared norm overflows
+    clips = scaled_clips(scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFiniteValue, match="row norm is not finite") as err:
+            knn_probe(params, clips[:12], clips[12:], stream="joint", k=3)
+    assert err.value.op == "l2_normalize"
+
+
 @pytest.mark.parametrize("call", ["linear_probe", "finetune"])
 def test_non_finite_head_gradient_named(splits, params, monkeypatch, call):
     kernel = T.linear_head
@@ -361,7 +373,8 @@ REFERENCE_BATCH = 32
 
 @pytest.fixture(scope="module")
 def large_splits():
-    # 75 clips a split: two feature chunks and three SGD batches per epoch
+    # 75 clips a split: three SGD batches per epoch, and two of the
+    # references' 64-clip feature passes where the package makes one
     data = generate_synthetic_dataset(3, 50, frames=16, seed=4, check_separability=False)
     return data[0::2], data[1::2]
 
@@ -520,3 +533,23 @@ def test_finetune_keeps_the_projector(large_splits, params):
             assert tuned.tobytes() == stepped.tobytes(), name
     for got, want in zip(kept[2:4], decayed[2:4]):  # the head's weights and bias
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("channels,hidden,dim", [([4], 8, 4), ([16, 32, 32], 64, 32)])
+def test_features_do_not_depend_on_the_pass_size(large_splits, monkeypatch, channels, hidden,
+                                                 dim):
+    # h and z at the default budget (one pass a split), in the references'
+    # 64-clip passes, and at a one-byte budget (two clips a pass for three
+    # blocks; a one-block encoder, whose only block pools, stays one pass);
+    # at the desk widths a one-clip pass would round z differently
+    config = RunConfig(enc_blocks=len(channels), enc_channels=channels, enc_hidden=hidden,
+                       embed_dim=dim)
+    params = init_params(config, RngStream(5).split("enc"))
+    train, _ = large_splits
+    for projected in (False, True):
+        default = skelcl.train._features(params, train, "joint", projected)
+        reference = reference_features(params, train, "joint", projected)
+        with monkeypatch.context() as patch:
+            patch.setattr(skelcl.train, "FEATURE_BYTES", 1)
+            smallest = skelcl.train._features(params, train, "joint", projected)
+        assert default.tobytes() == reference.tobytes() == smallest.tobytes()

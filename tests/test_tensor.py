@@ -43,6 +43,15 @@ class TestL2Normalize:
         with pytest.raises(ZeroNorm):
             T.l2_normalize(T.Tensor([0.0, 0.0]))
 
+    def test_overflowing_norm_raises_by_name_before_any_node(self):
+        # the float32 squared norm of a 1e20 row overflows; a NaN row has no norm
+        for row in ([1e20, 1.0], [np.nan, 1.0]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with T.Tape() as tape, pytest.raises(NonFiniteValue) as err:
+                    T.l2_normalize(T.parameter(np.array([row, [3.0, 4.0]], dtype=np.float32)))
+            assert err.value.op == "l2_normalize" and tape.nodes == []
+
     def test_rows_unit_norm(self):
         rng = np.random.default_rng(3)
         v = T.Tensor(rng.normal(size=(16, 8)))
