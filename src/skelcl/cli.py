@@ -215,6 +215,8 @@ def _read_scores(path) -> tuple[str, np.ndarray, np.ndarray | None]:
         scores = np.empty(0)
     if scores.ndim != 2:
         raise CorruptFile(f"{path}: key 'scores' is missing or not a 2-D numeric array")
+    if not np.isfinite(scores).all():  # `json` reads NaN and Infinity as numbers
+        raise CorruptFile(f"{path}: key 'scores' holds a value that is not finite")
     labels = doc.get("labels")
     if labels is not None:
         try:

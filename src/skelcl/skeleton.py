@@ -330,8 +330,8 @@ def generate_synthetic_dataset(
         raise ConfigValueError("per_class", f"need at least 1 clip per class, got {per_class}")
     if frames < 16:
         raise ConfigValueError("frames", f"need at least 16 frames, got {frames}")
-    if noise_sigma < 0:
-        raise ConfigValueError("noise_sigma", f"must be nonnegative, got {noise_sigma}")
+    if not (np.isfinite(noise_sigma) and noise_sigma >= 0):
+        raise ConfigValueError("noise_sigma", f"must be finite and nonnegative, got {noise_sigma}")
 
     graph = build_star_tree(joints)
     last_accuracy = 0.0

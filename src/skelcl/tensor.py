@@ -20,7 +20,8 @@ name.
 Each encoder block is one tape node, `stgcn_block`, on channels-last
 (N, T, V, C) activations.  It walks the batch in chunks of about
 `BLOCK_CHUNK_BYTES` of activation, so a chunk's intermediates stay in
-cache.  The row softmax negative log-likelihood has one implementation,
+cache; `pieces` states the split rule that it and the eval passes
+share.  The row softmax negative log-likelihood has one implementation,
 `_softmax_nll_rows`, shared by `linear_head` (the probes' head kernel,
 which `linear_softmax_nll` records as one node) and `contrast.queue_nll`.
 
@@ -468,8 +469,7 @@ def _conv_plan(kernel: np.ndarray, frames: int, joints: int):
     off-centre offsets that reach a frame of a `frames`-long clip."""
     width = kernel.shape[1]
     pad = (width - 1) // 2
-    taps = np.broadcast_to(kernel.T[:, None, None], (width, frames, joints, kernel.shape[0]))
-    taps = taps.reshape(width, frames, -1)
+    taps = np.tile(kernel.T, frames * joints).reshape(width, frames, -1)
     offsets = [j - pad for j in range(width) if j != pad and abs(j - pad) < frames]
     return taps, pad, offsets
 
@@ -555,8 +555,24 @@ def _aggregate(src: np.ndarray, adjacency: np.ndarray, out: np.ndarray) -> np.nd
     return out
 
 
+def pieces(n: int, size: int) -> list[slice]:
+    """Consecutive slices that cover range(n) once, in order: pieces of
+    max(2, `size`) items, a lone last item joining the piece before it.
+
+    This is the package's one split rule, for `stgcn_block`'s chunks and
+    `train.eval_features`' passes.  A piece pays a fixed per-call cost
+    whatever it holds, so no piece of two or more items holds one item,
+    and a piece holds at most max(2, `size`) + 1 items.  One item is
+    one piece; zero items are no pieces.
+    """
+    size = max(2, size)
+    starts = [lo for lo in range(0, n, size) if lo == 0 or n - lo > 1]
+    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n])]
+
+
 # bytes of one chunk's (n, T, V, C_out) activation in `stgcn_block`: a
-# chunk's few such arrays then stay in a 2 MiB L2 cache
+# chunk's few such arrays then stay in a 2 MiB L2 cache (a chunk may
+# hold one clip more, by the split rule of `pieces`)
 BLOCK_CHUNK_BYTES = 256 * 1024
 
 
@@ -587,8 +603,9 @@ def stgcn_block(h, adjacency, weight, kernel, norm, running=None, pool: bool = F
     finiteness check of the output, is the only report.
 
     The batch is walked in chunks of BLOCK_CHUNK_BYTES // (bytes per
-    sample) samples, so each chunk's intermediates stay in cache; a
-    smaller batch is one chunk, with scratch sized to it.  In
+    sample) samples, split by the rule of `pieces`, so each chunk's
+    intermediates stay in cache; the chunk scratch is sized to the
+    largest chunk, and a smaller batch is one chunk.  In
     this layout the channel mix and its weight gradient are plain 2-D
     GEMMs over (n*T*V, C) rows.  The full-batch arrays are `out`, the
     normalized pre-activation xhat and the relu mask (the last two only
@@ -628,11 +645,10 @@ def stgcn_block(h, adjacency, weight, kernel, norm, running=None, pool: bool = F
 
     def per_column(v) -> np.ndarray:
         """A (C_out,) vector as a (T, V * C_out) tile of a sample's layout."""
-        tile = np.broadcast_to(np.asarray(v, dtype=dtype), (frames, joints, c_out))
-        return tile.reshape(frames, width)
+        return np.tile(np.asarray(v, dtype=dtype), frames * joints).reshape(frames, width)
 
-    rows = max(1, min(n, BLOCK_CHUNK_BYTES // (frames * width * np.dtype(dtype).itemsize)))
-    chunks = [slice(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
+    chunks = pieces(n, BLOCK_CHUNK_BYTES // (frames * width * np.dtype(dtype).itemsize))
+    rows = max((c.stop - c.start for c in chunks), default=0)  # the scratch's clips
     plan = _conv_plan(kernel.data.astype(dtype, copy=False), frames, joints)
     w = weight.data.astype(dtype, copy=False)
     # any strided layout will do (the encoder passes a transposed view):

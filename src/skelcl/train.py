@@ -292,10 +292,10 @@ def eval_features(x: np.ndarray, adjacency: np.ndarray, params: EncoderParams,
 
     A pass holds the full-batch output of every block but the last, which
     pools: T·V·itemsize·ΣC_i bytes per clip over those blocks.  Each pass
-    takes max(2, `FEATURE_BYTES` // that) clips, and all N when it is 0
-    (a one-block encoder), so the per-call cost is paid once per budget,
-    not once per fixed clip count, and memory stays bounded at wide
-    channels.  A lone last clip joins the pass before it.
+    takes `FEATURE_BYTES` // that clips, and all N when it is 0 (a
+    one-block encoder), split by the rule of `tensor.pieces`, so the
+    per-call cost is paid once per budget, not once per fixed clip
+    count, and memory stays bounded at wide channels.
     A clip's rows do not depend on the other clips in its pass, so they
     are the same at any pass size of two or more.  A one-clip pass is
     the exception: NumPy's matmul takes a GEMV path for the projector's
@@ -305,12 +305,10 @@ def eval_features(x: np.ndarray, adjacency: np.ndarray, params: EncoderParams,
     itemsize = np.result_type(x, params["block0.spatial_weight"].data).itemsize
     per_clip = x.shape[1] * x.shape[3] * itemsize * sum(params.config.enc_channels[:-1])
     n = len(x)
-    clips = max(2, FEATURE_BYTES // per_clip if per_clip else n)
-    starts = [i for i in range(0, n, clips) if i == 0 or n - i > 1]
     outs = []
     with T.no_tape():
-        for lo, hi in zip(starts, starts[1:] + [n]):
-            h = stgcn_forward(x[lo:hi], adjacency, params, mode="eval")
+        for piece in T.pieces(n, FEATURE_BYTES // per_clip if per_clip else n):
+            h = stgcn_forward(x[piece], adjacency, params, mode="eval")
             outs.append((project(h, params) if projected else h).data)
     return np.concatenate(outs)
 

@@ -178,14 +178,17 @@ def test_fuse_rejects_score_files_that_do_not_pair(tmp_path, capsys, second, nam
     ('{"stream": "joint", "scores": [0.2, 0.8]}', "'scores'"),
     ('{"stream": "joint", "scores": [[0.2, 0.8], [0.5]]}', "'scores'"),
     ('{"stream": "joint", "scores": [["high", "low"]]}', "'scores'"),
+    # Python's `json` reads NaN and Infinity as numbers
+    ('{"stream": "joint", "scores": [[0.1, NaN, 0.2], [0.5, 0.2, 0.3]]}', "'scores'"),
+    ('{"stream": "joint", "scores": [[0.1, Infinity, 0.2], [0.5, 0.2, 0.3]]}', "'scores'"),
     ('{"stream": "joint", "scores": [[0.2, 0.8], [0.9, 0.1]], "labels": [1]}', "'labels'"),
     ('{"stream": "joint", "scores": [[0.2, 0.8], [0.9, 0.1]], "labels": "10"}', "'labels'"),
     ('{"stream": "joint", "scores": [[0.2, 0.8]], "labels": [[1, 0]]}', "'labels'"),
     ('{"stream": "joint", "scores": [[0.2, 0.8], [0.9, 0.1]], "labels": [[1], [0, 1]]}',
      "'labels'"),
 ], ids=["not-json", "list", "no-stream", "stream-not-string", "no-scores", "scores-1d",
-        "scores-ragged", "scores-not-numeric", "labels-short", "labels-string", "labels-2d",
-        "labels-ragged"])
+        "scores-ragged", "scores-not-numeric", "scores-nan", "scores-inf", "labels-short",
+        "labels-string", "labels-2d", "labels-ragged"])
 def test_fuse_names_malformed_scores_file(tmp_path, capsys, content, named):
     scores = tmp_path / "joint.json"
     scores.write_text(content)
@@ -203,7 +206,9 @@ def test_fuse_names_malformed_scores_file(tmp_path, capsys, content, named):
                                          (["--val-fraction", "-1"], "--val-fraction"),
                                          (["--val-fraction", "0.01"], "--val-fraction"),
                                          (["--val-fraction", "0.99"], "--val-fraction"),
-                                         (["--noise-sigma", "-1"], "--noise-sigma")])
+                                         (["--noise-sigma", "-1"], "--noise-sigma"),
+                                         (["--noise-sigma", "nan"], "--noise-sigma"),
+                                         (["--noise-sigma", "inf"], "--noise-sigma")])
 def test_gen_data_rejects_out_of_range_sizes(tmp_path, capsys, flags, named):
     assert main(["gen-data", *flags, "--out", str(tmp_path / "data")]) == 2
     assert named in capsys.readouterr().err

@@ -123,6 +123,28 @@ class TestForward:
         # the last block pools, so no separate pooling node follows it
         assert ops == ["stgcn_block"] * SMALL.enc_blocks
 
+    @pytest.mark.parametrize("n,passes", [(15, 10), (22, 16), (32, 26)])
+    def test_chunk_passes_of_a_desk_width_step(self, monkeypatch, n, passes):
+        # 32 frames, 9 joints, float32: 14 clips a chunk at 16 channels, 7 at
+        # 32.  Each chunk runs the taps once forward and once backward, and
+        # no chunk holds a lone clip: 15 clips make chunks of 15 | 7 + 8 |
+        # 7 + 8 (at 14 + 1 | 7 + 7 + 1 | 7 + 7 + 1 it would be 16 passes)
+        cfg = RunConfig(enc_blocks=3, enc_channels=[16, 32, 32], enc_hidden=64, embed_dim=32)
+        params = init_params(cfg, RngStream(23).split("e"))
+        calls = []
+        taps = T._apply_taps
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape[0])
+            return taps(*args, **kwargs)
+
+        monkeypatch.setattr(T, "_apply_taps", counted)
+        with T.Tape():
+            h = stgcn_forward(_input((n, 32, 3, 9), seed=8), _adjacency(9), params, mode="train")
+            T.backward(T.sum_(h))
+        assert len(calls) == passes
+        assert 1 not in calls
+
 
 def composed_forward(x, adjacency, params, mode, update_stats):
     """`stgcn_forward` as the (N, T, C, V) op chain it replaced:
@@ -168,7 +190,7 @@ def test_forward_matches_composed_chain(monkeypatch, case):
     x = rng.normal(size=(n, frames, 3, joints))
     adjacency = _adjacency(joints, np.float64)
     w = rng.normal(size=(n, cfg.enc_channels[-1]))
-    # two samples a chunk in both blocks: chunks of 2, 2 and a ragged 1
+    # two samples a chunk in both blocks: chunks of 2 and a ragged 3
     monkeypatch.setattr(T, "BLOCK_CHUNK_BYTES", 2 * frames * joints * 4 * 8)
     results = []
     for forward in (stgcn_forward, composed_forward):

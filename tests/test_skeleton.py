@@ -199,6 +199,13 @@ class TestSyntheticDataset:
             np.testing.assert_array_equal(x.data, y.data)
             assert x.label == y.label
 
+    # NaN fails both `< 0` and `> 0`, so it would pass as noise-free
+    @pytest.mark.parametrize("sigma", [-0.1, float("nan"), float("inf")])
+    def test_noise_sigma_must_be_finite_and_nonnegative(self, sigma):
+        with pytest.raises(ConfigValueError, match="noise_sigma") as err:
+            generate_synthetic_dataset(3, 4, frames=16, seed=5, noise_sigma=sigma)
+        assert err.value.key == "noise_sigma"
+
 
 def _write_raw_dataset(directory, doc, tensors):
     """A dataset file written through the codec, so its hash matches."""

@@ -486,7 +486,7 @@ def _run_block(op, params, args, w, pool=False):
 
 def _ragged_block_parity(monkeypatch, mode, residual, pool):
     """`stgcn_block`, taped and untaped, against `composed_block_last` at
-    f64 over chunks of 2, 2, 2 and a ragged 1: outputs, batch statistics
+    f64 over chunks of 2, 2 and a ragged 3: outputs, batch statistics
     and gradients."""
     rng = np.random.default_rng(["train", "eval"].index(mode) + 3 * residual)
     params, args = _block_inputs(rng, mode, residual, shape=(7, 5, 6, 3))
@@ -528,7 +528,7 @@ def test_block_chunk_size_independent_float32(monkeypatch, mode):
     params, args = _block_inputs(rng, mode, True, shape=(9, 8, 5, 4), dtype=np.float32)
     w = rng.normal(size=args[0].shape).astype(np.float32)
     whole = _run_block(T.stgcn_block, params, args, w)
-    monkeypatch.setattr(T, "BLOCK_CHUNK_BYTES", 1)  # one sample a chunk
+    monkeypatch.setattr(T, "BLOCK_CHUNK_BYTES", 1)  # the fewest: two samples a chunk
     chunked = _run_block(T.stgcn_block, params, args, w)
     np.testing.assert_allclose(chunked[0], whole[0], rtol=1e-5, atol=1e-5)
     for got, want in zip(chunked[1] or (), whole[1] or ()):
@@ -539,35 +539,58 @@ def test_block_chunk_size_independent_float32(monkeypatch, mode):
 
 @pytest.mark.parametrize("c_in,c_out,pool", [(3, 16, False), (16, 32, False), (32, 32, True)])
 def test_block_allocates_its_full_batch_arrays_and_chunk_scratch_only(c_in, c_out, pool):
-    # one taped train-mode call at the desk shape: 32 clips of 32 frames
-    # over 9 joints, float32
-    n, frames, joints, item = 32, 32, 9, 4
-    rng = np.random.default_rng(0)
-    h = T.Tensor(rng.normal(size=(n, frames, joints, c_in)).astype(np.float32))
-    weight = T.parameter(rng.normal(size=(c_in, c_out)).astype(np.float32))
-    kernel = T.parameter(rng.normal(size=(c_out, 3)).astype(np.float32))
-    norm = (T.parameter(np.ones(c_out, np.float32)), T.parameter(np.zeros(c_out, np.float32)))
-    adjacency = rng.uniform(size=(joints, joints)).astype(np.float32)
+    # one taped train-mode call at the desk shape: clips of 32 frames over
+    # 9 joints, float32; 32 clips make chunks of at most `rows`, and rows
+    # + 1 clips one chunk of rows + 1, since no chunk holds a lone clip
+    frames, joints, item = 32, 9, 4
     sample = frames * joints * c_out  # entries of one clip's output activation
     rows = T.BLOCK_CHUNK_BYTES // (sample * item)
-    # full batch: xhat, the relu mask, and `out` (the (N, C_out) mean when pooled)
-    full = n * sample * (item + 1) + (n * c_out if pool else n * sample) * item
-    # chunk scratch: the joint aggregate, the channel mix, a pooled
-    # chunk's output and one chunk-sized temporary
-    scratch = rows * frames * joints * c_in * item + rows * sample * item * (3 if pool else 2)
-    tiles = 7 * sample * item  # (T, V * C_out) tiles: three taps, four norm vectors
-    with T.Tape():
-        tracemalloc.start()
-        try:
-            out = T.stgcn_block(h, adjacency, weight, kernel, norm, pool=pool)
-            held, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-    assert peak <= full + scratch + tiles
-    # until the backward runs, the node keeps the full-batch arrays and a
-    # few small objects (closures, statistics), but no scratch or tiles
-    assert out[0].node is not None
-    assert held <= full + 16 * 1024
+    for n, largest in ((32, rows), (rows + 1, rows + 1)):
+        rng = np.random.default_rng(0)
+        h = T.Tensor(rng.normal(size=(n, frames, joints, c_in)).astype(np.float32))
+        weight = T.parameter(rng.normal(size=(c_in, c_out)).astype(np.float32))
+        kernel = T.parameter(rng.normal(size=(c_out, 3)).astype(np.float32))
+        norm = (T.parameter(np.ones(c_out, np.float32)),
+                T.parameter(np.zeros(c_out, np.float32)))
+        adjacency = rng.uniform(size=(joints, joints)).astype(np.float32)
+        # full batch: xhat, the relu mask, and `out` (the (N, C_out) mean when pooled)
+        full = n * sample * (item + 1) + (n * c_out if pool else n * sample) * item
+        # chunk scratch, sized to the largest chunk: the joint aggregate,
+        # the channel mix, a pooled chunk's output and one chunk-sized
+        # temporary
+        scratch = (largest * frames * joints * c_in * item
+                   + largest * sample * item * (3 if pool else 2))
+        tiles = 7 * sample * item  # (T, V * C_out) tiles: three taps, four norm vectors
+        with T.Tape():
+            tracemalloc.start()
+            try:
+                out = T.stgcn_block(h, adjacency, weight, kernel, norm, pool=pool)
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak <= full + scratch + tiles, n
+        # until the backward runs, the node keeps the full-batch arrays and
+        # a few small objects (closures, statistics), but no scratch or tiles
+        assert out[0].node is not None
+        assert held <= full + 16 * 1024, n
+        del out
+
+
+def test_pieces_cover_every_item_once_with_no_lone_item():
+    for n in range(40):
+        for size in range(2, 45):
+            got = T.pieces(n, size)
+            assert [i for piece in got for i in range(n)[piece]] == list(range(n))
+            assert all(piece.step is None for piece in got)
+            lengths = [piece.stop - piece.start for piece in got]
+            assert n == 1 or 1 not in lengths, (n, size)
+            assert all(length <= size + 1 for length in lengths), (n, size)
+        # a size below 2 counts as 2
+        assert T.pieces(n, 0) == T.pieces(n, 1) == T.pieces(n, 2)
+    assert T.pieces(15, 14) == [slice(0, 15)]
+    assert T.pieces(15, 7) == [slice(0, 7), slice(7, 15)]
+    assert T.pieces(32, 7) == [slice(0, 7), slice(7, 14), slice(14, 21), slice(21, 28),
+                               slice(28, 32)]
 
 
 def _identity_block_args(y, gamma, beta):
