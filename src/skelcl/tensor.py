@@ -557,22 +557,27 @@ def _aggregate(src: np.ndarray, adjacency: np.ndarray, out: np.ndarray) -> np.nd
 
 def pieces(n: int, size: int) -> list[slice]:
     """Consecutive slices that cover range(n) once, in order: pieces of
-    max(2, `size`) items, a lone last item joining the piece before it.
+    `size` items (at least 1), a lone last item joining the piece before
+    it when pieces hold two or more.
 
     This is the package's one split rule, for `stgcn_block`'s chunks and
     `train.eval_features`' passes.  A piece pays a fixed per-call cost
-    whatever it holds, so no piece of two or more items holds one item,
-    and a piece holds at most max(2, `size`) + 1 items.  One item is
-    one piece; zero items are no pieces.
+    whatever it holds, so at a `size` of 2 or more no piece holds one
+    item unless `n` is 1, and a piece holds at most `size` + 1 items.  At
+    a `size` of 1 or less every piece is one item, so a caller whose
+    budget holds less than one item keeps one-item pieces; a caller that
+    must not make them (`eval_features`) passes at least 2.  Zero items
+    are no pieces.
     """
-    size = max(2, size)
-    starts = [lo for lo in range(0, n, size) if lo == 0 or n - lo > 1]
+    size = max(1, size)
+    starts = [lo for lo in range(0, n, size) if lo == 0 or size == 1 or n - lo > 1]
     return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n])]
 
 
 # bytes of one chunk's (n, T, V, C_out) activation in `stgcn_block`: a
-# chunk's few such arrays then stay in a 2 MiB L2 cache (a chunk may
-# hold one clip more, by the split rule of `pieces`)
+# chunk's few such arrays then stay in a 2 MiB L2 cache.  The chunks
+# follow the split rule of `pieces`: each holds at most one clip more
+# than fits in this budget
 BLOCK_CHUNK_BYTES = 256 * 1024
 
 

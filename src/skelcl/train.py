@@ -292,8 +292,8 @@ def eval_features(x: np.ndarray, adjacency: np.ndarray, params: EncoderParams,
 
     A pass holds the full-batch output of every block but the last, which
     pools: T·V·itemsize·ΣC_i bytes per clip over those blocks.  Each pass
-    takes `FEATURE_BYTES` // that clips, and all N when it is 0 (a
-    one-block encoder), split by the rule of `tensor.pieces`, so the
+    takes max(2, `FEATURE_BYTES` // that) clips, and all N when it is 0
+    (a one-block encoder), split by the rule of `tensor.pieces`, so the
     per-call cost is paid once per budget, not once per fixed clip
     count, and memory stays bounded at wide channels.
     A clip's rows do not depend on the other clips in its pass, so they
@@ -307,7 +307,7 @@ def eval_features(x: np.ndarray, adjacency: np.ndarray, params: EncoderParams,
     n = len(x)
     outs = []
     with T.no_tape():
-        for piece in T.pieces(n, FEATURE_BYTES // per_clip if per_clip else n):
+        for piece in T.pieces(n, max(2, FEATURE_BYTES // per_clip) if per_clip else n):
             h = stgcn_forward(x[piece], adjacency, params, mode="eval")
             outs.append((project(h, params) if projected else h).data)
     return np.concatenate(outs)

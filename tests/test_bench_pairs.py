@@ -49,12 +49,27 @@ def test_eight_wins_of_ten_show_no_gain():
 
 
 def test_higher_is_better_and_ties_count_for_neither_side():
-    got = bench_pairs.compare([100.0, 100.0, 100.0], [100.0, 70.0, 70.0], "higher", 0.25)
+    got = bench_pairs.compare([100.0, 101.0, 99.0], [100.0, 70.0, 70.0], "higher", 0.25)
     assert (got["change_better_in_pairs"], got["ties"]) == (0, 1)
     assert got["relative_change"] == pytest.approx(-0.3)
     assert got["worse_than_bound"] and got["verdict"] == "worse"
     # a rise of 30% in a higher-is-better metric is within any bound
     assert not bench_pairs.compare([100.0] * 3, [130.0] * 3, "higher", 0.25)["worse_than_bound"]
+
+
+def test_a_parent_that_does_not_vary_gives_identical_or_changed_and_no_gain():
+    # a deterministic loss: every parent run reads the same, so a last-bit
+    # change wins every pair but cannot be told from rounding
+    loss = 1.5911685391568700
+    got = bench_pairs.compare([loss] * 10, [loss * (1 - 1.9e-9)] * 10, "lower", 0.25)
+    assert (got["parent_iqr"], got["change_better_in_pairs"]) == (0.0, 10)
+    assert got["relative_change"] == pytest.approx(-1.9e-9)
+    assert got["verdict"] == "changed" and not got["gain_shown"]
+    assert not got["worse_than_bound"]
+    same = bench_pairs.compare([loss] * 10, [loss] * 10, "lower", 0.25)
+    assert (same["verdict"], same["ties"], same["gain_shown"]) == ("identical", 10, False)
+    # a change past the bound is still reported as worse than it
+    assert bench_pairs.compare([loss] * 3, [loss * 1.3] * 3, "lower", 0.25)["worse_than_bound"]
 
 
 def test_worse_than_bound_uses_the_relative_change_of_the_medians():

@@ -528,7 +528,7 @@ def test_block_chunk_size_independent_float32(monkeypatch, mode):
     params, args = _block_inputs(rng, mode, True, shape=(9, 8, 5, 4), dtype=np.float32)
     w = rng.normal(size=args[0].shape).astype(np.float32)
     whole = _run_block(T.stgcn_block, params, args, w)
-    monkeypatch.setattr(T, "BLOCK_CHUNK_BYTES", 1)  # the fewest: two samples a chunk
+    monkeypatch.setattr(T, "BLOCK_CHUNK_BYTES", 1)  # one sample a chunk
     chunked = _run_block(T.stgcn_block, params, args, w)
     np.testing.assert_allclose(chunked[0], whole[0], rtol=1e-5, atol=1e-5)
     for got, want in zip(chunked[1] or (), whole[1] or ()):
@@ -538,14 +538,19 @@ def test_block_chunk_size_independent_float32(monkeypatch, mode):
 
 
 @pytest.mark.parametrize("c_in,c_out,pool", [(3, 16, False), (16, 32, False), (32, 32, True)])
-def test_block_allocates_its_full_batch_arrays_and_chunk_scratch_only(c_in, c_out, pool):
+def test_block_allocates_its_full_batch_arrays_and_chunk_scratch_only(
+        monkeypatch, c_in, c_out, pool):
     # one taped train-mode call at the desk shape: clips of 32 frames over
     # 9 joints, float32; 32 clips make chunks of at most `rows`, and rows
-    # + 1 clips one chunk of rows + 1, since no chunk holds a lone clip
+    # + 1 clips one chunk of rows + 1, since no chunk holds a lone clip; a
+    # budget below one clip (as at the paper's widths) keeps one-clip chunks
     frames, joints, item = 32, 9, 4
     sample = frames * joints * c_out  # entries of one clip's output activation
     rows = T.BLOCK_CHUNK_BYTES // (sample * item)
-    for n, largest in ((32, rows), (rows + 1, rows + 1)):
+    for budget, n, largest in ((T.BLOCK_CHUNK_BYTES, 32, rows),
+                               (T.BLOCK_CHUNK_BYTES, rows + 1, rows + 1),
+                               (sample * item - 1, 3, 1)):
+        monkeypatch.setattr(T, "BLOCK_CHUNK_BYTES", budget)
         rng = np.random.default_rng(0)
         h = T.Tensor(rng.normal(size=(n, frames, joints, c_in)).astype(np.float32))
         weight = T.parameter(rng.normal(size=(c_in, c_out)).astype(np.float32))
@@ -585,8 +590,8 @@ def test_pieces_cover_every_item_once_with_no_lone_item():
             lengths = [piece.stop - piece.start for piece in got]
             assert n == 1 or 1 not in lengths, (n, size)
             assert all(length <= size + 1 for length in lengths), (n, size)
-        # a size below 2 counts as 2
-        assert T.pieces(n, 0) == T.pieces(n, 1) == T.pieces(n, 2)
+        # a size of 1 or less gives one-item pieces
+        assert T.pieces(n, 0) == T.pieces(n, 1) == [slice(i, i + 1) for i in range(n)]
     assert T.pieces(15, 14) == [slice(0, 15)]
     assert T.pieces(15, 7) == [slice(0, 7), slice(7, 15)]
     assert T.pieces(32, 7) == [slice(0, 7), slice(7, 14), slice(14, 21), slice(21, 28),

@@ -1,7 +1,7 @@
 """Run alternating parent/change pairs of the benchmark on one workload.
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --workload probe-eval \
-        --seed 2222 --pairs 10 [--seconds 30] [--out pairs.json] [--workdir DIR]
+        --seed 2222 --pairs 10 [--out pairs.json] [--workdir DIR]
 
 DIR is the root of a checkout (a `git archive` of a commit will do).
 Each side runs from a fresh copy of its tree, made in a new directory
@@ -9,18 +9,23 @@ under --workdir (a temporary one by default, removed afterwards): the
 directory a tree runs from has moved desk-pretrain `step_ms_p50` by 13%
 with the code unchanged, so both sides get one made the same way.  The
 command is `BENCHMARK.json`'s, from the change's tree, with
-`--workload`, `--seed` and `--seconds` added; pair i runs the parent
-first when i is even and the change first when it is odd.
+`--workload`, `--seed` and `--seconds` (its `run_seconds`) added; pair
+i runs the parent first when i is even and the change first when it is
+odd.
 
 For each end-to-end metric `BENCHMARK.json` lists, the summary holds
 each side's median and quartiles (NumPy percentiles 25, 50 and 75), the
 pairs the change wins (ties count for neither side), the relative change
 of the medians, whether that change is worse than the metric's bound,
 and a verdict: "better" or "worse" only where the medians differ by more
-than the parent's interquartile range, else "unresolved".  `gain_shown`
-is true where the change wins at least nine tenths of the pairs and its
-median is better by more than that range.  The JSON written to --out
-also keeps every run.  Standard library and NumPy only.
+than the parent's interquartile range, else "unresolved".  Where the
+parent's runs do not vary (an interquartile range of 0, as for a
+deterministic loss) no gap can be told from rounding, so the verdict is
+"identical" or "changed", with the relative change beside it.
+`gain_shown` is true where the change wins at least nine tenths of the
+pairs and its median is better by more than a non-zero parent range.
+The JSON written to --out also keeps every run.  Standard library and
+NumPy only.
 """
 
 from __future__ import annotations
@@ -57,7 +62,9 @@ def compare(parent, change, better: str, bound: float) -> dict:
     worse = sign * (c["median"] - p["median"])  # in the metric's unit
     iqr = p["q3"] - p["q1"]
     relative = (c["median"] - p["median"]) / p["median"] if p["median"] else math.nan
-    if abs(worse) > iqr:
+    if iqr == 0:
+        verdict = "changed" if worse else "identical"
+    elif abs(worse) > iqr:
         verdict = "worse" if worse > 0 else "better"
     else:
         verdict = "unresolved"
@@ -73,7 +80,7 @@ def compare(parent, change, better: str, bound: float) -> dict:
         "bound": bound,
         "worse_than_bound": sign * relative > bound,
         "verdict": verdict,
-        "gain_shown": wins >= math.ceil(0.9 * len(diffs)) and -worse > iqr,
+        "gain_shown": wins >= math.ceil(0.9 * len(diffs)) and -worse > iqr > 0,
     }
 
 
@@ -151,12 +158,11 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float)
     parser.add_argument("--out", type=Path)
     parser.add_argument("--workdir", type=Path)
     args = parser.parse_args(argv)
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
+    seconds = bench["run_seconds"]
     workdir = Path(tempfile.mkdtemp(prefix="bench_pairs-", dir=args.workdir))
     try:
         trees = {side: fresh_copy(getattr(args, side).resolve(), workdir / side)
