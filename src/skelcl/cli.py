@@ -13,8 +13,9 @@ defaults otherwise.  Such a flag has no default of its own.
 
 Exit codes: 0 success; 1 a failed check or any other named
 `SkelclError`, such as a missing, unreadable or corrupt checkpoint, data,
-scores or config file; 2 a usage or config error: an unknown key, a
-wrong type, a config file that is not JSON, or a value out of range.  A
+scores or config file, or an output path that cannot be written; 2 a
+usage or config error: an unknown key, a wrong type, a config file that
+is not JSON, or a value out of range.  A
 `ConfigValueError` prints under the flag whose `dest` is its key when
 that option holds a value, and under its key otherwise.
 """
@@ -25,7 +26,7 @@ import argparse
 import dataclasses
 import json
 import sys
-from pathlib import Path
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -57,15 +58,19 @@ from .errors import (
 )
 from .rng import RngStream
 from .skeleton import (
+    atomic_writer,
     clip_batch,
     generate_synthetic_dataset,
     load_dataset,
+    make_dir,
+    output_errors,
     read_input,
     stratified_split,
     write_dataset,
 )
 from .train import (
     branch_views,
+    check_pretrain,
     eval_features,
     finetune,
     fuse_predictions,
@@ -102,13 +107,9 @@ def _config(args, *docs: dict) -> RunConfig:
     return config_from_dict(*docs, _given(args))
 
 
-def _emit(doc: dict, path: str | None = None) -> None:
-    text = json.dumps(doc)
-    if path:
-        with open(path, "a") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+def _emit(doc: dict, out=None) -> None:
+    """Write `doc` as one JSON line to `out`, an open text file (stdout by default)."""
+    print(json.dumps(doc), file=out)
 
 
 # -- subcommands -------------------------------------------------------------------
@@ -139,16 +140,21 @@ def cmd_pretrain(args) -> int:
                          _parse_overrides(args.set or []))
         state = None
     data = load_dataset(args.data)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = make_dir(args.out)
+    # --metrics opens after the run's checks and before its first step, so
+    # a refused run leaves no file and a bad path costs no training
+    check_pretrain(data["train"], config)
+    with output_errors(args.metrics):
+        metrics = open(args.metrics, "a") if args.metrics else nullcontext(sys.stdout)
 
     def on_stage_end(current_state, stage_index):
         save_checkpoint(out_dir / f"ckpt_stage{stage_index}.bin", state_to_checkpoint(current_state))
 
-    state, records = pretrain(data["train"], config, state=state, on_stage_end=on_stage_end)
-    save_checkpoint(out_dir / "checkpoint.bin", state_to_checkpoint(state))
-    for record in records:
-        _emit(record, args.metrics)
+    with metrics as out:
+        state, records = pretrain(data["train"], config, state=state, on_stage_end=on_stage_end)
+        save_checkpoint(out_dir / "checkpoint.bin", state_to_checkpoint(state))
+        for record in records:
+            _emit(record, out)
     return 0
 
 
@@ -171,9 +177,9 @@ def cmd_linprobe(args) -> int:
     result = linear_probe(params, data["train"], data["val"], stream=args.stream,
                           epochs=config.linear_epochs, lr=config.linear_lr, seed=config.seed)
     if args.scores_out:
-        Path(args.scores_out).write_text(json.dumps({
-            "stream": args.stream, "scores": result.val_scores.tolist(),
-            "labels": result.val_labels.tolist()}))
+        with atomic_writer(args.scores_out) as fh:
+            fh.write(json.dumps({"stream": args.stream, "scores": result.val_scores.tolist(),
+                                 "labels": result.val_labels.tolist()}).encode())
     _emit_probe(args, ckpt, data, "linear", accuracy=result.accuracy)
     return 0
 
@@ -272,10 +278,10 @@ def cmd_fuse(args) -> int:
 
 def _gradcheck_cases(dtype, grid) -> dict:
     """Each gradient-check component as an (f, params) pair, at small
-    scale: every block type, the projector, each loss term and the linear
-    head.  Every value is drawn, rounded to `grid`'s precision and held in
-    `dtype`, so a float64 build on a float32 grid is the float32 build's
-    twin, at exactly the same values."""
+    scale: every block type (in train mode), the projector, each loss
+    term and the linear head.  Every value is drawn, rounded to `grid`'s
+    precision and held in `dtype`, so a float64 build on a float32 grid
+    is the float32 build's twin, at exactly the same values."""
     from .skeleton import build_star_tree
 
     def held(a):
@@ -291,36 +297,25 @@ def _gradcheck_cases(dtype, grid) -> dict:
 
     cfg_first = RunConfig(enc_blocks=1, enc_channels=[4], enc_hidden=8, embed_dim=4)
     cfg_residual = RunConfig(enc_blocks=2, enc_channels=[4, 4], enc_hidden=8, embed_dim=4)
-    x = held(rng.normal(size=(1, 8, 3, 5)))  # a batch of one clip
+    # a batch of two clips, in train mode (the one mode that records):
+    # the batch statistics carry gradient
+    x = held(rng.normal(size=(2, 8, 3, 5)))
 
     for label, cfg in (("block_entry", cfg_first), ("block_residual", cfg_residual)):
         params = encoder(cfg, RngStream(1).split(label))
-        target = rng.normal(size=cfg.enc_channels[-1])
+        target = rng.normal(size=(2, cfg.enc_channels[-1]))
 
         def f(params=params, target=target):
-            h = stgcn_forward(x, adjacency, params, mode="eval")
+            h = stgcn_forward(x, adjacency, params, mode="train", update_stats=False)
             return T.sum_(T.mul(h, target))
 
         cases[label] = (f, params.trainable())
 
-    # train-mode normalization: batch statistics carry gradient
-    # (own generator, so the other components keep their inputs)
-    norm_rng = np.random.default_rng(1)
-    norm_params = encoder(cfg_first, RngStream(1).split("block_train_norm"))
-    x_batch = held(norm_rng.normal(size=(2, 8, 3, 5)))
-    target_batch = norm_rng.normal(size=(2, cfg_first.enc_channels[-1]))
-
-    def f_train_norm():
-        h = stgcn_forward(x_batch, adjacency, norm_params, mode="train", update_stats=False)
-        return T.sum_(T.mul(h, target_batch))
-
-    cases["block_train_norm"] = (f_train_norm, norm_params.trainable())
-
     proj_params = encoder(cfg_first, RngStream(2).split("proj"))
-    proj_target = rng.normal(size=cfg_first.embed_dim)
+    proj_target = rng.normal(size=(2, cfg_first.embed_dim))
 
     def f_proj():
-        _, z = encode(x, adjacency, proj_params, mode="eval")
+        _, z = encode(x, adjacency, proj_params, mode="train", update_stats=False)
         return T.sum_(T.mul(z, proj_target))
 
     cases["projector"] = (f_proj, proj_params.trainable())

@@ -18,9 +18,11 @@ tape node `tensor.stgcn_block` (joint aggregation `A_hat^T X`, channel
 mix `@ W`, temporal convolution, batch norm, relu, residual), in every
 mode: the taped train-mode query pass, the untaped key pass,
 finetuning, and eval mode, which normalizes with the frozen running
-statistics inside the same node.  The last block also pools: it returns
-h directly and takes h's gradient, so the last full activation is never
-built.
+statistics inside the same node.  Eval mode never records: an eval-mode
+pass runs under `tensor.no_tape()`, and one that would record raises
+`InvalidArgument`.  The last block also pools: it returns h directly and
+takes h's gradient, so the last full activation is never built.  The
+projector is the one tape node `tensor.projector`.
 """
 
 from __future__ import annotations
@@ -121,7 +123,7 @@ def stgcn_forward(
     `adjacency` is the (V, V) normalized adjacency of the skeleton graph.
     `mode="train"` normalizes with batch statistics (and updates the
     running averages unless `update_stats=False`); `mode="eval"` uses
-    the frozen running statistics.
+    the frozen running statistics and must run off the tape.
     """
     if mode not in ("train", "eval"):
         raise InvalidArgument(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -151,11 +153,9 @@ def stgcn_forward(
 
 
 def project(h, params: EncoderParams) -> T.Tensor:
-    """Unit-norm embeddings z, (N, embed_dim), from (N, C_last) hidden rows h."""
-    h = T.as_tensor(h)
-    z = T.matmul(T.relu(T.add(T.matmul(h, params["projector.w1"]), params["projector.b1"])),
-                 params["projector.w2"])
-    return T.l2_normalize(T.add(z, params["projector.b2"]))
+    """Unit-norm embeddings z, (N, embed_dim), from (N, C_last) hidden rows
+    h: the one tape node `tensor.projector`."""
+    return T.projector(h, *(params[f"projector.{name}"] for name in ("w1", "b1", "w2", "b2")))
 
 
 def encode(

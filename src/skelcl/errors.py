@@ -89,11 +89,11 @@ class QueueTooSmall(SkelclError):
 class NonFiniteLoss(SkelclError):
     """A pretraining step produced NaN or Inf, or a zero-norm row.
 
-    `op` names the op that did (a tape op, "l2_normalize" for a zero or
-    non-finite embedding norm, or "sgd_step" for an update that left a
-    parameter non-finite), `epoch`, `step` and `stage` the step, and
-    `stream` the stream whose encoder pass or update failed (None when
-    the loss did).
+    `op` names the op that did (a tape op such as "stgcn_block" or
+    "projector", "l2_normalize" for a zero or non-finite embedding norm,
+    or "sgd_step" for an update that left a parameter non-finite),
+    `epoch`, `step` and `stage` the step, and `stream` the stream whose
+    encoder pass or update failed (None when the loss did).
     """
 
     def __init__(self, message: str, op: str | None, epoch: int, step: int, stage: str,
@@ -156,6 +156,11 @@ class ConfigValueError(SkelclError, ValueError):
 
 class UnreadableFile(SkelclError):
     """An input file is missing or cannot be read."""
+
+
+class UnwritableFile(SkelclError, OSError):
+    """An output file or directory cannot be created, written or moved into
+    place.  It is also an `OSError`, the error it stands for."""
 
 
 class VersionMismatch(SkelclError):

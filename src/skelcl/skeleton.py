@@ -39,6 +39,7 @@ from .errors import (
     TruncatedFile,
     UnknownStream,
     UnreadableFile,
+    UnwritableFile,
     VersionMismatch,
 )
 from .rng import RngStream
@@ -381,17 +382,38 @@ def json_hash(doc_json: bytes) -> int:
 
 
 @contextmanager
+def output_errors(path):
+    """Raise an `OSError` of the block as `UnwritableFile` naming `path`:
+    the one report of an output that cannot be created or written."""
+    try:
+        yield
+    except OSError as err:
+        raise UnwritableFile(f"{path}: {err.strerror or err}") from None
+
+
+def make_dir(directory) -> Path:
+    """`directory` as a `Path`, created with its parents when missing;
+    `UnwritableFile` names one that cannot be (say, an existing file)."""
+    directory = Path(directory)
+    with output_errors(directory):
+        directory.mkdir(parents=True, exist_ok=True)
+    return directory
+
+
+@contextmanager
 def atomic_writer(path):
     """A binary file, open for writing, whose contents replace `path` in one
     step when the block ends: it is a temp file in the same directory, then
-    `os.replace`d over `path`.  A block that fails part way leaves the old
-    file intact and removes the temp file."""
+    `os.replace`d over `path`.  An `OSError` in opening, writing or moving
+    it raises `UnwritableFile` naming `path`.  A block that fails part way
+    leaves the old file intact and removes the temp file."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "wb") as fh:
-            yield fh
-        os.replace(tmp, path)
+        with output_errors(path):
+            with open(tmp, "wb") as fh:
+                yield fh
+            os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
 
@@ -539,9 +561,8 @@ def write_dataset(directory, sequences: list[SkeletonSequence], splits: list[str
     """
     graph, clips = clip_batch(sequences)
     doc = {"edges": graph.edges, "labels": [s.label for s in sequences], "splits": list(splits)}
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    write_file(directory / DATASET_FILE, DATASET_MAGIC, json.dumps(doc).encode(), {"clips": clips})
+    path = make_dir(directory) / DATASET_FILE
+    write_file(path, DATASET_MAGIC, json.dumps(doc).encode(), {"clips": clips})
 
 
 def load_dataset(directory) -> dict[str, list[SkeletonSequence]]:

@@ -21,13 +21,17 @@ Each encoder block is one tape node, `stgcn_block`, on channels-last
 (N, T, V, C) activations.  It walks the batch in chunks of about
 `BLOCK_CHUNK_BYTES` of activation, so a chunk's intermediates stay in
 cache; `pieces` states the split rule that it and the eval passes
-share.  The row softmax negative log-likelihood has one implementation,
-`_softmax_nll_rows`, shared by `linear_head` (the probes' head kernel,
-which `linear_softmax_nll` records as one node) and `contrast.queue_nll`.
+share.  It records in train mode only; eval-mode passes run off the
+tape.  The projection head (affine, relu, affine, L2-normalize) is one
+tape node too, `projector`, which shares its row-norm check with
+`l2_normalize`.  The row softmax negative log-likelihood has one
+implementation, `_softmax_nll_rows`, shared by `linear_head` (the
+probes' head kernel, which `linear_softmax_nll` records as one node) and
+`contrast.queue_nll`.
 
-`conv1d_temporal`, `masked_softmax_nll_rows`, `mean_`, `sub`, `exp` and
-`log` have no caller in the package.  They stay because the benchmark's
-tracer looks each of them up by name at import.
+`conv1d_temporal`, `masked_softmax_nll_rows`, `matmul`, `mean_`, `relu`,
+`sub`, `exp` and `log` have no caller in the package.  They stay because
+the benchmark's tracer looks each of them up by name at import.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ import numpy as np
 from .errors import (
     DetachedLoss,
     EmptyMask,
+    InvalidArgument,
     InvalidLabel,
     NonDeterministic,
     NonFiniteValue,
@@ -597,10 +602,13 @@ def stgcn_block(h, adjacency, weight, kernel, norm, running=None, pool: bool = F
     reduced chunk by chunk, so the full activation is never built.
     `norm` is the (gamma, beta) pair of the batch norm, over every axis
     but the channel one, with `BN_EPS` added to the variance; every
-    block normalizes.  With `running=None` it normalizes with the
-    batch's mean and biased variance, returned as `stats` (constant
-    (C_out,) arrays for the caller's running averages); with a
-    (mean, var) pair of arrays it uses those, and `stats` is None.
+    block normalizes.  With `running=None` (train mode) it normalizes
+    with the batch's mean and biased variance, returned as `stats`
+    (constant (C_out,) arrays for the caller's running averages); with a
+    (mean, var) pair of arrays (eval mode) it uses those, and `stats` is
+    None.  The node records in train mode only: a call with `running`
+    that would record onto a tape raises `InvalidArgument`, since every
+    eval-mode pass (the probes, the embeddings) runs off the tape.
     Batch statistics that are not finite, such as a variance that
     overflows, raise `NonFiniteValue` (op "stgcn_block"): an infinite
     variance would zero xhat and leave a finite relu(beta).  The forward
@@ -622,9 +630,10 @@ def stgcn_block(h, adjacency, weight, kernel, norm, running=None, pool: bool = F
     (in float64), one pass for the mean and one for the centered
     variance, before a last pass normalizes, applies relu and adds the
     residual.  The backward recomputes each chunk's spatial step from
-    `h` and takes two passes in train mode (the sums of g and g * xhat
-    the closed-form batch-norm gradient needs, then the input, weight
-    and kernel gradients), one otherwise.
+    `h` and takes two passes: the sums of g and g * xhat the closed-form
+    batch-norm gradient needs, then the input, weight and kernel
+    gradients.  It returns every parameter's gradient, and the input's
+    when the input is tracked.
     """
     h, weight, kernel = as_tensor(h), as_tensor(weight), as_tensor(kernel)
     if h.ndim != 4:
@@ -644,6 +653,9 @@ def stgcn_block(h, adjacency, weight, kernel, norm, running=None, pool: bool = F
         raise ShapeMismatch(f"gamma and beta must be ({c_out},)")
     inputs = (h, weight, kernel, gamma, beta)
     train = running is None
+    recording = _recording(inputs) is not None
+    if recording and not train:
+        raise InvalidArgument("stgcn_block records in train mode only: run eval mode untaped")
     residual = c_in == c_out
     count = n * frames * joints
     width = joints * c_out
@@ -676,10 +688,9 @@ def stgcn_block(h, adjacency, weight, kernel, norm, running=None, pool: bool = F
     agg, mixed = scratch()
 
     full = (n, frames, width)
-    recording = _recording(inputs) is not None
     out = np.empty((n, c_out) if pool else full, dtype)
     # the pre-affine activation xhat; without a tape it is built in `out`
-    # itself, or per chunk when pooled
+    # itself, or per chunk when pooled in eval mode
     if recording or (pool and train):
         xhat = np.empty(full, dtype)
     else:
@@ -719,10 +730,7 @@ def stgcn_block(h, adjacency, weight, kernel, norm, running=None, pool: bool = F
     for c in chunks:
         m = c.stop - c.start
         dst = act[:m] if pool else out[c]
-        if train:
-            pre = xhat[c]
-        else:
-            pre = _apply_taps(spatial(c, agg, mixed)[1], plan, dst if xhat is None else xhat[c])
+        pre = xhat[c] if train else _apply_taps(spatial(c, agg, mixed)[1], plan, dst)
         pre -= mean_c
         pre *= inv_c
         pre = np.multiply(pre, gamma_c, out=dst)
@@ -742,15 +750,13 @@ def stgcn_block(h, adjacency, weight, kernel, norm, running=None, pool: bool = F
         out /= frames * joints
 
     def bwd(g, needs):
-        need_x, need_w, need_k, need_gamma, need_beta = needs
         if pool:
             # the pooled gradient, spread over a sample's frames and joints
             g = (g / (frames * joints))[:, None, None, :]
         else:
             g = g.reshape(n, frames, joints, c_out)
-        gx = np.empty(x.shape, dtype) if need_x else None
-        gw = np.zeros_like(w) if need_w else None
-        gk = np.zeros((c_out, kernel.shape[1]), dtype) if need_k else None
+        gx = np.empty(x.shape, dtype) if needs[0] else None
+        gw, gk = np.zeros_like(w), np.zeros((c_out, kernel.shape[1]), dtype)
         g_beta, g_gamma = np.zeros(c_out), np.zeros(c_out)
         gpre = np.empty((rows, frames, width), dtype)
         dmixed = np.empty_like(gpre)
@@ -765,46 +771,33 @@ def stgcn_block(h, adjacency, weight, kernel, norm, running=None, pool: bool = F
                         out=gpre[:m].reshape(m, frames, joints, c_out))
             return gpre[:m]
 
-        def add_affine_sums(c: slice, gr: np.ndarray) -> None:
-            g_beta[:] += _channel_sums(gr, c_out)
-            g_gamma[:] += _channel_sums(gr * xhat[c], c_out)
-
-        if train:
-            for c in chunks:
-                add_affine_sums(c, relu_grad(c))
+        for c in chunks:
+            gr = relu_grad(c)
+            g_beta += _channel_sums(gr, c_out)
+            g_gamma += _channel_sums(gr * xhat[c], c_out)
         scale = gamma.data * inv_std
         scale_c = per_column(scale)
-        if train:
-            shift_c = per_column(scale * g_beta / count)
-            slope_c = per_column(scale * g_gamma / count)
+        shift_c = per_column(scale * g_beta / count)
+        slope_c = per_column(scale * g_gamma / count)
 
         for c in chunks:
             m = c.stop - c.start
-            dpre = relu_grad(c)
-            if (need_gamma or need_beta) and not train:
-                add_affine_sums(c, dpre)
-            if not (need_x or need_w or need_k):
-                continue
             # closed-form batch norm (Ioffe & Szegedy, 2015):
             # gamma / sigma * (g - mean(g) - xhat * mean(g * xhat))
+            dpre = relu_grad(c)
             dpre *= scale_c
-            if train:
-                dpre -= xhat[c] * slope_c
-                dpre -= shift_c
+            dpre -= xhat[c] * slope_c
+            dpre -= shift_c
             dy = _apply_taps(dpre, plan, dmixed[:m], adjoint=True).reshape(-1, c_out)
-            if need_w or need_k:
-                agg_c, mixed_c = spatial(c, agg, mixed)
-                if need_k:
-                    _add_tap_grads(dpre, mixed_c, plan, gk)
-                if need_w:
-                    gw += agg_c.reshape(-1, c_in).T @ dy
-            if need_x:
+            agg_c, mixed_c = spatial(c, agg, mixed)
+            _add_tap_grads(dpre, mixed_c, plan, gk)
+            gw += agg_c.reshape(-1, c_in).T @ dy
+            if gx is not None:
                 dagg = np.matmul(dy, w.T, out=agg[:m].reshape(-1, c_in))
                 _aggregate(dagg.reshape(m, frames, joints, c_in), adjacency.T, gx[c])
                 if residual:
                     gx[c] += g[c]
-        return (gx, gw, gk, g_gamma.astype(dtype) if need_gamma else None,
-                g_beta.astype(dtype) if need_beta else None)
+        return gx, gw, gk, g_gamma.astype(dtype), g_beta.astype(dtype)
 
     return _apply(out if pool else out.reshape(n, frames, joints, c_out), inputs, bwd), stats
 
@@ -812,25 +805,73 @@ def stgcn_block(h, adjacency, weight, kernel, norm, running=None, pool: bool = F
 # -- norm / softmax kernels ------------------------------------------------------
 
 
-def l2_normalize(v) -> Tensor:
-    """Scale each row (or a single vector) to unit L2 norm.
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """The L2 norms of the rows of `v` (or of `v` itself, if a vector), as
+    a (..., 1) column, computed with NumPy's overflow warnings off.
 
-    The row norms are checked before any node is recorded, with NumPy's
-    overflow warnings off: a norm that is not finite, such as a squared
-    norm that overflows, raises `NonFiniteValue` and one at most
-    `NORM_EPS` raises `ZeroNorm`, both with op "l2_normalize".
+    The L2 normalization's one check: a norm that is not finite, such as
+    a squared norm that overflows, raises `NonFiniteValue` and one at
+    most `NORM_EPS` raises `ZeroNorm`, both with op "l2_normalize".
     """
-    v = as_tensor(v)
-    if v.ndim not in (1, 2):
-        raise ShapeMismatch("l2_normalize expects rank 1 or 2")
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.sqrt(np.square(v.data).sum(axis=-1))
+        norms = np.sqrt((v * v).sum(axis=-1, keepdims=True))
     if not np.isfinite(norms).all():
         raise NonFiniteValue("l2_normalize row norm is not finite", op="l2_normalize")
     if np.any(norms <= NORM_EPS):
         raise ZeroNorm(f"row norm <= {NORM_EPS}", op="l2_normalize")
+    return norms
+
+
+def l2_normalize(v) -> Tensor:
+    """Scale each row (or a single vector) to unit L2 norm.
+
+    The row norms are checked (`_row_norms`) before any node is recorded.
+    """
+    v = as_tensor(v)
+    if v.ndim not in (1, 2):
+        raise ShapeMismatch("l2_normalize expects rank 1 or 2")
+    _row_norms(v.data)
     squared = sum_(mul(v, v), axis=-1, keepdims=True)
     return div(v, sqrt(squared))
+
+
+@np.errstate(over="ignore", invalid="ignore")  # the checks below report an overflow
+def projector(h, w1, b1, w2, b2) -> Tensor:
+    """The projection head as one tape node: the unit-norm rows of
+    relu(h @ w1 + b1) @ w2 + b2 for (N, C) hidden rows `h`, a (C, H)
+    `w1`, (H,) `b1`, (H, D) `w2` and (D,) `b2`.
+
+    The forward makes the NumPy calls of the matmul, add, relu, matmul,
+    add and `l2_normalize` chain in that order, so its rows are bit for
+    bit that chain's.  Before any node is recorded, a value of either
+    affine map that is not finite raises `NonFiniteValue` (op
+    "projector"), and the row norms then get `l2_normalize`'s check
+    (`_row_norms`).  The backward is closed form: the rows z = v / |v|
+    pass (g - z <g, z>) / |v| to v, then the two affine maps and the relu
+    mask.  It returns every parameter's gradient, and h's when h is
+    tracked.
+    """
+    inputs = h, w1, b1, w2, b2 = tuple(as_tensor(t) for t in (h, w1, b1, w2, b2))
+    if h.ndim != 2 or [t.shape for t in inputs[1:]] != [
+            (h.shape[1], b1.size), (b1.size,), (b1.size, b2.size), (b2.size,)]:
+        raise ShapeMismatch(f"projector cannot chain {[t.shape for t in inputs]}")
+    pre = h.data @ w1.data + b1.data
+    positive = pre > 0
+    record_kink(positive)
+    hidden = np.maximum(pre, 0.0)
+    v = hidden @ w2.data + b2.data
+    if not (np.isfinite(pre).all() and np.isfinite(v).all()):
+        raise NonFiniteValue("projector produced NaN or Inf", op="projector")
+    norms = _row_norms(v)
+    z = v / norms
+
+    def bwd(g, needs):
+        dv = (g - z * (g * z).sum(axis=-1, keepdims=True)) / norms
+        dpre = (dv @ w2.data.T) * positive
+        gh = dpre @ w1.data.T if needs[0] else None
+        return gh, h.data.T @ dpre, dpre.sum(axis=0), hidden.T @ dv, dv.sum(axis=0)
+
+    return _apply(z, inputs, bwd, check=False)
 
 
 def _softmax_nll_rows(exps: np.ndarray, lead: int = 0, picks=None):

@@ -171,6 +171,16 @@ def branch_views(joints: np.ndarray, config: RunConfig, rngs, graph,
     }
 
 
+def check_pretrain(dataset: list[SkeletonSequence], config: RunConfig) -> None:
+    """Refuse a run `pretrain` cannot start: an empty dataset, or a queue
+    smaller than one step's keys."""
+    if not dataset:
+        raise EmptyTrainSplit("pretraining needs a nonempty dataset")
+    keys_per_step = min(config.batch_size, len(dataset))
+    if keys_per_step > config.queue_size:
+        raise ConfigValueError("queue_size", f"{config.queue_size} < {keys_per_step} keys per step")
+
+
 def pretrain(
     dataset: list[SkeletonSequence],
     config: RunConfig,
@@ -186,11 +196,7 @@ def pretrain(
     callback that keeps a `state_to_checkpoint` of it (which shares its
     arrays) must save or copy it before returning.
     """
-    if not dataset:
-        raise EmptyTrainSplit("pretraining needs a nonempty dataset")
-    keys_per_step = min(config.batch_size, len(dataset))
-    if keys_per_step > config.queue_size:
-        raise ConfigValueError("queue_size", f"{config.queue_size} < {keys_per_step} keys per step")
+    check_pretrain(dataset, config)
     graph = shared_graph(dataset)  # checked once, so every step's batch stacks
     adjacency = graph.normalized_adjacency(np.float32)
     total_epochs = sum(config.stage_epochs)

@@ -16,7 +16,7 @@ from skelcl.errors import ConfigValueError
 from skelcl.skeleton import SkeletonSequence, load_dataset, read_file, write_dataset, write_file
 
 GRADCHECK_COMPONENTS = {
-    "block_entry", "block_residual", "block_train_norm", "projector", "loss_intra", "loss_nnm",
+    "block_entry", "block_residual", "projector", "loss_intra", "loss_nnm",
     "loss_pft_query_path", "loss_combined", "head",
 }
 # `pft-hist --random-pairs 200` before the loss path became batched
@@ -389,6 +389,26 @@ def test_bad_input_exits_with_named_error(pretrained, tmp_path, capsys, argv, co
     assert main([arg.format(**names) for arg in argv]) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named.format(**names) in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["linprobe", "--checkpoint", "{ckpt}", "--data", "{data}", "--epochs", "1",
+     "--scores-out", "{out}"],
+    ["gen-data", "--classes", "3", "--per-class", "6", "--frames", "16", "--out", "{out}"],
+    ["pretrain", "--data", "{data}", "--out", "{run}", "--metrics", "{out}", "--set",
+     "stage_epochs=[1,0,0]", "--set", "queue_size=8", "--set", "batch_size=8"],
+], ids=["linprobe-scores-out", "gen-data-out", "pretrain-metrics"])
+def test_unwritable_output_exits_1_naming_it(pretrained, tmp_path, capsys, argv):
+    # an output under a missing directory, or a directory over an existing file
+    out = tmp_path / "taken" if argv[0] == "gen-data" else tmp_path / "missing" / "out.json"
+    (tmp_path / "taken").write_text("")
+    names = {"ckpt": pretrained / "run" / "checkpoint.bin", "data": pretrained / "data",
+             "run": tmp_path / "run", "out": out}
+    assert main([arg.format(**names) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+    if argv[0] == "pretrain":  # refused before the first step: no checkpoint
+        assert list((tmp_path / "run").iterdir()) == []
 
 
 def test_unlabeled_clip_exits_1_naming_it(pretrained, tmp_path, capsys):

@@ -14,6 +14,7 @@ from skelcl.contrast import queue_nll
 from skelcl.errors import (
     DetachedLoss,
     EmptyMask,
+    InvalidArgument,
     InvalidLabel,
     NonDeterministic,
     NonFiniteValue,
@@ -279,12 +280,9 @@ OP_CASES = [
     ("matmul", lambda rng: _matmul_case(rng)),
     ("conv1d", lambda rng: _conv_case(rng)),
     ("conv1d_batched_k5", lambda rng: _conv_batched_case(rng)),
-    ("block_train", lambda rng: _block_case(rng, "train", residual=True)),
-    ("block_train_entry", lambda rng: _block_case(rng, "train", residual=False)),
-    ("block_eval", lambda rng: _block_case(rng, "eval", residual=True)),
-    ("block_eval_entry", lambda rng: _block_case(rng, "eval", residual=False)),
-    ("block_train_pooled", lambda rng: _block_case(rng, "train", residual=True, pool=True)),
-    ("block_eval_entry_pooled", lambda rng: _block_case(rng, "eval", residual=False, pool=True)),
+    ("block_train", lambda rng: _block_case(rng, residual=True)),
+    ("block_train_entry", lambda rng: _block_case(rng, residual=False)),
+    ("block_train_pooled", lambda rng: _block_case(rng, residual=True, pool=True)),
     ("mixed_elementwise", lambda rng: _elementwise_case(rng)),
     ("reductions", lambda rng: _reduction_case(rng)),
     ("concat_take", lambda rng: _concat_case(rng)),
@@ -341,8 +339,9 @@ def _block_inputs(rng, mode, residual, shape=(3, 6, 4, 3), dtype=np.float64):
     return params, args
 
 
-def _block_case(rng, mode, residual, pool=False):
-    params, args = _block_inputs(rng, mode, residual)
+def _block_case(rng, residual, pool=False):
+    """A train-mode `stgcn_block` case: the node records in train mode only."""
+    params, args = _block_inputs(rng, "train", residual)
     c_out = args[2].shape[1]
     w = rng.normal(size=(args[0].shape[0], c_out) if pool else args[0].shape[:3] + (c_out,))
     return params, lambda: T.sum_(T.mul(T.stgcn_block(*args, pool=pool)[0], w))
@@ -485,29 +484,34 @@ def _run_block(op, params, args, w, pool=False):
 
 
 def _ragged_block_parity(monkeypatch, mode, residual, pool):
-    """`stgcn_block`, taped and untaped, against `composed_block_last` at
-    f64 over chunks of 2, 2 and a ragged 3: outputs, batch statistics
-    and gradients."""
+    """`stgcn_block` against `composed_block_last` at f64 over chunks of
+    2, 2 and a ragged 3: untaped outputs and batch statistics, and in
+    train mode, the one mode that records, the taped ones and the
+    gradients too."""
     rng = np.random.default_rng(["train", "eval"].index(mode) + 3 * residual)
     params, args = _block_inputs(rng, mode, residual, shape=(7, 5, 6, 3))
     n, frames, joints, _ = args[0].shape
     c_out = args[2].shape[1]
     monkeypatch.setattr(T, "BLOCK_CHUNK_BYTES", 2 * frames * c_out * joints * 8)
     w = rng.normal(size=(n, c_out) if pool else (n, frames, joints, c_out))
-    out, stats, grads = _run_block(T.stgcn_block, params, args, w, pool)
-    ref_out, ref_stats, ref_grads = _run_block(composed_block_last, params, args, w, pool)
     with T.no_tape():  # no xhat or relu mask is kept
         untaped, untaped_stats = T.stgcn_block(*args, pool=pool)
-    for got_out, got_stats in ((out, stats), (untaped.data, untaped_stats)):
-        np.testing.assert_allclose(got_out, ref_out, rtol=1e-10, atol=1e-12)
+        ref_out, ref_stats = composed_block_last(*args, pool=pool)
+    outputs = [(untaped.data, untaped_stats)]
+    if mode == "train":
+        out, stats, grads = _run_block(T.stgcn_block, params, args, w, pool)
+        _, _, ref_grads = _run_block(composed_block_last, params, args, w, pool)
+        outputs.append((out, stats))
+        assert set(grads) == set(ref_grads)
+        for name in grads:
+            np.testing.assert_allclose(grads[name], ref_grads[name], rtol=1e-10, atol=1e-12)
+    for got_out, got_stats in outputs:
+        np.testing.assert_allclose(got_out, ref_out.data, rtol=1e-10, atol=1e-12)
         if mode == "train":
             for got, want in zip(got_stats, ref_stats):
                 np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
         else:
             assert got_stats is None and ref_stats is None
-    assert set(grads) == set(ref_grads)
-    for name in grads:
-        np.testing.assert_allclose(grads[name], ref_grads[name], rtol=1e-10, atol=1e-12)
 
 
 @pytest.mark.parametrize("residual", [True, False])
@@ -527,9 +531,17 @@ def test_block_chunk_size_independent_float32(monkeypatch, mode):
     rng = np.random.default_rng(5)
     params, args = _block_inputs(rng, mode, True, shape=(9, 8, 5, 4), dtype=np.float32)
     w = rng.normal(size=args[0].shape).astype(np.float32)
-    whole = _run_block(T.stgcn_block, params, args, w)
+
+    def run():
+        if mode == "train":
+            return _run_block(T.stgcn_block, params, args, w)
+        with T.no_tape():  # eval mode runs off the tape
+            out, stats = T.stgcn_block(*args)
+        return out.data, stats, {}
+
+    whole = run()
     monkeypatch.setattr(T, "BLOCK_CHUNK_BYTES", 1)  # one sample a chunk
-    chunked = _run_block(T.stgcn_block, params, args, w)
+    chunked = run()
     np.testing.assert_allclose(chunked[0], whole[0], rtol=1e-5, atol=1e-5)
     for got, want in zip(chunked[1] or (), whole[1] or ()):
         np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
@@ -641,6 +653,51 @@ def test_batch_norm_one_tape_node():
     with T.Tape() as tape:
         T.stgcn_block(*_identity_block_args(y, gamma, beta))
     assert len(tape.nodes) == 1
+
+
+def test_taped_eval_block_raises_and_records_nothing():
+    # the block records in train mode only: eval mode runs off the tape
+    _, args = _block_inputs(np.random.default_rng(0), "eval", residual=True)
+    with T.Tape() as tape, pytest.raises(InvalidArgument, match="train mode only"):
+        T.stgcn_block(*args)
+    assert tape.nodes == []
+    with T.no_tape():
+        assert T.stgcn_block(*args)[1] is None
+
+
+def projector_chain(h, w1, b1, w2, b2):
+    """The projection head as the chain of tape ops `projector` replaced."""
+    return T.l2_normalize(T.add(T.matmul(T.relu(T.add(T.matmul(h, w1), b1)), w2), b2))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_projector_bit_equals_the_nine_node_chain(dtype):
+    # the same NumPy calls in the same order give the same z bit for bit;
+    # the closed-form backward matches the chain's gradients within rounding
+    rng = np.random.default_rng(11)
+    inputs = [T.parameter(rng.normal(size=shape).astype(dtype))
+              for shape in ((9, 6), (6, 8), (8,), (8, 5), (5,))]
+    w = rng.normal(size=(9, 5)).astype(dtype)
+    results = []
+    for op in (T.projector, projector_chain):
+        with T.Tape() as tape:
+            z = op(*inputs)
+            nodes = len(tape.nodes)
+            grads = T.backward(T.sum_(T.mul(z, w)))
+        results.append((nodes, z.data, [grads[p].data for p in inputs]))
+    (nodes, z, grads), (ref_nodes, ref_z, ref_grads) = results
+    assert (nodes, ref_nodes) == (1, 9)
+    assert z.dtype == ref_z.dtype == dtype
+    assert z.tobytes() == ref_z.tobytes()
+    tol = 1e-5 if dtype == np.float32 else 1e-12
+    for got, want in zip(grads, ref_grads):
+        assert got.dtype == want.dtype == dtype
+        np.testing.assert_allclose(got, want, rtol=tol, atol=tol)
+
+
+def test_projector_rejects_shapes_that_do_not_chain():
+    with pytest.raises(ShapeMismatch):
+        T.projector(np.ones((2, 3)), np.ones((4, 5)), np.ones(5), np.ones((5, 2)), np.ones(2))
 
 
 def composed_masked_softmax_nll(logits, mask):

@@ -152,7 +152,7 @@ def test_pretrain_leaves_every_clip_untouched():
 
 
 @pytest.mark.parametrize("param,op", [("block0.spatial_weight", "stgcn_block"),
-                                      ("projector.w2", "matmul")])
+                                      ("projector.w2", "projector")])
 def test_non_finite_parameter_names_op_step_and_stream(param, op):
     data = generate_synthetic_dataset(2, 2, frames=16, seed=1, check_separability=False)
     config = RunConfig(stage_epochs=[0, 1, 1], queue_size=4, batch_size=4, enc_blocks=1,
@@ -163,6 +163,24 @@ def test_non_finite_parameter_names_op_step_and_stream(param, op):
         pretrain(data, config, state=state)
     e = err.value
     assert (e.op, e.epoch, e.step, e.stage, e.stream) == (op, 0, 0, "basic+nnm", "bone")
+
+
+def test_desk_step_records_one_node_per_block_and_projector_pass(monkeypatch):
+    # the desk architecture (the default config): per stream one transpose,
+    # three blocks and one projector node; the last stage adds the PFT
+    # mixing of each stream's queries
+    data = generate_synthetic_dataset(2, 4, frames=16, seed=1, check_separability=False)
+    config = RunConfig(stage_epochs=[1, 1, 1], queue_size=8, batch_size=8)
+    nodes = []
+    backward = T.backward
+
+    def counted(loss):
+        nodes.append(len(loss.node.tape.nodes))  # as the benchmark's tracer counts them
+        return backward(loss)
+
+    monkeypatch.setattr(T, "backward", counted)
+    pretrain(data, config)
+    assert nodes == [15, 15, 36]
 
 
 OVERFLOW_CONFIG = dict(queue_size=8, batch_size=8, enc_blocks=1, enc_channels=[4],
