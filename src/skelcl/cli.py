@@ -333,7 +333,7 @@ def _gradcheck_cases(dtype, grid) -> dict:
     for label, mine in (("loss_intra", None), ("loss_nnm", np.ones(1, dtype=bool))):
 
         def f_loss(mine=mine):
-            return queue_nll(T.l2_normalize(zq_param), zk, [negatives], 0.2, 1, mine)[0]
+            return queue_nll([T.l2_normalize(zq_param)], zk, [negatives], 0.2, 1, mine)[0]
 
         cases[label] = (f_loss, {"zq": zq_param})
 
@@ -349,7 +349,7 @@ def _gradcheck_cases(dtype, grid) -> dict:
 
     def f_pft():
         z_hat, _, _ = pft_transform(T.l2_normalize(zq_param), zk_pos[None], np.array([lam]))
-        return queue_nll(z_hat, zk_hat_frozen[None], [negatives], 0.2, 1)[0]
+        return queue_nll([z_hat], zk_hat_frozen[None], [negatives], 0.2, 1)[0]
 
     cases["loss_pft_query_path"] = (f_pft, {"zq": zq_param})
 
@@ -387,7 +387,7 @@ def _gradcheck_cases(dtype, grid) -> dict:
 
 def _gradcheck_components(dtype, eps=1e-4, reference=None) -> dict:
     """`T.grad_check` of every component built in `dtype`.  With a
-    `reference` dtype, the central differences are taken on the
+    `reference` dtype, the finite differences are taken on the
     component's twin built in that dtype from the same values."""
     twins = _gradcheck_cases(reference, dtype) if reference is not None else {}
     return {name: T.grad_check(f, params, eps=eps, reference=twins.get(name))
@@ -404,7 +404,7 @@ def cmd_gradcheck(args) -> int:
     if args.precision == "f64":
         results, tolerance = _gradcheck_components(np.float64), 1e-6
     else:
-        # float32 rounding swamps a float32 central difference at any step
+        # float32 rounding swamps a float32 finite difference at any step
         # small enough for its truncation error to vanish, so the float32
         # analytic gradient is checked against float64 differences
         results = _gradcheck_components(np.float32, reference=np.float64)
@@ -528,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight", dest="fusion_weights", action="append", metavar="STREAM=W")
     p.set_defaults(func=cmd_fuse)
 
-    p = sub.add_parser("gradcheck", help="central-difference oracle over all components")
+    p = sub.add_parser("gradcheck", help="finite-difference oracle over all components")
     p.add_argument("--precision", choices=("f32", "f64"), default="f64")
     p.set_defaults(func=cmd_gradcheck)
 

@@ -2,13 +2,16 @@
 
 The loss family is masked-softmax InfoNCE over a positive pair plus a
 FIFO queue of past key embeddings.  `queue_nll` scores stacks of
-queries, each group against its own negatives read in place, as one
-tape node whose value is the step total, and `combine_losses` scores
-every intra- and inter-stream term of a step in one `queue_nll` call.
-Neighbor mining enlarges a row's numerator with the most similar queue
-entries (`nnm_mine`).  The hard-positive extrapolation (PFT) replaces a
-positive pair with a lower-similarity synthetic pair, guarded so the
-pair's similarity never turns negative, with weights from `pft_lambdas`.
+queries, given as blocks, each group against its own negatives read in
+place, as one tape node whose value is the step total, and
+`combine_losses` scores every intra- and inter-stream term of a step in
+one `queue_nll` call.  Neighbor mining enlarges a row's numerator with
+the most similar queue entries (`nnm_mine`).  The hard-positive
+extrapolation (PFT) replaces a positive pair with a lower-similarity
+synthetic pair, guarded so the pair's similarity never turns negative,
+with weights from `pft_lambdas`; its query side is one closed-form tape
+node (`pft_transform`).  So the loss of a pretraining step records one
+node per PFT term and one `queue_nll` node, and no generic op.
 """
 
 from __future__ import annotations
@@ -101,21 +104,25 @@ def _as_const(v) -> np.ndarray:
     return v.data if isinstance(v, T.Tensor) else np.asarray(v)
 
 
-def queue_nll(zq, zk, negatives, tau: float, divisor: float, mine=None, k: int = 1):
+def queue_nll(queries, zk, negatives, tau: float, divisor: float, mine=None, k: int = 1):
     """Masked InfoNCE over any leading group axes, summed over its rows and
     divided by `divisor`; one tape node.
 
-    `zq` is a (..., B, D) query stack, `zk` the matching (..., B, D)
-    keys and `negatives` a sequence of (Q, D) arrays, one per group in
-    the C order of the leading axes (one for a (B, D) `zq`), each read in
-    place.  Row i's numerator holds its positive pair (zq[i], zk[i]); the
-    denominator holds the positive and every negative of its group.  The
-    optional (..., B) boolean `mine` marks the rows that mine neighbours:
-    each adds its `k` most similar negatives of its group to its
-    numerator (`nnm_mine`).  Returns (total, rows, neighbors): the scalar
-    tensor rows.sum() / divisor, the (..., B) array of per-row losses,
-    and `nnm_mine`'s (indices, similarities) pair for the marked rows in
-    C order, or None without `mine`.  Gradient flows into `zq` only.
+    `queries` is a sequence of query tensors (blocks) whose concatenation
+    along axis 0, reshaped to the shape of `zk`, is the (..., B, D) query
+    stack zq (blocks that do not concatenate raise NumPy's ValueError);
+    `zk` holds the matching (..., B, D) keys and `negatives` is a
+    sequence of (Q, D) arrays, one per group in the C order of the
+    leading axes (one for (B, D) keys), each read in place.  Row i's
+    numerator holds its positive pair (zq[i], zk[i]); the denominator
+    holds the positive and every negative of its group.  The optional
+    (..., B) boolean `mine` marks the rows that mine neighbours: each
+    adds its `k` most similar negatives of its group to its numerator
+    (`nnm_mine`).  Returns (total, rows, neighbors): the scalar tensor
+    rows.sum() / divisor, the (..., B) array of per-row losses, and
+    `nnm_mine`'s (indices, similarities) pair for the marked rows in C
+    order, or None without `mine`.  Gradient flows into the query blocks
+    only: the backward splits the stack's gradient back into them.
 
     A row's loss sums over its negatives, so their order changes only its
     rounding.  Neighbour indices are rows of the group's array, and of
@@ -128,32 +135,35 @@ def queue_nll(zq, zk, negatives, tau: float, divisor: float, mine=None, k: int =
     division by `tau`, which could round distinct similarities into ties.
     Each row meets the NumPy ops of one (..., B, 1+Q) buffer over the
     stacked negatives reduced by `sum_` and `div` nodes, in the same
-    order, so the results are bit-identical to that chain's.
+    order, so the results, and each block's gradient, are bit-identical
+    to that chain's fed by `concat` and `reshape` nodes.
     """
-    zq = T.as_tensor(zq)
-    q = zq.data
-    keys = _as_const(zk).astype(q.dtype, copy=False)
-    if q.ndim < 2 or keys.shape != q.shape:
-        raise ShapeMismatch(f"queries {q.shape}, keys {keys.shape}")
-    batch, dim = q.shape[-2:]
+    blocks = tuple(T.as_tensor(t) for t in queries)
+    keys = _as_const(zk)
+    if keys.ndim < 2 or sum(t.size for t in blocks) != keys.size:
+        raise ShapeMismatch(f"query blocks {[t.shape for t in blocks]}, keys {keys.shape}")
+    q = np.concatenate([t.data for t in blocks])
+    keys = keys.astype(q.dtype, copy=False)
+    stack, offsets = keys.shape, np.cumsum([len(t.data) for t in blocks])[:-1]
+    batch, dim = stack[-2:]
     shapes = [np.shape(group) for group in negatives]  # one (Q, D) each, Q shared
-    if len(shapes) != math.prod(q.shape[:-2]) or any(s != (*shapes[0][:1], dim) for s in shapes):
-        raise ShapeMismatch(f"queries {q.shape} need one (Q, {dim}) negatives array per group, "
+    if len(shapes) != math.prod(stack[:-2]) or any(s != (*shapes[0][:1], dim) for s in shapes):
+        raise ShapeMismatch(f"queries {stack} need one (Q, {dim}) negatives array per group, "
                             f"got shapes {shapes}")
     size = shapes[0][0]
     if size == 0:
         raise EmptyQueue("no negatives stored yet")
     if mine is not None:
         mine = np.asarray(mine, dtype=bool)
-        if mine.shape != q.shape[:-1]:
-            raise ShapeMismatch(f"mine {mine.shape} vs queries {q.shape}")
+        if mine.shape != stack[:-1]:
+            raise ShapeMismatch(f"mine {mine.shape} vs queries {stack}")
         mine = mine.reshape(-1, batch)
     q, keys = q.reshape(-1, batch, dim), keys.reshape(-1, batch, dim)
     divisor = np.asarray(divisor, dtype=q.dtype)
     rows = np.empty(q.shape[:2], dtype=q.dtype)
     slab = np.empty((batch, 1 + size), dtype=q.dtype)
     dq = row_grad = None
-    if T._recording((zq,)) is not None:
+    if T._recording(blocks) is not None:
         dq = np.empty(q.shape, dtype=q.dtype)
         # the weight `div` fed back to each row through `sum_`, then / tau
         row_grad = np.full(batch, np.ones((), q.dtype) / divisor, dtype=q.dtype) / tau
@@ -174,18 +184,16 @@ def queue_nll(zq, zk, negatives, tau: float, divisor: float, mine=None, k: int =
             dlogits = grad(row_grad)
             np.multiply(dlogits[:, :1], keys[i], out=dq[i])
             dq[i] += dlogits[:, 1:] @ group
-    rows = rows.reshape(zq.shape[:-1])
+    rows = rows.reshape(stack[:-1])
     neighbors = None
     if mine is not None:
         neighbors = tuple(np.concatenate(part) for part in zip(*found))
 
     def bwd(g, needs):
-        if not needs[0]:
-            return (None,)
-        dzq = dq.reshape(zq.shape)
-        return (dzq if g == 1 else dzq * g,)
+        pieces = np.split((dq if g == 1 else dq * g).reshape(-1, *blocks[0].shape[1:]), offsets)
+        return tuple(piece if need else None for piece, need in zip(pieces, needs))
 
-    return T._apply(rows.sum() / divisor, (zq,), bwd), rows, neighbors
+    return T._apply(rows.sum() / divisor, blocks, bwd), rows, neighbors
 
 
 def nnm_mine(sims: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -243,11 +251,20 @@ def pft_transform(zq, zk, lam):
 
     `zq` is a (B, D) query tensor, `zk` a (B, D) key array and `lam` the
     (B,) extrapolation weights, each >= 1.  Returns (zq_eff, zk_eff,
-    applied): rows keep their originals (applied False) whenever the
-    pair's similarity is already negative or the predicted
-    post-transform similarity would turn negative.  Gradient flows
-    through the query-side extrapolation only; the key side stays
-    constant.
+    applied): row i of zq_eff is the unit row of lam zq + (1 - lam) zk
+    and of zk_eff that of lam zk + (1 - lam) zq, except that rows keep
+    their originals (applied False) whenever the pair's similarity is
+    already negative or the predicted post-transform similarity would
+    turn negative.
+
+    The query side is one tape node in closed form.  Its forward makes
+    the NumPy calls of the mul, add, `l2_normalize` and where chain in
+    that order, so its rows are bit for bit that chain's, and the mix's
+    row norms get `l2_normalize`'s check (`T._row_norms`: a mix that is
+    not finite or has a zero row raises, op "l2_normalize").  Its
+    backward passes an applied row lam (g - z <g, z>) / |v|
+    (`T._unit_row_grad`, with z the unit row of the mix v) and any other
+    row g unchanged.  The key side is a constant, computed in NumPy.
     """
     zq = T.as_tensor(zq)
     zk = _as_const(zk).astype(zq.dtype)
@@ -255,12 +272,18 @@ def pft_transform(zq, zk, lam):
     s = (zq.data * zk).sum(axis=1)
     applied = (s >= 0.0) & (predicted_similarity(s, lam) >= 0.0)
     T.record_kink(applied)
-    lam_col = lam[:, None]
-    mixed_q = T.add(T.mul(zq, lam_col), T.Tensor((1.0 - lam_col) * zk))
-    zq_eff = T.where(applied[:, None], T.l2_normalize(mixed_q), zq)
+    lam_col, keep = lam[:, None], applied[:, None]
+    mixed_q = zq.data * lam_col + (1.0 - lam_col) * zk
+    norms = T._row_norms(mixed_q)
+    unit = mixed_q / norms
+
+    def bwd(g, needs):
+        return (np.where(keep, lam_col * T._unit_row_grad(g, unit, norms), g),)
+
+    zq_eff = T._apply(np.where(keep, unit, zq.data), (zq,), bwd, check=False)
     mixed_k = lam_col * zk + (1.0 - lam_col) * zq.data
     mixed_k /= np.linalg.norm(mixed_k, axis=1, keepdims=True)
-    return zq_eff, np.where(applied[:, None], mixed_k, zk), applied
+    return zq_eff, np.where(keep, mixed_k, zk), applied
 
 
 @dataclass
@@ -317,13 +340,15 @@ def combine_losses(
     in the breakdown.  Mining (`nnm`, the config's top-k) applies to
     intra terms only; the extrapolation (`pft`, weights `pft_lambdas`
     drawn from `rng`) applies to intra pairs and, if configured, to
-    inter pairs as well.  Group v of the one `queue_nll`
-    call stacks every stream's queries against v's keys and queue, whose
-    live rows it reads in place: no queue is copied.  The total is that
-    call's node (the rows' sum divided by the batch size): it works
-    through one group's logit slab at a time, keeps only the query
-    gradient for the backward, and is bit-identical to the per-row
-    losses reduced by `sum_` and `div` nodes.
+    inter pairs as well, each term's queries through one `pft_transform`
+    node.  The one `queue_nll` call takes the terms' (B, D) query
+    tensors as its blocks, group by group, so no `concat` or `reshape`
+    node stacks them: group v holds every stream's queries against v's
+    keys and queue, whose live rows it reads in place, so no queue is
+    copied.  The total is that call's node (the rows' sum divided by the
+    batch size): it works through one group's logit slab at a time,
+    keeps only the query gradient for the backward, and is bit-identical
+    to the per-row losses reduced by `sum_` and `div` nodes.
     """
     streams = config.streams
     missing = set(streams) - set(stream_embeddings)
@@ -345,13 +370,11 @@ def combine_losses(
             queries.append(zq)
             keys.append(zk)
 
-    shape = (n, n * batch, -1)
-    zq = T.reshape(T.concat(queries, axis=0), shape)
     negatives = [queues[v].slots[: queues[v].filled] for v in streams]  # in place, slot order
     mine = np.repeat(np.eye(n, dtype=bool), batch, axis=1) if nnm else None  # the intra rows
     total, losses, neighbors = queue_nll(
-        zq, np.concatenate(keys).reshape(shape), negatives, config.tau, batch, mine,
-        config.nnm_topk,
+        queries, np.concatenate(keys).reshape(n, n * batch, -1), negatives, config.tau, batch,
+        mine, config.nnm_topk,
     )
     per_term = losses.reshape(n, n, batch).mean(axis=2)  # [v, u]
     breakdown = {f"intra:{u}": float(per_term[i, i]) for i, u in enumerate(streams)}

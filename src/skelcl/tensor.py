@@ -24,14 +24,17 @@ cache; `pieces` states the split rule that it and the eval passes
 share.  It records in train mode only; eval-mode passes run off the
 tape.  The projection head (affine, relu, affine, L2-normalize) is one
 tape node too, `projector`, which shares its row-norm check with
-`l2_normalize`.  The row softmax negative log-likelihood has one
-implementation, `_softmax_nll_rows`, shared by `linear_head` (the
-probes' head kernel, which `linear_softmax_nll` records as one node) and
-`contrast.queue_nll`.
+`l2_normalize` and the gradient of unit rows, `_unit_row_grad`, with
+`contrast.pft_transform`'s node.  The row softmax negative
+log-likelihood has one implementation, `_softmax_nll_rows`, shared by
+`linear_head` (the probes' head kernel, which `linear_softmax_nll`
+records as one node) and `contrast.queue_nll`.  So a pretraining step
+records only such fused nodes.
 
-`conv1d_temporal`, `masked_softmax_nll_rows`, `matmul`, `mean_`, `relu`,
-`sub`, `exp` and `log` have no caller in the package.  They stay because
-the benchmark's tracer looks each of them up by name at import.
+`add`, `concat`, `conv1d_temporal`, `exp`, `log`,
+`masked_softmax_nll_rows`, `matmul`, `mean_`, `relu`, `reshape`, `sub`
+and `where` have no caller in the package.  They stay because the
+benchmark's tracer looks each of them up by name at import.
 """
 
 from __future__ import annotations
@@ -565,14 +568,15 @@ def pieces(n: int, size: int) -> list[slice]:
     `size` items (at least 1), a lone last item joining the piece before
     it when pieces hold two or more.
 
-    This is the package's one split rule, for `stgcn_block`'s chunks and
-    `train.eval_features`' passes.  A piece pays a fixed per-call cost
-    whatever it holds, so at a `size` of 2 or more no piece holds one
-    item unless `n` is 1, and a piece holds at most `size` + 1 items.  At
-    a `size` of 1 or less every piece is one item, so a caller whose
-    budget holds less than one item keeps one-item pieces; a caller that
-    must not make them (`eval_features`) passes at least 2.  Zero items
-    are no pieces.
+    This is the package's one split rule, for `stgcn_block`'s chunks,
+    `train.eval_features`' passes and the training batches of
+    `train.pretrain` and `train._fit_head`.  A piece pays a fixed
+    per-call cost whatever it holds, so at a `size` of 2 or more no
+    piece holds one item unless `n` is 1, and a piece holds at most
+    `size` + 1 items.  At a `size` of 1 or less every piece is one item,
+    so a caller whose budget holds less than one item keeps one-item
+    pieces; a caller that must not make them (`eval_features`) passes at
+    least 2.  Zero items are no pieces.
     """
     size = max(1, size)
     starts = [lo for lo in range(0, n, size) if lo == 0 or size == 1 or n - lo > 1]
@@ -822,6 +826,12 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
     return norms
 
 
+def _unit_row_grad(g: np.ndarray, z: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """The gradient into v of the unit rows z = v / `norms` (`_row_norms`)
+    under output gradient `g`: (g - z <g, z>) / |v|, row by row."""
+    return (g - z * (g * z).sum(axis=-1, keepdims=True)) / norms
+
+
 def l2_normalize(v) -> Tensor:
     """Scale each row (or a single vector) to unit L2 norm.
 
@@ -866,7 +876,7 @@ def projector(h, w1, b1, w2, b2) -> Tensor:
     z = v / norms
 
     def bwd(g, needs):
-        dv = (g - z * (g * z).sum(axis=-1, keepdims=True)) / norms
+        dv = _unit_row_grad(g, z, norms)
         dpre = (dv @ w2.data.T) * positive
         gh = dpre @ w1.data.T if needs[0] else None
         return gh, h.data.T @ dpre, dpre.sum(axis=0), hidden.T @ dv, dv.sum(axis=0)
@@ -1076,7 +1086,7 @@ def backward(loss: Tensor) -> dict[Tensor, Tensor]:
 
 @dataclass
 class GradCheckResult:
-    """Outcome of a central-difference check."""
+    """Outcome of a finite-difference check (`grad_check`)."""
 
     max_rel_error: float
     per_param: dict[str, float] = field(default_factory=dict)
@@ -1096,16 +1106,23 @@ def grad_check(
     eps: float = 1e-4,
     reference: "tuple[Callable[[], Tensor], dict[str, Tensor]] | None" = None,
 ) -> GradCheckResult:
-    """Compare reverse-mode gradients of `f()` against central differences.
+    """Compare reverse-mode gradients of `f()` against finite differences.
 
     `f` must be a deterministic closure over `params` (leaves with
-    `requires_grad=True`).  Coordinates whose perturbation flips a relu
-    activation sign are skipped and reported rather than failed, since
-    the derivative is not defined across the kink.  Relative error is
-    |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
-    `reference`, an (f, params) twin of the same function with the same
-    parameter names (say, in float64 at the same values), takes the
-    central differences in place of `f` itself.
+    `requires_grad=True`).  The numeric derivative is the Richardson
+    extrapolation (4 D(eps) - D(2 eps)) / 3 of the central differences
+    D(h) = (f(x + h) - f(x - h)) / 2h, whose truncation error scales as
+    eps**4, not eps**2, so the check's margin is set by the gradients
+    and rounding rather than by the step.  The second step is 2 eps, not
+    eps / 2, because a halved step doubles the rounding error of its
+    difference, which at float32 outweighs the truncation it removes.
+    Coordinates where any of the four perturbations changes a recorded
+    decision (a relu activation sign, a mask: `record_kink`) are skipped
+    and reported rather than failed, since the derivative is not defined
+    across the kink.  Relative error is |analytic - numeric| /
+    max(1e-8, |analytic| + |numeric|).  `reference`, an (f, params) twin
+    of the same function with the same parameter names (say, in float64
+    at the same values), takes the differences in place of `f` itself.
     """
     num_f, num_params = (f, params) if reference is None else reference
     with no_tape():
@@ -1127,18 +1144,20 @@ def grad_check(
         worst = 0.0
         for idx in range(p.data.size):
             saved = p.data.flat[idx]
+            values, traces = [], []
             with no_tape():
-                p.data.flat[idx] = saved + eps
-                with _bound("kink_trace", []) as trace_plus:
-                    f_plus = num_f().item()
-                p.data.flat[idx] = saved - eps
-                with _bound("kink_trace", []) as trace_minus:
-                    f_minus = num_f().item()
+                for step in (eps, -eps, 2 * eps, -2 * eps):
+                    p.data.flat[idx] = saved + step
+                    with _bound("kink_trace", []) as trace:
+                        values.append(num_f().item())
+                    traces.append(trace)
                 p.data.flat[idx] = saved
-            if not _traces_equal(trace_plus, trace_minus):
+            if not all(_traces_equal(traces[0], trace) for trace in traces[1:]):
                 result.skipped.append((name, idx))
                 continue
-            numeric = (f_plus - f_minus) / (2.0 * eps)
+            narrow = (values[0] - values[1]) / (2.0 * eps)
+            wide = (values[2] - values[3]) / (4.0 * eps)
+            numeric = (4.0 * narrow - wide) / 3.0
             a = float(analytic[name].reshape(-1)[idx])
             rel = abs(a - numeric) / max(1e-8, abs(a) + abs(numeric))
             worst = max(worst, rel)

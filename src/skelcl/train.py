@@ -1,23 +1,25 @@
 """Pretraining loop, SGD, stage schedule, and evaluation protocols.
 
-Pretraining follows the momentum-contrast recipe per stream: stack the
-batch's joints, augment the stack once per branch and derive every
-stream from each view, encode both branches, combine the intra/inter
-losses (mining from stage 2, extrapolation in stage 3), backprop into
-the query encoders, momentum-mix the key encoders, then push the step's
-key embeddings into each stream's queue.  Augmentation writes over the
-array it is given; `branch_views` is the one place that picks the array,
-a copy of the stack for the query branch and the stack itself for the
-key branch, so no clip's own array is written.  Every SGD update checks
-the array it wrote (`_sgd_update`), and a step that produces NaN or Inf
-raises `NonFiniteLoss` naming the op, step, stage, lr and the stream
-whose encoder pass or update did.  `skeleton.shared_graph` checks once,
-before the first step, that every clip stacks with every other.
-Everything stochastic is re-derived from (seed, labels), so a resumed
-run replays the uninterrupted trajectory bit for bit.  Settings live in
-`RunConfig` only; a `TrainState`, built by `init_train_state` alone,
-holds arrays and counters, its `buffers` the SGD momentum keyed
-"{stream}.{param}".
+Pretraining follows the momentum-contrast recipe per stream: cut each
+epoch's shuffled clips into batches by the split rule of `T.pieces` (a
+lone last clip joins the batch before it, so no step trains on one clip
+of a larger split), stack the batch's joints, augment the stack once per
+branch and derive every stream from each view, encode both branches,
+combine the intra/inter losses (mining from stage 2, extrapolation in
+stage 3), backprop into the query encoders, momentum-mix the key
+encoders, then push the step's key embeddings into each stream's queue.
+Augmentation writes over the array it is given; `branch_views` is the
+one place that picks the array, a copy of the stack for the query branch
+and the stack itself for the key branch, so no clip's own array is
+written.  Every SGD update checks the array it wrote (`_sgd_update`),
+and a step that produces NaN or Inf raises `NonFiniteLoss` naming the
+op, step, stage, lr and the stream whose encoder pass or update did.
+`skeleton.shared_graph` checks once, before the first step, that every
+clip stacks with every other.  Everything stochastic is re-derived from
+(seed, labels), so a resumed run replays the uninterrupted trajectory
+bit for bit.  Settings live in `RunConfig` only; a `TrainState`, built
+by `init_train_state` alone, holds arrays and counters, its `buffers`
+the SGD momentum keyed "{stream}.{param}".
 
 The protocols stack a split once (`skeleton.clip_batch`) and derive the
 probed stream from that stack.  Their eval-mode features come from
@@ -38,7 +40,6 @@ the range `RunConfig` allows raises `ConfigValueError` naming its key.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,10 +174,10 @@ def branch_views(joints: np.ndarray, config: RunConfig, rngs, graph,
 
 def check_pretrain(dataset: list[SkeletonSequence], config: RunConfig) -> None:
     """Refuse a run `pretrain` cannot start: an empty dataset, or a queue
-    smaller than one step's keys."""
+    smaller than one step's keys, counted in its largest batch."""
     if not dataset:
         raise EmptyTrainSplit("pretraining needs a nonempty dataset")
-    keys_per_step = min(config.batch_size, len(dataset))
+    keys_per_step = max(p.stop - p.start for p in T.pieces(len(dataset), config.batch_size))
     if keys_per_step > config.queue_size:
         raise ConfigValueError("queue_size", f"{config.queue_size} < {keys_per_step} keys per step")
 
@@ -214,8 +215,8 @@ def pretrain(
         lr = config.lr if epoch < config.lr_drop_epoch else config.lr_after_drop
         order = root.split(f"shuffle.e{epoch}").generator().permutation(n)
 
-        for bi in range(math.ceil(n / config.batch_size)):
-            indices = order[bi * config.batch_size : (bi + 1) * config.batch_size]
+        for bi, piece in enumerate(T.pieces(n, config.batch_size)):
+            indices = order[piece]
             embeddings: dict[str, tuple[T.Tensor, np.ndarray]] = {}
             joints = np.stack([dataset[i].data for i in indices])
             views = branch_views(joints, config, lambda b: root.split(f"aug.e{epoch}.b{bi}.{b}"),
@@ -350,8 +351,9 @@ def _fit_head(rows, dim: int, y: np.ndarray, num_classes: int, trainable: dict[s
               lr: float, weight_decay: float, rng: RngStream, epochs: int):
     """SGD on a zero-initialized linear head's softmax cross-entropy; returns (w, b).
 
-    Each epoch visits the clips in `rng.split(f"e{epoch}")` order,
-    `PROTOCOL_BATCH` at a time; `y` holds checked class indices below
+    Each epoch visits the clips in `rng.split(f"e{epoch}")` order, cut
+    into batches of `PROTOCOL_BATCH` by `T.pieces`, so no step of a
+    larger split trains on one clip; `y` holds checked class indices below
     `num_classes`.  With `trainable` parameters, `rows(idx)` gives the
     batch's (B, dim) hidden vectors recorded on the tape, and a step is
     the tape node `T.linear_softmax_nll`, `T.backward` and `sgd_step` of
@@ -368,8 +370,8 @@ def _fit_head(rows, dim: int, y: np.ndarray, num_classes: int, trainable: dict[s
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(epochs):
             order = rng.split(f"e{epoch}").generator().permutation(len(y))
-            for i in range(0, len(y), PROTOCOL_BATCH):
-                idx = order[i : i + PROTOCOL_BATCH]
+            for piece in T.pieces(len(y), PROTOCOL_BATCH):
+                idx = order[piece]
                 if trainable:
                     with T.Tape():
                         grads = T.backward(T.linear_softmax_nll(rows(idx), w, b, y[idx]))

@@ -46,8 +46,8 @@ def test_tracer_targets_exist_and_nothing_is_left_patched():
 # snapshots them at import: the list a tracer that resolves its targets
 # when a run is traced lets the package delete.
 TRACER_ONLY = {
-    "tensor": {"conv1d_temporal", "exp", "log", "masked_softmax_nll_rows", "matmul", "mean_", "relu",
-               "sub"},
+    "tensor": {"add", "concat", "conv1d_temporal", "exp", "log", "masked_softmax_nll_rows",
+               "matmul", "mean_", "relu", "reshape", "sub", "where"},
     "train": {"derive_streams"},
 }
 

@@ -73,14 +73,14 @@ def single_nll(zq, zk, queue, tau, mine=None, k=1) -> float:
     its numerator adds its `k` most similar queue entries."""
     zq = T.Tensor(np.asarray(zq)[None, :], dtype=np.float64)
     mine = None if mine is None else np.array([mine])
-    _, losses, _ = queue_nll(zq, np.asarray(zk)[None, :], [queue.contents()], tau, 1, mine, k)
+    _, losses, _ = queue_nll([zq], np.asarray(zk)[None, :], [queue.contents()], tau, 1, mine, k)
     return float(losses[0])
 
 
 def mine_one(zq, queue, k) -> list[int]:
     """The queue indices `queue_nll` mines for one query row."""
     zq = np.asarray(zq, dtype=np.float64)[None, :]
-    _, _, (indices, _) = queue_nll(zq, zq, [queue.contents()], 1.0, 1, np.ones(1, dtype=bool), k)
+    _, _, (indices, _) = queue_nll([zq], zq, [queue.contents()], 1.0, 1, np.ones(1, dtype=bool), k)
     return indices[0].tolist()
 
 
@@ -290,7 +290,7 @@ def test_stacked_queue_nll_equals_separate_calls():
     negatives = np.stack([filled_queue(rng, size, dim).contents() for _ in range(groups)])
     mine = rng.uniform(size=(groups, batch)) < 0.5
     with T.Tape():
-        total, stacked, (indices, sims) = queue_nll(zq, zk, negatives, 0.2, 3, mine, 2)
+        total, stacked, (indices, sims) = queue_nll([zq], zk, negatives, 0.2, 3, mine, 2)
         grad = T.backward(total)[zq].data
     offsets = np.concatenate([[0], np.cumsum(mine.sum(axis=1))])
     totals = []
@@ -298,7 +298,7 @@ def test_stacked_queue_nll_equals_separate_calls():
         row = T.parameter(zq.data[g])
         with T.Tape():
             single_total, single, (single_indices, single_sims) = queue_nll(
-                row, zk[g], [negatives[g]], 0.2, 3, mine[g], 2)
+                [row], zk[g], [negatives[g]], 0.2, 3, mine[g], 2)
             single_grad = T.backward(single_total)[row].data
         totals.append(single_total.item())
         np.testing.assert_allclose(stacked[g], single, rtol=1e-12, atol=1e-12)
@@ -336,8 +336,8 @@ def test_queue_nll_matches_composition(tau, groups, with_mined):
     negatives = unit_rows(rng.normal(size=(*groups, size, dim)))
     mine = rng.uniform(size=(*groups, batch)) < 0.5 if with_mined else None
     with T.Tape():
-        total, out, neighbors = queue_nll(zq, zk, negatives.reshape(-1, size, dim), tau, batch,
-                                          mine, 2)
+        total, out, neighbors = queue_nll([zq], zk, negatives.reshape(-1, size, dim), tau,
+                                          batch, mine, 2)
         grad = T.backward(T.mul(total, 1.7))[zq].data
     mined = None
     if with_mined:  # the kernel's picks, as the composition's numerator mask
@@ -358,7 +358,7 @@ def test_queue_nll_one_tape_node():
     zk = unit_rows(rng.normal(size=(2, 4, 8)))
     negatives = unit_rows(rng.normal(size=(2, 6, 8)))
     with T.Tape() as tape:
-        queue_nll(zq, zk, negatives, 0.2, 4, rng.uniform(size=(2, 4)) < 0.5, 2)
+        queue_nll([zq], zk, negatives, 0.2, 4, rng.uniform(size=(2, 4)) < 0.5, 2)
     assert len(tape.nodes) == 1
 
 
@@ -371,7 +371,7 @@ def test_queue_nll_nan_query_raises():
     for recording in (T.no_tape, T.Tape):
         for mine in (None, np.ones((2, 4), dtype=bool)):
             with recording(), pytest.raises(NonFiniteValue) as err:
-                queue_nll(T.parameter(zq), zk, negatives, 0.2, 4, mine)
+                queue_nll([T.parameter(zq)], zk, negatives, 0.2, 4, mine)
             assert err.value.op == "queue_nll"
 
 
@@ -387,7 +387,7 @@ def test_queue_nll_shape_mismatch(zk_shape, negatives_shape, mined_shape):
     rng = np.random.default_rng(35)
     mine = None if mined_shape is None else np.ones(mined_shape, dtype=bool)
     with pytest.raises(ShapeMismatch):
-        queue_nll(T.Tensor(rng.normal(size=(4, 8))), rng.normal(size=zk_shape),
+        queue_nll([T.Tensor(rng.normal(size=(4, 8)))], rng.normal(size=zk_shape),
                   [rng.normal(size=negatives_shape)], 0.2, 4, mine)
 
 
@@ -399,8 +399,37 @@ def test_queue_nll_shape_mismatch(zk_shape, negatives_shape, mined_shape):
 def test_queue_nll_needs_one_negatives_array_per_group(negatives_shapes):
     rng = np.random.default_rng(40)
     with pytest.raises(ShapeMismatch):
-        queue_nll(T.Tensor(rng.normal(size=(2, 4, 8))), rng.normal(size=(2, 4, 8)),
+        queue_nll([T.Tensor(rng.normal(size=(2, 4, 8)))], rng.normal(size=(2, 4, 8)),
                   [rng.normal(size=shape) for shape in negatives_shapes], 0.2, 4)
+
+
+@pytest.mark.parametrize("block_shapes", [[], [(2, 8), (2, 7)], [(8,), (2, 8)], [()], [(3, 8)]])
+def test_queue_nll_blocks_must_fill_the_keys(block_shapes):
+    rng = np.random.default_rng(43)
+    with pytest.raises(ShapeMismatch):
+        queue_nll([T.Tensor(rng.normal(size=shape)) for shape in block_shapes],
+                  rng.normal(size=(2, 8)), [rng.normal(size=(6, 8))], 0.2, 2)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_queue_nll_block_gradients_equal_concat_reshape_chain(dtype):
+    # blocks of 1 and 2 rows, one of them given twice, against the same
+    # stack made by `concat` and `reshape` nodes: values and each block's
+    # gradient, accumulated over its uses, are bit for bit the chain's
+    rng = np.random.default_rng(44)
+    a, b, c = (T.parameter(unit_rows(rng.normal(size=(n, 8))).astype(dtype)) for n in (1, 2, 2))
+    zk = unit_rows(rng.normal(size=(2, 3, 8))).astype(dtype)
+    negatives = [unit_rows(rng.normal(size=(10, 8))).astype(dtype) for _ in range(2)]
+    mine = np.array([[True, False, True], [False, True, True]])
+    results = []
+    for stacked in (lambda blocks: [T.reshape(T.concat(blocks, axis=0), zk.shape)],
+                    lambda blocks: blocks):
+        with T.Tape():
+            total, rows, _ = queue_nll(stacked([a, b, a, c]), zk, negatives, 0.2, 3, mine, 2)
+            grads = T.backward(T.mul(total, 1.7))
+        results.append([total.data, rows, *(grads[p].data for p in (a, b, c))])
+    for chain, blocks in zip(*results):
+        assert chain.dtype == blocks.dtype and chain.tobytes() == blocks.tobytes()
 
 
 def test_combined_loss_holds_at_most_two_logit_buffers():
@@ -486,14 +515,15 @@ def test_combined_loss_bitwise_equals_whole_stack_chain(monkeypatch, k, tau):
     seen = []
     original = contrast.queue_nll
 
-    def spy(zq, zk, negatives, tau, divisor, mine=None, k=1):
-        total, rows, neighbors = original(zq, zk, negatives, tau, divisor, mine, k)
-        seen.append((zq.data, zk, np.stack(negatives), tau, divisor, mine, k, rows, neighbors))
+    def spy(queries, zk, negatives, tau, divisor, mine=None, k=1):
+        total, rows, neighbors = original(queries, zk, negatives, tau, divisor, mine, k)
+        q = np.concatenate([t.data for t in queries]).reshape(zk.shape)
+        seen.append((q, zk, np.stack(negatives), tau, divisor, mine, k, rows, neighbors))
         backward_fn = total.node.backward_fn
 
         def capture(g, needs):
-            grads = backward_fn(g, needs)
-            seen.append(grads[0])
+            grads = backward_fn(g, needs)  # one per block: PFT makes every block its own
+            seen.append(np.concatenate(grads).reshape(zk.shape))
             return grads
 
         total.node.backward_fn = capture
@@ -537,7 +567,7 @@ def test_queue_nll_holds_only_its_query_gradient(taped):
     try:
         base = tracemalloc.get_traced_memory()[0]
         with T.Tape() if taped else T.no_tape():
-            total, rows, neighbors = queue_nll(zq, zk, negatives, 0.2, batch, mine)
+            total, rows, neighbors = queue_nll([zq], zk, negatives, 0.2, batch, mine)
             held = tracemalloc.get_traced_memory()[0] - base
             peak = tracemalloc.get_traced_memory()[1] - base
     finally:
@@ -551,7 +581,7 @@ def test_queue_nll_holds_only_its_query_gradient(taped):
 def test_queue_nll_empty_queue_raises():
     rng = np.random.default_rng(39)
     with pytest.raises(EmptyQueue):
-        queue_nll(T.parameter(unit_rows(rng.normal(size=(2, 4, 8)))),
+        queue_nll([T.parameter(unit_rows(rng.normal(size=(2, 4, 8))))],
                   unit_rows(rng.normal(size=(2, 4, 8))), np.empty((2, 0, 8)), 0.2, 4)
 
 
@@ -774,6 +804,50 @@ class TestPftTransform:
         res = T.grad_check(f, {"p": p})
         assert res.max_rel_error < 1e-6
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_node_equals_generic_chain(self, dtype):
+        # the one node against the mul, add, l2_normalize and where chain it
+        # replaced, over pairs both applied and kept: the rows bit for bit,
+        # the query gradient within 1e-12 at float64, and a kept row's
+        # gradient is its output gradient unchanged
+        rng = np.random.default_rng(12)
+        pairs = [random_unit_pair(rng, 8, s) for s in rng.uniform(-0.5, 1.0, 64)]
+        zq, zk = (np.array(column, dtype=dtype) for column in zip(*pairs))
+        lam = (rng.beta(2.0, 2.0, 64) + 1.0).astype(dtype)
+        weights = rng.normal(size=(64, 8)).astype(dtype)
+        out = []
+        for transform in (pft_transform, pft_chain):
+            p = T.parameter(zq.copy())
+            with T.Tape() as tape:
+                z, _, applied = transform(p, zk, lam)
+                nodes = len(tape.nodes)
+                grad = T.backward(T.sum_(T.mul(z, weights)))[p].data
+            out.append((z.data, grad, nodes))
+        (z, grad, nodes), (z_chain, grad_chain, nodes_chain) = out
+        assert 0 < applied.sum() < len(applied)
+        assert (nodes, nodes_chain) == (1, 7)
+        assert z.dtype == dtype and z.tobytes() == z_chain.tobytes()
+        assert grad[~applied].tobytes() == weights[~applied].tobytes()
+        if dtype == np.float64:
+            np.testing.assert_allclose(grad, grad_chain, rtol=0, atol=1e-12)
+
+    def test_non_finite_mix_gets_the_row_norm_check(self):
+        zq = T.parameter(np.array([[np.inf, 0.0], [1.0, 0.0]]))
+        with T.Tape() as tape, pytest.raises(NonFiniteValue) as err:
+            pft_transform(zq, np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([1.5, 1.5]))
+        assert err.value.op == "l2_normalize" and not tape.nodes
+
+
+def pft_chain(zq, zk, lam):
+    """`pft_transform`'s query side as the chain of generic ops its node
+    replaced; returns (zq_eff, None, applied)."""
+    zk, lam = np.asarray(zk, dtype=zq.dtype), np.asarray(lam).astype(zq.dtype)
+    s = (zq.data * zk).sum(axis=1)
+    applied = (s >= 0.0) & (predicted_similarity(s, lam) >= 0.0)
+    lam_col = lam[:, None]
+    mixed = T.add(T.mul(zq, lam_col), T.Tensor((1.0 - lam_col) * zk))
+    return T.where(applied[:, None], T.l2_normalize(mixed), zq), None, applied
+
 
 def _extrapolated_similarities(rng, n, low):
     """Draw n pairs with s in [low, 0.999) and Beta(2,2)+1 weights."""
@@ -955,9 +1029,10 @@ class TestCombineLosses:
         seen = []
         original = contrast.queue_nll
 
-        def spy(zq, zk, negatives, tau, divisor, mine=None, k=1):
-            out = original(zq, zk, negatives, tau, divisor, mine, k)
-            seen.append((T.as_tensor(zq).data.copy(), negatives, mine, out[2]))
+        def spy(queries, zk, negatives, tau, divisor, mine=None, k=1):
+            out = original(queries, zk, negatives, tau, divisor, mine, k)
+            q = np.concatenate([t.data for t in queries]).reshape(zk.shape)
+            seen.append((q, negatives, mine, out[2]))
             return out
 
         monkeypatch.setattr(contrast, "queue_nll", spy)
@@ -1006,7 +1081,7 @@ class TestCombineLosses:
                     zq, zk, flags = pft_transform(zq, zk, lam)
                     applied.append(flags)
                 mine = np.ones(5, dtype=bool) if u == v else None
-                _, losses, neighbors = queue_nll(zq, zk, [queues[v].contents()], 0.2, 5, mine, 2)
+                _, losses, neighbors = queue_nll([zq], zk, [queues[v].contents()], 0.2, 5, mine, 2)
                 if u == v:
                     mined_sims.append(neighbors[1])
                 name = f"intra:{u}" if u == v else f"inter:{u}->{v}"

@@ -265,9 +265,9 @@ class TestGradients:
             _, z = encode(x, _adjacency(5, np.float64), params, mode="train", update_stats=False)
             return T.sum_(T.mul(z, target))
 
-        # the central difference's truncation error, which scales as eps**2,
-        # is 1.0e-6 at the default eps of 1e-4 and 1.1e-8 at 1e-5
-        res = T.grad_check(f, params.trainable(), eps=1e-5)
+        # a plain central difference is off by 1.0e-6 here at the default eps
+        # of 1e-4; the extrapolated difference `grad_check` takes, by 5.8e-11
+        res = T.grad_check(f, params.trainable())
         assert res.max_rel_error < 1e-6
 
     def test_train_mode_norm_grad_check(self):

@@ -258,6 +258,22 @@ class TestGradCheckOracle:
         res = T.grad_check(f, {"w1": w1, "b1": b1, "w2": w2})
         assert res.max_rel_error < 1e-6
 
+    def test_step_error_extrapolated_away(self):
+        # a plain central difference of sum(exp(a x)) is off by (a eps)**2 / 6
+        # relative, 4.2e-6 at a = 50 and the default eps of 1e-4, which reads
+        # 2.1e-6 against the 1e-6 tolerance; extrapolated, the error scales
+        # as (a eps)**4
+        p = T.parameter(np.random.default_rng(9).normal(scale=0.02, size=5))
+        res = T.grad_check(lambda: T.sum_(T.exp(T.mul(p, 50.0))), {"p": p})
+        assert res.coords_checked == 5 and res.max_rel_error < 1e-9
+
+    def test_kink_between_the_two_steps_skipped(self):
+        # 1.5e-4 from the kink: the eps steps keep the relu's sign and the
+        # 2 eps steps cross it, so the coordinate is skipped, not failed
+        p = T.parameter(np.array([1.5e-4, 1.0]))
+        res = T.grad_check(lambda: T.sum_(T.relu(p)), {"p": p}, eps=1e-4)
+        assert res.skipped == [("p", 0)] and res.coords_checked == 1
+
     def test_relu_kink_skipped(self):
         p = T.parameter(np.array([0.0, 1.0], dtype=np.float64))
         res = T.grad_check(lambda: T.sum_(T.relu(p)), {"p": p}, eps=1e-4)
@@ -397,7 +413,7 @@ def _queue_nll_case(_):
     negatives /= np.linalg.norm(negatives, axis=-1, keepdims=True)
     mine = np.array([[True, False, True], [False, True, True]])
     # scaled, so the node's backward sees g != 1
-    return {"zq": zq}, lambda: T.mul(queue_nll(zq, zk, negatives, 0.5, 3, mine, 2)[0], 0.7)
+    return {"zq": zq}, lambda: T.mul(queue_nll([zq], zk, negatives, 0.5, 3, mine, 2)[0], 0.7)
 
 
 def _linear_softmax_nll_case(rng):

@@ -11,7 +11,7 @@ import skelcl.train
 from skelcl import tensor as T
 from skelcl.augment import AugmentPipeline
 from skelcl.config import RunConfig
-from skelcl.errors import NonFiniteLoss, NonFiniteValue
+from skelcl.errors import ConfigValueError, NonFiniteLoss, NonFiniteValue
 from skelcl.skeleton import (
     SkeletonSequence,
     build_star_tree,
@@ -20,7 +20,7 @@ from skelcl.skeleton import (
     generate_synthetic_dataset,
 )
 from skelcl.rng import RngStream
-from skelcl.train import init_train_state, pretrain, sgd_step, stage_of
+from skelcl.train import check_pretrain, init_train_state, pretrain, sgd_step, stage_of
 
 
 def test_sgd_two_steps_match_closed_form():
@@ -166,9 +166,10 @@ def test_non_finite_parameter_names_op_step_and_stream(param, op):
 
 
 def test_desk_step_records_one_node_per_block_and_projector_pass(monkeypatch):
-    # the desk architecture (the default config): per stream one transpose,
-    # three blocks and one projector node; the last stage adds the PFT
-    # mixing of each stream's queries
+    # the desk architecture (the default config): per stream three blocks
+    # and one projector node (the transpose of a raw batch records none),
+    # then one queue_nll node; the last stage adds one PFT node per
+    # stream's intra term
     data = generate_synthetic_dataset(2, 4, frames=16, seed=1, check_separability=False)
     config = RunConfig(stage_epochs=[1, 1, 1], queue_size=8, batch_size=8)
     nodes = []
@@ -180,7 +181,40 @@ def test_desk_step_records_one_node_per_block_and_projector_pass(monkeypatch):
 
     monkeypatch.setattr(T, "backward", counted)
     pretrain(data, config)
-    assert nodes == [15, 15, 36]
+    assert nodes == [13, 13, 16]
+
+
+def test_split_one_over_a_batch_multiple_makes_no_one_clip_step(monkeypatch):
+    # 9 clips at batch 4: the lone ninth clip joins the second batch, and
+    # the queue must hold that batch's 5 keys
+    data = generate_synthetic_dataset(3, 3, frames=16, seed=1, check_separability=False)
+    tiny = dict(stage_epochs=[1, 0, 0], batch_size=4, enc_blocks=1, enc_channels=[4],
+                enc_hidden=8, embed_dim=4)
+    with pytest.raises(ConfigValueError, match="4 < 5 keys per step"):
+        check_pretrain(data, RunConfig(queue_size=4, **tiny))
+    sizes = []
+    branch_views = skelcl.train.branch_views
+
+    def recorded(joints, *args):
+        sizes.append(len(joints))
+        return branch_views(joints, *args)
+
+    monkeypatch.setattr(skelcl.train, "branch_views", recorded)
+    _, records = pretrain(data, RunConfig(queue_size=5, **tiny))
+    assert sizes == [4, 5] and len(records) == 1 + 2
+
+
+def test_fit_head_makes_no_one_clip_step():
+    # 33 rows at 32 a batch are one batch of 33 in every epoch
+    rng = np.random.default_rng(5)
+    h, y, sizes = rng.normal(size=(33, 4)).astype(np.float32), np.arange(33) % 3, []
+
+    def rows(idx):
+        sizes.append(len(idx))
+        return h[idx]
+
+    skelcl.train._fit_head(rows, 4, y, 3, {}, 0.1, 0.0, RngStream(1).split("head"), epochs=2)
+    assert skelcl.train.PROTOCOL_BATCH == 32 and sizes == [33, 33]
 
 
 OVERFLOW_CONFIG = dict(queue_size=8, batch_size=8, enc_blocks=1, enc_channels=[4],
