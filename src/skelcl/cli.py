@@ -18,6 +18,19 @@ usage or config error: an unknown key, a wrong type, a config file that
 is not JSON, or a value out of range.  A
 `ConfigValueError` prints under the flag whose `dest` is its key when
 that option holds a value, and under its key otherwise.
+
+BLAS threads: the package sets `OPENBLAS_NUM_THREADS`, `OMP_NUM_THREADS`
+and `MKL_NUM_THREADS` to 1 where they are unset, on import and so
+before NumPy loads BLAS (see `skelcl`); a value set in the environment
+wins.  The limit: a caller that imported NumPy before `skelcl` keeps
+NumPy's setting.  The `pretrain` header record names the three values
+the run saw, under "blas_threads".
+
+`pretrain` writes a header record, then one record per step.  The last
+step record of each stage also carries, per stream, `z_cos:{stream}`,
+the mean pairwise cosine of the step's query z, and `z_std:{stream}`,
+the mean over dimensions of z's per-dimension std times √D: about 1
+when the embeddings are spread, 0 when they have collapsed.
 """
 
 from __future__ import annotations
@@ -25,11 +38,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from contextlib import nullcontext
 
 import numpy as np
 
+from . import BLAS_THREAD_VARS
 from . import tensor as T
 from .checkpoint import (
     load_checkpoint,
@@ -152,6 +167,7 @@ def cmd_pretrain(args) -> int:
 
     with metrics as out:
         state, records = pretrain(data["train"], config, state=state, on_stage_end=on_stage_end)
+        records[0]["blas_threads"] = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
         save_checkpoint(out_dir / "checkpoint.bin", state_to_checkpoint(state))
         for record in records:
             _emit(record, out)
@@ -374,11 +390,11 @@ def _gradcheck_cases(dtype, grid) -> dict:
     cases["loss_combined"] = (f_combined, emb_params)
 
     # the linear head of the probe and finetuning: a ragged batch of three
-    # rows over four classes, one of which no row is labeled with
+    # rows over four classes, one of which no row is labeled with, and the
+    # packed (dim+1, 4) head [weight; bias]
     head = {
         "rows": T.parameter(held(rng.normal(size=(3, dim)))),
-        "weight": T.parameter(held(rng.normal(size=(dim, 4)))),
-        "bias": T.parameter(held(rng.normal(size=4))),
+        "head": T.parameter(held(rng.normal(size=(dim + 1, 4)))),
     }
     labels = np.array([2, 0, 2])
     cases["head"] = (lambda: T.linear_softmax_nll(*head.values(), labels), head)

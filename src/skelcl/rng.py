@@ -16,10 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-def _label_words(label: str) -> tuple[int, ...]:
-    # 128 bits of the label digest, folded into four uint32 words
-    digest = hashlib.sha256(label.encode("utf-8")).digest()
-    return tuple(int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4))
+def _label_bytes(label: str) -> bytes:
+    # 128 bits of the label digest: four little-endian uint32 words
+    return hashlib.sha256(label.encode("utf-8")).digest()[:16]
 
 
 @dataclass(frozen=True)
@@ -37,10 +36,17 @@ class RngStream:
         """Fresh generator positioned at the start of this stream.
 
         Each call restarts the sequence; hold the returned generator to
-        draw consecutively.
+        draw consecutively.  The entropy is the list
+        [seed mod 2**64, *words of each label] given as the uint32 array
+        NumPy's `SeedSequence` would build from it: an int becomes its
+        little-endian 32-bit words, one for a value below 2**32 (0
+        included) and two above, and each label's four digest words are
+        below 2**32.  So the seed's one or two words, then each label's
+        first 16 digest bytes read as little-endian words, seed the same
+        pool as the list, without converting each int in Python.
         """
-        entropy: list[int] = [self.seed & 0xFFFFFFFFFFFFFFFF]
-        for label in self.path:
-            entropy.extend(_label_words(label))
+        seed = self.seed & 0xFFFFFFFFFFFFFFFF
+        words = b"".join([seed.to_bytes(8 if seed >> 32 else 4, "little"),
+                          *map(_label_bytes, self.path)])
+        entropy = np.frombuffer(words, dtype="<u4").astype(np.uint32)
         return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
-

@@ -29,7 +29,9 @@ tape node too, `projector`, which shares its row-norm check with
 log-likelihood has one implementation, `_softmax_nll_rows`, shared by
 `linear_head` (the probes' head kernel, which `linear_softmax_nll`
 records as one node) and `contrast.queue_nll`.  So a pretraining step
-records only such fused nodes.
+records only such fused nodes.  The linear head is one packed (D+1, C)
+array [W; b], and its gradient comes packed the same way, so a head
+step updates one array.
 
 `add`, `concat`, `conv1d_temporal`, `exp`, `log`,
 `masked_softmax_nll_rows`, `matmul`, `mean_`, `relu`, `reshape`, `sub`
@@ -973,54 +975,63 @@ def masked_softmax_nll_rows(logits, positive_mask) -> Tensor:
     return _apply(out, (logits,), bwd)
 
 
-def linear_head(rows: np.ndarray, weight: np.ndarray, bias: np.ndarray, labels: np.ndarray):
+def linear_head(rows: np.ndarray, theta: np.ndarray, labels: np.ndarray):
     """The linear head's kernel, on arrays: the mean softmax cross-entropy
-    of `rows @ weight + bias` against `labels`, and its gradient.
+    of the logits `rows @ theta[:D] + theta[D]` against `labels`, and its
+    gradient.
 
-    `rows` (B, D), `weight` (D, C), `bias` (C,) and B `labels` in [0, C)
-    are the caller's to check.  A row's loss is log Σexp of its shifted
-    logits minus its label's (`_softmax_nll_rows`, one pick per row).
+    The head is one packed (D+1, C) array theta = [W; b]: its first D rows
+    are the weight, its last the bias, so a caller steps one array.
+    `rows` (B, D), `theta` (D+1, C) and B `labels` in [0, C) are the
+    caller's to check.  A row's loss is log Σexp of its shifted logits
+    minus its label's (`_softmax_nll_rows`, one pick per row).
     Returns (loss, grads); a non-finite loss raises `NonFiniteValue`
     (op "linear_softmax_nll").  `grads(g, needs)` returns the (rows,
-    weight, bias) gradients, None where `needs` is false, from
-    d = g * (softmax - one-hot) / B: d summed over rows, rows^T d and
-    d weight^T.  Call it at most once.  The NumPy calls and their order
-    are those of the matmul, add, row softmax-NLL and mean chain, so the
-    results are bit-identical to that chain's.
+    theta) gradients, None where `needs` is false, from
+    d = g * (softmax - one-hot) / B: the packed theta gradient holds
+    rows^T d over d summed over rows, written in place into one array,
+    and the rows gradient is d W^T.  Call it at most once.  The NumPy
+    calls and their order are those of the matmul, add, row softmax-NLL
+    and mean chain on a separate weight and bias, so the results are
+    bit-identical to that chain's.
     """
-    batch = len(rows)
-    nll, grad = _softmax_nll_rows(rows @ weight + bias, picks=labels)
+    batch, dim = rows.shape
+    weight = theta[:dim]
+    nll, grad = _softmax_nll_rows(rows @ weight + theta[dim], picks=labels)
     loss = np.add.reduce(nll, axis=0) / batch  # np.mean's sum and division, minus its overhead
     if not math.isfinite(loss):
         raise NonFiniteValue("linear_softmax_nll produced NaN or Inf", op="linear_softmax_nll")
 
     def grads(g, needs):
         d = grad(g / batch)
-        g_bias = d.sum(axis=0) if needs[2] else None
-        g_weight = rows.T @ d if needs[1] else None
+        g_theta = None
+        if needs[1]:
+            g_theta = np.empty((dim + 1, d.shape[1]), dtype=d.dtype)
+            d.sum(axis=0, out=g_theta[dim])
+            np.matmul(rows.T, d, out=g_theta[:dim])
         g_rows = d @ weight.T if needs[0] else None
-        return g_rows, g_weight, g_bias
+        return g_rows, g_theta
 
     return loss, grads
 
 
-def linear_softmax_nll(rows, weight, bias, labels) -> Tensor:
-    """The mean softmax cross-entropy of the logits `rows @ weight + bias`
-    against integer class `labels`, as one tape node; returns a scalar.
+def linear_softmax_nll(rows, theta, labels) -> Tensor:
+    """The mean softmax cross-entropy of the logits
+    `rows @ theta[:D] + theta[D]` against integer class `labels`, as one
+    tape node; returns a scalar.
 
-    `rows` is (B, D), `weight` (D, C), `bias` (C,) and `labels` B integers
-    in [0, C), checked here; the loss and its closed-form backward are
+    `rows` is (B, D), `theta` the packed (D+1, C) head [W; b] and
+    `labels` B integers in [0, C), checked here; the loss and its
+    closed-form backward, with theta's gradient packed the same way, are
     the kernel `linear_head`'s.
     """
-    rows, weight, bias = as_tensor(rows), as_tensor(weight), as_tensor(bias)
-    if rows.ndim != 2 or weight.ndim != 2 or rows.shape[1] != weight.shape[0]:
-        raise ShapeMismatch(f"linear head needs (B, D) rows and a (D, C) weight, got "
-                            f"{rows.shape} and {weight.shape}")
-    batch, classes = rows.shape[0], weight.shape[1]
+    rows, theta = as_tensor(rows), as_tensor(theta)
+    if rows.ndim != 2 or theta.ndim != 2 or theta.shape[0] != rows.shape[1] + 1:
+        raise ShapeMismatch(f"linear head needs (B, D) rows and a (D+1, C) head, got "
+                            f"{rows.shape} and {theta.shape}")
+    batch, classes = rows.shape[0], theta.shape[1]
     if batch == 0:
         raise ShapeMismatch("linear head needs at least one row")
-    if bias.shape != (classes,):
-        raise ShapeMismatch(f"bias {bias.shape} does not fit {classes} classes")
     labels = np.asarray(labels)
     if labels.shape != (batch,):
         raise ShapeMismatch(f"{labels.shape} labels for {batch} rows")
@@ -1028,8 +1039,8 @@ def linear_softmax_nll(rows, weight, bias, labels) -> Tensor:
         raise InvalidLabel(f"labels must be integers, got dtype {labels.dtype}")
     if labels.min() < 0 or labels.max() >= classes:
         raise InvalidLabel(f"labels must lie in [0, {classes}), got [{labels.min()}, {labels.max()}]")
-    loss, grads = linear_head(rows.data, weight.data, bias.data, labels)
-    return _apply(loss, (rows, weight, bias), grads, check=False)
+    loss, grads = linear_head(rows.data, theta.data, labels)
+    return _apply(loss, (rows, theta), grads, check=False)
 
 
 # -- backward pass -----------------------------------------------------------------

@@ -30,12 +30,15 @@ clips as the budget allows (a one-block encoder, whose only block
 pools, encodes a split in one call), while at wide channels the budget
 still bounds memory.  The linear probe and finetuning train their
 linear head in `_fit_head`, around the head kernel `T.linear_head`.
-The probe's head reads frozen h, so its steps run off the tape;
-finetuning's blocks step with the head, through one tape node,
-`T.linear_softmax_nll`.  Labels must be nonnegative integers
-(`InvalidLabel` otherwise).  Every setting a protocol takes is a
-required keyword; `RunConfig` holds the defaults, and a value out of
-the range `RunConfig` allows raises `ConfigValueError` naming its key.
+The head is one packed (D+1, C) array [W; b], stepped as one array, and
+each epoch gathers its clips in shuffled order once, then steps over
+contiguous slices of that copy.  The probe's head reads frozen h, so
+its steps run off the tape; finetuning's blocks step with the head,
+through one tape node, `T.linear_softmax_nll`.  Labels must be
+nonnegative integers (`InvalidLabel` otherwise).  Every setting a
+protocol takes is a required keyword; `RunConfig` holds the defaults,
+and a value out of the range `RunConfig` allows raises
+`ConfigValueError` naming its key.
 """
 
 from __future__ import annotations
@@ -172,6 +175,20 @@ def branch_views(joints: np.ndarray, config: RunConfig, rngs, graph,
     }
 
 
+def z_spread(z: np.ndarray) -> tuple[float, float]:
+    """The collapse signal of (B, D) unit rows z, B ≥ 2: their mean
+    pairwise cosine, and the mean over dimensions of z's per-dimension
+    std times √D.  Spread embeddings read a cosine near 0 and a std near
+    1; collapsed ones read 1 and 0.  The cosine is
+    (|Σz|² − Σ|z_i|²) / (B(B − 1)), in float64, with no B × B product.
+    """
+    z = z.astype(np.float64)
+    batch, dim = z.shape
+    total = z.sum(axis=0)
+    cos = (total @ total - (z * z).sum()) / (batch * (batch - 1))
+    return float(cos), float(z.std(axis=0).mean() * np.sqrt(dim))
+
+
 def check_pretrain(dataset: list[SkeletonSequence], config: RunConfig) -> None:
     """Refuse a run `pretrain` cannot start: an empty dataset, or a queue
     smaller than one step's keys, counted in its largest batch."""
@@ -191,7 +208,10 @@ def pretrain(
     """Run the three-stage schedule; returns final state and metric records.
 
     `state` resumes a checkpointed run from its epoch cursor.  The first
-    record is a header with the materialized config and its hash;
+    record is a header with the materialized config and its hash; the
+    last step record of each stage also carries the collapse signal
+    `z_cos:{stream}` and `z_std:{stream}` (`z_spread`) of that step's
+    query z, unless the batch is one clip (a one-clip dataset);
     `on_stage_end(state, stage_index)` fires at each stage boundary with
     the live state, which training goes on to update in place: a
     callback that keeps a `state_to_checkpoint` of it (which shares its
@@ -214,8 +234,10 @@ def pretrain(
         nnm, pft = stage >= 1, stage >= 2
         lr = config.lr if epoch < config.lr_drop_epoch else config.lr_after_drop
         order = root.split(f"shuffle.e{epoch}").generator().permutation(n)
+        batches = T.pieces(n, config.batch_size)
+        stage_ends = epoch + 1 == total_epochs or stage_of(config, epoch + 1) != stage
 
-        for bi, piece in enumerate(T.pieces(n, config.batch_size)):
+        for bi, piece in enumerate(batches):
             indices = order[piece]
             embeddings: dict[str, tuple[T.Tensor, np.ndarray]] = {}
             joints = np.stack([dataset[i].data for i in indices])
@@ -269,6 +291,10 @@ def pretrain(
                 record["nnm_mean_similarity"] = result.nnm_mean_similarity
             if pft:
                 record["pft_applied_rate"] = result.pft_applied_rate
+            if stage_ends and bi == len(batches) - 1 and len(indices) > 1:
+                for stream in config.streams:
+                    cos, std = z_spread(embeddings[stream][0].data)
+                    record[f"z_cos:{stream}"], record[f"z_std:{stream}"] = cos, std
             records.append(record)
             state.step += 1
 
@@ -347,41 +373,49 @@ def _labels(sequences, split: str) -> np.ndarray:
     return np.array([s.label for s in sequences], dtype=np.int64)
 
 
-def _fit_head(rows, dim: int, y: np.ndarray, num_classes: int, trainable: dict[str, T.Tensor],
-              lr: float, weight_decay: float, rng: RngStream, epochs: int):
-    """SGD on a zero-initialized linear head's softmax cross-entropy; returns (w, b).
+def _fit_head(inputs: np.ndarray, dim: int, y: np.ndarray, num_classes: int,
+              trainable: dict[str, T.Tensor], lr: float, weight_decay: float, rng: RngStream,
+              epochs: int, encode=None) -> tuple[np.ndarray, np.ndarray]:
+    """SGD on a zero-initialized linear head's softmax cross-entropy; returns
+    (w, b), the weight and bias views of the packed head.
 
-    Each epoch visits the clips in `rng.split(f"e{epoch}")` order, cut
-    into batches of `PROTOCOL_BATCH` by `T.pieces`, so no step of a
-    larger split trains on one clip; `y` holds checked class indices below
-    `num_classes`.  With `trainable` parameters, `rows(idx)` gives the
-    batch's (B, dim) hidden vectors recorded on the tape, and a step is
-    the tape node `T.linear_softmax_nll`, `T.backward` and `sgd_step` of
-    the parameters and the head.  Without, `rows(idx)` gives frozen
-    (B, dim) arrays, and a step calls the head kernel `T.linear_head`
-    off the tape and updates the head's two arrays.  NumPy's overflow
-    warnings are off in the loop: an update that leaves an array
+    The head is one (dim+1, num_classes) array, theta = [w; b], which
+    `T.linear_head` reads and whose packed gradient it returns, so a step
+    updates it as one array named "head".  Each epoch visits the clips in
+    `rng.split(f"e{epoch}")` order: it gathers `inputs` and `y` in that
+    order once, then steps over contiguous slices of the copy cut into
+    batches of `PROTOCOL_BATCH` by `T.pieces`, so no step of a larger
+    split trains on one clip; `y` holds checked class indices below
+    `num_classes`.  With `trainable` parameters, `encode(batch)` gives
+    the batch's (B, dim) hidden vectors recorded on the tape, and a step
+    is the tape node `T.linear_softmax_nll`, `T.backward` and `sgd_step`
+    of the parameters and the head.  Without, `inputs` holds frozen
+    (N, dim) rows, and a step calls the head kernel `T.linear_head` off
+    the tape and makes one `_sgd_update`.  Every value is bit-identical
+    to per-step gathers and a separate weight and bias: a gather copies
+    rows, and the update is elementwise.  NumPy's overflow warnings are
+    off in the loop: an update that leaves the head or a parameter
     non-finite, the last one's included, names it (`_sgd_update`).
     """
-    w = T.parameter(np.zeros((dim, num_classes), dtype=np.float32))
-    b = T.parameter(np.zeros(num_classes, dtype=np.float32))
-    stepped = {**trainable, "head.w": w, "head.b": b}
+    head = T.parameter(np.zeros((dim + 1, num_classes), dtype=np.float32))
+    stepped = {**trainable, "head": head}
     buffers = {name: np.zeros_like(t.data) for name, t in stepped.items()}
+    batches = T.pieces(len(y), PROTOCOL_BATCH)
+    one = np.ones((), dtype=np.result_type(inputs, head.data))  # the frozen loss's unit gradient
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(epochs):
             order = rng.split(f"e{epoch}").generator().permutation(len(y))
-            for piece in T.pieces(len(y), PROTOCOL_BATCH):
-                idx = order[piece]
+            xs, ys = inputs[order], y[order]
+            for piece in batches:
                 if trainable:
                     with T.Tape():
-                        grads = T.backward(T.linear_softmax_nll(rows(idx), w, b, y[idx]))
+                        grads = T.backward(T.linear_softmax_nll(encode(xs[piece]), head, ys[piece]))
                     sgd_step(stepped, grads, buffers, lr, 0.9, weight_decay)
                 else:
-                    loss, grads = T.linear_head(rows(idx), w.data, b.data, y[idx])
-                    _, g_w, g_b = grads(np.ones_like(loss), (False, True, True))
-                    for name, theta, g in (("head.w", w.data, g_w), ("head.b", b.data, g_b)):
-                        _sgd_update(name, theta, g, buffers, lr, 0.9, weight_decay)
-    return w.data, b.data
+                    _, grads = T.linear_head(xs[piece], head.data, ys[piece])
+                    _, g = grads(one, (False, True))
+                    _sgd_update("head", head.data, g, buffers, lr, 0.9, weight_decay)
+    return head.data[:dim], head.data[dim]
 
 
 def _val_logits(h_val: np.ndarray, w: np.ndarray, b: np.ndarray, protocol: str) -> np.ndarray:
@@ -437,8 +471,8 @@ def linear_probe(
     h_train = _features(params, train_seqs, stream, projected=False)
     h_val = _features(params, val_seqs, stream, projected=False)
     num_classes = int(max(y_train.max(), y_val.max())) + 1
-    w, b = _fit_head(lambda idx: h_train[idx], h_train.shape[1], y_train, num_classes,
-                     {}, lr, 0.0, RngStream(seed).split("linear_probe"), epochs)
+    w, b = _fit_head(h_train, h_train.shape[1], y_train, num_classes, {}, lr, 0.0,
+                     RngStream(seed).split("linear_probe"), epochs)
 
     val_logits = _val_logits(h_val, w, b, "linear_probe")
     accuracy = float((np.argmax(val_logits, axis=1) == y_val).mean())
@@ -534,9 +568,8 @@ def finetune(
     tuned = params.copy()
     digest_before = tuned.digest()
     blocks = {name: t for name, t in tuned.trainable().items() if name.startswith("block")}
-    w, b = _fit_head(lambda idx: stgcn_forward(x[idx], adjacency, tuned, mode="train"),
-                     tuned.config.enc_channels[-1], y, num_classes, blocks, lr, weight_decay, rng,
-                     epochs)
+    w, b = _fit_head(x, tuned.config.enc_channels[-1], y, num_classes, blocks, lr, weight_decay,
+                     rng, epochs, lambda batch: stgcn_forward(batch, adjacency, tuned, mode="train"))
 
     h_val = _features(tuned, val_seqs, stream, projected=False)
     accuracy = float((np.argmax(_val_logits(h_val, w, b, "finetune"), axis=1) == y_val).mean())

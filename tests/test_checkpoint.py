@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import struct
 
 import numpy as np
@@ -161,6 +162,43 @@ def test_resume_reproduces_uninterrupted_run(tmp_path):
     for u in SMALL.streams:
         assert resumed_state2.pairs[u].query.digest() == full_state.pairs[u].query.digest()
         assert resumed_state2.queues[u].slots.tobytes() == full_state.queues[u].slots.tobytes()
+
+
+def test_stage_end_steps_carry_the_collapse_signal(tmp_path):
+    # two epochs in stage 1, so an epoch can end without ending its stage;
+    # a resumed run writes the same JSON lines, fields included
+    config = dataclasses.replace(SMALL, stage_epochs=[2, 1, 1], lr_drop_epoch=3)
+    data = generate_synthetic_dataset(3, 6, frames=16, seed=4, check_separability=False)
+    _, full = pretrain(data, config)
+    fields = [f"z_{kind}:{u}" for u in config.streams for kind in ("cos", "std")]
+    steps = full[1:]
+    for i, record in enumerate(steps):
+        stage_end = i == len(steps) - 1 or steps[i + 1]["stage"] != record["stage"]
+        assert stage_end == any(f in record for f in fields), record["step"]
+        if stage_end:
+            assert all(math.isfinite(record[f]) for f in fields)
+            assert all(-1 <= record[f"z_cos:{u}"] <= 1 and record[f"z_std:{u}"] >= 0
+                       for u in config.streams)
+    assert sum(fields[0] in r for r in steps) == 3 and len({r["epoch"] for r in steps}) == 4
+
+    def grab(state, stage):
+        if stage == 0:
+            save_checkpoint(tmp_path / "stage0.bin", state_to_checkpoint(state))
+
+    pretrain(data, config, on_stage_end=grab)
+    resumed = state_from_checkpoint(load_checkpoint(tmp_path / "stage0.bin"))
+    _, tail = pretrain(data, config, state=resumed)
+    lines = [json.dumps(r) for r in full[1:]]
+    assert [json.dumps(r) for r in tail[1:]] == lines[len(lines) - len(tail) + 1:]
+    assert any(fields[0] in r for r in tail[1:])
+
+
+def test_one_clip_run_has_no_pair_to_signal():
+    # a one-clip batch has no pairwise cosine, so its stage-end record has
+    # no collapse fields (and raises no division warning)
+    data = generate_synthetic_dataset(3, 6, frames=16, seed=4, check_separability=False)[:1]
+    _, records = pretrain(data, dataclasses.replace(SMALL, stage_epochs=[1, 0, 0]))
+    assert len(records) == 2 and not any(k.startswith("z_") for k in records[1])
 
 
 def _tensor_table_offset(raw: bytes) -> int:

@@ -3,6 +3,9 @@
 import argparse
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -10,6 +13,7 @@ import numpy as np
 import pytest
 
 import skelcl.train
+from skelcl import BLAS_THREAD_VARS
 from skelcl.cli import _gradcheck_components, build_parser, main
 from skelcl.config import RunConfig
 from skelcl.errors import ConfigValueError
@@ -233,6 +237,35 @@ def pretrained(tmp_path_factory):
     records = (root / "metrics.jsonl").read_text().splitlines()
     assert len(records) == 1 + 2  # header, then one step per batch of the 12-clip train split
     return root
+
+
+def pretrain_subprocess(root: Path, tag: str, **env_set) -> list[str]:
+    """The JSONL of a tiny `skelcl pretrain` run in a fresh interpreter whose
+    environment has no BLAS thread variable but those in `env_set`."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.update(env_set)
+    argv = [sys.executable, "-m", "skelcl.cli", "pretrain", "--data", str(root / "data"),
+            "--out", str(root / tag), "--metrics", str(root / f"{tag}.jsonl")]
+    for setting in TINY_RUN:
+        argv += ["--set", setting]
+    subprocess.run(argv, env=env, check=True, capture_output=True, timeout=120)
+    return (root / f"{tag}.jsonl").read_text().splitlines()
+
+
+def test_pretrain_defaults_to_one_blas_thread(tmp_path):
+    assert main(["gen-data", "--classes", "3", "--per-class", "6", "--frames", "16",
+                 "--seed", "3", "--out", str(tmp_path / "data")]) == 0
+    unset = pretrain_subprocess(tmp_path, "unset")
+    two = pretrain_subprocess(tmp_path, "two", OPENBLAS_NUM_THREADS="2")
+    header_unset, header_two = json.loads(unset[0]), json.loads(two[0])
+    assert header_unset["blas_threads"] == dict.fromkeys(BLAS_THREAD_VARS, "1")
+    assert header_two["blas_threads"] == {**dict.fromkeys(BLAS_THREAD_VARS, "1"),
+                                          "OPENBLAS_NUM_THREADS": "2"}
+    # the thread setting is the only byte that changes
+    del header_unset["blas_threads"], header_two["blas_threads"]
+    assert header_unset == header_two and unset[1:] == two[1:] and len(unset) == 3
 
 
 @pytest.mark.parametrize("command,flags,protocol", [

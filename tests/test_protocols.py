@@ -236,10 +236,11 @@ def test_head_left_non_finite_by_the_last_step_raises(splits, params, epochs, mo
         with pytest.raises(NonFiniteValue, match="left head") as err:
             linear_probe(params, *splits, stream="joint", epochs=epochs, lr=1e38, seed=1)
     assert err.value.op == "sgd_step"
-    # two arrays per step: the update that raised belongs to the 114th epoch's last step
+    # one packed head per step: the update that raised is the 114th epoch's last step
     steps_per_epoch = math.ceil(len(splits[0]) / PROTOCOL_BATCH)
-    assert (len(updates) - 1) // 2 == 114 * steps_per_epoch - 1
-    assert updates[-1] in err.value.args[0]
+    assert set(updates) == {"head"}
+    assert len(updates) == 114 * steps_per_epoch
+    assert f"left {updates[-1]} non-finite" in err.value.args[0]
 
 
 def test_finetune_blocks_left_non_finite_by_the_last_step_raise(splits, params):
@@ -298,17 +299,18 @@ def test_knn_probe_overflowing_embedding_norm_raises(params, scale):
 def test_non_finite_head_gradient_named(splits, params, monkeypatch, call):
     kernel = T.linear_head
 
-    def poisoned(rows, weight, bias, labels):
-        loss, grads = kernel(rows, weight, bias, labels)
+    def poisoned(rows, theta, labels):
+        loss, grads = kernel(rows, theta, labels)
 
         def nan_weight(g, needs):
-            g_rows, g_weight, g_bias = grads(g, needs)
-            return g_rows, np.full_like(g_weight, np.nan), g_bias
+            g_rows, g_theta = grads(g, needs)
+            g_theta[0, 0] = np.nan  # one weight entry of the packed gradient
+            return g_rows, g_theta
 
         return loss, nan_weight
 
     monkeypatch.setattr(T, "linear_head", poisoned)
-    with pytest.raises(NonFiniteValue, match="sgd_step left head.w non-finite") as err:
+    with pytest.raises(NonFiniteValue, match="sgd_step left head non-finite") as err:
         PROTOCOL_CALLS[call](params, *splits)
     assert err.value.op == "sgd_step"
 

@@ -1,6 +1,9 @@
 """Reproducibility contracts of the splittable random streams."""
 
+import hashlib
+
 import numpy as np
+import pytest
 
 from skelcl.rng import RngStream
 
@@ -47,3 +50,23 @@ def test_immutable_value_semantics():
     assert root.path == ()
     assert child.path == ("x",)
     assert child == RngStream(9, ("x",))
+
+
+def list_seeded(seed, path):
+    """A generator seeded the list way: the seed mod 2**64, then each
+    label's first four little-endian uint32 words of its SHA-256 digest."""
+    entropy = [seed & (2**64 - 1)]
+    for label in path:
+        digest = hashlib.sha256(label.encode("utf-8")).digest()
+        entropy.extend(int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4))
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**63, -1, 2**64 + 5])
+@pytest.mark.parametrize("path", [(), ("a",), ("linear_probe", "e5"), ("ü",)])
+def test_generator_draws_as_the_list_seeded_one(seed, path):
+    # the uint32-array entropy is the array SeedSequence builds from the list
+    got, want = RngStream(seed, path).generator(), list_seeded(seed, path)
+    assert got.integers(0, 2**63, size=4).tolist() == want.integers(0, 2**63, size=4).tolist()
+    assert got.random(3).tolist() == want.random(3).tolist()
+    assert got.permutation(17).tolist() == want.permutation(17).tolist()

@@ -419,8 +419,7 @@ def _queue_nll_case(_):
 def _linear_softmax_nll_case(rng):
     params = {
         "rows": T.parameter(rng.normal(size=(4, 3)).astype(np.float64)),
-        "weight": T.parameter(rng.normal(size=(3, 5)).astype(np.float64)),
-        "bias": T.parameter(rng.normal(size=5).astype(np.float64)),
+        "head": T.parameter(rng.normal(size=(4, 5)).astype(np.float64)),  # packed [weight; bias]
     }
     labels = np.array([1, 4, 1, 0])
     return params, lambda: T.linear_softmax_nll(*params.values(), labels)
@@ -752,7 +751,8 @@ def test_masked_softmax_nll_one_tape_node():
 
 
 def four_node_head(rows, weight, bias, labels):
-    """The linear head as the chain of tape ops `linear_softmax_nll` replaced."""
+    """The linear head as the chain of tape ops `linear_softmax_nll` replaced,
+    on a separate weight and bias."""
     positives = np.eye(weight.shape[1], dtype=bool)[labels]
     return T.mean_(T.masked_softmax_nll_rows(T.add(T.matmul(rows, weight), bias), positives))
 
@@ -769,21 +769,24 @@ HEAD_BATCHES = {
 def test_linear_head_bit_equals_the_four_node_chain(dtype, batch):
     labels = HEAD_BATCHES[batch]
     rng = np.random.default_rng(len(labels))
-    head = (T.parameter(rng.normal(size=(len(labels), 6)).astype(dtype)),
-            T.parameter(rng.normal(size=(6, 5)).astype(dtype)),
-            T.parameter(rng.normal(size=5).astype(dtype)))
+    rows = T.parameter(rng.normal(size=(len(labels), 6)).astype(dtype))
+    theta = rng.normal(size=(7, 5)).astype(dtype)
+    packed = (rows, T.parameter(theta))
+    split = (rows, T.parameter(theta[:6].copy()), T.parameter(theta[6].copy()))
     results = []
-    for op in (T.linear_softmax_nll, four_node_head):
+    for op, head in ((T.linear_softmax_nll, packed), (four_node_head, split)):
         with T.Tape() as tape:
             loss = op(*head, labels)
             nodes = len(tape.nodes)
             grads = T.backward(loss)
         results.append((nodes, loss.data, [grads[p].data for p in head]))
-    (nodes, loss, grads), (ref_nodes, ref_loss, ref_grads) = results
+    (nodes, loss, (g_rows, g_theta)), (ref_nodes, ref_loss, ref_grads) = results
     assert (nodes, ref_nodes) == (1, 4)
     assert loss.dtype == ref_loss.dtype == dtype
     np.testing.assert_array_equal(loss, ref_loss)
-    for got, want in zip(grads, ref_grads):
+    # the packed gradient is the weight's over the bias's
+    assert g_theta.shape == (7, 5)
+    for got, want in zip((g_rows, g_theta[:6], g_theta[6]), ref_grads):
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
 
@@ -818,15 +821,16 @@ def test_one_pick_per_row_bit_equals_the_scatter_path(dtype):
 ])
 def test_linear_head_rejects_bad_labels(labels, error):
     with pytest.raises(error):
-        T.linear_softmax_nll(np.ones((3, 4)), np.ones((4, 5)), np.zeros(5), np.array(labels))
+        T.linear_softmax_nll(np.ones((3, 4)), np.ones((5, 5)), np.array(labels))
 
 
-@pytest.mark.parametrize("shapes", [((3, 4), (3, 5), (5,)), ((3, 4), (4, 5), (4,)),
-                                    ((0, 4), (4, 5), (5,)), ((4,), (4, 5), (5,))])
+# a head one row short (no bias row) or one row long, no rows, 1-D rows, a 1-D head
+@pytest.mark.parametrize("shapes", [((3, 4), (4, 5)), ((3, 4), (6, 5)),
+                                    ((0, 4), (5, 5)), ((4,), (5, 5)), ((3, 4), (5,))])
 def test_linear_head_rejects_bad_shapes(shapes):
-    rows, weight, bias = (np.ones(shape) for shape in shapes)
+    rows, theta = (np.ones(shape) for shape in shapes)
     with pytest.raises(ShapeMismatch):
-        T.linear_softmax_nll(rows, weight, bias, np.zeros(rows.shape[0], dtype=int))
+        T.linear_softmax_nll(rows, theta, np.zeros(rows.shape[0], dtype=int))
 
 
 def test_conv1d_kernel_wider_than_clip():

@@ -204,17 +204,68 @@ def test_split_one_over_a_batch_multiple_makes_no_one_clip_step(monkeypatch):
     assert sizes == [4, 5] and len(records) == 1 + 2
 
 
-def test_fit_head_makes_no_one_clip_step():
+def test_fit_head_makes_no_one_clip_step(monkeypatch):
     # 33 rows at 32 a batch are one batch of 33 in every epoch
     rng = np.random.default_rng(5)
     h, y, sizes = rng.normal(size=(33, 4)).astype(np.float32), np.arange(33) % 3, []
+    kernel = T.linear_head
 
-    def rows(idx):
-        sizes.append(len(idx))
-        return h[idx]
+    def recorded(rows, theta, labels):
+        sizes.append(len(rows))
+        return kernel(rows, theta, labels)
 
-    skelcl.train._fit_head(rows, 4, y, 3, {}, 0.1, 0.0, RngStream(1).split("head"), epochs=2)
+    monkeypatch.setattr(T, "linear_head", recorded)
+    skelcl.train._fit_head(h, 4, y, 3, {}, 0.1, 0.0, RngStream(1).split("head"), epochs=2)
     assert skelcl.train.PROTOCOL_BATCH == 32 and sizes == [33, 33]
+
+
+def reference_frozen_head(h, y, num_classes, lr, weight_decay, rng, epochs):
+    """The frozen head stepped as a separate weight and bias: a gather of
+    each step's rows, the head kernel's NumPy calls in their order, and
+    one momentum update per array."""
+    w = np.zeros((h.shape[1], num_classes), dtype=np.float32)
+    b = np.zeros(num_classes, dtype=np.float32)
+    buffers = [np.zeros_like(w), np.zeros_like(b)]
+    for epoch in range(epochs):
+        order = rng.split(f"e{epoch}").generator().permutation(len(y))
+        for piece in T.pieces(len(y), 32):
+            idx = order[piece]
+            rows, labels = h[idx], y[idx]
+            batch = len(rows)
+            exps = rows @ w + b
+            exps -= exps.max(axis=-1, keepdims=True)
+            index = (np.arange(batch), labels)
+            log_numer = exps[index][:, None]
+            np.exp(exps, out=exps)
+            denom = exps.sum(axis=-1, keepdims=True)
+            loss = np.add.reduce((np.log(denom) - log_numer)[..., 0], axis=0) / batch
+            g = (np.ones_like(loss) / batch)[..., None]
+            np.multiply(exps, g / denom, out=exps)
+            exps[index] -= g[..., 0]
+            grads = (rows.T @ exps, exps.sum(axis=0))
+            for theta, grad, buf in zip((w, b), grads, buffers):
+                step = weight_decay * theta
+                step += grad
+                buf *= 0.9
+                buf += step
+                theta -= lr * buf
+    return w, b
+
+
+@pytest.mark.parametrize("n", [33, 61, 150])
+@pytest.mark.parametrize("dim", [4, 32])
+def test_frozen_head_bit_equals_separate_weight_and_bias(n, dim):
+    # one packed head, one gather per epoch and one update per step leave
+    # the weight and bias byte for byte as per-step gathers and two updates
+    rng = np.random.default_rng(n * dim)
+    h = rng.normal(size=(n, dim)).astype(np.float32)
+    y = rng.integers(0, 5, size=n)
+    stream = RngStream(3).split("head")
+    w, b = skelcl.train._fit_head(h, dim, y, 5, {}, 0.3, 1e-3, stream, epochs=3)
+    ref_w, ref_b = reference_frozen_head(h, y, 5, 0.3, 1e-3, stream, epochs=3)
+    assert (w.shape, b.shape) == (ref_w.shape, ref_b.shape)
+    assert (w.dtype, b.dtype) == (ref_w.dtype, ref_b.dtype)
+    assert w.tobytes() == ref_w.tobytes() and b.tobytes() == ref_b.tobytes()
 
 
 OVERFLOW_CONFIG = dict(queue_size=8, batch_size=8, enc_blocks=1, enc_channels=[4],
