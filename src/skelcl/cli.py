@@ -30,7 +30,10 @@ the run saw, under "blas_threads".
 step record of each stage also carries, per stream, `z_cos:{stream}`,
 the mean pairwise cosine of the step's query z, and `z_std:{stream}`,
 the mean over dimensions of z's per-dimension std times √D: about 1
-when the embeddings are spread, 0 when they have collapsed.
+when the embeddings are spread, 0 when they have collapsed.  A fresh
+run writes its `--metrics` file anew, replacing any file at that path,
+so the file holds one run; `--resume` appends the resumed run's header
+and steps to it.
 """
 
 from __future__ import annotations
@@ -160,7 +163,8 @@ def cmd_pretrain(args) -> int:
     # a refused run leaves no file and a bad path costs no training
     check_pretrain(data["train"], config)
     with output_errors(args.metrics):
-        metrics = open(args.metrics, "a") if args.metrics else nullcontext(sys.stdout)
+        metrics = (open(args.metrics, "a" if args.resume else "w") if args.metrics
+                   else nullcontext(sys.stdout))
 
     def on_stage_end(current_state, stage_index):
         save_checkpoint(out_dir / f"ckpt_stage{stage_index}.bin", state_to_checkpoint(current_state))
@@ -295,9 +299,16 @@ def cmd_fuse(args) -> int:
 def _gradcheck_cases(dtype, grid) -> dict:
     """Each gradient-check component as an (f, params) pair, at small
     scale: every block type (in train mode), the projector, each loss
-    term and the linear head.  Every value is drawn, rounded to `grid`'s
-    precision and held in `dtype`, so a float64 build on a float32 grid
-    is the float32 build's twin, at exactly the same values."""
+    term and the linear head.  Each case reads through the node that
+    follows it in the package, so a case's tape holds the package's own
+    nodes only.  The blocks and the projector end in
+    `T.linear_softmax_nll` with a fixed packed head, as finetuning's tape
+    does.  The loss terms take their unit queries from `T.projector` over
+    free hidden rows, with the projector's weights held fixed, as
+    pretraining's tape does: projector, then `pft_transform`, then
+    `queue_nll`.  Every value is drawn, rounded to `grid`'s precision and
+    held in `dtype`, so a float64 build on a float32 grid is the float32
+    build's twin, at exactly the same values."""
     from .skeleton import build_star_tree
 
     def held(a):
@@ -316,32 +327,35 @@ def _gradcheck_cases(dtype, grid) -> dict:
     # a batch of two clips, in train mode (the one mode that records):
     # the batch statistics carry gradient
     x = held(rng.normal(size=(2, 8, 3, 5)))
+    clip_labels = np.array([2, 0])  # over three classes
 
     for label, cfg in (("block_entry", cfg_first), ("block_residual", cfg_residual)):
         params = encoder(cfg, RngStream(1).split(label))
-        target = rng.normal(size=(2, cfg.enc_channels[-1]))
+        head = held(rng.normal(size=(cfg.enc_channels[-1] + 1, 3)))
 
-        def f(params=params, target=target):
+        def f(params=params, head=head):
             h = stgcn_forward(x, adjacency, params, mode="train", update_stats=False)
-            return T.sum_(T.mul(h, target))
+            return T.linear_softmax_nll(h, head, clip_labels)
 
         cases[label] = (f, params.trainable())
 
     proj_params = encoder(cfg_first, RngStream(2).split("proj"))
-    proj_target = rng.normal(size=(2, cfg_first.embed_dim))
+    proj_head = held(rng.normal(size=(cfg_first.embed_dim + 1, 3)))
 
     def f_proj():
         _, z = encode(x, adjacency, proj_params, mode="train", update_stats=False)
-        return T.sum_(T.mul(z, proj_target))
+        return T.linear_softmax_nll(z, proj_head, clip_labels)
 
     cases["projector"] = (f_proj, proj_params.trainable())
 
-    # loss terms on slim embeddings, one row each
-    dim = 6
+    # loss terms on slim embeddings: the unit rows of a fixed projector,
+    # weights and biases drawn, over free hidden rows, one row each
+    width, dim = 4, 6
+    weights = [held(rng.normal(size=shape)) for shape in ((width, 8), (8,), (8, dim), (dim,))]
     fill = rng.normal(size=(8, dim))
     fill /= np.linalg.norm(fill, axis=1, keepdims=True)
     negatives = held(fill)
-    zq_param = T.parameter(held(rng.normal(size=(1, dim))))
+    hq_param = T.parameter(held(rng.normal(size=(1, width))))
     zk = rng.normal(size=(1, dim))
     zk /= np.linalg.norm(zk)
 
@@ -349,32 +363,33 @@ def _gradcheck_cases(dtype, grid) -> dict:
     for label, mine in (("loss_intra", None), ("loss_nnm", np.ones(1, dtype=bool))):
 
         def f_loss(mine=mine):
-            return queue_nll([T.l2_normalize(zq_param)], zk, [negatives], 0.2, 1, mine)[0]
+            return queue_nll([T.projector(hq_param, *weights)], zk, [negatives], 0.2, 1, mine)[0]
 
-        cases[label] = (f_loss, {"zq": zq_param})
+        cases[label] = (f_loss, {"hq": hq_param})
 
     # the extrapolated key side is constant by contract (no gradients ever
     # reach the key branch), so the check perturbs the query path against
-    # a key extrapolation frozen at the unperturbed point
-    z0 = zq_param.data[0].astype(np.float64)
-    z0 /= np.linalg.norm(z0)
+    # a key extrapolation frozen at the unperturbed point, taken in
+    # float64 from the held values, so both twins freeze the same key
+    z0 = T.projector(*(a.astype(np.float64) for a in (hq_param.data, *weights))).data[0]
     zk_pos = 0.7 * z0 + np.sqrt(1 - 0.49) * _orthogonal_unit(z0, rng)
     lam = 1.3
     zk_hat_frozen = lam * zk_pos + (1 - lam) * z0
     zk_hat_frozen /= np.linalg.norm(zk_hat_frozen)
 
     def f_pft():
-        z_hat, _, _ = pft_transform(T.l2_normalize(zq_param), zk_pos[None], np.array([lam]))
+        zq = T.projector(hq_param, *weights)
+        z_hat, _, _ = pft_transform(zq, zk_pos[None], np.array([lam]))
         return queue_nll([z_hat], zk_hat_frozen[None], [negatives], 0.2, 1)[0]
 
-    cases["loss_pft_query_path"] = (f_pft, {"zq": zq_param})
+    cases["loss_pft_query_path"] = (f_pft, {"hq": hq_param})
 
     # combined multi-stream objective (intra + inter, mined numerators)
     b = 2
-    emb_params = {u: T.parameter(held(rng.normal(size=(b, dim)))) for u in ("joint", "bone")}
+    hidden = {u: T.parameter(held(rng.normal(size=(b, width)))) for u in ("joint", "bone")}
     keys = {}
     queues = {}
-    for u in emb_params:
+    for u in hidden:
         zk_u = rng.normal(size=(b, dim))
         keys[u] = zk_u / np.linalg.norm(zk_u, axis=1, keepdims=True)
         q = MemoryQueue(8, dim, dtype=dtype)
@@ -383,11 +398,11 @@ def _gradcheck_cases(dtype, grid) -> dict:
     run_config = RunConfig(streams=["joint", "bone"], tau=0.2)
 
     def f_combined():
-        emb = {u: (T.l2_normalize(p), keys[u]) for u, p in emb_params.items()}
+        emb = {u: (T.projector(h, *weights), keys[u]) for u, h in hidden.items()}
         res = combine_losses(emb, queues, run_config, True, False, RngStream(3).split("gc"))
         return res.total
 
-    cases["loss_combined"] = (f_combined, emb_params)
+    cases["loss_combined"] = (f_combined, hidden)
 
     # the linear head of the probe and finetuning: a ragged batch of three
     # rows over four classes, one of which no row is labeled with, and the

@@ -10,10 +10,12 @@ width, embedding size) is read from the `RunConfig`, which checks those
 keys when it is built.
 
 The input is an (N, T, C, V) batch of C = 3 coordinates plus the
-(V, V) normalized adjacency array.  `stgcn_forward` transposes it once,
-as a view, to channels-last (N, T, V, C), and activations keep that
-layout inside the encoder, so each block's channel mix and its weight
-gradient are plain GEMMs over (N*T*V, C) rows.  Each block is the single
+(V, V) normalized adjacency array.  The batch is data: gradients flow
+into the parameters, never into the clips, so a tracked batch is
+refused.  `stgcn_forward` transposes it once in NumPy, as a view, to
+channels-last (N, T, V, C), and activations keep that layout inside
+the encoder, so each block's channel mix and its weight gradient are
+plain GEMMs over (N*T*V, C) rows.  Each block is the single
 tape node `tensor.stgcn_block` (joint aggregation `A_hat^T X`, channel
 mix `@ W`, temporal convolution, batch norm, relu, residual), in every
 mode: the taped train-mode query pass, the untaped key pass,
@@ -120,23 +122,29 @@ def stgcn_forward(
 ) -> T.Tensor:
     """Hidden vectors h, (N, C_last), for an (N, T, C, V) batch.
 
-    `adjacency` is the (V, V) normalized adjacency of the skeleton graph.
-    `mode="train"` normalizes with batch statistics (and updates the
-    running averages unless `update_stats=False`); `mode="eval"` uses
-    the frozen running statistics and must run off the tape.
+    `x` is data, an array or an untracked tensor: the NumPy transpose to
+    channels-last would drop a tracked batch's gradient, so one raises
+    `InvalidArgument`.  `adjacency` is the (V, V) normalized adjacency of
+    the skeleton graph.  `mode="train"` normalizes with batch statistics
+    (and updates the running averages unless `update_stats=False`);
+    `mode="eval"` uses the frozen running statistics and must run off the
+    tape.
     """
     if mode not in ("train", "eval"):
         raise InvalidArgument(f"mode must be 'train' or 'eval', got {mode!r}")
     if update_stats is None:
         update_stats = mode == "train"
     x = T.as_tensor(x)
+    if T._tracked(x):
+        raise InvalidArgument("the input batch is data: gradients never flow into it, "
+                              "so it must not be tracked")
     if x.ndim != 4:
         raise ShapeMismatch("input must be an (N, T, C, V) batch")
     if x.shape[2] != IN_CHANNELS:
         raise ShapeMismatch(f"expected {IN_CHANNELS} channels, got {x.shape[2]}")
 
     cfg = params.config
-    h = T.transpose(x, (0, 1, 3, 2))  # channels-last inside the encoder
+    h = np.swapaxes(x.data, 2, 3)  # channels-last inside the encoder, a view
     for i in range(cfg.enc_blocks):
         run_mu = params[f"block{i}.norm_running_mean"]
         run_var = params[f"block{i}.norm_running_var"]

@@ -49,25 +49,28 @@ STREAM_IDS = ("joint", "bone", "motion")
 
 @dataclass(frozen=True)
 class SkeletonGraph:
-    """Tree of body joints; edges point from torso toward extremities."""
+    """Tree of body joints; edges point from torso toward extremities.
+
+    The root is joint 0, the one joint no edge targets; a dataset file
+    stores only the edges, so a graph rebuilt from it has the same root.
+    """
 
     num_joints: int
     edges: tuple[tuple[int, int], ...]
-    root: int = 0
 
     def __post_init__(self):
         v = self.num_joints
         if len(self.edges) != v - 1:
             raise ShapeMismatch(f"tree on {v} joints needs {v - 1} edges")
         targets = [tgt for _, tgt in self.edges]
-        if sorted(targets) != sorted(set(range(v)) - {self.root}):
-            raise ShapeMismatch("every non-root joint must be the target of one edge")
+        if sorted(targets) != list(range(1, v)):
+            raise ShapeMismatch("every joint but the root, joint 0, must be the target of "
+                                "one edge")
         # reachability from the root
         children: dict[int, list[int]] = {}
         for src, tgt in self.edges:
             children.setdefault(src, []).append(tgt)
-        seen = {self.root}
-        frontier = [self.root]
+        seen, frontier = {0}, [0]
         while frontier:
             j = frontier.pop()
             for c in children.get(j, ()):
@@ -183,7 +186,7 @@ def build_star_tree(num_joints: int) -> SkeletonGraph:
     if num_joints < 5:
         raise ConfigValueError("joints", f"need at least 5 joints, got {num_joints}")
     edges = tuple((max(j - 4, 0), j) for limb in range(1, 5) for j in range(limb, num_joints, 4))
-    return SkeletonGraph(num_joints=num_joints, edges=edges, root=0)
+    return SkeletonGraph(num_joints=num_joints, edges=edges)
 
 
 def _unit_rows(rows: list[list[float]]) -> np.ndarray:
@@ -268,15 +271,15 @@ def _sample_trajectory(
     return data
 
 
-def fourier_oracle_features(data: np.ndarray, root: int, num_bins: int = 8) -> np.ndarray:
+def fourier_oracle_features(data: np.ndarray, num_bins: int = 8) -> np.ndarray:
     """Rotation/translation-invariant spectral features of one sequence.
 
-    Uses per-joint root-relative distance and per-joint speed signals;
-    both are preserved by global rotations, so they expose the class
-    structure (which limb oscillates at which frequency) without
+    Uses per-joint distance to the root (joint 0) and per-joint speed
+    signals; both are preserved by global rotations, so they expose the
+    class structure (which limb oscillates at which frequency) without
     leaking the sample's random pose.
     """
-    rel = data - data[:, :, root : root + 1]
+    rel = data - data[:, :, :1]
     radius = np.linalg.norm(rel, axis=1)  # (T, V)
     speed = np.linalg.norm(np.diff(data, axis=0), axis=1)  # (T-1, V)
     feats = []
@@ -289,9 +292,7 @@ def fourier_oracle_features(data: np.ndarray, root: int, num_bins: int = 8) -> n
 
 def oracle_classifier_accuracy(sequences: list[SkeletonSequence]) -> float:
     """Nearest-centroid accuracy on hand-crafted Fourier features."""
-    feats = np.stack(
-        [fourier_oracle_features(s.data.astype(np.float64), s.graph.root) for s in sequences]
-    )
+    feats = np.stack([fourier_oracle_features(s.data.astype(np.float64)) for s in sequences])
     labels = np.array([s.label for s in sequences])
     mu = feats.mean(axis=0)
     sd = feats.std(axis=0) + 1e-9

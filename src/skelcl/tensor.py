@@ -33,10 +33,13 @@ records only such fused nodes.  The linear head is one packed (D+1, C)
 array [W; b], and its gradient comes packed the same way, so a head
 step updates one array.
 
-`add`, `concat`, `conv1d_temporal`, `exp`, `log`,
-`masked_softmax_nll_rows`, `matmul`, `mean_`, `relu`, `reshape`, `sub`
-and `where` have no caller in the package.  They stay because the
-benchmark's tracer looks each of them up by name at import.
+No generic op has a package caller: `add`, `concat`, `conv1d_temporal`,
+`div`, `exp`, `l2_normalize`, `log`, `masked_softmax_nll_rows`,
+`matmul`, `mean_`, `mul`, `relu`, `reshape`, `sqrt`, `sub`, `sum_`,
+`transpose` and `where` are called only by tests and by each other, and
+every tape the package records, gradient checks included, holds the
+fused nodes above.  They stay because the benchmark's tracer looks each
+of them up by name at import.
 """
 
 from __future__ import annotations

@@ -299,8 +299,7 @@ def pretrain(
             state.step += 1
 
         state.epoch = epoch + 1
-        new_stage = stage_of(config, state.epoch) if state.epoch < total_epochs else 3
-        if new_stage != stage and on_stage_end is not None:
+        if stage_ends and on_stage_end is not None:
             on_stage_end(state, stage)
     return state, records
 

@@ -14,6 +14,7 @@ import numpy as np
 import skelcl.tensor
 import skelcl.train
 from skelcl.checkpoint import load_checkpoint, query_params, save_checkpoint, state_to_checkpoint
+from skelcl.cli import main
 from skelcl.config import RunConfig
 from skelcl.encoder import encode, init_params
 from skelcl.rng import RngStream
@@ -44,37 +45,93 @@ def test_tracer_targets_exist_and_nothing_is_left_patched():
 
 # Names the package itself never calls, kept only because the tracer
 # snapshots them at import: the list a tracer that resolves its targets
-# when a run is traced lets the package delete.
+# when a run is traced lets the package delete.  Every generic op the
+# tracer patches is here, since each package tape holds fused nodes only.
 TRACER_ONLY = {
-    "tensor": {"add", "concat", "conv1d_temporal", "exp", "log", "masked_softmax_nll_rows",
-               "matmul", "mean_", "relu", "reshape", "sub", "where"},
+    "tensor": {"add", "concat", "conv1d_temporal", "div", "exp", "l2_normalize", "log",
+               "masked_softmax_nll_rows", "matmul", "mean_", "mul", "relu", "reshape",
+               "sqrt", "sub", "sum_", "transpose", "where"},
     "train": {"derive_streams"},
 }
 
 
+def _live_tensor_names() -> set[str]:
+    """The top-level names of tensor.py that live code names, transitively:
+    the roots are the `T.<name>` references of the other package modules
+    and tensor.py's statements outside its definitions, and a definition a
+    live name reaches makes every tensor.py name in it live too."""
+    src = SKELBENCH.parent / "src" / "skelcl"
+    tree = ast.parse((src / "tensor.py").read_text())
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    frontier = [stmt for stmt in tree.body if stmt not in defs.values()]
+    for path in src.glob("*.py"):
+        if path.name != "tensor.py":
+            frontier += [ast.Name(node.attr) for node in ast.walk(ast.parse(path.read_text()))
+                         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                         and node.value.id == "T"]
+    live = set()
+    while frontier:
+        for node in ast.walk(frontier.pop()):
+            if isinstance(node, ast.Name) and node.id in defs and node.id not in live:
+                live.add(node.id)
+                frontier.append(defs[node.id])
+    return live
+
+
 def test_every_tensor_op_is_called_or_only_traced():
-    # a public tensor function is live when tensor.py names it or another
-    # module calls it as `T.<name>`; the `derive_streams` re-export in
-    # train.py is live when the package calls it
-    used = set()
+    # a public tensor function is live when live code names it
+    # (`_live_tensor_names`); the `derive_streams` re-export in train.py is
+    # live when the package calls it
+    used = {("tensor", name) for name in _live_tensor_names()}
     for path in (SKELBENCH.parent / "src" / "skelcl").glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name) and path.name == "tensor.py":
-                used.add(("tensor", node.id))
-            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                  and node.value.id == "T"):
-                used.add(("tensor", node.attr))
-            elif isinstance(node, ast.Name) and node.id == "derive_streams":
-                used.add(("train", node.id))
+        if any(isinstance(node, ast.Name) and node.id == "derive_streams"
+               for node in ast.walk(ast.parse(path.read_text()))):
+            used.add(("train", "derive_streams"))
     public = {("tensor", name) for name, value in vars(skelcl.tensor).items()
               if inspect.isfunction(value) and value.__module__ == "skelcl.tensor"
               and not name.startswith("_")}
     unused = public | {("train", "derive_streams")}
     unused -= used
-    traced = {(owner.__name__.rpartition(".")[2], attr)
-              for owner, attr in _load_tracing().ORIGINALS}
+    tracing = _load_tracing()
+    traced = {(owner.__name__.rpartition(".")[2], attr) for owner, attr in tracing.ORIGINALS}
     assert unused <= traced, f"dead names no tracer patches: {sorted(unused - traced)}"
     assert unused == {(module, name) for module, names in TRACER_ONLY.items() for name in names}
+    assert TRACER_ONLY["tensor"] == set(tracing.TENSOR_OPS)
+
+
+def test_no_package_path_calls_a_traced_tensor_op(tmp_path, monkeypatch):
+    # every generic op the tracer patches raises, and the package still
+    # pretrains through all three stages, runs every protocol, fuses,
+    # draws both PFT tables and checks every gradient case
+    for op in _load_tracing().TENSOR_OPS:
+
+        def refuse(*args, op=op, **kwargs):
+            raise AssertionError(f"the package called the generic op T.{op}")
+
+        monkeypatch.setattr(skelcl.tensor, op, refuse)
+    data, run = str(tmp_path / "data"), tmp_path / "run"
+    assert main(["gen-data", "--classes", "3", "--per-class", "6", "--frames", "16",
+                 "--seed", "3", "--out", data]) == 0
+    argv = ["pretrain", "--data", data, "--out", str(run)]
+    for setting in ["stage_epochs=[1,1,1]", "queue_size=8", "batch_size=8", "enc_blocks=2",
+                    "enc_channels=[4,4]", "enc_hidden=8", "embed_dim=4", "knn_k=1",
+                    "pft_apply_to_inter=true"]:
+        argv += ["--set", setting]
+    assert main(argv) == 0
+    probe = ["--checkpoint", str(run / "checkpoint.bin"), "--data", data]
+    scores = [str(tmp_path / f"{stream}.json") for stream in ("joint", "bone")]
+    for stream, path in zip(("joint", "bone"), scores):
+        assert main(["linprobe", *probe, "--stream", stream, "--epochs", "1",
+                     "--scores-out", path]) == 0
+    assert main(["knn", *probe]) == 0
+    for fraction in ("1", "0.5"):
+        assert main(["finetune", *probe, "--epochs", "1", "--fraction", fraction]) == 0
+    assert main(["fuse", "--scores", *scores]) == 0
+    assert main(["pft-hist", "--random-pairs", "50"]) == 0
+    assert main(["pft-hist", *probe]) == 0
+    for precision in ("f64", "f32"):
+        assert main(["gradcheck", "--precision", precision]) == 0
 
 
 def test_benchmark_selftest_passes():

@@ -106,3 +106,19 @@ def test_summarize_pairs_runs_by_pair_and_skips_a_metric_a_side_lacks():
     assert set(got) == {"t"}
     assert got["t"]["unit"] == "s"
     assert got["t"]["change_better_in_pairs"] == 9
+
+
+def test_a_missing_workdir_is_created(tmp_path, capsys):
+    # no pairs, so no run starts: the two trees are only copied
+    trees = {}
+    for side in bench_pairs.SIDES:
+        trees[side] = tmp_path / side
+        trees[side].mkdir()
+        (trees[side] / "BENCHMARK.json").write_text(json.dumps(
+            {"command": ["true"], "run_seconds": 1, "end_to_end": []}))
+    workdir = tmp_path / "missing" / "nested"
+    assert bench_pairs.main(["--parent", str(trees["parent"]), "--change", str(trees["change"]),
+                             "--workload", "w", "--seed", "1", "--pairs", "0",
+                             "--workdir", str(workdir)]) == 0
+    assert workdir.is_dir() and list(workdir.iterdir()) == []  # the copies are removed
+    assert "all runs correct: True" in capsys.readouterr().out

@@ -254,6 +254,25 @@ def pretrain_subprocess(root: Path, tag: str, **env_set) -> list[str]:
     return (root / f"{tag}.jsonl").read_text().splitlines()
 
 
+def test_metrics_file_holds_one_fresh_run_and_a_resume_appends(pretrained, tmp_path):
+    metrics = tmp_path / "metrics.jsonl"
+    argv = ["pretrain", "--data", str(pretrained / "data"), "--out", str(tmp_path / "run"),
+            "--metrics", str(metrics)]
+    for setting in [*TINY_RUN, "stage_epochs=[1,1,0]"]:
+        argv += ["--set", setting]
+    for _ in range(2):  # a second fresh run replaces the first one's records
+        assert main(argv) == 0
+    run = metrics.read_text().splitlines()
+    assert ["config" in json.loads(line) for line in run] == [True] + [False] * 4
+    # a run resumed from the stage-1 checkpoint appends its header and the
+    # second stage's steps, which replay the uninterrupted run's
+    assert main(["pretrain", "--data", str(pretrained / "data"), "--out", str(tmp_path / "more"),
+                 "--metrics", str(metrics),
+                 "--resume", str(tmp_path / "run" / "ckpt_stage0.bin")]) == 0
+    both = metrics.read_text().splitlines()
+    assert both[:5] == run and json.loads(both[5])["config"] and both[6:] == run[3:]
+
+
 def test_pretrain_defaults_to_one_blas_thread(tmp_path):
     assert main(["gen-data", "--classes", "3", "--per-class", "6", "--frames", "16",
                  "--seed", "3", "--out", str(tmp_path / "data")]) == 0

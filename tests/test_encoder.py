@@ -94,6 +94,14 @@ class TestForward:
         with pytest.raises(ShapeMismatch, match="batch"):
             stgcn_forward(_input((8, 3, 5)), _adjacency(5), params)
 
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_tracked_batch_refused(self, mode):
+        # the input is data: a NumPy transpose would drop its gradient
+        params = init_params(TINY, RngStream(3).split("e"))
+        x = T.parameter(_input((2, 8, 3, 5)))
+        with pytest.raises(InvalidArgument, match="tracked"):
+            stgcn_forward(x, _adjacency(5), params, mode=mode)
+
     def test_unknown_mode_named(self):
         params = init_params(TINY, RngStream(3).split("e"))
         with pytest.raises(InvalidArgument, match="'test'"):
@@ -182,8 +190,10 @@ PARITY_CASES = {
 @pytest.mark.parametrize("case", sorted(PARITY_CASES))
 def test_forward_matches_composed_chain(monkeypatch, case):
     # the channels-last encoder against the (N, T, C, V) chain at f64: h,
-    # the gradients of every parameter and of the input, and the running
-    # statistics, over a 3 -> 4 entry block and a 4 -> 4 residual block
+    # the gradients of every parameter, and the running statistics, over a
+    # 3 -> 4 entry block and a 4 -> 4 residual block; the input is data,
+    # so it stays untracked (tests/test_tensor.py checks a block's input
+    # gradient)
     mode, update_stats, taped = PARITY_CASES[case]
     cfg = RunConfig(enc_blocks=2, enc_channels=[4, 4], enc_hidden=8, embed_dim=4)
     rng = np.random.default_rng(sorted(PARITY_CASES).index(case))
@@ -199,18 +209,17 @@ def test_forward_matches_composed_chain(monkeypatch, case):
     monkeypatch.setattr(T, "BLOCK_CHUNK_BYTES", 2 * frames * joints * 4 * 8)
     results = []
     for forward in (stgcn_forward, composed_forward):
-        p, xt = params.copy(), T.parameter(x.copy())
+        p = params.copy()
         grads = {}
         if taped:
             with T.Tape():
-                h = forward(xt, adjacency, p, mode, update_stats)
+                h = forward(x, adjacency, p, mode, update_stats)
                 by_tensor = T.backward(T.sum_(T.mul(h, w)))
             grads = {name: by_tensor[t].data for name, t in p.trainable().items()
                      if not name.startswith("projector.")}
-            grads["x"] = by_tensor[xt].data
         else:
             with T.no_tape():
-                h = forward(xt, adjacency, p, mode, update_stats)
+                h = forward(x, adjacency, p, mode, update_stats)
         running = {name: t.data for name, t in p.tensors.items() if "running" in name}
         results.append((h.data, grads, running))
     (h, grads, running), (ref_h, ref_grads, ref_running) = results

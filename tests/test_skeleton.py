@@ -166,6 +166,12 @@ class TestGraph:
         with pytest.raises(ShapeMismatch):
             SkeletonGraph(num_joints=4, edges=((0, 1), (2, 3), (3, 2)))
 
+    def test_root_is_joint_zero(self):
+        # a dataset file stores only the edges and rebuilds the graph from
+        # them, so a tree rooted at another joint is refused when built
+        with pytest.raises(ShapeMismatch, match="joint 0"):
+            SkeletonGraph(num_joints=3, edges=((1, 0), (1, 2)))
+
     def test_normalized_adjacency_symmetric(self):
         a = build_star_tree(9).normalized_adjacency(np.float64)
         np.testing.assert_allclose(a, a.T)

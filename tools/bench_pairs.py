@@ -4,10 +4,11 @@
         --seed 2222 --pairs 10 [--out pairs.json] [--workdir DIR]
 
 DIR is the root of a checkout (a `git archive` of a commit will do).
-Each side runs from a fresh copy of its tree, made in a new directory
-under --workdir (a temporary one by default, removed afterwards): the
-directory a tree runs from has moved desk-pretrain `step_ms_p50` by 13%
-with the code unchanged, so both sides get one made the same way.  The
+Each side runs from a fresh copy of its tree, made in a new directory,
+removed afterwards, under --workdir (created if missing; a temporary
+one by default): the directory a tree runs from has moved desk-pretrain
+`step_ms_p50` by 13% with the code unchanged, so both sides get one
+made the same way.  The
 command is `BENCHMARK.json`'s, from the change's tree, with
 `--workload`, `--seed` and `--seconds` (its `run_seconds`) added; pair
 i runs the parent first when i is even and the change first when it is
@@ -163,6 +164,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
+    if args.workdir:
+        args.workdir.mkdir(parents=True, exist_ok=True)
     workdir = Path(tempfile.mkdtemp(prefix="bench_pairs-", dir=args.workdir))
     try:
         trees = {side: fresh_copy(getattr(args, side).resolve(), workdir / side)
