@@ -349,9 +349,14 @@ def _gradcheck_cases(dtype, grid) -> dict:
     cases["projector"] = (f_proj, proj_params.trainable())
 
     # loss terms on slim embeddings: the unit rows of a fixed projector,
-    # weights and biases drawn, over free hidden rows, one row each
-    width, dim = 4, 6
-    weights = [held(rng.normal(size=shape)) for shape in ((width, 8), (8,), (8, dim), (dim,))]
+    # weights and biases drawn, over free hidden rows, one row each.  Eight
+    # inputs and sixteen hidden units (about eight active past the relu)
+    # let each row's Jacobian dz/dh span all dim - 1 tangent directions of
+    # the unit sphere at z, so the check covers every direction of the
+    # loss's gradient in z, as a free unit row does
+    width, units, dim = 8, 16, 6
+    weights = [held(rng.normal(size=shape))
+               for shape in ((width, units), (units,), (units, dim), (dim,))]
     fill = rng.normal(size=(8, dim))
     fill /= np.linalg.norm(fill, axis=1, keepdims=True)
     negatives = held(fill)

@@ -134,17 +134,17 @@ def stgcn_forward(
         raise InvalidArgument(f"mode must be 'train' or 'eval', got {mode!r}")
     if update_stats is None:
         update_stats = mode == "train"
-    x = T.as_tensor(x)
-    if T._tracked(x):
+    if isinstance(x, T.Tensor) and (x.requires_grad or x.node is not None):
         raise InvalidArgument("the input batch is data: gradients never flow into it, "
                               "so it must not be tracked")
+    x = T.as_tensor(x).data
     if x.ndim != 4:
         raise ShapeMismatch("input must be an (N, T, C, V) batch")
     if x.shape[2] != IN_CHANNELS:
         raise ShapeMismatch(f"expected {IN_CHANNELS} channels, got {x.shape[2]}")
 
     cfg = params.config
-    h = np.swapaxes(x.data, 2, 3)  # channels-last inside the encoder, a view
+    h = np.swapaxes(x, 2, 3)  # channels-last inside the encoder, a view
     for i in range(cfg.enc_blocks):
         run_mu = params[f"block{i}.norm_running_mean"]
         run_var = params[f"block{i}.norm_running_var"]

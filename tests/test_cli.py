@@ -14,7 +14,8 @@ import pytest
 
 import skelcl.train
 from skelcl import BLAS_THREAD_VARS
-from skelcl.cli import _gradcheck_components, build_parser, main
+from skelcl import tensor as T
+from skelcl.cli import _gradcheck_cases, _gradcheck_components, build_parser, main
 from skelcl.config import RunConfig
 from skelcl.errors import ConfigValueError
 from skelcl.skeleton import SkeletonSequence, load_dataset, read_file, write_dataset, write_file
@@ -66,8 +67,38 @@ def test_gradcheck_f32_passes_every_component(capsys):
     assert doc["pass"] is True and doc["tolerance"] == 1e-3
 
 
+def test_gradcheck_loss_queries_span_every_tangent_direction(monkeypatch):
+    """Each loss case's unit queries come from the projector over free
+    hidden rows; the check covers every direction of the loss's gradient
+    in z only when each row's Jacobian dz/dh spans the dim - 1 tangent
+    directions of the unit sphere at z, as a free unit row's does."""
+    seen = []
+    projector = T.projector
+
+    def recording(*inputs):
+        seen.append([np.asarray(getattr(a, "data", a), dtype=np.float64) for a in inputs])
+        return projector(*inputs)
+
+    monkeypatch.setattr(T, "projector", recording)
+    cases = _gradcheck_cases(np.float64, np.float64)
+    for name in ("loss_intra", "loss_nnm", "loss_pft_query_path", "loss_combined"):
+        seen.clear()
+        cases[name][0]()
+        assert seen, name
+        for h, w1, b1, w2, b2 in seen:
+            pre = h @ w1 + b1
+            v = np.maximum(pre, 0.0) @ w2 + b2
+            for row, active, z in zip(pre, pre > 0, v / np.linalg.norm(v, axis=1, keepdims=True)):
+                tangent = np.eye(z.size) - np.outer(z, z)
+                jacobian = tangent @ w2.T @ (w1 * active).T
+                assert np.linalg.matrix_rank(jacobian) == z.size - 1, name
+
+
 def test_gradcheck_f32_loss_components_within_tolerance():
-    results = _gradcheck_components(np.float32, eps=1e-2)
+    # float32 analytic gradients against float64 differences at the same
+    # values: float32 differences at this step carry rounding near 3e-5,
+    # which decides the check on any small gradient coordinate
+    results = _gradcheck_components(np.float32, eps=1e-2, reference=np.float64)
     errors = {name: res.max_rel_error for name, res in results.items() if name.startswith("loss_")}
     assert len(errors) == 4
     assert all(error < 1e-3 for error in errors.values()), errors
