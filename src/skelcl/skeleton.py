@@ -271,8 +271,13 @@ def _sample_trajectory(
     return data
 
 
-def fourier_oracle_features(data: np.ndarray, num_bins: int = 8) -> np.ndarray:
-    """Rotation/translation-invariant spectral features of one sequence.
+ORACLE_BINS = 8  # lowest nonzero frequencies of each oracle signal kept
+
+
+def fourier_oracle_features(data: np.ndarray) -> np.ndarray:
+    """Rotation/translation-invariant spectral features of one sequence:
+    the magnitudes of the `ORACLE_BINS` lowest nonzero frequencies of
+    each joint's two signals.
 
     Uses per-joint distance to the root (joint 0) and per-joint speed
     signals; both are preserved by global rotations, so they expose the
@@ -285,7 +290,7 @@ def fourier_oracle_features(data: np.ndarray, num_bins: int = 8) -> np.ndarray:
     feats = []
     for signal in (radius, speed):
         centered = signal - signal.mean(axis=0, keepdims=True)
-        mags = np.abs(np.fft.rfft(centered, axis=0))[1 : 1 + num_bins]
+        mags = np.abs(np.fft.rfft(centered, axis=0))[1 : 1 + ORACLE_BINS]
         feats.append(mags.T.reshape(-1))
     return np.concatenate(feats)
 

@@ -131,8 +131,8 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "node")
 
-    def __init__(self, data, dtype=None, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(DEFAULT_DTYPE)
         self.data = arr

@@ -21,8 +21,12 @@ bit for bit.  Settings live in `RunConfig` only; a `TrainState`, built
 by `init_train_state` alone, holds arrays and counters, its `buffers`
 the SGD momentum keyed "{stream}.{param}".
 
-The protocols stack a split once (`skeleton.clip_batch`) and derive the
-probed stream from that stack.  Their eval-mode features come from
+The protocols read their train/val pair through one reader, `_splits`:
+it refuses an empty split, stacks each split once (`skeleton.clip_batch`),
+refuses a val split on another skeleton graph than the train split's,
+derives the probed stream from each stack and reads each split's labels
+once, so finetuning's semi-supervised subset is picked from the labels
+the reader returned.  Their eval-mode features come from
 `eval_features`, whose passes are sized by one byte budget,
 `FEATURE_BYTES`, on the full-batch block activations a pass holds, not
 by a clip count: each call has a fixed cost, so a pass takes as many
@@ -57,10 +61,12 @@ from .errors import (
     EmptyTrainSplit,
     EmptyValSplit,
     EncoderModified,
+    InvalidArgument,
     InvalidLabel,
     LengthMismatch,
     NonFiniteLoss,
     NonFiniteValue,
+    ShapeMismatch,
     UnlabeledClip,
 )
 from .rng import RngStream
@@ -207,7 +213,9 @@ def pretrain(
 ) -> tuple[TrainState, list[dict]]:
     """Run the three-stage schedule; returns final state and metric records.
 
-    `state` resumes a checkpointed run from its epoch cursor.  The first
+    `state` resumes a checkpointed run from its epoch cursor; it must hold
+    `config` itself (`InvalidArgument` otherwise), so the state returned,
+    and any checkpoint of it, records the config that ran.  The first
     record is a header with the materialized config and its hash; the
     last step record of each stage also carries the collapse signal
     `z_cos:{stream}` and `z_std:{stream}` (`z_spread`) of that step's
@@ -223,6 +231,8 @@ def pretrain(
     total_epochs = sum(config.stage_epochs)
     if state is None:
         state = init_train_state(config)
+    elif state.config != config:
+        raise InvalidArgument("state was built for another config: continue it with its own")
     root = RngStream(config.seed)
 
     records: list[dict] = [
@@ -311,12 +321,6 @@ FEATURE_BYTES = 8 * 2**20  # full-batch activation bytes one eval-mode pass may 
 PROTOCOL_BATCH = 32  # clips per SGD step of the linear probe and finetuning
 
 
-def _stream_batch(sequences: list[SkeletonSequence], stream: str) -> tuple[np.ndarray, np.ndarray]:
-    """The clips' normalized adjacency and their (N, T, C, V) `stream` array."""
-    graph, joints = clip_batch(sequences)
-    return graph.normalized_adjacency(np.float32), stream_arrays(joints, graph, (stream,))[stream]
-
-
 def eval_features(x: np.ndarray, adjacency: np.ndarray, params: EncoderParams,
                   projected: bool) -> np.ndarray:
     """Eval-mode hidden vectors h, or projected embeddings z, one row per
@@ -345,22 +349,28 @@ def eval_features(x: np.ndarray, adjacency: np.ndarray, params: EncoderParams,
     return np.concatenate(outs)
 
 
-def _features(
-    params: EncoderParams, sequences: list[SkeletonSequence], stream: str, projected: bool
-) -> np.ndarray:
-    """Eval-mode hidden vectors h, or projected embeddings z, one row per
-    clip, from `eval_features`: as many clips per pass as `FEATURE_BYTES`
-    of activations allow, which trades the per-call cost of many small
-    passes against bounded memory at real channel widths."""
-    adjacency, x = _stream_batch(sequences, stream)
-    return eval_features(x, adjacency, params, projected)
+def _splits(train_seqs, val_seqs, stream: str, protocol: str) -> tuple[np.ndarray, ...]:
+    """The protocols' one reader of a train/val pair: (adjacency, x_train,
+    y_train, x_val, y_val).
 
-
-def _check_splits(train_seqs, val_seqs, protocol: str) -> None:
+    An empty split raises `EmptyTrainSplit` or `EmptyValSplit`.  Each
+    split is stacked once (`clip_batch`, whose clips share one graph and
+    frame count); a val graph that is not the train one raises
+    `ShapeMismatch` naming `protocol`, while the two splits' frame counts
+    may differ.  The x arrays are each stack's (N, T, C, V) `stream`
+    view, and each split's labels are read once (`_labels`).
+    """
     if not train_seqs:
         raise EmptyTrainSplit(f"{protocol} needs training samples")
     if not val_seqs:
         raise EmptyValSplit(f"{protocol} needs validation samples")
+    graph, train = clip_batch(train_seqs)
+    val_graph, val = clip_batch(val_seqs)
+    if val_graph != graph:
+        raise ShapeMismatch(f"{protocol}: the val clips' skeleton graph is not the train clips'")
+    x_train, x_val = (stream_arrays(joints, graph, (stream,))[stream] for joints in (train, val))
+    return (graph.normalized_adjacency(np.float32), x_train, _labels(train_seqs, "train"), x_val,
+            _labels(val_seqs, "val"))
 
 
 def _labels(sequences, split: str) -> np.ndarray:
@@ -464,11 +474,11 @@ def linear_probe(
         raise ConfigValueError("linear_epochs", f"must be nonnegative, got {epochs}")
     if not lr > 0:
         raise ConfigValueError("linear_lr", f"must be positive, got {lr}")
-    _check_splits(train_seqs, val_seqs, "linear probe")
-    y_train, y_val = _labels(train_seqs, "train"), _labels(val_seqs, "val")
+    adjacency, x_train, y_train, x_val, y_val = _splits(train_seqs, val_seqs, stream,
+                                                        "linear probe")
     digest_before = params.digest()
-    h_train = _features(params, train_seqs, stream, projected=False)
-    h_val = _features(params, val_seqs, stream, projected=False)
+    h_train = eval_features(x_train, adjacency, params, projected=False)
+    h_val = eval_features(x_val, adjacency, params, projected=False)
     num_classes = int(max(y_train.max(), y_val.max())) + 1
     w, b = _fit_head(h_train, h_train.shape[1], y_train, num_classes, {}, lr, 0.0,
                      RngStream(seed).split("linear_probe"), epochs)
@@ -496,27 +506,17 @@ def knn_probe(
     stable top-k: similarity ties go to the lower train index.  Vote ties
     go to the smaller class.
     """
-    _check_splits(train_seqs, val_seqs, "knn probe")
+    adjacency, x_train, y_train, x_val, y_val = _splits(train_seqs, val_seqs, stream, "knn probe")
     if k < 1:
         raise ConfigValueError("knn_k", f"must be positive, got {k}")
-    if k > len(train_seqs):
-        raise ConfigValueError("knn_k", f"k={k} exceeds the training split size {len(train_seqs)}")
-    y_train, y_val = _labels(train_seqs, "train"), _labels(val_seqs, "val")
-    z_train = _features(params, train_seqs, stream, projected=True)
-    z_val = _features(params, val_seqs, stream, projected=True)
+    if k > len(y_train):
+        raise ConfigValueError("knn_k", f"k={k} exceeds the training split size {len(y_train)}")
+    z_train = eval_features(x_train, adjacency, params, projected=True)
+    z_val = eval_features(x_val, adjacency, params, projected=True)
     nearest, _ = nnm_mine(z_val @ z_train.T, k)
     votes = np.zeros((len(y_val), int(y_train.max()) + 1), dtype=np.int64)
     np.add.at(votes, (np.arange(len(y_val))[:, None], y_train[nearest]), 1)
     return np.count_nonzero(np.argmax(votes, axis=1) == y_val) / len(y_val)
-
-
-def stratified_fraction(
-    sequences: list[SkeletonSequence], fraction: float, rng: RngStream
-) -> list[int]:
-    """Class-stratified subset indices with a one-per-class floor."""
-    if not 0 < fraction <= 1:
-        raise ConfigValueError("fraction", f"must lie in (0, 1], got {fraction}")
-    return stratified_pick(_labels(sequences, "train"), fraction, rng.generator(), floor=1)
 
 
 @dataclass
@@ -547,7 +547,8 @@ def finetune(
     shrink it.  `FinetuneResult.params` keeps its values.
 
     `fraction < 1` runs the semi-supervised protocol on a class-
-    stratified labeled subset (at least one sample per class).
+    stratified labeled subset (at least one sample per class); a
+    fraction outside (0, 1] raises `ConfigValueError` ("fraction").
     """
     if epochs < 0:
         raise ConfigValueError("finetune_epochs", f"must be nonnegative, got {epochs}")
@@ -555,13 +556,13 @@ def finetune(
         raise ConfigValueError("finetune_lr", f"must be positive, got {lr}")
     if not weight_decay >= 0:
         raise ConfigValueError("weight_decay", f"must be nonnegative, got {weight_decay}")
-    _check_splits(train_seqs, val_seqs, "finetuning")
-    rng = RngStream(seed).split("finetune")
-    subset = stratified_fraction(train_seqs, fraction, rng.split("subset"))
-    y_val = _labels(val_seqs, "val")
+    if not 0 < fraction <= 1:
+        raise ConfigValueError("fraction", f"must lie in (0, 1], got {fraction}")
     # the whole train split, not only the subset, must share one graph
-    adjacency, x = _stream_batch(train_seqs, stream)
-    x, y = x[subset], _labels(train_seqs, "train")[subset]
+    adjacency, x, y, x_val, y_val = _splits(train_seqs, val_seqs, stream, "finetuning")
+    rng = RngStream(seed).split("finetune")
+    subset = stratified_pick(y, fraction, rng.split("subset").generator(), floor=1)
+    x, y = x[subset], y[subset]  # the rebinding frees the whole split's stack
     num_classes = int(max(y.max(), y_val.max())) + 1
 
     tuned = params.copy()
@@ -570,7 +571,7 @@ def finetune(
     w, b = _fit_head(x, tuned.config.enc_channels[-1], y, num_classes, blocks, lr, weight_decay,
                      rng, epochs, lambda batch: stgcn_forward(batch, adjacency, tuned, mode="train"))
 
-    h_val = _features(tuned, val_seqs, stream, projected=False)
+    h_val = eval_features(x_val, adjacency, tuned, projected=False)
     accuracy = float((np.argmax(_val_logits(h_val, w, b, "finetune"), axis=1) == y_val).mean())
     return FinetuneResult(accuracy, tuned, digest_before, tuned.digest(), len(subset))
 

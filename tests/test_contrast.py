@@ -71,7 +71,7 @@ def random_unit_pair(rng, dim, similarity):
 def single_nll(zq, zk, queue, tau, mine=None, k=1) -> float:
     """`queue_nll` on a batch of one 64-bit query row; with `mine` True
     its numerator adds its `k` most similar queue entries."""
-    zq = T.Tensor(np.asarray(zq)[None, :], dtype=np.float64)
+    zq = T.Tensor(np.asarray(zq, dtype=np.float64)[None, :])
     mine = None if mine is None else np.array([mine])
     _, losses, _ = queue_nll([zq], np.asarray(zk)[None, :], [queue.contents()], tau, 1, mine, k)
     return float(losses[0])
@@ -92,7 +92,7 @@ def stable_top_k(sims, k):
 def pft_batch(zq, zk, lam):
     """`pft_transform` on stacked 64-bit rows; returns numpy arrays."""
     zq_hat, zk_hat, applied = pft_transform(
-        T.Tensor(np.atleast_2d(zq), dtype=np.float64), np.atleast_2d(zk), np.atleast_1d(lam)
+        T.Tensor(np.atleast_2d(np.asarray(zq, dtype=np.float64))), np.atleast_2d(zk), np.atleast_1d(lam)
     )
     return zq_hat.data, zk_hat, applied
 
@@ -597,7 +597,7 @@ class TestInterLoss:
         fill = filled_queue(rng, 16, 8).contents()
         emb, queues = {}, {}
         for s in ("joint", "bone"):
-            emb[s] = (T.Tensor(zq, dtype=np.float64), zk.copy())
+            emb[s] = (T.Tensor(zq), zk.copy())
             queues[s] = MemoryQueue(16, 8, dtype=np.float64)
             queues[s].push(fill)
         res = combine_losses(emb, queues, RunConfig(streams=["joint", "bone"], tau=0.2),
@@ -899,7 +899,7 @@ def _stream_inputs(rng, streams, batch, dim, queue_size):
         zq /= np.linalg.norm(zq, axis=1, keepdims=True)
         zk = rng.normal(size=(batch, dim))
         zk /= np.linalg.norm(zk, axis=1, keepdims=True)
-        embeddings[s] = (T.Tensor(zq, dtype=np.float64), zk)
+        embeddings[s] = (T.Tensor(zq), zk)
         queues[s] = filled_queue(rng, queue_size, dim)
     return embeddings, queues
 
@@ -929,7 +929,7 @@ class TestCombineLosses:
         emb, queues = {}, {}
         for s in streams:
             z = np.tile(e1, (2, 1))
-            emb[s] = (T.Tensor(z, dtype=np.float64), z.copy())
+            emb[s] = (T.Tensor(z), z.copy())
             q = MemoryQueue(4, 8, dtype=np.float64)
             q.push(e1[None, :])
             queues[s] = q

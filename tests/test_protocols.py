@@ -27,16 +27,17 @@ from skelcl.skeleton import (
     clip_batch,
     derive_streams,
     generate_synthetic_dataset,
+    stratified_pick,
     write_dataset,
 )
 from skelcl.train import (
     PROTOCOL_BATCH,
+    eval_features,
     finetune,
     fuse_predictions,
     knn_probe,
     linear_probe,
     pretrain,
-    stratified_fraction,
 )
 
 TINY = RunConfig(enc_blocks=1, enc_channels=[4], enc_hidden=8, embed_dim=4)
@@ -101,25 +102,36 @@ def test_finetune_fraction_keeps_every_class(splits, params):
     train, val = splits
     result = finetune(params, train, val, stream="joint", fraction=0.1, epochs=1, lr=0.1,
                       weight_decay=1e-4, seed=3)
-    subset = stratified_fraction(train, 0.1, RngStream(3).split("finetune").split("subset"))
+    labels = np.array([s.label for s in train])
+    subset = stratified_pick(labels, 0.1, RngStream(3).split("finetune").split("subset").generator(),
+                             floor=1)
     assert {train[i].label for i in subset} == {s.label for s in train}
     assert result.subset_size == len(subset) == 3
     assert result.encoder_digest_before == params.digest()
 
 
-def test_stratified_fraction_counts_and_order(splits):
-    train, _ = splits
+def test_finetune_subset_counts_order_and_range(splits, params):
+    # finetuning's subset is `stratified_pick` with a one-per-class floor,
+    # and a fraction outside (0, 1] is refused by name
+    train, val = splits
     labels = np.array([s.label for s in train])
-    picked = stratified_fraction(train, 0.5, RngStream(0).split("s"))
+
+    def pick(fraction):
+        return stratified_pick(labels, fraction, RngStream(0).split("s").generator(), floor=1)
+
+    picked = pick(0.5)
     assert picked == sorted(set(picked))
     for cls in np.unique(labels):
         n = int((labels == cls).sum())
         assert int((labels[picked] == cls).sum()) == max(1, round(n * 0.5))
-    assert picked == stratified_fraction(train, 0.5, RngStream(0).split("s"))
-    assert stratified_fraction(train, 1.0, RngStream(0).split("s")) == list(range(len(train)))
-    for bad in (0.0, 1.5):
-        with pytest.raises(ValueError):
-            stratified_fraction(train, bad, RngStream(0))
+    assert picked == pick(0.5)
+    assert pick(1.0) == list(range(len(train)))
+    assert len(pick(0.01)) == len(np.unique(labels))
+    for bad in (0.0, 1.5, np.nan):
+        with pytest.raises(ConfigValueError) as err:
+            finetune(params, train, val, stream="joint", fraction=bad, epochs=1, lr=0.1,
+                     weight_decay=0.0, seed=0)
+        assert err.value.key == "fraction"
 
 
 def test_fuse_predictions_weighted_argmax():
@@ -368,6 +380,34 @@ def test_clips_on_mixed_graphs_rejected(splits, params, tmp_path, call):
     assert list(tmp_path.iterdir()) == []
 
 
+PROTOCOL_NAMES = {"linear_probe": "linear probe", "knn_probe": "knn probe",
+                  "finetune": "finetuning"}
+
+
+@pytest.mark.parametrize("skeleton", ["chain_9", "star_13"])
+@pytest.mark.parametrize("call", sorted(PROTOCOL_CALLS))
+def test_val_split_on_another_skeleton_rejected(splits, params, call, skeleton):
+    # each split stacks on its own, so a val split on another graph would
+    # be encoded with its own adjacency and scored by the train split's head
+    train, val = splits
+    if skeleton == "chain_9":
+        chain = SkeletonGraph(num_joints=9, edges=tuple((j, j + 1) for j in range(8)))
+        other = [SkeletonSequence(s.data, chain, s.label) for s in val]
+    else:
+        other = generate_synthetic_dataset(3, 2, frames=16, joints=13, seed=2,
+                                           check_separability=False)
+    with pytest.raises(ShapeMismatch, match=f"{PROTOCOL_NAMES[call]}: the val clips' skeleton"):
+        PROTOCOL_CALLS[call](params, train, other)
+
+
+@pytest.mark.parametrize("call", sorted(PROTOCOL_CALLS))
+def test_splits_may_differ_in_frame_count(splits, params, call):
+    train, val = splits
+    shorter = [SkeletonSequence(s.data[:12], s.graph, s.label) for s in val]
+    result = PROTOCOL_CALLS[call](params, train, shorter)
+    assert 0 <= getattr(result, "accuracy", result) <= 1
+
+
 # -- the protocols before they shared one path, kept as references ------------------------
 
 REFERENCE_BATCH = 32
@@ -406,6 +446,18 @@ def reference_sgd(params, grads, buffers, lr, momentum, weight_decay):
         p.data[...] = p.data - lr * buf
 
 
+def reference_head_grads(h, w, b, y):
+    """The (w, b) gradients of the mean softmax cross-entropy of the
+    logits h @ w + b against labels y, in NumPy: d = (softmax - one-hot)
+    / B, with the 1 / B applied to each row's softmax denominator first."""
+    logits = h @ w + b
+    exps = np.exp(logits - logits.max(axis=1, keepdims=True))
+    g = np.float32(1) / len(y)
+    d = exps * (g / exps.sum(axis=1, keepdims=True))
+    d[np.arange(len(y)), y] -= g
+    return h.T @ d, d.sum(axis=0)
+
+
 def reference_linear_probe(params, train, val, stream, epochs, lr, seed):
     h_train = reference_features(params, train, stream, projected=False)
     h_val = reference_features(params, val, stream, projected=False)
@@ -420,13 +472,8 @@ def reference_linear_probe(params, train, val, stream, epochs, lr, seed):
         order = rng.split(f"e{epoch}").generator().permutation(n)
         for bi in range(math.ceil(n / REFERENCE_BATCH)):
             idx = order[bi * REFERENCE_BATCH : (bi + 1) * REFERENCE_BATCH]
-            mask = np.eye(num_classes, dtype=bool)[y_train[idx]]
-            with T.Tape():
-                logits = T.add(T.matmul(T.Tensor(h_train[idx]), w), b)
-                loss = T.mean_(T.masked_softmax_nll_rows(logits, mask))
-                grads = T.backward(loss)
-            reference_sgd({"w": w, "b": b}, {"w": grads[w].data, "b": grads[b].data}, buffers,
-                          lr, 0.9, 0.0)
+            g_w, g_b = reference_head_grads(h_train[idx], w.data, b.data, y_train[idx])
+            reference_sgd({"w": w, "b": b}, {"w": g_w, "b": g_b}, buffers, lr, 0.9, 0.0)
     val_logits = h_val @ w.data + b.data
     shifted = np.exp(val_logits - val_logits.max(axis=1, keepdims=True))
     accuracy = float((np.argmax(val_logits, axis=1) == y_val).mean())
@@ -451,34 +498,34 @@ def reference_finetune(params, train, val, stream, fraction, epochs, lr, weight_
     """Accuracy, tuned encoder, head weights and bias, and subset size;
     `step_projector` also steps the projector, which no gradient reaches."""
     rng = RngStream(seed).split("finetune")
-    subset = [train[i] for i in stratified_fraction(train, fraction, rng.split("subset"))]
+    picked = stratified_pick(reference_labels(train), fraction, rng.split("subset").generator(),
+                             floor=1)
+    subset = [train[i] for i in picked]
     tuned = params.copy()
     adjacency = train[0].graph.normalized_adjacency(np.float32)
     arrays = np.stack([derive_streams(s, (stream,))[stream] for s in subset])
     y, y_val = reference_labels(subset), reference_labels(val)
     num_classes = int(max(y.max(), y_val.max())) + 1
-    head_w = T.parameter(np.zeros((tuned.config.enc_channels[-1], num_classes), dtype=np.float32))
-    head_b = T.parameter(np.zeros(num_classes, dtype=np.float32))
+    dim = tuned.config.enc_channels[-1]
+    head = T.parameter(np.zeros((dim + 1, num_classes), dtype=np.float32))  # [w; b]
     stepped = {name: t for name, t in tuned.trainable().items()
                if step_projector or not name.startswith("projector.")}
-    trainable = {**stepped, "head.w": head_w, "head.b": head_b}
+    trainable = {**stepped, "head": head}
     buffers = {}
     n = len(arrays)
     for epoch in range(epochs):
         order = rng.split(f"e{epoch}").generator().permutation(n)
         for bi in range(math.ceil(n / REFERENCE_BATCH)):
             idx = order[bi * REFERENCE_BATCH : (bi + 1) * REFERENCE_BATCH]
-            mask = np.eye(num_classes, dtype=bool)[y[idx]]
             with T.Tape():
                 h = stgcn_forward(arrays[idx], adjacency, tuned, mode="train")
-                logits = T.add(T.matmul(h, head_w), head_b)
-                loss = T.mean_(T.masked_softmax_nll_rows(logits, mask))
-                grads = T.backward(loss)
+                grads = T.backward(T.linear_softmax_nll(h, head, y[idx]))
             named = {name: grads[t].data for name, t in trainable.items() if t in grads}
             reference_sgd(trainable, named, buffers, lr, 0.9, weight_decay)
+    head_w, head_b = head.data[:dim], head.data[dim]
     h_val = reference_features(tuned, val, stream, projected=False)
-    predicted = np.argmax(h_val @ head_w.data + head_b.data, axis=1)
-    return float((predicted == y_val).mean()), tuned, head_w.data, head_b.data, len(subset)
+    predicted = np.argmax(h_val @ head_w + head_b, axis=1)
+    return float((predicted == y_val).mean()), tuned, head_w, head_b, len(subset)
 
 
 @pytest.mark.parametrize("stream", ["joint", "bone", "motion"])
@@ -548,10 +595,12 @@ def test_features_do_not_depend_on_the_pass_size(large_splits, monkeypatch, chan
                        embed_dim=dim)
     params = init_params(config, RngStream(5).split("enc"))
     train, _ = large_splits
+    graph, x = clip_batch(train)  # the joint stream is the stack itself
+    adjacency = graph.normalized_adjacency(np.float32)
     for projected in (False, True):
-        default = skelcl.train._features(params, train, "joint", projected)
+        default = eval_features(x, adjacency, params, projected)
         reference = reference_features(params, train, "joint", projected)
         with monkeypatch.context() as patch:
             patch.setattr(skelcl.train, "FEATURE_BYTES", 1)
-            smallest = skelcl.train._features(params, train, "joint", projected)
+            smallest = eval_features(x, adjacency, params, projected)
         assert default.tobytes() == reference.tobytes() == smallest.tobytes()

@@ -135,7 +135,7 @@ class TestSoftmaxNll:
         logits = rng.uniform(-5, 5, size=(6, 9))
         mask = rng.uniform(size=(6, 9)) < 0.3
         mask[:, 0] = True
-        rows = T.masked_softmax_nll_rows(T.Tensor(logits, dtype=np.float64), mask)
+        rows = T.masked_softmax_nll_rows(T.Tensor(logits), mask)
         for i in range(6):
             assert abs(rows.data[i] - one_row_nll(logits[i], mask[i], np.float64)) < 1e-12
             assert abs(rows.data[i] - brute_force_nll(logits[i], mask[i])) < 1e-9

@@ -11,7 +11,7 @@ import skelcl.train
 from skelcl import tensor as T
 from skelcl.augment import AugmentPipeline
 from skelcl.config import RunConfig
-from skelcl.errors import ConfigValueError, NonFiniteLoss, NonFiniteValue
+from skelcl.errors import ConfigValueError, InvalidArgument, NonFiniteLoss, NonFiniteValue
 from skelcl.skeleton import (
     SkeletonSequence,
     build_star_tree,
@@ -334,13 +334,31 @@ def test_non_finite_loss_has_no_stream(monkeypatch):
                        enc_channels=[4], enc_hidden=8, embed_dim=4)
 
     def overflowing(*args):
-        return T.exp(T.Tensor(np.array([1e4], dtype=np.float32)))
+        # a fused node whose float32 logit overflows: its loss is not finite
+        rows = np.array([[1e30]], dtype=np.float32)
+        head = np.array([[1e30, 0.0], [0.0, 0.0]], dtype=np.float32)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return T.linear_softmax_nll(rows, head, np.array([0]))
 
     monkeypatch.setattr(skelcl.train, "combine_losses", overflowing)
     with pytest.raises(NonFiniteLoss) as err:
         pretrain(data, config)
     e = err.value
-    assert (e.op, e.epoch, e.step, e.stage, e.stream) == ("exp", 0, 0, "basic", None)
+    assert (e.op, e.epoch, e.step, e.stage, e.stream) == ("linear_softmax_nll", 0, 0, "basic", None)
+
+
+def test_pretrain_continues_only_the_state_of_its_own_config():
+    # a state built for another config would run this config's schedule
+    # and tau, then return (and checkpoint) the other config
+    data = generate_synthetic_dataset(2, 2, frames=16, seed=1, check_separability=False)
+    config = RunConfig(stage_epochs=[1, 0, 0], queue_size=4, batch_size=4, enc_blocks=1,
+                       enc_channels=[4], enc_hidden=8, embed_dim=4)
+    other = init_train_state(RunConfig(**{**config.to_dict(), "tau": 0.5}))
+    with pytest.raises(InvalidArgument, match="another config"):
+        pretrain(data, config, state=other)
+    assert (other.epoch, other.step) == (0, 0)
+    state, _ = pretrain(data, config, state=init_train_state(RunConfig(**config.to_dict())))
+    assert state.config == config and state.step == 1
 
 
 def test_pretrain_leaves_no_tape_node_for_the_collector():
