@@ -421,12 +421,12 @@ def _gradcheck_cases(dtype, grid) -> dict:
     return cases
 
 
-def _gradcheck_components(dtype, eps=1e-4, reference=None) -> dict:
+def _gradcheck_components(dtype, reference=None) -> dict:
     """`T.grad_check` of every component built in `dtype`.  With a
     `reference` dtype, the finite differences are taken on the
     component's twin built in that dtype from the same values."""
     twins = _gradcheck_cases(reference, dtype) if reference is not None else {}
-    return {name: T.grad_check(f, params, eps=eps, reference=twins.get(name))
+    return {name: T.grad_check(f, params, reference=twins.get(name))
             for name, (f, params) in _gradcheck_cases(dtype, dtype).items()}
 
 

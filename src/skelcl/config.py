@@ -1,21 +1,31 @@
 """Run configuration: one flat, validated, fully-materialized key set.
 
-`config_from_dict(*docs)` is the one builder: it starts from the
-package defaults and applies each document in order, so a later one
-wins.  The command line passes a config file (`read_config`), then its
-`--set` pairs, then its flags; a checkpoint passes its stored config.
-Unknown keys and wrong types are rejected by name.  Every constructed
-`RunConfig` also checks its values and raises `ConfigValueError` naming
-the first key out of range: every float setting finite (`fusion_weights`
-values included, since an infinity passes every `> 0` check), a
-positive temperature, batch size and queue, three stage epoch counts,
-known and distinct streams, probabilities and ratios within [0, 1], one
-nondecreasing positive channel width per encoder block, an odd temporal
-kernel, and so on.
-This is the one config type: the encoder, losses and augmentations all
-read their settings from it.  The canonical JSON form (sorted keys,
-compact separators) is what gets hashed and persisted, so two runs
-with equal hashes saw equal configs.
+Every `RunConfig`, however it is built, checks each setting once, in
+`__post_init__`.  First the type: a bool key takes a bool, an int key
+an int or a NumPy integer, a float key any of those or a float or NumPy
+real scalar (a bool is neither), a string key a string, and a list or
+object key checks each element; each value is stored as the plain
+Python value, so `RunConfig(knn_k=np.int64(5))` equals `RunConfig(knn_k=5)`.
+A wrong type raises `ConfigTypeError` naming the key path
+(`stage_epochs[1]`, `fusion_weights.joint`).  Then the range: the
+first key out of range raises `ConfigValueError` naming it.  Every
+float setting is finite (`fusion_weights` values included, since an
+infinity passes every `> 0` check); a positive temperature, batch size
+and queue; three stage epoch counts; known and distinct streams;
+probabilities and ratios within [0, 1]; one nondecreasing positive
+channel width per encoder block; an odd temporal kernel, and so on.
+The evaluation protocols build their settings into a `RunConfig` too,
+so a protocol argument obeys the rule of the key it stands for.
+
+`config_from_dict(*docs)` merges documents: it starts from the package
+defaults and applies each document in order, so a later one wins, and
+refuses a key outside the set (`UnknownKey`).  The command line passes
+a config file (`read_config`), then its `--set` pairs, then its flags;
+a checkpoint passes its stored config.
+This is the one config type: the encoder, losses, augmentations and
+protocols all read their settings from it.  The canonical JSON form
+(sorted keys, compact separators) is what gets hashed and persisted, so
+two runs with equal hashes saw equal configs.
 """
 
 from __future__ import annotations
@@ -25,6 +35,8 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from .errors import ConfigTypeError, ConfigValueError, UnknownKey
 from .skeleton import STREAM_IDS, json_hash, read_input
@@ -89,6 +101,8 @@ class RunConfig:
                 raise ConfigValueError(key, reason)
 
         for f in dataclasses.fields(self):
+            setattr(self, f.name, _check_type(f.name, getattr(self, f.name), _TEMPLATES[f.name]))
+        for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             numbers = value.values() if isinstance(value, dict) else (value,)
             require(f.name, all(math.isfinite(v) for v in numbers if isinstance(v, float)),
@@ -135,8 +149,8 @@ class RunConfig:
         for key in ("linear_lr", "finetune_lr"):
             require(key, getattr(self, key) > 0, "must be positive")
         require("knn_k", self.knn_k >= 1, "must be positive")
-        require("fusion_weights", all(w > 0 for w in self.fusion_weights.values()),
-                "weights must be positive")
+        for stream, w in self.fusion_weights.items():
+            require("fusion_weights", w > 0, f"stream {stream!r} needs a positive weight, got {w}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -148,49 +162,38 @@ class RunConfig:
         return json_hash(self.canonical_json().encode())
 
 
-_FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
-_DEFAULTS = RunConfig()
+# each key's default, whose type is the key's type
+_TEMPLATES = {f.name: f.default_factory() if f.default is dataclasses.MISSING else f.default
+              for f in dataclasses.fields(RunConfig)}
+# the scalar types each scalar key type takes; a bool passes only for a bool key
+_ACCEPTS = {bool: bool, int: (int, np.integer), float: (int, float, np.integer, np.floating),
+            str: str}
 
 
 def _check_type(key: str, value, template):
-    if isinstance(template, bool):
-        if not isinstance(value, bool):
-            raise ConfigTypeError(f"{key}: expected bool, got {type(value).__name__}")
-        return value
-    if isinstance(template, int):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigTypeError(f"{key}: expected int, got {type(value).__name__}")
-        return value
-    if isinstance(template, float):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigTypeError(f"{key}: expected float, got {type(value).__name__}")
-        return float(value)
-    if isinstance(template, str):
-        if not isinstance(value, str):
-            raise ConfigTypeError(f"{key}: expected str, got {type(value).__name__}")
-        return value
+    """`value` as the plain Python value of `template`'s type; `ConfigTypeError`
+    naming the key path where a value or an element has another type."""
     if isinstance(template, list):
         if not isinstance(value, list):
             raise ConfigTypeError(f"{key}: expected list, got {type(value).__name__}")
-        elem = template[0] if template else None
-        return [
-            _check_type(f"{key}[{i}]", v, elem) if elem is not None else v
-            for i, v in enumerate(value)
-        ]
+        return [_check_type(f"{key}[{i}]", v, template[0]) for i, v in enumerate(value)]
     if isinstance(template, dict):
         if not isinstance(value, dict):
             raise ConfigTypeError(f"{key}: expected object, got {type(value).__name__}")
         return {str(k): _check_type(f"{key}.{k}", v, 0.0) for k, v in value.items()}
-    raise ConfigTypeError(f"{key}: unsupported config type {type(template).__name__}")
+    kind = type(template)
+    if not isinstance(value, _ACCEPTS[kind]) or (isinstance(value, bool) and kind is not bool):
+        raise ConfigTypeError(f"{key}: expected {kind.__name__}, got {type(value).__name__}")
+    return kind(value)
 
 
 def _apply(cfg_dict: dict, updates: dict) -> None:
     if not isinstance(updates, dict):
         raise ConfigTypeError("config must hold a JSON object")
     for key, value in updates.items():
-        if key not in _FIELDS:
+        if key not in _TEMPLATES:
             raise UnknownKey(f"unknown config key {key!r}")
-        cfg_dict[key] = _check_type(key, value, getattr(_DEFAULTS, key))
+        cfg_dict[key] = value
 
 
 def read_config(path: str | Path) -> dict:
@@ -202,8 +205,9 @@ def read_config(path: str | Path) -> dict:
 
 
 def config_from_dict(*docs: dict) -> RunConfig:
-    """The defaults with each document's keys applied in order, checked by name and type."""
-    cfg_dict = _DEFAULTS.to_dict()
+    """The defaults with each document's keys applied in order; unknown keys
+    raise `UnknownKey`, and `RunConfig` checks every value."""
+    cfg_dict = dict(_TEMPLATES)
     for doc in docs:
         _apply(cfg_dict, doc)
     return RunConfig(**cfg_dict)

@@ -1,6 +1,9 @@
 """Seedable, splittable random streams.
 
-A stream is identified by a 64-bit seed plus a path of string labels.
+A stream is identified by an integer seed, read mod 2**64, plus a path
+of string labels.  The seed is read with `operator.index`, so a NumPy
+integer seeds the stream the equal Python int does, and a float or any
+other non-integer seed raises `InvalidArgument` when a generator is made.
 Identical (seed, path) pairs always produce identical draw sequences;
 streams split at different labels are statistically independent.  This
 lets every stochastic decision in the pipeline (augmentation draws,
@@ -11,9 +14,12 @@ alone, which is what makes checkpoint resume bit-exact.
 from __future__ import annotations
 
 import hashlib
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .errors import InvalidArgument
 
 
 def _label_bytes(label: str) -> bytes:
@@ -45,7 +51,10 @@ class RngStream:
         first 16 digest bytes read as little-endian words, seed the same
         pool as the list, without converting each int in Python.
         """
-        seed = self.seed & 0xFFFFFFFFFFFFFFFF
+        try:
+            seed = operator.index(self.seed) & 0xFFFFFFFFFFFFFFFF
+        except TypeError:
+            raise InvalidArgument(f"seed must be an integer, got {self.seed!r}") from None
         words = b"".join([seed.to_bytes(8 if seed >> 32 else 4, "little"),
                           *map(_label_bytes, self.path)])
         entropy = np.frombuffer(words, dtype="<u4").astype(np.uint32)

@@ -40,9 +40,14 @@ contiguous slices of that copy.  The probe's head reads frozen h, so
 its steps run off the tape; finetuning's blocks step with the head,
 through one tape node, `T.linear_softmax_nll`.  Labels must be
 nonnegative integers (`InvalidLabel` otherwise).  Every setting a
-protocol takes is a required keyword; `RunConfig` holds the defaults,
-and a value out of the range `RunConfig` allows raises
-`ConfigValueError` naming its key.
+protocol takes is a required keyword, and `RunConfig` holds the
+defaults.  Each protocol builds its settings that stand for config keys
+(`seed` included) into one `RunConfig` before any work, so `RunConfig`
+checks them: a wrong type raises `ConfigTypeError` and a value out of
+range `ConfigValueError`, each naming the key, and a NumPy integer or
+real scalar acts as the equal Python value.  The protocols check only
+what depends on their data or is no config key: `fraction`, `knn_k`
+against the train-split size, and a score stream with no weight.
 """
 
 from __future__ import annotations
@@ -470,18 +475,15 @@ def linear_probe(
     Checks (and reports) that encoder parameter bytes are untouched,
     raising `EncoderModified` otherwise.
     """
-    if epochs < 0:
-        raise ConfigValueError("linear_epochs", f"must be nonnegative, got {epochs}")
-    if not lr > 0:
-        raise ConfigValueError("linear_lr", f"must be positive, got {lr}")
+    config = RunConfig(seed=seed, linear_epochs=epochs, linear_lr=lr)
     adjacency, x_train, y_train, x_val, y_val = _splits(train_seqs, val_seqs, stream,
                                                         "linear probe")
     digest_before = params.digest()
     h_train = eval_features(x_train, adjacency, params, projected=False)
     h_val = eval_features(x_val, adjacency, params, projected=False)
     num_classes = int(max(y_train.max(), y_val.max())) + 1
-    w, b = _fit_head(h_train, h_train.shape[1], y_train, num_classes, {}, lr, 0.0,
-                     RngStream(seed).split("linear_probe"), epochs)
+    w, b = _fit_head(h_train, h_train.shape[1], y_train, num_classes, {}, config.linear_lr, 0.0,
+                     RngStream(config.seed).split("linear_probe"), config.linear_epochs)
 
     val_logits = _val_logits(h_val, w, b, "linear_probe")
     accuracy = float((np.argmax(val_logits, axis=1) == y_val).mean())
@@ -506,9 +508,8 @@ def knn_probe(
     stable top-k: similarity ties go to the lower train index.  Vote ties
     go to the smaller class.
     """
+    k = RunConfig(knn_k=k).knn_k
     adjacency, x_train, y_train, x_val, y_val = _splits(train_seqs, val_seqs, stream, "knn probe")
-    if k < 1:
-        raise ConfigValueError("knn_k", f"must be positive, got {k}")
     if k > len(y_train):
         raise ConfigValueError("knn_k", f"k={k} exceeds the training split size {len(y_train)}")
     z_train = eval_features(x_train, adjacency, params, projected=True)
@@ -550,17 +551,13 @@ def finetune(
     stratified labeled subset (at least one sample per class); a
     fraction outside (0, 1] raises `ConfigValueError` ("fraction").
     """
-    if epochs < 0:
-        raise ConfigValueError("finetune_epochs", f"must be nonnegative, got {epochs}")
-    if not lr > 0:
-        raise ConfigValueError("finetune_lr", f"must be positive, got {lr}")
-    if not weight_decay >= 0:
-        raise ConfigValueError("weight_decay", f"must be nonnegative, got {weight_decay}")
+    config = RunConfig(seed=seed, finetune_epochs=epochs, finetune_lr=lr,
+                       weight_decay=weight_decay)
     if not 0 < fraction <= 1:
         raise ConfigValueError("fraction", f"must lie in (0, 1], got {fraction}")
     # the whole train split, not only the subset, must share one graph
     adjacency, x, y, x_val, y_val = _splits(train_seqs, val_seqs, stream, "finetuning")
-    rng = RngStream(seed).split("finetune")
+    rng = RngStream(config.seed).split("finetune")
     subset = stratified_pick(y, fraction, rng.split("subset").generator(), floor=1)
     x, y = x[subset], y[subset]  # the rebinding frees the whole split's stack
     num_classes = int(max(y.max(), y_val.max())) + 1
@@ -568,8 +565,9 @@ def finetune(
     tuned = params.copy()
     digest_before = tuned.digest()
     blocks = {name: t for name, t in tuned.trainable().items() if name.startswith("block")}
-    w, b = _fit_head(x, tuned.config.enc_channels[-1], y, num_classes, blocks, lr, weight_decay,
-                     rng, epochs, lambda batch: stgcn_forward(batch, adjacency, tuned, mode="train"))
+    w, b = _fit_head(x, tuned.config.enc_channels[-1], y, num_classes, blocks, config.finetune_lr,
+                     config.weight_decay, rng, config.finetune_epochs,
+                     lambda batch: stgcn_forward(batch, adjacency, tuned, mode="train"))
 
     h_val = eval_features(x_val, adjacency, tuned, projected=False)
     accuracy = float((np.argmax(_val_logits(h_val, w, b, "finetune"), axis=1) == y_val).mean())
@@ -581,14 +579,15 @@ def fuse_predictions(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Weighted sum of per-stream class scores; argmax ties pick class 0.
 
-    Every stream of `scores` needs a positive weight, `ConfigValueError`
-    ("fusion_weights") otherwise.
+    `weights` obeys `RunConfig`'s `fusion_weights` rule, and every stream
+    of `scores` needs a weight, `ConfigValueError` ("fusion_weights")
+    otherwise.
     """
+    weights = RunConfig(fusion_weights=weights).fusion_weights
     streams = list(scores)
     for s in streams:
-        if not weights.get(s, 0.0) > 0:
-            raise ConfigValueError("fusion_weights",
-                                   f"stream {s!r} needs a positive weight, got {weights.get(s)}")
+        if s not in weights:
+            raise ConfigValueError("fusion_weights", f"stream {s!r} has no weight")
     shapes = {np.asarray(scores[s]).shape for s in streams}
     if len(shapes) != 1:
         raise LengthMismatch(f"score shapes differ: {shapes}")

@@ -41,6 +41,16 @@ def test_a_gap_inside_the_parent_iqr_is_unresolved():
     assert got["verdict"] == "unresolved" and not got["gain_shown"]
 
 
+def test_fewer_than_ten_pairs_show_no_gain():
+    # five wins of five, the medians 1.6 apart against a parent IQR of 1.0:
+    # a verdict of better, but five pairs are too few to show a gain
+    parent, change = PARENT[:5], [p - 1.6 for p in PARENT[:5]]
+    got = bench_pairs.compare(parent, change, "lower", 0.25)
+    assert (got["change_better_in_pairs"], got["pairs"]) == (5, 5)
+    assert -(got["change"]["median"] - got["parent"]["median"]) > got["parent_iqr"] > 0
+    assert got["verdict"] == "better" and not got["gain_shown"]
+
+
 def test_eight_wins_of_ten_show_no_gain():
     change = [p - 2.0 for p in PARENT[:8]] + [p + 0.1 for p in PARENT[8:]]
     got = bench_pairs.compare(PARENT, change, "lower", 0.25)

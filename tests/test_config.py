@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from skelcl.config import RunConfig, config_from_dict, read_config
@@ -118,3 +119,42 @@ def test_non_finite_float_in_config_file_named(tmp_path):
     path.write_text('{"tau": Infinity}')
     with pytest.raises(ConfigValueError, match="tau"):
         config_from_dict(read_config(path))
+
+
+@pytest.mark.parametrize("key,value,path", [
+    ("knn_k", True, "knn_k"),
+    ("seed", False, "seed"),
+    ("linear_epochs", 2.5, "linear_epochs"),
+    ("queue_size", np.float64(128.0), "queue_size"),
+    ("enc_blocks", "3", "enc_blocks"),
+    ("lr", "0.1", "lr"),
+    ("tau", True, "tau"),
+    ("pft_apply_to_inter", 1, "pft_apply_to_inter"),
+    ("query_family", 1, "query_family"),
+    ("enc_channels", (16, 32, 32), "enc_channels"),
+    ("stage_epochs", [30, 10.0, 10], r"stage_epochs\[1\]"),
+    ("streams", ["joint", 3], r"streams\[1\]"),
+    ("fusion_weights", {"joint": 0.6, "bone": "0.6"}, r"fusion_weights\.bone"),
+    ("fusion_weights", {"joint": None}, r"fusion_weights\.joint"),
+    ("fusion_weights", [0.6, 0.6, 0.4], "fusion_weights"),
+])
+def test_wrong_type_named_at_direct_build(key, value, path):
+    # a direct build checks types as `config_from_dict` does
+    for build in (lambda: RunConfig(**{key: value}), lambda: config_from_dict({key: value})):
+        with pytest.raises(ConfigTypeError, match=f"^{path}: expected"):
+            build()
+
+
+def test_numpy_scalars_stored_as_plain_values():
+    cfg = RunConfig(seed=np.int64(3), knn_k=np.uint8(4), lr=np.float32(0.25),
+                    tau=np.int32(1), stage_epochs=[np.int16(1), 2, 3],
+                    fusion_weights={"joint": np.float64(0.5)})
+    plain = RunConfig(seed=3, knn_k=4, lr=0.25, tau=1.0, stage_epochs=[1, 2, 3],
+                      fusion_weights={"joint": 0.5})
+    assert cfg == plain and cfg.hash() == plain.hash()
+    for key in ("seed", "knn_k", "lr", "tau"):
+        assert type(getattr(cfg, key)) is type(getattr(plain, key))
+    assert [type(e) for e in cfg.stage_epochs] == [int] * 3
+    assert type(cfg.fusion_weights["joint"]) is float
+    # an int given for a float key is stored, and hashed, as the float
+    assert RunConfig(lr=1).canonical_json() == RunConfig(lr=1.0).canonical_json()

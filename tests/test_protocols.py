@@ -11,6 +11,7 @@ from skelcl import tensor as T
 from skelcl.config import RunConfig
 from skelcl.encoder import EncoderParams, encode, init_params, project, stgcn_forward
 from skelcl.errors import (
+    ConfigTypeError,
     ConfigValueError,
     EmptyValSplit,
     EncoderModified,
@@ -219,10 +220,16 @@ def test_head_step_records_one_node_after_the_encoder(splits, monkeypatch, call)
 
 @pytest.mark.parametrize("lr", [1e38, np.inf])
 def test_linear_probe_overflow_raises_named_value(splits, params, lr):
-    # the head's weights overflow; the update that wrote them names itself
-    # and the array, and no NumPy warning about the overflow escapes first
+    # at 1e38 the head's weights overflow; the update that wrote them names
+    # itself and the array, and no NumPy warning about the overflow escapes
+    # first.  An infinite rate is refused by its key before any step.
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
+        if np.isinf(lr):
+            with pytest.raises(ConfigValueError) as err:
+                linear_probe(params, *splits, stream="joint", epochs=200, lr=lr, seed=0)
+            assert err.value.key == "linear_lr"
+            return
         with pytest.raises(NonFiniteValue, match="head") as err:
             linear_probe(params, *splits, stream="joint", epochs=200, lr=lr, seed=0)
     assert err.value.op == "sgd_step"
@@ -327,33 +334,82 @@ def test_non_finite_head_gradient_named(splits, params, monkeypatch, call):
     assert err.value.op == "sgd_step"
 
 
-@pytest.mark.parametrize("call,key", [
-    (lambda params, train, val: knn_probe(params, train, val, stream="joint", k=0), "knn_k"),
-    (lambda params, train, val: knn_probe(params, train, val, stream="joint", k=-1), "knn_k"),
+@pytest.mark.parametrize("call,error,key", [
+    (lambda params, train, val: knn_probe(params, train, val, stream="joint", k=0),
+     ConfigValueError, "knn_k"),
+    (lambda params, train, val: knn_probe(params, train, val, stream="joint", k=-1),
+     ConfigValueError, "knn_k"),
     (lambda params, train, val: linear_probe(params, train, val, stream="joint", epochs=-1,
-                                             lr=0.3, seed=0), "linear_epochs"),
+                                             lr=0.3, seed=0), ConfigValueError, "linear_epochs"),
     (lambda params, train, val: finetune(params, train, val, stream="joint", fraction=1.0,
                                          epochs=-1, lr=0.1, weight_decay=1e-4, seed=0),
-     "finetune_epochs"),
+     ConfigValueError, "finetune_epochs"),
     (lambda params, train, val: linear_probe(params, train, val, stream="joint", epochs=1,
-                                             lr=0.0, seed=0), "linear_lr"),
+                                             lr=0.0, seed=0), ConfigValueError, "linear_lr"),
     (lambda params, train, val: linear_probe(params, train, val, stream="joint", epochs=1,
-                                             lr=-1.0, seed=0), "linear_lr"),
+                                             lr=-1.0, seed=0), ConfigValueError, "linear_lr"),
     (lambda params, train, val: finetune(params, train, val, stream="joint", fraction=1.0,
                                          epochs=1, lr=0.0, weight_decay=1e-4, seed=0),
-     "finetune_lr"),
+     ConfigValueError, "finetune_lr"),
     (lambda params, train, val: finetune(params, train, val, stream="joint", fraction=1.0,
                                          epochs=1, lr=0.1, weight_decay=-1.0, seed=0),
-     "weight_decay"),
+     ConfigValueError, "weight_decay"),
+    (lambda params, train, val: linear_probe(params, train, val, stream="joint", epochs=0,
+                                             lr=np.inf, seed=0), ConfigValueError, "linear_lr"),
+    (lambda params, train, val: finetune(params, train, val, stream="joint", fraction=1.0,
+                                         epochs=1, lr=0.1, weight_decay=np.inf, seed=0),
+     ConfigValueError, "weight_decay"),
+    (lambda params, train, val: linear_probe(params, train, val, stream="joint", epochs=2.5,
+                                             lr=0.3, seed=0), ConfigTypeError, "linear_epochs"),
+    (lambda params, train, val: knn_probe(params, train, val, stream="joint", k=True),
+     ConfigTypeError, "knn_k"),
+    (lambda params, train, val: linear_probe(params, train, val, stream="joint", epochs=1,
+                                             lr=0.3, seed=1.5), ConfigTypeError, "seed"),
+    (lambda params, train, val: finetune(params, train, val, stream="joint", fraction=1.0,
+                                         epochs=1, lr=0.1, weight_decay=1e-4, seed=1.5),
+     ConfigTypeError, "seed"),
+    (lambda params, train, val: finetune(params, train, val, stream="joint", fraction=1.0,
+                                         epochs=1, lr="0.1", weight_decay=1e-4, seed=0),
+     ConfigTypeError, "finetune_lr"),
 ], ids=["knn_k_0", "knn_k_negative", "linear_epochs_negative", "finetune_epochs_negative",
-        "linear_lr_0", "linear_lr_negative", "finetune_lr_0", "weight_decay_negative"])
-def test_out_of_range_protocol_setting_named(splits, params, call, key):
+        "linear_lr_0", "linear_lr_negative", "finetune_lr_0", "weight_decay_negative",
+        "linear_lr_inf", "weight_decay_inf", "linear_epochs_float", "knn_k_bool",
+        "linear_seed_float", "finetune_seed_float", "finetune_lr_str"])
+def test_out_of_range_protocol_setting_named(splits, params, monkeypatch, call, error, key):
     # k=0 would vote with no neighbour, k=-1 with all but one, a negative
     # epoch count would train nothing, and a zero or negative rate or a
-    # negative weight decay would train silently the wrong way
-    with pytest.raises(ConfigValueError) as err:
+    # negative weight decay would train silently the wrong way.  Each
+    # protocol builds its settings into one `RunConfig` first, so a value
+    # out of range or of the wrong type is refused by its key before the
+    # encoder runs.
+    passes = []
+    forward = skelcl.train.stgcn_forward
+    monkeypatch.setattr(skelcl.train, "stgcn_forward",
+                        lambda *args, **kw: passes.append(1) or forward(*args, **kw))
+    with pytest.raises(error, match=f"^{key}: ") as err:
         call(params, *splits)
-    assert err.value.key == key
+    if error is ConfigValueError:
+        assert err.value.key == key
+    assert passes == []
+
+
+def test_numpy_settings_give_the_results_of_equal_python_values(splits, params):
+    lr = np.float32(0.3)  # not 0.3: the equal Python value is float(lr)
+    numpy_linear = linear_probe(params, *splits, stream="joint", epochs=np.int64(3), lr=lr,
+                                seed=np.uint16(4))
+    python_linear = linear_probe(params, *splits, stream="joint", epochs=3, lr=float(lr), seed=4)
+    for field in ("weights", "bias", "val_scores"):
+        assert getattr(numpy_linear, field).tobytes() == getattr(python_linear, field).tobytes()
+    assert numpy_linear.accuracy == python_linear.accuracy
+    assert (knn_probe(params, *splits, stream="joint", k=np.int32(3))
+            == knn_probe(params, *splits, stream="joint", k=3))
+    tuned = [finetune(params, *splits, stream="joint", fraction=0.5, epochs=epochs, lr=rate,
+                      weight_decay=decay, seed=seed)
+             for epochs, rate, decay, seed in ((np.int8(2), np.float32(0.1), np.float64(1e-4),
+                                                np.int64(6)),
+                                               (2, float(np.float32(0.1)), 1e-4, 6))]
+    assert tuned[0].params.digest() == tuned[1].params.digest()
+    assert (tuned[0].accuracy, tuned[0].subset_size) == (tuned[1].accuracy, tuned[1].subset_size)
 
 
 MIXED_GRAPH_CALLS = {

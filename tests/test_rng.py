@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from skelcl.errors import InvalidArgument
 from skelcl.rng import RngStream
 
 
@@ -70,3 +71,16 @@ def test_generator_draws_as_the_list_seeded_one(seed, path):
     assert got.integers(0, 2**63, size=4).tolist() == want.integers(0, 2**63, size=4).tolist()
     assert got.random(3).tolist() == want.random(3).tolist()
     assert got.permutation(17).tolist() == want.permutation(17).tolist()
+
+
+def test_numpy_integer_seed_draws_as_the_equal_int():
+    for seed in (np.int64(3), np.uint64(2**64 - 1), np.int8(-1)):
+        expect = RngStream(int(seed)).split("a").generator().normal(size=8)
+        np.testing.assert_array_equal(RngStream(seed).split("a").generator().normal(size=8),
+                                      expect)
+
+
+@pytest.mark.parametrize("seed", [1.5, 3.0, np.float64(3.0), "3", None])
+def test_non_integer_seed_raises_named_error(seed):
+    with pytest.raises(InvalidArgument, match="seed must be an integer"):
+        RngStream(seed).generator()

@@ -23,8 +23,11 @@ than the parent's interquartile range, else "unresolved".  Where the
 parent's runs do not vary (an interquartile range of 0, as for a
 deterministic loss) no gap can be told from rounding, so the verdict is
 "identical" or "changed", with the relative change beside it.
-`gain_shown` is true where the change wins at least nine tenths of the
-pairs and its median is better by more than a non-zero parent range.
+`gain_shown` is true where there are at least `GAIN_PAIRS` (10) pairs,
+the change wins at least nine tenths of them and its median is better
+by more than a non-zero parent range: at 5 pairs a 5-of-5 win beyond
+the parent's range showed on metrics whose work a change left alone,
+so fewer pairs show no gain.
 The JSON written to --out also keeps every run.  Standard library and
 NumPy only.
 """
@@ -42,6 +45,7 @@ from pathlib import Path
 import numpy as np
 
 SIDES = ("parent", "change")
+GAIN_PAIRS = 10  # the fewest pairs that can show a gain
 
 
 def quartiles(values) -> dict:
@@ -81,7 +85,8 @@ def compare(parent, change, better: str, bound: float) -> dict:
         "bound": bound,
         "worse_than_bound": sign * relative > bound,
         "verdict": verdict,
-        "gain_shown": wins >= math.ceil(0.9 * len(diffs)) and -worse > iqr > 0,
+        "gain_shown": len(diffs) >= GAIN_PAIRS and wins >= math.ceil(0.9 * len(diffs))
+                      and -worse > iqr > 0,
     }
 
 
@@ -206,6 +211,8 @@ def main(argv=None) -> int:
               f"{m['parent_iqr']:11.4g}  {m['verdict']}"
               + ("  WORSE THAN BOUND" if m["worse_than_bound"] else "")
               + ("  gain shown" if m["gain_shown"] else ""))
+    print(f"a gain needs at least {GAIN_PAIRS} pairs, nine tenths of them won, and a median "
+          f"gap above the parent IQR; this set has {args.pairs}")
     print(f"all runs correct: {doc['all_runs_correct']} "
           f"(failed {doc['failed']} of {doc['attempted']} attempted)")
     return 0 if doc["all_runs_correct"] else 1
