@@ -6,6 +6,12 @@ an int or a NumPy integer, a float key any of those or a float or NumPy
 real scalar (a bool is neither), a string key a string, and a list or
 object key checks each element; each value is stored as the plain
 Python value, so `RunConfig(knn_k=np.int64(5))` equals `RunConfig(knn_k=5)`.
+A list key also takes a tuple and is stored as a tuple, and
+`fusion_weights` takes any mapping and is stored as a read-only one, so
+a built config cannot change: it is a frozen dataclass, whose attribute
+assignment raises, and `dataclasses.replace` builds a new one, checked
+again.  `to_dict` and the canonical JSON still write lists and a plain
+object.
 A wrong type raises `ConfigTypeError` naming the key path
 (`stage_epochs[1]`, `fusion_weights.joint`).  Then the range: the
 first key out of range raises `ConfigValueError` naming it.  Every
@@ -33,8 +39,10 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -44,14 +52,14 @@ from .skeleton import STREAM_IDS, json_hash, read_input
 AUGMENT_FAMILIES = ("normal", "extreme")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     seed: int = 7
-    streams: list[str] = field(default_factory=lambda: ["joint", "bone", "motion"])
+    streams: tuple[str, ...] = ("joint", "bone", "motion")
 
     # encoder
     enc_blocks: int = 3
-    enc_channels: list[int] = field(default_factory=lambda: [16, 32, 32])
+    enc_channels: tuple[int, ...] = (16, 32, 32)
     enc_temporal_kernel: int = 3
     enc_hidden: int = 64
     embed_dim: int = 32
@@ -78,7 +86,7 @@ class RunConfig:
     # optimization schedule (paper-scale values: batch 128, queue 32768,
     # stages 150/150/200 with the drop at epoch 250; these are desk defaults)
     batch_size: int = 32
-    stage_epochs: list[int] = field(default_factory=lambda: [30, 10, 10])
+    stage_epochs: tuple[int, ...] = (30, 10, 10)
     lr: float = 0.1
     lr_after_drop: float = 0.01
     lr_drop_epoch: int = 40
@@ -91,8 +99,8 @@ class RunConfig:
     finetune_epochs: int = 30
     finetune_lr: float = 0.1
     knn_k: int = 5
-    fusion_weights: dict[str, float] = field(
-        default_factory=lambda: {"joint": 0.6, "bone": 0.6, "motion": 0.4}
+    fusion_weights: Mapping[str, float] = field(
+        default_factory=lambda: MappingProxyType({"joint": 0.6, "bone": 0.6, "motion": 0.4})
     )
 
     def __post_init__(self):
@@ -101,10 +109,11 @@ class RunConfig:
                 raise ConfigValueError(key, reason)
 
         for f in dataclasses.fields(self):
-            setattr(self, f.name, _check_type(f.name, getattr(self, f.name), _TEMPLATES[f.name]))
+            object.__setattr__(self, f.name,
+                               check_type(f.name, getattr(self, f.name), _TEMPLATES[f.name]))
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
-            numbers = value.values() if isinstance(value, dict) else (value,)
+            numbers = value.values() if isinstance(value, Mapping) else (value,)
             require(f.name, all(math.isfinite(v) for v in numbers if isinstance(v, float)),
                     "must be finite")
         require("streams", bool(self.streams) and len(set(self.streams)) == len(self.streams)
@@ -153,7 +162,8 @@ class RunConfig:
             require("fusion_weights", w > 0, f"stream {stream!r} needs a positive weight, got {w}")
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        """Every key's value in JSON types: lists and a plain dict."""
+        return {f.name: _plain(getattr(self, f.name)) for f in dataclasses.fields(self)}
 
     def canonical_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -170,21 +180,29 @@ _ACCEPTS = {bool: bool, int: (int, np.integer), float: (int, float, np.integer, 
             str: str}
 
 
-def _check_type(key: str, value, template):
-    """`value` as the plain Python value of `template`'s type; `ConfigTypeError`
-    naming the key path where a value or an element has another type."""
-    if isinstance(template, list):
-        if not isinstance(value, list):
+def check_type(key: str, value, template):
+    """`value` as the plain Python value of `template`'s type, a list as a
+    tuple and a mapping as a read-only one; `ConfigTypeError` naming the
+    key path where a value or an element has another type."""
+    if isinstance(template, tuple):
+        if not isinstance(value, (list, tuple)):
             raise ConfigTypeError(f"{key}: expected list, got {type(value).__name__}")
-        return [_check_type(f"{key}[{i}]", v, template[0]) for i, v in enumerate(value)]
-    if isinstance(template, dict):
-        if not isinstance(value, dict):
+        return tuple(check_type(f"{key}[{i}]", v, template[0]) for i, v in enumerate(value))
+    if isinstance(template, Mapping):
+        if not isinstance(value, Mapping):
             raise ConfigTypeError(f"{key}: expected object, got {type(value).__name__}")
-        return {str(k): _check_type(f"{key}.{k}", v, 0.0) for k, v in value.items()}
+        return MappingProxyType({str(k): check_type(f"{key}.{k}", v, 0.0)
+                                 for k, v in value.items()})
     kind = type(template)
     if not isinstance(value, _ACCEPTS[kind]) or (isinstance(value, bool) and kind is not bool):
         raise ConfigTypeError(f"{key}: expected {kind.__name__}, got {type(value).__name__}")
     return kind(value)
+
+
+def _plain(value):
+    if isinstance(value, tuple):
+        return list(value)
+    return dict(value) if isinstance(value, Mapping) else value
 
 
 def _apply(cfg_dict: dict, updates: dict) -> None:

@@ -5,8 +5,12 @@ FIFO queue of past key embeddings.  `queue_nll` scores stacks of
 queries, given as blocks, each group against its own negatives read in
 place, as one tape node whose value is the step total, and
 `combine_losses` scores every intra- and inter-stream term of a step in
-one `queue_nll` call.  Neighbor mining enlarges a row's numerator with
-the most similar queue entries (`nnm_mine`).  The hard-positive
+one `queue_nll` call.  It divides the queries by the temperature before
+the products, so they write logits, and exponentiates them unshifted
+where every row's sum stays in range (else it shifts by the row max), so
+at the paper's queue sizes the two products are most of its work.
+Neighbor mining enlarges a row's numerator with the most similar queue
+entries (`nnm_mine`), picked from those logits.  The hard-positive
 extrapolation (PFT) replaces a positive pair with a lower-similarity
 synthetic pair, guarded so the pair's similarity never turns negative,
 with weights from `pft_lambdas`; its query side is one closed-form tape
@@ -121,28 +125,32 @@ def queue_nll(queries, zk, negatives, tau: float, divisor: float, mine=None, k: 
     (`nnm_mine`).  Returns (total, rows, neighbors): the scalar tensor
     rows.sum() / divisor, the (..., B) array of per-row losses, and
     `nnm_mine`'s (indices, similarities) pair for the marked rows in C
-    order, or None without `mine`.  Gradient flows into the query blocks
-    only: the backward splits the stack's gradient back into them.
+    order (similarities in the units of zq · zk, not of logits), or None
+    without `mine`.  Gradient flows into the query blocks only: the
+    backward splits the stack's gradient back into them.
 
     A row's loss sums over its negatives, so their order changes only its
     rounding.  Neighbour indices are rows of the group's array, and of
-    equally similar negatives the one in the lower row is mined first.
+    equally scored negatives the one in the lower row is mined first.
 
-    The groups run one at a time through one reused (B, 1+Q) logit slab,
-    and a call that records forms the group's query gradient while its
-    slab is live, so the node holds only the (..., B, D) gradient.  Mining
-    rows select their neighbours from the slab's similarities before the
-    division by `tau`, which could round distinct similarities into ties.
-    Each row meets the NumPy ops of one (..., B, 1+Q) buffer over the
-    stacked negatives reduced by `sum_` and `div` nodes, in the same
-    order, so the results, and each block's gradient, are bit-identical
-    to that chain's fed by `concat` and `reshape` nodes.
+    The query stack is divided by `tau` once, before the products, so
+    the positive column and the (B, D)·(D, Q) product write logits
+    straight into one reused (B, 1+Q) slab per group, and no pass over
+    the slab divides it.  Mining rows select their neighbours from those
+    logits; the similarities returned are the neighbours' logits times
+    `tau`.  The slab is exponentiated unshifted when every row's sum of
+    exponentials is in range, and otherwise refilled and shifted by its
+    row max (`T._softmax_nll_rows`'s `refill`), so a tiny `tau`, rows
+    far from unit norm and a NaN give the shifted form's results and
+    errors.  A call that records forms the group's query gradient while
+    its slab is live, so the node holds only the (..., B, D) gradient.
     """
     blocks = tuple(T.as_tensor(t) for t in queries)
     keys = _as_const(zk)
     if keys.ndim < 2 or sum(t.size for t in blocks) != keys.size:
         raise ShapeMismatch(f"query blocks {[t.shape for t in blocks]}, keys {keys.shape}")
     q = np.concatenate([t.data for t in blocks])
+    q /= tau  # scaled queries: their products with keys and negatives are logits
     keys = keys.astype(q.dtype, copy=False)
     stack, offsets = keys.shape, np.cumsum([len(t.data) for t in blocks])[:-1]
     batch, dim = stack[-2:]
@@ -170,16 +178,19 @@ def queue_nll(queries, zk, negatives, tau: float, divisor: float, mine=None, k: 
     found = []
     for i, group in enumerate(negatives):
         group = np.asarray(group, dtype=q.dtype)  # a view unless the dtypes differ
-        slab[:, 0] = (q[i] * keys[i]).sum(axis=-1)
-        sims = slab[:, 1:]
-        np.matmul(q[i], group.T, out=sims)
+
+        def fill():  # this group's logits; a refill runs before the loop moves on
+            slab[:, 0] = (q[i] * keys[i]).sum(axis=-1)
+            np.matmul(q[i], group.T, out=slab[:, 1:])
+
+        fill()
         picks = None
         if mine is not None:
             (mined,) = np.nonzero(mine[i])
-            found.append(nnm_mine(sims[mined], k))
-            picks = ((mined,), found[-1][0] + 1)  # slab columns of the neighbours
-        slab /= tau
-        rows[i], grad = T._softmax_nll_rows(slab, lead=1, picks=picks)
+            indices, logits = nnm_mine(slab[mined, 1:], k)
+            found.append((indices, logits * tau))
+            picks = ((mined,), indices + 1)  # slab columns of the neighbours
+        rows[i], grad = T._softmax_nll_rows(slab, lead=1, picks=picks, refill=fill)
         if dq is not None:
             dlogits = grad(row_grad)
             np.multiply(dlogits[:, :1], keys[i], out=dq[i])

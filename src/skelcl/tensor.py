@@ -28,10 +28,12 @@ tape node too, `projector`, which shares its row-norm check with
 `contrast.pft_transform`'s node.  The row softmax negative
 log-likelihood has one implementation, `_softmax_nll_rows`, shared by
 `linear_head` (the probes' head kernel, which `linear_softmax_nll`
-records as one node) and `contrast.queue_nll`.  So a pretraining step
-records only such fused nodes.  The linear head is one packed (D+1, C)
-array [W; b], and its gradient comes packed the same way, so a head
-step updates one array.
+records as one node), whose unbounded logits it always shifts by their
+row max, and `contrast.queue_nll`, whose temperature-scaled logits it
+exponentiates unshifted while their row sums stay in range.  So a
+pretraining step records only such fused nodes.  The linear head is
+one packed (D+1, C) array [W; b], and its gradient comes packed the
+same way, so a head step updates one array.
 
 No generic op has a package caller: `add`, `concat`, `conv1d_temporal`,
 `div`, `exp`, `l2_normalize`, `log`, `masked_softmax_nll_rows`,
@@ -889,7 +891,7 @@ def projector(h, w1, b1, w2, b2) -> Tensor:
     return _apply(z, inputs, bwd, check=False)
 
 
-def _softmax_nll_rows(exps: np.ndarray, lead: int = 0, picks=None):
+def _softmax_nll_rows(exps: np.ndarray, lead: int = 0, picks=None, refill=None):
     """The package's one row softmax negative log-likelihood.
 
     Per row of a (..., L) logit buffer, LSE(all) - LSE(positives), where
@@ -902,15 +904,25 @@ def _softmax_nll_rows(exps: np.ndarray, lead: int = 0, picks=None):
     for a (B, L) buffer with `lead` 0, a (B,) integer array naming each
     row's one positive.  Only the picked entries are gathered
     (`exps[index]`), never a full-size mask.
-    The buffer is overwritten: shifted by its row max, which keeps
-    temperature-scaled logits in range, and exponentiated in place.  The
-    positives' LSE is taken from their shifted logits, gathered before
-    the exp and shifted again by their own max (scattered with
-    `np.maximum.at` and `np.add.at`, since rows may repeat), so a
-    positive far below the row max neither underflows to a zero
-    numerator nor overflows the gradient.  One positive is its own LSE,
-    so that form runs no scatter; it is bit for bit the (rows, cols) form
-    with picks ((arange(B),), picks[:, None]).
+    The buffer is exponentiated in place.  Without `refill` it is first
+    shifted by its row max, which keeps any logits in range.  `refill`,
+    a callable that writes the same logits into the buffer again, asks
+    for the unshifted form, which saves the shift's max and subtraction
+    passes: the logits are exponentiated as they are and kept so if
+    every row's sum of exponentials S lies within a factor 1/√tiny of 1
+    (tiny the dtype's smallest normal).  There no entry overflows, the
+    entries that underflow weigh at most L·tiny·eps against S, below
+    rounding, and the gradient's factor g / S stays normal for a row
+    weight g ≥ √tiny.  Otherwise (a tiny temperature, rows far from
+    unit norm, a NaN) `refill()` runs and the row-max shift follows, so
+    such a buffer gives the shifted form's results and errors.
+    The positives' LSE is taken from their logits, gathered before the
+    exp and shifted by their own max (scattered with `np.maximum.at` and
+    `np.add.at`, since rows may repeat), so a positive far below the row
+    max neither underflows to a zero numerator nor overflows the
+    gradient.  One positive is its own LSE, so that form runs no
+    scatter; it is bit for bit the (rows, cols) form with picks
+    ((arange(B),), picks[:, None]).
     Returns (nll, grad): nll has shape (...), and grad(g) overwrites the
     buffer again with the closed-form gradient
     g * (softmax over all entries - softmax over the positives), which
@@ -918,25 +930,38 @@ def _softmax_nll_rows(exps: np.ndarray, lead: int = 0, picks=None):
     (there g may also be one scalar for every row).  Call grad at most
     once.
     """
-    exps -= exps.max(axis=-1, keepdims=True)
-    if isinstance(picks, np.ndarray):  # one positive per row
-        index = (np.arange(len(picks)), picks)
-        log_numer = exps[index][:, None]
-    else:
-        lead_logits = exps[..., :lead].copy()
-        top = lead_logits.max(axis=-1, keepdims=True, initial=-np.inf)
-        if picks is not None:
-            rows, cols = picks
-            index = (*(r[:, None] for r in rows), cols)
-            picked = exps[index]
-            with np.errstate(invalid="ignore"):  # a NaN row stays NaN, for the caller's check
-                np.maximum.at(top[..., 0], rows, picked.max(axis=-1))
+    shift = refill is None
+    while True:
+        if shift:
+            exps -= exps.max(axis=-1, keepdims=True)
+        if isinstance(picks, np.ndarray):  # one positive per row
+            index = (np.arange(len(picks)), picks)
+            log_numer = exps[index][:, None]
+        else:
+            lead_logits = exps[..., :lead].copy()
+            top = lead_logits.max(axis=-1, keepdims=True, initial=-np.inf)
+            if picks is not None:
+                rows, cols = picks
+                index = (*(r[:, None] for r in rows), cols)
+                picked = exps[index]
+                with np.errstate(invalid="ignore"):  # a NaN row stays NaN, for the caller's check
+                    np.maximum.at(top[..., 0], rows, picked.max(axis=-1))
+        if shift:
+            np.exp(exps, out=exps)
+            denom = exps.sum(axis=-1, keepdims=True)
+            break
+        with np.errstate(over="ignore"):  # an overflow leaves its row's sum out of range
+            np.exp(exps, out=exps)
+            denom = exps.sum(axis=-1, keepdims=True)
+        if _in_range(denom):
+            break
+        refill()
+        shift = True
+    if not isinstance(picks, np.ndarray):
         numer = np.exp(lead_logits - top).sum(axis=-1, keepdims=True)
         if picks is not None:
             np.add.at(numer[..., 0], rows, np.exp(picked - top[rows]).sum(axis=-1))
         log_numer = top + np.log(numer)
-    np.exp(exps, out=exps)
-    denom = exps.sum(axis=-1, keepdims=True)
     nll = (np.log(denom) - log_numer)[..., 0]
 
     def grad(g: np.ndarray) -> np.ndarray:
@@ -952,6 +977,13 @@ def _softmax_nll_rows(exps: np.ndarray, lead: int = 0, picks=None):
         return exps
 
     return nll, grad
+
+
+def _in_range(sums: np.ndarray) -> bool:
+    """Whether every row sum of unshifted exponentials lies within a factor
+    1/√tiny of 1 (`_softmax_nll_rows`); False for a NaN."""
+    bound = np.sqrt(np.finfo(sums.dtype).tiny)
+    return bool(bound <= sums.min() and sums.max() <= 1 / bound)
 
 
 def masked_softmax_nll_rows(logits, positive_mask) -> Tensor:

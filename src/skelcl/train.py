@@ -45,8 +45,10 @@ defaults.  Each protocol builds its settings that stand for config keys
 (`seed` included) into one `RunConfig` before any work, so `RunConfig`
 checks them: a wrong type raises `ConfigTypeError` and a value out of
 range `ConfigValueError`, each naming the key, and a NumPy integer or
-real scalar acts as the equal Python value.  The protocols check only
-what depends on their data or is no config key: `fraction`, `knn_k`
+real scalar acts as the equal Python value.  Finetuning's `fraction`,
+which is no config key, is checked where it is read by the same type
+rule (`config.check_type`) as a float key, then for its range.  Beyond
+that the protocols check only what depends on their data: `knn_k`
 against the train-split size, and a score stream with no weight.
 """
 
@@ -58,7 +60,7 @@ import numpy as np
 
 from . import tensor as T
 from .augment import AugmentPipeline
-from .config import RunConfig
+from .config import RunConfig, check_type
 from .contrast import EncoderPair, MemoryQueue, combine_losses, momentum_update, nnm_mine
 from .encoder import EncoderParams, init_params, project, stgcn_forward
 from .errors import (
@@ -548,11 +550,14 @@ def finetune(
     shrink it.  `FinetuneResult.params` keeps its values.
 
     `fraction < 1` runs the semi-supervised protocol on a class-
-    stratified labeled subset (at least one sample per class); a
-    fraction outside (0, 1] raises `ConfigValueError` ("fraction").
+    stratified labeled subset (at least one sample per class).  `fraction`
+    is typed as a float config key is (a bool or a string raises
+    `ConfigTypeError`, a NumPy real acts as the equal Python float), and
+    one outside (0, 1] raises `ConfigValueError`, each naming "fraction".
     """
     config = RunConfig(seed=seed, finetune_epochs=epochs, finetune_lr=lr,
                        weight_decay=weight_decay)
+    fraction = check_type("fraction", fraction, 0.0)
     if not 0 < fraction <= 1:
         raise ConfigValueError("fraction", f"must lie in (0, 1], got {fraction}")
     # the whole train split, not only the subset, must share one graph

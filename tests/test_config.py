@@ -1,5 +1,6 @@
 """Config parsing: defaults, precedence, validation, hashing."""
 
+import dataclasses
 import json
 import math
 
@@ -131,7 +132,7 @@ def test_non_finite_float_in_config_file_named(tmp_path):
     ("tau", True, "tau"),
     ("pft_apply_to_inter", 1, "pft_apply_to_inter"),
     ("query_family", 1, "query_family"),
-    ("enc_channels", (16, 32, 32), "enc_channels"),
+    ("enc_channels", {16, 32}, "enc_channels"),
     ("stage_epochs", [30, 10.0, 10], r"stage_epochs\[1\]"),
     ("streams", ["joint", 3], r"streams\[1\]"),
     ("fusion_weights", {"joint": 0.6, "bone": "0.6"}, r"fusion_weights\.bone"),
@@ -158,3 +159,38 @@ def test_numpy_scalars_stored_as_plain_values():
     assert type(cfg.fusion_weights["joint"]) is float
     # an int given for a float key is stored, and hashed, as the float
     assert RunConfig(lr=1).canonical_json() == RunConfig(lr=1.0).canonical_json()
+
+
+def test_built_config_cannot_change():
+    cfg = RunConfig()
+    for key, value in (("knn_k", True), ("lr", math.inf), ("tau", 0.1)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, key, value)
+    with pytest.raises(AttributeError):
+        cfg.streams.append("motion")
+    with pytest.raises(TypeError):
+        cfg.fusion_weights["joint"] = 2.0
+    assert cfg == RunConfig()
+
+
+def test_list_keys_are_tuples_and_written_as_lists():
+    cfg = RunConfig(streams=["joint", "bone"], enc_channels=(8,), enc_blocks=1)
+    assert cfg.streams == ("joint", "bone") and cfg.enc_channels == (8,)
+    assert cfg == RunConfig(streams=("joint", "bone"), enc_channels=[8], enc_blocks=1)
+    doc = cfg.to_dict()
+    assert doc["streams"] == ["joint", "bone"] and doc["stage_epochs"] == [30, 10, 10]
+    assert type(doc["fusion_weights"]) is dict
+    assert config_from_dict(json.loads(cfg.canonical_json())) == cfg
+    # the canonical JSON, and so the hash, that the list-holding config had
+    assert '"streams":["joint","bone","motion"]' in RunConfig().canonical_json()
+    assert RunConfig().hash() == 14604677643165524574
+
+
+def test_replace_builds_a_checked_config():
+    cfg = dataclasses.replace(RunConfig(), stage_epochs=[1, 0, 0], tau=0.2)
+    assert cfg.stage_epochs == (1, 0, 0) and cfg.tau == 0.2
+    assert dataclasses.replace(cfg) == cfg
+    with pytest.raises(ConfigValueError, match="knn_k"):
+        dataclasses.replace(cfg, knn_k=0)
+    with pytest.raises(ConfigTypeError, match="^knn_k"):
+        dataclasses.replace(cfg, knn_k=True)

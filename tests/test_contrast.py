@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -367,12 +368,91 @@ def test_queue_nll_nan_query_raises():
     zq = unit_rows(rng.normal(size=(2, 4, 8)))
     zq[1, 2] = np.nan
     zk, negatives = unit_rows(rng.normal(size=(2, 4, 8))), unit_rows(rng.normal(size=(2, 6, 8)))
-    # forming the gradient or not, and with the NaN row mining or not
-    for recording in (T.no_tape, T.Tape):
-        for mine in (None, np.ones((2, 4), dtype=bool)):
-            with recording(), pytest.raises(NonFiniteValue) as err:
-                queue_nll([T.parameter(zq)], zk, negatives, 0.2, 4, mine)
-            assert err.value.op == "queue_nll"
+    # forming the gradient or not, with the NaN row mining or not, in either
+    # dtype, and with no RuntimeWarning on the way
+    for dtype in (np.float32, np.float64):
+        for recording in (T.no_tape, T.Tape):
+            for mine in (None, np.ones((2, 4), dtype=bool)):
+                with warnings.catch_warnings(), recording(), pytest.raises(NonFiniteValue) as err:
+                    warnings.simplefilter("error")
+                    queue_nll([T.parameter(zq.astype(dtype))], zk.astype(dtype),
+                              negatives.astype(dtype), 0.2, 4, mine)
+                assert err.value.op == "queue_nll"
+
+
+RANGE_CASES = ["unit", "short_rows", "tiny_tau", "long_rows", "very_negative"]
+SHIFTED_CASES = {"tiny_tau", "long_rows", "very_negative"}  # their sums leave the range
+
+
+def range_rule_inputs(case, dtype):
+    """(zq, zk, negatives, tau, mine) of 3 groups of 5 queries against 12
+    negatives each.  "tiny_tau" and "long_rows" (queries of norm 100) make
+    logits whose exponentials overflow; "very_negative" puts every key
+    and negative of a group near its queries' antipode, at tau 0.002, so
+    every exponential underflows; "short_rows" (norm 0.001) and "unit"
+    stay in range."""
+    rng = np.random.default_rng(46)
+    groups, batch, dim, size = 3, 5, 8, 12
+    zq = unit_rows(rng.normal(size=(groups, batch, dim)))
+    zk = unit_rows(rng.normal(size=(groups, batch, dim)))
+    negatives = unit_rows(rng.normal(size=(groups, size, dim)))
+    tau = {"tiny_tau": 1e-3, "very_negative": 2e-3}.get(case, 0.07)
+    if case == "very_negative":
+        centre = unit_rows(rng.normal(size=(groups, 1, dim)))
+        zq = unit_rows(centre + 0.05 * rng.normal(size=zq.shape))
+        zk = unit_rows(-centre + 0.05 * rng.normal(size=zk.shape))
+        negatives = unit_rows(-centre + 0.05 * rng.normal(size=negatives.shape))
+    zq = zq * {"long_rows": 100.0, "short_rows": 1e-3}.get(case, 1.0)
+    mine = rng.uniform(size=(groups, batch)) < 0.5
+    return zq.astype(dtype), zk.astype(dtype), negatives.astype(dtype), tau, mine
+
+
+def scored(zq, zk, negatives, tau, mine):
+    """`queue_nll`'s per-row losses, mined indices and query gradient
+    (of the total times 1.7), with every RuntimeWarning raised, and how
+    often it refilled a slab."""
+    refills = []
+    kernel = T._softmax_nll_rows
+
+    def counting(exps, lead=0, picks=None, refill=None):
+        return kernel(exps, lead, picks, lambda: refills.append(1) or refill())
+
+    zq = T.parameter(zq)
+    with warnings.catch_warnings(), pytest.MonkeyPatch.context() as patch:
+        warnings.simplefilter("error")
+        patch.setattr(T, "_softmax_nll_rows", counting)
+        with T.Tape():
+            total, rows, neighbors = queue_nll([zq], zk, list(negatives), tau, 5, mine, 2)
+            grad = T.backward(T.mul(total, 1.7))[zq].data
+    return rows, neighbors[0], grad, len(refills)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", RANGE_CASES)
+def test_queue_nll_range_rule_gives_the_shifted_form(monkeypatch, case, dtype):
+    # the slab is exponentiated unshifted only where its row sums are in
+    # range; elsewhere it is refilled and shifted, so every case gives the
+    # losses, neighbours and gradients of the form that always shifts
+    inputs = range_rule_inputs(case, dtype)
+    rows, indices, grad, refills = scored(*inputs)
+    assert refills == (len(inputs[2]) if case in SHIFTED_CASES else 0)
+    monkeypatch.setattr(T, "_in_range", lambda sums: False)  # always shift
+    want_rows, want_indices, want_grad, _ = scored(*inputs)
+    tol = 1e-12 if dtype == np.float64 else 2e-6
+    assert rows.dtype == grad.dtype == dtype
+    np.testing.assert_array_equal(indices, want_indices)
+    assert np.abs(rows - want_rows).max() <= tol * np.abs(want_rows).max()
+    assert np.abs(grad - want_grad).max() <= tol * np.abs(want_grad).max()
+    if dtype == np.float64:  # and the generic-op chain that divides similarities by tau
+        zq, zk, negatives, tau, mine = inputs
+        mined = np.zeros(mine.shape + negatives.shape[1:2], dtype=bool)
+        mined[(*(r[:, None] for r in np.nonzero(mine)), indices)] = True
+        zq = T.parameter(zq)
+        with T.Tape():
+            ref = composed_queue_nll(zq, zk, negatives, tau, mined)
+            ref_grad = T.backward(T.mul(T.div(T.sum_(ref), 5), 1.7))[zq].data
+        assert np.abs(rows - ref.data).max() <= 1e-12 * np.abs(ref.data).max()
+        assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
 
 
 @pytest.mark.parametrize("zk_shape,negatives_shape,mined_shape", [
@@ -487,23 +567,28 @@ def test_combined_loss_copies_no_queue():
 
 
 def whole_stack_chain(q, keys, negatives, tau, batch, mine, k):
-    """`queue_nll` before it streamed its groups, in NumPy: one (G, B,
-    1+Q) logit buffer, mined from its similarities, its per-row losses
-    reduced as `T.div(T.sum_(rows), batch)` and the query gradient that
-    chain fed back (1 / batch per row, then / tau)."""
+    """`queue_nll` before it streamed its groups, in NumPy: the queries
+    divided by tau, then one (G, B, 1+Q) logit buffer of their products,
+    mined from its logits (similarities reported as logits times tau),
+    its per-row losses reduced as `T.div(T.sum_(rows), batch)` and the
+    query gradient that chain fed back (1 / batch per row, then / tau)."""
+    q = q / tau
     logits = np.empty(q.shape[:-1] + (1 + negatives.shape[-2],), dtype=q.dtype)
-    logits[..., 0] = (q * keys).sum(axis=-1)
-    sims = logits[..., 1:]
-    np.matmul(q, np.swapaxes(negatives, -1, -2), out=sims)
-    neighbors = nnm_mine(sims[mine], k)
-    logits /= tau
-    rows, grad = T._softmax_nll_rows(logits, lead=1, picks=(np.nonzero(mine), neighbors[0] + 1))
+
+    def fill():
+        logits[..., 0] = (q * keys).sum(axis=-1)
+        np.matmul(q, np.swapaxes(negatives, -1, -2), out=logits[..., 1:])
+
+    fill()
+    indices, values = nnm_mine(logits[..., 1:][mine], k)
+    rows, grad = T._softmax_nll_rows(logits, lead=1, picks=(np.nonzero(mine), indices + 1),
+                                     refill=fill)
     divisor = np.asarray(batch, dtype=q.dtype)
     total = rows.sum(axis=(0, 1)) / divisor
     dlogits = grad(np.broadcast_to(np.ones((), q.dtype) / divisor, rows.shape).copy() / tau)
     dq = dlogits[..., :1] * keys
     dq += dlogits[..., 1:] @ negatives
-    return total, rows, neighbors, dq
+    return total, rows, (indices, values * tau), dq
 
 
 @pytest.mark.parametrize("tau", [0.07, 0.3])

@@ -371,10 +371,17 @@ def test_non_finite_head_gradient_named(splits, params, monkeypatch, call):
     (lambda params, train, val: finetune(params, train, val, stream="joint", fraction=1.0,
                                          epochs=1, lr="0.1", weight_decay=1e-4, seed=0),
      ConfigTypeError, "finetune_lr"),
+    (lambda params, train, val: finetune(params, train, val, stream="joint", fraction="0.5",
+                                         epochs=1, lr=0.1, weight_decay=1e-4, seed=0),
+     ConfigTypeError, "fraction"),
+    (lambda params, train, val: finetune(params, train, val, stream="joint", fraction=True,
+                                         epochs=1, lr=0.1, weight_decay=1e-4, seed=0),
+     ConfigTypeError, "fraction"),
 ], ids=["knn_k_0", "knn_k_negative", "linear_epochs_negative", "finetune_epochs_negative",
         "linear_lr_0", "linear_lr_negative", "finetune_lr_0", "weight_decay_negative",
         "linear_lr_inf", "weight_decay_inf", "linear_epochs_float", "knn_k_bool",
-        "linear_seed_float", "finetune_seed_float", "finetune_lr_str"])
+        "linear_seed_float", "finetune_seed_float", "finetune_lr_str", "finetune_fraction_str",
+        "finetune_fraction_bool"])
 def test_out_of_range_protocol_setting_named(splits, params, monkeypatch, call, error, key):
     # k=0 would vote with no neighbour, k=-1 with all but one, a negative
     # epoch count would train nothing, and a zero or negative rate or a
@@ -410,6 +417,15 @@ def test_numpy_settings_give_the_results_of_equal_python_values(splits, params):
                                                (2, float(np.float32(0.1)), 1e-4, 6))]
     assert tuned[0].params.digest() == tuned[1].params.digest()
     assert (tuned[0].accuracy, tuned[0].subset_size) == (tuned[1].accuracy, tuned[1].subset_size)
+
+
+def test_numpy_fraction_gives_the_subset_of_the_equal_python_value(splits, params):
+    # float(np.float32(0.3)) is not 0.3, so each side gets the same value
+    tuned = [finetune(params, *splits, stream="joint", fraction=fraction, epochs=1, lr=0.1,
+                      weight_decay=1e-4, seed=2)
+             for fraction in (np.float32(0.3), float(np.float32(0.3)))]
+    assert tuned[0].subset_size == tuned[1].subset_size
+    assert tuned[0].params.digest() == tuned[1].params.digest()
 
 
 MIXED_GRAPH_CALLS = {
