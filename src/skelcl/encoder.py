@@ -15,16 +15,18 @@ into the parameters, never into the clips, so a tracked batch is
 refused.  `stgcn_forward` transposes it once in NumPy, as a view, to
 channels-last (N, T, V, C), and activations keep that layout inside
 the encoder, so each block's channel mix and its weight gradient are
-plain GEMMs over (N*T*V, C) rows.  Each block is the single
-tape node `tensor.stgcn_block` (joint aggregation `A_hat^T X`, channel
-mix `@ W`, temporal convolution, batch norm, relu, residual), in every
-mode: the taped train-mode query pass, the untaped key pass,
-finetuning, and eval mode, which normalizes with the frozen running
-statistics inside the same node.  Eval mode never records: an eval-mode
-pass runs under `tensor.no_tape()`, and one that would record raises
-`InvalidArgument`.  The last block also pools: it returns h directly and
-takes h's gradient, so the last full activation is never built.  The
-projector is the one tape node `tensor.projector`.
+plain GEMMs over (N*T*V, C) rows.  In train mode (the taped query
+pass, the untaped key pass, finetuning) each block is the single tape
+node `tensor.stgcn_block` (joint aggregation `A_hat^T X`, channel mix
+`@ W`, temporal convolution, batch norm, relu, residual); the last block
+also pools, so it returns h directly and takes h's gradient, and the
+last full activation is never built.  Eval mode is one call of
+`tensor.stgcn_eval`, which folds each block's frozen batch norm into its
+channel mix and takes the batch through every block chunk by chunk, so
+it builds no full-batch activation at all.  Eval mode never records: an
+eval-mode pass runs under `tensor.no_tape()`, and one that would record
+raises `InvalidArgument`.  The projector is the one tape node
+`tensor.projector`.
 """
 
 from __future__ import annotations
@@ -125,15 +127,21 @@ def stgcn_forward(
     `x` is data, an array or an untracked tensor: the NumPy transpose to
     channels-last would drop a tracked batch's gradient, so one raises
     `InvalidArgument`.  `adjacency` is the (V, V) normalized adjacency of
-    the skeleton graph.  `mode="train"` normalizes with batch statistics
-    (and updates the running averages unless `update_stats=False`);
-    `mode="eval"` uses the frozen running statistics and must run off the
-    tape.
+    the skeleton graph.  `mode="train"` runs the blocks as `T.stgcn_block`
+    tape nodes, which normalize with batch statistics, and updates the
+    running averages unless `update_stats=False`.  `mode="eval"` is one
+    call of the off-tape kernel `T.stgcn_eval`, which normalizes with the
+    frozen running statistics: it updates nothing, so `update_stats=True`
+    raises `InvalidArgument`, and a call that would record onto a tape
+    raises `InvalidArgument` too.
     """
     if mode not in ("train", "eval"):
         raise InvalidArgument(f"mode must be 'train' or 'eval', got {mode!r}")
     if update_stats is None:
         update_stats = mode == "train"
+    elif update_stats and mode == "eval":
+        raise InvalidArgument("update_stats: eval mode uses the frozen running statistics "
+                              "and updates none")
     if isinstance(x, T.Tensor) and (x.requires_grad or x.node is not None):
         raise InvalidArgument("the input batch is data: gradients never flow into it, "
                               "so it must not be tracked")
@@ -143,20 +151,20 @@ def stgcn_forward(
     if x.shape[2] != IN_CHANNELS:
         raise ShapeMismatch(f"expected {IN_CHANNELS} channels, got {x.shape[2]}")
 
-    cfg = params.config
     h = np.swapaxes(x, 2, 3)  # channels-last inside the encoder, a view
-    for i in range(cfg.enc_blocks):
-        run_mu = params[f"block{i}.norm_running_mean"]
-        run_var = params[f"block{i}.norm_running_var"]
-        h, stats = T.stgcn_block(h, adjacency, params[f"block{i}.spatial_weight"],
-                                 params[f"block{i}.temporal_kernel"],
-                                 (params[f"block{i}.norm_gamma"], params[f"block{i}.norm_beta"]),
-                                 (run_mu.data, run_var.data) if mode == "eval" else None,
-                                 pool=i == cfg.enc_blocks - 1)
-        if stats is not None and update_stats:
-            mu, var = stats
-            run_mu.data[...] = BN_MOMENTUM * run_mu.data + (1 - BN_MOMENTUM) * mu
-            run_var.data[...] = BN_MOMENTUM * run_var.data + (1 - BN_MOMENTUM) * var
+    blocks = [(params[f"block{i}.spatial_weight"], params[f"block{i}.temporal_kernel"],
+               (params[f"block{i}.norm_gamma"], params[f"block{i}.norm_beta"]),
+               (params[f"block{i}.norm_running_mean"].data,
+                params[f"block{i}.norm_running_var"].data))
+              for i in range(params.config.enc_blocks)]
+    if mode == "eval":
+        return T.stgcn_eval(h, adjacency, blocks)
+    for i, (weight, kernel, norm, (run_mu, run_var)) in enumerate(blocks):
+        h, (mu, var) = T.stgcn_block(h, adjacency, weight, kernel, norm,
+                                     pool=i == len(blocks) - 1)
+        if update_stats:
+            run_mu[...] = BN_MOMENTUM * run_mu + (1 - BN_MOMENTUM) * mu
+            run_var[...] = BN_MOMENTUM * run_var + (1 - BN_MOMENTUM) * var
     return h
 
 

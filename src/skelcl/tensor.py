@@ -17,13 +17,16 @@ oracle-grade precision.  Every op raises `NonFiniteValue` on a
 non-finite output, naming the op by its backward closure's qualified
 name.
 
-Each encoder block is one tape node, `stgcn_block`, on channels-last
-(N, T, V, C) activations.  It walks the batch in chunks of about
-`BLOCK_CHUNK_BYTES` of activation, so a chunk's intermediates stay in
-cache; `pieces` states the split rule that it and the eval passes
-share.  It records in train mode only; eval-mode passes run off the
-tape.  The projection head (affine, relu, affine, L2-normalize) is one
-tape node too, `projector`, which shares its row-norm check with
+In train mode each encoder block is one tape node, `stgcn_block`, on
+channels-last (N, T, V, C) activations.  It walks the batch in chunks
+of about `BLOCK_CHUNK_BYTES` of activation, so a chunk's intermediates
+stay in cache; `pieces` states the split rule of those chunks.  The
+eval passes do not go through `stgcn_block`: `stgcn_eval` runs the
+whole encoder off the tape, with each block's frozen batch norm folded
+into its channel mix, and takes each chunk through every block before
+the next, so it builds no full-batch activation.  The projection head
+(affine, relu, affine, L2-normalize) is one tape node too,
+`projector`, which shares its row-norm check with
 `l2_normalize` and the gradient of unit rows, `_unit_row_grad`, with
 `contrast.pft_transform`'s node.  The row softmax negative
 log-likelihood has one implementation, `_softmax_nll_rows`, shared by
@@ -67,7 +70,7 @@ from .errors import (
 
 DEFAULT_DTYPE = np.float32
 NORM_EPS = 1e-12
-BN_EPS = 1e-5  # added to the batch-norm variance in `stgcn_block`
+BN_EPS = 1e-5  # added to the batch-norm variance in `stgcn_block` and `stgcn_eval`
 
 _state = threading.local()
 
@@ -193,12 +196,17 @@ def _recording(inputs: tuple[Tensor, ...]) -> "Tape | None":
     return None
 
 
+def _finite(a: np.ndarray) -> bool:
+    """Whether every entry of a nonempty `a` is finite: min/max reductions
+    catch NaN and both infinities without materializing the bool array
+    isfinite().all() would."""
+    return math.isfinite(float(a.min())) and math.isfinite(float(a.max()))
+
+
 def _apply(out_data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn,
            check: bool = True) -> Tensor:
     if check and out_data.size:
-        # min/max reductions catch NaN and both infinities without
-        # materializing the bool array isfinite().all() would
-        if not (math.isfinite(float(out_data.min())) and math.isfinite(float(out_data.max()))):
+        if not _finite(out_data):
             # every op's backward is a closure defined inside the op's function
             op = backward_fn.__qualname__.split(".<locals>", 1)[0]
             raise NonFiniteValue(f"{op} produced NaN or Inf", op=op)
@@ -570,20 +578,24 @@ def _aggregate(src: np.ndarray, adjacency: np.ndarray, out: np.ndarray) -> np.nd
     return out
 
 
+def _clip_tile(v: np.ndarray, frames: int, joints: int) -> np.ndarray:
+    """A (C,) vector as a (T, V * C) tile of one clip's channels-last layout."""
+    return np.tile(v, frames * joints).reshape(frames, -1)
+
+
 def pieces(n: int, size: int) -> list[slice]:
     """Consecutive slices that cover range(n) once, in order: pieces of
     `size` items (at least 1), a lone last item joining the piece before
     it when pieces hold two or more.
 
-    This is the package's one split rule, for `stgcn_block`'s chunks,
-    `train.eval_features`' passes and the training batches of
+    This is the package's one split rule, for the chunks of
+    `stgcn_block` and `stgcn_eval` and the training batches of
     `train.pretrain` and `train._fit_head`.  A piece pays a fixed
     per-call cost whatever it holds, so at a `size` of 2 or more no
     piece holds one item unless `n` is 1, and a piece holds at most
     `size` + 1 items.  At a `size` of 1 or less every piece is one item,
     so a caller whose budget holds less than one item keeps one-item
-    pieces; a caller that must not make them (`eval_features`) passes at
-    least 2.  Zero items are no pieces.
+    pieces.  Zero items are no pieces.
     """
     size = max(1, size)
     starts = [lo for lo in range(0, n, size) if lo == 0 or size == 1 or n - lo > 1]
@@ -597,9 +609,23 @@ def pieces(n: int, size: int) -> list[slice]:
 BLOCK_CHUNK_BYTES = 256 * 1024
 
 
+def _block_width(c_in: int, weight: Tensor, kernel: Tensor, norm) -> int:
+    """C_out of an encoder block's (C_in, C_out) `weight`, (C_out, odd K)
+    `kernel` and the (C_out,) vectors of `norm`, on `c_in` input channels;
+    `ShapeMismatch` where they do not fit."""
+    if weight.ndim != 2 or weight.shape[0] != c_in:
+        raise ShapeMismatch(f"weight {weight.shape} does not take {c_in} input channels")
+    c_out = weight.shape[1]
+    if kernel.ndim != 2 or kernel.shape[0] != c_out or kernel.shape[1] % 2 != 1:
+        raise ShapeMismatch(f"temporal kernel must be ({c_out}, odd K), got {kernel.shape}")
+    if any(v.shape != (c_out,) for v in norm):
+        raise ShapeMismatch(f"norm vectors must be ({c_out},)")
+    return c_out
+
+
 @np.errstate(over="ignore", invalid="ignore")  # the checks below report an overflow
-def stgcn_block(h, adjacency, weight, kernel, norm, running=None, pool: bool = False):
-    """One graph-convolutional encoder block as one tape node.
+def stgcn_block(h, adjacency, weight, kernel, norm, pool: bool = False):
+    """One train-mode graph-convolutional encoder block as one tape node.
 
     For a channels-last (N, T, V, C_in) activation `h`, the (V, V)
     constant `adjacency`, a (C_in, C_out) `weight` and a (C_out, K)
@@ -613,18 +639,15 @@ def stgcn_block(h, adjacency, weight, kernel, norm, running=None, pool: bool = F
     reduced chunk by chunk, so the full activation is never built.
     `norm` is the (gamma, beta) pair of the batch norm, over every axis
     but the channel one, with `BN_EPS` added to the variance; every
-    block normalizes.  With `running=None` (train mode) it normalizes
-    with the batch's mean and biased variance, returned as `stats`
-    (constant (C_out,) arrays for the caller's running averages); with a
-    (mean, var) pair of arrays (eval mode) it uses those, and `stats` is
-    None.  The node records in train mode only: a call with `running`
-    that would record onto a tape raises `InvalidArgument`, since every
-    eval-mode pass (the probes, the embeddings) runs off the tape.
-    Batch statistics that are not finite, such as a variance that
-    overflows, raise `NonFiniteValue` (op "stgcn_block"): an infinite
-    variance would zero xhat and leave a finite relu(beta).  The forward
-    runs with NumPy's overflow warnings off, so that error, or the
-    finiteness check of the output, is the only report.
+    block normalizes, with the batch's mean and biased variance, which
+    come back as `stats` (constant (C_out,) arrays for the caller's
+    running averages).  This is the train-mode block only: eval mode,
+    which normalizes with frozen statistics, is the whole-encoder kernel
+    `stgcn_eval`.  Batch statistics that are not finite, such as a
+    variance that overflows, raise `NonFiniteValue` (op "stgcn_block"):
+    an infinite variance would zero xhat and leave a finite relu(beta).
+    The forward runs with NumPy's overflow warnings off, so that error,
+    or the finiteness check of the output, is the only report.
 
     The batch is walked in chunks of BLOCK_CHUNK_BYTES // (bytes per
     sample) samples, split by the rule of `pieces`, so each chunk's
@@ -633,47 +656,36 @@ def stgcn_block(h, adjacency, weight, kernel, norm, running=None, pool: bool = F
     this layout the channel mix and its weight gradient are plain 2-D
     GEMMs over (n*T*V, C) rows.  The full-batch arrays are `out`, the
     normalized pre-activation xhat and the relu mask (the last two only
-    when the node records onto a tape; xhat also for a pooled
-    batch-statistics pass, which reads it three times).  Between forward
-    and backward a taped node holds only those: each pass allocates its
-    own chunk scratch, and the backward rebuilds its tap tiles.  Batch
-    statistics stay exact: per-channel sums accumulate over the chunks
-    (in float64), one pass for the mean and one for the centered
-    variance, before a last pass normalizes, applies relu and adds the
-    residual.  The backward recomputes each chunk's spatial step from
-    `h` and takes two passes: the sums of g and g * xhat the closed-form
-    batch-norm gradient needs, then the input, weight and kernel
-    gradients.  It returns every parameter's gradient, and the input's
-    when the input is tracked.
+    when the node records onto a tape; xhat also for a pooled pass,
+    which reads it three times).  Between forward and backward a taped
+    node holds only those: each pass allocates its own chunk scratch,
+    and the backward rebuilds its tap tiles.  Batch statistics stay
+    exact: per-channel sums accumulate over the chunks (in float64), one
+    pass for the mean and one for the centered variance, before a last
+    pass normalizes, applies relu and adds the residual.  The backward
+    recomputes each chunk's spatial step from `h` and takes two passes:
+    the sums of g and g * xhat the closed-form batch-norm gradient needs,
+    then the input, weight and kernel gradients.  It returns every
+    parameter's gradient, and the input's when the input is tracked.
     """
     h, weight, kernel = as_tensor(h), as_tensor(weight), as_tensor(kernel)
     if h.ndim != 4:
         raise ShapeMismatch("stgcn_block input must be an (N, T, V, C) batch")
     n, frames, joints, c_in = h.shape
-    if weight.ndim != 2 or weight.shape[0] != c_in:
-        raise ShapeMismatch(f"weight {weight.shape} does not take {c_in} input channels")
-    c_out = weight.shape[1]
-    if kernel.ndim != 2 or kernel.shape[0] != c_out or kernel.shape[1] % 2 != 1:
-        raise ShapeMismatch(f"temporal kernel must be ({c_out}, odd K), got {kernel.shape}")
+    gamma, beta = (as_tensor(t) for t in norm)
+    c_out = _block_width(c_in, weight, kernel, (gamma, beta))
     dtype = np.result_type(h.data, weight.data, kernel.data)
     adjacency = np.asarray(adjacency, dtype=dtype)
     if adjacency.shape != (joints, joints):
         raise ShapeMismatch("adjacency size does not match joint count")
-    gamma, beta = (as_tensor(t) for t in norm)
-    if gamma.shape != (c_out,) or beta.shape != (c_out,):
-        raise ShapeMismatch(f"gamma and beta must be ({c_out},)")
     inputs = (h, weight, kernel, gamma, beta)
-    train = running is None
     recording = _recording(inputs) is not None
-    if recording and not train:
-        raise InvalidArgument("stgcn_block records in train mode only: run eval mode untaped")
     residual = c_in == c_out
     count = n * frames * joints
     width = joints * c_out
 
     def per_column(v) -> np.ndarray:
-        """A (C_out,) vector as a (T, V * C_out) tile of a sample's layout."""
-        return np.tile(np.asarray(v, dtype=dtype), frames * joints).reshape(frames, width)
+        return _clip_tile(np.asarray(v, dtype=dtype), frames, joints)
 
     chunks = pieces(n, BLOCK_CHUNK_BYTES // (frames * width * np.dtype(dtype).itemsize))
     rows = max((c.stop - c.start for c in chunks), default=0)  # the scratch's clips
@@ -700,12 +712,8 @@ def stgcn_block(h, adjacency, weight, kernel, norm, running=None, pool: bool = F
 
     full = (n, frames, width)
     out = np.empty((n, c_out) if pool else full, dtype)
-    # the pre-affine activation xhat; without a tape it is built in `out`
-    # itself, or per chunk when pooled in eval mode
-    if recording or (pool and train):
-        xhat = np.empty(full, dtype)
-    else:
-        xhat = None if pool else out
+    # the pre-affine activation xhat; without a tape it is built in `out` itself
+    xhat = np.empty(full, dtype) if recording or pool else out
     if pool:
         # a chunk of the block's output, before its reduction, and the
         # ones vector of that reduction's per-sample GEMV
@@ -713,26 +721,20 @@ def stgcn_block(h, adjacency, weight, kernel, norm, running=None, pool: bool = F
         ones = np.ones(frames * joints, dtype)
     # the relu's open entries, which the backward's gradient passes through
     positive = np.empty(full, bool) if recording else None
-    stats = None
-    if train:
-        sums = np.zeros(c_out)
-        for c in chunks:
-            sums += _channel_sums(_apply_taps(spatial(c, agg, mixed)[1], plan, xhat[c]), c_out)
-        mean = (sums / count).astype(dtype)
-        mean_c = per_column(mean)
-        centered = mixed  # free between the passes
-        sums[:] = 0.0
-        for c in chunks:
-            d = np.subtract(xhat[c], mean_c, out=centered[: c.stop - c.start])
-            d *= d
-            sums += _channel_sums(d, c_out)
-        var = (sums / count).astype(dtype)
-        if not (np.isfinite(mean).all() and np.isfinite(var).all()):
-            raise NonFiniteValue("stgcn_block batch statistics are not finite", op="stgcn_block")
-        stats = (mean, var)
-    else:
-        mean, var = (np.asarray(v, dtype=dtype) for v in running)
-        mean_c = per_column(mean)
+    sums = np.zeros(c_out)
+    for c in chunks:
+        sums += _channel_sums(_apply_taps(spatial(c, agg, mixed)[1], plan, xhat[c]), c_out)
+    mean = (sums / count).astype(dtype)
+    mean_c = per_column(mean)
+    centered = mixed  # free between the passes
+    sums[:] = 0.0
+    for c in chunks:
+        d = np.subtract(xhat[c], mean_c, out=centered[: c.stop - c.start])
+        d *= d
+        sums += _channel_sums(d, c_out)
+    var = (sums / count).astype(dtype)
+    if not (np.isfinite(mean).all() and np.isfinite(var).all()):
+        raise NonFiniteValue("stgcn_block batch statistics are not finite", op="stgcn_block")
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
     inv_c = per_column(inv_std)
     gamma_c, beta_c = per_column(gamma.data), per_column(beta.data)
@@ -741,7 +743,7 @@ def stgcn_block(h, adjacency, weight, kernel, norm, running=None, pool: bool = F
     for c in chunks:
         m = c.stop - c.start
         dst = act[:m] if pool else out[c]
-        pre = xhat[c] if train else _apply_taps(spatial(c, agg, mixed)[1], plan, dst)
+        pre = xhat[c]
         pre -= mean_c
         pre *= inv_c
         pre = np.multiply(pre, gamma_c, out=dst)
@@ -810,7 +812,102 @@ def stgcn_block(h, adjacency, weight, kernel, norm, running=None, pool: bool = F
                     gx[c] += g[c]
         return gx, gw, gk, g_gamma.astype(dtype), g_beta.astype(dtype)
 
-    return _apply(out if pool else out.reshape(n, frames, joints, c_out), inputs, bwd), stats
+    return (_apply(out if pool else out.reshape(n, frames, joints, c_out), inputs, bwd),
+            (mean, var))
+
+
+@np.errstate(over="ignore", invalid="ignore")  # the checks below report an overflow
+def stgcn_eval(x, adjacency, blocks) -> Tensor:
+    """The eval-mode encoder, off the tape: the (N, C_last) hidden rows h
+    of a channels-last (N, T, V, C_in) batch `x` through every block of
+    `blocks`, pooled over frames and joints.
+
+    Each block is a (weight, kernel, (gamma, beta), (mean, var)) tuple:
+    `stgcn_block`'s parameters plus the frozen (C_out,) statistics its
+    batch norm uses in eval mode, with `BN_EPS` added to the variance.
+    With frozen statistics the norm is one per-channel scale
+    s = gamma / sqrt(var + eps) and one shift beta - mean * s, and the
+    scale commutes with the depthwise temporal taps, so it is folded
+    into the channel mix: a block is
+
+        out = relu(conv1d_temporal((A^T h) @ (W diag(s))) + shift) [+ h],
+
+    that is aggregate (`_aggregate`), GEMM, taps (`_apply_taps`), one
+    add, relu and the residual add when C_in == C_out, which equals the
+    elementwise (y - mean) / sqrt(var + eps) * gamma + beta form up to
+    rounding.  The batch is walked depth-first in chunks of
+    `BLOCK_CHUNK_BYTES` at the widest block's activation, split by the
+    rule of `pieces`: a chunk goes through every block before the next
+    one starts, and the last block pools it chunk by chunk, so no
+    full-batch activation is built.  The scratch, sized to the largest
+    chunk at the widest block, is three chunk activations (the aggregate
+    shares the block output's buffer, which it is done with before the
+    taps write it), reused by every chunk and block, plus each block's
+    tap and shift tiles.  A clip's row depends on no other clip, so h is
+    the same at any chunk size.
+
+    Each block's chunk output that is not finite raises `NonFiniteValue`
+    (op "stgcn_block"), also where the next block's relu would zero it;
+    the last block's pooled rows are checked once.  A call that would
+    record onto a tape (an active tape and a tracked parameter) raises
+    `InvalidArgument`: eval mode never records.
+    """
+    x = as_tensor(x).data
+    if x.ndim != 4:
+        raise ShapeMismatch("stgcn_eval input must be an (N, T, V, C) batch")
+    n, frames, joints, c_in = x.shape
+    blocks = [(as_tensor(w), as_tensor(k), tuple(as_tensor(t) for t in norm), running)
+              for w, k, norm, running in blocks]
+    widths = [c_in]
+    for w, k, norm, running in blocks:
+        widths.append(_block_width(widths[-1], w, k, (*norm, *running)))
+    if _recording(tuple(t for w, k, norm, _ in blocks for t in (w, k, *norm))) is not None:
+        raise InvalidArgument("the encoder records in train mode only: run eval mode untaped")
+    dtype = np.result_type(x, *(t.data for w, k, _, _ in blocks for t in (w, k)))
+    adjacency = np.asarray(adjacency, dtype=dtype)
+    if adjacency.shape != (joints, joints):
+        raise ShapeMismatch("adjacency size does not match joint count")
+
+    folded = []  # per block: (folded weight, tap plan, shift tile)
+    for w, k, (gamma, beta), (mean, var) in blocks:
+        scale = gamma.data.astype(dtype) / np.sqrt(np.asarray(var, dtype) + BN_EPS)
+        shift = beta.data.astype(dtype) - np.asarray(mean, dtype) * scale
+        folded.append((w.data.astype(dtype) * scale,
+                       _conv_plan(k.data.astype(dtype), frames, joints),
+                       _clip_tile(shift, frames, joints)))
+
+    clip = frames * joints * max(widths)  # entries of a clip at the widest block
+    chunks = pieces(n, BLOCK_CHUNK_BYTES // (clip * np.dtype(dtype).itemsize))
+    rows = max((c.stop - c.start for c in chunks), default=0)
+    act, mixed = np.empty((2, rows * clip), dtype), np.empty(rows * clip, dtype)
+    ones = np.ones(frames * joints, dtype)
+    out = np.empty((n, widths[-1]), dtype)
+    for c in chunks:
+        m = c.stop - c.start
+        src = x[c]
+        for i, (w, plan, shift) in enumerate(folded):
+            c_in, c_out = widths[i], widths[i + 1]
+            size = m * frames * joints * c_out
+            dst = act[i % 2, :size].reshape(m, frames, joints * c_out)
+            agg = _aggregate(src, adjacency, act[i % 2, : m * frames * joints * c_in]
+                             .reshape(m, frames, joints, c_in))
+            mix = np.matmul(agg.reshape(-1, c_in), w, out=mixed[:size].reshape(-1, c_out))
+            _apply_taps(mix.reshape(dst.shape), plan, dst)
+            dst += shift
+            np.maximum(dst, 0.0, out=dst)
+            dst = dst.reshape(m, frames, joints, c_out)
+            if c_in == c_out:
+                dst += src
+            if i + 1 < len(folded):
+                if not _finite(dst):
+                    raise NonFiniteValue("stgcn_block produced NaN or Inf", op="stgcn_block")
+                src = dst
+        # a GEMV per sample, as in `stgcn_block`'s pooled pass
+        np.matmul(ones, dst.reshape(m, -1, c_out), out=out[c])
+    out /= frames * joints
+    if out.size and not _finite(out):
+        raise NonFiniteValue("stgcn_block produced NaN or Inf", op="stgcn_block")
+    return Tensor(out)
 
 
 # -- norm / softmax kernels ------------------------------------------------------

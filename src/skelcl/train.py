@@ -27,13 +27,12 @@ refuses a val split on another skeleton graph than the train split's,
 derives the probed stream from each stack and reads each split's labels
 once, so finetuning's semi-supervised subset is picked from the labels
 the reader returned.  Their eval-mode features come from
-`eval_features`, whose passes are sized by one byte budget,
-`FEATURE_BYTES`, on the full-batch block activations a pass holds, not
-by a clip count: each call has a fixed cost, so a pass takes as many
-clips as the budget allows (a one-block encoder, whose only block
-pools, encodes a split in one call), while at wide channels the budget
-still bounds memory.  The linear probe and finetuning train their
-linear head in `_fit_head`, around the head kernel `T.linear_head`.
+`eval_features`, which encodes a whole split in one call: the eval
+kernel (`T.stgcn_eval`) takes the split through the blocks chunk by
+chunk and builds no full-batch activation, so memory stays bounded at
+any split size without a pass loop.  The linear probe and finetuning
+train their linear head in `_fit_head`, around the head kernel
+`T.linear_head`.
 The head is one packed (D+1, C) array [W; b], stepped as one array, and
 each epoch gathers its clips in shuffled order once, then steps over
 contiguous slices of that copy.  The probe's head reads frozen h, so
@@ -324,36 +323,25 @@ def pretrain(
 # -- evaluation protocols ---------------------------------------------------------------
 
 
-FEATURE_BYTES = 8 * 2**20  # full-batch activation bytes one eval-mode pass may hold
 PROTOCOL_BATCH = 32  # clips per SGD step of the linear probe and finetuning
 
 
 def eval_features(x: np.ndarray, adjacency: np.ndarray, params: EncoderParams,
                   projected: bool) -> np.ndarray:
     """Eval-mode hidden vectors h, or projected embeddings z, one row per
-    clip of an (N, T, C, V) batch, encoded off the tape.
+    clip of an (N, T, C, V) batch, encoded off the tape in one
+    `stgcn_forward` call and, for z, one `project` call.
 
-    A pass holds the full-batch output of every block but the last, which
-    pools: T·V·itemsize·ΣC_i bytes per clip over those blocks.  Each pass
-    takes max(2, `FEATURE_BYTES` // that) clips, and all N when it is 0
-    (a one-block encoder), split by the rule of `tensor.pieces`, so the
-    per-call cost is paid once per budget, not once per fixed clip
-    count, and memory stays bounded at wide channels.
-    A clip's rows do not depend on the other clips in its pass, so they
-    are the same at any pass size of two or more.  A one-clip pass is
-    the exception: NumPy's matmul takes a GEMV path for the projector's
-    one-row product, whose z rounds differently, so no pass of a batch
-    of two or more clips has one clip.
+    The eval kernel walks the batch in chunks and holds no full-batch
+    activation, so the whole split goes in at once.  A clip's h does not
+    depend on the other clips of the batch or on the chunk size.  Its z
+    is the same at any batch size of two or more; a one-clip batch is the
+    exception, since NumPy's matmul takes a GEMV path for the projector's
+    one-row product, whose z rounds differently.
     """
-    itemsize = np.result_type(x, params["block0.spatial_weight"].data).itemsize
-    per_clip = x.shape[1] * x.shape[3] * itemsize * sum(params.config.enc_channels[:-1])
-    n = len(x)
-    outs = []
     with T.no_tape():
-        for piece in T.pieces(n, max(2, FEATURE_BYTES // per_clip) if per_clip else n):
-            h = stgcn_forward(x[piece], adjacency, params, mode="eval")
-            outs.append((project(h, params) if projected else h).data)
-    return np.concatenate(outs)
+        h = stgcn_forward(x, adjacency, params, mode="eval")
+        return (project(h, params) if projected else h).data
 
 
 def _splits(train_seqs, val_seqs, stream: str, protocol: str) -> tuple[np.ndarray, ...]:

@@ -236,17 +236,10 @@ def test_knn_probe_eval_passes_as_the_tracer_counts_them(monkeypatch):
         return taken
 
     train, val = sequences[:22], sequences[22:31]
-    # a one-block encoder's only block pools: one pass per split at any budget
-    assert passes([4], train, val) == [22, 9]
-    monkeypatch.setattr(skelcl.train, "FEATURE_BYTES", 1)
-    assert passes([4], train, val) == [22, 9]
-    # three blocks hold T·V·itemsize·(4 + 8) bytes a clip in the two that do not pool
-    per_clip = 16 * 9 * 4 * (4 + 8)
-    monkeypatch.setattr(skelcl.train, "FEATURE_BYTES", 5 * per_clip + per_clip // 2)
-    taken = passes([4, 8, 8], train, val)
-    assert len(taken) == math.ceil(22 / 5) + math.ceil(9 / 5)
-    assert taken == [5, 5, 5, 5, 2, 5, 4]
-    # a lone last clip joins the pass before it, so no pass of a split holds one clip
-    assert passes([4, 8, 8], sequences[:21], val) == [5, 5, 5, 6, 5, 4]
-    monkeypatch.setattr(skelcl.train, "FEATURE_BYTES", 1)
-    assert passes([4, 8, 8], train, val) == [2] * 11 + [2, 2, 2, 3]
+    # one pass per split at any depth and chunk size: the eval kernel
+    # walks the chunks inside one call
+    for budget in (skelcl.tensor.BLOCK_CHUNK_BYTES, 1):
+        monkeypatch.setattr(skelcl.tensor, "BLOCK_CHUNK_BYTES", budget)
+        for channels in ([4], [4, 8, 8]):
+            assert passes(channels, train, val) == [22, 9]
+            assert passes(channels, sequences[:21], val) == [21, 9]

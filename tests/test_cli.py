@@ -12,7 +12,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-import skelcl.train
 from skelcl import BLAS_THREAD_VARS
 from skelcl import tensor as T
 from skelcl.cli import _gradcheck_cases, build_parser, main
@@ -424,8 +423,9 @@ def test_pft_hist_on_checkpoint_takes_its_alpha_and_mu(pretrained, tmp_path, cap
 
 def test_pft_hist_on_checkpoint_table_does_not_depend_on_the_pass_size(pretrained, tmp_path,
                                                                         monkeypatch, capsys):
-    # three blocks, so a one-byte budget splits the 6-clip val split into
-    # passes of two clips where the default encodes it in one
+    # three blocks, so a one-byte chunk budget takes the 6-clip val split
+    # through the blocks one clip at a time where the default takes it in
+    # one chunk
     argv = ["pretrain", "--data", str(pretrained / "data"), "--out", str(tmp_path / "run"),
             "--metrics", str(tmp_path / "metrics.jsonl")]
     for setting in [*TINY_RUN, "enc_blocks=3", "enc_channels=[4,4,4]"]:
@@ -434,8 +434,8 @@ def test_pft_hist_on_checkpoint_table_does_not_depend_on_the_pass_size(pretraine
     hist = ["pft-hist", "--checkpoint", str(tmp_path / "run" / "checkpoint.bin"),
             "--data", str(pretrained / "data"), "--stream", "bone"]
     outputs = []
-    for budget in (skelcl.train.FEATURE_BYTES, 1):
-        monkeypatch.setattr(skelcl.train, "FEATURE_BYTES", budget)
+    for budget in (T.BLOCK_CHUNK_BYTES, 1):
+        monkeypatch.setattr(T, "BLOCK_CHUNK_BYTES", budget)
         assert main(hist) == 0
         outputs.append(capsys.readouterr().out)
     assert json.loads(outputs[0].splitlines()[-1])["pairs"] == 6

@@ -114,6 +114,17 @@ class TestForward:
         after = params["block0.norm_running_mean"].data
         assert not np.array_equal(before, after)
 
+    def test_eval_mode_refuses_update_stats(self):
+        # eval mode normalizes with the frozen statistics and updates none,
+        # so asking it to update them is an error, not a silent no-op
+        params = init_params(SMALL, RngStream(10).split("e"))
+        digest, x = params.digest(), _input((2, 8, 3, 5), seed=6)
+        with pytest.raises(InvalidArgument, match="update_stats"):
+            stgcn_forward(x, _adjacency(5), params, mode="eval", update_stats=True)
+        h = [stgcn_forward(x, _adjacency(5), params, mode="eval", update_stats=flag).data
+             for flag in (None, False)]
+        assert h[0].tobytes() == h[1].tobytes() and params.digest() == digest
+
     def test_update_stats_false_freezes(self):
         params = init_params(SMALL, RngStream(10).split("e"))
         digest = params.digest()

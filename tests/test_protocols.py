@@ -1,6 +1,7 @@
 """Evaluation protocols: linear probe, kNN probe, finetune, subsets, fusion."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -659,10 +660,10 @@ def test_finetune_keeps_the_projector(large_splits, params):
 @pytest.mark.parametrize("channels,hidden,dim", [([4], 8, 4), ([16, 32, 32], 64, 32)])
 def test_features_do_not_depend_on_the_pass_size(large_splits, monkeypatch, channels, hidden,
                                                  dim):
-    # h and z at the default budget (one pass a split), in the references'
-    # 64-clip passes, and at a one-byte budget (two clips a pass for three
-    # blocks; a one-block encoder, whose only block pools, stays one pass);
-    # at the desk widths a one-clip pass would round z differently
+    # h and z of the whole split in one call, in the references' 64-clip
+    # passes and in passes of two or three clips, each at the default
+    # chunk size and in one-clip chunks; at the desk widths a one-clip
+    # pass would round z differently
     config = RunConfig(enc_blocks=len(channels), enc_channels=channels, enc_hidden=hidden,
                        embed_dim=dim)
     params = init_params(config, RngStream(5).split("enc"))
@@ -670,9 +671,41 @@ def test_features_do_not_depend_on_the_pass_size(large_splits, monkeypatch, chan
     graph, x = clip_batch(train)  # the joint stream is the stack itself
     adjacency = graph.normalized_adjacency(np.float32)
     for projected in (False, True):
-        default = eval_features(x, adjacency, params, projected)
-        reference = reference_features(params, train, "joint", projected)
-        with monkeypatch.context() as patch:
-            patch.setattr(skelcl.train, "FEATURE_BYTES", 1)
-            smallest = eval_features(x, adjacency, params, projected)
-        assert default.tobytes() == reference.tobytes() == smallest.tobytes()
+        runs = []
+        for budget in (T.BLOCK_CHUNK_BYTES, 1):
+            with monkeypatch.context() as patch:
+                patch.setattr(T, "BLOCK_CHUNK_BYTES", budget)
+                runs += [eval_features(x, adjacency, params, projected),
+                         reference_features(params, train, "joint", projected),
+                         np.concatenate([eval_features(x[piece], adjacency, params, projected)
+                                         for piece in T.pieces(len(x), 2)])]
+        assert len({run.tobytes() for run in runs}) == 1
+
+
+def test_eval_features_build_no_full_batch_activation():
+    # 300 desk-width clips (32 frames, 9 joints, channels 16, 32, 32,
+    # float32): the peak holds the kernel's chunk scratch, its per-block
+    # tiles and the (N, C_last) output, where one block's full-batch
+    # activation alone would be 300 * 32 * 9 * 32 * 4 bytes = 11 MB
+    config = RunConfig(enc_blocks=3, enc_channels=[16, 32, 32], enc_hidden=64, embed_dim=32)
+    params = init_params(config, RngStream(5).split("enc"))
+    n, frames, joints, item = 300, 32, 9, 4
+    x = np.random.default_rng(0).normal(size=(n, frames, 3, joints)).astype(np.float32)
+    adjacency = np.eye(joints, dtype=np.float32)
+    clip = frames * joints * max(config.enc_channels)  # entries at the widest block
+    rows = T.BLOCK_CHUNK_BYTES // (clip * item) + 1  # a chunk holds at most one clip more
+    # two chunk activations, the channel mix and the temporary of an
+    # off-centre tap's product (`tensor._apply_taps`)
+    scratch = 4 * rows * clip * item
+    # each block's tap and shift tiles: (K + 1) (T, V * C) tiles
+    tiles = sum((config.enc_temporal_kernel + 1) * frames * joints * c * item
+                for c in config.enc_channels)
+    output = n * config.enc_channels[-1] * item
+    tracemalloc.start()
+    try:
+        h = eval_features(x, adjacency, params, projected=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert h.shape == (n, config.enc_channels[-1])
+    assert peak <= scratch + tiles + output + 64 * 1024, (peak, scratch + tiles + output)

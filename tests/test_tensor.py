@@ -329,13 +329,12 @@ def _conv_batched_case(rng):
     return {"x": x, "k": k}, lambda: T.sum_(T.mul(T.conv1d_temporal(x, k), w))
 
 
-def _block_inputs(rng, mode, residual, shape=(3, 6, 4, 3), dtype=np.float64):
+def _block_inputs(rng, residual, shape=(3, 6, 4, 3), dtype=np.float64):
     """Parameters and call arguments of an `stgcn_block` case; `shape`
     is the (N, T, V, C_in) channels-last input's.
 
-    `mode` is "train" (batch statistics) or "eval" (given running
-    statistics); without `residual` the block widens its channels, so
-    no residual is added.
+    Without `residual` the block widens its channels, so no residual is
+    added.
     """
     n, frames, joints, c_in = shape
     c_out = c_in if residual else c_in + 2
@@ -347,17 +346,14 @@ def _block_inputs(rng, mode, residual, shape=(3, 6, 4, 3), dtype=np.float64):
         "gamma": T.parameter(rng.uniform(0.5, 1.5, size=c_out).astype(dtype)),
         "beta": T.parameter(rng.normal(size=c_out).astype(dtype)),
     }
-    running = None
-    if mode == "eval":
-        running = (rng.normal(size=c_out).astype(dtype), rng.uniform(0.5, 2.0, size=c_out).astype(dtype))
     norm = (params["gamma"], params["beta"])
-    args = (params["h"], adjacency.astype(dtype), params["w"], params["k"], norm, running)
+    args = (params["h"], adjacency.astype(dtype), params["w"], params["k"], norm)
     return params, args
 
 
 def _block_case(rng, residual, pool=False):
-    """A train-mode `stgcn_block` case: the node records in train mode only."""
-    params, args = _block_inputs(rng, "train", residual)
+    """A train-mode `stgcn_block` case."""
+    params, args = _block_inputs(rng, residual)
     c_out = args[2].shape[1]
     w = rng.normal(size=(args[0].shape[0], c_out) if pool else args[0].shape[:3] + (c_out,))
     return params, lambda: T.sum_(T.mul(T.stgcn_block(*args, pool=pool)[0], w))
@@ -498,13 +494,12 @@ def _run_block(op, params, args, w, pool=False):
     return out.data, stats, {name: grads[p].data for name, p in params.items()}
 
 
-def _ragged_block_parity(monkeypatch, mode, residual, pool):
+def _ragged_block_parity(monkeypatch, residual, pool):
     """`stgcn_block` against `composed_block_last` at f64 over chunks of
-    2, 2 and a ragged 3: untaped outputs and batch statistics, and in
-    train mode, the one mode that records, the taped ones and the
-    gradients too."""
-    rng = np.random.default_rng(["train", "eval"].index(mode) + 3 * residual)
-    params, args = _block_inputs(rng, mode, residual, shape=(7, 5, 6, 3))
+    2, 2 and a ragged 3: untaped and taped outputs and batch statistics,
+    and the gradients."""
+    rng = np.random.default_rng(3 * residual)
+    params, args = _block_inputs(rng, residual, shape=(7, 5, 6, 3))
     n, frames, joints, _ = args[0].shape
     c_out = args[2].shape[1]
     monkeypatch.setattr(T, "BLOCK_CHUNK_BYTES", 2 * frames * c_out * joints * 8)
@@ -512,47 +507,81 @@ def _ragged_block_parity(monkeypatch, mode, residual, pool):
     with T.no_tape():  # no xhat or relu mask is kept
         untaped, untaped_stats = T.stgcn_block(*args, pool=pool)
         ref_out, ref_stats = composed_block_last(*args, pool=pool)
-    outputs = [(untaped.data, untaped_stats)]
-    if mode == "train":
-        out, stats, grads = _run_block(T.stgcn_block, params, args, w, pool)
-        _, _, ref_grads = _run_block(composed_block_last, params, args, w, pool)
-        outputs.append((out, stats))
-        assert set(grads) == set(ref_grads)
-        for name in grads:
-            np.testing.assert_allclose(grads[name], ref_grads[name], rtol=1e-10, atol=1e-12)
-    for got_out, got_stats in outputs:
+    out, stats, grads = _run_block(T.stgcn_block, params, args, w, pool)
+    _, _, ref_grads = _run_block(composed_block_last, params, args, w, pool)
+    assert set(grads) == set(ref_grads)
+    for name in grads:
+        np.testing.assert_allclose(grads[name], ref_grads[name], rtol=1e-10, atol=1e-12)
+    for got_out, got_stats in ((untaped.data, untaped_stats), (out, stats)):
         np.testing.assert_allclose(got_out, ref_out.data, rtol=1e-10, atol=1e-12)
-        if mode == "train":
-            for got, want in zip(got_stats, ref_stats):
-                np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
-        else:
-            assert got_stats is None and ref_stats is None
+        for got, want in zip(got_stats, ref_stats):
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
 
+# the block's one mode: eval mode is the encoder kernel `stgcn_eval`'s
 @pytest.mark.parametrize("residual", [True, False])
-@pytest.mark.parametrize("mode", ["train", "eval"])
+@pytest.mark.parametrize("mode", ["train"])
 def test_block_matches_composition_over_ragged_chunks(monkeypatch, mode, residual):
-    _ragged_block_parity(monkeypatch, mode, residual, pool=False)
+    _ragged_block_parity(monkeypatch, residual, pool=False)
 
 
 @pytest.mark.parametrize("residual", [True, False])
-@pytest.mark.parametrize("mode", ["train", "eval"])
+@pytest.mark.parametrize("mode", ["train"])
 def test_pooled_block_matches_composition_over_ragged_chunks(monkeypatch, mode, residual):
-    _ragged_block_parity(monkeypatch, mode, residual, pool=True)
+    _ragged_block_parity(monkeypatch, residual, pool=True)
+
+
+def _eval_case(rng, widths, n, frames, joints, dtype=np.float64):
+    """(x, adjacency, blocks) of an `stgcn_eval` call: a channels-last
+    (n, frames, joints, widths[0]) batch through blocks whose channels go
+    widths[0] -> widths[1] -> ..., with tracked parameters, as the
+    encoder's are, and given running statistics."""
+    x = rng.normal(size=(n, frames, joints, widths[0])).astype(dtype)
+    adjacency = rng.uniform(0.0, 0.5, size=(joints, joints)).astype(dtype)
+    blocks = []
+    for c_in, c_out in zip(widths, widths[1:]):
+        weight, kernel, gamma, beta = (
+            T.parameter(v.astype(dtype)) for v in (
+                rng.normal(size=(c_in, c_out)), rng.normal(size=(c_out, 3)),
+                rng.uniform(0.5, 1.5, size=c_out), rng.normal(size=c_out)))
+        running = (rng.normal(size=c_out).astype(dtype),
+                   rng.uniform(0.5, 2.0, size=c_out).astype(dtype))
+        blocks.append((weight, kernel, (gamma, beta), running))
+    return x, adjacency, blocks
+
+
+@pytest.mark.parametrize("widths", [(3, 4, 4, 4), (3, 4, 4, 6)],
+                         ids=["residual_last", "wider_last"])
+def test_eval_encoder_matches_composition_over_ragged_chunks(monkeypatch, widths):
+    # three blocks: an entry block, a residual one, and a pooled last
+    # block with or without the residual, against `composed_block`'s
+    # elementwise eval form chained block by block at f64; chunks of 2, 2
+    # and a ragged 3 at the widest block
+    x, adjacency, blocks = _eval_case(np.random.default_rng(widths[-1]), widths, 7, 5, 6)
+    monkeypatch.setattr(T, "BLOCK_CHUNK_BYTES", 2 * 5 * 6 * max(widths) * 8)
+    with T.no_tape():
+        h = T.stgcn_eval(x, adjacency, blocks)
+        ref = x
+        for i, block in enumerate(blocks):
+            ref, _ = composed_block_last(ref, adjacency, *block, pool=i == len(blocks) - 1)
+    assert h.node is None and h.shape == (7, widths[-1])
+    np.testing.assert_allclose(h.data, ref.data, rtol=1e-10, atol=1e-12)
 
 
 @pytest.mark.parametrize("mode", ["train", "eval"])
 def test_block_chunk_size_independent_float32(monkeypatch, mode):
     rng = np.random.default_rng(5)
-    params, args = _block_inputs(rng, mode, True, shape=(9, 8, 5, 4), dtype=np.float32)
+    params, args = _block_inputs(rng, True, shape=(9, 8, 5, 4), dtype=np.float32)
     w = rng.normal(size=args[0].shape).astype(np.float32)
+    running = (rng.normal(size=4).astype(np.float32), rng.uniform(0.5, 2.0, 4).astype(np.float32))
 
     def run():
         if mode == "train":
             return _run_block(T.stgcn_block, params, args, w)
-        with T.no_tape():  # eval mode runs off the tape
-            out, stats = T.stgcn_block(*args)
-        return out.data, stats, {}
+        # eval mode: the block as the one, pooled, block of `stgcn_eval`
+        with T.no_tape():
+            out = T.stgcn_eval(args[0].data, args[1], [(*args[2:], running)])
+        return out.data, None, {}
 
     whole = run()
     monkeypatch.setattr(T, "BLOCK_CHUNK_BYTES", 1)  # one sample a chunk
@@ -671,13 +700,13 @@ def test_batch_norm_one_tape_node():
 
 
 def test_taped_eval_block_raises_and_records_nothing():
-    # the block records in train mode only: eval mode runs off the tape
-    _, args = _block_inputs(np.random.default_rng(0), "eval", residual=True)
+    # the encoder records in train mode only: the eval kernel runs off the tape
+    x, adjacency, blocks = _eval_case(np.random.default_rng(0), (3, 3), 3, 6, 4)
     with T.Tape() as tape, pytest.raises(InvalidArgument, match="train mode only"):
-        T.stgcn_block(*args)
+        T.stgcn_eval(x, adjacency, blocks)
     assert tape.nodes == []
     with T.no_tape():
-        assert T.stgcn_block(*args)[1] is None
+        assert T.stgcn_eval(x, adjacency, blocks).shape == (3, 3)
 
 
 def projector_chain(h, w1, b1, w2, b2):
@@ -873,18 +902,35 @@ class TestInvariants:
         assert err.value.op == "log"
 
     def test_nonfinite_block_names_the_block_op(self):
-        _, args = _block_inputs(np.random.default_rng(0), "train", residual=True)
+        _, args = _block_inputs(np.random.default_rng(0), residual=True)
         h = args[0].data.copy()
         h[1, 2, 3, 0] = np.nan
         with pytest.raises(NonFiniteValue, match="stgcn_block") as err:
             T.stgcn_block(T.Tensor(h), *args[1:])
         assert err.value.op == "stgcn_block"
 
+    def test_eval_block_output_turning_inf_names_the_block(self):
+        # one joint and one frame, so no aggregation or off-centre tap
+        # mixes the infinity into a NaN: block 0 overflows to +inf, and
+        # block 1's negative weights would take it to -inf and its relu to
+        # 0, so the pooled rows alone would read finite
+        x = np.full((2, 1, 1, 3), 1e308)
+        centre = np.array([[0.0, 1.0, 0.0]])  # a temporal kernel of its centre tap only
+        blocks = [(np.ones((3, 1)), centre, (np.ones(1), np.zeros(1)), (np.zeros(1), np.ones(1))),
+                  (-np.ones((1, 2)), np.tile(centre, (2, 1)), (np.ones(2), np.zeros(2)),
+                   (np.zeros(2), np.ones(2)))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonFiniteValue, match="stgcn_block") as err:
+                T.stgcn_eval(x, np.ones((1, 1)), blocks)
+            assert err.value.op == "stgcn_block"
+            # the same input at a finite scale passes, with block 1 all zero
+            assert not T.stgcn_eval(x * 1e-300, np.ones((1, 1)), blocks).data.any()
+
     def test_overflowing_batch_variance_names_the_block(self):
         # the float32 squares of the centered values overflow; a variance
         # of inf would zero xhat and leave a finite relu(beta)
-        _, args = _block_inputs(np.random.default_rng(0), "train", residual=True,
-                                dtype=np.float32)
+        _, args = _block_inputs(np.random.default_rng(0), residual=True, dtype=np.float32)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(NonFiniteValue, match="batch statistics") as err:
