@@ -241,6 +241,8 @@ def _read_scores(path) -> tuple[str, np.ndarray, np.ndarray | None]:
         scores = np.empty(0)
     if scores.ndim != 2:
         raise CorruptFile(f"{path}: key 'scores' is missing or not a 2-D numeric array")
+    if scores.shape[1] == 0:
+        raise CorruptFile(f"{path}: key 'scores' needs at least one class column")
     if not np.isfinite(scores).all():  # `json` reads NaN and Infinity as numbers
         raise CorruptFile(f"{path}: key 'scores' holds a value that is not finite")
     labels = doc.get("labels")
@@ -253,6 +255,9 @@ def _read_scores(path) -> tuple[str, np.ndarray, np.ndarray | None]:
             raise CorruptFile(
                 f"{path}: key 'labels' must hold one integer class per row of 'scores'"
             )
+        if ((labels < 0) | (labels >= scores.shape[1])).any():
+            raise CorruptFile(f"{path}: key 'labels' holds a class outside "
+                              f"[0, {scores.shape[1]}), the columns of 'scores'")
     return doc["stream"], scores, labels
 
 

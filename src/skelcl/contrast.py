@@ -7,8 +7,9 @@ place, as one tape node whose value is the step total, and
 `combine_losses` scores every intra- and inter-stream term of a step in
 one `queue_nll` call.  It divides the queries by the temperature before
 the products, so they write logits, and exponentiates them unshifted
-where every row's sum stays in range (else it shifts by the row max), so
-at the paper's queue sizes the two products are most of its work.
+where every row's sum stays in range (else it writes them again and
+shifts them by the row max), so at the paper's queue sizes the two
+products are most of its work.
 Neighbor mining enlarges a row's numerator with the most similar queue
 entries (`nnm_mine`), picked from those logits.  The hard-positive
 extrapolation (PFT) replaces a positive pair with a lower-similarity
@@ -138,12 +139,15 @@ def queue_nll(queries, zk, negatives, tau: float, divisor: float, mine=None, k: 
     straight into one reused (B, 1+Q) slab per group, and no pass over
     the slab divides it.  Mining rows select their neighbours from those
     logits; the similarities returned are the neighbours' logits times
-    `tau`.  The slab is exponentiated unshifted when every row's sum of
-    exponentials is in range, and otherwise refilled and shifted by its
-    row max (`T._softmax_nll_rows`'s `refill`), so a tiny `tau`, rows
-    far from unit norm and a NaN give the shifted form's results and
-    errors.  A call that records forms the group's query gradient while
-    its slab is live, so the node holds only the (..., B, D) gradient.
+    `tau`.  Column 0 is each row's first positive and the mined
+    neighbours its further ones, each listed once.  The slab is
+    exponentiated unshifted when every row's sum of exponentials is in
+    range; when `T._softmax_nll_rows` reports a sum out of range, the
+    logits are written again and scored once in the form shifted by the
+    row max, so a tiny `tau`, rows far from unit norm and a NaN give the
+    shifted form's results and errors.  A call that records forms the
+    group's query gradient while its slab is live, so the node holds only
+    the (..., B, D) gradient.
     """
     blocks = tuple(T.as_tensor(t) for t in queries)
     keys = _as_const(zk)
@@ -176,21 +180,26 @@ def queue_nll(queries, zk, negatives, tau: float, divisor: float, mine=None, k: 
         # the weight `div` fed back to each row through `sum_`, then / tau
         row_grad = np.full(batch, np.ones((), q.dtype) / divisor, dtype=q.dtype) / tau
     found = []
+    first = np.zeros(batch, dtype=np.intp)  # column 0 holds each row's positive pair
     for i, group in enumerate(negatives):
         group = np.asarray(group, dtype=q.dtype)  # a view unless the dtypes differ
 
-        def fill():  # this group's logits; a refill runs before the loop moves on
+        def fill():  # this group's logits
             slab[:, 0] = (q[i] * keys[i]).sum(axis=-1)
             np.matmul(q[i], group.T, out=slab[:, 1:])
 
         fill()
-        picks = None
+        extra = None
         if mine is not None:
             (mined,) = np.nonzero(mine[i])
             indices, logits = nnm_mine(slab[mined, 1:], k)
             found.append((indices, logits * tau))
-            picks = ((mined,), indices + 1)  # slab columns of the neighbours
-        rows[i], grad = T._softmax_nll_rows(slab, lead=1, picks=picks, refill=fill)
+            extra = (mined, indices + 1)  # slab columns of the neighbours
+        scored = T._softmax_nll_rows(slab, first, extra, shift=False)
+        if scored is None:  # a row sum out of range: the same logits again, shifted
+            fill()
+            scored = T._softmax_nll_rows(slab, first, extra)
+        rows[i], grad = scored
         if dq is not None:
             dlogits = grad(row_grad)
             np.multiply(dlogits[:, :1], keys[i], out=dq[i])

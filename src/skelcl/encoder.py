@@ -40,8 +40,8 @@ from . import tensor as T
 from .config import RunConfig
 from .errors import InvalidArgument, ShapeMismatch
 from .rng import RngStream
+from .skeleton import COORDS
 
-IN_CHANNELS = 3  # x, y, z coordinates
 BN_MOMENTUM = 0.9
 
 
@@ -94,7 +94,7 @@ def init_params(config: RunConfig, rng: RngStream) -> EncoderParams:
         return gen.uniform(-bound, bound, size=shape).astype(np.float32)
 
     tensors: dict[str, T.Tensor] = {}
-    c_in = IN_CHANNELS
+    c_in = COORDS
     k = config.enc_temporal_kernel
     for i, c_out in enumerate(config.enc_channels):
         tensors[f"block{i}.spatial_weight"] = T.parameter(glorot(c_in, c_out, (c_in, c_out)))
@@ -148,8 +148,8 @@ def stgcn_forward(
     x = T.as_tensor(x).data
     if x.ndim != 4:
         raise ShapeMismatch("input must be an (N, T, C, V) batch")
-    if x.shape[2] != IN_CHANNELS:
-        raise ShapeMismatch(f"expected {IN_CHANNELS} channels, got {x.shape[2]}")
+    if x.shape[2] != COORDS:
+        raise ShapeMismatch(f"expected {COORDS} channels, got {x.shape[2]}")
 
     h = np.swapaxes(x, 2, 3)  # channels-last inside the encoder, a view
     blocks = [(params[f"block{i}.spatial_weight"], params[f"block{i}.temporal_kernel"],

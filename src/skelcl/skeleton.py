@@ -92,9 +92,12 @@ class SkeletonGraph:
         return (a * inv_sqrt[:, None] * inv_sqrt[None, :]).astype(dtype)
 
 
+COORDS = 3  # x, y, z: the channels of a joint in every clip
+
+
 @dataclass
 class SkeletonSequence:
-    """One motion clip: (frames, channels, joints) array plus its graph."""
+    """One motion clip: (frames, COORDS, joints) array plus its graph."""
 
     data: np.ndarray
     graph: SkeletonGraph
@@ -104,6 +107,9 @@ class SkeletonSequence:
         self.data = np.asarray(self.data, dtype=np.float32)
         if self.data.ndim != 3:
             raise ShapeMismatch("sequence data must be (T, C, V)")
+        if self.data.shape[1] != COORDS:
+            raise ShapeMismatch(f"sequence data needs C = {COORDS} coordinates per joint, "
+                                f"got {self.data.shape[1]}")
         if self.frames < 2:
             raise TooShort("need at least 2 frames")
         if self.joints != self.graph.num_joints:
@@ -253,7 +259,7 @@ def _sample_trajectory(
     """Evaluate limb swing + extension sinusoids over `build_star_tree`'s
     layout of `num_joints` joints; returns (T, 3, V)."""
     t = np.arange(frames, dtype=np.float64) / frames
-    data = np.zeros((frames, 3, num_joints))
+    data = np.zeros((frames, COORDS, num_joints))
     for joint in range(1, num_joints):
         limb, depth = (joint - 1) % 4, (joint - 1) // 4 + 1
         direction, axis = _LIMB_DIRECTIONS[limb], _LIMB_SWING_AXES[limb]

@@ -29,14 +29,19 @@ the next, so it builds no full-batch activation.  The projection head
 `projector`, which shares its row-norm check with
 `l2_normalize` and the gradient of unit rows, `_unit_row_grad`, with
 `contrast.pft_transform`'s node.  The row softmax negative
-log-likelihood has one implementation, `_softmax_nll_rows`, shared by
+log-likelihood has one implementation, `_softmax_nll_rows`, on a 2-D
+logit buffer in which each row names its first positive column, plus
+optional further (row, columns) positives.  Its callers are
 `linear_head` (the probes' head kernel, which `linear_softmax_nll`
-records as one node), whose unbounded logits it always shifts by their
-row max, and `contrast.queue_nll`, whose temperature-scaled logits it
-exponentiates unshifted while their row sums stay in range.  So a
-pretraining step records only such fused nodes.  The linear head is
-one packed (D+1, C) array [W; b], and its gradient comes packed the
-same way, so a head step updates one array.
+records as one node), whose labels are the positives and whose
+unbounded logits it always shifts by their row max, and
+`contrast.queue_nll`, whose positive pair sits in column 0 and whose
+mined neighbours are the further positives; it asks for the unshifted
+form of its temperature-scaled logits, and when the kernel reports a
+row sum out of range it writes them again and asks for the shifted
+form.  So a pretraining step records only such fused nodes.  The linear
+head is one packed (D+1, C) array [W; b], and its gradient comes packed
+the same way, so a head step updates one array.
 
 No generic op has a package caller: `add`, `concat`, `conv1d_temporal`,
 `div`, `exp`, `l2_normalize`, `log`, `masked_softmax_nll_rows`,
@@ -988,89 +993,72 @@ def projector(h, w1, b1, w2, b2) -> Tensor:
     return _apply(z, inputs, bwd, check=False)
 
 
-def _softmax_nll_rows(exps: np.ndarray, lead: int = 0, picks=None, refill=None):
+def _softmax_nll_rows(exps: np.ndarray, first: np.ndarray, extra=None, shift: bool = True):
     """The package's one row softmax negative log-likelihood.
 
-    Per row of a (..., L) logit buffer, LSE(all) - LSE(positives), where
-    a row's positives are its first `lead` entries plus the entries
-    `picks` names.  `picks` is None; or (rows, cols) with `rows` a tuple
-    of (P,) index arrays over the leading axes (as `np.nonzero` gives
-    them) and `cols` a (P, k) array of the columns picked in each listed
-    row, where a (row, column) pair appears at most once, every row has
-    at least one positive, and a row may be listed more than once; or,
-    for a (B, L) buffer with `lead` 0, a (B,) integer array naming each
-    row's one positive.  Only the picked entries are gathered
-    (`exps[index]`), never a full-size mask.
-    The buffer is exponentiated in place.  Without `refill` it is first
-    shifted by its row max, which keeps any logits in range.  `refill`,
-    a callable that writes the same logits into the buffer again, asks
-    for the unshifted form, which saves the shift's max and subtraction
-    passes: the logits are exponentiated as they are and kept so if
-    every row's sum of exponentials S lies within a factor 1/√tiny of 1
-    (tiny the dtype's smallest normal).  There no entry overflows, the
-    entries that underflow weigh at most L·tiny·eps against S, below
-    rounding, and the gradient's factor g / S stays normal for a row
-    weight g ≥ √tiny.  Otherwise (a tiny temperature, rows far from
-    unit norm, a NaN) `refill()` runs and the row-max shift follows, so
-    such a buffer gives the shifted form's results and errors.
-    The positives' LSE is taken from their logits, gathered before the
-    exp and shifted by their own max (scattered with `np.maximum.at` and
-    `np.add.at`, since rows may repeat), so a positive far below the row
-    max neither underflows to a zero numerator nor overflows the
-    gradient.  One positive is its own LSE, so that form runs no
-    scatter; it is bit for bit the (rows, cols) form with picks
-    ((arange(B),), picks[:, None]).
-    Returns (nll, grad): nll has shape (...), and grad(g) overwrites the
+    Per row of an (R, L) logit buffer, LSE(all) - LSE(positives).  Row
+    r's positives are column `first[r]`, for an (R,) integer array
+    `first`, and, with `extra` = (rows, cols), the columns cols[p] of row
+    rows[p], for a (P,) array `rows` and a (P, k) array `cols`.  A (row,
+    column) pair is a positive at most once, and a row may be listed more
+    than once.  Only the positive entries are gathered (`exps[index]`),
+    never a full-size mask.
+    The buffer is exponentiated in place.  With `shift` it is first
+    shifted by its row max, which keeps any logits in range.  Without,
+    the logits are exponentiated as they are, which saves the shift's max
+    and subtraction passes, and kept so if every row's sum of
+    exponentials S lies within a factor 1/√tiny of 1 (tiny the dtype's
+    smallest normal).  There no entry overflows, the entries that
+    underflow weigh at most L·tiny·eps against S, below rounding, and the
+    gradient's factor g / S stays normal for a row weight g ≥ √tiny.
+    Otherwise (a tiny temperature, rows far from unit norm, a NaN) the
+    call returns None with the buffer spent, so that the caller writes
+    its logits again and calls the shifted form, whose results and errors
+    such a buffer then gives.
+    With `extra`, the positives' LSE is taken from their logits, gathered
+    before the exp and shifted by their own max (scattered with
+    `np.maximum.at` and `np.add.at`, since rows may repeat), so a
+    positive far below the row max neither underflows to a zero numerator
+    nor overflows the gradient.  Without, a row's one positive is its own
+    LSE, so that form runs no scatter; it is bit for bit the form with an
+    empty `extra`.
+    Returns (nll, grad): nll has shape (R,), and grad(g) overwrites the
     buffer again with the closed-form gradient
-    g * (softmax over all entries - softmax over the positives), which
-    for one positive is g * softmax with g subtracted at the positive
-    (there g may also be one scalar for every row).  Call grad at most
-    once.
+    g * (softmax over all entries - softmax over the positives) for (R,)
+    row weights g, which without `extra` is g * softmax with g subtracted
+    at the positive (there g may also be one scalar for every row).  Call
+    grad at most once.
     """
-    shift = refill is None
-    while True:
-        if shift:
-            exps -= exps.max(axis=-1, keepdims=True)
-        if isinstance(picks, np.ndarray):  # one positive per row
-            index = (np.arange(len(picks)), picks)
-            log_numer = exps[index][:, None]
-        else:
-            lead_logits = exps[..., :lead].copy()
-            top = lead_logits.max(axis=-1, keepdims=True, initial=-np.inf)
-            if picks is not None:
-                rows, cols = picks
-                index = (*(r[:, None] for r in rows), cols)
-                picked = exps[index]
-                with np.errstate(invalid="ignore"):  # a NaN row stays NaN, for the caller's check
-                    np.maximum.at(top[..., 0], rows, picked.max(axis=-1))
-        if shift:
-            np.exp(exps, out=exps)
-            denom = exps.sum(axis=-1, keepdims=True)
-            break
-        with np.errstate(over="ignore"):  # an overflow leaves its row's sum out of range
-            np.exp(exps, out=exps)
-            denom = exps.sum(axis=-1, keepdims=True)
-        if _in_range(denom):
-            break
-        refill()
-        shift = True
-    if not isinstance(picks, np.ndarray):
-        numer = np.exp(lead_logits - top).sum(axis=-1, keepdims=True)
-        if picks is not None:
-            np.add.at(numer[..., 0], rows, np.exp(picked - top[rows]).sum(axis=-1))
+    if shift:
+        exps -= exps.max(axis=1, keepdims=True)
+    index = (np.arange(len(exps)), first)
+    log_numer = first_logits = exps[index]
+    if extra is not None:
+        rows, cols = extra
+        extra_index = (rows[:, None], cols)
+        picked = exps[extra_index]
+        top = first_logits.copy()
+        with np.errstate(invalid="ignore"):  # a NaN row stays NaN, for the caller's check
+            np.maximum.at(top, rows, picked.max(axis=1))
+    with np.errstate(over="ignore"):  # an overflow leaves its row's sum out of range
+        np.exp(exps, out=exps)
+        denom = exps.sum(axis=1)
+    if not (shift or _in_range(denom)):
+        return None
+    if extra is not None:
+        numer = np.exp(first_logits - top)
+        np.add.at(numer, rows, np.exp(picked - top[rows, None]).sum(axis=1))
         log_numer = top + np.log(numer)
-    nll = (np.log(denom) - log_numer)[..., 0]
+    nll = np.log(denom) - log_numer
 
     def grad(g: np.ndarray) -> np.ndarray:
-        g = g[..., None]
-        np.multiply(exps, g / denom, out=exps)
+        np.multiply(exps, (g / denom)[:, None], out=exps)
         # a positive entry also loses g times its softmax over the positives
-        if isinstance(picks, np.ndarray):
-            exps[index] -= g[..., 0]
+        if extra is None:
+            exps[index] -= g
             return exps
-        exps[..., :lead] -= g * np.exp(lead_logits - log_numer)
-        if picks is not None:
-            exps[index] -= g[rows] * np.exp(picked - log_numer[rows])
+        exps[index] -= g * np.exp(first_logits - log_numer)
+        exps[extra_index] -= g[rows, None] * np.exp(picked - log_numer[rows, None])
         return exps
 
     return nll, grad
@@ -1088,7 +1076,9 @@ def masked_softmax_nll_rows(logits, positive_mask) -> Tensor:
     softmax mass on the row's masked-true entries; returns (..., B).
 
     One tape node over `_softmax_nll_rows`, which carries the
-    closed-form backward g * (softmax(all) - softmax(masked)).
+    closed-form backward g * (softmax(all) - softmax(masked)): the
+    leading axes flatten to rows, and each row's first masked entry is
+    its `first` positive and the rest its `extra` ones.
     """
     logits = as_tensor(logits)
     if logits.ndim < 2:
@@ -1098,13 +1088,17 @@ def masked_softmax_nll_rows(logits, positive_mask) -> Tensor:
         raise ShapeMismatch("mask shape must match logits")
     if not mask.any(axis=-1).all():
         raise EmptyMask("some row has no positive entry")
-    *rows, cols = np.nonzero(mask)  # one pick per positive entry
-    out, grad = _softmax_nll_rows(logits.data.copy(), picks=(tuple(rows), cols[:, None]))
+    rest = mask.reshape(-1, mask.shape[-1]).copy()
+    first = rest.argmax(axis=1)  # each row's first positive column
+    rest[np.arange(len(first)), first] = False
+    rows, cols = np.nonzero(rest)
+    out, grad = _softmax_nll_rows(logits.data.reshape(rest.shape).copy(), first,
+                                  (rows, cols[:, None]))
 
     def bwd(g, needs):
-        return (grad(g) if needs[0] else None,)
+        return (grad(g.reshape(-1)).reshape(logits.shape) if needs[0] else None,)
 
-    return _apply(out, (logits,), bwd)
+    return _apply(out.reshape(mask.shape[:-1]), (logits,), bwd)
 
 
 def linear_head(rows: np.ndarray, theta: np.ndarray, labels: np.ndarray):
@@ -1116,7 +1110,7 @@ def linear_head(rows: np.ndarray, theta: np.ndarray, labels: np.ndarray):
     are the weight, its last the bias, so a caller steps one array.
     `rows` (B, D), `theta` (D+1, C) and B `labels` in [0, C) are the
     caller's to check.  A row's loss is log Σexp of its shifted logits
-    minus its label's (`_softmax_nll_rows`, one pick per row).
+    minus its label's (`_softmax_nll_rows`, the label its one positive).
     Returns (loss, grads); a non-finite loss raises `NonFiniteValue`
     (op "linear_softmax_nll").  `grads(g, needs)` returns the (rows,
     theta) gradients, None where `needs` is false, from
@@ -1129,7 +1123,7 @@ def linear_head(rows: np.ndarray, theta: np.ndarray, labels: np.ndarray):
     """
     batch, dim = rows.shape
     weight = theta[:dim]
-    nll, grad = _softmax_nll_rows(rows @ weight + theta[dim], picks=labels)
+    nll, grad = _softmax_nll_rows(rows @ weight + theta[dim], labels)
     loss = np.add.reduce(nll, axis=0) / batch  # np.mean's sum and division, minus its overhead
     if not math.isfinite(loss):
         raise NonFiniteValue("linear_softmax_nll produced NaN or Inf", op="linear_softmax_nll")

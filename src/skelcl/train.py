@@ -574,7 +574,8 @@ def fuse_predictions(
 
     `weights` obeys `RunConfig`'s `fusion_weights` rule, and every stream
     of `scores` needs a weight, `ConfigValueError` ("fusion_weights")
-    otherwise.
+    otherwise.  The scores share one (N, C) shape with C ≥ 1
+    (`LengthMismatch` and `ShapeMismatch` otherwise).
     """
     weights = RunConfig(fusion_weights=weights).fusion_weights
     streams = list(scores)
@@ -584,6 +585,10 @@ def fuse_predictions(
     shapes = {np.asarray(scores[s]).shape for s in streams}
     if len(shapes) != 1:
         raise LengthMismatch(f"score shapes differ: {shapes}")
+    (shape,) = shapes
+    if len(shape) != 2 or shape[1] == 0:
+        raise ShapeMismatch(f"scores must be (clips, classes) with at least one class, "
+                            f"got shape {shape}")
     fused = None
     for s in streams:
         term = weights[s] * np.asarray(scores[s], dtype=np.float64)

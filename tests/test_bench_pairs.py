@@ -3,6 +3,7 @@ benchmark run)."""
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -132,3 +133,66 @@ def test_a_missing_workdir_is_created(tmp_path, capsys):
                              "--workdir", str(workdir)]) == 0
     assert workdir.is_dir() and list(workdir.iterdir()) == []  # the copies are removed
     assert "all runs correct: True" in capsys.readouterr().out
+
+
+def test_timing_notes_are_summarized_by_the_same_rule_with_no_bound():
+    # a time note gets a metric's summary; a note that is not a number is
+    # skipped, and so is a pair one of whose sides lacks the note
+    runs = [{"pair": i, "side": side, "metrics": {},
+             "notes": {"raw_step_ms_p50": value, "reference_ms_p50": 8.0 + 0.1 * i,
+                       "tail": "p93 of 149 steps"}}
+            for i, (p, c) in enumerate(zip(PARENT, CHANGE))
+            for side, value in (("parent", p), ("change", c))]
+    runs[0]["notes"].pop("reference_ms_p50")  # pair 0's parent lacks it
+    got = bench_pairs.summarize(runs, bench_pairs.NOTES, "notes")
+    assert set(got) == {"raw_step_ms_p50", "reference_ms_p50"}
+    want = bench_pairs.compare(PARENT, CHANGE, "lower", 0.25)
+    raw = got["raw_step_ms_p50"]
+    assert raw["unit"] == "ms" and raw["bound"] is None and raw["worse_than_bound"] is False
+    for key in ("parent", "change", "relative_change", "parent_iqr", "change_better_in_pairs",
+                "verdict", "gain_shown"):
+        assert raw[key] == want[key]
+    reference = got["reference_ms_p50"]
+    # both sides read the same reference in each pair: nine ties, no gap
+    assert (reference["pairs"], reference["ties"]) == (9, 9)
+    assert (reference["relative_change"], reference["verdict"]) == (0.0, "unresolved")
+    # a note past any bound is still not worse than one
+    slow = bench_pairs.compare([10.0] * 3, [100.0] * 3, "lower", None)
+    assert slow["worse_than_bound"] is False and slow["verdict"] == "changed"
+
+
+FAKE_RUN = """import json
+raw = {raw}
+print("note raw_step_ms_p50:", raw)
+print("note reference_ms_p50: 8.5")
+print("note tail: p93 of 149 steps")
+print(json.dumps({{"correct": True, "attempted": 3, "failed": 0,
+                  "metrics": {{"step_ms_p50": {{"value": raw / 2, "unit": "ms"}}}}}}))
+"""
+
+
+def test_main_keeps_the_notes_in_the_json_and_prints_them_under_the_table(tmp_path, capsys):
+    # each side's tree holds its own fake.py, which prints a run's output
+    trees = {}
+    for side, raw in (("parent", 43.2), ("change", 43.8)):
+        trees[side] = tmp_path / side
+        trees[side].mkdir()
+        (trees[side] / "fake.py").write_text(FAKE_RUN.format(raw=raw))
+        (trees[side] / "BENCHMARK.json").write_text(json.dumps(
+            {"command": [sys.executable, "fake.py"], "run_seconds": 1,
+             "end_to_end": [{"name": "step_ms_p50", "unit": "ms", "better": "lower",
+                             "bound": 0.25}]}))
+    out = tmp_path / "pairs.json"
+    assert bench_pairs.main(["--parent", str(trees["parent"]), "--change", str(trees["change"]),
+                             "--workload", "w", "--seed", "1", "--pairs", "2",
+                             "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert set(doc["notes"]) == {"raw_step_ms_p50", "reference_ms_p50"}
+    raw = doc["notes"]["raw_step_ms_p50"]
+    assert (raw["parent"]["median"], raw["change"]["median"]) == (43.2, 43.8)
+    assert raw["bound"] is None and not raw["worse_than_bound"] and not raw["gain_shown"]
+    assert doc["metrics"]["step_ms_p50"]["change"]["median"] == 21.9
+    table, _, notes = capsys.readouterr().out.partition("timing notes (raw times, no bound):\n")
+    assert table.splitlines()[-1].startswith("step_ms_p50 ")
+    assert [line.split()[0] for line in notes.splitlines()[:2]] == ["raw_step_ms_p50",
+                                                                    "reference_ms_p50"]

@@ -17,7 +17,8 @@ from skelcl import tensor as T
 from skelcl.cli import _gradcheck_cases, build_parser, main
 from skelcl.config import RunConfig
 from skelcl.errors import ConfigValueError
-from skelcl.skeleton import SkeletonSequence, load_dataset, read_file, write_dataset, write_file
+from skelcl.skeleton import (DATASET_FILE, DATASET_MAGIC, SkeletonSequence, load_dataset, read_file,
+                             write_dataset, write_file)
 
 GRADCHECK_COMPONENTS = {
     "block_entry", "block_residual", "projector", "loss_intra", "loss_nnm",
@@ -210,9 +211,16 @@ def test_fuse_rejects_score_files_that_do_not_pair(tmp_path, capsys, second, nam
     ('{"stream": "joint", "scores": [[0.2, 0.8]], "labels": [[1, 0]]}', "'labels'"),
     ('{"stream": "joint", "scores": [[0.2, 0.8], [0.9, 0.1]], "labels": [[1], [0, 1]]}',
      "'labels'"),
+    # no class column: fusing it once ended in argmax's raw ValueError
+    ('{"stream": "joint", "scores": [[]]}', "'scores'"),
+    # a class outside the score columns once printed an accuracy
+    ('{"stream": "joint", "scores": [[0.2, 0.8]], "labels": [-1]}', "'labels'"),
+    ('{"stream": "joint", "scores": [[0.2, 0.8]], "labels": [5]}', "'labels'"),
+    ('{"stream": "joint", "scores": [[0.2, 0.8]], "labels": [2]}', "'labels'"),
 ], ids=["not-json", "list", "no-stream", "stream-not-string", "no-scores", "scores-1d",
         "scores-ragged", "scores-not-numeric", "scores-nan", "scores-inf", "labels-short",
-        "labels-string", "labels-2d", "labels-ragged"])
+        "labels-string", "labels-2d", "labels-ragged", "scores-no-class", "labels-negative",
+        "labels-far-above", "labels-at-class-count"])
 def test_fuse_names_malformed_scores_file(tmp_path, capsys, content, named):
     scores = tmp_path / "joint.json"
     scores.write_text(content)
@@ -291,6 +299,21 @@ def test_metrics_file_holds_one_fresh_run_and_a_resume_appends(pretrained, tmp_p
                  "--resume", str(tmp_path / "run" / "ckpt_stage0.bin")]) == 0
     both = metrics.read_text().splitlines()
     assert both[:5] == run and json.loads(both[5])["config"] and both[6:] == run[3:]
+
+
+def test_pretrain_on_two_coordinate_clips_exits_1_naming_the_file(pretrained, tmp_path, capsys):
+    # such a dataset once loaded, and extreme key views then ended in
+    # augment's raw einsum ValueError
+    doc, tensors = read_file(pretrained / "data" / DATASET_FILE, DATASET_MAGIC, "dataset")
+    flat = tmp_path / "flat" / DATASET_FILE
+    flat.parent.mkdir()
+    write_file(flat, DATASET_MAGIC, json.dumps(doc).encode(), {"clips": tensors["clips"][:, :, :2]})
+    argv = ["pretrain", "--data", str(flat.parent), "--out", str(tmp_path / "run")]
+    for setting in [*TINY_RUN, "key_family=extreme"]:
+        argv += ["--set", setting]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flat}: ") and "C = 3 coordinates per joint, got 2" in err
 
 
 def test_pretrain_defaults_to_one_blas_thread(tmp_path):

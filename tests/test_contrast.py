@@ -410,12 +410,13 @@ def range_rule_inputs(case, dtype):
 def scored(zq, zk, negatives, tau, mine):
     """`queue_nll`'s per-row losses, mined indices and query gradient
     (of the total times 1.7), with every RuntimeWarning raised, and how
-    often it refilled a slab."""
-    refills = []
+    often it retried a slab in the shifted form."""
+    retries = []
     kernel = T._softmax_nll_rows
 
-    def counting(exps, lead=0, picks=None, refill=None):
-        return kernel(exps, lead, picks, lambda: refills.append(1) or refill())
+    def counting(exps, first, extra=None, shift=True):
+        retries.append(shift)
+        return kernel(exps, first, extra, shift)
 
     zq = T.parameter(zq)
     with warnings.catch_warnings(), pytest.MonkeyPatch.context() as patch:
@@ -424,18 +425,18 @@ def scored(zq, zk, negatives, tau, mine):
         with T.Tape():
             total, rows, neighbors = queue_nll([zq], zk, list(negatives), tau, 5, mine, 2)
             grad = T.backward(T.mul(total, 1.7))[zq].data
-    return rows, neighbors[0], grad, len(refills)
+    return rows, neighbors[0], grad, sum(retries)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("case", RANGE_CASES)
 def test_queue_nll_range_rule_gives_the_shifted_form(monkeypatch, case, dtype):
     # the slab is exponentiated unshifted only where its row sums are in
-    # range; elsewhere it is refilled and shifted, so every case gives the
-    # losses, neighbours and gradients of the form that always shifts
+    # range; elsewhere it is written again and shifted, so every case gives
+    # the losses, neighbours and gradients of the form that always shifts
     inputs = range_rule_inputs(case, dtype)
-    rows, indices, grad, refills = scored(*inputs)
-    assert refills == (len(inputs[2]) if case in SHIFTED_CASES else 0)
+    rows, indices, grad, retries = scored(*inputs)
+    assert retries == (len(inputs[2]) if case in SHIFTED_CASES else 0)
     monkeypatch.setattr(T, "_in_range", lambda sums: False)  # always shift
     want_rows, want_indices, want_grad, _ = scored(*inputs)
     tol = 1e-12 if dtype == np.float64 else 2e-6
@@ -581,11 +582,18 @@ def whole_stack_chain(q, keys, negatives, tau, batch, mine, k):
 
     fill()
     indices, values = nnm_mine(logits[..., 1:][mine], k)
-    rows, grad = T._softmax_nll_rows(logits, lead=1, picks=(np.nonzero(mine), indices + 1),
-                                     refill=fill)
+    flat = logits.reshape(-1, logits.shape[-1])  # the (G, B) rows as one (G B) axis
+    first = np.zeros(len(flat), dtype=np.intp)
+    extra = (np.flatnonzero(mine), indices + 1)
+    scored = T._softmax_nll_rows(flat, first, extra, shift=False)
+    if scored is None:
+        fill()
+        scored = T._softmax_nll_rows(flat, first, extra)
+    rows, grad = scored
+    rows = rows.reshape(mine.shape)
     divisor = np.asarray(batch, dtype=q.dtype)
     total = rows.sum(axis=(0, 1)) / divisor
-    dlogits = grad(np.broadcast_to(np.ones((), q.dtype) / divisor, rows.shape).copy() / tau)
+    dlogits = grad(np.full(rows.size, np.ones((), q.dtype) / divisor) / tau).reshape(logits.shape)
     dq = dlogits[..., :1] * keys
     dq += dlogits[..., 1:] @ negatives
     return total, rows, (indices, values * tau), dq

@@ -148,6 +148,14 @@ def test_fuse_predictions_weighted_argmax():
                          {"joint": 1.0, "bone": 1.0})
 
 
+@pytest.mark.parametrize("shape", [(2, 0), (0, 0), (3,)])
+def test_fuse_predictions_refuses_scores_without_a_class_column(shape):
+    # a (2, 0) score array once reached argmax and ended in its raw ValueError
+    scores = {"joint": np.zeros(shape), "bone": np.zeros(shape)}
+    with pytest.raises(ShapeMismatch, match="at least one class"):
+        fuse_predictions(scores, {"joint": 1.0, "bone": 1.0})
+
+
 @pytest.mark.parametrize("weights", [{"joint": 1.0}, {"joint": 1.0, "bone": 0.0}],
                          ids=["missing", "zero"])
 def test_fuse_predictions_needs_a_positive_weight_per_stream(weights):

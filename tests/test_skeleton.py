@@ -156,6 +156,10 @@ class TestStreams:
         with pytest.raises(UnknownStream):
             derive_streams(_seq(data, CHAIN3), ["joint", "velocity"])
 
+    def test_sequence_needs_three_coordinates(self):
+        with pytest.raises(ShapeMismatch, match="C = 3 coordinates per joint, got 2"):
+            _seq(np.zeros((4, 2, 3), dtype=np.float32), CHAIN3)
+
 
 class TestGraph:
     def test_rejects_non_tree(self):
@@ -291,6 +295,15 @@ class TestSequenceFiles:
             load_dataset(directory)
         except SkelclError:
             pass
+
+    @pytest.mark.parametrize("coords", [2, 4])
+    def test_clips_of_other_than_three_coordinates_raise_corrupt_file(self, tmp_path, coords):
+        # a (T, 2, V) dataset once loaded and then ended in augment's raw
+        # einsum ValueError under `pretrain --set key_family=extreme`
+        _write_raw_dataset(tmp_path, GOOD_HEADER, {"clips": np.zeros((2, 4, coords, 3), np.float32)})
+        with pytest.raises(CorruptFile, match=f"C = 3 coordinates per joint, got {coords}") as err:
+            load_dataset(tmp_path)
+        assert str(tmp_path / DATASET_FILE) in str(err.value)
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_malformed_header_raises_corrupt_file(self, tmp_path, case):

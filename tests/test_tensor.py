@@ -125,8 +125,8 @@ class TestSoftmaxNll:
             grads = T.backward(loss)
         assert loss.item() == gap
         np.testing.assert_array_equal(grads[logits].data, [[-1.0, 1.0]])
-        # the leading-entry positives queue_nll uses
-        nll, grad = T._softmax_nll_rows(np.array([[0.0, gap]], dtype=np.float32), lead=1)
+        # the column-0 positives queue_nll uses
+        nll, grad = T._softmax_nll_rows(np.array([[0.0, gap]], dtype=np.float32), np.zeros(1, int))
         assert nll[0] == gap
         np.testing.assert_array_equal(grad(np.ones(1, dtype=np.float32)), [[-1.0, 1.0]])
 
@@ -772,6 +772,34 @@ def test_masked_softmax_nll_matches_composition(shape, tau):
     np.testing.assert_allclose(grad, ref_grad, rtol=1e-10, atol=1e-12)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_masked_softmax_nll_stack_bit_equals_its_slices(dtype):
+    # the leading axis flattens into rows: a (2, B, L) stack whose rows hold
+    # 1 to L positives gives each (B, L) slice's losses and gradients
+    rng = np.random.default_rng(14)
+    batch, width = 6, 5
+    logits = (10.0 * rng.normal(size=(2, batch, width))).astype(dtype)
+    mask = np.zeros((2, batch, width), dtype=bool)
+    for n, row in enumerate(mask.reshape(-1, width)):
+        row[rng.permutation(width)[:1 + n % width]] = True
+    w = rng.uniform(0.5, 2.0, size=(2, batch)).astype(dtype)
+
+    def scored(values, positives, weights):
+        x = T.parameter(values.copy())
+        with T.Tape():
+            out = T.masked_softmax_nll_rows(x, positives)
+            grads = T.backward(T.sum_(T.mul(out, weights)))
+        return out.data, grads[x].data
+
+    out, grad = scored(logits, mask, w)
+    assert {int(n) for n in mask.sum(axis=-1).ravel()} == set(range(1, width + 1))
+    for i in range(2):
+        want, want_grad = scored(logits[i], mask[i], w[i])
+        assert out[i].dtype == want.dtype == dtype
+        assert out[i].tobytes() == want.tobytes()
+        assert grad[i].tobytes() == want_grad.tobytes()
+
+
 def test_masked_softmax_nll_one_tape_node():
     logits = T.parameter(np.random.default_rng(0).normal(size=(2, 3, 4)))
     with T.Tape() as tape:
@@ -822,8 +850,9 @@ def test_linear_head_bit_equals_the_four_node_chain(dtype, batch):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_one_pick_per_row_bit_equals_the_scatter_path(dtype):
-    # a row's one positive skips maximum.at/add.at, and the loss and the
-    # gradient, for per-row and for one shared upstream g, stay bit for bit
+    # `first` alone skips maximum.at/add.at: against `first` plus an empty
+    # `extra`, the loss and the gradient, for per-row and for one shared
+    # upstream g, stay bit for bit
     rng = np.random.default_rng(9)
     logits = (40.0 * rng.normal(size=(9, 6))).astype(dtype)  # picks far below their row max
     logits[1] = logits[1, 0]  # a row of ties
@@ -832,9 +861,9 @@ def test_one_pick_per_row_bit_equals_the_scatter_path(dtype):
     per_row = rng.uniform(0.1, 2.0, size=9).astype(dtype)
     shared = per_row[0] / 9
     for g_one, g_scatter in ((per_row, per_row), (shared, np.full(9, shared))):
-        nll, grad = T._softmax_nll_rows(logits.copy(), picks=labels)
-        ref, ref_grad = T._softmax_nll_rows(logits.copy(),
-                                            picks=((np.arange(9),), labels[:, None]))
+        nll, grad = T._softmax_nll_rows(logits.copy(), labels)
+        no_extra = (np.zeros(0, int), np.zeros((0, 1), int))
+        ref, ref_grad = T._softmax_nll_rows(logits.copy(), labels, no_extra)
         assert nll.dtype == ref.dtype == dtype
         assert nll.tobytes() == ref.tobytes()
         assert grad(g_one).tobytes() == ref_grad(g_scatter).tobytes()

@@ -28,6 +28,11 @@ the change wins at least nine tenths of them and its median is better
 by more than a non-zero parent range: at 5 pairs a 5-of-5 win beyond
 the parent's range showed on metrics whose work a change left alone,
 so fewer pairs show no gain.
+The timing notes every run prints beside its metrics (`NOTES`: the raw,
+unscaled step and finetune times, and the reference kernel's time that
+scales them) get the same summary, with no bound, under `notes` in the
+JSON and under the table.  A scaled gain that the raw times do not show
+sits in the reference, not in the program.
 The JSON written to --out also keeps every run.  Standard library and
 NumPy only.
 """
@@ -46,6 +51,10 @@ import numpy as np
 
 SIDES = ("parent", "change")
 GAIN_PAIRS = 10  # the fewest pairs that can show a gain
+# the numeric `note` lines of a run that are times, summarized like metrics
+NOTES = [{"name": name, "unit": unit, "better": "lower", "bound": None}
+         for name, unit in (("raw_step_ms_p50", "ms"), ("raw_finetune_s", "s"),
+                            ("reference_ms_p50", "ms"))]
 
 
 def quartiles(values) -> dict:
@@ -54,10 +63,10 @@ def quartiles(values) -> dict:
     return {"median": float(median), "q1": float(q1), "q3": float(q3)}
 
 
-def compare(parent, change, better: str, bound: float) -> dict:
+def compare(parent, change, better: str, bound: float | None) -> dict:
     """The summary of one metric over pairs: `parent[i]` and `change[i]`
     are the two sides of pair i; `better` is "lower" or "higher"; `bound`
-    is the relative worsening the benchmark allows."""
+    is the relative worsening the benchmark allows, None for none."""
     if len(parent) != len(change) or not parent:
         raise ValueError("need one parent and one change value for each of at least one pair")
     sign = 1.0 if better == "lower" else -1.0  # > 0 where the change is worse
@@ -83,7 +92,7 @@ def compare(parent, change, better: str, bound: float) -> dict:
         "ties": sum(d == 0 for d in diffs),
         "pairs": len(diffs),
         "bound": bound,
-        "worse_than_bound": sign * relative > bound,
+        "worse_than_bound": bound is not None and sign * relative > bound,
         "verdict": verdict,
         "gain_shown": len(diffs) >= GAIN_PAIRS and wins >= math.ceil(0.9 * len(diffs))
                       and -worse > iqr > 0,
@@ -138,23 +147,35 @@ def fresh_copy(src: Path, dst: Path) -> Path:
     return dst
 
 
-def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
-    """Per-metric summaries of `runs` (each tagged with its pair and side)
-    over the pairs where both sides reported the metric."""
+def summarize(runs: list[dict], specs: list[dict], field: str = "metrics") -> dict:
+    """Per-name summaries of `runs` (each tagged with its pair and side)
+    over the pairs where both sides reported the name as a number in
+    their `field` ("metrics" or "notes")."""
     by_pair: dict[int, dict] = {}
     for run in runs:
         by_pair.setdefault(run["pair"], {})[run["side"]] = run
-    metrics = {}
-    for spec in end_to_end:
+    summaries = {}
+    for spec in specs:
         name = spec["name"]
         pairs = [p for _, p in sorted(by_pair.items())
-                 if all(name in p.get(side, {}).get("metrics", {}) for side in SIDES)]
+                 if all(isinstance(p.get(side, {}).get(field, {}).get(name), (int, float))
+                        for side in SIDES)]
         if pairs:
-            metrics[name] = dict(compare(
-                [p["parent"]["metrics"][name] for p in pairs],
-                [p["change"]["metrics"][name] for p in pairs],
+            summaries[name] = dict(compare(
+                [p["parent"][field][name] for p in pairs],
+                [p["change"][field][name] for p in pairs],
                 spec["better"], spec["bound"]), unit=spec["unit"])
-    return metrics
+    return summaries
+
+
+def table_row(name: str, m: dict) -> str:
+    """One printed line of a summary."""
+    wins = f"{m['change_better_in_pairs']}/{m['pairs']}"
+    return (f"{name:18s} {m['parent']['median']:11.5g} {m['change']['median']:11.5g} "
+            f"{100 * m['relative_change']:+7.1f}% {wins:>6s} "
+            f"{m['parent_iqr']:11.4g}  {m['verdict']}"
+            + ("  WORSE THAN BOUND" if m["worse_than_bound"] else "")
+            + ("  gain shown" if m["gain_shown"] else ""))
 
 
 def main(argv=None) -> int:
@@ -186,6 +207,7 @@ def main(argv=None) -> int:
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     metrics = summarize(runs, bench["end_to_end"])
+    notes = summarize(runs, NOTES, "notes")
     doc = {
         "workload": args.workload,
         "seed": args.seed,
@@ -198,6 +220,7 @@ def main(argv=None) -> int:
         "failed": sum(run["failed"] for run in runs),
         "attempted": sum(run["attempted"] for run in runs),
         "metrics": metrics,
+        "notes": notes,
         "runs": runs,
     }
     if args.out:
@@ -205,12 +228,11 @@ def main(argv=None) -> int:
     print(f"{'metric':18s} {'parent':>11s} {'change':>11s} {'change':>8s} "
           f"{'wins':>6s} {'parent IQR':>11s}  verdict")
     for name, m in metrics.items():
-        wins = f"{m['change_better_in_pairs']}/{m['pairs']}"
-        print(f"{name:18s} {m['parent']['median']:11.5g} {m['change']['median']:11.5g} "
-              f"{100 * m['relative_change']:+7.1f}% {wins:>6s} "
-              f"{m['parent_iqr']:11.4g}  {m['verdict']}"
-              + ("  WORSE THAN BOUND" if m["worse_than_bound"] else "")
-              + ("  gain shown" if m["gain_shown"] else ""))
+        print(table_row(name, m))
+    if notes:
+        print("timing notes (raw times, no bound):")
+        for name, m in notes.items():
+            print(table_row(name, m))
     print(f"a gain needs at least {GAIN_PAIRS} pairs, nine tenths of them won, and a median "
           f"gap above the parent IQR; this set has {args.pairs}")
     print(f"all runs correct: {doc['all_runs_correct']} "
