@@ -2,8 +2,8 @@
 
 A sequence is a (T, C, V) float32 array over a tree-structured body
 graph.  Three derived views ("streams") of the same sequence feed the
-contrastive pipeline: raw joint coordinates, bone vectors (differences
-along graph edges), and motion (frame-to-frame displacement).
+contrastive pipeline: raw joint coordinates, bone vectors (each joint
+minus its parent in the graph), and motion (frame-to-frame displacement).
 
 `stream_arrays` returns the joint array it is given as the joint view,
 so a caller that must keep that array unchanged passes in a copy;
@@ -22,7 +22,7 @@ import math
 import os
 import struct
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import permutations
 from pathlib import Path
 
@@ -33,6 +33,7 @@ from .errors import (
     ConfigValueError,
     CorruptFile,
     HashMismatch,
+    InvalidArgument,
     SeparabilityFailure,
     ShapeMismatch,
     TooShort,
@@ -53,10 +54,15 @@ class SkeletonGraph:
 
     The root is joint 0, the one joint no edge targets; a dataset file
     stores only the edges, so a graph rebuilt from it has the same root.
+    `parents[j]` is the source of the edge that targets joint j, and the
+    root is its own parent.  It is worked out from `edges` when the graph
+    is built, so it is no constructor argument, takes no part in equality
+    or hashing, and is not written to files.
     """
 
     num_joints: int
     edges: tuple[tuple[int, int], ...]
+    parents: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = self.num_joints
@@ -66,27 +72,26 @@ class SkeletonGraph:
         if sorted(targets) != list(range(1, v)):
             raise ShapeMismatch("every joint but the root, joint 0, must be the target of "
                                 "one edge")
-        # reachability from the root
-        children: dict[int, list[int]] = {}
+        parents = [0] * v
         for src, tgt in self.edges:
-            children.setdefault(src, []).append(tgt)
-        seen, frontier = {0}, [0]
-        while frontier:
-            j = frontier.pop()
-            for c in children.get(j, ()):
-                if c not in seen:
-                    seen.add(c)
-                    frontier.append(c)
-        if len(seen) != v:
+            if not 0 <= src < v:
+                raise ShapeMismatch(f"edge source {src} is not one of the {v} joints")
+            parents[tgt] = src
+        # 2 ** bit_length(v) > v hops up from every joint end at the root
+        # only if every chain of parents reaches it
+        hop = np.array(parents)
+        for _ in range(v.bit_length()):
+            hop = hop[hop]
+        if hop.any():
             raise ShapeMismatch("edges do not span all joints from the root")
+        object.__setattr__(self, "parents", tuple(parents))
 
     def normalized_adjacency(self, dtype=np.float32) -> np.ndarray:
         """Symmetric-normalized undirected adjacency with self loops."""
-        v = self.num_joints
-        a = np.eye(v, dtype=np.float64)
-        for src, tgt in self.edges:
-            a[src, tgt] = 1.0
-            a[tgt, src] = 1.0
+        joints = np.arange(self.num_joints)
+        a = np.eye(self.num_joints, dtype=np.float64)
+        a[joints, self.parents] = 1.0
+        a[self.parents, joints] = 1.0
         d = a.sum(axis=1)
         inv_sqrt = 1.0 / np.sqrt(d)
         return (a * inv_sqrt[:, None] * inv_sqrt[None, :]).astype(dtype)
@@ -127,11 +132,9 @@ class SkeletonSequence:
 
 
 def derive_bone(data: np.ndarray, graph: SkeletonGraph) -> np.ndarray:
-    """Bone vectors of a (..., T, C, V) array at each edge's target joint; root stays zero."""
-    src, tgt = np.array(graph.edges, dtype=np.int64).reshape(-1, 2).T
-    out = np.zeros_like(data)
-    out[..., tgt] = data[..., tgt] - data[..., src]
-    return out
+    """Bone vectors of a (..., T, C, V) array: each joint minus its parent,
+    so the root, its own parent, reads x - x = +0.0."""
+    return data - data[..., graph.parents]
 
 
 def derive_motion(data: np.ndarray) -> np.ndarray:
@@ -167,7 +170,10 @@ def derive_streams(seq: SkeletonSequence, stream_ids) -> dict[str, np.ndarray]:
 
 def shared_graph(sequences: list[SkeletonSequence]) -> SkeletonGraph:
     """The one skeleton graph every clip of `sequences` has; the clips must
-    also share a frame count, so any subset of them stacks."""
+    also share a frame count, so any subset of them stacks.  An empty list
+    has no graph: it raises `InvalidArgument`."""
+    if not sequences:
+        raise InvalidArgument("no clips: need at least one to share a skeleton graph")
     graph, frames = sequences[0].graph, sequences[0].frames
     if any((s.graph is not graph and s.graph != graph) or s.frames != frames for s in sequences):
         raise ShapeMismatch("clips do not all share one skeleton graph and frame count")
@@ -569,7 +575,8 @@ def write_dataset(directory, sequences: list[SkeletonSequence], splits: list[str
 
     Its JSON holds the graph's `edges`, one label per clip (null when a
     clip has none) and one split name per clip; its one tensor, `clips`,
-    is (N, T, C, V), so every clip must share one graph and frame count.
+    is (N, T, C, V), so there must be at least one clip, and every clip
+    must share one graph and frame count.
     """
     graph, clips = clip_batch(sequences)
     doc = {"edges": graph.edges, "labels": [s.label for s in sequences], "splits": list(splits)}

@@ -196,3 +196,75 @@ def test_main_keeps_the_notes_in_the_json_and_prints_them_under_the_table(tmp_pa
     assert table.splitlines()[-1].startswith("step_ms_p50 ")
     assert [line.split()[0] for line in notes.splitlines()[:2]] == ["raw_step_ms_p50",
                                                                     "reference_ms_p50"]
+
+
+def _scale_runs(scaled, raw):
+    """Fabricated runs whose step_ms_p50 pairs are `scaled` and whose
+    raw_step_ms_p50 pairs are `raw`, each a (parent, change) list pair."""
+    return [{"pair": i, "side": side, "metrics": {"step_ms_p50": scaled[k][i]},
+             "notes": {"raw_step_ms_p50": raw[k][i]}}
+            for i in range(len(scaled[0])) for k, side in enumerate(bench_pairs.SIDES)]
+
+
+def _disagreements(runs):
+    spec = [{"name": "step_ms_p50", "unit": "ms", "better": "lower", "bound": 0.25}]
+    return bench_pairs.scale_disagreements(bench_pairs.summarize(runs, spec),
+                                           bench_pairs.summarize(runs, bench_pairs.NOTES, "notes"))
+
+
+def test_a_scaled_rise_beside_a_raw_fall_is_flagged():
+    # the reading of a fault-free desk step: scaled +26%, raw -10%
+    raw_change = [0.9 * p for p in PARENT]
+    got = _disagreements(_scale_runs((PARENT, [1.26 * p for p in PARENT]), (PARENT, raw_change)))
+    assert len(got) == 1
+    flag = got[0]
+    assert (flag["scaled"], flag["raw"]) == ("step_ms_p50", "raw_step_ms_p50")
+    assert flag["scaled_relative_change"] == pytest.approx(0.26)
+    assert flag["raw_relative_change"] == pytest.approx(-0.1)
+    assert (flag["scaled_verdict"], flag["raw_verdict"]) == ("worse", "better")
+
+
+def test_agreeing_signs_and_two_unresolved_verdicts_are_not_flagged():
+    agree = _scale_runs((PARENT, [1.26 * p for p in PARENT]), (PARENT, [1.1 * p for p in PARENT]))
+    assert _disagreements(agree) == []
+    # opposite signs, each gap inside the parent's IQR of 1.0
+    unresolved = _scale_runs((PARENT, [p + 0.3 for p in PARENT]),
+                             (PARENT, [p - 0.3 for p in PARENT]))
+    assert _disagreements(unresolved) == []
+
+
+DRIFTING_RUN = """import json, pathlib
+count = pathlib.Path("count")
+n = int(count.read_text()) if count.exists() else 0
+count.write_text(str(n + 1))
+print("note raw_step_ms_p50:", {raw} + n)
+print(json.dumps({{"correct": True, "attempted": 3, "failed": 0,
+                  "metrics": {{"step_ms_p50": {{"value": {scaled} + n, "unit": "ms"}}}}}}))
+"""
+
+
+def test_main_lists_and_prints_a_scale_disagreement(tmp_path, capsys):
+    # each side's values rise by 1 per run, so the parent's IQR is 1.5 over
+    # four pairs; the change's scaled time is 5.4 worse and its raw time 3.2 better
+    trees = {}
+    for side, raw, scaled in (("parent", 43.2, 21.6), ("change", 40.0, 27.0)):
+        trees[side] = tmp_path / side
+        trees[side].mkdir()
+        (trees[side] / "fake.py").write_text(DRIFTING_RUN.format(raw=raw, scaled=scaled))
+        (trees[side] / "BENCHMARK.json").write_text(json.dumps(
+            {"command": [sys.executable, "fake.py"], "run_seconds": 1,
+             "end_to_end": [{"name": "step_ms_p50", "unit": "ms", "better": "lower",
+                             "bound": 0.25}]}))
+    out = tmp_path / "pairs.json"
+    assert bench_pairs.main(["--parent", str(trees["parent"]), "--change", str(trees["change"]),
+                             "--workload", "w", "--seed", "1", "--pairs", "4",
+                             "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert [(d["scaled"], d["raw"], d["scaled_verdict"], d["raw_verdict"])
+            for d in doc["scale_disagrees"]] == [("step_ms_p50", "raw_step_ms_p50", "worse",
+                                                  "better")]
+    assert doc["metrics"]["step_ms_p50"]["gain_shown"] is False  # verdicts are left as they were
+    _, _, notes = capsys.readouterr().out.partition("timing notes (raw times, no bound):\n")
+    line = notes.splitlines()[1]
+    assert line.startswith("scale disagrees: step_ms_p50 +")
+    assert "raw_step_ms_p50 -" in line and "ROADMAP item 14" in line

@@ -13,6 +13,7 @@ from skelcl.errors import (
     BadMagic,
     ConfigValueError,
     CorruptFile,
+    InvalidArgument,
     ShapeMismatch,
     SkelclError,
     TooShort,
@@ -27,12 +28,14 @@ from skelcl.skeleton import (
     SkeletonGraph,
     SkeletonSequence,
     build_star_tree,
+    clip_batch,
     derive_bone,
     derive_motion,
     derive_streams,
     generate_synthetic_dataset,
     load_dataset,
     oracle_classifier_accuracy,
+    shared_graph,
     stratified_pick,
     stratified_split,
     stream_arrays,
@@ -46,6 +49,38 @@ CHAIN3 = SkeletonGraph(num_joints=3, edges=((0, 1), (1, 2)))
 
 def _seq(data, graph, label=None):
     return SkeletonSequence(data=np.asarray(data, dtype=np.float32), graph=graph, label=label)
+
+
+@st.composite
+def shuffled_trees(draw):
+    """A random tree on 1 to 25 joints rooted at joint 0: joint i is grown
+    below one of joints 0..i-1 (below joint i-1 in a chain, the deepest
+    tree), then the joints but the root are relabelled at random, so a
+    parent can have a larger index than its child, and the edges are
+    listed in random order."""
+    v, chain = draw(st.integers(1, 25)), draw(st.booleans())
+    grown_below = [i - 1 if chain else draw(st.integers(0, i - 1)) for i in range(1, v)]
+    label = [0, *draw(st.permutations(range(1, v)))]
+    edges = [(label[src], label[tgt]) for tgt, src in enumerate(grown_below, start=1)]
+    return SkeletonGraph(num_joints=v, edges=tuple(draw(st.permutations(edges))))
+
+
+def _bone_per_edge(x, graph):
+    """The bone stream by its definition: each edge's target minus its source, root zero."""
+    out = np.zeros_like(x)
+    for src, tgt in graph.edges:
+        out[..., tgt] = x[..., tgt] - x[..., src]
+    return out
+
+
+def _adjacency_per_edge(graph, dtype):
+    """`normalized_adjacency` built edge by edge, as it once was."""
+    a = np.eye(graph.num_joints, dtype=np.float64)
+    for src, tgt in graph.edges:
+        a[src, tgt] = 1.0
+        a[tgt, src] = 1.0
+    inv_sqrt = 1.0 / np.sqrt(a.sum(axis=1))
+    return (a * inv_sqrt[:, None] * inv_sqrt[None, :]).astype(dtype)
 
 
 class TestBone:
@@ -82,6 +117,19 @@ class TestBone:
         np.testing.assert_array_equal(
             derive_bone(data, graph), derive_bone(data + shift, graph)
         )
+
+    @settings(max_examples=60, deadline=None)
+    @given(shuffled_trees(), st.integers(0, 2**31 - 1))
+    def test_parent_array_matches_the_per_edge_definition_bit_for_bit(self, graph, seed):
+        x = np.random.default_rng(seed).normal(size=(3, 4, 3, graph.num_joints))
+        x = x.astype(np.float32)
+        bone = derive_bone(x, graph)
+        assert bone.tobytes() == _bone_per_edge(x, graph).tobytes()  # root row +0.0, not -0.0
+        for i, clip in enumerate(x):
+            assert derive_bone(clip, graph).tobytes() == bone[i].tobytes()
+        for dtype in (np.float32, np.float64):
+            assert (graph.normalized_adjacency(dtype).tobytes()
+                    == _adjacency_per_edge(graph, dtype).tobytes())
 
 
 class TestMotion:
@@ -170,6 +218,26 @@ class TestGraph:
         with pytest.raises(ShapeMismatch):
             SkeletonGraph(num_joints=4, edges=((0, 1), (2, 3), (3, 2)))
 
+    # at 3 joints, sources 7 and -1 must not index the parent array: 7 would
+    # raise a raw IndexError, and -1 would wrap round to the last joint
+    @pytest.mark.parametrize("edges", [((7, 1), (0, 2)), ((-1, 1), (0, 2))])
+    def test_rejects_an_edge_source_outside_the_joints(self, edges):
+        with pytest.raises(ShapeMismatch, match="not one of the 3 joints"):
+            SkeletonGraph(num_joints=3, edges=edges)
+
+    def test_rejects_a_self_loop_off_the_root(self):
+        # a joint that is its own parent looks like a second root
+        with pytest.raises(ShapeMismatch, match="do not span"):
+            SkeletonGraph(num_joints=3, edges=((0, 1), (2, 2)))
+
+    def test_parent_array_is_derived_and_not_compared(self):
+        assert CHAIN3.parents == (0, 0, 1)
+        assert SkeletonGraph(num_joints=1, edges=()).parents == (0,)
+        same = SkeletonGraph(num_joints=3, edges=((0, 1), (1, 2)))
+        assert same == CHAIN3 and hash(same) == hash(CHAIN3) and "parents" not in repr(same)
+        with pytest.raises(TypeError):
+            SkeletonGraph(num_joints=3, edges=CHAIN3.edges, parents=(0, 0, 1))
+
     def test_root_is_joint_zero(self):
         # a dataset file stores only the edges and rebuilds the graph from
         # them, so a tree rooted at another joint is refused when built
@@ -240,6 +308,9 @@ MALFORMED = {
     "split_not_string": (dict(GOOD_HEADER, splits=[0, "val"]), GOOD_CLIPS),
     "edge_not_pair": (dict(GOOD_HEADER, edges=[[0, 1], [1]]), GOOD_CLIPS),
     "edges_not_tree": (dict(GOOD_HEADER, edges=[[0, 1], [0, 1]]), GOOD_CLIPS),
+    "edge_source_past_the_joints": (dict(GOOD_HEADER, edges=[[7, 1], [0, 2]]), GOOD_CLIPS),
+    "edge_source_negative": (dict(GOOD_HEADER, edges=[[-1, 1], [0, 2]]), GOOD_CLIPS),
+    "edges_loop_off_the_root": (dict(GOOD_HEADER, edges=[[0, 1], [2, 2]]), GOOD_CLIPS),
     "no_clips": (GOOD_HEADER, {"frames": GOOD_CLIPS["clips"]}),
     "clips_rank_3": (GOOD_HEADER, {"clips": GOOD_CLIPS["clips"][0]}),
 }
@@ -310,6 +381,14 @@ class TestSequenceFiles:
         _write_raw_dataset(tmp_path, *MALFORMED[case])
         with pytest.raises(CorruptFile):
             load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("entry", ["shared_graph", "clip_batch", "write_dataset"])
+    def test_an_empty_clip_list_is_named(self, tmp_path, entry):
+        call = {"shared_graph": lambda: shared_graph([]), "clip_batch": lambda: clip_batch([]),
+                "write_dataset": lambda: write_dataset(tmp_path / "ds", [], [])}[entry]
+        with pytest.raises(InvalidArgument, match="no clips"):
+            call()
+        assert not (tmp_path / "ds").exists()
 
     def test_well_formed_header_loads(self, tmp_path):
         _write_raw_dataset(tmp_path, GOOD_HEADER, GOOD_CLIPS)

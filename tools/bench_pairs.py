@@ -32,7 +32,12 @@ The timing notes every run prints beside its metrics (`NOTES`: the raw,
 unscaled step and finetune times, and the reference kernel's time that
 scales them) get the same summary, with no bound, under `notes` in the
 JSON and under the table.  A scaled gain that the raw times do not show
-sits in the reference, not in the program.
+sits in the reference, not in the program.  Where a raw note and the
+metric it scales (`SCALED_BY`) are both summarized, their relative
+changes have opposite signs, and either verdict is "better" or "worse",
+the pair is listed under `scale_disagrees` in the JSON and named in a
+line under the notes: the reference kernel's own time moved with the
+change (ROADMAP item 14).  No verdict or bound depends on it.
 The JSON written to --out also keeps every run.  Standard library and
 NumPy only.
 """
@@ -55,6 +60,8 @@ GAIN_PAIRS = 10  # the fewest pairs that can show a gain
 NOTES = [{"name": name, "unit": unit, "better": "lower", "bound": None}
          for name, unit in (("raw_step_ms_p50", "ms"), ("raw_finetune_s", "s"),
                             ("reference_ms_p50", "ms"))]
+# each raw-time note and the end-to-end metric that scales it by the reference's time
+SCALED_BY = {"raw_step_ms_p50": "step_ms_p50", "raw_finetune_s": "finetune_s"}
 
 
 def quartiles(values) -> dict:
@@ -168,6 +175,24 @@ def summarize(runs: list[dict], specs: list[dict], field: str = "metrics") -> di
     return summaries
 
 
+def scale_disagreements(metrics: dict, notes: dict) -> list[dict]:
+    """The (raw note, scaled metric) pairs of `SCALED_BY`, both summarized,
+    whose relative changes differ in sign while at least one of their
+    verdicts is "better" or "worse"."""
+    flagged = []
+    for raw, scaled in SCALED_BY.items():
+        if raw not in notes or scaled not in metrics:
+            continue
+        r, m = notes[raw], metrics[scaled]
+        if (r["relative_change"] * m["relative_change"] < 0
+                and {r["verdict"], m["verdict"]} & {"better", "worse"}):
+            flagged.append({"scaled": scaled, "raw": raw,
+                            "scaled_relative_change": m["relative_change"],
+                            "raw_relative_change": r["relative_change"],
+                            "scaled_verdict": m["verdict"], "raw_verdict": r["verdict"]})
+    return flagged
+
+
 def table_row(name: str, m: dict) -> str:
     """One printed line of a summary."""
     wins = f"{m['change_better_in_pairs']}/{m['pairs']}"
@@ -208,6 +233,7 @@ def main(argv=None) -> int:
         shutil.rmtree(workdir, ignore_errors=True)
     metrics = summarize(runs, bench["end_to_end"])
     notes = summarize(runs, NOTES, "notes")
+    disagrees = scale_disagreements(metrics, notes)
     doc = {
         "workload": args.workload,
         "seed": args.seed,
@@ -221,6 +247,7 @@ def main(argv=None) -> int:
         "attempted": sum(run["attempted"] for run in runs),
         "metrics": metrics,
         "notes": notes,
+        "scale_disagrees": disagrees,
         "runs": runs,
     }
     if args.out:
@@ -233,6 +260,10 @@ def main(argv=None) -> int:
         print("timing notes (raw times, no bound):")
         for name, m in notes.items():
             print(table_row(name, m))
+    for d in disagrees:
+        print(f"scale disagrees: {d['scaled']} {100 * d['scaled_relative_change']:+.1f}% "
+              f"({d['scaled_verdict']}) but {d['raw']} {100 * d['raw_relative_change']:+.1f}% "
+              f"({d['raw_verdict']}): the reference kernel's time moved too, see ROADMAP item 14")
     print(f"a gain needs at least {GAIN_PAIRS} pairs, nine tenths of them won, and a median "
           f"gap above the parent IQR; this set has {args.pairs}")
     print(f"all runs correct: {doc['all_runs_correct']} "
